@@ -189,7 +189,8 @@ let bench_integrator_trap =
   Test.make ~name:"ablation: transient trapezoidal" (Staged.stage (fun () ->
       transient_once Lattice_spice.Transient.Trapezoidal))
 
-(* --- sparse vs dense MNA engine (DESIGN.md, "Sparse MNA engine") ------ *)
+(* --- stamp-plan transient on a larger lattice (DESIGN.md, "Sparse MNA
+   engine"); the 3x3 XOR3 case is the Fig11 kernel above ------------------ *)
 
 let lattice_6x6_grid =
   let entries =
@@ -199,36 +200,15 @@ let lattice_6x6_grid =
   in
   Lattice_core.Grid.create 6 6 entries
 
-let transient_with_engine engine grid ~t_stop =
-  let lc =
-    Lattice_spice.Lattice_circuit.build grid
-      ~stimulus:(Lattice_spice.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time:50e-9)
-  in
-  let options =
-    { Lattice_spice.Transient.default_options with
-      Lattice_spice.Transient.dc = { Lattice_spice.Dcop.default_options with engine } }
-  in
-  ignore
-    (Lattice_spice.Transient.run ~options lc.Lattice_spice.Lattice_circuit.netlist ~h:1e-9
-       ~t_stop ~record:[ "out" ] ())
-
-let bench_engine_xor3_dense =
-  Test.make ~name:"ablation: XOR3 transient 100ns, dense engine" (Staged.stage (fun () ->
-      transient_with_engine Lattice_spice.Dcop.Dense Lattice_synthesis.Library.xor3_3x3
-        ~t_stop:100e-9))
-
-let bench_engine_xor3_sparse =
-  Test.make ~name:"ablation: XOR3 transient 100ns, sparse engine" (Staged.stage (fun () ->
-      transient_with_engine Lattice_spice.Dcop.Sparse Lattice_synthesis.Library.xor3_3x3
-        ~t_stop:100e-9))
-
-let bench_engine_6x6_dense =
-  Test.make ~name:"ablation: 6x6 lattice transient 50ns, dense engine" (Staged.stage (fun () ->
-      transient_with_engine Lattice_spice.Dcop.Dense lattice_6x6_grid ~t_stop:50e-9))
-
-let bench_engine_6x6_sparse =
-  Test.make ~name:"ablation: 6x6 lattice transient 50ns, sparse engine" (Staged.stage (fun () ->
-      transient_with_engine Lattice_spice.Dcop.Sparse lattice_6x6_grid ~t_stop:50e-9))
+let bench_transient_6x6 =
+  Test.make ~name:"6x6 lattice transient 50ns (87 unknowns)" (Staged.stage (fun () ->
+      let lc =
+        Lattice_spice.Lattice_circuit.build lattice_6x6_grid
+          ~stimulus:(Lattice_spice.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time:50e-9)
+      in
+      ignore
+        (Lattice_spice.Transient.run lc.Lattice_spice.Lattice_circuit.netlist ~h:1e-9
+           ~t_stop:50e-9 ~record:[ "out" ] ())))
 
 (* --- parallel batch engine (DESIGN.md, "Parallel batch engine") ------- *)
 
@@ -304,10 +284,7 @@ let all_tests =
     bench_paths_brute;
     bench_integrator_be;
     bench_integrator_trap;
-    bench_engine_xor3_dense;
-    bench_engine_xor3_sparse;
-    bench_engine_6x6_dense;
-    bench_engine_6x6_sparse;
+    bench_transient_6x6;
     bench_model_level1;
     bench_model_level3;
     bench_complementary_dc;
@@ -326,7 +303,7 @@ let all_tests =
     bench_engine_campaign_4;
   ]
 
-(* Gc-based proof that the sparse Newton inner loop allocates nothing
+(* Gc-based proof that the Newton inner loop allocates nothing
    once the plan's LU is warm (DESIGN.md, "Sparse MNA engine"). *)
 let allocation_check () =
   print_endline "==================================================================";
@@ -337,16 +314,13 @@ let allocation_check () =
       ~stimulus:(fun _ -> Lattice_spice.Source.Dc 1.2)
   in
   let netlist = lc.Lattice_spice.Lattice_circuit.netlist in
-  let options =
-    { Lattice_spice.Dcop.default_options with
-      Lattice_spice.Dcop.engine = Lattice_spice.Dcop.Sparse }
-  in
-  let plan = Lattice_spice.Dcop.plan_for options netlist in
-  let x0 = Lattice_spice.Dcop.solve ~options ?plan netlist in
+  let options = Lattice_spice.Dcop.default_options in
+  let plan = Lattice_spice.Stamp_plan.compile netlist in
+  let x0 = Lattice_spice.Dcop.solve ~plan netlist in
   let dst = Array.make (Array.length x0) 0.0 in
   let solve () =
     ignore
-      (Lattice_spice.Dcop.newton_into ?plan netlist ~options ~x0 ~dst ~time:0.0
+      (Lattice_spice.Dcop.newton_into ~plan netlist ~options ~x0 ~dst ~time:0.0
          ~gmin:options.Lattice_spice.Dcop.gmin_final ~source_scale:1.0 ~caps:None)
   in
   (* warm-up: first factorization runs the symbolic analysis *)
@@ -741,35 +715,22 @@ let run_benchmarks () =
     all_tests;
   List.rev !results
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Built as a [Lattice_serve.Json.t], so keys are escaped by the same
+   codec the daemon uses. JSON has no nan/inf literal: a non-finite
+   measurement prints as null. *)
 let write_json path ~newton_allocation_free ~extras results =
+  let module J = Lattice_serve.Json in
+  let number v = if Float.is_finite v then J.Float v else J.Null in
+  let numbers kvs = List.map (fun (k, v) -> (k, number v)) kvs in
+  let fields =
+    (("newton_inner_loop_allocation_free", J.Bool newton_allocation_free) :: numbers extras)
+    (* smoke runs skip the Bechamel suite: no kernels key rather than an
+       empty object that consumers would mistake for "measured, found none" *)
+    @ if results = [] then [] else [ ("kernels_ns_per_run", J.Obj (numbers results)) ]
+  in
   let oc = open_out path in
-  output_string oc "{\n  \"newton_inner_loop_allocation_free\": ";
-  output_string oc (if newton_allocation_free then "true" else "false");
-  List.iter
-    (fun (key, v) -> Printf.fprintf oc ",\n  \"%s\": %.4f" (json_escape key) v)
-    extras;
-  (* smoke runs skip the Bechamel suite: no kernels key rather than an
-     empty object that consumers would mistake for "measured, found none" *)
-  if results <> [] then begin
-    output_string oc ",\n  \"kernels_ns_per_run\": {\n";
-    List.iteri
-      (fun i (name, ns) ->
-        Printf.fprintf oc "    \"%s\": %.2f%s\n" (json_escape name) ns
-          (if i = List.length results - 1 then "" else ","))
-      results;
-    output_string oc "  }\n}\n"
-  end
-  else output_string oc "\n}\n";
+  output_string oc (J.to_string (J.Obj fields));
+  output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s (%d kernels)\n%!" path (List.length results)
 

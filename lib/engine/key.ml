@@ -7,8 +7,6 @@ let add_string b s =
   add_int b (String.length s);
   Buffer.add_string b s
 
-let engine_tag = function Sp.Dcop.Auto -> 'A' | Sp.Dcop.Dense -> 'D' | Sp.Dcop.Sparse -> 'S'
-
 let add_dc_options b (o : Sp.Dcop.options) =
   add_int b o.Sp.Dcop.max_iterations;
   add_float b o.Sp.Dcop.abstol;
@@ -18,7 +16,6 @@ let add_dc_options b (o : Sp.Dcop.options) =
   List.iter (add_float b) o.Sp.Dcop.gmin_steps;
   add_int b o.Sp.Dcop.source_steps;
   add_float b o.Sp.Dcop.damping;
-  Buffer.add_char b (engine_tag o.Sp.Dcop.engine);
   (* conv_trace changes the diagnostics payload, and cache hits replay
      diagnostics verbatim — traced and untraced solves must not alias *)
   add_int b (Bool.to_int o.Sp.Dcop.conv_trace)

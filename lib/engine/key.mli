@@ -14,7 +14,7 @@ val dc_op :
   ?options:Lattice_spice.Dcop.options -> ?time:float -> Lattice_spice.Netlist.t -> string
 
 (** [dc_options_digest options] — digest of just the solver options
-    (every tolerance, the continuation ladder, the engine choice). *)
+    (every tolerance, the continuation ladder, the convergence-trace flag). *)
 val dc_options_digest : Lattice_spice.Dcop.options -> string
 
 (** [custom parts] — generic key for non-circuit jobs (device sweeps,

@@ -3,8 +3,9 @@
    the rings never grow and never stop recording, so when a request
    fails there is retroactive evidence of what the process was doing.
 
-   Each domain owns one ring; serve workers are systhreads sharing
-   domain 0's ring, so the write cursor is an atomic fetch-and-add.
+   Each domain records into one ring; serve workers are systhreads
+   sharing domain 0's ring and domains can share a table slot, so the
+   write cursor is an atomic fetch-and-add.
    Slot writes themselves are unsynchronized — a lost race overwrites
    one record with a newer one, which is exactly the ring's contract.
    The only allocation on the recording path is the span record
@@ -38,17 +39,31 @@ let dummy = { name = ""; cat = ""; dom = -1; ts_ns = 0; dur_ns = 0; args = [] }
 
 type ring = { slots : span array; cursor : int Atomic.t }
 
-(* rings of every domain that ever recorded; registration happens once
-   per domain (DLS init), never on a hot path *)
-let registry : ring list ref = ref []
-let registry_lock = Mutex.create ()
+(* A fixed table of rings indexed by domain id modulo [max_rings]: domain
+   ids only grow, so domains spawned one after another take the slots in
+   turn and a ring is reused only after [max_rings - 1] later domains
+   have claimed the others. The process holds at most [max_rings] rings
+   however many domains it spawns, and an exited domain's spans stay
+   dumpable until its slot comes round again. Domains that share a slot
+   share the atomic cursor. A ring is claimed once per domain (DLS
+   init), never on a hot path. *)
+let max_rings = 16
+let table : ring option array = Array.make max_rings None
+let table_lock = Mutex.create ()
 
 let dls_key =
   Domain.DLS.new_key (fun () ->
-      let r = { slots = Array.make capacity dummy; cursor = Atomic.make 0 } in
-      Mutex.lock registry_lock;
-      registry := r :: !registry;
-      Mutex.unlock registry_lock;
+      let i = (Domain.self () :> int) mod max_rings in
+      Mutex.lock table_lock;
+      let r =
+        match table.(i) with
+        | Some r -> r
+        | None ->
+          let r = { slots = Array.make capacity dummy; cursor = Atomic.make 0 } in
+          table.(i) <- Some r;
+          r
+      in
+      Mutex.unlock table_lock;
       r)
 
 let record span =
@@ -59,10 +74,10 @@ let record span =
   end
 
 let rings () =
-  Mutex.lock registry_lock;
-  let rs = !registry in
-  Mutex.unlock registry_lock;
-  rs
+  Mutex.lock table_lock;
+  let rs = Array.to_list table in
+  Mutex.unlock table_lock;
+  List.filter_map Fun.id rs
 
 let dump ?last_n () =
   let out = ref [] in

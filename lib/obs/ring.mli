@@ -5,12 +5,16 @@
     opposite — it records every completed span (not instants) into a
     bounded ring regardless, so a failing or slow request leaves
     retroactive evidence. Overwrite is the contract: each domain keeps
-    only its last {!capacity} spans.
+    only its last {!capacity} spans. Rings live in a fixed table indexed
+    by domain id, so the process holds at most 16 rings however many
+    domains it spawns; an exited domain's spans stay dumpable until a
+    domain 16 spawns later takes over its ring.
 
     Recording costs one atomic fetch-and-add plus one array store; the
-    only allocation on that path is the span record itself. Within a
-    domain, concurrent systhreads claim slots with the atomic cursor;
-    a racing slot write can drop one record, never corrupt the ring.
+    only allocation on that path is the span record itself. Concurrent
+    writers to one ring (systhreads of a domain, or domains sharing a
+    table slot) claim slots with the atomic cursor; a racing slot write
+    can drop one record, never corrupt the ring.
 
     Enabled by default; set [FTL_FLIGHT=0] to disable at startup (used
     by the A/A overhead bench). *)
@@ -25,7 +29,7 @@ type span = {
 }
 
 val capacity : int
-(** Slots per domain (power of two). *)
+(** Slots per ring (power of two). *)
 
 val on : unit -> bool
 (** One atomic load; safe from any domain. *)
@@ -51,6 +55,10 @@ val dump_jsonl : ?last_n:int -> unit -> string
 
 val recorded : unit -> int
 (** Number of spans currently held across all rings. *)
+
+val json_escape : string -> string
+(** JSON string-body escaping (quote, backslash, control characters),
+    shared by this module's and {!Export}'s writers. *)
 
 val reset : unit -> unit
 (** Clear every ring (tests). Quiescent points only. *)

@@ -29,7 +29,7 @@ let epoch = Clock.now_ns ()
 let next_id = Atomic.make 0
 
 type buf = {
-  dom : int;
+  mutable dom : int;
   mutable events : event array;
   mutable len : int;
   mutable stack : event list; (* open spans, innermost first *)
@@ -38,20 +38,40 @@ type buf = {
 let dummy =
   { id = -1; parent = -1; name = ""; cat = ""; tid = 0; ts_ns = 0; dur_ns = 0; args = []; kind = Instant }
 
-(* Buffers of every domain that ever recorded, for {!events}/{!reset}.
-   Registration happens once per domain (DLS init), so the mutex is
-   never on a hot path. *)
+(* Every buffer ever created, for {!events}/{!reset}. Pushes are
+   unsynchronized, so unlike the flight rings a buffer never has two
+   live writers: a domain hands its buffer to [free] when it exits and
+   the next domain to record adopts it. Events already recorded keep
+   their own [tid] and stay exported; new ones append. There is thus
+   one buffer per concurrently live domain, however many domains are
+   spawned. Adoption and hand-back happen once per domain (DLS init,
+   at_exit), so the mutex is never on a hot path. *)
 let registry : buf list ref = ref []
+let free : buf list ref = ref []
 let registry_lock = Mutex.create ()
 
 let dls_key =
   Domain.DLS.new_key (fun () ->
-      let b =
-        { dom = (Domain.self () :> int); events = Array.make 256 dummy; len = 0; stack = [] }
-      in
+      let dom = (Domain.self () :> int) in
       Mutex.lock registry_lock;
-      registry := b :: !registry;
+      let b =
+        match !free with
+        | b :: rest ->
+          free := rest;
+          b.dom <- dom;
+          b
+        | [] ->
+          let b = { dom; events = Array.make 256 dummy; len = 0; stack = [] } in
+          registry := b :: !registry;
+          b
+      in
       Mutex.unlock registry_lock;
+      Domain.at_exit (fun () ->
+          (* spans the domain left open are never closed *)
+          b.stack <- [];
+          Mutex.lock registry_lock;
+          free := b :: !free;
+          Mutex.unlock registry_lock);
       b)
 
 let buf () = Domain.DLS.get dls_key

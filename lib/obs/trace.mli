@@ -4,7 +4,10 @@
     load); when tracing is off the hot paths pay only that branch and
     allocate nothing. When on, events land in per-Domain buffers
     (Domain-local storage), so {!Lattice_engine.Pool} workers record
-    without contention; {!events} merges the buffers afterwards.
+    without contention; {!events} merges the buffers afterwards. An
+    exiting domain's buffer, with the events it holds, passes to the
+    next domain that records, so the buffers stay as many as the
+    domains alive at once.
 
     Spans form a tree per domain: {!begin_span} pushes onto a
     domain-local stack, {!end_span} pops, and each event records its

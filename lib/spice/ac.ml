@@ -1,65 +1,30 @@
-module Matrix = Lattice_numerics.Matrix
-module Lu = Lattice_numerics.Lu
 module Sparse = Lattice_numerics.Sparse
 
 type point = { freq_hz : float; magnitude : float; phase_deg : float }
 
 type response = { points : point list; dc_gain : float }
 
-let cap_stamps netlist =
-  List.filter_map
-    (function
-      | Netlist.Capacitor { n1; n2; farads; _ } ->
-        Some (Netlist.node_index n1, Netlist.node_index n2, farads)
-      | Netlist.Resistor _ | Netlist.Vsource _ | Netlist.Isource _ | Netlist.Mosfet _ -> None)
-    (Netlist.elements netlist)
-
-(* Susceptance entries of the cap list as flat (row, col, farads) triples,
-   with the signs of the usual conductance stamp folded in. *)
-let b_entries caps =
+(* Susceptance entries of every capacitor as flat (row, col, farads)
+   triples, with the signs of the usual conductance stamp folded in. *)
+let b_entries netlist =
   let out = ref [] in
   List.iter
-    (fun (i1, i2, f) ->
-      let add r c coef = if r >= 0 && c >= 0 then out := (r, c, coef) :: !out in
-      add i1 i1 f;
-      add i2 i2 f;
-      add i1 i2 (-.f);
-      add i2 i1 (-.f))
-    caps;
+    (function
+      | Netlist.Capacitor { n1; n2; farads = f; _ } ->
+        let i1 = Netlist.node_index n1 and i2 = Netlist.node_index n2 in
+        let add r c coef = if r >= 0 && c >= 0 then out := (r, c, coef) :: !out in
+        add i1 i1 f;
+        add i2 i2 f;
+        add i1 i2 (-.f);
+        add i2 i1 (-.f)
+      | Netlist.Resistor _ | Netlist.Vsource _ | Netlist.Isource _ | Netlist.Mosfet _ -> ())
+    (Netlist.elements netlist);
   !out
 
-(* Dense reference path: rebuild and factor the full 2n x 2n augmented
-   system at every frequency. *)
-let solver_dense netlist ~x_op ~caps =
-  let g_matrix, _ =
-    Mna.stamp netlist ~x:x_op ~time:0.0 ~gmin:Dcop.default_options.Dcop.gmin_final ~gshunt:0.0
-      ~source_scale:1.0 ~caps:None
-  in
-  let n = Netlist.unknowns netlist in
-  fun ~w ~source_row ->
-    (* real augmented system [[G, -B]; [B, G]] *)
-    let a = Matrix.create (2 * n) (2 * n) in
-    for r = 0 to n - 1 do
-      for c = 0 to n - 1 do
-        let g = Matrix.get g_matrix r c in
-        Matrix.set a r c g;
-        Matrix.set a (n + r) (n + c) g
-      done
-    done;
-    List.iter
-      (fun (r, c, coef) ->
-        let y = w *. coef in
-        Matrix.add_to a r (n + c) (-.y);
-        Matrix.add_to a (n + r) c y)
-      (b_entries caps);
-    let b = Array.make (2 * n) 0.0 in
-    b.(source_row) <- 1.0;
-    Lu.solve_dense a b
-
-(* Compiled path: the augmented pattern is built once; each frequency
-   blits the cached G blocks, writes the scaled B slots, and reuses the
-   elimination pattern of the first factorization (numeric refactor). *)
-let solver_sparse plan ~x_op ~caps =
+(* The augmented pattern is built once; each frequency blits the cached
+   G blocks, writes the scaled B slots, and reuses the elimination
+   pattern of the first factorization (numeric refactor). *)
+let solver netlist plan ~x_op =
   let n = Stamp_plan.n plan in
   Stamp_plan.set_linear plan ~time:0.0 ~gmin:Dcop.default_options.Dcop.gmin_final ~gshunt:0.0
     ~source_scale:1.0 ~caps:None;
@@ -69,7 +34,7 @@ let solver_sparse plan ~x_op ~caps =
   Sparse.iteri g (fun _ r c _ ->
       Sparse.Builder.add builder r c;
       Sparse.Builder.add builder (n + r) (n + c));
-  let bents = Array.of_list (b_entries caps) in
+  let bents = Array.of_list (b_entries netlist) in
   Array.iter
     (fun (r, c, _) ->
       Sparse.Builder.add builder r (n + c);
@@ -124,7 +89,7 @@ let solver_sparse plan ~x_op ~caps =
     Sparse.solve_in_place f rhs;
     rhs
 
-let sweep ?(engine = Dcop.Auto) netlist ~source ~output ~f_start ~f_stop ~points_per_decade =
+let sweep netlist ~source ~output ~f_start ~f_stop ~points_per_decade =
   if f_start <= 0.0 || f_stop <= f_start then invalid_arg "Ac.sweep: bad frequency range";
   if points_per_decade < 1 then invalid_arg "Ac.sweep: need at least 1 point per decade";
   let source_row =
@@ -134,16 +99,10 @@ let sweep ?(engine = Dcop.Auto) netlist ~source ~output ~f_start ~f_stop ~points
   in
   let out_index = Netlist.node_index (Netlist.node netlist output) in
   if out_index < 0 then invalid_arg "Ac.sweep: output is ground";
-  let options = { Dcop.default_options with engine } in
-  let plan = Dcop.plan_for options netlist in
-  let x_op = Dcop.solve ~options ?plan netlist in
+  let plan = Stamp_plan.compile netlist in
+  let x_op = Dcop.solve ~plan netlist in
   let n = Netlist.unknowns netlist in
-  let caps = cap_stamps netlist in
-  let solver =
-    match plan with
-    | Some plan -> solver_sparse plan ~x_op ~caps
-    | None -> solver_dense netlist ~x_op ~caps
-  in
+  let solver = solver netlist plan ~x_op in
   let solve_at freq =
     let w = 2.0 *. Float.pi *. freq in
     let x = solver ~w ~source_row in

@@ -6,10 +6,10 @@
     capacitor by its admittance [j w C], applies a unit AC excitation to
     one voltage source and solves the complex MNA system
     [(G + j B) x = b] over a frequency sweep. The complex system is solved
-    as the equivalent real block system [[G, -B; B, G]]. On the compiled
-    sparse engine the augmented pattern and its symbolic analysis are
-    built once; each frequency only rewrites the [B] slots and runs a
-    numeric-only refactorization.
+    as the equivalent real block system [[G, -B; B, G]]. The augmented
+    sparse pattern and its symbolic analysis are built once per sweep;
+    each frequency only rewrites the [B] slots and runs a numeric-only
+    refactorization.
 
     Measurements on the transfer function: the -3 dB corner ([f_3db], the
     maximum-frequency proxy) and the phase at any frequency. *)
@@ -25,15 +25,13 @@ type response = {
   dc_gain : float;  (** magnitude of the lowest swept frequency *)
 }
 
-(** [sweep ?engine netlist ~source ~output ~f_start ~f_stop
-    ~points_per_decade] runs the sweep (log-spaced). [source] names the
-    excited voltage source (its DC value sets the operating point; the AC
-    excitation is 1 V), [output] the observed node. [engine] selects the
-    linear-solver backend for both the operating point and the sweep
-    (default [Auto]). Raises [Invalid_argument] for unknown names,
-    [Dcop.Convergence_failure] if the operating point fails. *)
+(** [sweep netlist ~source ~output ~f_start ~f_stop ~points_per_decade]
+    runs the sweep (log-spaced). [source] names the excited voltage
+    source (its DC value sets the operating point; the AC excitation is
+    1 V), [output] the observed node. Raises [Invalid_argument] for
+    unknown names, [Dcop.Convergence_failure] if the operating point
+    fails. *)
 val sweep :
-  ?engine:Dcop.engine ->
   Netlist.t ->
   source:string ->
   output:string ->
@@ -41,6 +39,20 @@ val sweep :
   f_stop:float ->
   points_per_decade:int ->
   response
+
+(** [solver netlist plan ~x_op] is the per-frequency solve {!sweep}
+    runs, with [plan] compiled from [netlist]: it linearizes the circuit
+    at [x_op] once, then each [solve ~w ~source_row] returns the solution
+    of the augmented system [[G, -B; B, G]] x = e_source_row at angular
+    frequency [w] (real parts in [0, n), imaginary parts in [n, 2n)).
+    The returned array is overwritten by the next call. *)
+val solver :
+  Netlist.t ->
+  Stamp_plan.t ->
+  x_op:Lattice_numerics.Vec.t ->
+  w:float ->
+  source_row:int ->
+  float array
 
 (** [f_3db response] is the first frequency at which the magnitude drops
     below [dc_gain / sqrt 2], interpolated; [None] if it never does. *)

@@ -1,5 +1,4 @@
 module Vec = Lattice_numerics.Vec
-module Lu = Lattice_numerics.Lu
 module Matrix = Lattice_numerics.Matrix
 module Sparse = Lattice_numerics.Sparse
 module Trace = Lattice_obs.Trace
@@ -11,8 +10,6 @@ let solves_counter = Metrics.counter "dcop.solves"
 let fallback_counter = Metrics.counter "dcop.fallbacks"
 let newton_iter_hist = Metrics.histogram "newton.iterations"
 
-type engine = Auto | Dense | Sparse
-
 type options = {
   max_iterations : int;
   abstol : float;
@@ -21,7 +18,6 @@ type options = {
   gmin_steps : float list;
   source_steps : int;
   damping : float;
-  engine : engine;
   conv_trace : bool;
 }
 
@@ -34,7 +30,6 @@ let default_options =
     gmin_steps = [ 1e-3; 1e-5; 1e-7; 1e-9; 1e-12 ];
     source_steps = 10;
     damping = 1.0;
-    engine = Auto;
     conv_trace = false;
   }
 
@@ -89,19 +84,6 @@ let pp_failure f =
   in
   Printf.sprintf "%s [ladder %s; |r|=%.3g; worst %s]" f.message ladder f.residual_norm nodes
 
-(* Below this many unknowns the dense path wins: the compiled plan and
-   symbolic analysis don't pay for themselves, and dense LU on a handful
-   of rows is cache-resident anyway. *)
-let sparse_threshold = 16
-
-let plan_for options netlist =
-  match options.engine with
-  | Dense -> None
-  | Sparse -> Some (Stamp_plan.compile netlist)
-  | Auto ->
-    if Netlist.unknowns netlist >= sparse_threshold then Some (Stamp_plan.compile netlist)
-    else None
-
 let converged options x_old x_new =
   let n = Array.length x_old in
   let rec go i =
@@ -151,138 +133,72 @@ let residual_report ?(time = 0.0) ?(gmin = default_options.gmin_final) ?(gshunt 
   in
   (!norm, take worst sorted)
 
-(* Newton over the compiled sparse plan: allocation-free after the
-   plan's first factorization (all buffers are plan-owned). On failure
-   the last iterate is left in [dst] for the caller's diagnostics. *)
-let newton_sparse plan ~options ~x0 ~dst ~time ~gmin ~gshunt ~source_scale ~caps ~iter_count
-    ~on_iter ~cancel ~nnodes =
-  let n = Stamp_plan.n plan in
-  let x = Stamp_plan.x_buffer plan and x_new = Stamp_plan.x_new_buffer plan in
-  Array.blit x0 0 x 0 n;
-  Stamp_plan.set_linear plan ~time ~gmin ~gshunt ~source_scale ~caps;
-  let k = ref 0 in
-  let done_ = ref false in
-  while not !done_ do
-    (* iteration boundary: a blown deadline stops here, leaving the last
-       iterate in [dst] exactly like a convergence failure would *)
-    (match Cancel.state cancel with
-    | None -> ()
-    | Some r ->
-      Array.blit x 0 dst 0 n;
-      raise (Cancel.Cancelled r));
-    if !k >= options.max_iterations then begin
-      Array.blit x 0 dst 0 n;
-      raise
-        (Convergence_failure (Printf.sprintf "Newton: no convergence after %d iterations" !k))
-    end;
-    bump iter_count;
-    Stamp_plan.assemble plan ~x;
-    (try Stamp_plan.factor_and_solve plan
-     with Sparse.Singular col ->
-       Array.blit x 0 dst 0 n;
-       raise (Convergence_failure (Printf.sprintf "singular MNA matrix at column %d" col)));
-    Array.blit (Stamp_plan.rhs plan) 0 x_new 0 n;
-    (* limit per-step voltage change to keep the level-1 model in range *)
-    for i = 0 to nnodes - 1 do
-      let d = x_new.(i) -. x.(i) in
-      if Float.abs d > options.damping then x_new.(i) <- x.(i) +. Float.copy_sign options.damping d
-    done;
-    report_dx on_iter x x_new n;
-    incr k;
-    if converged options x x_new then begin
-      Array.blit x_new 0 dst 0 n;
-      done_ := true
-    end
-    else Array.blit x_new 0 x 0 n
-  done;
-  !k
-
-(* the dense reference engine: rebuilds the full matrix each iteration *)
-let newton_dense netlist ~options ~x0 ~dst ~time ~gmin ~gshunt ~source_scale ~caps ~iter_count
-    ~on_iter ~cancel ~nnodes =
-  let n = Netlist.unknowns netlist in
-  let x = Vec.copy x0 in
-  let rec iterate k =
-    (match Cancel.state cancel with
-    | None -> ()
-    | Some r ->
-      Array.blit x 0 dst 0 n;
-      raise (Cancel.Cancelled r));
-    if k >= options.max_iterations then begin
-      Array.blit x 0 dst 0 n;
-      raise (Convergence_failure (Printf.sprintf "Newton: no convergence after %d iterations" k))
-    end;
-    bump iter_count;
-    let a, b = Mna.stamp netlist ~x ~time ~gmin ~gshunt ~source_scale ~caps in
-    let x_new =
-      match Lu.factor a with
-      | f -> Lu.solve f b
-      | exception Lu.Singular col ->
-        Array.blit x 0 dst 0 n;
-        raise (Convergence_failure (Printf.sprintf "singular MNA matrix at column %d" col))
-    in
-    for i = 0 to nnodes - 1 do
-      let d = x_new.(i) -. x.(i) in
-      if Float.abs d > options.damping then x_new.(i) <- x.(i) +. Float.copy_sign options.damping d
-    done;
-    report_dx on_iter x x_new n;
-    if converged options x x_new then begin
-      Array.blit x_new 0 dst 0 n;
-      k + 1
-    end
-    else begin
-      Array.blit x_new 0 x 0 (Array.length x);
-      iterate (k + 1)
-    end
-  in
-  iterate 0
-
-let newton_into ?(gshunt = 0.0) ?plan ?iter_count ?on_iter ?(cancel = Cancel.none) netlist
+(* Newton over the compiled stamp plan: allocation-free after the
+   plan's first factorization (all buffers are plan-owned). On failure the
+   last iterate is left in [dst] for the caller's diagnostics. *)
+let newton_into ?(gshunt = 0.0) ~plan ?iter_count ?on_iter ?(cancel = Cancel.none) netlist
     ~options ~x0 ~dst ~time ~gmin ~source_scale ~caps =
   let nnodes = Netlist.num_nodes netlist in
-  let plan = match plan with Some _ as p -> p | None -> plan_for options netlist in
+  let n = Stamp_plan.n plan in
+  let x = Stamp_plan.x_buffer plan and x_new = Stamp_plan.x_new_buffer plan in
+  let k = ref 0 in
+  let done_ = ref false in
   let sp = Trace.begin_span ~cat:"spice" "newton" in
   match
-    match plan with
-    | Some plan ->
-      newton_sparse plan ~options ~x0 ~dst ~time ~gmin ~gshunt ~source_scale ~caps ~iter_count
-        ~on_iter ~cancel ~nnodes
-    | None ->
-      newton_dense netlist ~options ~x0 ~dst ~time ~gmin ~gshunt ~source_scale ~caps ~iter_count
-        ~on_iter ~cancel ~nnodes
+    Array.blit x0 0 x 0 n;
+    Stamp_plan.set_linear plan ~time ~gmin ~gshunt ~source_scale ~caps;
+    while not !done_ do
+      (* iteration boundary: a blown deadline stops here, leaving the last
+         iterate in [dst] exactly like a convergence failure would *)
+      (match Cancel.state cancel with
+      | None -> ()
+      | Some r ->
+        Array.blit x 0 dst 0 n;
+        raise (Cancel.Cancelled r));
+      if !k >= options.max_iterations then begin
+        Array.blit x 0 dst 0 n;
+        raise
+          (Convergence_failure (Printf.sprintf "Newton: no convergence after %d iterations" !k))
+      end;
+      bump iter_count;
+      Stamp_plan.assemble plan ~x;
+      (try Stamp_plan.factor_and_solve plan
+       with Sparse.Singular col ->
+         Array.blit x 0 dst 0 n;
+         raise (Convergence_failure (Printf.sprintf "singular MNA matrix at column %d" col)));
+      Array.blit (Stamp_plan.rhs plan) 0 x_new 0 n;
+      (* limit per-step voltage change to keep the level-1 model in range *)
+      for i = 0 to nnodes - 1 do
+        let d = x_new.(i) -. x.(i) in
+        if Float.abs d > options.damping then
+          x_new.(i) <- x.(i) +. Float.copy_sign options.damping d
+      done;
+      report_dx on_iter x x_new n;
+      incr k;
+      if converged options x x_new then begin
+        Array.blit x_new 0 dst 0 n;
+        done_ := true
+      end
+      else Array.blit x_new 0 x 0 n
+    done
   with
-  | k ->
+  | () ->
     Trace.end_span sp;
-    k
+    !k
   | exception e ->
     Trace.end_span sp;
     raise e
-
-let newton ?gshunt ?plan ?iter_count ?on_iter ?cancel netlist ~options ~x0 ~time ~gmin
-    ~source_scale ~caps =
-  let dst = Array.make (Array.length x0) 0.0 in
-  let iters =
-    newton_into ?gshunt ?plan ?iter_count ?on_iter ?cancel netlist ~options ~x0 ~dst ~time ~gmin
-      ~source_scale ~caps
-  in
-  (dst, iters)
-
-let last_diag : (diagnostics, failure) result option ref = ref None
-
-let last_solve_diagnostics () = !last_diag
 
 let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = Cancel.none)
     netlist =
   let n = Netlist.unknowns netlist in
   if n = 0 then begin
-    let d = { strategy = Plain; attempts = []; newton_iterations = 0; conv_trace = [] } in
-    last_diag := Some (Ok d);
-    Ok ([||], d)
+    Ok ([||], { strategy = Plain; attempts = []; newton_iterations = 0; conv_trace = [] })
   end
   else begin
     Metrics.Counter.incr solves_counter;
     let sp = Trace.begin_span ~cat:"spice" "dcop" in
-    let plan = match plan with Some _ as p -> p | None -> plan_for options netlist in
+    let plan = match plan with Some p -> p | None -> Stamp_plan.compile netlist in
     let x0 = match x0 with Some x -> Vec.copy x | None -> Vec.zeros n in
     (* last Newton iterate of the most recent failed attempt, for the
        failure diagnostics *)
@@ -304,7 +220,7 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
       let dst = Array.make n 0.0 in
       (try
          ignore
-           (newton_into ?gshunt ?plan ~iter_count:count ?on_iter ~cancel netlist ~options ~x0
+           (newton_into ?gshunt ~plan ~iter_count:count ?on_iter ~cancel netlist ~options ~x0
               ~dst ~time ~gmin ~source_scale ~caps:None)
        with (Convergence_failure _ | Cancel.Cancelled _) as e ->
          Array.blit dst 0 last_x 0 n;
@@ -370,7 +286,6 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
         in
         Metrics.Histogram.observe newton_iter_hist (float_of_int (total ()));
         Trace.end_span sp;
-        last_diag := Some (Error f);
         Error f
       | (tag, attempt) :: rest -> (
         Cancel.check cancel;
@@ -391,7 +306,6 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
           in
           Metrics.Histogram.observe newton_iter_hist (float_of_int d.newton_iterations);
           Trace.end_span sp;
-          last_diag := Some (Ok d);
           Ok (x, d)
         | exception Convergence_failure msg ->
           Trace.end_span asp;

@@ -1,6 +1,6 @@
 (** DC operating-point analysis: damped Newton-Raphson with gmin stepping
-    and a source-stepping fallback, over either the compiled sparse MNA
-    engine ({!Stamp_plan}) or the dense reference engine.
+    and a source-stepping fallback, over the compiled sparse MNA stamp
+    plan ({!Stamp_plan}).
 
     Two entry points compute the operating point: {!solve_diag} returns a
     structured [result] carrying per-strategy diagnostics (and, on
@@ -10,13 +10,6 @@
 
 exception Convergence_failure of string
 
-(** Which linear-algebra backend drives Newton. [Auto] (the default)
-    compiles a sparse stamp plan when the system has at least
-    {!sparse_threshold} unknowns and falls back to the dense engine
-    below that; [Dense] and [Sparse] force a backend (the dense path is
-    the correctness oracle for the sparse one). *)
-type engine = Auto | Dense | Sparse
-
 type options = {
   max_iterations : int;  (** Newton iterations per continuation step (default 200) *)
   abstol : float;  (** absolute voltage tolerance, V (default 1e-9) *)
@@ -25,7 +18,6 @@ type options = {
   gmin_steps : float list;  (** continuation ladder, largest first *)
   source_steps : int;  (** ramp points for the source-stepping fallback (default 10) *)
   damping : float;  (** max voltage change per Newton step, V (default 1.0) *)
-  engine : engine;  (** linear-solver backend (default [Auto]) *)
   conv_trace : bool;
       (** record the per-iteration Newton update norm into
           [diagnostics.conv_trace] (default [false]; costs one extra
@@ -78,15 +70,6 @@ val pp_failure : failure -> string
 (** One-line rendering of a failure: message, ladder, residual, worst
     nodes. *)
 
-val sparse_threshold : int
-(** Unknown-count at which [Auto] switches from dense LU to the compiled
-    sparse engine. *)
-
-val plan_for : options -> Netlist.t -> Stamp_plan.t option
-(** The stamp plan the given options would use for this netlist (compiled
-    fresh), or [None] for the dense engine. Callers running many solves
-    (transient, sweeps) compile once and pass the plan back in. *)
-
 val residual_report :
   ?time:float ->
   ?gmin:float ->
@@ -102,43 +85,27 @@ val residual_report :
     returns its inf-norm plus the [worst] (default 3) node names ranked
     by residual current — the structured payload of {!failure}. *)
 
-(** [newton netlist ~options ~x0 ~time ~gmin ~source_scale ~caps] runs
-    plain Newton at a fixed continuation point ([gshunt] adds a
-    node-to-ground conductance, default 0); returns the solution and the
-    number of Newton iterations spent, or raises [Convergence_failure].
-    [plan] supplies a precompiled sparse stamp plan (overrides
-    [options.engine]); [iter_count] is incremented once per iteration as
-    it happens, so iterations spent in attempts that end in
+(** [newton_into ~plan netlist ~options ~x0 ~dst ~time ~gmin
+    ~source_scale ~caps] runs plain Newton at a fixed continuation point
+    ([gshunt] adds a node-to-ground conductance, default 0) over [plan],
+    the stamp plan compiled from [netlist], writing the solution into the
+    caller-supplied [dst] (length = unknowns; may alias [x0]) and
+    returning the number of Newton iterations spent; raises
+    [Convergence_failure] if it does not converge. With a warm [plan]
+    this performs no allocation at all — the transient inner loop runs
+    on it. When it raises [Convergence_failure], [dst] holds the last
+    Newton iterate, so callers can produce residual diagnostics at the
+    failure point. [iter_count] is incremented once per iteration as it
+    happens, so iterations spent in attempts that end in
     [Convergence_failure] are still counted. [on_iter] is called once
     per iteration with the damped update's inf-norm |dx| (the
     convergence-trace hook; the norm is only computed when the hook is
     present). [cancel] is checked at every iteration boundary; a fired
-    token raises {!Cancel.Cancelled} with the last iterate left in the
-    destination buffer. *)
-val newton :
-  ?gshunt:float ->
-  ?plan:Stamp_plan.t ->
-  ?iter_count:int ref ->
-  ?on_iter:(float -> unit) ->
-  ?cancel:Cancel.t ->
-  Netlist.t ->
-  options:options ->
-  x0:Lattice_numerics.Vec.t ->
-  time:float ->
-  gmin:float ->
-  source_scale:float ->
-  caps:Mna.cap_companion option ->
-  Lattice_numerics.Vec.t * int
-
-(** [newton_into ... ~x0 ~dst ...] is {!newton} writing the solution into
-    the caller-supplied [dst] (length = unknowns; may alias [x0]) and
-    returning only the iteration count. With a warm [plan] this performs
-    no allocation at all — the transient inner loop runs on it. When it
-    raises [Convergence_failure], [dst] holds the last Newton iterate,
-    so callers can produce residual diagnostics at the failure point. *)
+    token raises {!Cancel.Cancelled} with the last iterate left in
+    [dst]. *)
 val newton_into :
   ?gshunt:float ->
-  ?plan:Stamp_plan.t ->
+  plan:Stamp_plan.t ->
   ?iter_count:int ref ->
   ?on_iter:(float -> unit) ->
   ?cancel:Cancel.t ->
@@ -160,7 +127,10 @@ val newton_into :
     offending nodes. [cancel] is checked at every Newton iteration and
     every ladder rung; a fired token raises {!Cancel.Cancelled} — a
     deadline is {e not} a convergence failure, so it aborts the whole
-    ladder instead of escalating it. *)
+    ladder instead of escalating it. [plan] is the netlist's compiled
+    stamp plan; without one a fresh plan is compiled for this solve, so
+    callers running many solves on one topology (transient, sweeps)
+    compile once and pass it in. *)
 val solve_diag :
   ?options:options ->
   ?plan:Stamp_plan.t ->
@@ -182,9 +152,3 @@ val solve :
   ?cancel:Cancel.t ->
   Netlist.t ->
   Lattice_numerics.Vec.t
-
-val last_solve_diagnostics : unit -> (diagnostics, failure) result option
-(** Diagnostics of the most recent {!solve} / {!solve_diag} in this
-    process — how legacy callers of {!solve} observe the winning
-    strategy (via {!strategy_index}) and per-rung iteration counts
-    without changing their call sites. Process-global; not thread-safe. *)

@@ -52,8 +52,8 @@ let fet_lin_create () = { vd = 0.0; vg = 0.0; vs = 0.0; gm = 0.0; gds = 0.0; ieq
 
 (* Linearize the (source/drain-normalized) drain current at the terminal
    voltages [out.vd], [out.vg], [out.vs]: i_dn = gm vgs' + gds vds' + ieq.
-   Shared by the dense stamp and the compiled stamp plan so both engines
-   produce identical device stamps. *)
+   Shared by the dense stamp and the compiled stamp plan so both
+   assemble identical device stamps. *)
 let linearize_fet (w : Level1.workspace) (out : fet_lin) (m : Lattice_mosfet.Model.t) =
   let vd = out.vd and vg = out.vg and vs = out.vs in
   let v_dn = if vd >= vs then vd else vs and v_sn = if vd >= vs then vs else vd in

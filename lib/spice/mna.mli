@@ -42,13 +42,16 @@ val fet_lin_create : unit -> fet_lin
     source/drain-normalized drain current at ([out.vd], [out.vg],
     [out.vs]) into [out]: [i_dn = gm vgs' + gds vds' + ieq]. The caller
     decides orientation via [vd < vs]. Shared by the dense stamp
-    ({!stamp}) and the compiled stamp plan so both engines produce
-    identical stamps; allocation-free for level-1 models. *)
+    ({!stamp}) and the compiled stamp plan so both assemble identical
+    stamps; allocation-free for level-1 models. *)
 val linearize_fet :
   Lattice_mosfet.Level1.workspace -> fet_lin -> Lattice_mosfet.Model.t -> unit
 
 (** [stamp netlist ~x ~time ~gmin ~source_scale ~caps] assembles and
-    returns [(a, b)]. [caps = None] means DC (capacitors open).
+    returns [(a, b)] as a dense matrix. Production solves run on the
+    compiled {!Stamp_plan}; this dense assembly serves the failure-path
+    residual ({!Dcop.residual_report}) and is the tests' oracle for the
+    plan. [caps = None] means DC (capacitors open).
     [gmin] is stamped drain-source across every MOSFET; [gshunt] adds a conductance from every node to ground — the continuation
     shunt used by the hardest DC fallbacks. *)
 val stamp :

@@ -113,9 +113,9 @@ let run_diag ?(options = default_options) ?(cancel = Cancel.none) netlist ~h ~t_
            | None -> invalid_arg ("Transient.run: unknown voltage source " ^ name))
          record_currents)
   in
-  (* one compiled plan (or none, for the dense engine) reused by the DC
-     solve and by every Newton solve of every step *)
-  let plan = Dcop.plan_for options.dc netlist in
+  (* one compiled plan reused by the DC solve and by every Newton solve
+     of every step *)
+  let plan = Stamp_plan.compile netlist in
   let newton_total = ref 0 in
   let steps_taken = ref 0 in
   let halvings = ref 0 in
@@ -143,7 +143,7 @@ let run_diag ?(options = default_options) ?(cancel = Cancel.none) netlist ~h ~t_
     Trace.end_span tr_sp;
     r
   in
-  match Dcop.solve_diag ~options:options.dc ?plan ~time:0.0 ~cancel netlist with
+  match Dcop.solve_diag ~options:options.dc ~plan ~time:0.0 ~cancel netlist with
   | exception e ->
     Trace.end_span tr_sp;
     raise e
@@ -210,7 +210,7 @@ let run_diag ?(options = default_options) ?(cancel = Cancel.none) netlist ~h ~t_
       done;
       let step_iters = ref 0 in
       match
-        Dcop.newton_into ?plan ~iter_count:step_iters netlist ~options:options.dc ~x0:!x_cur
+        Dcop.newton_into ~plan ~iter_count:step_iters netlist ~options:options.dc ~x0:!x_cur
           ~dst:!x_next ~time:(t +. dt) ~gmin:options.dc.Dcop.gmin_final ~source_scale:1.0
           ~caps:caps_opt
       with

@@ -116,12 +116,38 @@ let test_key_soundness () =
   in
   Alcotest.(check bool) "defect changes the key" false
     (String.equal k1 (Key.dc_op defective));
-  (* same netlist, different solver options: distinct keys *)
-  let opts =
-    { Sp.Dcop.default_options with Sp.Dcop.abstol = 2.0 *. Sp.Dcop.default_options.Sp.Dcop.abstol }
+  (* same netlist, any one solver option changed: distinct keys. The
+     record pattern names every field, so a new option does not compile
+     here until it has a row. *)
+  let d = Sp.Dcop.default_options in
+  let {
+    Sp.Dcop.max_iterations;
+    abstol;
+    reltol;
+    gmin_final;
+    gmin_steps;
+    source_steps;
+    damping;
+    conv_trace;
+  } =
+    d
   in
-  let k_opts = Key.dc_op ~options:opts (build_netlist grid) in
-  Alcotest.(check bool) "solver options change the key" false (String.equal k1 k_opts)
+  List.iter
+    (fun (field, options) ->
+      Alcotest.(check bool)
+        (field ^ " changes the key")
+        false
+        (String.equal k1 (Key.dc_op ~options (build_netlist grid))))
+    [
+      ("max_iterations", { d with max_iterations = max_iterations + 1 });
+      ("abstol", { d with abstol = 2.0 *. abstol });
+      ("reltol", { d with reltol = 2.0 *. reltol });
+      ("gmin_final", { d with gmin_final = 2.0 *. gmin_final });
+      ("gmin_steps", { d with gmin_steps = List.map (fun g -> 2.0 *. g) gmin_steps });
+      ("source_steps", { d with source_steps = source_steps + 1 });
+      ("damping", { d with damping = damping /. 2.0 });
+      ("conv_trace", { d with conv_trace = not conv_trace });
+    ]
 
 (* --- dc_op memoization ---------------------------------------------------- *)
 

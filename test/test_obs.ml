@@ -136,6 +136,40 @@ let test_ring_wrap_under_domains () =
   let newest_last = List.nth last 9 in
   Alcotest.(check string) "last_n keeps the newest" newest_full.Ring.name newest_last.Ring.name
 
+(* Pools spawn fresh domains for every batch, so a long-lived daemon
+   records from an unbounded sequence of domains: the rings must stay
+   bounded, the newest domains' spans must stay dumpable, and trace
+   buffers of exited domains must keep the events they hold. *)
+let test_ring_bounded_over_domain_churn () =
+  Ring.set_enabled true;
+  let domains = 64 in
+  for d = 1 to domains do
+    Domain.join
+      (Domain.spawn (fun () ->
+           for i = 1 to Ring.capacity do
+             Trace.with_span ~cat:"churn" (Printf.sprintf "d%d-%d" d i) (fun () -> ())
+           done))
+  done;
+  Ring.set_enabled false;
+  let held = Ring.recorded () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d spans held after %d domains <= 32 rings" held domains)
+    true
+    (held <= 32 * Ring.capacity);
+  let names = List.map (fun (s : Ring.span) -> s.Ring.name) (Ring.dump ()) in
+  for i = 1 to Ring.capacity do
+    let name = Printf.sprintf "d%d-%d" domains i in
+    Alcotest.(check bool) (name ^ " dumpable after its domain exited") true (List.mem name names)
+  done;
+  Trace.set_enabled true;
+  List.iter (fun name -> Domain.join (Domain.spawn (fun () -> Trace.instant name))) [ "a"; "b" ];
+  Trace.set_enabled false;
+  let evs = Trace.events () in
+  Alcotest.(check (list string)) "exited domains' trace events kept" [ "a"; "b" ]
+    (List.map (fun (e : Trace.event) -> e.Trace.name) evs);
+  Alcotest.(check int) "each event keeps its own domain" 2
+    (List.length (List.sort_uniq Int.compare (List.map (fun (e : Trace.event) -> e.Trace.tid) evs)))
+
 let test_ring_disabled_records_nothing () =
   Trace.with_span "invisible" (fun () -> ());
   Ring.record
@@ -541,6 +575,7 @@ let () =
       ( "ring",
         [
           t "wrap and dump under 4-domain hammering" test_ring_wrap_under_domains;
+          t "bounded over domain churn" test_ring_bounded_over_domain_churn;
           t "disabled records nothing" test_ring_disabled_records_nothing;
           t "dump_jsonl chrome events" test_ring_dump_jsonl;
           t "spans carry the remote context" test_ring_spans_carry_remote_context;
