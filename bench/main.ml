@@ -214,6 +214,9 @@ let bench_transient_6x6 =
 
 let mc_bench_target = Lattice_boolfn.Truthtable.majority_n 3
 
+(* The "serial" kernels pass no engine, so the flow runs on a fresh
+   1-domain engine ([Engine.or_fresh]); the names stay so the
+   BENCH_spice.json fields keep their meaning across history. *)
 let mc_100_serial () =
   ignore
     (Lattice_flow.Monte_carlo.run Lattice_synthesis.Library.maj3_2x3 ~target:mc_bench_target

@@ -57,8 +57,12 @@ let retries_arg =
   in
   Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
 
-let make_engine ?cache_dir domains =
-  Lattice_engine.Engine.create ?domains ?store_dir:cache_dir ()
+(* The engine a subcommand runs on, built on first use: paths that never
+   simulate ([run --check], [synth] without [-e]) never open the store
+   directory. *)
+let engine_term =
+  let make domains cache_dir () = Lattice_engine.Engine.create ?domains ?store_dir:cache_dir () in
+  Term.(const make $ domains_arg $ cache_dir_arg)
 
 let job_policy deadline retries =
   {
@@ -111,6 +115,39 @@ let obs_term =
   in
   Term.(const setup $ trace_arg $ metrics_arg)
 
+(* --- target expression -------------------------------------------------- *)
+
+type target = {
+  text : string;  (** the expression as given *)
+  ast : Lattice_boolfn.Expr.t;
+  nvars : int;
+  tt : Lattice_boolfn.Truthtable.t;
+  pname : int -> string;  (** variable names, [v<i>] past the named ones *)
+}
+
+(* The EXPR positional, parsed once. A malformed expression is a usage
+   error (exit 2), as a malformed deck is for [ftl run]. *)
+let expr_term ?(doc = "Target expression.") () =
+  let parse text =
+    match Lattice_boolfn.Expr.parse text with
+    | exception Lattice_boolfn.Expr.Parse_error msg ->
+      Printf.eprintf "parse error: %s\n" msg;
+      exit 2
+    | ast, names ->
+      let nvars = Array.length names in
+      {
+        text;
+        ast;
+        nvars;
+        tt = Lattice_boolfn.Expr.to_truthtable ast ~nvars;
+        pname = (fun i -> if i < nvars then names.(i) else Printf.sprintf "v%d" i);
+      }
+  in
+  Term.(const parse $ Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR" ~doc))
+
+let dual_grid target =
+  (Lattice_synthesis.Altun_riedel.synthesize target.tt).Lattice_synthesis.Altun_riedel.grid
+
 (* --- all -------------------------------------------------------------- *)
 
 let all_cmd =
@@ -159,41 +196,31 @@ let function_cmd =
 
 (* --- synth ------------------------------------------------------------ *)
 
-let synth () expr exhaustive max_area domains cache_dir =
-  match Lattice_boolfn.Expr.parse expr with
-  | exception Lattice_boolfn.Expr.Parse_error msg -> Printf.eprintf "parse error: %s\n" msg
-  | ast, names ->
-    let nvars = Array.length names in
-    let tt = Lattice_boolfn.Expr.to_truthtable ast ~nvars in
-    let pname i = if i < nvars then names.(i) else Printf.sprintf "v%d" i in
-    let r = Lattice_synthesis.Altun_riedel.synthesize tt in
-    let grid = r.Lattice_synthesis.Altun_riedel.grid in
-    Printf.printf "dual-based synthesis (%dx%d):\n%s\n"
-      grid.Lattice_core.Grid.rows grid.Lattice_core.Grid.cols
-      (Lattice_core.Grid.to_string ~names:pname grid);
-    Printf.printf "validates: %b\n"
-      (Lattice_synthesis.Validate.realizes grid tt);
-    if exhaustive then begin
-      let engine = make_engine ?cache_dir domains in
-      (match
-         Lattice_synthesis.Exhaustive.minimal
-           ~alphabet:Lattice_synthesis.Exhaustive.Literals_and_constants ~max_area tt
-       with
-      | Some (g, rr, cc) ->
-        Printf.printf "\nexhaustive minimum (%dx%d):\n%s\n" rr cc
-          (Lattice_core.Grid.to_string ~names:pname g);
-        if nvars <= 5 then
-          Printf.printf "circuit-validates: %b\n"
-            (Lattice_synthesis.Exhaustive.validate_circuit ~engine g ~target:tt)
-      | None -> Printf.printf "\nno lattice up to area %d realizes the function\n" max_area);
-      print_engine_summary engine
-    end
+let synth () target exhaustive max_area engine =
+  let grid = dual_grid target in
+  Printf.printf "dual-based synthesis (%dx%d):\n%s\n"
+    grid.Lattice_core.Grid.rows grid.Lattice_core.Grid.cols
+    (Lattice_core.Grid.to_string ~names:target.pname grid);
+  Printf.printf "validates: %b\n"
+    (Lattice_synthesis.Validate.realizes grid target.tt);
+  if exhaustive then begin
+    let engine = engine () in
+    (match
+       Lattice_synthesis.Exhaustive.minimal
+         ~alphabet:Lattice_synthesis.Exhaustive.Literals_and_constants ~max_area target.tt
+     with
+    | Some (g, rr, cc) ->
+      Printf.printf "\nexhaustive minimum (%dx%d):\n%s\n" rr cc
+        (Lattice_core.Grid.to_string ~names:target.pname g);
+      if target.nvars <= 5 then
+        Printf.printf "circuit-validates: %b\n"
+          (Lattice_synthesis.Exhaustive.validate_circuit ~engine g ~target:target.tt)
+    | None -> Printf.printf "\nno lattice up to area %d realizes the function\n" max_area);
+    print_engine_summary engine
+  end
 
 let synth_cmd =
-  let expr =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR"
-           ~doc:"Boolean expression, e.g. \"a b' + c\" or \"a ^ b ^ c\".")
-  in
+  let expr = expr_term ~doc:"Boolean expression, e.g. \"a b' + c\" or \"a ^ b ^ c\"." () in
   let exhaustive =
     Arg.(value & flag & info [ "e"; "exhaustive" ] ~doc:"Also search for the minimum-size lattice.")
   in
@@ -202,7 +229,7 @@ let synth_cmd =
   in
   Cmd.v
     (Cmd.info "synth" ~doc:"synthesize a lattice for a Boolean expression")
-    Term.(const synth $ obs_term $ expr $ exhaustive $ max_area $ domains_arg $ cache_dir_arg)
+    Term.(const synth $ obs_term $ expr $ exhaustive $ max_area $ engine_term)
 
 (* --- device experiments ---------------------------------------------- *)
 
@@ -217,13 +244,13 @@ let shape_arg =
        & info [ "s"; "shape" ] ~docv:"SHAPE" ~doc:"Device shape: square, cross or junctionless.")
 
 let iv_cmd =
-  let run () shape domains cache_dir =
-    let engine = make_engine ?cache_dir domains in
+  let run () shape engine =
+    let engine = engine () in
     print_report (Lattice_experiments.Exp_iv.report ~engine shape);
     print_engine_summary engine
   in
   Cmd.v (Cmd.info "iv" ~doc:"device I-V curves and figures of merit (Figs 5-7)")
-    Term.(const run $ obs_term $ shape_arg $ domains_arg $ cache_dir_arg)
+    Term.(const run $ obs_term $ shape_arg $ engine_term)
 
 let field_cmd =
   let run () n = print_report (Lattice_experiments.Exp_field.report ~n ()) in
@@ -266,23 +293,15 @@ let table2_cmd =
 
 (* --- optimize (paper Sec VI-A automated design tool) ------------------- *)
 
-let optimize () expr use_spice max_area =
-  match Lattice_boolfn.Expr.parse expr with
-  | exception Lattice_boolfn.Expr.Parse_error msg -> Printf.eprintf "parse error: %s\n" msg
-  | ast, names ->
-    let nvars = Array.length names in
-    let tt = Lattice_boolfn.Expr.to_truthtable ast ~nvars in
-    let pname i = if i < nvars then names.(i) else Printf.sprintf "v%d" i in
-    let spec = { Lattice_flow.Optimizer.default_spec with Lattice_flow.Optimizer.max_area } in
-    let ranked = Lattice_flow.Optimizer.optimize ~spec ~use_spice ~expr:ast tt in
-    List.iter
-      (fun e -> print_endline (Lattice_flow.Optimizer.describe e ~names:pname))
-      ranked
+let optimize () target use_spice max_area =
+  let spec = { Lattice_flow.Optimizer.default_spec with Lattice_flow.Optimizer.max_area } in
+  let ranked = Lattice_flow.Optimizer.optimize ~spec ~use_spice ~expr:target.ast target.tt in
+  List.iter
+    (fun e -> print_endline (Lattice_flow.Optimizer.describe e ~names:target.pname))
+    ranked
 
 let optimize_cmd =
-  let expr =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR" ~doc:"Target expression.")
-  in
+  let expr = expr_term () in
   let use_spice =
     Arg.(value & flag & info [ "spice" ] ~doc:"Measure delay/power with the circuit simulator.")
   in
@@ -295,42 +314,32 @@ let optimize_cmd =
 
 (* --- faults ------------------------------------------------------------ *)
 
-let faults () expr =
-  match Lattice_boolfn.Expr.parse expr with
-  | exception Lattice_boolfn.Expr.Parse_error msg -> Printf.eprintf "parse error: %s\n" msg
-  | ast, names ->
-    let nvars = Array.length names in
-    let tt = Lattice_boolfn.Expr.to_truthtable ast ~nvars in
-    let r = Lattice_synthesis.Altun_riedel.synthesize tt in
-    let grid = r.Lattice_synthesis.Altun_riedel.grid in
-    let pname i = if i < nvars then names.(i) else Printf.sprintf "v%d" i in
-    Printf.printf "lattice (%dx%d):\n%s\n" grid.Lattice_core.Grid.rows
-      grid.Lattice_core.Grid.cols
-      (Lattice_core.Grid.to_string ~names:pname grid);
-    let a = Lattice_synthesis.Faults.analyze grid in
-    Printf.printf "single stuck-ON/OFF faults: %d total, %d detectable\n"
-      a.Lattice_synthesis.Faults.total a.Lattice_synthesis.Faults.detectable;
-    List.iter
-      (fun f -> Printf.printf "  undetectable: %s\n" (Lattice_synthesis.Faults.fault_name f))
-      a.Lattice_synthesis.Faults.undetectable;
-    Printf.printf "greedy test set (%d vectors): %s\n"
-      (List.length a.Lattice_synthesis.Faults.test_set)
-      (String.concat ", "
-         (List.map
-            (fun m ->
-              String.concat ""
-                (List.init nvars (fun v -> string_of_int ((m lsr v) land 1))))
-            a.Lattice_synthesis.Faults.test_set));
-    Printf.printf "coverage of that set: %.1f%%\n"
-      (100.0 *. Lattice_synthesis.Faults.coverage grid ~vectors:a.Lattice_synthesis.Faults.test_set)
+let faults () target =
+  let grid = dual_grid target in
+  Printf.printf "lattice (%dx%d):\n%s\n" grid.Lattice_core.Grid.rows
+    grid.Lattice_core.Grid.cols
+    (Lattice_core.Grid.to_string ~names:target.pname grid);
+  let a = Lattice_synthesis.Faults.analyze grid in
+  Printf.printf "single stuck-ON/OFF faults: %d total, %d detectable\n"
+    a.Lattice_synthesis.Faults.total a.Lattice_synthesis.Faults.detectable;
+  List.iter
+    (fun f -> Printf.printf "  undetectable: %s\n" (Lattice_synthesis.Faults.fault_name f))
+    a.Lattice_synthesis.Faults.undetectable;
+  Printf.printf "greedy test set (%d vectors): %s\n"
+    (List.length a.Lattice_synthesis.Faults.test_set)
+    (String.concat ", "
+       (List.map
+          (fun m ->
+            String.concat ""
+              (List.init target.nvars (fun v -> string_of_int ((m lsr v) land 1))))
+          a.Lattice_synthesis.Faults.test_set));
+  Printf.printf "coverage of that set: %.1f%%\n"
+    (100.0 *. Lattice_synthesis.Faults.coverage grid ~vectors:a.Lattice_synthesis.Faults.test_set)
 
 let faults_cmd =
-  let expr =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR" ~doc:"Target expression.")
-  in
   Cmd.v
     (Cmd.info "faults" ~doc:"stuck-fault analysis and test generation for a synthesized lattice")
-    Term.(const faults $ obs_term $ expr)
+    Term.(const faults $ obs_term $ expr_term ())
 
 let complementary_cmd =
   let run () = print_report (Lattice_experiments.Exp_complementary.report ()) in
@@ -346,37 +355,28 @@ let frequency_cmd =
 
 (* --- yield ------------------------------------------------------------- *)
 
-let yield () expr samples sigma_vth domains cache_dir deadline batch_deadline retries =
-  match Lattice_boolfn.Expr.parse expr with
-  | exception Lattice_boolfn.Expr.Parse_error msg -> Printf.eprintf "parse error: %s\n" msg
-  | ast, names ->
-    let nvars = Array.length names in
-    let tt = Lattice_boolfn.Expr.to_truthtable ast ~nvars in
-    let r = Lattice_synthesis.Altun_riedel.synthesize tt in
-    let grid = r.Lattice_synthesis.Altun_riedel.grid in
-    Printf.printf "lattice: %dx%d (dual-based)\n" grid.Lattice_core.Grid.rows
-      grid.Lattice_core.Grid.cols;
-    let engine = make_engine ?cache_dir domains in
-    let mc =
-      Lattice_flow.Monte_carlo.run ~engine
-        ~policy:(job_policy deadline retries)
-        ~cancel:(Lattice_engine.Cancel.of_deadline_s batch_deadline)
-        grid ~target:tt ~samples
-        ~variation:{ Lattice_flow.Monte_carlo.sigma_vth; sigma_kp_rel = 0.1 }
-    in
-    Printf.printf
-      "Monte-Carlo (%d samples, sigma_Vth %.0f mV, sigma_Kp 10%%):\n\
-      \  yield %.1f%%   V_OL %.3f +- %.3f V   V_OH(min) %.3f V\n"
-      samples (sigma_vth *. 1e3)
-      (100.0 *. mc.Lattice_flow.Monte_carlo.yield)
-      mc.Lattice_flow.Monte_carlo.v_low_mean mc.Lattice_flow.Monte_carlo.v_low_std
-      mc.Lattice_flow.Monte_carlo.v_high_mean;
-    print_engine_summary engine
+let yield () target samples sigma_vth engine deadline batch_deadline retries =
+  let grid = dual_grid target in
+  Printf.printf "lattice: %dx%d (dual-based)\n" grid.Lattice_core.Grid.rows
+    grid.Lattice_core.Grid.cols;
+  let engine = engine () in
+  let mc =
+    Lattice_flow.Monte_carlo.run ~engine
+      ~policy:(job_policy deadline retries)
+      ~cancel:(Lattice_engine.Cancel.of_deadline_s batch_deadline)
+      grid ~target:target.tt ~samples
+      ~variation:{ Lattice_flow.Monte_carlo.sigma_vth; sigma_kp_rel = 0.1 }
+  in
+  Printf.printf
+    "Monte-Carlo (%d samples, sigma_Vth %.0f mV, sigma_Kp 10%%):\n\
+    \  yield %.1f%%   V_OL %.3f +- %.3f V   V_OH(min) %.3f V\n"
+    samples (sigma_vth *. 1e3)
+    (100.0 *. mc.Lattice_flow.Monte_carlo.yield)
+    mc.Lattice_flow.Monte_carlo.v_low_mean mc.Lattice_flow.Monte_carlo.v_low_std
+    mc.Lattice_flow.Monte_carlo.v_high_mean;
+  print_engine_summary engine
 
 let yield_cmd =
-  let expr =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR" ~doc:"Target expression.")
-  in
   let samples =
     Arg.(value & opt int 100 & info [ "samples" ] ~docv:"N" ~doc:"Monte-Carlo samples.")
   in
@@ -386,57 +386,48 @@ let yield_cmd =
   Cmd.v
     (Cmd.info "yield" ~doc:"Monte-Carlo process-variation yield of a synthesized lattice")
     Term.(
-      const yield $ obs_term $ expr $ samples $ sigma $ domains_arg $ cache_dir_arg
-      $ deadline_arg $ batch_deadline_arg $ retries_arg)
+      const yield $ obs_term $ expr_term () $ samples $ sigma $ engine_term $ deadline_arg
+      $ batch_deadline_arg $ retries_arg)
 
 (* --- defects ----------------------------------------------------------- *)
 
-let defects () expr all_classes domains cache_dir deadline batch_deadline retries =
-  match Lattice_boolfn.Expr.parse expr with
-  | exception Lattice_boolfn.Expr.Parse_error msg -> Printf.eprintf "parse error: %s\n" msg
-  | ast, names ->
-    let nvars = Array.length names in
-    let tt = Lattice_boolfn.Expr.to_truthtable ast ~nvars in
-    let r = Lattice_synthesis.Altun_riedel.synthesize tt in
-    let grid = r.Lattice_synthesis.Altun_riedel.grid in
-    Printf.printf "lattice: %dx%d (dual-based)\n" grid.Lattice_core.Grid.rows
-      grid.Lattice_core.Grid.cols;
-    let module Fc = Lattice_flow.Fault_campaign in
-    let classes =
-      if all_classes then Lattice_spice.Defects.all_classes
-      else [ Lattice_spice.Defects.Opens; Lattice_spice.Defects.Shorts ]
-    in
-    let options = { Fc.default_options with Fc.classes } in
-    let engine = make_engine ?cache_dir domains in
-    let rep =
-      Fc.run ~engine
-        ~policy:(job_policy deadline retries)
-        ~cancel:(Lattice_engine.Cancel.of_deadline_s batch_deadline)
-        ~options grid ~target:tt
-    in
-    Printf.printf
-      "campaign: %d samples — %d functional, %d degraded, %d faulty, %d non-convergent\n"
-      (Array.length rep.Fc.samples) rep.Fc.counts.Fc.functional rep.Fc.counts.Fc.degraded
-      rep.Fc.counts.Fc.faulty rep.Fc.counts.Fc.non_convergent;
-    Printf.printf "test set (%d vectors) detects %d/%d samples; %d silent\n"
-      (List.length rep.Fc.test_set) rep.Fc.detected (Array.length rep.Fc.samples) rep.Fc.silent;
-    List.iter
-      (fun (rp : Fc.repair) ->
-        match rp.Fc.remapped with
-        | None ->
-          Printf.printf "  repair %s: no remapping found\n" (Lattice_spice.Defects.name rp.Fc.defect)
-        | Some g ->
-          Printf.printf "  repair %s: remapped to %dx%d (%+d spare cols), re-verified %s\n"
-            (Lattice_spice.Defects.name rp.Fc.defect) g.Lattice_core.Grid.rows
-            g.Lattice_core.Grid.cols rp.Fc.spare_cols_used
-            (if rp.Fc.reverified then "OK" else "FAILED"))
-      rep.Fc.repairs;
-    print_engine_summary engine
+let defects () target all_classes engine deadline batch_deadline retries =
+  let grid = dual_grid target in
+  Printf.printf "lattice: %dx%d (dual-based)\n" grid.Lattice_core.Grid.rows
+    grid.Lattice_core.Grid.cols;
+  let module Fc = Lattice_flow.Fault_campaign in
+  let classes =
+    if all_classes then Lattice_spice.Defects.all_classes
+    else [ Lattice_spice.Defects.Opens; Lattice_spice.Defects.Shorts ]
+  in
+  let options = { Fc.default_options with Fc.classes } in
+  let engine = engine () in
+  let rep =
+    Fc.run ~engine
+      ~policy:(job_policy deadline retries)
+      ~cancel:(Lattice_engine.Cancel.of_deadline_s batch_deadline)
+      ~options grid ~target:target.tt
+  in
+  Printf.printf
+    "campaign: %d samples — %d functional, %d degraded, %d faulty, %d non-convergent\n"
+    (Array.length rep.Fc.samples) rep.Fc.counts.Fc.functional rep.Fc.counts.Fc.degraded
+    rep.Fc.counts.Fc.faulty rep.Fc.counts.Fc.non_convergent;
+  Printf.printf "test set (%d vectors) detects %d/%d samples; %d silent\n"
+    (List.length rep.Fc.test_set) rep.Fc.detected (Array.length rep.Fc.samples) rep.Fc.silent;
+  List.iter
+    (fun (rp : Fc.repair) ->
+      match rp.Fc.remapped with
+      | None ->
+        Printf.printf "  repair %s: no remapping found\n" (Lattice_spice.Defects.name rp.Fc.defect)
+      | Some g ->
+        Printf.printf "  repair %s: remapped to %dx%d (%+d spare cols), re-verified %s\n"
+          (Lattice_spice.Defects.name rp.Fc.defect) g.Lattice_core.Grid.rows
+          g.Lattice_core.Grid.cols rp.Fc.spare_cols_used
+          (if rp.Fc.reverified then "OK" else "FAILED"))
+    rep.Fc.repairs;
+  print_engine_summary engine
 
 let defects_cmd =
-  let expr =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR" ~doc:"Target expression.")
-  in
   let all_classes =
     Arg.(value & flag & info [ "all-classes" ] ~doc:"Include bridges, broken terminals and gate leaks.")
   in
@@ -444,45 +435,34 @@ let defects_cmd =
     (Cmd.info "defects"
        ~doc:"circuit-level defect campaign (classification, detection, remapping) for a synthesized lattice")
     Term.(
-      const defects $ obs_term $ expr $ all_classes $ domains_arg $ cache_dir_arg
-      $ deadline_arg $ batch_deadline_arg $ retries_arg)
+      const defects $ obs_term $ expr_term () $ all_classes $ engine_term $ deadline_arg
+      $ batch_deadline_arg $ retries_arg)
 
 (* --- export ------------------------------------------------------------ *)
 
-let export () expr =
-  match Lattice_boolfn.Expr.parse expr with
-  | exception Lattice_boolfn.Expr.Parse_error msg ->
-    Printf.eprintf "parse error: %s\n" msg;
-    exit 2
-  | ast, names ->
-    let nvars = Array.length names in
-    let bit_time = 100e-9 in
-    let tt = Lattice_boolfn.Expr.to_truthtable ast ~nvars in
-    let r = Lattice_synthesis.Altun_riedel.synthesize tt in
-    let lc =
-      Lattice_spice.Lattice_circuit.build r.Lattice_synthesis.Altun_riedel.grid
-        ~stimulus:(Lattice_spice.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time)
-    in
-    let t_stop = bit_time *. float_of_int (1 lsl nvars) in
-    let deck =
-      Lattice_deck.Deck.of_netlist
-        ~title:(Printf.sprintf "four-terminal switching lattice for %s" expr)
-        ~analyses:
-          [ Lattice_deck.Deck.Op; Lattice_deck.Deck.Tran { step = bit_time /. 20.0; t_stop } ]
-        ~prints:[ Lattice_deck.Deck.Vprobe lc.Lattice_spice.Lattice_circuit.output_node ]
-        lc.Lattice_spice.Lattice_circuit.netlist
-    in
-    print_string (Lattice_deck.Deck.emit deck)
+let export () target =
+  let bit_time = 100e-9 in
+  let lc =
+    Lattice_spice.Lattice_circuit.build (dual_grid target)
+      ~stimulus:(Lattice_spice.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time)
+  in
+  let t_stop = bit_time *. float_of_int (1 lsl target.nvars) in
+  let deck =
+    Lattice_deck.Deck.of_netlist
+      ~title:(Printf.sprintf "four-terminal switching lattice for %s" target.text)
+      ~analyses:
+        [ Lattice_deck.Deck.Op; Lattice_deck.Deck.Tran { step = bit_time /. 20.0; t_stop } ]
+      ~prints:[ Lattice_deck.Deck.Vprobe lc.Lattice_spice.Lattice_circuit.output_node ]
+      lc.Lattice_spice.Lattice_circuit.netlist
+  in
+  print_string (Lattice_deck.Deck.emit deck)
 
 let export_cmd =
-  let expr =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPR" ~doc:"Target expression.")
-  in
   Cmd.v
     (Cmd.info "export"
        ~doc:"synthesize a lattice and print its circuit as a canonical SPICE deck \
              (re-runnable with $(b,ftl run), byte-stable under parse/emit roundtrips)")
-    Term.(const export $ obs_term $ expr)
+    Term.(const export $ obs_term $ expr_term ())
 
 (* --- run (SPICE deck) --------------------------------------------------- *)
 
@@ -494,7 +474,7 @@ let read_deck_file path =
     Printf.eprintf "ftl run: %s\n" msg;
     exit 2
 
-let run_deck () path smoke check domains cache_dir deadline =
+let run_deck () path smoke check engine deadline =
   let file = if path = "-" then "<stdin>" else path in
   let src = read_deck_file path in
   match Lattice_deck.Deck.parse src with
@@ -526,7 +506,7 @@ let run_deck () path smoke check domains cache_dir deadline =
         Printf.printf "%s: roundtrip stable, digest %s preserved\n" file d1
     end
     else begin
-      let engine = make_engine ?cache_dir domains in
+      let engine = engine () in
       let cancel = Lattice_engine.Cancel.of_deadline_s deadline in
       match Lattice_deck.Runner.run ~engine ~cancel ~smoke deck with
       | Ok r ->
@@ -561,8 +541,7 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:"parse a SPICE deck and execute its analysis cards through the batch engine")
     Term.(
-      const run_deck $ obs_term $ deck_file $ smoke $ check $ domains_arg $ cache_dir_arg
-      $ deadline_arg)
+      const run_deck $ obs_term $ deck_file $ smoke $ check $ engine_term $ deadline_arg)
 
 (* --- histogram ----------------------------------------------------------- *)
 

@@ -1,3 +1,5 @@
+module Engine = Lattice_engine.Engine
+
 type curve = { label : string; xs : float array; ys : float array }
 
 type iv_set = {
@@ -19,11 +21,8 @@ let run ?engine model ~case ~points ~sweep =
   in
   let currents =
     (* Each bias point is independent; results merge by index, so the
-       curves are bit-identical to the serial sweep at any domain count. *)
-    Lattice_obs.Trace.with_span ~cat:"device" "iv-sweep" (fun () ->
-        match engine with
-        | Some e -> Lattice_engine.Engine.map e ~phase:"iv-sweep" ~n:points point
-        | None -> Array.init points point)
+       curves are bit-identical at any domain count. *)
+    Engine.map (Engine.or_fresh engine) ~phase:"iv-sweep" ~n:points point
   in
   List.map
     (fun t ->
@@ -41,14 +40,15 @@ let ids_vds ?engine model ~case ~vgs ~points =
   run ?engine model ~case ~points ~sweep:(fun vds -> (vgs, vds))
 
 let standard ?engine model =
+  let engine = Engine.or_fresh engine in
   let case = Op_case.dsss in
   let points = 51 in
   {
     model;
     case;
-    ids_vgs_low = ids_vgs ?engine model ~case ~vds:0.01 ~points;
-    ids_vgs_high = ids_vgs ?engine model ~case ~vds:5.0 ~points;
-    ids_vds = ids_vds ?engine model ~case ~vgs:5.0 ~points;
+    ids_vgs_low = ids_vgs ~engine model ~case ~vds:0.01 ~points;
+    ids_vgs_high = ids_vgs ~engine model ~case ~vds:5.0 ~points;
+    ids_vds = ids_vds ~engine model ~case ~vgs:5.0 ~points;
   }
 
 let drain_curve set which =

@@ -22,10 +22,10 @@ type iv_set = {
   ids_vds : curve list;  (** VGS = 5 V *)
 }
 
-(** [ids_vgs model ~case ~vds ~points] sweeps VGS from 0 to 5 V. With
-    [engine], the bias points evaluate in parallel on the engine's Domain
-    pool (phase ["iv-sweep"]); curves are bit-identical to the serial
-    sweep. *)
+(** [ids_vgs model ~case ~vds ~points] sweeps VGS from 0 to 5 V. The
+    bias points fan out over [engine]'s Domain pool (phase ["iv-sweep"];
+    without [engine], a fresh 1-domain one); curves are bit-identical at
+    any domain count. *)
 val ids_vgs :
   ?engine:Lattice_engine.Engine.t ->
   Device_model.t -> case:Op_case.t -> vds:float -> points:int -> curve list

@@ -64,6 +64,8 @@ let create ?domains ?(cache_capacity = 4096) ?store_dir () =
     phases = [];
   }
 
+let or_fresh = function Some e -> e | None -> create ~domains:1 ~store_dir:"" ()
+
 let domains (t : t) = Pool.domains t.pool
 let store_dir (t : t) = Option.map Store.dir t.store
 
@@ -81,9 +83,11 @@ let add_phase t phase dt =
    else t.phases <- (phase, dt) :: t.phases);
   Mutex.unlock t.phase_lock
 
+(* the phase span opens whenever anything records it — the always-on
+   flight ring included — so every flow phase reaches a flight dump *)
 let timed t ~phase f =
   let t0 = Unix.gettimeofday () in
-  let sp = if Trace.on () then Trace.begin_span ~cat:"engine" phase else Trace.null in
+  let sp = Trace.begin_span ~cat:"engine" phase in
   Fun.protect
     ~finally:(fun () ->
       Trace.end_span sp;
@@ -96,14 +100,6 @@ let traced_job ?phase f =
     fun i ->
       Trace.with_span ~cat:"engine" ~args:[ ("index", string_of_int i) ] name (fun () -> f i))
   else f
-
-let map t ?phase ~n f =
-  let run () =
-    ignore (Atomic.fetch_and_add t.jobs n);
-    Metrics.Counter.add jobs_counter n;
-    Pool.map t.pool ~n (traced_job ?phase f)
-  in
-  match phase with None -> run () | Some phase -> timed t ~phase run
 
 type job_policy = { deadline_s : float option; attempts : int; backoff : float }
 
@@ -195,6 +191,14 @@ let run_jobs (type a) t ?(policy = default_policy) ?(cancel = Cancel.none) ?phas
   in
   match phase with None -> run () | Some phase -> timed t ~phase run
 
+let map t ?phase ~n f =
+  run_jobs t ?phase ~n (fun ~attempt:_ ~cancel:_ i -> f i)
+  |> Array.map (function
+       | Pool.Done v -> v
+       | Pool.Failed e -> failwith e.Pool.printed
+       | Pool.Timed_out -> raise (Cancel.Cancelled Cancel.Deadline)
+       | Pool.Cancelled -> raise (Cancel.Cancelled Cancel.Requested))
+
 let copy_result = function
   | Ok (x, diag) -> Ok (Array.copy x, diag)
   | Error _ as e -> e
@@ -255,37 +259,6 @@ let telemetry (t : t) =
     phases;
   }
 
-(* live-telemetry gauges: instantaneous instance counters published under
-   [engine.live.*], distinct from the process-wide monotonic counters
-   ([engine.jobs], [engine.cache.hits], ...) that accumulate across every
-   engine ever created. A long-running daemon republishes these on each
-   stats/metrics export so scrapes see current serving health. *)
-let publish_gauges (t : t) =
-  if Metrics.on () then begin
-    let tel = telemetry t in
-    let set name v =
-      Metrics.Gauge.set (Metrics.gauge ("engine.live." ^ name)) (float_of_int v)
-    in
-    set "jobs" tel.jobs;
-    set "dc_solves" tel.dc_solves;
-    set "newton_total" tel.newton_total;
-    set "retries" tel.retries;
-    set "timeouts" tel.timeouts;
-    set "job_failures" tel.job_failures;
-    set "cache_hits" tel.cache.Cache.hits;
-    set "cache_misses" tel.cache.Cache.misses;
-    set "cache_evictions" tel.cache.Cache.evictions;
-    set "cache_size" tel.cache.Cache.size;
-    match tel.store with
-    | None -> ()
-    | Some s ->
-      set "store_hits" s.Store.hits;
-      set "store_misses" s.Store.misses;
-      set "store_writes" s.Store.writes;
-      set "store_corrupt" s.Store.corrupt;
-      set "store_errors" s.Store.errors
-  end
-
 let reset_telemetry (t : t) =
   Atomic.set t.jobs 0;
   Atomic.set t.dc_solves 0;
@@ -297,9 +270,7 @@ let reset_telemetry (t : t) =
   t.phases <- [];
   Mutex.unlock t.phase_lock;
   Cache.reset_stats t.dc_cache;
-  Option.iter Store.reset_stats t.store;
-  (* keep published live gauges in step with the zeroed counters *)
-  publish_gauges t
+  Option.iter Store.reset_stats t.store
 
 let summary (t : t) =
   let tel = telemetry t in

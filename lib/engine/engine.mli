@@ -20,11 +20,15 @@
     deadline budget growing by [policy.backoff] each attempt. No
     exception from a job ever escapes [run_jobs].
 
+    Every flow fans out through {!run_jobs} ({!map} is [run_jobs] plus
+    an unwrap); a flow called without an engine runs on {!or_fresh}'s
+    1-domain engine, under the same classify-never-raise rule.
+
     {2 Determinism contract}
 
     [map]/[run_jobs] merge results by job index and jobs must be pure
     in their index, so a 4-domain run is bit-identical to the 1-domain
-    (serial) run. Randomized workloads get per-job RNG streams from
+    run. Randomized workloads get per-job RNG streams from
     {!sample_rng} (seed-splitting by hash of [seed, index]) instead of
     one sequential stream. Cached DC results replay the original solver
     output — solution vector {e and} diagnostics, including Newton
@@ -48,6 +52,12 @@ type t
     process re-running an identical campaign starts warm. *)
 val create : ?domains:int -> ?cache_capacity:int -> ?store_dir:string -> unit -> t
 
+(** [or_fresh engine] is [e] for [Some e], else
+    [create ~domains:1 ~store_dir:"" ()]: one domain, no persistent
+    store, no [FTL_*] variable read — the engine a flow runs on when
+    its caller passes none. *)
+val or_fresh : t option -> t
+
 val domains : t -> int
 
 val store_dir : t -> string option
@@ -60,11 +70,12 @@ val store_dir : t -> string option
     scheduled them. *)
 val sample_rng : seed:int -> index:int -> Random.State.t
 
-(** [map e ?phase ~n f] runs [f] over [0 .. n-1] on the pool and merges
-    by index (see {!Pool.map}); counts [n] jobs in the telemetry and,
-    when [phase] is given, accrues the call's wall time to it.
-    Fail-fast: the first job exception aborts the batch and re-raises.
-    Prefer {!run_jobs} where faulty jobs must not sink the batch. *)
+(** [map e ?phase ~n f] is {!run_jobs} over [f] with the default
+    policy, unwrapped: the results merged by index when every job is
+    [Done]. Otherwise it raises for the lowest-index job that is not:
+    [Failure] carrying the job exception's printed form
+    ({!Pool.exn_info}), or {!Cancel.Cancelled} for a job that raised
+    it. Every job runs even when one fails. *)
 val map : t -> ?phase:string -> n:int -> (int -> 'a) -> 'a array
 
 (** Retry/deadline policy for {!run_jobs}. [deadline_s] is the per-job
@@ -94,7 +105,10 @@ val default_policy : job_policy
     per-job deadline policy is set, [Done v] when [retryable v] (e.g. a
     non-convergent sample worth a bigger Newton budget) — until they
     settle or [policy.attempts] is exhausted. The batch [cancel] token
-    stops everything: remaining jobs finish as [Cancelled].
+    stops everything: remaining jobs finish as [Cancelled]. With
+    [phase], the call's wall time accrues to that phase and opens a
+    span of that name (cat ["engine"]) whenever tracing or the flight
+    ring records.
 
     Telemetry: every dispatched attempt counts into [jobs]; each
     re-dispatch counts into [retries]; [timeouts]/[job_failures] count
@@ -108,10 +122,6 @@ val run_jobs :
   n:int ->
   (attempt:int -> cancel:Cancel.t -> int -> 'a) ->
   'a Pool.outcome array
-
-(** [timed e ~phase f] runs [f ()], accruing its wall-clock time to
-    [phase] (times with the same phase name accumulate). *)
-val timed : t -> phase:string -> (unit -> 'a) -> 'a
 
 (** [dc_op e ?options ?cancel netlist] is
     [Lattice_spice.Dcop.solve_diag ?options netlist] memoized under the
@@ -143,18 +153,6 @@ type telemetry = {
 
 val telemetry : t -> telemetry
 
-(** [publish_gauges e] snapshots {!telemetry} into the process-wide
-    {!Lattice_obs.Metrics} registry as [engine.live.*] gauges (jobs,
-    dc_solves, newton_total, retries, timeouts, job_failures,
-    cache_hits/misses/evictions/size, and — when a store is wired —
-    store_hits/misses/writes/corrupt/errors). Unlike the monotonic
-    [engine.*] counters, which accumulate across every engine the
-    process ever created, these reflect {e this} instance's current
-    telemetry — what a long-running daemon's stats endpoint and
-    [--metrics] export should report as live serving health. No-op
-    while metrics are disabled. *)
-val publish_gauges : t -> unit
-
 (** [reset_telemetry e] zeroes the job/solve/Newton counters, the
     retry/timeout/failure counters, the phase timers, the cache's
     hit/miss/eviction counters and the persistent store's counters.
@@ -162,8 +160,7 @@ val publish_gauges : t -> unit
     resident, so a lookup that hit before the reset still hits after it
     (with [telemetry] then reporting that hit against fresh counters,
     and [dc_solves] staying at 0). Use {!Cache.clear} semantics via a
-    fresh engine when the entries themselves must go. The
-    [engine.live.*] gauges are republished (zeroed) in the same call. *)
+    fresh engine when the entries themselves must go. *)
 val reset_telemetry : t -> unit
 
 (** One-line rendering for CLI output, e.g.

@@ -24,11 +24,11 @@ let domains t = t.domains
    chunk, small enough that the tail stays balanced *)
 let chunk_size ~domains ~n = Int.max 1 (n / (8 * domains))
 
-(* Shared driver: claim indices in chunks, run [body] on each claimed
-   index until [stop ()] flips. [body] must not raise — both callers
-   catch inside it. *)
+(* Claim indices in chunks and run [body] on each claimed index until
+   [stop ()] flips. [body] must not raise. An empty or one-job batch
+   runs on the calling domain: nothing to share, nothing to spawn. *)
 let drive t ~n ~stop ~body =
-  if t.domains = 1 || n = 1 then begin
+  if t.domains = 1 || n <= 1 then begin
     let i = ref 0 in
     while !i < n && not (stop ()) do
       body !i;
@@ -70,31 +70,6 @@ let drive t ~n ~stop ~body =
     let others = Array.init spawned (fun _ -> Domain.spawn worker) in
     worker ();
     Array.iter Domain.join others
-  end
-
-let map t ~n f =
-  if n < 0 then invalid_arg "Pool.map: negative n";
-  if n = 0 then [||]
-  else if t.domains = 1 || n = 1 then Array.init n f
-  else begin
-    let results = Array.make n None in
-    let errors = Array.make n None in
-    let failed = Atomic.make false in
-    let body i =
-      match f i with
-      | v -> results.(i) <- Some v
-      | exception e ->
-        errors.(i) <- Some (e, Printexc.get_raw_backtrace ());
-        Atomic.set failed true
-    in
-    drive t ~n ~stop:(fun () -> Atomic.get failed) ~body;
-    if Atomic.get failed then begin
-      Array.iter
-        (function Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
-        errors;
-      assert false
-    end
-    else Array.map (function Some v -> v | None -> assert false) results
   end
 
 type exn_info = { printed : string; backtrace : string }

@@ -18,10 +18,9 @@
     simulation (a Monte-Carlo die, a fault-campaign sample, an I-V
     sweep point), not a micro-kernel.
 
-    {!map} aborts the batch on the first exception (legacy fail-fast
-    contract); {!map_outcomes} is the fault-isolating variant the
-    resilient engine builds on — every job is classified, nothing
-    escapes. *)
+    {!map_outcomes} is fault-isolating: every job is classified and
+    nothing escapes. It is the one fan-out primitive; the engine's
+    dispatch ({!Lattice_engine.Engine.run_jobs}) builds on it. *)
 
 type t
 
@@ -36,14 +35,8 @@ val domains : t -> int
 val default_domains : unit -> int
 
 val chunk_size : domains:int -> n:int -> int
-(** The claim granularity [map]/[map_outcomes] use:
+(** The claim granularity {!map_outcomes} uses:
     [max 1 (n / (8 * domains))], i.e. about 8 claims per worker. *)
-
-(** [map t ~n f] is [Array.init n f] computed on the pool's domains.
-    Results are merged by index. If any [f i] raises, the remaining
-    unclaimed indices are abandoned and the recorded exception with the
-    lowest index is re-raised (with its backtrace) on the caller. *)
-val map : t -> n:int -> (int -> 'a) -> 'a array
 
 (** A worker exception, captured printably so outcomes can cross domain
     (and, marshalled, process) boundaries — exception values themselves
@@ -68,6 +61,7 @@ type 'a outcome =
     continues — no exception escapes this call. When [cancel] fires,
     in-flight jobs stop at their next cancellation checkpoint and
     unclaimed jobs are left [Cancelled] without running. Outcomes are
-    merged by index like {!map}. *)
+    merged by index. Batches of zero or one job run on the calling
+    domain at any pool width. *)
 val map_outcomes :
   t -> ?cancel:Cancel.t -> n:int -> (int -> 'a) -> 'a outcome array

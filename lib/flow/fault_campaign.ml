@@ -60,20 +60,13 @@ type sample = {
 
 let iterations_of_attempts attempts = List.fold_left (fun acc (_, n) -> acc + n) 0 attempts
 
-(* DC solve routed through the engine's content-addressed cache when one
-   is given. Cached hits replay the original diagnostics (including
-   Newton counts), so budget accounting is identical on warm caches. *)
-let solve_state ?engine ?cancel ~options netlist =
-  match engine with
-  | Some e -> Engine.dc_op e ~options:options.dc ?cancel netlist
-  | None -> Sp.Dcop.solve_diag ~options:options.dc ?cancel netlist
-
 let simulate ?engine ?(cancel = Cancel.none) ?(options = default_options) grid ~target ~test_set
     defects =
   let nvars = Tt.nvars target in
   if nvars > 5 then invalid_arg "Fault_campaign.simulate: too many inputs";
   if options.budget.newton_per_sample <= 0 then
     invalid_arg "Fault_campaign.simulate: newton_per_sample must be positive";
+  let engine = Engine.or_fresh engine in
   let vdd = options.config.Sp.Lattice_circuit.vdd in
   let states = 1 lsl nvars in
   let used = ref 0 in
@@ -101,7 +94,9 @@ let simulate ?engine ?(cancel = Cancel.none) ?(options = default_options) grid ~
        end;
        let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then vdd else 0.0) in
        let lc = Defects.build ~config:options.config ~params:options.params ~defects grid ~stimulus in
-       match solve_state ?engine ~cancel ~options lc.Sp.Lattice_circuit.netlist with
+       (* cached hits replay the original diagnostics (Newton counts
+          included), so budget accounting is identical on warm caches *)
+       match Engine.dc_op engine ~options:options.dc ~cancel lc.Sp.Lattice_circuit.netlist with
        | Error f ->
          used := !used + iterations_of_attempts f.Sp.Dcop.attempts;
          failure := Some f;
@@ -153,6 +148,7 @@ let logical_of_defect (d : Defects.t) =
   | Defects.Bridge _ | Defects.Broken_terminal _ | Defects.Gate_leak _ -> None
 
 let verify_with_defects ?engine ?(options = default_options) grid ~target ~defects =
+  let engine = Engine.or_fresh engine in
   let nvars = Tt.nvars target in
   let vdd = options.config.Sp.Lattice_circuit.vdd in
   let ok = ref true in
@@ -160,7 +156,7 @@ let verify_with_defects ?engine ?(options = default_options) grid ~target ~defec
      for m = 0 to (1 lsl nvars) - 1 do
        let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then vdd else 0.0) in
        let lc = Defects.build ~config:options.config ~params:options.params ~defects grid ~stimulus in
-       match solve_state ?engine ~options lc.Sp.Lattice_circuit.netlist with
+       match Engine.dc_op engine ~options:options.dc lc.Sp.Lattice_circuit.netlist with
        | Error _ ->
          ok := false;
          raise Exit
@@ -189,7 +185,7 @@ type repair = {
    window the repair record simply reports no remapping was found *)
 let remap_feasible ~rows ~cols ~nvars = rows * cols <= 12 && nvars <= 4
 
-let repair_defect ?engine options grid ~target (d : Defects.t) (fault : Faults.fault) =
+let repair_defect engine options grid ~target (d : Defects.t) (fault : Faults.fault) =
   let rows = grid.Grid.rows and cols = grid.Grid.cols in
   let nvars = Tt.nvars target in
   let entry =
@@ -213,7 +209,7 @@ let repair_defect ?engine options grid ~target (d : Defects.t) (fault : Faults.f
   | Some (g, spare) ->
     (* re-verify at circuit level with the physical defect still present in
        the remapped lattice *)
-    let reverified = verify_with_defects ?engine ~options g ~target ~defects:[ d ] in
+    let reverified = verify_with_defects ~engine ~options g ~target ~defects:[ d ] in
     { defect = d; fault; remapped = Some g; spare_cols_used = spare; reverified }
 
 type class_counts = {
@@ -282,6 +278,7 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
     ?(options = default_options) ?universe grid ~target =
   let nvars = Tt.nvars target in
   if nvars > 5 then invalid_arg "Fault_campaign.run: too many inputs";
+  let engine = Engine.or_fresh engine in
   let universe =
     match universe with
     | Some u -> u
@@ -297,31 +294,22 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
   let sets = Array.of_list (List.map (fun d -> [ d ]) universe @ multi) in
   let samples =
     (* Each defect set is an independent job: results merge by index, so
-       the report is bit-identical to the serial loop at any domain
-       count. The engine path is fault-isolated: a crashing, stalling or
-       cancelled sample becomes a synthetic Non_convergent record, and
-       Non_convergent samples are retried under an escalated Newton
-       budget when the policy allows. *)
-    Lattice_obs.Trace.with_span ~cat:"flow" "fault-campaign" (fun () ->
-        match engine with
-        | Some e ->
-          let outcomes =
-            Engine.run_jobs e ~policy ~cancel ~phase:"fault-campaign"
-              ~retryable:(fun s -> s.classification = Non_convergent)
-              ~n:(Array.length sets)
-              (fun ~attempt ~cancel i ->
-                let options = options_for_attempt ~policy ~attempt options in
-                simulate ~engine:e ~cancel ~options grid ~target ~test_set sets.(i))
-          in
-          Array.mapi
-            (fun i -> function
-              | Pool.Done s -> s
-              | Pool.Failed e ->
-                synthetic_sample ~defects:sets.(i) ("worker exception: " ^ e.Pool.printed)
-              | Pool.Timed_out -> synthetic_sample ~defects:sets.(i) "deadline exceeded"
-              | Pool.Cancelled -> synthetic_sample ~defects:sets.(i) "cancelled")
-            outcomes
-        | None -> Array.map (fun ds -> simulate ~cancel ~options grid ~target ~test_set ds) sets)
+       the report is bit-identical at any domain count. Dispatch is
+       fault-isolated: a crashing, stalling or cancelled sample becomes a
+       synthetic Non_convergent record, and Non_convergent samples are
+       retried under an escalated Newton budget when the policy allows. *)
+    Engine.run_jobs engine ~policy ~cancel ~phase:"fault-campaign"
+      ~retryable:(fun s -> s.classification = Non_convergent)
+      ~n:(Array.length sets)
+      (fun ~attempt ~cancel i ->
+        let options = options_for_attempt ~policy ~attempt options in
+        simulate ~engine ~cancel ~options grid ~target ~test_set sets.(i))
+    |> Array.mapi (fun i -> function
+         | Pool.Done s -> s
+         | Pool.Failed e ->
+           synthetic_sample ~defects:sets.(i) ("worker exception: " ^ e.Pool.printed)
+         | Pool.Timed_out -> synthetic_sample ~defects:sets.(i) "deadline exceeded"
+         | Pool.Cancelled -> synthetic_sample ~defects:sets.(i) "cancelled")
   in
   let count c =
     Array.fold_left (fun acc s -> if s.classification = c then acc + 1 else acc) 0 samples
@@ -348,18 +336,26 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
   let repairs =
     if not options.attempt_repair then []
     else begin
-      let attempt () =
+      (* one job per repairable detected single defect, in sample order;
+         the batch token reaches repairs at job boundaries, and a repair
+         it stops is left out *)
+      let todo =
         Array.to_list samples
         |> List.filter_map (fun s ->
                match (s.defects, s.classification) with
                | [ d ], (Faulty | Degraded | Non_convergent) when sample_detected s ->
-                 Option.map (repair_defect ?engine options grid ~target d) (logical_of_defect d)
+                 Option.map (fun fault -> (d, fault)) (logical_of_defect d)
                | _ -> None)
+        |> Array.of_list
       in
-      Lattice_obs.Trace.with_span ~cat:"flow" "campaign-repair" (fun () ->
-          match engine with
-          | Some e -> Engine.timed e ~phase:"campaign-repair" attempt
-          | None -> attempt ())
+      Engine.run_jobs engine ~cancel ~phase:"campaign-repair" ~n:(Array.length todo)
+        (fun ~attempt:_ ~cancel:_ i ->
+          let d, fault = todo.(i) in
+          repair_defect engine options grid ~target d fault)
+      |> Array.to_list
+      |> List.filter_map (function
+           | Pool.Done r -> Some r
+           | Pool.Failed _ | Pool.Timed_out | Pool.Cancelled -> None)
     end
   in
   let total_newton = Array.fold_left (fun acc s -> acc + s.newton_iterations) 0 samples in

@@ -6,7 +6,8 @@
     {!Lattice_spice.Defects.single_defects} (plus optional randomly
     sampled multi-defect combinations), builds the defective netlist for
     every input state, and solves each DC operating point with
-    {!Lattice_spice.Dcop.solve_diag} — so a sample that refuses to
+    {!Lattice_engine.Engine.dc_op} (memoized
+    {!Lattice_spice.Dcop.solve_diag}) — so a sample that refuses to
     converge is {e classified}, never an exception, and carries the full
     structured failure (failed strategy ladder, residual norm, worst
     nodes).
@@ -43,7 +44,10 @@
     {!Lattice_synthesis.Exhaustive.find_with_pins} — first in the
     original fabric, then widening by up to [spare_cols] spare columns —
     and re-verifies the remapped lattice at circuit level {e with the
-    defect still injected}. *)
+    defect still injected}. Each repair is one engine job (phase
+    ["campaign-repair"]); a repair that does not complete — the batch
+    [cancel] token stopped it before it started, or it raised — is left
+    out of [repairs]. *)
 
 type classification = Functional | Degraded | Faulty | Non_convergent
 
@@ -80,13 +84,14 @@ type sample = {
 
 (** [simulate grid ~target ~test_set defects] runs one sample: the grid
     with [defects] injected, DC-solved over all [2^nvars] input states
-    under the Newton budget. Never raises on convergence trouble. With
-    [engine], DC solves go through the engine's content-addressed cache;
-    cached hits replay the original diagnostics, so Newton-budget
-    accounting is identical on warm and cold caches. [cancel] is checked
-    before every input state (and inside every solve); a fired token
-    raises {!Lattice_engine.Cancel.Cancelled} — inside {!run}'s engine
-    path that exception is converted to a classified sample. *)
+    under the Newton budget. Never raises on convergence trouble. DC
+    solves go through the engine's content-addressed cache (without
+    [engine], a fresh {!Lattice_engine.Engine.or_fresh} one); cached
+    hits replay the original diagnostics, so Newton-budget accounting
+    is identical on warm and cold caches. [cancel] is checked before
+    every input state (and inside every solve); a fired token raises
+    {!Lattice_engine.Cancel.Cancelled} — inside {!run} that exception
+    is converted to a classified sample. *)
 val simulate :
   ?engine:Lattice_engine.Engine.t ->
   ?cancel:Lattice_engine.Cancel.t ->
@@ -144,14 +149,14 @@ type report = {
     the whole campaign. [universe] overrides the enumerated
     single-defect list (the multi-defect combos are sampled from it
     too). Continues past every failure; the only exceptions raised are
-    argument errors (and, on the engine-less serial path, a fired
-    [cancel] token).
+    argument errors.
 
-    With [engine], the independent defect samples fan out over the
-    engine's fault-isolated {!Lattice_engine.Engine.run_jobs} (phase
-    ["fault-campaign"]) and repairs are timed under ["campaign-repair"];
-    results merge by sample index, so the report is bit-identical to
-    the serial run at any domain count. A sample whose worker crashes,
+    The independent defect samples fan out over the engine's
+    fault-isolated {!Lattice_engine.Engine.run_jobs} (phase
+    ["fault-campaign"]), then the repairs (phase ["campaign-repair"]);
+    without [engine] both run on {!Lattice_engine.Engine.or_fresh}'s
+    1-domain engine. Results merge by index, so the report is
+    bit-identical at any domain count. A sample whose worker crashes,
     blows its [policy] deadline, or is cancelled becomes a
     [Non_convergent] sample whose failure message says why
     (["worker exception: …"], ["deadline exceeded"], ["cancelled"]) —

@@ -52,6 +52,7 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
   let nvars = Tt.nvars target in
   if nvars > 5 then invalid_arg "Monte_carlo.run: too many inputs";
   if samples < 1 then invalid_arg "Monte_carlo.run: need at least one sample";
+  let engine = Engine.or_fresh engine in
   let vdd = config.Sp.Lattice_circuit.vdd in
   let states = 1 lsl nvars in
   let one_sample ~cancel index =
@@ -60,7 +61,7 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
        hash of [seed, index]) instead of one sequential stream, so die k
        is identical whether or not dies 0..k-1 ran — the property that
        makes the Domain pool's out-of-order execution bit-identical to
-       the serial loop. *)
+       the 1-domain run. *)
     let rng = Engine.sample_rng ~seed ~index in
     let site_types =
       Array.init (Grid.size grid) (fun _ -> perturb_types rng variation config.Sp.Lattice_circuit.types)
@@ -72,12 +73,7 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
       Cancel.check cancel;
       let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then vdd else 0.0) in
       let lc = Sp.Lattice_circuit.build ~config ~types_of_site grid ~stimulus in
-      let solved =
-        match engine with
-        | Some e -> Engine.dc_op e ~cancel lc.Sp.Lattice_circuit.netlist
-        | None -> Sp.Dcop.solve_diag ~cancel lc.Sp.Lattice_circuit.netlist
-      in
-      match solved with
+      match Engine.dc_op engine ~cancel lc.Sp.Lattice_circuit.netlist with
       | Error _ ->
         (* an unsimulatable die counts as a failed die *)
         ok := false
@@ -91,23 +87,17 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
     { functional = !ok; worst_v_low = !worst_low; worst_v_high = !worst_high }
   in
   let outcomes =
-    (* campaign span covers the serial path too; the engine path nests
-       its own "monte-carlo" phase span inside. Engine dispatch is
-       fault-isolated: a die whose worker crashes or blows its deadline
-       is scored as a failed die, never an exception out of the yield
-       run. Retrying a die never changes its perturbations (the RNG
-       stream is a pure function of (seed, index)). *)
-    Lattice_obs.Trace.with_span ~cat:"flow" "monte-carlo" (fun () ->
-        match engine with
-        | Some e ->
-          Engine.run_jobs e ~policy ~cancel ~phase:"monte-carlo" ~n:samples
-            (fun ~attempt:_ ~cancel i -> one_sample ~cancel i)
-          |> Array.map (function
-               | Pool.Done o -> o
-               | Pool.Failed _ | Pool.Timed_out | Pool.Cancelled ->
-                 (* an unscorable die counts against yield *)
-                 { functional = false; worst_v_low = 0.0; worst_v_high = infinity })
-        | None -> Array.init samples (one_sample ~cancel))
+    (* Dispatch is fault-isolated: a die whose worker crashes or blows
+       its deadline is scored as a failed die, never an exception out of
+       the yield run. Retrying a die never changes its perturbations (the
+       RNG stream is a pure function of (seed, index)). *)
+    Engine.run_jobs engine ~policy ~cancel ~phase:"monte-carlo" ~n:samples
+      (fun ~attempt:_ ~cancel i -> one_sample ~cancel i)
+    |> Array.map (function
+         | Pool.Done o -> o
+         | Pool.Failed _ | Pool.Timed_out | Pool.Cancelled ->
+           (* an unscorable die counts against yield *)
+           { functional = false; worst_v_low = 0.0; worst_v_high = infinity })
   in
   let functional_count =
     Array.fold_left (fun acc o -> if o.functional then acc + 1 else acc) 0 outcomes

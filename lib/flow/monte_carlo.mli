@@ -40,16 +40,16 @@ type result = {
     Sample [k]'s perturbations come from an index-derived RNG stream
     ({!Lattice_engine.Engine.sample_rng}), so the result is a pure
     function of [(seed, k)] — independent of how many samples run and in
-    what order. With [engine], samples fan out over the engine's
-    fault-isolated {!Lattice_engine.Engine.run_jobs} and per-state DC
-    solves go through its content-addressed cache; the result is
-    bit-identical to the serial run at any domain count. A die whose
-    worker crashes, blows its [policy] deadline, or is cancelled is
-    scored as a failed (non-functional) die instead of raising —
+    what order. Samples fan out over the engine's fault-isolated
+    {!Lattice_engine.Engine.run_jobs} (phase ["monte-carlo"]) and
+    per-state DC solves go through its content-addressed cache; without
+    [engine] they run on {!Lattice_engine.Engine.or_fresh}'s 1-domain
+    engine, and the result is bit-identical at any domain count. A die
+    whose worker crashes, blows its [policy] deadline, or is cancelled
+    is scored as a failed (non-functional) die instead of raising —
     retries under [policy] re-draw the {e same} perturbations, so a
     retried die that completes is indistinguishable from one that
-    never faulted. On the engine-less serial path a fired [cancel]
-    token raises {!Lattice_engine.Cancel.Cancelled}. *)
+    never faulted. *)
 val run :
   ?engine:Lattice_engine.Engine.t ->
   ?policy:Lattice_engine.Engine.job_policy ->

@@ -43,13 +43,50 @@ module Gauge = struct
     Mutex.unlock t.lock
 end
 
-module Histogram = struct
+module Log_buckets = struct
   (* Power-of-two buckets: bucket [i] for 1 <= i <= 70 covers
      [2^(i-41), 2^(i-40)), i.e. ~1e-12 .. ~1e9; bucket 0 is underflow
      (v <= 0 included), bucket 71 overflow. *)
-  let nbuckets = 72
+  let n = 72
   let bias = 40
 
+  let index v =
+    if not (v > 0.0) then 0
+    else begin
+      let _, e = Float.frexp v in
+      let i = e + bias in
+      if i < 1 then 0 else if i > n - 2 then n - 1 else i
+    end
+
+  let lower i = Float.ldexp 1.0 (i - bias - 1)
+  let upper i = Float.ldexp 1.0 (i - bias)
+
+  let percentile counts ~count ~min_v ~max_v p =
+    if count = 0 then Float.nan
+    else begin
+      let rank =
+        let r = int_of_float (Float.ceil (p /. 100.0 *. float_of_int count)) in
+        Int.max 1 (Int.min count r)
+      in
+      (* the extreme ranks are known exactly — don't approximate them
+         with a bucket midpoint *)
+      if rank = 1 then min_v
+      else if rank = count then max_v
+      else begin
+        let i = ref 0 and seen = ref 0 in
+        while !seen < rank && !i < n do
+          seen := !seen + counts.(!i);
+          if !seen < rank then incr i
+        done;
+        let repr =
+          if !i = 0 then min_v else if !i = n - 1 then max_v else sqrt (lower !i *. upper !i)
+        in
+        Float.min max_v (Float.max min_v repr)
+      end
+    end
+end
+
+module Histogram = struct
   type t = {
     lock : Mutex.t;
     counts : int array;
@@ -62,27 +99,16 @@ module Histogram = struct
   let make () =
     {
       lock = Mutex.create ();
-      counts = Array.make nbuckets 0;
+      counts = Array.make Log_buckets.n 0;
       count = 0;
       sum = 0.0;
       min_v = infinity;
       max_v = neg_infinity;
     }
 
-  let bucket_of v =
-    if not (v > 0.0) then 0
-    else begin
-      let _, e = Float.frexp v in
-      let i = e + bias in
-      if i < 1 then 0 else if i > nbuckets - 2 then nbuckets - 1 else i
-    end
-
-  let lower i = Float.ldexp 1.0 (i - bias - 1)
-  let upper i = Float.ldexp 1.0 (i - bias)
-
   let observe t v =
     if on () then begin
-      let i = bucket_of v in
+      let i = Log_buckets.index v in
       Mutex.lock t.lock;
       t.counts.(i) <- t.counts.(i) + 1;
       t.count <- t.count + 1;
@@ -103,42 +129,20 @@ module Histogram = struct
 
   let percentile t p =
     locked t (fun () ->
-        if t.count = 0 then Float.nan
-        else begin
-          let rank =
-            let r = int_of_float (Float.ceil (p /. 100.0 *. float_of_int t.count)) in
-            Int.max 1 (Int.min t.count r)
-          in
-          (* the extreme ranks are known exactly — don't approximate them
-             with a bucket midpoint *)
-          if rank = 1 then t.min_v
-          else if rank = t.count then t.max_v
-          else begin
-            let i = ref 0 and seen = ref 0 in
-            while !seen < rank && !i < nbuckets do
-              seen := !seen + t.counts.(!i);
-              if !seen < rank then incr i
-            done;
-            let repr =
-              if !i = 0 then t.min_v
-              else if !i = nbuckets - 1 then t.max_v
-              else sqrt (lower !i *. upper !i)
-            in
-            Float.min t.max_v (Float.max t.min_v repr)
-          end
-        end)
+        Log_buckets.percentile t.counts ~count:t.count ~min_v:t.min_v ~max_v:t.max_v p)
 
   let buckets t =
     locked t (fun () ->
         let out = ref [] in
-        for i = nbuckets - 1 downto 0 do
-          if t.counts.(i) > 0 then out := (lower i, upper i, t.counts.(i)) :: !out
+        for i = Log_buckets.n - 1 downto 0 do
+          if t.counts.(i) > 0 then
+            out := (Log_buckets.lower i, Log_buckets.upper i, t.counts.(i)) :: !out
         done;
         !out)
 
   let reset t =
     locked t (fun () ->
-        Array.fill t.counts 0 nbuckets 0;
+        Array.fill t.counts 0 Log_buckets.n 0;
         t.count <- 0;
         t.sum <- 0.0;
         t.min_v <- infinity;

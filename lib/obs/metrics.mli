@@ -40,6 +40,20 @@ module Gauge : sig
   val get : t -> float
 end
 
+(** The [n] power-of-two buckets {!Histogram} and {!Rolling} share;
+    [index v] is the bucket of [v] (non-positive values underflow). *)
+module Log_buckets : sig
+  val n : int
+  val index : float -> int
+
+  val percentile : int array -> count:int -> min_v:float -> max_v:float -> float -> float
+  (** [percentile counts ~count ~min_v ~max_v p], [p] in [0..100]:
+      nearest rank over [count] observations bucketed in [counts]. The
+      first and last ranks return [min_v]/[max_v] exactly; interior
+      ranks the selected bucket's geometric midpoint clamped to
+      [[min_v, max_v]]. [nan] when [count = 0]. *)
+end
+
 module Histogram : sig
   type t
 
@@ -56,10 +70,9 @@ module Histogram : sig
   (** [nan] when empty. *)
 
   val percentile : t -> float -> float
-  (** [percentile h p] for [p] in [0..100]: nearest-rank over the
-      buckets. The first and last ranks return the exact observed
-      [min]/[max]; interior ranks return the geometric midpoint of the
-      selected bucket clamped to [[min, max]]. [nan] when empty. *)
+  (** [percentile h p] is {!Log_buckets.percentile} over the
+      histogram's buckets and exact observed [min]/[max]. [nan] when
+      empty. *)
 
   val buckets : t -> (float * float * int) list
   (** Non-empty buckets as [(lower, upper, count)], ascending. *)

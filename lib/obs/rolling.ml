@@ -5,10 +5,10 @@
    old data ages out lazily with zero background work. A snapshot
    merges every bucket whose epoch is still inside the window.
 
-   Durations use the same power-of-two log-scale bucketing as
-   {!Metrics.Histogram} (exact min/max per time bucket, geometric
-   midpoint for interior ranks), so windowed percentiles carry the
-   same <= sqrt(2) relative bucketing error.
+   Durations use {!Metrics.Log_buckets}, the bucketing of
+   {!Metrics.Histogram} (exact min/max per time bucket, clamped
+   geometric midpoint for interior ranks), so windowed percentiles
+   carry the same <= sqrt(2) relative bucketing error.
 
    The clock is injected ([now_ns] arguments) rather than read
    internally, which keeps the window algebra deterministic under
@@ -16,19 +16,7 @@
 
 type outcome = Ok | Error | Timeout
 
-let hbuckets = 72
-let bias = 40
-
-let bucket_of v =
-  if not (v > 0.0) then 0
-  else begin
-    let _, e = Float.frexp v in
-    let i = e + bias in
-    if i < 1 then 0 else if i > hbuckets - 2 then hbuckets - 1 else i
-  end
-
-let lower i = Float.ldexp 1.0 (i - bias - 1)
-let upper i = Float.ldexp 1.0 (i - bias)
+module Log_buckets = Metrics.Log_buckets
 
 type bucket = {
   mutable epoch : int;  (* -1 = never used *)
@@ -59,7 +47,7 @@ let create ?(buckets = 6) ?(bucket_s = 10.0) () =
       Array.init buckets (fun _ ->
           {
             epoch = -1;
-            counts = Array.make hbuckets 0;
+            counts = Array.make Log_buckets.n 0;
             n = 0;
             errors = 0;
             timeouts = 0;
@@ -72,7 +60,7 @@ let create ?(buckets = 6) ?(bucket_s = 10.0) () =
 let window_s t = float_of_int (t.nbuckets * t.bucket_ns) /. 1e9
 
 let clear_bucket b epoch =
-  Array.fill b.counts 0 hbuckets 0;
+  Array.fill b.counts 0 Log_buckets.n 0;
   b.n <- 0;
   b.errors <- 0;
   b.timeouts <- 0;
@@ -86,7 +74,7 @@ let observe t ~now_ns ~dur_s ~outcome =
   Mutex.lock t.lock;
   let b = t.buckets.(epoch mod t.nbuckets) in
   if b.epoch <> epoch then clear_bucket b epoch;
-  let i = bucket_of dur_s in
+  let i = Log_buckets.index dur_s in
   b.counts.(i) <- b.counts.(i) + 1;
   b.n <- b.n + 1;
   b.sum_s <- b.sum_s +. dur_s;
@@ -110,43 +98,11 @@ type snap = {
   max_s : float;
 }
 
-let empty_snap ~rate =
-  {
-    count = 0;
-    errors = 0;
-    timeouts = 0;
-    rate_per_s = rate;
-    mean_s = Float.nan;
-    p50_s = Float.nan;
-    p95_s = Float.nan;
-    p99_s = Float.nan;
-    max_s = Float.nan;
-  }
-
-let percentile_merged counts ~count ~min_s ~max_s p =
-  let rank =
-    let r = int_of_float (Float.ceil (p /. 100.0 *. float_of_int count)) in
-    Int.max 1 (Int.min count r)
-  in
-  if rank = 1 then min_s
-  else if rank = count then max_s
-  else begin
-    let i = ref 0 and seen = ref 0 in
-    while !seen < rank && !i < hbuckets do
-      seen := !seen + counts.(!i);
-      if !seen < rank then incr i
-    done;
-    let i = !i in
-    if i = 0 then min_s
-    else if i >= hbuckets - 1 then max_s
-    else Float.sqrt (lower i *. upper i)
-  end
-
 let snapshot t ~now_ns =
   let current = now_ns / t.bucket_ns in
   let oldest = current - t.nbuckets + 1 in
   Mutex.lock t.lock;
-  let counts = Array.make hbuckets 0 in
+  let counts = Array.make Log_buckets.n 0 in
   let n = ref 0 and errors = ref 0 and timeouts = ref 0 in
   let sum = ref 0.0 and min_s = ref infinity and max_s = ref neg_infinity in
   Array.iter
@@ -162,20 +118,19 @@ let snapshot t ~now_ns =
       end)
     t.buckets;
   Mutex.unlock t.lock;
-  let w = window_s t in
-  if !n = 0 then empty_snap ~rate:0.0
-  else
-    {
-      count = !n;
-      errors = !errors;
-      timeouts = !timeouts;
-      rate_per_s = float_of_int !n /. w;
-      mean_s = !sum /. float_of_int !n;
-      p50_s = percentile_merged counts ~count:!n ~min_s:!min_s ~max_s:!max_s 50.0;
-      p95_s = percentile_merged counts ~count:!n ~min_s:!min_s ~max_s:!max_s 95.0;
-      p99_s = percentile_merged counts ~count:!n ~min_s:!min_s ~max_s:!max_s 99.0;
-      max_s = !max_s;
-    }
+  let count = !n in
+  let percentile = Log_buckets.percentile counts ~count ~min_v:!min_s ~max_v:!max_s in
+  {
+    count;
+    errors = !errors;
+    timeouts = !timeouts;
+    rate_per_s = float_of_int count /. window_s t;
+    mean_s = (if count = 0 then Float.nan else !sum /. float_of_int count);
+    p50_s = percentile 50.0;
+    p95_s = percentile 95.0;
+    p99_s = percentile 99.0;
+    max_s = (if count = 0 then Float.nan else !max_s);
+  }
 
 let reset t =
   Mutex.lock t.lock;

@@ -4,9 +4,9 @@
     The window is a circular array of epoch-tagged buckets; stale
     buckets are recycled lazily on the next observation, so there is no
     background thread and expiry costs nothing. Percentiles come from
-    the merged log-scale histogram with exact min/max endpoints — the
-    same bucketing as {!Metrics.Histogram}, so interior ranks carry at
-    most ~sqrt(2) relative error.
+    the merged log-scale histogram with exact min/max endpoints —
+    {!Metrics.Log_buckets}, the bucketing of {!Metrics.Histogram}, so
+    interior ranks carry at most ~sqrt(2) relative error.
 
     The caller supplies timestamps ([now_ns], from {!Clock.now_ns});
     injecting the clock keeps the window algebra testable against a

@@ -518,7 +518,6 @@ let snap_json (s : Rolling.snap) =
     ]
 
 let stats_json t =
-  Engine.publish_gauges t.engine;
   let tel = Engine.telemetry t.engine in
   let module C = Lattice_engine.Cache in
   let module S = Lattice_engine.Store in
@@ -603,7 +602,6 @@ let stats_json t =
    type. Scrapers that only speak the exposition format get the same
    telemetry as [stats]. *)
 let prometheus_text t =
-  Engine.publish_gauges t.engine;
   let tel = Engine.telemetry t.engine in
   let module C = Lattice_engine.Cache in
   Mutex.lock t.qlock;

@@ -38,9 +38,8 @@
     [serve.quota_rejected] / [serve.malformed]; histograms
     [serve.queue_wait.seconds] and [serve.handle.seconds]; level gauges
     [serve.queue.depth] and [serve.inflight]. The [stats] request
-    returns the same numbers (plus engine/cache/store telemetry) as
-    JSON, and {!Lattice_engine.Engine.publish_gauges} refreshes the
-    [engine.live.*] gauges on every [stats] call and metrics export. *)
+    returns the same numbers (plus engine/cache/store telemetry, read
+    from {!Lattice_engine.Engine.telemetry}) as JSON. *)
 
 type config = {
   socket_path : string option;  (** Unix-domain listener *)

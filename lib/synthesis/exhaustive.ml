@@ -131,17 +131,13 @@ let validate_circuit ?engine ?(config = Sp.Lattice_circuit.default_config)
     ?(dc = Sp.Dcop.default_options) grid ~target =
   let nvars = Tt.nvars target in
   if nvars > 5 then invalid_arg "Exhaustive.validate_circuit: too many inputs";
+  let engine = Engine.or_fresh engine in
   let vdd = config.Sp.Lattice_circuit.vdd in
   let states = 1 lsl nvars in
   let state_ok m =
     let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then vdd else 0.0) in
     let lc = Sp.Lattice_circuit.build ~config grid ~stimulus in
-    let solved =
-      match engine with
-      | Some e -> Engine.dc_op e ~options:dc lc.Sp.Lattice_circuit.netlist
-      | None -> Sp.Dcop.solve_diag ~options:dc lc.Sp.Lattice_circuit.netlist
-    in
-    match solved with
+    match Engine.dc_op engine ~options:dc lc.Sp.Lattice_circuit.netlist with
     | Error _ -> false
     | Ok (x, _) ->
       let v =
@@ -152,21 +148,16 @@ let validate_circuit ?engine ?(config = Sp.Lattice_circuit.default_config)
          lattice function *)
       Bool.equal (v > vdd /. 2.0) (not (Tt.eval target m))
   in
-  let oks =
-    Lattice_obs.Trace.with_span ~cat:"synthesis" "circuit-validate" (fun () ->
-        match engine with
-        | Some e -> Engine.map e ~phase:"circuit-validate" ~n:states state_ok
-        | None -> Array.init states state_ok)
-  in
-  Array.for_all Fun.id oks
+  Array.for_all Fun.id (Engine.map engine ~phase:"circuit-validate" ~n:states state_ok)
 
 let find_circuit_verified ~rows ~cols ?(alphabet = Literals_only) ?engine ?config ?dc
     ?(pins = []) target =
+  let engine = Engine.or_fresh engine in
   let result = ref None in
   let (_ : Grid.entry array array) =
     search ~rows ~cols ~alphabet ~pins target (fun site_entries digits ->
         let grid = grid_of_digits ~rows ~cols site_entries digits in
-        if validate_circuit ?engine ?config ?dc grid ~target then begin
+        if validate_circuit ~engine ?config ?dc grid ~target then begin
           result := Some grid;
           true
         end

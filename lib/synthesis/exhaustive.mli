@@ -53,10 +53,11 @@ val minimal :
     pull-down network) against the [vdd/2] threshold. Convergence failure
     at any state counts as invalid. Requires [nvars <= 5].
 
-    With [engine], the [2^nvars] input states fan out over the engine's
-    Domain pool (phase ["circuit-validate"]) and the DC solves go through
-    its content-addressed cache — repeated validations of the same grid
-    are cache hits. The verdict is identical to the serial check. *)
+    The [2^nvars] input states fan out over [engine]'s Domain pool
+    (phase ["circuit-validate"]; without [engine], a fresh 1-domain one)
+    and the DC solves go through its content-addressed cache — repeated
+    validations of the same grid on one engine are cache hits. The
+    verdict is identical at any domain count. *)
 val validate_circuit :
   ?engine:Lattice_engine.Engine.t ->
   ?config:Lattice_spice.Lattice_circuit.config ->

@@ -12,6 +12,9 @@ module Tt = Lattice_boolfn.Truthtable
 
 (* --- pool ---------------------------------------------------------------- *)
 
+let done_values out =
+  Array.map (function Pool.Done v -> v | _ -> Alcotest.fail "job not done") out
+
 let test_pool_parity () =
   (* the pool's merged output must equal Array.init at any domain count *)
   let f i = (i * i) + 7 in
@@ -22,18 +25,24 @@ let test_pool_parity () =
       Alcotest.(check (array int))
         (Printf.sprintf "%d domains" domains)
         expected
-        (Pool.map pool ~n:33 f))
+        (done_values (Pool.map_outcomes pool ~n:33 f)))
     [ 1; 2; 4 ]
 
 let test_pool_exception () =
+  (* Engine.map unwraps the outcomes: the lowest-index failure surfaces
+     as a Failure carrying the job exception's printed form *)
   List.iter
     (fun domains ->
-      let pool = Pool.create ~domains () in
+      let e = Engine.create ~domains () in
       Alcotest.check_raises
         (Printf.sprintf "failure propagates (%d domains)" domains)
-        (Failure "job 3 boom")
+        (Failure (Printexc.to_string (Failure "job 3 boom")))
         (fun () ->
-          ignore (Pool.map pool ~n:8 (fun i -> if i = 3 then failwith "job 3 boom" else i))))
+          ignore
+            (Engine.map e ~n:8 (fun i ->
+                 if i = 3 then failwith "job 3 boom"
+                 else if i = 5 then failwith "job 5 boom"
+                 else i))))
     [ 1; 2; 4 ]
 
 let test_pool_invalid () =

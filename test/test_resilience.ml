@@ -150,7 +150,10 @@ let test_chunked_parity () =
           let pool = Pool.create ~domains () in
           Alcotest.(check (array int))
             (Printf.sprintf "n=%d domains=%d" n domains)
-            expected (Pool.map pool ~n f))
+            expected
+            (Array.map
+               (function Pool.Done v -> v | _ -> Alcotest.fail "job not done")
+               (Pool.map_outcomes pool ~n f)))
         [ 1; 2; 4 ])
     [ 7; 64; 1000 ]
 
@@ -388,6 +391,29 @@ let test_run_jobs_batch_cancel () =
     (Array.for_all (function Pool.Cancelled -> true | _ -> false) out);
   Alcotest.(check int) "cancelled jobs never retried" 0 (Engine.telemetry e).Engine.retries
 
+let test_zero_job_batches () =
+  (* an empty batch is an empty result at any pool width — no domain is
+     spawned for it *)
+  let module Fc = Lattice_flow.Fault_campaign in
+  List.iter
+    (fun domains ->
+      let label what = Printf.sprintf "%s (%d domains)" what domains in
+      let pool = Pool.create ~domains () in
+      Alcotest.(check int) (label "map_outcomes ~n:0") 0
+        (Array.length (Pool.map_outcomes pool ~n:0 (fun i -> i)));
+      let e = Engine.create ~domains () in
+      Alcotest.(check int) (label "run_jobs ~n:0") 0
+        (Array.length (Engine.run_jobs e ~n:0 (fun ~attempt:_ ~cancel:_ i -> i)));
+      Alcotest.(check (array int)) (label "map ~n:0") [||] (Engine.map e ~n:0 (fun i -> i));
+      let rep =
+        Fc.run ~engine:e
+          ~options:{ Fc.default_options with Fc.classes = [] }
+          Lattice_synthesis.Library.maj3_2x3 ~target:(Lattice_boolfn.Truthtable.majority_n 3)
+      in
+      Alcotest.(check int) (label "empty campaign: no samples") 0 (Array.length rep.Fc.samples);
+      Alcotest.(check int) (label "empty campaign: no repairs") 0 (List.length rep.Fc.repairs))
+    [ 1; 2; 4 ]
+
 (* --- telemetry reset pinning ----------------------------------------------- *)
 
 let test_reset_telemetry_pins_new_counters () =
@@ -439,24 +465,7 @@ let test_reset_telemetry_pins_new_counters () =
   ignore (Engine.dc_op e netlist);
   let w = Engine.telemetry e in
   Alcotest.(check int) "cache entry survived the reset" 1 w.Engine.cache.Cache.hits;
-  Alcotest.(check int) "no re-solve" 0 w.Engine.dc_solves;
-  (* live gauges: publish_gauges mirrors telemetry, reset republishes zeros *)
-  let module Metrics = Lattice_obs.Metrics in
-  let metrics_were_on = Metrics.on () in
-  Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Metrics.set_enabled metrics_were_on) @@ fun () ->
-  Engine.publish_gauges e;
-  let g name = Metrics.Gauge.get (Metrics.gauge ("engine.live." ^ name)) in
-  Alcotest.(check (float 0.0)) "live cache_hits gauge" 1.0 (g "cache_hits");
-  Alcotest.(check (float 0.0)) "live dc_solves gauge" 0.0 (g "dc_solves");
-  Alcotest.(check (float 0.0)) "live store_writes gauge" 0.0 (g "store_writes");
-  ignore (Engine.dc_op e (build_netlist ~m:1 Lattice_synthesis.Library.maj3_2x3));
-  Engine.publish_gauges e;
-  Alcotest.(check (float 0.0)) "live dc_solves gauge tracks" 1.0 (g "dc_solves");
-  Alcotest.(check (float 0.0)) "live store_writes gauge tracks" 1.0 (g "store_writes");
-  Engine.reset_telemetry e;
-  Alcotest.(check (float 0.0)) "reset republishes zero hits" 0.0 (g "cache_hits");
-  Alcotest.(check (float 0.0)) "reset republishes zero solves" 0.0 (g "dc_solves")
+  Alcotest.(check int) "no re-solve" 0 w.Engine.dc_solves
 
 (* --- flow-level classification --------------------------------------------- *)
 
@@ -497,6 +506,67 @@ let test_monte_carlo_fault_scoring () =
   let mc = Lattice_flow.Monte_carlo.run ~engine:e ~policy ~samples:8 grid ~target in
   Alcotest.(check (float 0.0)) "zero yield, zero exceptions" 0.0 mc.Lattice_flow.Monte_carlo.yield;
   Alcotest.(check int) "all dies scored" 8 (Array.length mc.Lattice_flow.Monte_carlo.outcomes)
+
+let test_fired_token_skips_repairs () =
+  (* a batch token that has already fired stops the repairs too: every
+     sample is classified "cancelled" and nothing is remapped or solved *)
+  let module Fc = Lattice_flow.Fault_campaign in
+  let e = Engine.create ~domains:1 () in
+  let cancel = Cancel.create () in
+  Cancel.cancel cancel;
+  let rep =
+    Fc.run ~engine:e ~cancel
+      ~options:{ Fc.default_options with Fc.attempt_repair = true }
+      Lattice_synthesis.Library.maj3_2x3 ~target:(Lattice_boolfn.Truthtable.majority_n 3)
+  in
+  Alcotest.(check bool) "samples reported" true (Array.length rep.Fc.samples > 0);
+  Array.iter
+    (fun s ->
+      match s.Fc.failure with
+      | Some f -> Alcotest.(check string) "sample cancelled" "cancelled" f.Sp.Dcop.message
+      | None -> Alcotest.fail "cancelled sample without failure record")
+    rep.Fc.samples;
+  Alcotest.(check int) "no repairs" 0 (List.length rep.Fc.repairs);
+  Alcotest.(check int) "no dc solves" 0 (Engine.telemetry e).Engine.dc_solves
+
+let test_flight_ring_flow_spans () =
+  (* with tracing off, the always-on flight ring still holds each flow's
+     phase span, so a flight dump shows which flow was running *)
+  let module Trace = Lattice_obs.Trace in
+  let module Ring = Lattice_obs.Ring in
+  let module Fc = Lattice_flow.Fault_campaign in
+  let trace_was_on = Trace.on () and ring_was_on = Ring.on () in
+  Trace.set_enabled false;
+  Ring.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled trace_was_on;
+      Ring.set_enabled ring_was_on;
+      Ring.reset ())
+  @@ fun () ->
+  let grid = Lattice_synthesis.Library.maj3_2x3 in
+  let target = Lattice_boolfn.Truthtable.majority_n 3 in
+  let has_span name =
+    let needle = Printf.sprintf "\"name\":\"%s\"" name in
+    let dump = Ring.dump_jsonl () in
+    let n = String.length needle in
+    let rec scan i = i + n <= String.length dump && (String.sub dump i n = needle || scan (i + 1)) in
+    scan 0
+  in
+  List.iter
+    (fun (label, engine) ->
+      Ring.reset ();
+      ignore (Lattice_flow.Monte_carlo.run ?engine ~samples:2 grid ~target);
+      Alcotest.(check bool) (label ^ ": monte-carlo span in the ring") true
+        (has_span "monte-carlo");
+      Ring.reset ();
+      ignore
+        (Fc.run ?engine
+           ~options:{ Fc.default_options with Fc.classes = [ Sp.Defects.Opens ]; attempt_repair = false }
+           grid ~target);
+      Alcotest.(check bool) (label ^ ": fault-campaign span in the ring") true
+        (has_span "fault-campaign"))
+    [ ("default engine", None); ("2-domain engine", Some (Engine.create ~domains:2 ())) ]
 
 (* --- soak ------------------------------------------------------------------ *)
 
@@ -571,6 +641,7 @@ let () =
             test_run_jobs_fault_injection;
           Alcotest.test_case "retryable Done escalation" `Quick test_retryable_done;
           Alcotest.test_case "batch cancel skips retries" `Quick test_run_jobs_batch_cancel;
+          Alcotest.test_case "zero-job batches" `Quick test_zero_job_batches;
           Alcotest.test_case "reset_telemetry pins every counter" `Quick
             test_reset_telemetry_pins_new_counters;
         ] );
@@ -580,6 +651,8 @@ let () =
             test_campaign_deadline_classified;
           Alcotest.test_case "monte-carlo scores faulted dies" `Quick
             test_monte_carlo_fault_scoring;
+          Alcotest.test_case "fired token skips repairs" `Quick test_fired_token_skips_repairs;
+          Alcotest.test_case "flight ring keeps flow spans" `Quick test_flight_ring_flow_spans;
         ] );
       ( "soak",
         [ Alcotest.test_case "steady memory over 4800 jobs" `Quick test_soak_steady_memory ] );
