@@ -1,6 +1,7 @@
 module Sp = Lattice_spice
 module Trace = Lattice_obs.Trace
 module Metrics = Lattice_obs.Metrics
+module Clock = Lattice_obs.Clock
 
 (* process-wide registry mirrors of the per-instance telemetry atomics;
    {!summary} stays a view over the instance, these feed [--metrics] *)
@@ -86,12 +87,12 @@ let add_phase t phase dt =
 (* the phase span opens whenever anything records it — the always-on
    flight ring included — so every flow phase reaches a flight dump *)
 let timed t ~phase f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now_ns () in
   let sp = Trace.begin_span ~cat:"engine" phase in
   Fun.protect
     ~finally:(fun () ->
       Trace.end_span sp;
-      add_phase t phase (Unix.gettimeofday () -. t0))
+      add_phase t phase (Clock.ns_to_s (Clock.now_ns () - t0)))
     f
 
 let traced_job ?phase f =

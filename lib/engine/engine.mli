@@ -106,7 +106,8 @@ val default_policy : job_policy
     non-convergent sample worth a bigger Newton budget) — until they
     settle or [policy.attempts] is exhausted. The batch [cancel] token
     stops everything: remaining jobs finish as [Cancelled]. With
-    [phase], the call's wall time accrues to that phase and opens a
+    [phase], the call's elapsed time (monotonic clock, so a wall-clock
+    step cannot skew it) accrues to that phase and opens a
     span of that name (cat ["engine"]) whenever tracing or the flight
     ring records.
 
@@ -148,7 +149,7 @@ type telemetry = {
   retries : int;  (** job re-dispatches by {!run_jobs} *)
   timeouts : int;  (** jobs whose {e final} outcome was [Timed_out] *)
   job_failures : int;  (** jobs whose {e final} outcome was [Failed] *)
-  phases : (string * float) list;  (** wall seconds per phase, first-use order *)
+  phases : (string * float) list;  (** elapsed seconds per phase (monotonic), first-use order *)
 }
 
 val telemetry : t -> telemetry

@@ -172,7 +172,9 @@ let log t fmt =
     (fun line -> match t.config.log with None -> () | Some f -> f line)
     fmt
 
-let now () = Unix.gettimeofday ()
+(* monotonic seconds for durations, deadlines and uptime; wall time is
+   read only for timestamps (the access log's [ts]) *)
+let now () = Clock.ns_to_s (Clock.now_ns ())
 
 (* --- request handlers --------------------------------------------------- *)
 
@@ -293,8 +295,9 @@ let handle_defects t ~cancel ~expr ~all_classes =
     if all_classes then Sp.Defects.all_classes
     else [ Sp.Defects.Opens; Sp.Defects.Shorts ]
   in
-  (* remapping search is expensive and irrelevant to a classification
-     query; clients wanting repair run the CLI campaign *)
+  (* [defects] is a classification query: the response carries class
+     counts, not remapped grids, so repair stays off; clients wanting
+     repair run the CLI campaign *)
   let options = { Fc.default_options with Fc.classes; attempt_repair = false } in
   let rep = Fc.run ~engine:t.engine ~cancel ~options grid ~target:tt in
   Cancel.check cancel;

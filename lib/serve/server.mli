@@ -36,7 +36,8 @@
     counters [serve.requests] / [serve.responses.ok] /
     [serve.responses.error] / [serve.overloaded] /
     [serve.quota_rejected] / [serve.malformed]; histograms
-    [serve.queue_wait.seconds] and [serve.handle.seconds]; level gauges
+    [serve.queue_wait.seconds] and [serve.handle.seconds] (monotonic
+    clock, as are the drain deadline and [uptime_s]); level gauges
     [serve.queue.depth] and [serve.inflight]. The [stats] request
     returns the same numbers (plus engine/cache/store telemetry, read
     from {!Lattice_engine.Engine.telemetry}) as JSON. *)

@@ -11,20 +11,15 @@ let entries_of_alphabet alphabet nvars =
   | Literals_only -> Array.of_list lits
   | Literals_and_constants -> Array.of_list (lits @ [ Grid.Const false; Grid.Const true ])
 
-(* value mask of an entry: bit [a] set when the entry evaluates to 1 under
-   assignment [a] *)
-let value_mask nvars entry =
-  let limit = 1 lsl nvars in
-  let acc = ref 0 in
-  for a = 0 to limit - 1 do
-    let v =
+(* value row of an entry: [row.(a)] is the entry's value under assignment
+   [a]; one bool per assignment, so all 64 assignments of 6 variables fit *)
+let value_row nvars entry =
+  Array.init (1 lsl nvars) (fun a ->
       match entry with
       | Grid.Const b -> b
-      | Grid.Lit (var, polarity) -> Bool.equal (a land (1 lsl var) <> 0) polarity
-    in
-    if v then acc := !acc lor (1 lsl a)
-  done;
-  !acc
+      | Grid.Lit (var, polarity) -> Bool.equal (a land (1 lsl var) <> 0) polarity)
+
+let nodes_counter = Lattice_obs.Metrics.counter "synthesis.search_nodes"
 
 (* Shared search skeleton over per-site candidate entries; [on_hit] receives
    the per-site candidate table and the choice indices, and returns [true]
@@ -34,76 +29,88 @@ let search ~rows ~cols ~alphabet ~pins target on_hit =
   if nvars > 6 then invalid_arg "Exhaustive: too many variables (max 6)";
   let nsites = rows * cols in
   if nsites > 20 then invalid_arg "Exhaustive: lattice too large (max 20 sites)";
-  let alpha = entries_of_alphabet alphabet nvars in
   (* per-site candidate entries: pinned sites get exactly their entry *)
-  let site_entries =
-    Array.init nsites (fun site ->
-        match List.assoc_opt site pins with
-        | Some entry -> [| entry |]
-        | None -> alpha)
-  in
+  let site_entries = Array.make nsites (entries_of_alphabet alphabet nvars) in
+  let pinned = Array.make nsites false in
   List.iter
-    (fun (site, _) ->
-      if site < 0 || site >= nsites then invalid_arg "Exhaustive: pin out of range")
+    (fun (site, entry) ->
+      if site < 0 || site >= nsites then invalid_arg "Exhaustive: pin out of range";
+      if pinned.(site) then invalid_arg "Exhaustive: two pins on one site";
+      (match entry with
+      | Grid.Lit (v, _) when v < 0 || v >= nvars ->
+        invalid_arg "Exhaustive: pinned literal names no variable of the target"
+      | Grid.Lit _ | Grid.Const _ -> ());
+      pinned.(site) <- true;
+      site_entries.(site) <- [| entry |])
     pins;
-  let site_masks = Array.map (Array.map (value_mask nvars)) site_entries in
+  let site_rows = Array.map (Array.map (value_row nvars)) site_entries in
   let table = Lattice_core.Connectivity.table_of_patterns ~rows ~cols in
+  let conducts pattern = Bytes.get table pattern <> '\000' in
   let nassign = 1 lsl nvars in
   let target_bits = Array.init nassign (Tt.eval target) in
   let patt = Array.make nassign 0 in
   let digits = Array.make nsites 0 in
+  (* Connectivity is monotone in the set of ON sites. With sites
+     [site..nsites-1] still free, no completion realizes the target if an
+     input that needs conduction is blocked even with every free site ON,
+     or an input that needs blocking conducts even with every free site
+     OFF. At [site = nsites] nothing is free and the test is the exact
+     match, so pruning skips only subtrees without a hit. *)
+  let feasible site =
+    let free = ((1 lsl nsites) - 1) land lnot ((1 lsl site) - 1) in
+    let ok = ref true in
+    let a = ref 0 in
+    while !ok && !a < nassign do
+      let p = patt.(!a) in
+      ok := if target_bits.(!a) then conducts (p lor free) else not (conducts p);
+      incr a
+    done;
+    !ok
+  in
+  let nodes = ref 0 in
   let exception Stop in
   let rec go site =
-    if site = nsites then begin
-      let ok = ref true in
-      let a = ref 0 in
-      while !ok && !a < nassign do
-        if Bool.equal (Bytes.get table patt.(!a) <> '\000') target_bits.(!a) then incr a
-        else ok := false
-      done;
-      if !ok && on_hit site_entries digits then raise Stop
-    end
-    else begin
-      let bit = 1 lsl site in
-      let masks = site_masks.(site) in
-      for d = 0 to Array.length masks - 1 do
-        digits.(site) <- d;
-        let m = masks.(d) in
-        for a = 0 to nassign - 1 do
-          if m land (1 lsl a) <> 0 then patt.(a) <- patt.(a) lor bit
-        done;
-        go (site + 1);
-        for a = 0 to nassign - 1 do
-          patt.(a) <- patt.(a) land lnot bit
+    incr nodes;
+    if feasible site then
+      if site = nsites then (if on_hit site_entries digits then raise Stop)
+      else begin
+        let bit = 1 lsl site in
+        let rows_of_site = site_rows.(site) in
+        for d = 0 to Array.length rows_of_site - 1 do
+          digits.(site) <- d;
+          let row = rows_of_site.(d) in
+          for a = 0 to nassign - 1 do
+            if row.(a) then patt.(a) <- patt.(a) lor bit
+          done;
+          go (site + 1);
+          for a = 0 to nassign - 1 do
+            patt.(a) <- patt.(a) land lnot bit
+          done
         done
-      done
-    end
+      end
   in
   Lattice_obs.Trace.with_span ~cat:"synthesis" "exhaustive-search" (fun () ->
-      try go 0 with Stop -> ());
-  site_entries
+      Fun.protect
+        ~finally:(fun () -> Lattice_obs.Metrics.Counter.add nodes_counter !nodes)
+        (fun () -> try go 0 with Stop -> ()))
 
 let grid_of_digits ~rows ~cols site_entries digits =
   Grid.create rows cols (Array.mapi (fun site d -> site_entries.(site).(d)) digits)
 
 let find_with_pins ~rows ~cols ?(alphabet = Literals_only) ~pins target =
   let result = ref None in
-  let (_ : Grid.entry array array) =
-    search ~rows ~cols ~alphabet ~pins target (fun site_entries digits ->
-        result := Some (grid_of_digits ~rows ~cols site_entries digits);
-        true)
-  in
+  search ~rows ~cols ~alphabet ~pins target (fun site_entries digits ->
+      result := Some (grid_of_digits ~rows ~cols site_entries digits);
+      true);
   !result
 
 let find ~rows ~cols ?alphabet target = find_with_pins ~rows ~cols ?alphabet ~pins:[] target
 
 let count_solutions ~rows ~cols ?(alphabet = Literals_only) ?limit target =
   let count = ref 0 in
-  let (_ : Grid.entry array array) =
-    search ~rows ~cols ~alphabet ~pins:[] target (fun _ _ ->
-        incr count;
-        match limit with Some l -> !count >= l | None -> false)
-  in
+  search ~rows ~cols ~alphabet ~pins:[] target (fun _ _ ->
+      incr count;
+      match limit with Some l -> !count >= l | None -> false);
   !count
 
 let minimal ?(alphabet = Literals_only) ?(max_area = 9) target =
@@ -154,13 +161,11 @@ let find_circuit_verified ~rows ~cols ?(alphabet = Literals_only) ?engine ?confi
     ?(pins = []) target =
   let engine = Engine.or_fresh engine in
   let result = ref None in
-  let (_ : Grid.entry array array) =
-    search ~rows ~cols ~alphabet ~pins target (fun site_entries digits ->
-        let grid = grid_of_digits ~rows ~cols site_entries digits in
-        if validate_circuit ~engine ?config ?dc grid ~target then begin
-          result := Some grid;
-          true
-        end
-        else false)
-  in
+  search ~rows ~cols ~alphabet ~pins target (fun site_entries digits ->
+      let grid = grid_of_digits ~rows ~cols site_entries digits in
+      if validate_circuit ~engine ?config ?dc grid ~target then begin
+        result := Some grid;
+        true
+      end
+      else false);
   !result

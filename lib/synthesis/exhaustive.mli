@@ -2,13 +2,33 @@
 
     The paper's Fig 3b shows XOR3 on the minimum-size 3 x 3 lattice, found
     by the synthesis algorithms of its references [3], [4], [13]. This
-    module provides the brute-force counterpart: enumerate every assignment
-    of literals (optionally constants) to the sites of a candidate grid and
-    keep the first one whose lattice function matches the target.
+    module provides the exact counterpart: walk the assignments of literals
+    (optionally constants) to the sites of a candidate grid in odometer
+    order and keep the first one whose lattice function matches the target.
 
-    Feasible for [nvars <= ~4] and [rows * cols <= ~12]: connectivity over
-    all [2^(rows*cols)] conduction patterns is precomputed once, and each
-    candidate costs one table lookup per input assignment with early exit. *)
+    The walk is a branch and bound, and the bound is exact. Top-to-bottom
+    connectivity is monotone in the set of ON switches, so before choosing
+    site [k] the search looks up, for every input, the connectivity of the
+    sites chosen so far with sites [k..n-1] all ON and all OFF. If an input
+    the target needs to conduct is blocked even with every free site ON, or
+    an input the target needs blocked conducts even with every free site
+    OFF, no completion realizes the target and the subtree is skipped. The
+    odometer order is unchanged and only subtrees without a hit are
+    skipped, so every function here returns the grids and counts, and
+    validates the candidates, that the unpruned odometer gives (the test
+    suite keeps that odometer as its oracle).
+
+    Cost therefore follows the feasible subtrees rather than
+    [alphabet^sites]: the 2 x 4 maj3 remap around a stuck-ON switch at
+    (1,0) visits 6,070 nodes where the unpruned odometer visits 1,801,997.
+    Each search adds its visited-node count to the [synthesis.search_nodes]
+    counter once, when it ends.
+
+    Limits: [nvars <= 6] and [rows * cols <= 20]. Entry values are kept as
+    one bool per input assignment, so all 64 assignments of a 6-variable
+    target are checked (an [int] bit mask cannot hold assignment 63).
+    Connectivity over all [2^(rows*cols)] conduction patterns is
+    precomputed once per search. *)
 
 type alphabet = Literals_only | Literals_and_constants
 
@@ -21,7 +41,9 @@ val find :
 (** [find_with_pins ~rows ~cols ?alphabet ~pins target] additionally fixes
     the entries of some sites (row-major indices) — defect-aware mapping: a
     stuck-OFF switch is a pinned [Const false], a stuck-ON one a pinned
-    [Const true], and the search works around them. *)
+    [Const true], and the search works around them. Raises
+    [Invalid_argument] for a pin outside the grid, two pins on one site, or
+    a pinned literal of a variable the target does not have. *)
 val find_with_pins :
   rows:int ->
   cols:int ->

@@ -178,6 +178,217 @@ let test_exhaustive_count () =
   let capped = S.Exhaustive.count_solutions ~rows:2 ~cols:1 ~limit:1 and2 in
   Alcotest.(check int) "limit respected" 1 capped
 
+(* Search inputs that the search must honour or refuse: all 64
+   assignments of a 6-variable target see the ON sites, and conflicting
+   or meaningless pins are rejected like out-of-range ones. *)
+let test_search_input_table () =
+  let and6 = Tt.create 6 (fun m -> m = 63) and or6 = Tt.create 6 (fun m -> m <> 0) in
+  let xor2 = Tt.xor_n 2 in
+  let realizes t = function Some g -> S.Validate.realizes g t | None -> false in
+  let rejects pins =
+    match S.Exhaustive.find_with_pins ~rows:2 ~cols:2 ~pins xor2 with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  List.iter
+    (fun (name, case) -> Alcotest.(check bool) name true (case ()))
+    [
+      ("AND6 on a 6x1 column", fun () -> realizes and6 (S.Exhaustive.find ~rows:6 ~cols:1 and6));
+      ("OR6 on a 1x6 row", fun () -> realizes or6 (S.Exhaustive.find ~rows:1 ~cols:6 or6));
+      ( "AND6 minimal is the column",
+        fun () ->
+          match S.Exhaustive.minimal ~max_area:6 and6 with
+          | Some (g, 6, 1) -> S.Validate.realizes g and6
+          | _ -> false );
+      ("two pins on one site", fun () -> rejects [ (0, Grid.Const true); (0, Grid.Const false) ]);
+      ("pinned literal of a missing variable", fun () -> rejects [ (1, Grid.Lit (2, true)) ]);
+      ("pinned literal of a negative variable", fun () -> rejects [ (1, Grid.Lit (-1, false)) ]);
+    ]
+
+(* --- Exhaustive oracle ------------------------------------------------------- *)
+
+(* The unpruned odometer: every grid over the candidate entries, site 0
+   slowest and entries in alphabet order (literals a, a', b, b', ..., then
+   0, 1), each checked against the full connectivity table. [on_hit] sees
+   every realizing grid in that order until it returns [true]; the result
+   is the number of nodes visited. *)
+let oracle_search ~rows ~cols ~alphabet ~pins target on_hit =
+  let nvars = Tt.nvars target in
+  let nsites = rows * cols in
+  let lits = List.concat_map (fun v -> [ Grid.Lit (v, true); Grid.Lit (v, false) ]) (List.init nvars Fun.id) in
+  let alpha =
+    Array.of_list
+      (match alphabet with
+      | S.Exhaustive.Literals_only -> lits
+      | S.Exhaustive.Literals_and_constants -> lits @ [ Grid.Const false; Grid.Const true ])
+  in
+  let candidates site = match List.assoc_opt site pins with Some e -> [| e |] | None -> alpha in
+  let value entry a =
+    match entry with Grid.Const b -> b | Grid.Lit (v, pol) -> Bool.equal (a land (1 lsl v) <> 0) pol
+  in
+  let table = Lattice_core.Connectivity.table_of_patterns ~rows ~cols in
+  let nassign = 1 lsl nvars in
+  let patt = Array.make nassign 0 in
+  let chosen = Array.make nsites (Grid.Const false) in
+  let nodes = ref 0 in
+  let exception Stop in
+  let rec go site =
+    incr nodes;
+    if site = nsites then begin
+      let a = ref 0 in
+      while !a < nassign && Bool.equal (Bytes.get table patt.(!a) <> '\000') (Tt.eval target !a) do
+        incr a
+      done;
+      if !a = nassign && on_hit (Grid.create rows cols (Array.copy chosen)) then raise Stop
+    end
+    else
+      Array.iter
+        (fun entry ->
+          chosen.(site) <- entry;
+          for a = 0 to nassign - 1 do
+            if value entry a then patt.(a) <- patt.(a) lor (1 lsl site)
+          done;
+          go (site + 1);
+          for a = 0 to nassign - 1 do
+            patt.(a) <- patt.(a) land lnot (1 lsl site)
+          done)
+        (candidates site)
+  in
+  (try go 0 with Stop -> ());
+  !nodes
+
+let oracle_find ~rows ~cols ~alphabet ~pins target =
+  let found = ref None in
+  ignore
+    (oracle_search ~rows ~cols ~alphabet ~pins target (fun g ->
+         found := Some g;
+         true));
+  !found
+
+let oracle_count ~rows ~cols ~alphabet ?limit target =
+  let n = ref 0 in
+  ignore
+    (oracle_search ~rows ~cols ~alphabet ~pins:[] target (fun _ ->
+         incr n;
+         Option.fold ~none:false ~some:(fun l -> !n >= l) limit));
+  !n
+
+let oracle_minimal ~alphabet ~max_area target =
+  List.init max_area succ
+  |> List.concat_map (fun r -> List.init (max_area / r) (fun c -> (r, c + 1)))
+  |> List.stable_sort (fun (r1, c1) (r2, c2) -> compare (r1 * c1, r1) (r2 * c2, r2))
+  |> List.find_map (fun (rows, cols) ->
+         Option.map (fun g -> (g, rows, cols)) (oracle_find ~rows ~cols ~alphabet ~pins:[] target))
+
+let grid_t =
+  Alcotest.testable
+    (fun ppf g -> Format.pp_print_string ppf (Grid.to_string ~names:(Printf.sprintf "x%d") g))
+    ( = )
+
+(* a random search input: a target over 0-3 variables (half of them the
+   function of a random grid, so realizable), dims up to 3x3, 0-2 pins;
+   the unpruned oracle's work is capped at 50,000 grids per call *)
+let random_search_input st =
+  let rec draw () =
+    let nvars = Random.State.int st 4 in
+    let alphabet =
+      if Random.State.bool st then S.Exhaustive.Literals_only else S.Exhaustive.Literals_and_constants
+    in
+    let rows = 1 + Random.State.int st 3 and cols = 1 + Random.State.int st 3 in
+    let k = (2 * nvars) + if alphabet = S.Exhaustive.Literals_only then 0 else 2 in
+    let nsites = rows * cols in
+    if float_of_int k ** float_of_int nsites > 50_000.0 then draw ()
+    else begin
+      let entry () =
+        match Random.State.int st (if nvars = 0 then 2 else 4) with
+        | 0 -> Grid.Const false
+        | 1 -> Grid.Const true
+        | _ -> Grid.Lit (Random.State.int st nvars, Random.State.bool st)
+      in
+      let sites = List.sort_uniq compare (List.init (Random.State.int st 3) (fun _ -> Random.State.int st nsites)) in
+      let pins = List.map (fun s -> (s, entry ())) sites in
+      let target =
+        if k > 0 && Random.State.bool st then begin
+          (* the [i]-th entry of the alphabet, in the search's order *)
+          let entry_of i =
+            if i < 2 * nvars then Grid.Lit (i / 2, i mod 2 = 0) else Grid.Const (i = 2 * nvars + 1)
+          in
+          let g = Grid.create rows cols (Array.init nsites (fun _ -> entry_of (Random.State.int st k))) in
+          Tt.create nvars (Lattice_core.Connectivity.eval g)
+        end
+        else begin
+          let bits = Random.State.bits st in
+          Tt.create nvars (fun m -> bits land (1 lsl m) <> 0)
+        end
+      in
+      (alphabet, rows, cols, pins, target)
+    end
+  in
+  draw ()
+
+let test_oracle_random () =
+  let st = Random.State.make [| 0x0dd0 |] in
+  let grid_opt = Alcotest.option grid_t in
+  for case = 1 to 320 do
+    let alphabet, rows, cols, pins, target = random_search_input st in
+    let name what = Printf.sprintf "case %d %dx%d: %s" case rows cols what in
+    Alcotest.check grid_opt (name "find")
+      (oracle_find ~rows ~cols ~alphabet ~pins:[] target)
+      (S.Exhaustive.find ~rows ~cols ~alphabet target);
+    Alcotest.check grid_opt (name "find_with_pins")
+      (oracle_find ~rows ~cols ~alphabet ~pins target)
+      (S.Exhaustive.find_with_pins ~rows ~cols ~alphabet ~pins target);
+    Alcotest.(check int) (name "count_solutions")
+      (oracle_count ~rows ~cols ~alphabet target)
+      (S.Exhaustive.count_solutions ~rows ~cols ~alphabet target);
+    let limit = 1 + Random.State.int st 4 in
+    Alcotest.(check int) (name "count_solutions ~limit")
+      (oracle_count ~rows ~cols ~alphabet ~limit target)
+      (S.Exhaustive.count_solutions ~rows ~cols ~alphabet ~limit target);
+    Alcotest.(check bool) (name "minimal ~max_area:6") true
+      (oracle_minimal ~alphabet ~max_area:6 target = S.Exhaustive.minimal ~alphabet ~max_area:6 target)
+  done
+
+(* the fault campaign's repair searches for the maj3 2x3 lattice: every
+   site stuck OFF and stuck ON, in place and widened by a spare column *)
+let test_oracle_maj3_repairs () =
+  let maj3 = Tt.majority_n 3 in
+  let alphabet = S.Exhaustive.Literals_and_constants in
+  let grid_opt = Alcotest.option grid_t in
+  List.iter
+    (fun cols ->
+      for site = 0 to 5 do
+        List.iter
+          (fun stuck ->
+            let pins = [ (((site / 3) * cols) + (site mod 3), Grid.Const stuck) ] in
+            Alcotest.check grid_opt
+              (Printf.sprintf "2x%d (%d,%d) stuck-%s" cols (site / 3) (site mod 3)
+                 (if stuck then "ON" else "OFF"))
+              (oracle_find ~rows:2 ~cols ~alphabet ~pins maj3)
+              (S.Exhaustive.find_with_pins ~rows:2 ~cols ~alphabet ~pins maj3))
+          [ false; true ]
+      done)
+    [ 3; 4 ]
+
+(* the campaign's costliest repair search: maj3 with (1,0) stuck ON,
+   widened to 2x4; [synthesis.search_nodes] carries its visited nodes *)
+let test_search_nodes () =
+  let module M = Lattice_obs.Metrics in
+  let maj3 = Tt.majority_n 3 in
+  let alphabet = S.Exhaustive.Literals_and_constants in
+  let pins = [ (4, Grid.Const true) ] in
+  let counter = M.counter "synthesis.search_nodes" in
+  let was_on = M.on () in
+  M.set_enabled true;
+  let before = M.Counter.get counter in
+  let found = S.Exhaustive.find_with_pins ~rows:2 ~cols:4 ~alphabet ~pins maj3 in
+  let nodes = M.Counter.get counter - before in
+  M.set_enabled was_on;
+  Alcotest.(check bool) "remap found" true (Option.is_some found);
+  Alcotest.(check bool) (Printf.sprintf "%d nodes < 20000" nodes) true (nodes > 0 && nodes < 20_000);
+  Alcotest.(check int) "unpruned odometer" 1_801_997
+    (oracle_search ~rows:2 ~cols:4 ~alphabet ~pins maj3 (fun _ -> true))
+
 (* --- Faults ------------------------------------------------------------------ *)
 
 let test_faults_enumeration () =
@@ -290,6 +501,10 @@ let () =
           Alcotest.test_case "defect-aware mapping" `Quick test_defect_aware_mapping;
           Alcotest.test_case "stuck-on pins" `Quick test_defect_pin_stuck_on;
           Alcotest.test_case "pin validation" `Quick test_pin_out_of_range;
+          Alcotest.test_case "search input table" `Quick test_search_input_table;
+          Alcotest.test_case "oracle: random inputs" `Quick test_oracle_random;
+          Alcotest.test_case "oracle: maj3 repair searches" `Quick test_oracle_maj3_repairs;
+          Alcotest.test_case "search node count" `Quick test_search_nodes;
         ] );
       ( "faults",
         [
