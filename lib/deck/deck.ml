@@ -1,5 +1,4 @@
 module Sp = Lattice_spice
-module N = Sp.Netlist
 
 type probe = Ast.probe = Vprobe of string | Iprobe of string
 
@@ -25,24 +24,3 @@ let emit = Emitter.emit
 
 let of_netlist ~title ?(analyses = []) ?(prints = []) ?ac_source netlist =
   { title; netlist; analyses; prints; ac_source }
-
-let clone_with_wave src ~vsource ~wave =
-  let dst = N.create () in
-  (* Recreate nodes in id order first so the clone's ids match [src]. *)
-  Array.iter (fun name -> ignore (N.node dst name)) (N.all_node_names src);
-  let conv n = if n = N.ground then N.ground else N.node dst (N.node_name src n) in
-  List.iter
-    (fun e ->
-      match e with
-      | N.Resistor { name; n1; n2; ohms } -> N.resistor dst name (conv n1) (conv n2) ohms
-      | N.Capacitor { name; n1; n2; farads } ->
-        N.capacitor dst name (conv n1) (conv n2) farads
-      | N.Vsource { name; npos; nneg; wave = w; _ } ->
-        N.vsource dst name (conv npos) (conv nneg) (if name = vsource then wave else w)
-      | N.Isource { name; npos; nneg; wave = w } ->
-        N.isource dst name (conv npos) (conv nneg) w
-      | N.Mosfet { name; drain; gate; source; model } ->
-        N.mosfet_model dst name ~drain:(conv drain) ~gate:(conv gate)
-          ~source:(conv source) model)
-    (N.elements src);
-  dst

@@ -40,13 +40,3 @@ val of_netlist :
   ?ac_source:string ->
   Lattice_spice.Netlist.t ->
   t
-
-(** [clone_with_wave net ~vsource ~wave] rebuilds [net] (same node
-    names and ids, same element order) with the wave of the voltage
-    source named [vsource] replaced — how {!Runner} realizes each
-    [.dc] sweep point as a distinct cacheable circuit. *)
-val clone_with_wave :
-  Lattice_spice.Netlist.t ->
-  vsource:string ->
-  wave:Lattice_spice.Source.t ->
-  Lattice_spice.Netlist.t

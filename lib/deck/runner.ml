@@ -77,17 +77,18 @@ let run ~engine ?cancel ?(smoke = false) ?(limits = default_limits) (deck : Ast.
     let n = if smoke then Int.min n 5 else n in
     if n > limits.max_sweep_points then
       fail "dc sweep has %d points (limit %d)" n limits.max_sweep_points;
+    if N.vsource_index net source = None then fail "dc sweep: unknown voltage source V%s" source;
+    (* each point is the deck with the swept source rebound: a distinct
+       cacheable circuit, solved on the sweep's one workspace *)
+    let workspace = E.workspace () in
     let rows =
       List.init n (fun i ->
           let v = start +. (step *. float_of_int i) in
-          let net_i = Deck.clone_with_wave net ~vsource:source ~wave:(Sp.Source.Dc v) in
-          match E.dc_op engine ?cancel net_i with
-          | Ok (x, _) ->
-            ( v,
-              List.map
-                (fun name ->
-                  (name, Sp.Mna.voltage x (Option.get (N.find_node net_i name))))
-                watch_nodes )
+          let net_i =
+            N.rebind_sources net (fun name -> if name = source then Some (Sp.Source.Dc v) else None)
+          in
+          match E.dc_op engine ?cancel ~workspace net_i with
+          | Ok (x, _) -> (v, read_rows x watch_nodes)
           | Error f -> fail "dc sweep at %g V: %s" v (Sp.Dcop.pp_failure f))
     in
     Dc_result { source; probes = watch_nodes; rows }

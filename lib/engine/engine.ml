@@ -207,7 +207,20 @@ let copy_result = function
 let failure_iterations (f : Sp.Dcop.failure) =
   List.fold_left (fun acc (_, n) -> acc + n) 0 f.Sp.Dcop.attempts
 
-let dc_op t ?(options = Sp.Dcop.default_options) ?cancel netlist =
+type workspace = { mutable plan : Sp.Stamp_plan.t option }
+
+let workspace () = { plan = None }
+
+(* the workspace's plan, compiled from the first netlist that misses *)
+let plan_of ws netlist =
+  match ws.plan with
+  | Some p -> p
+  | None ->
+    let p = Sp.Stamp_plan.compile netlist in
+    ws.plan <- Some p;
+    p
+
+let dc_op t ?(options = Sp.Dcop.default_options) ?cancel ?workspace netlist =
   let key = Key.dc_op ~options netlist in
   match Cache.find t.dc_cache ~key with
   | Some r ->
@@ -215,9 +228,10 @@ let dc_op t ?(options = Sp.Dcop.default_options) ?cancel netlist =
     copy_result r
   | None ->
     Trace.attribute_dc_solve ();
+    let plan = Option.map (fun ws -> plan_of ws netlist) workspace in
     (* a cancelled solve raises out of [solve_diag] before any of the
        bookkeeping below — partial results are never cached *)
-    let r = Sp.Dcop.solve_diag ~options ?cancel netlist in
+    let r = Sp.Dcop.solve_diag ~options ?plan ?cancel netlist in
     ignore (Atomic.fetch_and_add t.dc_solves 1);
     Metrics.Counter.incr dc_solves_counter;
     let iters =

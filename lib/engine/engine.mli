@@ -124,18 +124,38 @@ val run_jobs :
   (attempt:int -> cancel:Cancel.t -> int -> 'a) ->
   'a Pool.outcome array
 
-(** [dc_op e ?options ?cancel netlist] is
+(** A job-scoped solve workspace: the stamp plan shared by the DC
+    solves of one circuit whose netlists differ only in source waves —
+    one lattice circuit at each of its input states
+    ({!Lattice_spice.Lattice_circuit.rebind}), one deck at each [.dc]
+    sweep point ({!Lattice_spice.Netlist.rebind_sources}). The plan is
+    compiled lazily by the first {!dc_op} that misses the cache, so a
+    job whose solves all hit compiles nothing, and it lives exactly as
+    long as the caller keeps the workspace: create one per job, never
+    share one across jobs or domains (a plan runs one solve at a time).
+    Results do not depend on it: see {!Lattice_spice.Dcop.solve_diag}. *)
+type workspace
+
+val workspace : unit -> workspace
+(** An empty workspace; its plan is compiled on first use. *)
+
+(** [dc_op e ?options ?cancel ?workspace netlist] is
     [Lattice_spice.Dcop.solve_diag ?options netlist] memoized under the
     content key {!Key.dc_op}. The returned solution vector is a private
     copy (callers may keep or mutate it). Hits replay the original
     diagnostics verbatim — from memory or from the persistent store.
     [cancel] is threaded into the solver; a cancelled solve raises
-    {!Cancel.Cancelled} and caches nothing. Safe to call from inside
-    [map]/[run_jobs] jobs on any domain. *)
+    {!Cancel.Cancelled} and caches nothing. A miss with [workspace]
+    solves on the workspace's plan, compiling it from [netlist] if it
+    has none yet; the result is bit-identical to a miss without one, and
+    a [netlist] whose structure differs from the plan's raises
+    [Invalid_argument]. Safe to call from inside [map]/[run_jobs] jobs
+    on any domain. *)
 val dc_op :
   t ->
   ?options:Lattice_spice.Dcop.options ->
   ?cancel:Cancel.t ->
+  ?workspace:workspace ->
   Lattice_spice.Netlist.t ->
   (Lattice_numerics.Vec.t * Lattice_spice.Dcop.diagnostics, Lattice_spice.Dcop.failure) result
 

@@ -30,8 +30,7 @@ let build_circuit style ~stimulus =
 
 (* supply power drawn at DC for one input combination *)
 let static_power style m =
-  let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then vdd else 0.0) in
-  let lc = build_circuit style ~stimulus in
+  let lc = build_circuit style ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m) in
   let x = Sp.Dcop.solve lc.Sp.Lattice_circuit.netlist in
   match Sp.Netlist.vsource_index lc.Sp.Lattice_circuit.netlist "VDD" with
   | Some idx ->

@@ -60,6 +60,22 @@ type sample = {
 
 let iterations_of_attempts attempts = List.fold_left (fun acc (_, n) -> acc + n) 0 attempts
 
+(* The defective circuit's output voltage (and solve diagnostics) as a
+   function of the input state. The circuit is built once per call —
+   once per job — and each state only rebinds the input drivers and
+   solves on the job's workspace. *)
+let defective_circuit engine ~options grid ~defects =
+  let stimulus = Sp.Lattice_circuit.state_stimulus ~vdd:options.config.Sp.Lattice_circuit.vdd in
+  let base =
+    Defects.build ~config:options.config ~params:options.params ~defects grid ~stimulus:(stimulus 0)
+  in
+  let out = Sp.Netlist.node base.Sp.Lattice_circuit.netlist base.Sp.Lattice_circuit.output_node in
+  let workspace = Engine.workspace () in
+  fun ~cancel m ->
+    let lc = Sp.Lattice_circuit.rebind base ~stimulus:(stimulus m) in
+    Engine.dc_op engine ~options:options.dc ~cancel ~workspace lc.Sp.Lattice_circuit.netlist
+    |> Result.map (fun (x, diag) -> (Sp.Mna.voltage x out, diag))
+
 let simulate ?engine ?(cancel = Cancel.none) ?(options = default_options) grid ~target ~test_set
     defects =
   let nvars = Tt.nvars target in
@@ -69,6 +85,7 @@ let simulate ?engine ?(cancel = Cancel.none) ?(options = default_options) grid ~
   let engine = Engine.or_fresh engine in
   let vdd = options.config.Sp.Lattice_circuit.vdd in
   let states = 1 lsl nvars in
+  let output_at = defective_circuit engine ~options grid ~defects in
   let used = ref 0 in
   let worst_low = ref 0.0 and worst_high = ref infinity in
   let mismatches = ref [] in
@@ -92,21 +109,15 @@ let simulate ?engine ?(cancel = Cancel.none) ?(options = default_options) grid ~
              };
          raise Exit
        end;
-       let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then vdd else 0.0) in
-       let lc = Defects.build ~config:options.config ~params:options.params ~defects grid ~stimulus in
        (* cached hits replay the original diagnostics (Newton counts
           included), so budget accounting is identical on warm caches *)
-       match Engine.dc_op engine ~options:options.dc ~cancel lc.Sp.Lattice_circuit.netlist with
+       match output_at ~cancel m with
        | Error f ->
          used := !used + iterations_of_attempts f.Sp.Dcop.attempts;
          failure := Some f;
          raise Exit
-       | Ok (x, diag) ->
+       | Ok (v, diag) ->
          used := !used + diag.Sp.Dcop.newton_iterations;
-         let v =
-           Sp.Mna.voltage x
-             (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist lc.Sp.Lattice_circuit.output_node)
-         in
          (* pull-down lattice: the circuit output is the complement of the
             lattice function *)
          let expected_high = not (Tt.eval target m) in
@@ -151,20 +162,15 @@ let verify_with_defects ?engine ?(options = default_options) grid ~target ~defec
   let engine = Engine.or_fresh engine in
   let nvars = Tt.nvars target in
   let vdd = options.config.Sp.Lattice_circuit.vdd in
+  let output_at = defective_circuit engine ~options grid ~defects in
   let ok = ref true in
   (try
      for m = 0 to (1 lsl nvars) - 1 do
-       let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then vdd else 0.0) in
-       let lc = Defects.build ~config:options.config ~params:options.params ~defects grid ~stimulus in
-       match Engine.dc_op engine ~options:options.dc lc.Sp.Lattice_circuit.netlist with
+       match output_at ~cancel:Cancel.none m with
        | Error _ ->
          ok := false;
          raise Exit
-       | Ok (x, _) ->
-         let v =
-           Sp.Mna.voltage x
-             (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist lc.Sp.Lattice_circuit.output_node)
-         in
+       | Ok (v, _) ->
          if not (Bool.equal (v > vdd /. 2.0) (not (Tt.eval target m))) then begin
            ok := false;
            raise Exit

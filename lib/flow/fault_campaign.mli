@@ -4,8 +4,9 @@
 
     The campaign enumerates the single-defect universe of
     {!Lattice_spice.Defects.single_defects} (plus optional randomly
-    sampled multi-defect combinations), builds the defective netlist for
-    every input state, and solves each DC operating point with
+    sampled multi-defect combinations), builds each defective netlist
+    once and rebinds its input drivers for every input state, and solves
+    each DC operating point with
     {!Lattice_engine.Engine.dc_op} (memoized
     {!Lattice_spice.Dcop.solve_diag}) — so a sample that refuses to
     converge is {e classified}, never an exception, and carries the full
@@ -84,8 +85,10 @@ type sample = {
 
 (** [simulate grid ~target ~test_set defects] runs one sample: the grid
     with [defects] injected, DC-solved over all [2^nvars] input states
-    under the Newton budget. Never raises on convergence trouble. DC
-    solves go through the engine's content-addressed cache (without
+    under the Newton budget. Never raises on convergence trouble. The
+    defective circuit is built once and rebound per input state; its DC
+    solves share one job-scoped {!Lattice_engine.Engine.workspace} and
+    go through the engine's content-addressed cache (without
     [engine], a fresh {!Lattice_engine.Engine.or_fresh} one); cached
     hits replay the original diagnostics, so Newton-budget accounting
     is identical on warm and cold caches. [cancel] is checked before
@@ -110,7 +113,9 @@ val logical_of_defect :
 
 (** [verify_with_defects grid ~target ~defects] checks every input state
     boolean-correct at circuit level with the defects injected (treating
-    any convergence failure as incorrect). *)
+    any convergence failure as incorrect), stopping at the first wrong
+    state. Like {!simulate}, it builds the circuit once and solves its
+    states on one job-scoped workspace. *)
 val verify_with_defects :
   ?engine:Lattice_engine.Engine.t ->
   ?options:options ->

@@ -41,8 +41,12 @@ type result = {
     ({!Lattice_engine.Engine.sample_rng}), so the result is a pure
     function of [(seed, k)] — independent of how many samples run and in
     what order. Samples fan out over the engine's fault-isolated
-    {!Lattice_engine.Engine.run_jobs} (phase ["monte-carlo"]) and
-    per-state DC solves go through its content-addressed cache; without
+    {!Lattice_engine.Engine.run_jobs} (phase ["monte-carlo"]). A die's
+    circuit is built once; each input state rebinds the input drivers
+    ({!Lattice_spice.Lattice_circuit.rebind}) and its DC solve goes
+    through the engine's content-addressed cache on the die's job-scoped
+    workspace ({!Lattice_engine.Engine.workspace}: one plan compile and,
+    on a cold cache, one full LU analysis per die); without
     [engine] they run on {!Lattice_engine.Engine.or_fresh}'s 1-domain
     engine, and the result is bit-identical at any domain count. A die
     whose worker crashes, blows its [policy] deadline, or is cancelled

@@ -132,8 +132,10 @@ let evaluate_spice ?(config = Sp.Lattice_circuit.default_config) target impl =
   let states = 1 lsl nvars in
   let powers =
     Array.init states (fun m ->
-        let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then vdd else 0.0) in
-        let lc = Sp.Lattice_circuit.build ~config impl.grid ~stimulus in
+        let lc =
+          Sp.Lattice_circuit.build ~config impl.grid
+            ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m)
+        in
         let x = Sp.Dcop.solve lc.Sp.Lattice_circuit.netlist in
         match Sp.Netlist.vsource_index lc.Sp.Lattice_circuit.netlist "VDD" with
         | Some idx -> -.x.(Sp.Netlist.vsource_row lc.Sp.Lattice_circuit.netlist idx) *. vdd

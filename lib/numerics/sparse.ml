@@ -290,7 +290,10 @@ let factorize_impl (m : t) =
   refactor_numeric lu m;
   lu
 
+let full_factorizations = Lattice_obs.Metrics.counter "numerics.lu_full_factorizations"
+
 let factorize m =
+  Lattice_obs.Metrics.Counter.incr full_factorizations;
   let t0 = Lattice_obs.Probe.enter factorize_probe in
   match factorize_impl m with
   | lu ->

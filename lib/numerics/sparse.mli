@@ -83,7 +83,8 @@ val factorize : t -> lu
     a dense partially-pivoted elimination on the scattered matrix (run
     once per topology), then the fill-in pattern of L and U is computed
     symbolically for that fixed order, and the numeric values are filled
-    by {!refactor}. Raises {!Singular}. *)
+    by {!refactor}. Raises {!Singular}. Counts into the process-wide
+    [numerics.lu_full_factorizations] counter. *)
 
 val refactor : lu -> t -> unit
 (** Numeric-only refactorization: the matrix must share the [pattern]

@@ -214,8 +214,9 @@ let handle_dc_op t ~cancel ~expr ~state ~vdd =
     | Some v -> { Sp.Lattice_circuit.default_config with Sp.Lattice_circuit.vdd = v }
   in
   let vdd = config.Sp.Lattice_circuit.vdd in
-  let stimulus v = Sp.Source.Dc (if (state lsr v) land 1 = 1 then vdd else 0.0) in
-  let lc = Sp.Lattice_circuit.build ~config grid ~stimulus in
+  let lc =
+    Sp.Lattice_circuit.build ~config grid ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd state)
+  in
   let netlist = lc.Sp.Lattice_circuit.netlist in
   match Engine.dc_op t.engine ~cancel netlist with
   | Error f -> h_reject Protocol.Non_convergent "%s" (Sp.Dcop.pp_failure f)
@@ -763,38 +764,42 @@ let execute t (job : job) =
   in
   let cancel = Cancel.of_deadline_s deadline_s in
   let t0_ns = Clock.now_ns () in
-  let outcome =
+  let id = env.Protocol.id in
+  let outcome, outcome_name, dur_ns =
     Trace.with_span ~cat:"serve" ~args:[ ("type", name) ] "serve.handle" (fun () ->
-        match handle_compute t ~cancel env.Protocol.req with
-        | result ->
-          respond_ok t job.jconn ~id:env.Protocol.id result;
-          `Ok
-        | exception Handler_error (code, msg, details) ->
-          respond_error ~details t job.jconn ~id:env.Protocol.id code msg;
-          `Err code
-        | exception Cancel.Cancelled _ ->
-          respond_error t job.jconn ~id:env.Protocol.id Protocol.Timeout
-            (Printf.sprintf "request deadline of %gs exceeded"
-               (Option.value deadline_s ~default:0.0));
-          `Err Protocol.Timeout
-        | exception e ->
-          log t "internal error handling %s: %s" name (Printexc.to_string e);
-          respond_error t job.jconn ~id:env.Protocol.id Protocol.Internal
-            (Printexc.to_string e);
-          `Err Protocol.Internal)
+        let outcome, answer =
+          match handle_compute t ~cancel env.Protocol.req with
+          | result -> (`Ok, fun () -> respond_ok t job.jconn ~id result)
+          | exception Handler_error (code, msg, details) ->
+            (`Err code, fun () -> respond_error ~details t job.jconn ~id code msg)
+          | exception Cancel.Cancelled _ ->
+            ( `Err Protocol.Timeout,
+              fun () ->
+                respond_error t job.jconn ~id Protocol.Timeout
+                  (Printf.sprintf "request deadline of %gs exceeded"
+                     (Option.value deadline_s ~default:0.0)) )
+          | exception e ->
+            log t "internal error handling %s: %s" name (Printexc.to_string e);
+            ( `Err Protocol.Internal,
+              fun () -> respond_error t job.jconn ~id Protocol.Internal (Printexc.to_string e) )
+        in
+        let outcome_name, roll =
+          match outcome with
+          | `Ok -> ("ok", Rolling.Ok)
+          | `Err Protocol.Timeout -> (Protocol.code_name Protocol.Timeout, Rolling.Timeout)
+          | `Err code -> (Protocol.code_name code, Rolling.Error)
+        in
+        (* count the request before answering it: a client holding its
+           answer must find it in [stats] *)
+        let dur_ns = Clock.now_ns () - t0_ns in
+        if roll = Rolling.Timeout then Atomic.incr t.c_timeouts;
+        observe_window t ~name ~dur_ns ~outcome:roll;
+        answer ();
+        (outcome, outcome_name, dur_ns))
   in
-  (* bookkeeping runs after the serve.handle span closed, so a flight
-     dump triggered here already holds the request's own spans *)
-  let dur_ns = Clock.now_ns () - t0_ns in
-  let outcome_name, roll =
-    match outcome with
-    | `Ok -> ("ok", Rolling.Ok)
-    | `Err Protocol.Timeout -> (Protocol.code_name Protocol.Timeout, Rolling.Timeout)
-    | `Err code -> (Protocol.code_name code, Rolling.Error)
-  in
-  if roll = Rolling.Timeout then Atomic.incr t.c_timeouts;
-  observe_window t ~name ~dur_ns ~outcome:roll;
-  access_line t ~id:env.Protocol.id ~name ~outcome:outcome_name ~dur_ns ~ctx
+  (* the rest runs after the serve.handle span closed, so a flight dump
+     triggered here already holds the request's own spans *)
+  access_line t ~id ~name ~outcome:outcome_name ~dur_ns ~ctx
     ?trace_id:env.Protocol.trace_id ();
   let slow =
     match t.config.slow_threshold_s with

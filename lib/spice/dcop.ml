@@ -198,7 +198,13 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
   else begin
     Metrics.Counter.incr solves_counter;
     let sp = Trace.begin_span ~cat:"spice" "dcop" in
-    let plan = match plan with Some p -> p | None -> Stamp_plan.compile netlist in
+    let plan =
+      match plan with
+      | Some p ->
+        Stamp_plan.rebind p netlist;
+        p
+      | None -> Stamp_plan.compile netlist
+    in
     let x0 = match x0 with Some x -> Vec.copy x | None -> Vec.zeros n in
     (* last Newton iterate of the most recent failed attempt, for the
        failure diagnostics *)

@@ -127,10 +127,17 @@ val newton_into :
     offending nodes. [cancel] is checked at every Newton iteration and
     every ladder rung; a fired token raises {!Cancel.Cancelled} — a
     deadline is {e not} a convergence failure, so it aborts the whole
-    ladder instead of escalating it. [plan] is the netlist's compiled
-    stamp plan; without one a fresh plan is compiled for this solve, so
-    callers running many solves on one topology (transient, sweeps)
-    compile once and pass it in. *)
+    ladder instead of escalating it.
+
+    Without [plan] a fresh stamp plan is compiled for this solve. With
+    [plan], the solve first {!Stamp_plan.rebind}s it to [netlist] — a
+    plan compiled from any netlist that differs from [netlist] only in
+    source waves (another input state of the same circuit, another
+    [.dc] sweep point) — and starts from the plan's memo-guarded first
+    factorization. The result, diagnostics included, is bit-identical
+    to a solve without [plan]; only the compile and, when the first
+    Newton matrix repeats, the pivot search and symbolic analysis are
+    saved. A plan of any other structure raises [Invalid_argument]. *)
 val solve_diag :
   ?options:options ->
   ?plan:Stamp_plan.t ->

@@ -50,6 +50,8 @@ let site_terminal site = function
 
 let input_node_name v = Printf.sprintf "in_%d" v
 let input_bar_node_name v = Printf.sprintf "in_%d_bar" v
+let driver_name v = Printf.sprintf "Vin%d" v
+let driver_bar_name v = Printf.sprintf "Vin%d_bar" v
 
 let complement ~vdd wave =
   match wave with
@@ -59,6 +61,7 @@ let complement ~vdd wave =
   | Source.Sin ({ offset; amplitude; _ } as s) ->
     Source.Sin { s with offset = vdd -. offset; amplitude = -.amplitude }
 
+let state_stimulus ~vdd m v = Source.Dc (if (m lsr v) land 1 = 1 then vdd else 0.0)
 let exhaustive_stimulus ~vdd ~bit_time v = Source.bit_clock ~vdd ~bit_time ~bit_index:v ()
 
 (* add the input drivers a set of grids needs (positive and complemented
@@ -79,13 +82,11 @@ let add_input_drivers ckt config grids ~stimulus =
   for v = 0 to nvars - 1 do
     if uses_pos.(v) then begin
       let n = Netlist.node ckt (input_node_name v) in
-      Netlist.vsource ckt (Printf.sprintf "Vin%d" v) n Netlist.ground (stimulus v)
+      Netlist.vsource ckt (driver_name v) n Netlist.ground (stimulus v)
     end;
     if uses_neg.(v) then begin
       let n = Netlist.node ckt (input_bar_node_name v) in
-      Netlist.vsource ckt
-        (Printf.sprintf "Vin%d_bar" v)
-        n Netlist.ground
+      Netlist.vsource ckt (driver_bar_name v) n Netlist.ground
         (complement ~vdd:config.vdd (stimulus v))
     end
   done;
@@ -151,6 +152,16 @@ let build ?(config = default_config) ?types_of_site ?site_hook grid ~stimulus =
   instantiate_lattice ?types_of_site ?site_hook ckt config grid ~prefix:"pd" ~top:out
     ~bottom:Netlist.ground ~vdd_node;
   { netlist = ckt; output_node = "out"; input_nodes = Array.init nvars input_node_name; config }
+
+let rebind lc ~stimulus =
+  let vdd = lc.config.vdd in
+  let waves =
+    List.concat
+      (List.init (Array.length lc.input_nodes) (fun v ->
+           let w = stimulus v in
+           [ (driver_name v, w); (driver_bar_name v, complement ~vdd w) ]))
+  in
+  { lc with netlist = Netlist.rebind_sources lc.netlist (fun name -> List.assoc_opt name waves) }
 
 let build_complementary ?(config = default_config) ?site_hook ~pull_up ~pull_down ~stimulus ()
     =

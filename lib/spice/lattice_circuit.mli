@@ -86,6 +86,17 @@ val build :
   stimulus:(int -> Source.t) ->
   t
 
+(** [rebind lc ~stimulus] is [lc] driven by another stimulus: the
+    input drivers' waves are replaced through
+    {!Netlist.rebind_sources} and nothing is rebuilt. The result equals
+    the [build] (or [build_complementary]) call that produced [lc] run
+    with [stimulus] instead — same {!Netlist.structural_digest}, same
+    deck text, same DC solution bits — because the builders' structure
+    never depends on the stimulus. It shares no mutable node table with
+    [lc]. How a flow checks one circuit at every input state without
+    rebuilding it per state. *)
+val rebind : t -> stimulus:(int -> Source.t) -> t
+
 (** [build_complementary ?config ~pull_up ~pull_down ~stimulus ()] builds
     the complementary structure the paper's Section VI-A forecasts: a
     four-terminal lattice as the pull-up network (realizing the complement
@@ -106,6 +117,10 @@ val build_complementary :
   stimulus:(int -> Source.t) ->
   unit ->
   t
+
+(** [state_stimulus ~vdd m] is the DC stimulus of input state [m]:
+    variable [v] sits at [vdd] when bit [v] of [m] is set, else at 0 V. *)
+val state_stimulus : vdd:float -> int -> int -> Source.t
 
 (** [exhaustive_stimulus ~vdd ~bit_time] drives variable [v] with
     [Source.bit_clock] so all input combinations appear — the Fig 11

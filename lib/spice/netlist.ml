@@ -103,6 +103,22 @@ let all_node_names t =
 
 let node_index n = n - 1
 
+let rebind_sources t wave_of =
+  let rebind e =
+    match e with
+    | Vsource ({ name; _ } as v) -> (
+      match wave_of name with Some wave -> Vsource { v with wave } | None -> e)
+    | Isource ({ name; _ } as i) -> (
+      match wave_of name with Some wave -> Isource { i with wave } | None -> e)
+    | Resistor _ | Capacitor _ | Mosfet _ -> e
+  in
+  {
+    t with
+    names = Hashtbl.copy t.names;
+    node_names = Array.copy t.node_names;
+    elements_rev = List.map rebind t.elements_rev;
+  }
+
 let vsource_row t index = num_nodes t + index
 
 let vsource_index t name =

@@ -77,6 +77,18 @@ val all_node_names : t -> string array
     ground. *)
 val node_index : node -> int
 
+(** [rebind_sources t wave_of] is a copy of [t] in which every
+    independent source named [s] with [wave_of s = Some w] carries the
+    wave [w]; every other element is shared with [t] unchanged, and node
+    names and ids, element order and source indices are identical. So
+    the copy has the {!structural_digest}, {!to_spice_string} text and
+    {!Stamp_plan} structure of a netlist built by the same construction
+    sequence with those waves, and a plan compiled from [t] rebinds to
+    it. The copy has its own node table: creating nodes or adding
+    elements on either netlist does not affect the other. Costs one pass
+    over the elements and a copy of the node table. *)
+val rebind_sources : t -> (string -> Source.t option) -> t
+
 (** [vsource_row t index] is the MNA row of a voltage source's branch
     current. *)
 val vsource_row : t -> int -> int

@@ -2,6 +2,8 @@ module Sparse = Lattice_numerics.Sparse
 module Model = Lattice_mosfet.Model
 module Level1 = Lattice_mosfet.Level1
 
+let compiles_counter = Lattice_obs.Metrics.counter "spice.plan_compiles"
+
 (* One compiled MOSFET: node indices (-1 = ground) and direct slots into
    the sparse value array for every entry either orientation of the
    companion stamp can touch (-1 when the row or column is ground). The
@@ -22,6 +24,7 @@ type fet = {
 type t = {
   n : int;
   nnodes : int;
+  elements : Netlist.element list; (* as compiled, for [rebind]'s check *)
   pattern : Sparse.pattern;
   (* constant tier: resistors + voltage-source incidence, summed once *)
   static_vals : float array;
@@ -34,7 +37,8 @@ type t = {
   cap_s22 : int array;
   cap_s12 : int array;
   cap_s21 : int array;
-  (* independent sources, for the per-solve RHS *)
+  (* independent sources, for the per-solve RHS; [rebind] rewrites the
+     waves in place *)
   vs_rows : int array;
   vs_waves : Source.t array;
   is_pos : int array;
@@ -49,7 +53,9 @@ type t = {
   x_new : float array;
   lin : Mna.fet_lin;
   ws : Level1.workspace;
-  mutable lu : Sparse.lu option;
+  mutable lu : Sparse.lu option; (* None: the next factorization is a solve's first *)
+  mutable first : (float array * Sparse.lu) option;
+      (* the latest first factorization and the matrix values it factored *)
 }
 
 let n t = t.n
@@ -59,6 +65,7 @@ let x_buffer t = t.x
 let x_new_buffer t = t.x_new
 
 let compile netlist =
+  Lattice_obs.Metrics.Counter.incr compiles_counter;
   let n = Netlist.unknowns netlist in
   let nnodes = Netlist.num_nodes netlist in
   let elements = Netlist.elements netlist in
@@ -170,6 +177,7 @@ let compile netlist =
   {
     n;
     nnodes;
+    elements;
     pattern;
     static_vals;
     diag_slots = Array.init nnodes (fun i -> slot i i);
@@ -194,7 +202,40 @@ let compile netlist =
     lin = Mna.fet_lin_create ();
     ws = Level1.workspace_create ();
     lu = None;
+    first = None;
   }
+
+(* [e] is [c] up to the wave of an independent source *)
+let same_but_wave (c : Netlist.element) (e : Netlist.element) =
+  c == e
+  ||
+  match (c, e) with
+  | Netlist.Vsource a, Netlist.Vsource b ->
+    a.name = b.name && a.npos = b.npos && a.nneg = b.nneg && a.index = b.index
+  | Netlist.Isource a, Netlist.Isource b -> a.name = b.name && a.npos = b.npos && a.nneg = b.nneg
+  | (Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Mosfet _), _ -> compare c e = 0
+  | (Netlist.Vsource _ | Netlist.Isource _), _ -> false
+
+let rebind t netlist =
+  let elements = Netlist.elements netlist in
+  if
+    not
+      (Netlist.unknowns netlist = t.n
+      && Netlist.num_nodes netlist = t.nnodes
+      && List.equal same_but_wave t.elements elements)
+  then invalid_arg "Stamp_plan.rebind: the netlist's structure differs from the compiled plan's";
+  let vk = ref 0 and ik = ref 0 in
+  List.iter
+    (function
+      | Netlist.Vsource { wave; _ } ->
+        t.vs_waves.(!vk) <- wave;
+        incr vk
+      | Netlist.Isource { wave; _ } ->
+        t.is_waves.(!ik) <- wave;
+        incr ik
+      | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Mosfet _ -> ())
+    elements;
+  t.lu <- None
 
 let set_linear t ~time ~gmin ~gshunt ~source_scale ~caps =
   let a0 = t.a0 and b0 = t.b0 in
@@ -291,9 +332,28 @@ let assemble t ~x =
     end
   done
 
+let same_bits a b =
+  let n = Array.length a in
+  let rec go i = i >= n || (Int64.bits_of_float a.(i) = Int64.bits_of_float b.(i) && go (i + 1)) in
+  n = Array.length b && go 0
+
+(* A solve's first factorization. [factorize] picks pivots and fill from
+   the values alone and computes its numbers with the same numeric pass
+   [refactor] runs, so refactoring the memo through its pivot order
+   gives the bits a fresh [factorize] of identical values would. *)
+let first_factorization t =
+  match t.first with
+  | Some (values, lu) when same_bits values t.a.Sparse.values ->
+    Sparse.refactor lu t.a;
+    lu
+  | Some _ | None ->
+    let lu = Sparse.factorize t.a in
+    t.first <- Some (Array.copy t.a.Sparse.values, lu);
+    lu
+
 let factor_and_solve t =
   (match t.lu with
-  | None -> t.lu <- Some (Sparse.factorize t.a)
+  | None -> t.lu <- Some (first_factorization t)
   | Some lu -> (
     try Sparse.refactor lu t.a
     with Sparse.Singular _ ->

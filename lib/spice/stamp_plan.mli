@@ -18,13 +18,35 @@
     All buffers (matrix values, RHS, iterate vectors, the sparse LU) are
     owned by the plan and reused, so {!assemble} + {!factor_and_solve}
     allocate nothing after the first factorization. A plan is therefore
-    not reentrant: one Newton solve at a time per plan. *)
+    not reentrant: one Newton solve at a time per plan.
+
+    {b Reuse across source waves.} Netlists that differ only in the
+    waves of their independent sources (the input states of one lattice
+    circuit, the points of a [.dc] sweep) share one plan through
+    {!rebind}, which makes the plan compute exactly what a fresh
+    {!compile} of the new netlist would, bit for bit. Two things make
+    that exact: the waves enter only the per-solve RHS, and a solve's
+    first factorization is memoized keyed on the bitwise matrix values
+    (see {!factor_and_solve}). *)
 
 type t
 
 val compile : Netlist.t -> t
 (** Compile the netlist's current element list. The plan does not track
-    later mutations of the netlist. *)
+    later mutations of the netlist. Counts into the process-wide
+    [spice.plan_compiles] counter. *)
+
+val rebind : t -> Netlist.t -> unit
+(** [rebind plan netlist] points the plan at [netlist]: it takes over
+    the netlist's source waves and forgets the current factorization, so
+    the next {!factor_and_solve} is a solve's first. Afterwards the plan
+    behaves exactly like [compile netlist]. [netlist] must have the
+    structure the plan was compiled from — the same elements in the same
+    order (names, nodes, values, models), differing at most in the waves
+    of independent sources, as {!Netlist.rebind_sources} produces; any
+    other netlist raises [Invalid_argument "Stamp_plan.rebind: ..."] and
+    leaves the plan unchanged. Costs one pass over the elements; shared
+    element records compare by physical equality. *)
 
 val n : t -> int
 (** Number of MNA unknowns. *)
@@ -60,10 +82,17 @@ val assemble : t -> x:float array -> unit
 
 val factor_and_solve : t -> unit
 (** Factor the assembled matrix and overwrite {!rhs} with the solution.
-    The first call runs the full symbolic analysis; later calls reuse
-    the elimination pattern (numeric-only refactorization) and fall back
-    to a fresh analysis if the frozen pivot order goes stale. Raises
-    [Lattice_numerics.Sparse.Singular] if the matrix is singular. *)
+    The first call after {!compile} or {!rebind} runs the full symbolic
+    analysis ([Sparse.factorize]) unless the matrix values equal, bit for
+    bit, those of the plan's latest such first factorization: then that
+    factorization's pivot order is reused and only its numbers are
+    recomputed, which yields the bits [Sparse.factorize] would. A DC
+    solve from [x0 = 0] always hits the memo after the first state,
+    because its first Newton matrix does not depend on the source waves.
+    Later calls reuse the elimination pattern (numeric-only
+    refactorization) and fall back to a fresh analysis if the frozen
+    pivot order goes stale. Raises [Lattice_numerics.Sparse.Singular] if
+    the matrix is singular. *)
 
 val cap_voltages_into : t -> x:float array -> float array -> unit
 (** Per-capacitor branch voltages (netlist order) written into a

@@ -142,8 +142,9 @@ let validate_circuit ?engine ?(config = Sp.Lattice_circuit.default_config)
   let vdd = config.Sp.Lattice_circuit.vdd in
   let states = 1 lsl nvars in
   let state_ok m =
-    let stimulus v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then vdd else 0.0) in
-    let lc = Sp.Lattice_circuit.build ~config grid ~stimulus in
+    let lc =
+      Sp.Lattice_circuit.build ~config grid ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m)
+    in
     match Engine.dc_op engine ~options:dc lc.Sp.Lattice_circuit.netlist with
     | Error _ -> false
     | Ok (x, _) ->

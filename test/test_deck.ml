@@ -232,11 +232,21 @@ let test_runner_limits () =
   let d = parse_ok "t\nv1 a 0 dc 0\nr1 a 0 1k\n.dc v1 0 1 1u\n.end\n" in
   let engine = Lattice_engine.Engine.create () in
   let limits = { Runner.max_sweep_points = 100; max_tran_steps = 100 } in
-  match Runner.run ~engine ~limits d with
+  (match Runner.run ~engine ~limits d with
   | Ok _ -> Alcotest.fail "oversized sweep should be rejected"
   | Error msg ->
     Alcotest.(check bool) "limit error names the cap" true
-      (String.length msg > 0 && msg.[0] = 'd' (* "dc sweep has ..." *))
+      (String.length msg > 0 && msg.[0] = 'd' (* "dc sweep has ..." *)));
+  (* the parser checks a swept source exists; a deck assembled in code
+     is checked by the runner *)
+  let unknown =
+    Deck.of_netlist ~title:"t"
+      ~analyses:[ Deck.Dc_sweep { source = "9"; start = 0.0; stop = 1.0; step = 0.5 } ]
+      d.Deck.netlist
+  in
+  match Runner.run ~engine unknown with
+  | Ok _ -> Alcotest.fail "a sweep of a missing source should be rejected"
+  | Error msg -> Alcotest.(check string) "names the source" "dc sweep: unknown voltage source V9" msg
 
 let () =
   Alcotest.run "deck"

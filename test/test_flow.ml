@@ -477,6 +477,334 @@ let test_campaign_cache_rerun () =
   Alcotest.(check int) "newton accounting identical warm" first.Fc.total_newton
     second.Fc.total_newton
 
+(* --- Job-scoped workspace vs the per-state oracle ------------------------ *)
+
+(* The flows' former per-state path, kept as the oracle: every input
+   state is a fresh build and a fresh [solve_diag] on a fresh plan. The
+   oracle remembers each solve's Newton iterations under its cache key,
+   which is what an engine's cold run spends. *)
+module Sp = Lattice_spice
+module Key = Lattice_engine.Key
+module Stats = Lattice_numerics.Stats
+
+let oracle_solve spent ~options netlist =
+  let r = Sp.Dcop.solve_diag ~options netlist in
+  let iters =
+    match r with
+    | Ok (_, d) -> d.Sp.Dcop.newton_iterations
+    | Error f -> List.fold_left (fun acc (_, k) -> acc + k) 0 f.Sp.Dcop.attempts
+  in
+  Hashtbl.replace spent (Key.dc_op ~options netlist) iters;
+  r
+
+(* Monte_carlo's die perturbation, draw for draw *)
+let gaussian rng =
+  let u1 = Float.max 1e-12 (Random.State.float rng 1.0) in
+  let u2 = Random.State.float rng 1.0 in
+  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
+
+let perturb_model rng (v : Mc.variation) = function
+  | Lattice_mosfet.Model.L1 p ->
+    Lattice_mosfet.Model.L1
+      {
+        p with
+        Lattice_mosfet.Level1.vth = p.Lattice_mosfet.Level1.vth +. (v.Mc.sigma_vth *. gaussian rng);
+        kp =
+          Float.max 1e-9
+            (p.Lattice_mosfet.Level1.kp *. (1.0 +. (v.Mc.sigma_kp_rel *. gaussian rng)));
+      }
+  | Lattice_mosfet.Model.L3 _ -> Alcotest.fail "oracle: level-1 dies only"
+
+let oracle_mc spent ~variation ~samples ~seed grid ~target =
+  let config = Sp.Lattice_circuit.default_config in
+  let vdd = config.Sp.Lattice_circuit.vdd in
+  let die index =
+    let rng = Engine.sample_rng ~seed ~index in
+    let t = config.Sp.Lattice_circuit.types in
+    (* the same record expressions as the flow's, so the draws happen in
+       the same (compiler-chosen) order *)
+    let site_types =
+      Array.init (Grid.size grid) (fun _ ->
+          {
+            Sp.Fts.type_a = perturb_model rng variation t.Sp.Fts.type_a;
+            type_b = perturb_model rng variation t.Sp.Fts.type_b;
+          })
+    in
+    let types_of_site r c = site_types.((r * grid.Grid.cols) + c) in
+    let worst_low = ref 0.0 and worst_high = ref infinity and ok = ref true in
+    for m = 0 to (1 lsl Tt.nvars target) - 1 do
+      let lc =
+        Sp.Lattice_circuit.build ~config ~types_of_site grid
+          ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m)
+      in
+      match oracle_solve spent ~options:Sp.Dcop.default_options lc.Sp.Lattice_circuit.netlist with
+      | Error _ -> ok := false
+      | Ok (x, _) ->
+        let v = Sp.Mna.voltage x (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist "out") in
+        let expected_high = not (Tt.eval target m) in
+        if not (Bool.equal (v > vdd /. 2.0) expected_high) then ok := false;
+        if expected_high then worst_high := Float.min !worst_high v
+        else worst_low := Float.max !worst_low v
+    done;
+    { Mc.functional = !ok; worst_v_low = !worst_low; worst_v_high = !worst_high }
+  in
+  let outcomes = Array.init samples die in
+  let functional =
+    Array.fold_left (fun acc o -> if o.Mc.functional then acc + 1 else acc) 0 outcomes
+  in
+  let v_lows = Array.map (fun o -> o.Mc.worst_v_low) outcomes in
+  let v_highs =
+    Array.map
+      (fun o -> if Float.is_finite o.Mc.worst_v_high then o.Mc.worst_v_high else vdd)
+      outcomes
+  in
+  {
+    Mc.samples;
+    yield = float_of_int functional /. float_of_int samples;
+    outcomes;
+    v_low_mean = Stats.mean v_lows;
+    v_low_std = Stats.stddev v_lows;
+    v_high_mean = Stats.mean v_highs;
+  }
+
+let defect_state spent (options : Fc.options) grid ~defects m =
+  let vdd = options.Fc.config.Sp.Lattice_circuit.vdd in
+  let lc =
+    Sp.Defects.build ~config:options.Fc.config ~params:options.Fc.params ~defects grid
+      ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m)
+  in
+  oracle_solve spent ~options:options.Fc.dc lc.Sp.Lattice_circuit.netlist
+  |> Result.map (fun (x, d) ->
+         ( Sp.Mna.voltage x
+             (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist lc.Sp.Lattice_circuit.output_node),
+           d ))
+
+let oracle_sample spent (options : Fc.options) grid ~target ~test_set defects =
+  let vdd = options.Fc.config.Sp.Lattice_circuit.vdd in
+  let used = ref 0 and worst_low = ref 0.0 and worst_high = ref infinity in
+  let mismatches = ref [] and failure = ref None in
+  (try
+     for m = 0 to (1 lsl Tt.nvars target) - 1 do
+       if !used >= options.Fc.budget.Fc.newton_per_sample then
+         Alcotest.fail "oracle: Newton budget exhausted (not modelled)";
+       match defect_state spent options grid ~defects m with
+       | Error f ->
+         used := !used + List.fold_left (fun acc (_, k) -> acc + k) 0 f.Sp.Dcop.attempts;
+         failure := Some f;
+         raise Exit
+       | Ok (v, d) ->
+         used := !used + d.Sp.Dcop.newton_iterations;
+         let expected_high = not (Tt.eval target m) in
+         if not (Bool.equal (v > vdd /. 2.0) expected_high) then mismatches := m :: !mismatches;
+         if expected_high then worst_high := Float.min !worst_high v
+         else worst_low := Float.max !worst_low v
+     done
+   with Exit -> ());
+  let mismatches = List.rev !mismatches in
+  let classification =
+    match !failure with
+    | Some _ -> Fc.Non_convergent
+    | None when mismatches <> [] -> Fc.Faulty
+    | None ->
+      let margin = options.Fc.noise_margin in
+      if
+        !worst_low > (vdd /. 2.0) -. margin
+        || (Float.is_finite !worst_high && !worst_high < (vdd /. 2.0) +. margin)
+      then Fc.Degraded
+      else Fc.Functional
+  in
+  {
+    Fc.defects;
+    classification;
+    worst_v_low = !worst_low;
+    worst_v_high = !worst_high;
+    mismatches;
+    detected_by = List.filter (fun v -> List.mem v mismatches) test_set;
+    failure = !failure;
+    newton_iterations = !used;
+  }
+
+let oracle_verify spent options grid ~target ~defects =
+  let vdd = options.Fc.config.Sp.Lattice_circuit.vdd in
+  let rec go m =
+    m >= 1 lsl Tt.nvars target
+    ||
+    match defect_state spent options grid ~defects m with
+    | Error _ -> false
+    | Ok (v, _) -> Bool.equal (v > vdd /. 2.0) (not (Tt.eval target m)) && go (m + 1)
+  in
+  go 0
+
+(* The oracle campaign over the defect sets and remaps of [report]:
+   drawing the sets and searching the remaps solve nothing, so they are
+   the flow's own; every sample, every re-verification and every derived
+   count is recomputed on the per-state path. *)
+let oracle_campaign spent options grid ~target (report : Fc.report) =
+  let samples =
+    Array.map
+      (fun (s : Fc.sample) ->
+        oracle_sample spent options grid ~target ~test_set:report.Fc.test_set s.Fc.defects)
+      report.Fc.samples
+  in
+  let fold f = Array.fold_left (fun acc s -> acc + f s) 0 samples in
+  let count c = fold (fun s -> if s.Fc.classification = c then 1 else 0) in
+  let detected (s : Fc.sample) =
+    s.Fc.detected_by <> [] || s.Fc.classification = Fc.Non_convergent
+  in
+  {
+    report with
+    Fc.samples;
+    counts =
+      {
+        Fc.functional = count Fc.Functional;
+        degraded = count Fc.Degraded;
+        faulty = count Fc.Faulty;
+        non_convergent = count Fc.Non_convergent;
+      };
+    detected = fold (fun s -> if detected s then 1 else 0);
+    silent =
+      fold (fun s ->
+          match s.Fc.classification with
+          | (Fc.Faulty | Fc.Degraded) when s.Fc.detected_by = [] -> 1
+          | Fc.Functional | Fc.Degraded | Fc.Faulty | Fc.Non_convergent -> 0);
+    repairs =
+      List.map
+        (fun (r : Fc.repair) ->
+          {
+            r with
+            Fc.reverified =
+              (match r.Fc.remapped with
+              | None -> false
+              | Some g -> oracle_verify spent options g ~target ~defects:[ r.Fc.defect ]);
+          })
+        report.Fc.repairs;
+    total_newton = fold (fun s -> s.Fc.newton_iterations);
+  }
+
+let bits v = Marshal.to_string v [ Marshal.No_sharing ]
+
+let test_workspace_vs_per_state_oracle () =
+  (* seeded random campaigns and dies on library grids: the workspace
+     flows give the oracle's reports bit for bit, and a cold engine spends
+     the oracle's Newton iterations, at 1, 2 and 4 domains, cold and warm *)
+  let st = Random.State.make [| 1515 |] in
+  let a_b_or_c =
+    let e, _ = Lattice_boolfn.Expr.parse "a (b + c)" in
+    let target = Lattice_boolfn.Expr.to_truthtable e ~nvars:3 in
+    ((Lattice_synthesis.Altun_riedel.synthesize target).Lattice_synthesis.Altun_riedel.grid, target)
+  in
+  let cases =
+    [
+      ("maj3 2x3", (Lattice_synthesis.Library.maj3_2x3, Tt.majority_n 3));
+      ("xor3 3x3", (Lattice_synthesis.Library.xor3_3x3, Lattice_synthesis.Library.xor3));
+      ("a (b + c)", a_b_or_c);
+    ]
+  in
+  let jitter v = v *. Float.exp (Random.State.float st (2.0 *. Float.log 2.0) -. Float.log 2.0) in
+  let repairs = ref 0 and multis = ref 0 in
+  List.iter
+    (fun (name, (grid, target)) ->
+      for round = 0 to 1 do
+        let label what = Printf.sprintf "%s round %d: %s" name round what in
+        let mc_seed = Random.State.bits st in
+        let variation =
+          { Mc.sigma_vth = jitter 0.03; sigma_kp_rel = jitter Mc.default_variation.Mc.sigma_kp_rel }
+        in
+        let singles = Array.of_list (Sp.Defects.single_defects grid) in
+        let universe =
+          List.init 4 (fun _ -> singles.(Random.State.int st (Array.length singles)))
+          |> List.sort_uniq compare
+        in
+        let d = Sp.Defects.default_params in
+        let options =
+          {
+            Fc.default_options with
+            Fc.params =
+              {
+                Sp.Defects.r_open = jitter d.Sp.Defects.r_open;
+                r_short = jitter d.Sp.Defects.r_short;
+                r_bridge = jitter d.Sp.Defects.r_bridge;
+                r_broken = jitter d.Sp.Defects.r_broken;
+                r_leak = jitter d.Sp.Defects.r_leak;
+              };
+            multi_defect_samples = 2;
+            seed = Random.State.bits st;
+            (* remapping xor3 searches for seconds per defect and solves
+               nothing; the smaller grids cover the re-verification *)
+            attempt_repair = Grid.size grid < 9;
+          }
+        in
+        let run_mc engine = Mc.run ~engine ~variation ~samples:5 ~seed:mc_seed grid ~target in
+        let run_fc engine = Fc.run ~engine ~options ~universe grid ~target in
+        let mc_spent = Hashtbl.create 64 and fc_spent = Hashtbl.create 64 in
+        let mc_oracle = oracle_mc mc_spent ~variation ~samples:5 ~seed:mc_seed grid ~target in
+        let reference = run_fc (Engine.create ~domains:1 ~store_dir:"" ()) in
+        let fc_oracle = oracle_campaign fc_spent options grid ~target reference in
+        repairs := !repairs + List.length reference.Fc.repairs;
+        multis :=
+          !multis
+          + Array.fold_left
+              (fun acc (s : Fc.sample) -> if List.length s.Fc.defects > 1 then acc + 1 else acc)
+              0 reference.Fc.samples;
+        let spent tbl = Hashtbl.fold (fun _ k acc -> acc + k) tbl 0 in
+        List.iter
+          (fun domains ->
+            let engine = Engine.create ~domains ~store_dir:"" () in
+            let newton () = (Engine.telemetry engine).Engine.newton_total in
+            List.iter
+              (fun pass ->
+                let at what = label (Printf.sprintf "%d domains, %s, %s" domains pass what) in
+                let n0 = newton () in
+                let mc = run_mc engine in
+                let n1 = newton () in
+                let fc = run_fc engine in
+                let n2 = newton () in
+                Alcotest.(check bool) (at "MC report") true (String.equal (bits mc) (bits mc_oracle));
+                Alcotest.(check bool) (at "campaign report") true
+                  (String.equal (bits fc) (bits fc_oracle));
+                let cold = pass = "cold" in
+                Alcotest.(check int) (at "MC newton") (if cold then spent mc_spent else 0) (n1 - n0);
+                Alcotest.(check int) (at "campaign newton")
+                  (if cold then spent fc_spent else 0)
+                  (n2 - n1))
+              [ "cold"; "warm" ])
+          [ 1; 2; 4 ]
+      done)
+    cases;
+  Alcotest.(check bool) (Printf.sprintf "repairs re-verified (%d)" !repairs) true (!repairs > 0);
+  Alcotest.(check bool) (Printf.sprintf "multi-defect samples (%d)" !multis) true (!multis > 0)
+
+let test_workspace_counts () =
+  (* one cold batch-style op on maj3 2x3 — 100 dies, then a campaign
+     over every defect class with 16 combos and repairs: 212 jobs, each
+     compiling one plan and running one full factorization, where the
+     per-state path did one of each per solve. No two jobs of these seeds
+     build the same circuit (a combo of two structural defects on one
+     site would repeat its single), so every job misses and the counts
+     hold at any domain count. *)
+  let module M = Lattice_obs.Metrics in
+  let was_on = M.on () in
+  M.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> M.set_enabled was_on)
+    (fun () ->
+      let count name = M.Counter.get (M.counter name) in
+      let compiles0 = count "spice.plan_compiles"
+      and full0 = count "numerics.lu_full_factorizations"
+      and solves0 = count "dcop.solves" in
+      let engine = Engine.create ~domains:2 ~store_dir:"" () in
+      let grid = Lattice_synthesis.Library.maj3_2x3 and target = Tt.majority_n 3 in
+      ignore (Mc.run ~engine ~samples:100 ~seed:1 grid ~target);
+      let options = { Fc.default_options with Fc.multi_defect_samples = 16; seed = 1 } in
+      ignore (Fc.run ~engine ~options grid ~target);
+      let t = Engine.telemetry engine in
+      Alcotest.(check int) "jobs" 212 t.Engine.jobs;
+      Alcotest.(check int) "plan compiles" 212 (count "spice.plan_compiles" - compiles0);
+      Alcotest.(check int) "full factorizations" 212
+        (count "numerics.lu_full_factorizations" - full0);
+      Alcotest.(check int) "every miss solved once" t.Engine.dc_solves (count "dcop.solves" - solves0);
+      Alcotest.(check bool) "7 solves or more per job" true (t.Engine.dc_solves >= 7 * 212))
+
 let () =
   Alcotest.run "flow"
     [
@@ -501,6 +829,11 @@ let () =
             test_campaign_repair_stuck_open;
           Alcotest.test_case "serial/parallel parity" `Slow test_campaign_parallel_parity;
           Alcotest.test_case "cache re-run identity" `Quick test_campaign_cache_rerun;
+        ] );
+      ( "workspace",
+        [
+          Alcotest.test_case "flows = per-state oracle" `Slow test_workspace_vs_per_state_oracle;
+          Alcotest.test_case "one compile and factorization per job" `Quick test_workspace_counts;
         ] );
       ( "optimizer",
         [

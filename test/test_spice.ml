@@ -1397,6 +1397,218 @@ let test_series_build_validates () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* --- Rebinding source waves: one plan per circuit ------------------------- *)
+
+let dc_state = Sp.Lattice_circuit.state_stimulus
+
+(* every bit of a DC solve: solution, ladder, Newton counts and the
+   per-iteration update norms *)
+let solve_bits ?plan ?x0 netlist =
+  let options = { Sp.Dcop.default_options with Sp.Dcop.conv_trace = true } in
+  Marshal.to_string (Sp.Dcop.solve_diag ~options ?plan ?x0 netlist) [ Marshal.No_sharing ]
+
+let maj3_at m =
+  (Sp.Lattice_circuit.build Lattice_synthesis.Library.maj3_2x3 ~stimulus:(dc_state ~vdd:1.2 m))
+    .Sp.Lattice_circuit.netlist
+
+let test_plan_rebinds_state () =
+  (* a plan compiled at state 0 and handed state 7's netlist used to
+     solve state 0's circuit: 1.199998 V instead of 0.025201 V *)
+  let plan = Sp.Stamp_plan.compile (maj3_at 0) in
+  let net = maj3_at 7 in
+  (match Sp.Dcop.solve_diag ~plan net with
+  | Error f -> Alcotest.fail (Sp.Dcop.pp_failure f)
+  | Ok (x, _) ->
+    let v = Sp.Mna.voltage x (Sp.Netlist.node net "out") in
+    Alcotest.(check bool) (Printf.sprintf "state 7 pulls the output low (%g V)" v) true (v < 0.1));
+  Alcotest.(check bool) "bit-identical to a fresh solve" true
+    (String.equal (solve_bits ~plan net) (solve_bits net))
+
+let test_plan_rejects_other_structure () =
+  let base = maj3_at 0 in
+  let plan = Sp.Stamp_plan.compile base in
+  let rejects name net =
+    match Sp.Dcop.solve_diag ~plan net with
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (name ^ ": names the plan") true
+        (String.starts_with ~prefix:"Stamp_plan.rebind" msg)
+    | _ -> Alcotest.fail (name ^ ": solved a netlist of another structure")
+  in
+  (* used to die with Invalid_argument "index out of bounds" *)
+  rejects "xor3 3x3"
+    (Sp.Lattice_circuit.build Lattice_synthesis.Library.xor3_3x3 ~stimulus:(dc_state ~vdd:1.2 0))
+      .Sp.Lattice_circuit.netlist;
+  rejects "same topology, another pull-up"
+    (Sp.Lattice_circuit.build
+       ~config:{ Sp.Lattice_circuit.default_config with Sp.Lattice_circuit.pullup_ohms = 400e3 }
+       Lattice_synthesis.Library.maj3_2x3 ~stimulus:(dc_state ~vdd:1.2 0))
+      .Sp.Lattice_circuit.netlist;
+  (* a rejected rebind leaves the plan usable *)
+  Alcotest.(check bool) "plan intact after the rejection" true
+    (String.equal (solve_bits ~plan base) (solve_bits base))
+
+(* maj3 with site (0,0) mismatched (type A Vth +30 mV, type B -30 mV) and
+   a cracked south terminal at (1,0): states 1 and 3 fail plain Newton *)
+let mismatched_die_at m =
+  let shift dv = function
+    | Lattice_mosfet.Model.L1 p -> Lattice_mosfet.Model.L1 { p with L1.vth = p.L1.vth +. dv }
+    | m -> m
+  in
+  let t = Sp.Fts.default_types in
+  let types_of_site r c =
+    if r = 0 && c = 0 then
+      { Sp.Fts.type_a = shift 0.03 t.Sp.Fts.type_a; type_b = shift (-0.03) t.Sp.Fts.type_b }
+    else t
+  in
+  Sp.Defects.build ~types_of_site
+    ~defects:[ { Sp.Defects.row = 1; col = 0; kind = Sp.Defects.Broken_terminal Sp.Defects.South } ]
+    Lattice_synthesis.Library.maj3_2x3 ~stimulus:(dc_state ~vdd:1.2 m)
+
+let test_plan_first_factorization_memo () =
+  (* after [rebind] the next factorization is a solve's first: from
+     x0 = 0 it comes from the memo, from any other start it is a fresh
+     analysis *)
+  let module M = Lattice_obs.Metrics in
+  let was_on = M.on () in
+  M.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> M.set_enabled was_on)
+    (fun () ->
+      let full () = M.Counter.get (M.counter "numerics.lu_full_factorizations") in
+      let plan = Sp.Stamp_plan.compile (maj3_at 0) in
+      let solve ?x0 m =
+        let f0 = full () in
+        match Sp.Dcop.solve_diag ~plan ?x0 (maj3_at m) with
+        | Ok (x, _) -> (x, full () - f0)
+        | Error f -> Alcotest.fail (Sp.Dcop.pp_failure f)
+      in
+      Alcotest.(check int) "first solve analyzes" 1 (snd (solve 0));
+      Alcotest.(check bool) "a solve leaves a factorization" true (Sp.Stamp_plan.lu_stats plan <> None);
+      Sp.Stamp_plan.rebind plan (maj3_at 5);
+      Alcotest.(check bool) "rebind forgets it" true (Sp.Stamp_plan.lu_stats plan = None);
+      for m = 1 to 7 do
+        Alcotest.(check int) (Printf.sprintf "state %d from zero: memo" m) 0 (snd (solve m))
+      done;
+      (* all inputs high: the switches conduct at this start *)
+      let x0, _ = solve 7 in
+      Alcotest.(check int) "warm start: fresh analysis" 1 (snd (solve ~x0 6)))
+
+let test_plan_state_sequence () =
+  (* one plan walked over input states in any order, on rebound
+     netlists, is bitwise a fresh build and a fresh solve per state *)
+  let order = [ 0; 1; 2; 3; 4; 5; 6; 7; 7; 3; 1; 0; 6; 3 ] in
+  List.iter
+    (fun (name, at) ->
+      let base : Sp.Lattice_circuit.t = at 0 in
+      let plan = Sp.Stamp_plan.compile base.Sp.Lattice_circuit.netlist in
+      let fallbacks = ref 0 in
+      List.iter
+        (fun m ->
+          let fresh = (at m).Sp.Lattice_circuit.netlist in
+          (match Sp.Dcop.solve_diag fresh with
+          | Ok (_, d) when d.Sp.Dcop.strategy <> Sp.Dcop.Plain -> incr fallbacks
+          | Ok _ | Error _ -> ());
+          let rebound =
+            (Sp.Lattice_circuit.rebind base ~stimulus:(dc_state ~vdd:1.2 m)).Sp.Lattice_circuit.netlist
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: state %d" name m)
+            true
+            (String.equal (solve_bits ~plan rebound) (solve_bits fresh));
+          (* warm-started from another state's solution, the first matrix
+             differs from the memo's: a fresh analysis, as without a plan *)
+          let x0 =
+            match Sp.Dcop.solve_diag (at (7 - m)).Sp.Lattice_circuit.netlist with
+            | Ok (x, _) -> x
+            | Error f -> Alcotest.fail (Sp.Dcop.pp_failure f)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: state %d from state %d's solution" name m (7 - m))
+            true
+            (String.equal (solve_bits ~plan ~x0 rebound) (solve_bits ~x0 fresh)))
+        order;
+      if name = "mismatched die" then
+        Alcotest.(check bool) "the die's solves fall back past plain" true (!fallbacks >= 3))
+    [
+      ( "maj3",
+        fun m ->
+          Sp.Lattice_circuit.build Lattice_synthesis.Library.maj3_2x3 ~stimulus:(dc_state ~vdd:1.2 m)
+      );
+      ("mismatched die", mismatched_die_at);
+    ]
+
+(* a grid over [nvars] variables that mentions each of them, with at
+   least one complemented literal and some constant sites *)
+let random_grid st ~nvars =
+  let rows = 2 + Random.State.int st 2 and cols = 3 + Random.State.int st 2 in
+  let entry i =
+    if i < nvars then Lattice_core.Grid.Lit (i, i > 0 && Random.State.bool st)
+    else
+      match Random.State.int st 8 with
+      | 0 -> Lattice_core.Grid.Const true
+      | 1 -> Lattice_core.Grid.Const false
+      | _ -> Lattice_core.Grid.Lit (Random.State.int st nvars, Random.State.bool st)
+  in
+  Lattice_core.Grid.create rows cols (Array.init (rows * cols) entry)
+
+let test_rebind_matches_fresh_build () =
+  (* for every state: same digest, same cache key, same deck text, and
+     the base is left alone *)
+  let st = Random.State.make [| 15 |] in
+  let spice_text net = Sp.Netlist.to_spice_string net ~title:"rebind" in
+  (* the canonical emitter prints shortest-exact values, tens of ms per
+     deck: it checks the last state and the pulse stimulus *)
+  let deck_text net = Lattice_deck.Deck.emit (Lattice_deck.Deck.of_netlist ~title:"rebind" net) in
+  let broken grid =
+    [
+      { Sp.Defects.row = 0; col = 0; kind = Sp.Defects.Broken_terminal Sp.Defects.East };
+      {
+        Sp.Defects.row = grid.Lattice_core.Grid.rows - 1;
+        col = 1;
+        kind = Sp.Defects.Broken_terminal Sp.Defects.North;
+      };
+      { Sp.Defects.row = 1; col = 2; kind = Sp.Defects.Gate_leak Sp.Defects.West };
+    ]
+  in
+  let check_circuit name nvars (build : (int -> Sp.Source.t) -> Sp.Lattice_circuit.t) =
+    let base = build (dc_state ~vdd:1.2 0) in
+    let base_text = spice_text base.Sp.Lattice_circuit.netlist in
+    let states = 1 lsl nvars in
+    let stimuli =
+      List.init states (fun m -> (Printf.sprintf "state %d" m, dc_state ~vdd:1.2 m))
+      @ [ ("pulses", Sp.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time:10e-9) ]
+    in
+    List.iteri
+      (fun i (what, stimulus) ->
+        let fresh = (build stimulus).Sp.Lattice_circuit.netlist in
+        let rebound = (Sp.Lattice_circuit.rebind base ~stimulus).Sp.Lattice_circuit.netlist in
+        let label field = Printf.sprintf "%s, %s: %s" name what field in
+        Alcotest.(check string) (label "digest") (Sp.Netlist.structural_digest fresh)
+          (Sp.Netlist.structural_digest rebound);
+        Alcotest.(check string) (label "cache key") (Lattice_engine.Key.dc_op fresh)
+          (Lattice_engine.Key.dc_op rebound);
+        Alcotest.(check string) (label "SPICE text") (spice_text fresh) (spice_text rebound);
+        if i >= states - 1 then
+          Alcotest.(check string) (label "deck text") (deck_text fresh) (deck_text rebound);
+        (* the copy has its own node table *)
+        ignore (Sp.Netlist.node rebound "probe_only");
+        Alcotest.(check bool) (label "base node table untouched") true
+          (Sp.Netlist.find_node base.Sp.Lattice_circuit.netlist "probe_only" = None))
+      stimuli;
+    Alcotest.(check string) (name ^ ": base unchanged") base_text
+      (spice_text base.Sp.Lattice_circuit.netlist)
+  in
+  for nvars = 2 to 5 do
+    let grid = random_grid st ~nvars in
+    check_circuit (Printf.sprintf "%d vars" nvars) nvars (fun stimulus ->
+        Sp.Lattice_circuit.build grid ~stimulus);
+    check_circuit (Printf.sprintf "%d vars, broken terminals" nvars) nvars (fun stimulus ->
+        Sp.Defects.build ~defects:(broken grid) grid ~stimulus)
+  done;
+  check_circuit "complementary xor3" 3 (fun stimulus ->
+      Sp.Lattice_circuit.build_complementary ~pull_up:Lattice_synthesis.Library.xnor3_3x3
+        ~pull_down:Lattice_synthesis.Library.xor3_3x3 ~stimulus ())
+
 let () =
   Alcotest.run "spice"
     [
@@ -1511,6 +1723,16 @@ let () =
           Alcotest.test_case "single-defect universe size" `Quick test_defect_universe_size;
           Alcotest.test_case "near-singular sparse/dense parity" `Quick
             test_sparse_dense_defect_parity;
+        ] );
+      ( "rebind",
+        [
+          Alcotest.test_case "plan rebinds to the state it is given" `Quick test_plan_rebinds_state;
+          Alcotest.test_case "plan rejects another structure" `Quick
+            test_plan_rejects_other_structure;
+          Alcotest.test_case "first factorization memo" `Quick test_plan_first_factorization_memo;
+          Alcotest.test_case "plan over a state sequence = fresh solves" `Quick
+            test_plan_state_sequence;
+          Alcotest.test_case "rebound netlist = fresh build" `Quick test_rebind_matches_fresh_build;
         ] );
       ( "series_chain",
         [
