@@ -85,7 +85,7 @@ let run ~engine ?cancel ?(smoke = false) ?(limits = default_limits) (deck : Ast.
       List.init n (fun i ->
           let v = start +. (step *. float_of_int i) in
           let net_i =
-            N.rebind_sources net (fun name -> if name = source then Some (Sp.Source.Dc v) else None)
+            N.rebind_vsources net (fun name -> if name = source then Some (Sp.Source.Dc v) else None)
           in
           match E.dc_op engine ?cancel ~workspace net_i with
           | Ok (x, _) -> (v, read_rows x watch_nodes)

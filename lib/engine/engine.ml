@@ -244,6 +244,17 @@ let dc_op t ?(options = Sp.Dcop.default_options) ?cancel ?workspace netlist =
     Cache.add t.dc_cache ~key (copy_result r);
     r
 
+let lattice_output t ?options (lc : Sp.Lattice_circuit.t) =
+  let stimulus =
+    Sp.Lattice_circuit.state_stimulus ~vdd:lc.Sp.Lattice_circuit.config.Sp.Lattice_circuit.vdd
+  in
+  let out = Sp.Netlist.node lc.Sp.Lattice_circuit.netlist lc.Sp.Lattice_circuit.output_node in
+  let workspace = workspace () in
+  fun ~cancel m ->
+    let at_m = Sp.Lattice_circuit.rebind lc ~stimulus:(stimulus m) in
+    dc_op t ?options ~cancel ~workspace at_m.Sp.Lattice_circuit.netlist
+    |> Result.map (fun (x, diag) -> (Sp.Mna.voltage x out, diag))
+
 type telemetry = {
   domains : int;
   jobs : int;

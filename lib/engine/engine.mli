@@ -126,9 +126,9 @@ val run_jobs :
 
 (** A job-scoped solve workspace: the stamp plan shared by the DC
     solves of one circuit whose netlists differ only in source waves —
-    one lattice circuit at each of its input states
-    ({!Lattice_spice.Lattice_circuit.rebind}), one deck at each [.dc]
-    sweep point ({!Lattice_spice.Netlist.rebind_sources}). The plan is
+    one lattice circuit at each of its input states ({!lattice_output}),
+    one deck at each [.dc] sweep point
+    ({!Lattice_spice.Netlist.rebind_vsources}). The plan is
     compiled lazily by the first {!dc_op} that misses the cache, so a
     job whose solves all hit compiles nothing, and it lives exactly as
     long as the caller keeps the workspace: create one per job, never
@@ -158,6 +158,26 @@ val dc_op :
   ?workspace:workspace ->
   Lattice_spice.Netlist.t ->
   (Lattice_numerics.Vec.t * Lattice_spice.Dcop.diagnostics, Lattice_spice.Dcop.failure) result
+
+(** [lattice_output e ?options lc] checks one lattice circuit at its
+    input states: the returned function maps input state [m] to the DC
+    voltage of [lc]'s output node and the solve's diagnostics, with the
+    inputs driven by {!Lattice_spice.Lattice_circuit.state_stimulus} at
+    [lc]'s own [vdd] (the stimulus [lc] was built with does not matter).
+    The circuit is built once, by the caller; each call only rebinds the
+    input drivers ({!Lattice_spice.Lattice_circuit.rebind}) and goes
+    through {!dc_op} on one {!workspace} owned by the function. So make
+    one per job and keep it inside that job. Results equal a fresh
+    build and {!dc_op} per state, bit for bit. How Monte-Carlo dies,
+    campaign samples, repair re-verifications and circuit validation
+    check a lattice at every input state. *)
+val lattice_output :
+  t ->
+  ?options:Lattice_spice.Dcop.options ->
+  Lattice_spice.Lattice_circuit.t ->
+  cancel:Cancel.t ->
+  int ->
+  (float * Lattice_spice.Dcop.diagnostics, Lattice_spice.Dcop.failure) result
 
 type telemetry = {
   domains : int;

@@ -61,20 +61,11 @@ type sample = {
 let iterations_of_attempts attempts = List.fold_left (fun acc (_, n) -> acc + n) 0 attempts
 
 (* The defective circuit's output voltage (and solve diagnostics) as a
-   function of the input state. The circuit is built once per call —
-   once per job — and each state only rebinds the input drivers and
-   solves on the job's workspace. *)
+   function of the input state; built once per call, i.e. once per job. *)
 let defective_circuit engine ~options grid ~defects =
-  let stimulus = Sp.Lattice_circuit.state_stimulus ~vdd:options.config.Sp.Lattice_circuit.vdd in
-  let base =
-    Defects.build ~config:options.config ~params:options.params ~defects grid ~stimulus:(stimulus 0)
-  in
-  let out = Sp.Netlist.node base.Sp.Lattice_circuit.netlist base.Sp.Lattice_circuit.output_node in
-  let workspace = Engine.workspace () in
-  fun ~cancel m ->
-    let lc = Sp.Lattice_circuit.rebind base ~stimulus:(stimulus m) in
-    Engine.dc_op engine ~options:options.dc ~cancel ~workspace lc.Sp.Lattice_circuit.netlist
-    |> Result.map (fun (x, diag) -> (Sp.Mna.voltage x out, diag))
+  Engine.lattice_output engine ~options:options.dc
+    (Defects.build ~config:options.config ~params:options.params ~defects grid
+       ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd:options.config.Sp.Lattice_circuit.vdd 0))
 
 let simulate ?engine ?(cancel = Cancel.none) ?(options = default_options) grid ~target ~test_set
     defects =

@@ -5,10 +5,9 @@
     The campaign enumerates the single-defect universe of
     {!Lattice_spice.Defects.single_defects} (plus optional randomly
     sampled multi-defect combinations), builds each defective netlist
-    once and rebinds its input drivers for every input state, and solves
-    each DC operating point with
-    {!Lattice_engine.Engine.dc_op} (memoized
-    {!Lattice_spice.Dcop.solve_diag}) — so a sample that refuses to
+    once and solves it at every input state with
+    {!Lattice_engine.Engine.lattice_output} (rebound input drivers,
+    memoized {!Lattice_spice.Dcop.solve_diag}) — so a sample that refuses to
     converge is {e classified}, never an exception, and carries the full
     structured failure (failed strategy ladder, residual norm, worst
     nodes).
@@ -86,10 +85,11 @@ type sample = {
 (** [simulate grid ~target ~test_set defects] runs one sample: the grid
     with [defects] injected, DC-solved over all [2^nvars] input states
     under the Newton budget. Never raises on convergence trouble. The
-    defective circuit is built once and rebound per input state; its DC
-    solves share one job-scoped {!Lattice_engine.Engine.workspace} and
-    go through the engine's content-addressed cache (without
-    [engine], a fresh {!Lattice_engine.Engine.or_fresh} one); cached
+    defective circuit is built once and checked through
+    {!Lattice_engine.Engine.lattice_output}: its DC solves share one
+    job-scoped workspace and go through the engine's content-addressed
+    cache (without [engine], a fresh {!Lattice_engine.Engine.or_fresh}
+    one); cached
     hits replay the original diagnostics, so Newton-budget accounting
     is identical on warm and cold caches. [cancel] is checked before
     every input state (and inside every solve); a fired token raises
@@ -115,7 +115,7 @@ val logical_of_defect :
     boolean-correct at circuit level with the defects injected (treating
     any convergence failure as incorrect), stopping at the first wrong
     state. Like {!simulate}, it builds the circuit once and solves its
-    states on one job-scoped workspace. *)
+    states through {!Lattice_engine.Engine.lattice_output}. *)
 val verify_with_defects :
   ?engine:Lattice_engine.Engine.t ->
   ?options:options ->

@@ -68,22 +68,19 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
     in
     let types_of_site r c = site_types.((r * grid.Grid.cols) + c) in
     let worst_low = ref 0.0 and worst_high = ref infinity and ok = ref true in
-    (* the die's circuit is built once; each input state only rebinds
-       the input drivers and solves on the job's workspace *)
-    let stimulus = Sp.Lattice_circuit.state_stimulus ~vdd in
-    let base = Sp.Lattice_circuit.build ~config ~types_of_site grid ~stimulus:(stimulus 0) in
-    let out = Sp.Netlist.node base.Sp.Lattice_circuit.netlist "out" in
-    let workspace = Engine.workspace () in
+    let output_at =
+      Engine.lattice_output engine
+        (Sp.Lattice_circuit.build ~config ~types_of_site grid
+           ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd 0))
+    in
     for m = 0 to states - 1 do
       (* per-state checkpoint: deadlines bite on warm caches too *)
       Cancel.check cancel;
-      let lc = Sp.Lattice_circuit.rebind base ~stimulus:(stimulus m) in
-      match Engine.dc_op engine ~cancel ~workspace lc.Sp.Lattice_circuit.netlist with
+      match output_at ~cancel m with
       | Error _ ->
         (* an unsimulatable die counts as a failed die *)
         ok := false
-      | Ok (x, _) ->
-        let v = Sp.Mna.voltage x out in
+      | Ok (v, _) ->
         let expected_high = not (Tt.eval target m) in
         if not (Bool.equal (v > vdd /. 2.0) expected_high) then ok := false;
         if expected_high then worst_high := Float.min !worst_high v

@@ -42,13 +42,13 @@ type result = {
     function of [(seed, k)] — independent of how many samples run and in
     what order. Samples fan out over the engine's fault-isolated
     {!Lattice_engine.Engine.run_jobs} (phase ["monte-carlo"]). A die's
-    circuit is built once; each input state rebinds the input drivers
-    ({!Lattice_spice.Lattice_circuit.rebind}) and its DC solve goes
-    through the engine's content-addressed cache on the die's job-scoped
-    workspace ({!Lattice_engine.Engine.workspace}: one plan compile and,
-    on a cold cache, one full LU analysis per die); without
-    [engine] they run on {!Lattice_engine.Engine.or_fresh}'s 1-domain
-    engine, and the result is bit-identical at any domain count. A die
+    circuit is built once and checked at every input state through
+    {!Lattice_engine.Engine.lattice_output}: the DC solves go through
+    the engine's content-addressed cache on the die's job-scoped
+    workspace (one plan compile and, on a cold cache, one full LU
+    analysis per die); without [engine] they run on
+    {!Lattice_engine.Engine.or_fresh}'s 1-domain engine, and the result
+    is bit-identical at any domain count. A die
     whose worker crashes, blows its [policy] deadline, or is cancelled
     is scored as a failed (non-functional) die instead of raising —
     retries under [policy] re-draw the {e same} perturbations, so a

@@ -40,7 +40,15 @@
     clock, as are the drain deadline and [uptime_s]); level gauges
     [serve.queue.depth] and [serve.inflight]. The [stats] request
     returns the same numbers (plus engine/cache/store telemetry, read
-    from {!Lattice_engine.Engine.telemetry}) as JSON. *)
+    from {!Lattice_engine.Engine.telemetry}) as JSON.
+
+    A worker counts a compute request — in the [stats] rolling windows
+    and, for a timeout, the timeout counter — {e before} it writes the
+    answer, so a client holding an answer finds that request in its
+    next [stats]. The request's duration is taken at that point: the
+    windows' latencies, the access log's [duration_ns] and the
+    [slow_threshold_s] test measure from the handler's start to the
+    answer being ready, and exclude writing the answer to the socket. *)
 
 type config = {
   socket_path : string option;  (** Unix-domain listener *)

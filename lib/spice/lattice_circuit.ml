@@ -161,7 +161,7 @@ let rebind lc ~stimulus =
            let w = stimulus v in
            [ (driver_name v, w); (driver_bar_name v, complement ~vdd w) ]))
   in
-  { lc with netlist = Netlist.rebind_sources lc.netlist (fun name -> List.assoc_opt name waves) }
+  { lc with netlist = Netlist.rebind_vsources lc.netlist (fun name -> List.assoc_opt name waves) }
 
 let build_complementary ?(config = default_config) ?site_hook ~pull_up ~pull_down ~stimulus ()
     =

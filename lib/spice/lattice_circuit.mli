@@ -88,7 +88,7 @@ val build :
 
 (** [rebind lc ~stimulus] is [lc] driven by another stimulus: the
     input drivers' waves are replaced through
-    {!Netlist.rebind_sources} and nothing is rebuilt. The result equals
+    {!Netlist.rebind_vsources} and nothing is rebuilt. The result equals
     the [build] (or [build_complementary]) call that produced [lc] run
     with [stimulus] instead — same {!Netlist.structural_digest}, same
     deck text, same DC solution bits — because the builders' structure

@@ -103,14 +103,12 @@ let all_node_names t =
 
 let node_index n = n - 1
 
-let rebind_sources t wave_of =
+let rebind_vsources t wave_of =
   let rebind e =
     match e with
     | Vsource ({ name; _ } as v) -> (
       match wave_of name with Some wave -> Vsource { v with wave } | None -> e)
-    | Isource ({ name; _ } as i) -> (
-      match wave_of name with Some wave -> Isource { i with wave } | None -> e)
-    | Resistor _ | Capacitor _ | Mosfet _ -> e
+    | Resistor _ | Capacitor _ | Isource _ | Mosfet _ -> e
   in
   {
     t with

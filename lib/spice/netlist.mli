@@ -77,9 +77,11 @@ val all_node_names : t -> string array
     ground. *)
 val node_index : node -> int
 
-(** [rebind_sources t wave_of] is a copy of [t] in which every
-    independent source named [s] with [wave_of s = Some w] carries the
-    wave [w]; every other element is shared with [t] unchanged, and node
+(** [rebind_vsources t wave_of] is a copy of [t] in which every
+    voltage source named [s] with [wave_of s = Some w] carries the wave
+    [w]; every other element — current sources included, even one that
+    shares the name [s] (deck element names drop the type letter, so
+    [V1] and [I1] are both ["1"]) — is shared with [t] unchanged, and node
     names and ids, element order and source indices are identical. So
     the copy has the {!structural_digest}, {!to_spice_string} text and
     {!Stamp_plan} structure of a netlist built by the same construction
@@ -87,7 +89,7 @@ val node_index : node -> int
     it. The copy has its own node table: creating nodes or adding
     elements on either netlist does not affect the other. Costs one pass
     over the elements and a copy of the node table. *)
-val rebind_sources : t -> (string -> Source.t option) -> t
+val rebind_vsources : t -> (string -> Source.t option) -> t
 
 (** [vsource_row t index] is the MNA row of a voltage source's branch
     current. *)

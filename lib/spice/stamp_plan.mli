@@ -43,7 +43,7 @@ val rebind : t -> Netlist.t -> unit
     behaves exactly like [compile netlist]. [netlist] must have the
     structure the plan was compiled from — the same elements in the same
     order (names, nodes, values, models), differing at most in the waves
-    of independent sources, as {!Netlist.rebind_sources} produces; any
+    of independent sources (as {!Netlist.rebind_vsources} produces); any
     other netlist raises [Invalid_argument "Stamp_plan.rebind: ..."] and
     leaves the plan unchanged. Costs one pass over the elements; shared
     element records compare by physical equality. *)

@@ -140,23 +140,24 @@ let validate_circuit ?engine ?(config = Sp.Lattice_circuit.default_config)
   if nvars > 5 then invalid_arg "Exhaustive.validate_circuit: too many inputs";
   let engine = Engine.or_fresh engine in
   let vdd = config.Sp.Lattice_circuit.vdd in
-  let states = 1 lsl nvars in
-  let state_ok m =
-    let lc =
-      Sp.Lattice_circuit.build ~config grid ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m)
+  (* one job, not one per state: the states share the circuit's solve
+     workspace, which must stay on one domain *)
+  let validate _ =
+    let output_at =
+      Engine.lattice_output engine ~options:dc
+        (Sp.Lattice_circuit.build ~config grid ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd 0))
     in
-    match Engine.dc_op engine ~options:dc lc.Sp.Lattice_circuit.netlist with
-    | Error _ -> false
-    | Ok (x, _) ->
-      let v =
-        Sp.Mna.voltage x
-          (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist lc.Sp.Lattice_circuit.output_node)
-      in
-      (* pull-down lattice: the circuit output is the complement of the
-         lattice function *)
-      Bool.equal (v > vdd /. 2.0) (not (Tt.eval target m))
+    List.for_all
+      (fun m ->
+        match output_at ~cancel:Lattice_engine.Cancel.none m with
+        | Error _ -> false
+        | Ok (v, _) ->
+          (* pull-down lattice: the circuit output is the complement of
+             the lattice function *)
+          Bool.equal (v > vdd /. 2.0) (not (Tt.eval target m)))
+      (List.init (1 lsl nvars) Fun.id)
   in
-  Array.for_all Fun.id (Engine.map engine ~phase:"circuit-validate" ~n:states state_ok)
+  (Engine.map engine ~phase:"circuit-validate" ~n:1 validate).(0)
 
 let find_circuit_verified ~rows ~cols ?(alphabet = Literals_only) ?engine ?config ?dc
     ?(pins = []) target =

@@ -70,16 +70,20 @@ val minimal :
 
 (** [validate_circuit ?engine ?config ?dc grid ~target] checks the
     switch-level realization of [grid]: the nominal lattice circuit is
-    built and DC-solved at every input state, and the output must be
-    boolean-correct (the complement of [target], since the lattice is a
-    pull-down network) against the [vdd/2] threshold. Convergence failure
-    at any state counts as invalid. Requires [nvars <= 5].
+    built once and DC-solved at every input state, and the output must
+    be boolean-correct (the complement of [target], since the lattice is
+    a pull-down network) against the [vdd/2] threshold. Convergence
+    failure at any state counts as invalid; the check stops at the first
+    state that fails. Requires [nvars <= 5].
 
-    The [2^nvars] input states fan out over [engine]'s Domain pool
-    (phase ["circuit-validate"]; without [engine], a fresh 1-domain one)
-    and the DC solves go through its content-addressed cache — repeated
-    validations of the same grid on one engine are cache hits. The
-    verdict is identical at any domain count. *)
+    The check is one job on [engine]'s Domain pool (phase
+    ["circuit-validate"]; without [engine], a fresh 1-domain one): its
+    states share one solve workspace through
+    {!Lattice_engine.Engine.lattice_output}, which cannot be split
+    across domains. The DC solves go through the engine's
+    content-addressed cache — repeated validations of the same grid on
+    one engine are cache hits. The verdict is identical at any domain
+    count. *)
 val validate_circuit :
   ?engine:Lattice_engine.Engine.t ->
   ?config:Lattice_spice.Lattice_circuit.config ->

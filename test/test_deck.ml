@@ -248,6 +248,27 @@ let test_runner_limits () =
   | Ok _ -> Alcotest.fail "a sweep of a missing source should be rejected"
   | Error msg -> Alcotest.(check string) "names the source" "dc sweep: unknown voltage source V9" msg
 
+(* the parser drops the type letter, so V1 and I1 are both element "1";
+   a sweep of V1 must leave I1 at its own 1 mA *)
+let test_runner_dc_sweeps_only_the_vsource () =
+  let d =
+    parse_ok
+      "same suffix\nv1 a 0 dc 0\nr1 a b 1k\nr2 b 0 1k\ni1 0 b dc 1m\n.dc v1 0 1 0.5\n\
+       .print dc v(b)\n.end\n"
+  in
+  let engine = Lattice_engine.Engine.create ~domains:1 ~store_dir:"" () in
+  match Runner.run ~engine d with
+  | Error msg -> Alcotest.failf "runner failed: %s" msg
+  | Ok r -> (
+    match r.Runner.results with
+    | [ (_, Runner.Dc_result { rows; _ }) ] ->
+      (* v(b) = v1 / 2 + 1 mA * 500 ohm *)
+      Alcotest.(check (list (pair (float 0.0) (list (pair string (float 1e-12))))))
+        "sweep rows"
+        [ (0.0, [ ("b", 0.5) ]); (0.5, [ ("b", 0.75) ]); (1.0, [ ("b", 1.0) ]) ]
+        rows
+    | _ -> Alcotest.fail "expected one dc sweep result")
+
 let () =
   Alcotest.run "deck"
     [
@@ -268,5 +289,7 @@ let () =
             test_export_parse_digest_and_dc_op_parity;
           Alcotest.test_case "runner smoke" `Quick test_runner_smoke;
           Alcotest.test_case "runner limits" `Quick test_runner_limits;
+          Alcotest.test_case "dc sweep leaves a same-named current source" `Quick
+            test_runner_dc_sweeps_only_the_vsource;
         ] );
     ]

@@ -774,6 +774,54 @@ let test_workspace_vs_per_state_oracle () =
   Alcotest.(check bool) (Printf.sprintf "repairs re-verified (%d)" !repairs) true (!repairs > 0);
   Alcotest.(check bool) (Printf.sprintf "multi-defect samples (%d)" !multis) true (!multis > 0)
 
+let test_validate_circuit_vs_oracle () =
+  (* Exhaustive.validate_circuit checks a grid in one job on the shared
+     workspace helper: the per-state oracle's verdict and, on a cold
+     engine, its Newton iterations (both stop at the first failing
+     state), at 1 and 2 domains; a warm re-run solves nothing *)
+  let config = Sp.Lattice_circuit.default_config in
+  let vdd = config.Sp.Lattice_circuit.vdd in
+  let oracle spent grid ~target =
+    List.for_all
+      (fun m ->
+        let lc =
+          Sp.Lattice_circuit.build ~config grid ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m)
+        in
+        match oracle_solve spent ~options:Sp.Dcop.default_options lc.Sp.Lattice_circuit.netlist with
+        | Error _ -> false
+        | Ok (x, _) ->
+          let v = Sp.Mna.voltage x (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist "out") in
+          Bool.equal (v > vdd /. 2.0) (not (Tt.eval target m)))
+      (List.init (1 lsl Tt.nvars target) Fun.id)
+  in
+  let maj3 = Tt.majority_n 3 and xor3 = Lattice_synthesis.Library.xor3 in
+  List.iter
+    (fun (name, grid, target, expected) ->
+      let spent = Hashtbl.create 16 in
+      Alcotest.(check bool) (name ^ ": oracle") expected (oracle spent grid ~target);
+      let oracle_newton = Hashtbl.fold (fun _ k acc -> acc + k) spent 0 in
+      List.iter
+        (fun domains ->
+          let engine = Engine.create ~domains ~store_dir:"" () in
+          let at what = Printf.sprintf "%s, %d domains: %s" name domains what in
+          let validate () =
+            Lattice_synthesis.Exhaustive.validate_circuit ~engine grid ~target
+          in
+          Alcotest.(check bool) (at "verdict") expected (validate ());
+          let cold = Engine.telemetry engine in
+          Alcotest.(check int) (at "one job") 1 cold.Engine.jobs;
+          Alcotest.(check int) (at "newton") oracle_newton cold.Engine.newton_total;
+          Alcotest.(check bool) (at "warm verdict") expected (validate ());
+          Alcotest.(check int) (at "warm solves nothing") cold.Engine.dc_solves
+            (Engine.telemetry engine).Engine.dc_solves)
+        [ 1; 2 ])
+    [
+      ("maj3 2x3", Lattice_synthesis.Library.maj3_2x3, maj3, true);
+      ("maj3 2x3 vs its complement", Lattice_synthesis.Library.maj3_2x3, Tt.complement maj3, false);
+      ("maj3 2x3 vs xor3", Lattice_synthesis.Library.maj3_2x3, xor3, false);
+      ("xor3 3x3", Lattice_synthesis.Library.xor3_3x3, xor3, true);
+    ]
+
 let test_workspace_counts () =
   (* one cold batch-style op on maj3 2x3 — 100 dies, then a campaign
      over every defect class with 16 combos and repairs: 212 jobs, each
@@ -834,6 +882,8 @@ let () =
         [
           Alcotest.test_case "flows = per-state oracle" `Slow test_workspace_vs_per_state_oracle;
           Alcotest.test_case "one compile and factorization per job" `Quick test_workspace_counts;
+          Alcotest.test_case "circuit validation = per-state oracle" `Quick
+            test_validate_circuit_vs_oracle;
         ] );
       ( "optimizer",
         [
