@@ -200,8 +200,12 @@ let map t ?phase ~n f =
        | Pool.Timed_out -> raise (Cancel.Cancelled Cancel.Deadline)
        | Pool.Cancelled -> raise (Cancel.Cancelled Cancel.Requested))
 
-let copy_result = function
-  | Ok (x, diag) -> Ok (Array.copy x, diag)
+(* cache and store entries hold solutions in the netlist's canonical
+   (first-mention) node order: netlists that share a key may number
+   their nodes differently, as a built circuit and its deck round trip
+   do *)
+let map_solution f = function
+  | Ok (x, diag) -> Ok (f x, diag)
   | Error _ as e -> e
 
 let failure_iterations (f : Sp.Dcop.failure) =
@@ -225,7 +229,7 @@ let dc_op t ?(options = Sp.Dcop.default_options) ?cancel ?workspace netlist =
   match Cache.find t.dc_cache ~key with
   | Some r ->
     Trace.attribute_cache_hit ();
-    copy_result r
+    map_solution (Sp.Netlist.of_canonical_order netlist) r
   | None ->
     Trace.attribute_dc_solve ();
     let plan = Option.map (fun ws -> plan_of ws netlist) workspace in
@@ -241,7 +245,7 @@ let dc_op t ?(options = Sp.Dcop.default_options) ?cancel ?workspace netlist =
     in
     ignore (Atomic.fetch_and_add t.newton iters);
     Metrics.Counter.add newton_counter iters;
-    Cache.add t.dc_cache ~key (copy_result r);
+    Cache.add t.dc_cache ~key (map_solution (Sp.Netlist.to_canonical_order netlist) r);
     r
 
 let lattice_output t ?options (lc : Sp.Lattice_circuit.t) =

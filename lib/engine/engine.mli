@@ -142,7 +142,14 @@ val workspace : unit -> workspace
 (** [dc_op e ?options ?cancel ?workspace netlist] is
     [Lattice_spice.Dcop.solve_diag ?options netlist] memoized under the
     content key {!Key.dc_op}. The returned solution vector is a private
-    copy (callers may keep or mutate it). Hits replay the original
+    copy (callers may keep or mutate it), in [netlist]'s own node order.
+    Cache and store entries hold it in canonical (first-mention) order
+    ({!Lattice_spice.Netlist.to_canonical_order}), because netlists that
+    share a key — a built circuit and its deck round trip — may number
+    their nodes differently. A miss stores a canonical copy and returns
+    the solver's own vector; a hit returns a copy mapped to the caller's
+    numbering, so each node reads the value the first solve gave the
+    node in the same place of the circuit. Hits replay the original
     diagnostics verbatim — from memory or from the persistent store.
     [cancel] is threaded into the solver; a cancelled solve raises
     {!Cancel.Cancelled} and caches nothing. A miss with [workspace]

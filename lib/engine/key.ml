@@ -20,25 +20,11 @@ let add_dc_options b (o : Sp.Dcop.options) =
      diagnostics verbatim — traced and untraced solves must not alias *)
   add_int b (Bool.to_int o.Sp.Dcop.conv_trace)
 
-let dc_options_digest options =
-  let b = Buffer.create 128 in
-  add_dc_options b options;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
 let dc_op ?(options = Sp.Dcop.default_options) ?(time = 0.0) netlist =
-  let b = Buffer.create 192 in
-  add_string b "dcop-v1";
+  let b = Buffer.create 256 in
+  add_string b "dcop-v2";
   add_dc_options b options;
   add_float b time;
-  add_string b (Sp.Netlist.structural_digest netlist);
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-let custom parts =
-  let b = Buffer.create 128 in
-  List.iter
-    (function
-      | `S s -> Buffer.add_char b 's'; add_string b s
-      | `F f -> Buffer.add_char b 'f'; add_float b f
-      | `I i -> Buffer.add_char b 'i'; add_int b i)
-    parts;
+  Buffer.add_string b (Sp.Netlist.wave_free_digest netlist);
+  Sp.Netlist.add_vsource_waves b netlist;
   Digest.to_hex (Digest.string (Buffer.contents b))

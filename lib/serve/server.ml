@@ -327,9 +327,16 @@ let handle_table1 ~rows ~cols =
   in
   Json.Obj fields
 
+(* one enumeration: the count is the histogram's sum *)
 let handle_paths ~rows ~cols =
-  let count = Lattice_core.Paths.count_irredundant ~rows ~cols in
   let hist = Lattice_core.Paths.length_histogram ~rows ~cols in
+  let count =
+    Array.fold_left
+      (fun acc n ->
+        if n > max_int - acc then h_reject Protocol.Internal "path count overflows an int";
+        acc + n)
+      0 hist
+  in
   Json.Obj
     [
       ("rows", Json.Int rows);

@@ -13,6 +13,11 @@ type element =
       model : Lattice_mosfet.Model.t;
     }
 
+(* What the content key needs of a netlist that its input states share:
+   the digest of everything [structural_digest] covers except
+   voltage-source waves, and the first-mention node order both use. *)
+type memo = { wave_free : Digest.t; canon : int array }
+
 type t = {
   mutable names : (string, node) Hashtbl.t;
   mutable node_names : string array;  (* grows; index = node id *)
@@ -20,6 +25,7 @@ type t = {
   mutable elements_rev : element list;
   mutable nvsrc : int;
   mutable fresh_counter : int;
+  mutable memo : memo option;  (* dropped by every mutation *)
 }
 
 let ground = 0
@@ -34,6 +40,7 @@ let create () =
     elements_rev = [];
     nvsrc = 0;
     fresh_counter = 0;
+    memo = None;
   }
 
 let store_name t id name =
@@ -53,6 +60,7 @@ let node t name =
     t.next_node <- id + 1;
     Hashtbl.replace t.names name id;
     store_name t id name;
+    t.memo <- None;
     id
 
 let find_node t name =
@@ -63,7 +71,9 @@ let fresh_node t prefix =
   t.fresh_counter <- t.fresh_counter + 1;
   node t (Printf.sprintf "%s#%d" prefix t.fresh_counter)
 
-let add t e = t.elements_rev <- e :: t.elements_rev
+let add t e =
+  t.elements_rev <- e :: t.elements_rev;
+  t.memo <- None
 
 let check_value what v = if not (Float.is_finite v) || v <= 0.0 then
     invalid_arg (Printf.sprintf "Netlist: %s must be positive and finite (got %g)" what v)
@@ -102,20 +112,6 @@ let all_node_names t =
   Array.init (t.next_node - 1) (fun i -> t.node_names.(i + 1))
 
 let node_index n = n - 1
-
-let rebind_vsources t wave_of =
-  let rebind e =
-    match e with
-    | Vsource ({ name; _ } as v) -> (
-      match wave_of name with Some wave -> Vsource { v with wave } | None -> e)
-    | Resistor _ | Capacitor _ | Isource _ | Mosfet _ -> e
-  in
-  {
-    t with
-    names = Hashtbl.copy t.names;
-    node_names = Array.copy t.node_names;
-    elements_rev = List.map rebind t.elements_rev;
-  }
 
 let vsource_row t index = num_nodes t + index
 
@@ -255,38 +251,40 @@ let digest_wave b = function
     Buffer.add_char b 'S';
     List.iter (digest_float b) [ offset; amplitude; freq; delay; damping ]
 
-let digest_element b ~map = function
+let digest_element b ~canon ~vwaves e =
+  let node n = digest_int b canon.(n) in
+  match e with
   | Resistor { name; n1; n2; ohms } ->
     Buffer.add_char b 'R';
     digest_string b name;
-    digest_int b (map n1);
-    digest_int b (map n2);
+    node n1;
+    node n2;
     digest_float b ohms
   | Capacitor { name; n1; n2; farads } ->
     Buffer.add_char b 'C';
     digest_string b name;
-    digest_int b (map n1);
-    digest_int b (map n2);
+    node n1;
+    node n2;
     digest_float b farads
   | Vsource { name; npos; nneg; wave; index } ->
     Buffer.add_char b 'V';
     digest_string b name;
-    digest_int b (map npos);
-    digest_int b (map nneg);
+    node npos;
+    node nneg;
     digest_int b index;
-    digest_wave b wave
+    if vwaves then digest_wave b wave
   | Isource { name; npos; nneg; wave } ->
     Buffer.add_char b 'I';
     digest_string b name;
-    digest_int b (map npos);
-    digest_int b (map nneg);
+    node npos;
+    node nneg;
     digest_wave b wave
   | Mosfet { name; drain; gate; source; model } ->
     Buffer.add_char b 'M';
     digest_string b name;
-    digest_int b (map drain);
-    digest_int b (map gate);
-    digest_int b (map source);
+    node drain;
+    node gate;
+    node source;
     digest_model b model
 
 (* Node ids are renumbered by first mention in element order before
@@ -294,17 +292,17 @@ let digest_element b ~map = function
    programmatic builder (nodes interleaved with construction) and a deck
    parser (nodes appear as element cards reference them); first-mention
    order is identical whenever the element lists are, so the digest — and
-   with it every engine cache key — survives the export→parse boundary. *)
-let structural_digest t =
-  let b = Buffer.create 1024 in
-  let els = elements t in
-  let canon = Hashtbl.create 64 in
-  Hashtbl.replace canon ground 0;
+   with it every engine cache key — survives the export→parse boundary.
+   [canon.(n)] is node [n]'s canonical id; nodes no element mentions
+   follow the mentioned ones in id order, so [canon] is a permutation. *)
+let canonical_nodes t els =
+  let canon = Array.make t.next_node (-1) in
+  canon.(ground) <- 0;
   let next = ref 0 in
   let touch n =
-    if not (Hashtbl.mem canon n) then begin
+    if canon.(n) < 0 then begin
       incr next;
-      Hashtbl.replace canon n !next
+      canon.(n) <- !next
     end
   in
   List.iter
@@ -320,11 +318,84 @@ let structural_digest t =
         touch gate;
         touch source)
     els;
-  let map n = match Hashtbl.find_opt canon n with Some c -> c | None -> n in
+  for n = 1 to t.next_node - 1 do
+    touch n
+  done;
+  canon
+
+(* the one serializer: [structural_digest] hashes it with voltage-source
+   waves, the memo's wave-free digest without them *)
+let serialize t els ~canon ~vwaves =
+  let b = Buffer.create 4096 in
   digest_int b (num_nodes t);
   digest_int b (num_vsources t);
-  List.iter (digest_element b ~map) els;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  List.iter (digest_element b ~canon ~vwaves) els;
+  Buffer.contents b
+
+(* Racing fills on one netlist compute and store equal values. *)
+let memo t =
+  match t.memo with
+  | Some m -> m
+  | None ->
+    let els = elements t in
+    let canon = canonical_nodes t els in
+    let m = { wave_free = Digest.string (serialize t els ~canon ~vwaves:false); canon } in
+    t.memo <- Some m;
+    m
+
+let wave_free_digest t = (memo t).wave_free
+
+let add_vsource_waves b t =
+  (* [elements_rev] is newest first, so consing while walking it yields
+     element order *)
+  List.fold_left
+    (fun acc e ->
+      match e with
+      | Vsource { wave; _ } -> wave :: acc
+      | Resistor _ | Capacitor _ | Isource _ | Mosfet _ -> acc)
+    [] t.elements_rev
+  |> List.iter (digest_wave b)
+
+let structural_digest t =
+  let els = elements t in
+  Digest.to_hex (Digest.string (serialize t els ~canon:(canonical_nodes t els) ~vwaves:true))
+
+let check_size t x =
+  if Array.length x <> unknowns t then invalid_arg "Netlist: vector length is not the MNA size"
+
+let to_canonical_order t x =
+  check_size t x;
+  let canon = (memo t).canon in
+  let y = Array.copy x in
+  for n = 1 to num_nodes t do
+    y.(canon.(n) - 1) <- x.(n - 1)
+  done;
+  y
+
+let of_canonical_order t y =
+  check_size t y;
+  let canon = (memo t).canon in
+  let x = Array.copy y in
+  for n = 1 to num_nodes t do
+    x.(n - 1) <- y.(canon.(n) - 1)
+  done;
+  x
+
+let rebind_vsources t wave_of =
+  let memo = Some (memo t) in
+  let rebind e =
+    match e with
+    | Vsource ({ name; _ } as v) -> (
+      match wave_of name with Some wave -> Vsource { v with wave } | None -> e)
+    | Resistor _ | Capacitor _ | Isource _ | Mosfet _ -> e
+  in
+  {
+    t with
+    names = Hashtbl.copy t.names;
+    node_names = Array.copy t.node_names;
+    elements_rev = List.map rebind t.elements_rev;
+    memo;
+  }
 
 let summary t =
   let r = ref 0 and c = ref 0 and v = ref 0 and i = ref 0 and m = ref 0 in

@@ -87,8 +87,10 @@ val node_index : node -> int
     {!Stamp_plan} structure of a netlist built by the same construction
     sequence with those waves, and a plan compiled from [t] rebinds to
     it. The copy has its own node table: creating nodes or adding
-    elements on either netlist does not affect the other. Costs one pass
-    over the elements and a copy of the node table. *)
+    elements on either netlist does not affect the other. It fills
+    [t]'s {!wave_free_digest} memo if empty, and the copy carries it, so
+    the states of one circuit pay for one digest between them. Costs one
+    pass over the elements and a copy of the node table. *)
 val rebind_vsources : t -> (string -> Source.t option) -> t
 
 (** [vsource_row t index] is the MNA row of a voltage source's branch
@@ -110,9 +112,44 @@ val summary : t -> string
     model parameters. Two netlists built by the same construction
     sequence get equal digests; changing any single parameter by as
     little as one ulp (a [sigma_vth] perturbation, a different oxide's
-    [kp], one injected defect resistor) changes the digest. This is the
-    netlist half of the batch engine's content-addressed cache key. *)
+    [kp], one injected defect resistor) changes the digest. [ftl run]
+    prints it for a deck. *)
 val structural_digest : t -> string
+
+(** {2 Content keys}
+
+    The engine's cache key ({!Lattice_engine.Key.dc_op}) hashes
+    {!wave_free_digest} with {!add_vsource_waves}: together they carry
+    exactly what {!structural_digest} covers, so two netlists give equal
+    key bytes exactly when their structural digests are equal.
+
+    The wave-free digest and the first-mention node order are memoized
+    in the netlist. The memo is a pure cache: it never changes a result.
+    Every mutation drops it — {!node} creating a node, {!fresh_node},
+    and every element constructor — and {!rebind_vsources} copies carry
+    it. Two domains that fill it at once compute and store equal values.
+    Nothing outlives the netlist. *)
+
+(** [wave_free_digest t] is the raw 16-byte MD5 of what
+    {!structural_digest} covers except voltage-source waves. Memoized:
+    all input states of one circuit share it. *)
+val wave_free_digest : t -> Digest.t
+
+(** [add_vsource_waves b t] appends the canonical bytes of every
+    voltage-source wave, in element order — the bytes
+    {!structural_digest} hashes for them. *)
+val add_vsource_waves : Buffer.t -> t -> unit
+
+(** [to_canonical_order t x] is a copy of the MNA vector [x] (length
+    {!unknowns}) with node rows moved from [t]'s ids to first-mention
+    order; branch-current rows keep their places (source indices are
+    digested). Two netlists with equal {!structural_digest}s map their
+    solutions to the same canonical vector, so a cached solution can be
+    shared across node numberings. [of_canonical_order] is the inverse.
+    Both raise [Invalid_argument] on a vector of another length. *)
+val to_canonical_order : t -> Lattice_numerics.Vec.t -> Lattice_numerics.Vec.t
+
+val of_canonical_order : t -> Lattice_numerics.Vec.t -> Lattice_numerics.Vec.t
 
 (** [to_spice_string t ~title] renders the circuit as a SPICE deck
     (.MODEL cards for the distinct MOSFET models, engineering-notation

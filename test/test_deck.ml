@@ -173,43 +173,95 @@ let test_errors_never_escape () =
 
 (* --- engine parity ------------------------------------------------------- *)
 
-(* The deck path and the programmatic path must agree bit-for-bit: same
-   digest (hence same cache key) and the same dc_op solution. *)
+(* The deck path and the programmatic path must agree: same digest
+   (hence same cache key), and a solve of one is a cache hit for the
+   other. Their node ids differ, so the hit must be mapped to the
+   caller's numbering: every named node and branch current read after
+   the hit equals the first solve's value for that name, bit for bit,
+   and lies within abstol + reltol·|v| of a fresh solve. *)
+let parity_circuits =
+  let stimulus m v = Sp.Source.Dc (if (m lsr v) land 1 = 1 then 1.2 else 0.0) in
+  let maj3 = Lattice_synthesis.Library.maj3_2x3 in
+  let maj3_ar =
+    let tt = Lattice_boolfn.Truthtable.create 3 (fun m -> 0b11101000 land (1 lsl m) <> 0) in
+    (Lattice_synthesis.Altun_riedel.synthesize tt).Lattice_synthesis.Altun_riedel.grid
+  in
+  [
+    ("maj3 Altun-Riedel", Sp.Lattice_circuit.build maj3_ar ~stimulus:(stimulus 1));
+    ("maj3 2x3", Sp.Lattice_circuit.build maj3 ~stimulus:(stimulus 5));
+    ("xor3 3x3", Sp.Lattice_circuit.build Lattice_synthesis.Library.xor3_3x3 ~stimulus:(stimulus 6));
+    ( "maj3 2x3 broken north terminal",
+      Sp.Defects.build
+        ~defects:
+          [ { Sp.Defects.row = 0; col = 1; kind = Sp.Defects.Broken_terminal Sp.Defects.North } ]
+        maj3 ~stimulus:(stimulus 3) );
+  ]
+
 let test_export_parse_digest_and_dc_op_parity () =
-  let tt = Lattice_boolfn.Truthtable.create 3 (fun m -> 0b11101000 land (1 lsl m) <> 0) in
-  let r = Lattice_synthesis.Altun_riedel.synthesize tt in
-  let lc =
-    Sp.Lattice_circuit.build r.Lattice_synthesis.Altun_riedel.grid
-      ~stimulus:(fun v -> Sp.Source.Dc (if v = 0 then 1.2 else 0.0))
-  in
-  let net = lc.Sp.Lattice_circuit.netlist in
-  let deck =
-    Deck.of_netlist ~title:"parity" ~analyses:[ Deck.Op ]
-      ~prints:[ Deck.Vprobe lc.Sp.Lattice_circuit.output_node ]
-      net
-  in
-  let reparsed = parse_ok (Deck.emit deck) in
-  Alcotest.(check string) "digest preserved by export -> parse"
-    (Sp.Netlist.structural_digest net)
-    (Sp.Netlist.structural_digest reparsed.Deck.netlist);
-  let engine = Lattice_engine.Engine.create () in
-  let solve n =
-    match Lattice_engine.Engine.dc_op engine n with
+  let solution net = function
     | Ok (x, _) -> x
-    | Error f -> Alcotest.failf "dc_op failed: %s" (Sp.Dcop.pp_failure f)
+    | Error f ->
+      Alcotest.failf "dc_op failed on %s: %s" (Sp.Netlist.summary net) (Sp.Dcop.pp_failure f)
   in
-  let x1 = solve net in
-  let x2 = solve reparsed.Deck.netlist in
-  let out1 = Sp.Mna.voltage x1 (Sp.Netlist.node net lc.Sp.Lattice_circuit.output_node) in
-  let out2 =
-    Sp.Mna.voltage x2
-      (Sp.Netlist.node reparsed.Deck.netlist lc.Sp.Lattice_circuit.output_node)
-  in
-  Alcotest.(check (float 1e-12)) "dc_op output parity" out1 out2;
-  (* same digest means the second solve was a cache hit, not a solve *)
-  let tel = Lattice_engine.Engine.telemetry engine in
-  Alcotest.(check int) "one physical solve" 1 tel.Lattice_engine.Engine.dc_solves;
-  Alcotest.(check int) "one cache hit" 1 tel.Lattice_engine.Engine.cache.Lattice_engine.Cache.hits
+  List.iter
+    (fun (label, lc) ->
+      let net = lc.Sp.Lattice_circuit.netlist in
+      let deck =
+        Deck.of_netlist ~title:"parity" ~analyses:[ Deck.Op ]
+          ~prints:[ Deck.Vprobe lc.Sp.Lattice_circuit.output_node ]
+          net
+      in
+      let reparsed = (parse_ok (Deck.emit deck)).Deck.netlist in
+      Alcotest.(check string) (label ^ ": digest preserved by export -> parse")
+        (Sp.Netlist.structural_digest net)
+        (Sp.Netlist.structural_digest reparsed);
+      List.iter
+        (fun (order, first, second) ->
+          let label = Printf.sprintf "%s, %s" label order in
+          let engine = Lattice_engine.Engine.create ~domains:1 ~store_dir:"" () in
+          let x1 = solution first (Lattice_engine.Engine.dc_op engine first) in
+          let x2 = solution second (Lattice_engine.Engine.dc_op engine second) in
+          let fresh = solution second (Sp.Dcop.solve_diag second) in
+          (* same digest means the second solve was a cache hit, not a solve *)
+          let tel = Lattice_engine.Engine.telemetry engine in
+          Alcotest.(check int) (label ^ ": one physical solve") 1 tel.Lattice_engine.Engine.dc_solves;
+          Alcotest.(check int) (label ^ ": one cache hit") 1
+            tel.Lattice_engine.Engine.cache.Lattice_engine.Cache.hits;
+          let o = Sp.Dcop.default_options in
+          let check_row what row1 row2 =
+            let v1 = x1.(row1) and v2 = x2.(row2) and vf = fresh.(row2) in
+            Alcotest.(check int64) (Printf.sprintf "%s: %s = first solve" label what)
+              (Int64.bits_of_float v1) (Int64.bits_of_float v2);
+            if Float.abs (v2 -. vf) > o.Sp.Dcop.abstol +. (o.Sp.Dcop.reltol *. Float.abs vf) then
+              Alcotest.failf "%s: %s = %.9g, fresh solve %.9g" label what v2 vf
+          in
+          let row_of net name =
+            match Sp.Netlist.find_node net name with
+            | Some n -> Sp.Netlist.node_index n
+            | None -> Alcotest.failf "%s: node %s lost" label name
+          in
+          let ids_differ = ref false in
+          Array.iter
+            (fun name ->
+              let r1 = row_of first name and r2 = row_of second name in
+              if r1 <> r2 then ids_differ := true;
+              check_row ("v(" ^ name ^ ")") r1 r2)
+            (Sp.Netlist.all_node_names first);
+          Alcotest.(check bool) (label ^ ": the two numberings differ") true !ids_differ;
+          List.iter
+            (function
+              | Sp.Netlist.Vsource { name; index; _ } -> (
+                match Sp.Netlist.vsource_index second name with
+                | Some i2 ->
+                  check_row ("i(" ^ name ^ ")") (Sp.Netlist.vsource_row first index)
+                    (Sp.Netlist.vsource_row second i2)
+                | None -> Alcotest.failf "%s: source %s lost" label name)
+              | Sp.Netlist.Resistor _ | Sp.Netlist.Capacitor _ | Sp.Netlist.Isource _
+              | Sp.Netlist.Mosfet _ ->
+                ())
+            (Sp.Netlist.elements first))
+        [ ("built first", net, reparsed); ("deck first", reparsed, net) ])
+    parity_circuits
 
 let test_runner_smoke () =
   let d = parse_ok (snd (List.nth corpus 2)) in

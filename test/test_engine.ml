@@ -158,6 +158,415 @@ let test_key_soundness () =
       ("conv_trace", { d with conv_trace = not conv_trace });
     ]
 
+(* --- key equivalence against the v1 key ------------------------------------- *)
+
+(* The v1 key, kept as the oracle of the two-level key: the structural
+   digest hashed with every solver option and the time. *)
+let oracle_key ?(options = Sp.Dcop.default_options) ?(time = 0.0) netlist =
+  let b = Buffer.create 192 in
+  let int i = Buffer.add_int64_le b (Int64.of_int i) in
+  let float f = Buffer.add_int64_le b (Int64.bits_of_float f) in
+  let string s =
+    int (String.length s);
+    Buffer.add_string b s
+  in
+  let o = options in
+  string "dcop-v1";
+  int o.Sp.Dcop.max_iterations;
+  float o.Sp.Dcop.abstol;
+  float o.Sp.Dcop.reltol;
+  float o.Sp.Dcop.gmin_final;
+  int (List.length o.Sp.Dcop.gmin_steps);
+  List.iter float o.Sp.Dcop.gmin_steps;
+  int o.Sp.Dcop.source_steps;
+  float o.Sp.Dcop.damping;
+  int (Bool.to_int o.Sp.Dcop.conv_trace);
+  float time;
+  string (Sp.Netlist.structural_digest netlist);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+type key_case = { label : string; options : Sp.Dcop.options; time : float; net : Sp.Netlist.t }
+
+let case ?(options = Sp.Dcop.default_options) ?(time = 0.0) label net = { label; options; time; net }
+
+(* Keys are equal exactly when oracle keys are: each oracle key maps to
+   one key and each key to one oracle key. The cases must hold both
+   equal and distinct pairs. *)
+let check_key_equivalence what cases =
+  let by_oracle = Hashtbl.create 1024 and by_key = Hashtbl.create 1024 in
+  List.iter
+    (fun c ->
+      let o = oracle_key ~options:c.options ~time:c.time c.net in
+      let k = Key.dc_op ~options:c.options ~time:c.time c.net in
+      (match Hashtbl.find_opt by_oracle o with
+      | Some (k', l') when k' <> k ->
+        Alcotest.failf "%s / %s: equal oracle keys, different keys" c.label l'
+      | Some _ -> ()
+      | None -> Hashtbl.replace by_oracle o (k, c.label));
+      match Hashtbl.find_opt by_key k with
+      | Some (o', l') when o' <> o ->
+        Alcotest.failf "%s / %s: equal keys, different oracle keys" c.label l'
+      | Some _ -> ()
+      | None -> Hashtbl.replace by_key k (o, c.label))
+    cases;
+  let classes = Hashtbl.length by_oracle and n = List.length cases in
+  Alcotest.(check bool) (Printf.sprintf "%s: %d cases hold equal pairs" what n) true (classes < n);
+  Alcotest.(check bool) (Printf.sprintf "%s: %d cases hold distinct keys" what n) true (classes > 1)
+
+let deck_round_trip net =
+  let deck = Lattice_deck.Deck.of_netlist ~title:"key" net in
+  match Lattice_deck.Deck.parse (Lattice_deck.Deck.emit deck) with
+  | Ok d -> d.Lattice_deck.Deck.netlist
+  | Error e -> Alcotest.failf "round trip: %s" (Lattice_deck.Deck.error_to_string e)
+
+(* A netlist as data, so one field can be changed at a time. Nodes are
+   named; [build_spec ~precreate] creates nodes in a given order first,
+   which changes raw node ids but not the circuit. *)
+type spec_el =
+  | R of string * string * string * float
+  | C of string * string * string * float
+  | V of string * string * string * Sp.Source.t
+  | I of string * string * string * Sp.Source.t
+  | M of string * string * string * string * Mos.Model.t
+
+let build_spec ?(precreate = []) spec =
+  let net = Sp.Netlist.create () in
+  List.iter (fun n -> ignore (Sp.Netlist.node net n)) precreate;
+  let node = Sp.Netlist.node net in
+  List.iter
+    (function
+      | R (name, a, b, v) -> Sp.Netlist.resistor net name (node a) (node b) v
+      | C (name, a, b, v) -> Sp.Netlist.capacitor net name (node a) (node b) v
+      | V (name, a, b, w) -> Sp.Netlist.vsource net name (node a) (node b) w
+      | I (name, a, b, w) -> Sp.Netlist.isource net name (node a) (node b) w
+      | M (name, d, g, s, m) ->
+        Sp.Netlist.mosfet_model net name ~drain:(node d) ~gate:(node g) ~source:(node s) m)
+    spec;
+  net
+
+let spec_nodes spec =
+  List.concat_map
+    (function
+      | R (_, a, b, _) | C (_, a, b, _) | V (_, a, b, _) | I (_, a, b, _) -> [ a; b ]
+      | M (_, d, g, s, _) -> [ d; g; s ])
+    spec
+  |> List.sort_uniq compare
+
+let l1 = { Mos.Level1.kp = 17.7e-6; vth = 0.155; lambda = 0.05; w = 0.7e-6; l = 0.35e-6 }
+
+let pulse =
+  Sp.Source.Pulse
+    { v1 = 0.0; v2 = 1.2; delay = 1e-9; rise = 1e-10; fall = 2e-10; width = 5e-9; period = 1e-8 }
+
+let pwl = Sp.Source.Pwl [ (0.0, 0.0); (1e-9, 1.2); (2e-9, 0.6) ]
+let sine = Sp.Source.Sin { offset = 0.6; amplitude = 0.3; freq = 1e6; delay = 1e-9; damping = 1e3 }
+
+(* every element kind and every wave form *)
+let hand_spec =
+  [
+    V ("dd", "vdd", "0", Sp.Source.Dc 1.2);
+    R ("pull", "vdd", "out", 5e5);
+    C ("load", "out", "0", 1e-14);
+    V ("p", "g1", "0", pulse);
+    V ("w", "g2", "0", pwl);
+    V ("s", "g3", "0", sine);
+    I ("leak", "out", "0", Sp.Source.Dc 1e-9);
+    I ("kick", "0", "mid", pwl);
+    M ("a", "out", "g1", "mid", Mos.Model.L1 l1);
+    M ("b", "mid", "g2", "0", Mos.Model.L3 (Mos.Level3.of_level1 l1));
+    R ("shunt", "mid", "g3", 1e6);
+  ]
+
+let bump = Float.succ
+
+let wave_mutations w =
+  let open Sp.Source in
+  let fields =
+    match w with
+    | Dc v -> [ Dc (bump v); Dc (-.v) ]
+    | Pulse p ->
+      [
+        Pulse { p with v1 = bump p.v1 };
+        Pulse { p with v2 = bump p.v2 };
+        Pulse { p with delay = bump p.delay };
+        Pulse { p with rise = bump p.rise };
+        Pulse { p with fall = bump p.fall };
+        Pulse { p with width = bump p.width };
+        Pulse { p with period = bump p.period };
+      ]
+    | Pwl pts ->
+      List.concat
+        (List.mapi
+           (fun i _ ->
+             [
+               Pwl (List.mapi (fun j (t, v) -> if i = j then (bump t, v) else (t, v)) pts);
+               Pwl (List.mapi (fun j (t, v) -> if i = j then (t, bump v) else (t, v)) pts);
+             ])
+           pts)
+      @ [ Pwl (List.filteri (fun j _ -> j > 0) pts); Pwl (pts @ [ (1.0, 0.0) ]) ]
+    | Sin s ->
+      [
+        Sin { s with offset = bump s.offset };
+        Sin { s with amplitude = bump s.amplitude };
+        Sin { s with freq = bump s.freq };
+        Sin { s with delay = bump s.delay };
+        Sin { s with damping = bump s.damping };
+      ]
+  in
+  fields @ [ Dc 0.3; pulse; pwl; sine ]
+
+let level1_mutations (p : Mos.Level1.params) =
+  Mos.Level1.
+    [
+      { p with kp = bump p.kp };
+      { p with vth = bump p.vth };
+      { p with lambda = bump p.lambda };
+      { p with w = bump p.w };
+      { p with l = bump p.l };
+    ]
+
+let model_mutations = function
+  | Mos.Model.L1 p ->
+    List.map (fun p -> Mos.Model.L1 p) (level1_mutations p) @ [ Mos.Model.L3 (Mos.Level3.of_level1 p) ]
+  | Mos.Model.L3 p3 ->
+    List.map
+      (fun base -> Mos.Model.L3 { p3 with Mos.Level3.base })
+      (level1_mutations p3.Mos.Level3.base)
+    @ [
+        Mos.Model.L3 { p3 with Mos.Level3.theta = bump p3.Mos.Level3.theta };
+        Mos.Model.L3 { p3 with Mos.Level3.vc = bump p3.Mos.Level3.vc };
+        Mos.Model.L1 p3.Mos.Level3.base;
+      ]
+
+(* each element with one field changed: name, value, wave, model, or a
+   node (swapped with another terminal or moved to a new node) *)
+let element_mutations = function
+  | R (n, a, b, v) -> [ R (n ^ "2", a, b, v); R (n, b, a, v); R (n, a, "x", v); R (n, a, b, bump v) ]
+  | C (n, a, b, v) -> [ C (n ^ "2", a, b, v); C (n, b, a, v); C (n, a, "x", v); C (n, a, b, bump v) ]
+  | V (n, a, b, w) ->
+    [ V (n ^ "2", a, b, w); V (n, b, a, w); V (n, a, "x", w) ]
+    @ List.map (fun w -> V (n, a, b, w)) (wave_mutations w)
+  | I (n, a, b, w) ->
+    [ I (n ^ "2", a, b, w); I (n, b, a, w); I (n, a, "x", w) ]
+    @ List.map (fun w -> I (n, a, b, w)) (wave_mutations w)
+  | M (n, d, g, s, m) ->
+    [
+      M (n ^ "2", d, g, s, m);
+      M (n, g, d, s, m);
+      M (n, d, s, g, m);
+      M (n, s, g, d, m);
+      M (n, d, g, "x", m);
+    ]
+    @ List.map (fun m -> M (n, d, g, s, m)) (model_mutations m)
+
+let spec_mutations spec =
+  let arr = Array.of_list spec in
+  let n = Array.length arr in
+  let replaced =
+    List.concat
+      (List.init n (fun i ->
+           List.map
+             (fun e ->
+               let a = Array.copy arr in
+               a.(i) <- e;
+               Array.to_list a)
+             (element_mutations arr.(i))))
+  in
+  let swapped =
+    List.init (n - 1) (fun i ->
+        let a = Array.copy arr in
+        a.(i) <- arr.(i + 1);
+        a.(i + 1) <- arr.(i);
+        Array.to_list a)
+  in
+  replaced @ swapped
+
+let shuffle st l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+(* every one-field mutation of the hand netlist, each built twice (the
+   second time with its nodes created in a random order) *)
+let mutation_cases st =
+  List.concat
+    (List.mapi
+       (fun i spec ->
+         let label = Printf.sprintf "mutation %d" i in
+         [
+           case label (build_spec spec);
+           case (label ^ " renumbered")
+             (build_spec ~precreate:(shuffle st (spec_nodes spec)) spec);
+         ])
+       (hand_spec :: spec_mutations hand_spec))
+
+let random_grid st =
+  let rows = 1 + Random.State.int st 3 and cols = 1 + Random.State.int st 3 in
+  let nvars = 1 + Random.State.int st 3 in
+  Lattice_core.Grid.create rows cols
+    (Array.init (rows * cols) (fun _ ->
+         if Random.State.int st 6 = 0 then Lattice_core.Grid.Const (Random.State.bool st)
+         else Lattice_core.Grid.Lit (Random.State.int st nvars, Random.State.bool st)))
+
+(* Random lattices, dies, defects and states, each built twice, rebound
+   from another state, and round-tripped through deck text. *)
+let lattice_cases st k =
+  let grid = random_grid st in
+  let nstates = 1 lsl Lattice_core.Grid.nvars grid in
+  let cols = grid.Lattice_core.Grid.cols in
+  let vdd = Sp.Lattice_circuit.default_config.Sp.Lattice_circuit.vdd in
+  let nominal = Sp.Lattice_circuit.default_config.Sp.Lattice_circuit.types in
+  let die =
+    if Random.State.bool st then None
+    else
+      let types =
+        Array.init (Lattice_core.Grid.size grid) (fun _ ->
+            if Random.State.int st 4 = 0 then nominal
+            else
+              let type_a = bump_vth (Random.State.float st 0.03) nominal.Sp.Fts.type_a in
+              { nominal with Sp.Fts.type_a })
+      in
+      Some (fun r c -> types.((r * cols) + c))
+  in
+  let defects =
+    match Sp.Defects.single_defects grid with
+    | [] -> []
+    | singles ->
+      let singles = Array.of_list singles in
+      List.init (Random.State.int st 2) (fun _ -> singles.(Random.State.int st (Array.length singles)))
+  in
+  let stimulus = Sp.Lattice_circuit.state_stimulus ~vdd in
+  let build m = Sp.Defects.build ?types_of_site:die ~defects grid ~stimulus:(stimulus m) in
+  let m = Random.State.int st nstates and m' = Random.State.int st nstates in
+  let label =
+    Printf.sprintf "lattice %d (%dx%d, %d defects, state %d)" k grid.Lattice_core.Grid.rows cols
+      (List.length defects) m
+  in
+  let lc = build m in
+  let rebound = Sp.Lattice_circuit.rebind (build m') ~stimulus:(stimulus m) in
+  let other = Sp.Lattice_circuit.rebind lc ~stimulus:(stimulus m') in
+  let net = lc.Sp.Lattice_circuit.netlist in
+  [
+    case label net;
+    case (label ^ " rebuilt") (build m).Sp.Lattice_circuit.netlist;
+    case (label ^ " rebound from state " ^ string_of_int m') rebound.Sp.Lattice_circuit.netlist;
+    case (label ^ " rebound to state " ^ string_of_int m') other.Sp.Lattice_circuit.netlist;
+    case (label ^ " deck") (deck_round_trip net);
+    case (label ^ " rebound deck") (deck_round_trip other.Sp.Lattice_circuit.netlist);
+    case ~time:1e-9 (label ^ " at 1 ns") net;
+  ]
+
+(* every solver option changed alone, the defaults rebuilt field by field,
+   and two times *)
+let options_cases () =
+  let d = Sp.Dcop.default_options in
+  let options =
+    [
+      d;
+      { d with Sp.Dcop.max_iterations = d.Sp.Dcop.max_iterations };
+      { d with Sp.Dcop.max_iterations = d.Sp.Dcop.max_iterations + 1 };
+      { d with Sp.Dcop.abstol = bump d.Sp.Dcop.abstol };
+      { d with Sp.Dcop.reltol = bump d.Sp.Dcop.reltol };
+      { d with Sp.Dcop.gmin_final = bump d.Sp.Dcop.gmin_final };
+      { d with Sp.Dcop.gmin_steps = [] };
+      { d with Sp.Dcop.gmin_steps = d.Sp.Dcop.gmin_steps @ [ 1e-13 ] };
+      { d with Sp.Dcop.source_steps = d.Sp.Dcop.source_steps + 1 };
+      { d with Sp.Dcop.damping = bump d.Sp.Dcop.damping };
+      { d with Sp.Dcop.conv_trace = not d.Sp.Dcop.conv_trace };
+    ]
+  in
+  let nets =
+    [
+      ("hand", fun () -> build_spec hand_spec);
+      ("maj3", fun () -> build_netlist Lattice_synthesis.Library.maj3_2x3);
+    ]
+  in
+  List.concat_map
+    (fun (name, net) ->
+      List.concat
+        (List.mapi
+           (fun i options ->
+             List.map
+               (fun time ->
+                 case ~options ~time (Printf.sprintf "%s options %d at %g s" name i time) (net ()))
+               [ 0.0; -0.0; 1e-9 ])
+           options))
+    nets
+
+let test_key_equivalence () =
+  let st = Random.State.make [| 16 |] in
+  check_key_equivalence "one-field mutations" (mutation_cases st);
+  check_key_equivalence "random lattices" (List.concat (List.init 40 (lattice_cases st)));
+  check_key_equivalence "options table" (options_cases ());
+  check_key_equivalence "all together"
+    (mutation_cases st @ List.concat (List.init 10 (lattice_cases st)) @ options_cases ())
+
+(* After a key is taken, each mutation must move it to the key of a fresh
+   netlist built by the same sequence; a rebound copy and its source keep
+   their own keys whichever of them changes. *)
+let test_key_memo_invalidation () =
+  let module N = Sp.Netlist in
+  let gnd = N.ground in
+  let steps =
+    [
+      ("node", fun net -> ignore (N.node net "late"));
+      ("fresh_node", fun net -> ignore (N.fresh_node net "tmp"));
+      ("resistor", fun net -> N.resistor net "late" (N.node net "out") gnd 1e3);
+      ("capacitor", fun net -> N.capacitor net "late" (N.node net "out") gnd 1e-15);
+      ("vsource", fun net -> N.vsource net "late" (N.node net "mid") gnd (Sp.Source.Dc 0.1));
+      ("isource", fun net -> N.isource net "late" (N.node net "mid") gnd (Sp.Source.Dc 1e-9));
+      ( "mosfet",
+        fun net ->
+          N.mosfet net "late" ~drain:(N.node net "out") ~gate:(N.node net "g1") ~source:gnd l1 );
+      ( "mosfet_model",
+        fun net ->
+          N.mosfet_model net "late" ~drain:(N.node net "out") ~gate:(N.node net "g2") ~source:gnd
+            (Mos.Model.L3 (Mos.Level3.of_level1 l1)) );
+    ]
+  in
+  let fresh step =
+    let net = build_spec hand_spec in
+    step net;
+    Key.dc_op net
+  in
+  let k0 = Key.dc_op (build_spec hand_spec) in
+  List.iter
+    (fun (what, step) ->
+      let net = build_spec hand_spec in
+      Alcotest.(check string) (what ^ ": key before") k0 (Key.dc_op net);
+      step net;
+      let k = Key.dc_op net in
+      Alcotest.(check string) (what ^ " after a key = a fresh build's key") (fresh step) k;
+      Alcotest.(check bool) (what ^ " changed the key") false (String.equal k0 k);
+      (* the rebound copy carries the memo; mutating either side leaves
+         the other alone *)
+      let src = build_spec hand_spec in
+      let at w = Sp.Netlist.rebind_vsources src (fun name -> if name = "dd" then Some w else None) in
+      let copy = at (Sp.Source.Dc 1.0) in
+      let k_copy = Key.dc_op copy in
+      let reference =
+        hand_spec
+        |> List.map (function V ("dd", a, b, _) -> V ("dd", a, b, Sp.Source.Dc 1.0) | e -> e)
+        |> build_spec |> Key.dc_op
+      in
+      Alcotest.(check string) (what ^ ": rebound copy = fresh build") reference k_copy;
+      step src;
+      Alcotest.(check string) (what ^ " on the source leaves the copy") k_copy (Key.dc_op copy);
+      Alcotest.(check string) (what ^ " on the source after the copy") (fresh step) (Key.dc_op src);
+      let src = build_spec hand_spec in
+      let k_src = Key.dc_op src in
+      let copy = Sp.Netlist.rebind_vsources src (fun _ -> None) in
+      Alcotest.(check string) (what ^ ": unchanged copy shares the key") k_src (Key.dc_op copy);
+      step copy;
+      Alcotest.(check string) (what ^ " on the copy leaves the source") k_src (Key.dc_op src);
+      Alcotest.(check string) (what ^ " on the copy") (fresh step) (Key.dc_op copy))
+    steps
+
 (* --- dc_op memoization ---------------------------------------------------- *)
 
 let test_dc_op_memoized () =
@@ -271,7 +680,11 @@ let () =
           Alcotest.test_case "FIFO eviction" `Quick test_cache_eviction;
         ] );
       ( "keys",
-        [ Alcotest.test_case "content-key soundness" `Quick test_key_soundness ] );
+        [
+          Alcotest.test_case "content-key soundness" `Quick test_key_soundness;
+          Alcotest.test_case "equal exactly when the v1 keys are" `Quick test_key_equivalence;
+          Alcotest.test_case "memo dropped by every mutation" `Quick test_key_memo_invalidation;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "dc_op memoization" `Quick test_dc_op_memoized;

@@ -645,6 +645,29 @@ let test_daemon_compute_handlers () =
       + n (field result "non_convergent"))
   | Error (code, msg) -> Alcotest.failf "defects failed: %s: %s" (P.code_name code) msg
 
+(* the daemon takes the path count as the histogram's sum *)
+let test_daemon_paths_count () =
+  with_server @@ fun _t path ->
+  let c = C.connect (C.Unix_socket path) in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  for rows = 2 to 8 do
+    for cols = 2 to 8 do
+      let label = Printf.sprintf "paths %dx%d" rows cols in
+      match C.call c ~type_:"paths" [ ("rows", J.Int rows); ("cols", J.Int cols) ] with
+      | Ok result ->
+        Alcotest.(check bool) (label ^ " count") true
+          (J.member "count" result
+          = Some (J.Int (Lattice_core.Paths.count_irredundant ~rows ~cols)));
+        Alcotest.(check bool) (label ^ " histogram") true
+          (J.member "histogram" result
+          = Some
+              (J.List
+                 (Array.to_list
+                    (Array.map (fun n -> J.Int n) (Lattice_core.Paths.length_histogram ~rows ~cols)))))
+      | Error (code, msg) -> Alcotest.failf "%s failed: %s: %s" label (P.code_name code) msg
+    done
+  done
+
 let test_daemon_run_deck () =
   with_server @@ fun _t path ->
   let c = C.connect (C.Unix_socket path) in
@@ -965,6 +988,7 @@ let () =
             test_daemon_graceful_shutdown_drains;
           Alcotest.test_case "restart serves from the store" `Quick test_daemon_restart_store_warm;
           Alcotest.test_case "transient/yield/defects handlers" `Quick test_daemon_compute_handlers;
+          Alcotest.test_case "paths count = histogram sum" `Quick test_daemon_paths_count;
           Alcotest.test_case "run_deck: results + error table" `Quick test_daemon_run_deck;
           Alcotest.test_case "flight dump carries the client trace" `Quick
             test_daemon_flight_dump_carries_trace;
