@@ -224,12 +224,16 @@ let plan_of ws netlist =
     ws.plan <- Some p;
     p
 
+(* a cache hit as the caller gets it: attributed to its request, in
+   its node order *)
+let hit netlist r =
+  Trace.attribute_cache_hit ();
+  map_solution (Sp.Netlist.of_canonical_order netlist) r
+
 let dc_op t ?(options = Sp.Dcop.default_options) ?cancel ?workspace netlist =
   let key = Key.dc_op ~options netlist in
   match Cache.find t.dc_cache ~key with
-  | Some r ->
-    Trace.attribute_cache_hit ();
-    map_solution (Sp.Netlist.of_canonical_order netlist) r
+  | Some r -> hit netlist r
   | None ->
     Trace.attribute_dc_solve ();
     let plan = Option.map (fun ws -> plan_of ws netlist) workspace in
@@ -247,6 +251,9 @@ let dc_op t ?(options = Sp.Dcop.default_options) ?cancel ?workspace netlist =
     Metrics.Counter.add newton_counter iters;
     Cache.add t.dc_cache ~key (map_solution (Sp.Netlist.to_canonical_order netlist) r);
     r
+
+let resident_dc_op t ?(options = Sp.Dcop.default_options) netlist =
+  Option.map (hit netlist) (Cache.find_resident t.dc_cache ~key:(Key.dc_op ~options netlist))
 
 let lattice_output t ?options (lc : Sp.Lattice_circuit.t) =
   let stimulus =

@@ -41,7 +41,8 @@ type t
 (** [create ?domains ?cache_capacity ?store_dir ()] — [domains]
     defaults to [FTL_DOMAINS] when set, else
     [Domain.recommended_domain_count ()]; [cache_capacity] (DC-result
-    entries, FIFO eviction) defaults to 4096. One domain is the
+    entries, second-chance eviction: {!Cache.Second_chance}) defaults
+    to 4096. One domain is the
     degenerate serial engine.
 
     [store_dir] roots the crash-safe persistent DC-result store
@@ -165,6 +166,22 @@ val dc_op :
   ?workspace:workspace ->
   Lattice_spice.Netlist.t ->
   (Lattice_numerics.Vec.t * Lattice_spice.Dcop.diagnostics, Lattice_spice.Dcop.failure) result
+
+(** [resident_dc_op e ?options netlist] is the memory-resident answer
+    of {!dc_op}: on an in-memory cache hit it returns what [dc_op] would
+    (a private copy in [netlist]'s node order, the original diagnostics)
+    and counts the hit as [dc_op] does, in {!telemetry} and in the
+    calling thread's remote context. On a miss it returns [None] and
+    counts nothing. It never solves and never reads the persistent
+    store. For a caller that answers a hit itself and sends a miss on
+    to {!dc_op}, so the engine counts one lookup per request: the
+    daemon answers a memory-resident [dc_op] on its reader thread. *)
+val resident_dc_op :
+  t ->
+  ?options:Lattice_spice.Dcop.options ->
+  Lattice_spice.Netlist.t ->
+  (Lattice_numerics.Vec.t * Lattice_spice.Dcop.diagnostics, Lattice_spice.Dcop.failure) result
+  option
 
 (** [lattice_output e ?options lc] checks one lattice circuit at its
     input states: the returned function maps input state [m] to the DC

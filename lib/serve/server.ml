@@ -8,6 +8,7 @@ module Ring = Lattice_obs.Ring
 module Rolling = Lattice_obs.Rolling
 module Spool = Lattice_obs.Spool
 module Clock = Lattice_obs.Clock
+module Second_chance = Lattice_engine.Cache.Second_chance
 
 (* process-wide serve metrics (mirrored per-instance by atomic counters
    so [stats] answers even while metrics are disabled) *)
@@ -83,6 +84,14 @@ type conn = {
 
 type job = { jconn : conn; env : Protocol.envelope; enqueued_at : float }
 
+(* The synthesized lattice circuit of one (expr, vdd), built once and
+   rebound to each input state a dc_op asks for. *)
+type circuit = { tt : Tt.t; lc : Sp.Lattice_circuit.t }
+
+(* circuits kept, under second-chance eviction: the interactive working
+   set stays while one-off vdd values pass through *)
+let memo_capacity = 16
+
 type t = {
   config : config;
   engine : Engine.t;
@@ -117,6 +126,8 @@ type t = {
   rolling : (string, Rolling.t) Hashtbl.t;
   rolling_lock : Mutex.t;
   access : Spool.log option;
+  memo : (string * float, circuit) Second_chance.t;  (* under [memo_lock] *)
+  memo_lock : Mutex.t;
 }
 
 let create ?(config = default_config) () =
@@ -162,10 +173,18 @@ let create ?(config = default_config) () =
       | None -> None
       | Some path ->
         Some (Spool.open_log ~path ~max_bytes:config.access_log_max_bytes ()));
+    memo = Second_chance.create ~capacity:memo_capacity;
+    memo_lock = Mutex.create ();
   }
 
 let engine t = t.engine
 let port t = t.bound_port
+
+let memoized t =
+  Mutex.lock t.memo_lock;
+  let keys = Second_chance.keys t.memo in
+  Mutex.unlock t.memo_lock;
+  keys
 
 let log t fmt =
   Printf.ksprintf
@@ -202,38 +221,74 @@ let grid_of_expr expr =
     in
     (tt, nvars, grid)
 
-let handle_dc_op t ~cancel ~expr ~state ~vdd =
-  let tt, nvars, grid = grid_of_expr expr in
-  let states = 1 lsl nvars in
-  if state >= states then
+(* the circuit memo's key: an omitted vdd is the default one *)
+let memo_key ~expr ~vdd =
+  (expr, Option.value vdd ~default:Sp.Lattice_circuit.default_config.Sp.Lattice_circuit.vdd)
+
+let memo_find t key =
+  Mutex.lock t.memo_lock;
+  let c = Second_chance.find t.memo key in
+  Mutex.unlock t.memo_lock;
+  c
+
+(* The memoized circuit, built and memoized on a miss. Only workers
+   build; readers only look up. The wave-free digest is filled before
+   the circuit is shared, so rebinding it only reads it. *)
+let circuit t ((expr, vdd) as key) =
+  match memo_find t key with
+  | Some c -> c
+  | None ->
+    let tt, _nvars, grid = grid_of_expr expr in
+    let config = { Sp.Lattice_circuit.default_config with Sp.Lattice_circuit.vdd } in
+    let lc =
+      Sp.Lattice_circuit.build ~config grid ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd 0)
+    in
+    ignore (Sp.Netlist.wave_free_digest lc.Sp.Lattice_circuit.netlist);
+    let c = { tt; lc } in
+    Mutex.lock t.memo_lock;
+    if not (Second_chance.mem t.memo key) then ignore (Second_chance.add t.memo key c);
+    Mutex.unlock t.memo_lock;
+    c
+
+(* Every dc_op answers here, queued or inline: the circuit with only its
+   input drivers rebound to [state], then [solve] — the engine's full
+   dc_op on a worker, its memory-only lookup on a reader. [None] when
+   [solve] finds nothing, else the answer, which raises [Handler_error]
+   for a non-convergent solve. *)
+let dc_op_answer c ~expr ~state ~solve =
+  let nvars = Tt.nvars c.tt in
+  if state >= 1 lsl nvars then
     h_reject Protocol.Bad_request "state %d out of range for %d variable(s) (max %d)" state
-      nvars (states - 1);
-  let config =
-    match vdd with
-    | None -> Sp.Lattice_circuit.default_config
-    | Some v -> { Sp.Lattice_circuit.default_config with Sp.Lattice_circuit.vdd = v }
-  in
-  let vdd = config.Sp.Lattice_circuit.vdd in
+      nvars ((1 lsl nvars) - 1);
+  let vdd = c.lc.Sp.Lattice_circuit.config.Sp.Lattice_circuit.vdd in
   let lc =
-    Sp.Lattice_circuit.build ~config grid ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd state)
+    Sp.Lattice_circuit.rebind c.lc ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd state)
   in
   let netlist = lc.Sp.Lattice_circuit.netlist in
-  match Engine.dc_op t.engine ~cancel netlist with
-  | Error f -> h_reject Protocol.Non_convergent "%s" (Sp.Dcop.pp_failure f)
-  | Ok (x, diag) ->
-    let v = Sp.Mna.voltage x (Sp.Netlist.node netlist lc.Sp.Lattice_circuit.output_node) in
-    (* the lattice is a pull-down network: the output is the complement *)
-    let expected_high = not (Tt.eval tt state) in
-    Json.Obj
-      [
-        ("expr", Json.String expr);
-        ("state", Json.Int state);
-        ("output_v", Protocol.json_float v);
-        ("logic_high", Json.Bool (v > vdd /. 2.0));
-        ("expected_high", Json.Bool expected_high);
-        ("strategy", Json.String (Sp.Dcop.strategy_name diag.Sp.Dcop.strategy));
-        ("newton_iterations", Json.Int diag.Sp.Dcop.newton_iterations);
-      ]
+  Option.map
+    (fun r () ->
+      match r with
+      | Error f -> h_reject Protocol.Non_convergent "%s" (Sp.Dcop.pp_failure f)
+      | Ok (x, diag) ->
+        let v = Sp.Mna.voltage x (Sp.Netlist.node netlist lc.Sp.Lattice_circuit.output_node) in
+        (* the lattice is a pull-down network: the output is the complement *)
+        let expected_high = not (Tt.eval c.tt state) in
+        Json.Obj
+          [
+            ("expr", Json.String expr);
+            ("state", Json.Int state);
+            ("output_v", Protocol.json_float v);
+            ("logic_high", Json.Bool (v > vdd /. 2.0));
+            ("expected_high", Json.Bool expected_high);
+            ("strategy", Json.String (Sp.Dcop.strategy_name diag.Sp.Dcop.strategy));
+            ("newton_iterations", Json.Int diag.Sp.Dcop.newton_iterations);
+          ])
+    (solve netlist)
+
+let handle_dc_op t ~cancel ~expr ~state ~vdd =
+  let solve netlist = Some (Engine.dc_op t.engine ~cancel netlist) in
+  let answer = dc_op_answer (circuit t (memo_key ~expr ~vdd)) ~expr ~state ~solve in
+  Option.get answer ()
 
 let handle_transient t ~cancel ~expr ~bit_time ~h =
   ignore t;
@@ -752,69 +807,84 @@ let admit t conn env =
     end
   end
 
-let execute t (job : job) =
-  let env = job.env in
-  let name = Protocol.request_name env.Protocol.req in
-  let req_id = Option.map scalar_string env.Protocol.id in
-  (* every span recorded under this context — worker thread and pool
-     domains alike — carries req_id/trace_id/parent_span args, and the
-     engine attributes its solves/hits/retries to it *)
-  let ctx =
-    Trace.make_context ?trace_id:env.Protocol.trace_id
-      ?parent_span:env.Protocol.parent_span ?req_id ()
+(* every span recorded under this context — worker thread and pool
+   domains alike — carries req_id/trace_id/parent_span args, and the
+   engine attributes its solves/hits/retries to it *)
+let request_context (env : Protocol.envelope) =
+  Trace.make_context ?trace_id:env.Protocol.trace_id ?parent_span:env.Protocol.parent_span
+    ?req_id:(Option.map scalar_string env.Protocol.id)
+    ()
+
+(* A compute handler's outcome and the answer it owes *)
+let run_handler t conn ~id ~name ~deadline_s f =
+  match f () with
+  | result -> (`Ok, fun () -> respond_ok t conn ~id result)
+  | exception Handler_error (code, msg, details) ->
+    (`Err code, fun () -> respond_error ~details t conn ~id code msg)
+  | exception Cancel.Cancelled _ ->
+    ( `Err Protocol.Timeout,
+      fun () ->
+        respond_error t conn ~id Protocol.Timeout
+          (Printf.sprintf "request deadline of %gs exceeded" (Option.value deadline_s ~default:0.0))
+    )
+  | exception e ->
+    log t "internal error handling %s: %s" name (Printexc.to_string e);
+    (`Err Protocol.Internal, fun () -> respond_error t conn ~id Protocol.Internal (Printexc.to_string e))
+
+(* Count a request, then answer it: the timeout counter and the windows
+   first, so a client holding its answer finds the request in [stats].
+   The duration stops here and leaves out the socket write. Queued,
+   control and inline-hit answers all pass here. *)
+let count_then_answer t ~name ~t0_ns (outcome, answer) =
+  let outcome_name, roll =
+    match outcome with
+    | `Ok -> ("ok", Rolling.Ok)
+    | `Err Protocol.Timeout -> (Protocol.code_name Protocol.Timeout, Rolling.Timeout)
+    | `Err code -> (Protocol.code_name code, Rolling.Error)
   in
-  Trace.with_remote_context ctx @@ fun () ->
+  let dur_ns = Clock.now_ns () - t0_ns in
+  if roll = Rolling.Timeout then Atomic.incr t.c_timeouts;
+  observe_window t ~name ~dur_ns ~outcome:roll;
+  answer ();
+  (outcome_name, dur_ns)
+
+(* A compute request from its handler on, run under its [ctx], the same
+   for a worker and a reader's inline hit: the [serve.handle] span holds
+   the handler, the count and the answer; the access line, any flight
+   dump and [serve.handle.seconds] follow. Only a worker also feeds the
+   queue-wait histogram and the queue and in-flight gauges. *)
+let serve_compute t conn (env : Protocol.envelope) ~ctx ~t0_ns handler =
+  let name = Protocol.request_name env.Protocol.req in
+  let id = env.Protocol.id in
   let deadline_s =
     match env.Protocol.deadline_s with
     | Some _ as d -> d
     | None -> t.config.default_deadline_s
   in
   let cancel = Cancel.of_deadline_s deadline_s in
-  let t0_ns = Clock.now_ns () in
-  let id = env.Protocol.id in
-  let outcome, outcome_name, dur_ns =
+  let outcome, dur_ns =
     Trace.with_span ~cat:"serve" ~args:[ ("type", name) ] "serve.handle" (fun () ->
-        let outcome, answer =
-          match handle_compute t ~cancel env.Protocol.req with
-          | result -> (`Ok, fun () -> respond_ok t job.jconn ~id result)
-          | exception Handler_error (code, msg, details) ->
-            (`Err code, fun () -> respond_error ~details t job.jconn ~id code msg)
-          | exception Cancel.Cancelled _ ->
-            ( `Err Protocol.Timeout,
-              fun () ->
-                respond_error t job.jconn ~id Protocol.Timeout
-                  (Printf.sprintf "request deadline of %gs exceeded"
-                     (Option.value deadline_s ~default:0.0)) )
-          | exception e ->
-            log t "internal error handling %s: %s" name (Printexc.to_string e);
-            ( `Err Protocol.Internal,
-              fun () -> respond_error t job.jconn ~id Protocol.Internal (Printexc.to_string e) )
-        in
-        let outcome_name, roll =
-          match outcome with
-          | `Ok -> ("ok", Rolling.Ok)
-          | `Err Protocol.Timeout -> (Protocol.code_name Protocol.Timeout, Rolling.Timeout)
-          | `Err code -> (Protocol.code_name code, Rolling.Error)
-        in
-        (* count the request before answering it: a client holding its
-           answer must find it in [stats] *)
-        let dur_ns = Clock.now_ns () - t0_ns in
-        if roll = Rolling.Timeout then Atomic.incr t.c_timeouts;
-        observe_window t ~name ~dur_ns ~outcome:roll;
-        answer ();
-        (outcome, outcome_name, dur_ns))
+        count_then_answer t ~name ~t0_ns
+          (run_handler t conn ~id ~name ~deadline_s (fun () -> handler ~cancel)))
   in
   (* the rest runs after the serve.handle span closed, so a flight dump
      triggered here already holds the request's own spans *)
-  access_line t ~id ~name ~outcome:outcome_name ~dur_ns ~ctx
-    ?trace_id:env.Protocol.trace_id ();
+  access_line t ~id ~name ~outcome ~dur_ns ~ctx ?trace_id:env.Protocol.trace_id ();
   let slow =
     match t.config.slow_threshold_s with
     | Some s -> float_of_int dur_ns /. 1e9 >= s
     | None -> false
   in
-  if outcome <> `Ok then flight_dump t ~name ~outcome:outcome_name
-  else if slow then flight_dump t ~name ~outcome:"slow"
+  if outcome <> "ok" then flight_dump t ~name ~outcome
+  else if slow then flight_dump t ~name ~outcome:"slow";
+  Metrics.Histogram.observe m_handle (Clock.ns_to_s (Clock.now_ns () - t0_ns))
+
+let execute t (job : job) =
+  let env = job.env in
+  let ctx = request_context env in
+  Trace.with_remote_context ctx @@ fun () ->
+  serve_compute t job.jconn env ~ctx ~t0_ns:(Clock.now_ns ()) (fun ~cancel ->
+      handle_compute t ~cancel env.Protocol.req)
 
 let worker_loop t =
   let running = ref true in
@@ -835,9 +905,7 @@ let worker_loop t =
       Metrics.Gauge.add m_queue_depth (-1.0);
       Metrics.Histogram.observe m_queue_wait (now () -. job.enqueued_at);
       Metrics.Gauge.add m_inflight 1.0;
-      let t0 = now () in
       execute t job;
-      Metrics.Histogram.observe m_handle (now () -. t0);
       Metrics.Gauge.add m_inflight (-1.0);
       Atomic.decr job.jconn.inflight;
       Atomic.decr t.inflight_total;
@@ -848,6 +916,24 @@ let worker_loop t =
 (* --- connection readers ------------------------------------------------- *)
 
 let request_stop t = Atomic.set t.stopping true
+
+(* A dc_op whose circuit is memoized and whose solution is memory
+   resident is answered on its reader thread: one rebind and one cache
+   lookup, no queue. False for anything else — a memo or cache miss, an
+   out-of-range state, a stopping daemon — which admission then takes
+   like any compute request. *)
+let inline_dc_op t conn env ~expr ~state ~vdd =
+  let t0_ns = Clock.now_ns () in
+  match memo_find t (memo_key ~expr ~vdd) with
+  | Some c when state < 1 lsl Tt.nvars c.tt && not (Atomic.get t.stopping) -> (
+    let ctx = request_context env in
+    Trace.with_remote_context ctx @@ fun () ->
+    match dc_op_answer c ~expr ~state ~solve:(Engine.resident_dc_op t.engine) with
+    | None -> false
+    | Some answer ->
+      serve_compute t conn env ~ctx ~t0_ns (fun ~cancel:_ -> answer ());
+      true)
+  | _ -> false
 
 let handle_frame t conn line =
   Atomic.incr t.c_requests;
@@ -868,10 +954,11 @@ let handle_frame t conn line =
        the same windowed accounting and access-log line as queued work *)
     let inline result_f =
       let t0_ns = Clock.now_ns () in
-      respond_ok t conn ~id (result_f ());
-      let dur_ns = Clock.now_ns () - t0_ns in
-      observe_window t ~name ~dur_ns ~outcome:Rolling.Ok;
-      access_line t ~id ~name ~outcome:"ok" ~dur_ns ?trace_id:env.Protocol.trace_id ()
+      let result = result_f () in
+      let outcome, dur_ns =
+        count_then_answer t ~name ~t0_ns (`Ok, fun () -> respond_ok t conn ~id result)
+      in
+      access_line t ~id ~name ~outcome ~dur_ns ?trace_id:env.Protocol.trace_id ()
     in
     match env.Protocol.req with
     | Protocol.Ping -> inline (fun () -> Json.Obj [ ("pong", Json.Bool true) ])
@@ -887,6 +974,8 @@ let handle_frame t conn line =
       log t "conn %d: shutdown requested" conn.cid;
       inline (fun () -> Json.Obj [ ("stopping", Json.Bool true) ]);
       request_stop t
+    (* the guard answers a hot dc_op; a false one falls through to admission *)
+    | Protocol.Dc_op { expr; state; vdd } when inline_dc_op t conn env ~expr ~state ~vdd -> ()
     | _ -> (
       match admit t conn env with
       | Ok () -> ()

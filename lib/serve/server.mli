@@ -10,7 +10,8 @@
     requests are {e admitted} — per-client in-flight quota, then a
     bounded FIFO admission queue — and picked up by a fixed pool of
     worker threads that run the handler against the shared engine and
-    write the response under the connection's write lock. Admission
+    write the response under the connection's write lock. A hot
+    [dc_op] skips admission (see below). Admission
     failure is an immediate structured error ([quota_exceeded] /
     [overloaded] — explicit backpressure, never a silent drop), and no
     request of any shape can kill the daemon: handler exceptions come
@@ -22,6 +23,29 @@
     and across clients}, and with a store directory also across daemon
     restarts: a restarted daemon answers repeat requests from disk with
     zero DC solves.
+
+    {2 dc_op: circuit memo and inline hits}
+
+    A [dc_op]'s circuit — the lattice synthesized from [expr] and built
+    at the request's [vdd] (an omitted [vdd] is the default one) — is
+    memoized under [(expr, vdd)]: at most 16 circuits, under the
+    engine cache's second-chance rule
+    ({!Lattice_engine.Cache.Second_chance}). Only workers build and
+    memoize a circuit. Every [dc_op], queued or inline, is answered by
+    rebinding the memoized circuit's input drivers to the requested
+    state ({!Lattice_spice.Lattice_circuit.rebind}), so its payload is
+    byte-identical to building the circuit afresh.
+
+    When the circuit is memoized and the state's solution is resident
+    in the engine's memory cache
+    ({!Lattice_engine.Engine.resident_dc_op}), the reader answers the
+    request itself, without the queue. Anything else — a memo or cache
+    miss, an out-of-range state, a stopping daemon — is admitted like
+    any compute request, and the worker's {!Lattice_engine.Engine.dc_op}
+    then counts the only lookup the request makes: the engine counts
+    one cache lookup per [dc_op] that reaches it, inline or queued. An
+    inline hit skips admission, so it neither takes a queue slot nor
+    counts against the connection's quota.
 
     {2 Shutdown}
 
@@ -42,13 +66,22 @@
     returns the same numbers (plus engine/cache/store telemetry, read
     from {!Lattice_engine.Engine.telemetry}) as JSON.
 
-    A worker counts a compute request — in the [stats] rolling windows
-    and, for a timeout, the timeout counter — {e before} it writes the
-    answer, so a client holding an answer finds that request in its
-    next [stats]. The request's duration is taken at that point: the
-    windows' latencies, the access log's [duration_ns] and the
+    Every request a handler answers — queued, control, or an inline
+    [dc_op] hit — is counted in the [stats] rolling windows (and, for a
+    timeout, the timeout counter) {e before} its answer is written, so
+    a client holding an answer finds that request in its next [stats].
+    The request's duration is taken at that point: the windows'
+    latencies, the access log's [duration_ns] and the
     [slow_threshold_s] test measure from the handler's start to the
-    answer being ready, and exclude writing the answer to the socket. *)
+    answer being ready, and exclude writing the answer to the socket.
+    For an inline hit the handler starts at the memo lookup.
+
+    An inline hit reaches every per-request instrument a queued
+    request does: the counters, the windows, the [serve.handle] span
+    (opened once the lookup has hit) and histogram, the access line
+    with its attributed cache hit, and a flight dump when slow. It
+    skips only what the queue feeds: [serve.queue_wait.seconds] and
+    the [serve.queue.depth] and [serve.inflight] gauges. *)
 
 type config = {
   socket_path : string option;  (** Unix-domain listener *)
@@ -122,3 +155,7 @@ val run : t -> unit
 
 val stats_json : t -> Json.t
 (** The [stats] response body (also exposed for tests/CLI). *)
+
+val memoized : t -> (string * float) list
+(** The [(expr, vdd)] keys of the memoized [dc_op] circuits, in the
+    order the eviction hand will pass them (for tests). *)

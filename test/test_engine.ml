@@ -72,9 +72,43 @@ let test_cache_eviction () =
   let s = Cache.stats c in
   Alcotest.(check int) "evictions" 1 s.Cache.evictions;
   Alcotest.(check int) "size stays at capacity" 2 s.Cache.size;
-  (* FIFO: the oldest entry went *)
+  (* nothing was found, so second chance is FIFO: the oldest entry went *)
   Alcotest.(check (option int)) "oldest evicted" None (Cache.find c ~key:"a");
   Alcotest.(check (option int)) "newest kept" (Some 3) (Cache.find c ~key:"c")
+
+let test_cache_second_chance () =
+  let c = Cache.create ~capacity:2 () in
+  Cache.add c ~key:"a" 1;
+  Cache.add c ~key:"b" 2;
+  Alcotest.(check (option int)) "a found" (Some 1) (Cache.find c ~key:"a");
+  Cache.add c ~key:"c" 3;
+  Alcotest.(check int) "one eviction" 1 (Cache.stats c).Cache.evictions;
+  (* a was found since it was inserted: the hand spares it and takes b *)
+  Alcotest.(check (option int)) "found entry kept" (Some 1) (Cache.find c ~key:"a");
+  Alcotest.(check (option int)) "unfound entry evicted" None (Cache.find c ~key:"b");
+  Alcotest.(check (option int)) "newest kept" (Some 3) (Cache.find c ~key:"c");
+  (* the hand cleared a's mark in passing; a and c were found again since,
+     so the hand clears both and takes a, the older *)
+  Cache.add c ~key:"d" 4;
+  Alcotest.(check (list string)) "one pass, then the oldest"
+    [ "c"; "d" ]
+    (List.filter (fun k -> Cache.find c ~key:k <> None) [ "a"; "b"; "c"; "d" ])
+
+let test_second_chance_table () =
+  let module Sc = Cache.Second_chance in
+  let t = Sc.create ~capacity:3 in
+  List.iter (fun k -> Alcotest.(check (option int)) "no eviction" None (Sc.add t k k)) [ 1; 2; 3 ];
+  ignore (Sc.find t 1);
+  ignore (Sc.find t 3);
+  Alcotest.(check (option int)) "the first unfound entry goes" (Some 2) (Sc.add t 4 4);
+  Alcotest.(check (list int)) "a passed entry requeued behind the hand" [ 3; 1; 4 ] (Sc.keys t);
+  (* 3 is still marked; 1's mark was cleared when the hand passed it *)
+  Alcotest.(check (option int)) "a cleared mark protects no more" (Some 1) (Sc.add t 5 5);
+  Alcotest.(check (list int)) "hand order" [ 4; 3; 5 ] (Sc.keys t);
+  Alcotest.(check int) "bounded" 3 (Sc.length t);
+  Alcotest.check_raises "a present key is refused"
+    (Invalid_argument "Cache.Second_chance.add: key present") (fun () ->
+      ignore (Sc.add t 5 5))
 
 (* --- cache keys ---------------------------------------------------------- *)
 
@@ -594,6 +628,55 @@ let test_dc_op_memoized () =
     | Error _ -> Alcotest.fail "third solve failed")
   | _ -> Alcotest.fail "maj3 dc op should converge")
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let test_resident_dc_op () =
+  (* the memory-only lookup counts a hit and nothing else: no miss, no
+     solve, no store read *)
+  let dir = Filename.temp_dir "ftl-resident" "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let netlist = build_netlist ~m:5 Lattice_synthesis.Library.maj3_2x3 in
+  let full =
+    match Engine.dc_op (Engine.create ~domains:1 ~store_dir:dir ()) netlist with
+    | Ok r -> r
+    | Error _ -> Alcotest.fail "maj3 dc op should converge"
+  in
+  (* a fresh engine over the filled store: memory is cold *)
+  let e = Engine.create ~domains:1 ~store_dir:dir () in
+  (* hits, misses, solves, store lookups *)
+  let counts () =
+    let t = Engine.telemetry e in
+    let st = Option.get t.Engine.store in
+    [
+      t.Engine.cache.Cache.hits;
+      t.Engine.cache.Cache.misses;
+      t.Engine.dc_solves;
+      st.Lattice_engine.Store.hits + st.Lattice_engine.Store.misses;
+    ]
+  in
+  let ctx = Lattice_obs.Trace.make_context () in
+  let resident () = Lattice_obs.Trace.with_remote_context ctx (fun () -> Engine.resident_dc_op e netlist) in
+  Alcotest.(check bool) "memory miss: nothing" true (resident () = None);
+  Alcotest.(check (list int)) "a miss counts nothing, reads no store" [ 0; 0; 0; 0 ] (counts ());
+  ignore (Engine.dc_op e netlist);  (* promotes the store's entry into memory *)
+  Alcotest.(check (list int)) "the full lookup hit the store" [ 1; 0; 0; 1 ] (counts ());
+  (match resident () with
+  | Some (Ok (x, d)) ->
+    Alcotest.(check (array (float 0.0))) "same solution bits" (fst full) x;
+    Alcotest.(check int) "diagnostics replayed" (snd full).Sp.Dcop.newton_iterations
+      d.Sp.Dcop.newton_iterations
+  | _ -> Alcotest.fail "resident entry not found");
+  Alcotest.(check (list int)) "a hit counts one hit, no miss, no solve, no store read"
+    [ 2; 0; 0; 1 ] (counts ());
+  Alcotest.(check int) "the hit is attributed to the caller's context" 1
+    (Lattice_obs.Trace.context_cache_hits ctx);
+  Alcotest.(check int) "no solve attributed" 0 (Lattice_obs.Trace.context_dc_solves ctx)
+
 let test_reset_telemetry_keeps_cache () =
   (* reset_telemetry zeroes the counters but must not evict cached
      results: a key that hit before the reset still hits after it *)
@@ -678,6 +761,8 @@ let () =
         [
           Alcotest.test_case "hit/miss counters" `Quick test_cache_counters;
           Alcotest.test_case "FIFO eviction" `Quick test_cache_eviction;
+          Alcotest.test_case "second-chance eviction" `Quick test_cache_second_chance;
+          Alcotest.test_case "second-chance table" `Quick test_second_chance_table;
         ] );
       ( "keys",
         [
@@ -688,6 +773,7 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "dc_op memoization" `Quick test_dc_op_memoized;
+          Alcotest.test_case "resident_dc_op: a hit or nothing" `Quick test_resident_dc_op;
           Alcotest.test_case "reset_telemetry keeps the cache warm" `Quick
             test_reset_telemetry_keeps_cache;
           Alcotest.test_case "map + phase telemetry" `Quick test_engine_map_and_phases;

@@ -241,7 +241,7 @@ let test_framing_huge_unterminated () =
 
 let with_server ?(workers = 2) ?(queue = 64) ?(quota = 16) ?(allow_sleep = false)
     ?(max_frame = 65536) ?default_deadline_s ?store_dir ?flight_dir ?slow_threshold_s
-    ?access_log_path f =
+    ?access_log_path ?log f =
   let dir = temp_dir "ftl-serve" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let path = Filename.concat dir "daemon.sock" in
@@ -261,6 +261,7 @@ let with_server ?(workers = 2) ?(queue = 64) ?(quota = 16) ?(allow_sleep = false
       flight_dir;
       slow_threshold_s;
       access_log_path;
+      log;
     }
   in
   let t = S.create ~config () in
@@ -355,62 +356,119 @@ let get_server_stat c path =
   | Some (J.Int n) -> n
   | _ -> Alcotest.failf "stats carries no server.%s" path
 
+(* A gate the test holds closed: [wait] blocks until [release]. *)
+type gate = { gate_lock : Mutex.t; opened : Condition.t; mutable open_ : bool }
+
+let gate () = { gate_lock = Mutex.create (); opened = Condition.create (); open_ = false }
+
+let gate_wait g =
+  Mutex.lock g.gate_lock;
+  while not g.open_ do
+    Condition.wait g.opened g.gate_lock
+  done;
+  Mutex.unlock g.gate_lock
+
+let gate_release g =
+  Mutex.lock g.gate_lock;
+  g.open_ <- true;
+  Condition.broadcast g.opened;
+  Mutex.unlock g.gate_lock
+
+(* Poll [stats] until [ready] holds of its server object, failing with
+   the last snapshot after [tries] polls 10 ms apart. *)
+let wait_stats c ~what ~tries ready =
+  let rec go n =
+    let st = C.stats c in
+    let server = Option.value (J.member "server" st) ~default:J.Null in
+    let get k = match J.member k server with Some (J.Int n) -> n | _ -> -1 in
+    if ready get then ()
+    else if n = 0 then Alcotest.failf "%s; last stats: %s" what (J.to_string st)
+    else begin
+      Thread.delay 0.01;
+      go (n - 1)
+    end
+  in
+  go tries
+
+(* The answer carrying [id] on [c]: answers to other requests read on the
+   way are kept in [early] for a later call. *)
+let recv_id c early id =
+  let rec go () =
+    match Hashtbl.find_opt early id with
+    | Some resp ->
+      Hashtbl.remove early id;
+      resp
+    | None -> (
+      match C.recv_raw c with
+      | None -> Alcotest.failf "connection closed before the answer to request %d" id
+      | Some line -> (
+        match P.parse_response line with
+        | Ok ({ P.resp_id = Some (J.Int got); _ } as resp) ->
+          Hashtbl.replace early got resp;
+          go ()
+        | _ -> Alcotest.failf "undecodable answer %s" line))
+  in
+  go ()
+
 let test_daemon_quota_and_backpressure () =
-  with_server ~workers:1 ~queue:2 ~quota:2 ~allow_sleep:true @@ fun _t path ->
+  (* The single worker is held by a gate, not by a timed sleep: with every
+     ok request slow (threshold 0), the worker logs a flight dump after
+     answering request 1 and before it takes the next job, and the log
+     hook blocks there until the test opens the gate. So request 1 stays
+     in flight, and the queue only fills, however long the test thread is
+     descheduled. *)
+  let flight = temp_dir "ftl-flight" in
+  Fun.protect ~finally:(fun () -> rm_rf flight) @@ fun () ->
+  let g = gate () in
+  let log line = if String.starts_with ~prefix:"flight dump" line then gate_wait g in
+  with_server ~workers:1 ~queue:2 ~quota:2 ~allow_sleep:true ~flight_dir:flight
+    ~slow_threshold_s:0.0 ~log
+  @@ fun _t path ->
   let c1 = C.connect (C.Unix_socket path) in
   let c2 = C.connect (C.Unix_socket path) in
+  let watch = C.connect (C.Unix_socket path) in
   Fun.protect
     ~finally:(fun () ->
-      C.close c1;
-      C.close c2)
+      gate_release g;
+      List.iter C.close [ c1; c2; watch ])
   @@ fun () ->
+  let fail what = Alcotest.failf "%s; stats: %s" what (J.to_string (C.stats watch)) in
   let sleep_req seconds id =
     J.to_string
       (J.Obj [ ("type", J.String "sleep"); ("seconds", J.Float seconds); ("id", J.Int id) ])
   in
+  let early1 = Hashtbl.create 4 and early2 = Hashtbl.create 4 in
   (* occupy the single worker, then fill the queue up to c1's quota *)
-  C.send_raw c1 (sleep_req 0.6 1);
-  let rec wait_running tries =
-    if tries = 0 then Alcotest.fail "worker never picked the sleep up";
-    if get_server_stat c2 "queue_depth" > 0 || get_server_stat c2 "inflight" < 1 then begin
-      Thread.delay 0.01;
-      wait_running (tries - 1)
-    end
-  in
-  wait_running 100;
+  C.send_raw c1 (sleep_req 0.05 1);
+  wait_stats watch ~what:"worker never picked the sleep up" ~tries:1000 (fun get ->
+      get "queue_depth" = 0 && get "inflight" >= 1);
   C.send_raw c1 (sleep_req 0.2 2);  (* queued: c1 at quota 2 *)
   (* third c1 request bounces on the per-connection quota *)
   C.send_raw c1 (sleep_req 0.2 3);
-  (match P.parse_response (Option.get (C.recv_raw c1)) with
-  | Ok { P.resp_id = Some (J.Int 3); payload = Error (P.Quota_exceeded, _) } -> ()
-  | _ -> Alcotest.fail "expected quota_exceeded for request 3");
+  (match recv_id c1 early1 3 with
+  | { P.payload = Error (P.Quota_exceeded, _); _ } -> ()
+  | _ -> fail "expected quota_exceeded for request 3");
   (* c2 fills the remaining queue slot, then bounces on overload *)
   C.send_raw c2 (sleep_req 0.2 4);
-  let rec wait_queued tries =
-    if tries = 0 then Alcotest.fail "queue never filled";
-    if get_server_stat c2 "queue_depth" < 2 then begin
-      Thread.delay 0.01;
-      wait_queued (tries - 1)
-    end
-  in
-  wait_queued 100;
+  wait_stats watch ~what:"queue never filled" ~tries:1000 (fun get -> get "queue_depth" >= 2);
   C.send_raw c2 (sleep_req 0.2 5);
-  (match P.parse_response (Option.get (C.recv_raw c2)) with
-  | Ok { P.resp_id = Some (J.Int 5); payload = Error (P.Overloaded, _) } -> ()
-  | _ -> Alcotest.fail "expected overloaded for request 5");
+  (match recv_id c2 early2 5 with
+  | { P.payload = Error (P.Overloaded, _); _ } -> ()
+  | _ -> fail "expected overloaded for request 5");
+  gate_release g;
   (* backpressure is advisory: everything admitted still completes *)
-  let drain c expect_ids =
+  let drain c early expect_ids =
     List.iter
       (fun id ->
-        match P.parse_response (Option.get (C.recv_raw c)) with
-        | Ok { P.resp_id = Some (J.Int got); payload = Ok _ } when got = id -> ()
-        | _ -> Alcotest.failf "expected ok response %d" id)
+        match recv_id c early id with
+        | { P.payload = Ok _; _ } -> ()
+        | _ -> fail (Printf.sprintf "expected ok response %d" id))
       expect_ids
   in
-  drain c1 [ 1; 2 ];
-  drain c2 [ 4 ];
-  Alcotest.(check int) "rejections counted" 1 (get_server_stat c1 "quota_rejected");
-  Alcotest.(check int) "overloads counted" 1 (get_server_stat c1 "overloaded")
+  drain c1 early1 [ 1; 2 ];
+  drain c2 early2 [ 4 ];
+  Alcotest.(check int) "rejections counted" 1 (get_server_stat watch "quota_rejected");
+  Alcotest.(check int) "overloads counted" 1 (get_server_stat watch "overloaded")
 
 let test_daemon_timeout_structured () =
   with_server ~allow_sleep:true @@ fun _t path ->
@@ -949,6 +1007,179 @@ let test_daemon_access_log () =
       (J.member "outcome" j = Some (J.String (P.code_name P.Timeout)))
   | None -> Alcotest.fail "no sleep access line"
 
+(* --- dc_op: circuit memo and inline hits ---------------------------------- *)
+
+(* the access log's complete lines so far, parsed *)
+let access_lines log =
+  if Sys.file_exists log then
+    String.split_on_char '\n' (read_file log)
+    |> List.filter_map (fun l ->
+           match J.parse l with j -> Some j | exception J.Parse_error _ -> None)
+  else []
+
+let test_daemon_dc_op_inline_hit () =
+  let dir = temp_dir "ftl-access" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let log = Filename.concat dir "access.jsonl" in
+  with_server ~access_log_path:log @@ fun t path ->
+  let c = C.connect (C.Unix_socket path) in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  let vdd = Sp.Lattice_circuit.default_config.Sp.Lattice_circuit.vdd in
+  let dc_op id ?vdd state =
+    let line =
+      J.to_string
+        (J.Obj
+           ([
+              ("type", J.String "dc_op");
+              ("id", J.String id);
+              ("expr", J.String "a b + c");
+              ("state", J.Int state);
+            ]
+           @ match vdd with None -> [] | Some v -> [ ("vdd", J.Float v) ]))
+    in
+    match P.parse_response (C.call_raw c line) with
+    | Ok { P.payload = Ok result; _ } -> J.to_string result
+    | _ -> Alcotest.failf "dc_op %s failed" id
+  in
+  (* q1 builds, memoizes and solves on a worker; q2 (the same request
+     with the default vdd spelled out) is answered on the reader; q3 is
+     memoized but cold, so it is queued and solved; q4 hits again *)
+  let q1 = dc_op "q1" 5 in
+  let q2 = dc_op "q2" ~vdd 5 in
+  let q3 = dc_op "q3" ~vdd 6 in
+  let q4 = dc_op "q4" 6 in
+  Alcotest.(check string) "explicit default vdd: same payload" q1 q2;
+  Alcotest.(check string) "cold then hot: same payload" q3 q4;
+  Alcotest.(check (list (pair string (float 0.0)))) "one circuit memoized"
+    [ ("a b + c", vdd) ] (S.memoized t);
+  let tel = Engine.telemetry (S.engine t) in
+  Alcotest.(check int) "one cache lookup per dc_op" 4
+    (tel.Engine.cache.Lattice_engine.Cache.hits + tel.Engine.cache.Lattice_engine.Cache.misses);
+  Alcotest.(check int) "two solves" 2 tel.Engine.dc_solves;
+  Alcotest.(check int) "hot requests counted in the window" 4
+    (match
+       Option.bind (J.member "window" (C.stats c)) (fun w ->
+           Option.bind (J.member "by_type" w) (fun b ->
+               Option.bind (J.member "dc_op" b) (J.member "count")))
+     with
+    | Some (J.Int n) -> n
+    | _ -> -1);
+  (* a worker writes its access line just after its answer: poll *)
+  let find id = List.find_opt (fun j -> J.member "id" j = Some (J.String id)) in
+  let rec wait_lines tries =
+    let ls = access_lines log in
+    if List.for_all (fun id -> find id ls <> None) [ "q1"; "q2"; "q3"; "q4" ] then ls
+    else if tries = 0 then
+      Alcotest.failf "access log lacks a dc_op line: %s"
+        (String.concat " " (List.map J.to_string ls))
+    else begin
+      Thread.delay 0.02;
+      wait_lines (tries - 1)
+    end
+  in
+  let lines = wait_lines 200 in
+  let line id = Option.get (find id lines) in
+  List.iter
+    (fun (id, hits, solves) ->
+      let j = line id in
+      Alcotest.(check bool) (id ^ " ok") true (J.member "outcome" j = Some (J.String "ok"));
+      Alcotest.(check bool) (Printf.sprintf "%s cache_hits %d" id hits) true
+        (J.member "cache_hits" j = Some (J.Int hits));
+      Alcotest.(check bool) (Printf.sprintf "%s dc_solves %d" id solves) true
+        (J.member "dc_solves" j = Some (J.Int solves)))
+    [ ("q2", 1, 0); ("q4", 1, 0); ("q3", 0, 1) ]
+
+let test_daemon_hot_dc_op_beside_busy_worker () =
+  (* the only worker is held by a gate (see the quota test) while it
+     finishes a sleep; a hot dc_op is still answered, so it never waited
+     for the worker *)
+  let flight = temp_dir "ftl-flight" in
+  Fun.protect ~finally:(fun () -> rm_rf flight) @@ fun () ->
+  let g = gate () in
+  let log line = if String.starts_with ~prefix:"flight dump (sleep" line then gate_wait g in
+  with_server ~workers:1 ~allow_sleep:true ~flight_dir:flight ~slow_threshold_s:0.0 ~log
+  @@ fun _t path ->
+  let c = C.connect (C.Unix_socket path) in
+  let busy = C.connect (C.Unix_socket path) in
+  let watch = C.connect (C.Unix_socket path) in
+  Fun.protect
+    ~finally:(fun () ->
+      gate_release g;
+      List.iter C.close [ c; busy; watch ])
+  @@ fun () ->
+  let hot = {|{"type":"dc_op","expr":"a ^ b","state":2,"id":"hot"}|} in
+  let cold = C.call_raw c hot in
+  Alcotest.(check string) "warm answer" cold (C.call_raw c hot);
+  C.send_raw busy {|{"type":"sleep","seconds":0.01,"id":"s"}|};
+  wait_stats watch ~what:"the worker never took the sleep" ~tries:1000 (fun get ->
+      get "queue_depth" = 0 && get "inflight" >= 1);
+  C.send_raw c hot;
+  let dc_op_count () =
+    match
+      List.fold_left
+        (fun j k -> Option.bind j (J.member k))
+        (Some (C.stats watch))
+        [ "window"; "by_type"; "dc_op"; "count" ]
+    with
+    | Some (J.Int n) -> n
+    | _ -> -1
+  in
+  let rec wait_answered tries =
+    if dc_op_count () < 3 then
+      if tries = 0 then Alcotest.fail "the hot dc_op waited for the busy worker"
+      else begin
+        Thread.delay 0.01;
+        wait_answered (tries - 1)
+      end
+  in
+  wait_answered 1000;
+  Alcotest.(check int) "the worker is still held" 1 (get_server_stat watch "inflight");
+  Alcotest.(check (option string)) "same answer" (Some cold) (C.recv_raw c)
+
+let test_daemon_memo_bound () =
+  with_server @@ fun t path ->
+  let c = C.connect (C.Unix_socket path) in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  let dc_op expr vdd =
+    match
+      C.call c ~type_:"dc_op"
+        ([ ("expr", J.String expr); ("state", J.Int 1) ]
+        @ match vdd with None -> [] | Some v -> [ ("vdd", J.Float v) ])
+    with
+    | Ok _ -> ()
+    | Error (code, msg) -> Alcotest.failf "dc_op failed: %s: %s" (P.code_name code) msg
+  in
+  (* one hot circuit, asked for between 100 one-off supply voltages; it
+     is resident each time it is asked for again, so it was never
+     evicted and rebuilt *)
+  let hot = ("a ^ b", Sp.Lattice_circuit.default_config.Sp.Lattice_circuit.vdd) in
+  dc_op "a ^ b" None;
+  for i = 1 to 100 do
+    dc_op "a b" (Some (1.0 +. (0.004 *. float_of_int i)));
+    if i mod 5 = 0 then begin
+      Alcotest.(check bool) (Printf.sprintf "hot circuit resident after %d others" i) true
+        (List.mem hot (S.memoized t));
+      dc_op "a ^ b" None
+    end
+  done;
+  let resident = S.memoized t in
+  Alcotest.(check int) "the memo holds its bound" 16 (List.length resident);
+  Alcotest.(check bool) "the hot circuit stays memoized" true (List.mem hot resident)
+
+let test_daemon_hot_dc_op_after_shutdown () =
+  with_server @@ fun _t path ->
+  let c = C.connect (C.Unix_socket path) in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  let hot () = C.call c ~type_:"dc_op" [ ("expr", J.String "a & b"); ("state", J.Int 3) ] in
+  (match (hot (), hot ()) with
+  | Ok a, Ok b -> Alcotest.(check string) "hot answer" (J.to_string a) (J.to_string b)
+  | _ -> Alcotest.fail "dc_op failed");
+  C.shutdown c;
+  match hot () with
+  | Error (P.Shutting_down, _) -> ()
+  | Error (code, msg) -> Alcotest.failf "expected shutting_down, got %s: %s" (P.code_name code) msg
+  | Ok _ -> Alcotest.fail "a hot dc_op was answered after shutdown"
+
 let test_daemon_no_listener_rejected () =
   let t = S.create () in
   match S.start t with
@@ -997,6 +1228,12 @@ let () =
           Alcotest.test_case "access log: lines, outcomes, attribution" `Quick
             test_daemon_access_log;
           Alcotest.test_case "no listener rejected" `Quick test_daemon_no_listener_rejected;
+          Alcotest.test_case "hot dc_op answered inline" `Quick test_daemon_dc_op_inline_hit;
+          Alcotest.test_case "hot dc_op beside a busy worker" `Quick
+            test_daemon_hot_dc_op_beside_busy_worker;
+          Alcotest.test_case "circuit memo bound, hot circuit kept" `Quick test_daemon_memo_bound;
+          Alcotest.test_case "hot dc_op refused after shutdown" `Quick
+            test_daemon_hot_dc_op_after_shutdown;
         ] );
       ("soak", [ Alcotest.test_case "2250 mixed requests, 3 connections" `Quick test_daemon_soak ]);
     ]
