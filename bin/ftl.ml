@@ -64,12 +64,15 @@ let engine_term =
   let make domains cache_dir () = Lattice_engine.Engine.create ?domains ?store_dir:cache_dir () in
   Term.(const make $ domains_arg $ cache_dir_arg)
 
-let job_policy deadline retries =
-  {
-    Lattice_engine.Engine.deadline_s = deadline;
-    attempts = 1 + Int.max 0 retries;
-    backoff = 2.0;
-  }
+(* [--deadline], [--retries] and [--batch-deadline] as a batch's job
+   policy and cancel token, made when the batch starts: the batch
+   deadline runs from then *)
+let batch_term =
+  let make deadline batch_deadline retries () =
+    ( { Lattice_engine.Engine.deadline_s = deadline; attempts = 1 + Int.max 0 retries; backoff = 2.0 },
+      Lattice_engine.Cancel.of_deadline_s batch_deadline )
+  in
+  Term.(const make $ deadline_arg $ batch_deadline_arg $ retries_arg)
 
 (* telemetry is diagnostics, not results: keep stdout machine-parseable *)
 let print_engine_summary e = prerr_endline (Lattice_engine.Engine.summary e)
@@ -355,16 +358,14 @@ let frequency_cmd =
 
 (* --- yield ------------------------------------------------------------- *)
 
-let yield () target samples sigma_vth engine deadline batch_deadline retries =
+let yield () target samples sigma_vth engine batch =
   let grid = dual_grid target in
   Printf.printf "lattice: %dx%d (dual-based)\n" grid.Lattice_core.Grid.rows
     grid.Lattice_core.Grid.cols;
   let engine = engine () in
+  let policy, cancel = batch () in
   let mc =
-    Lattice_flow.Monte_carlo.run ~engine
-      ~policy:(job_policy deadline retries)
-      ~cancel:(Lattice_engine.Cancel.of_deadline_s batch_deadline)
-      grid ~target:target.tt ~samples
+    Lattice_flow.Monte_carlo.run ~engine ~policy ~cancel grid ~target:target.tt ~samples
       ~variation:{ Lattice_flow.Monte_carlo.sigma_vth; sigma_kp_rel = 0.1 }
   in
   Printf.printf
@@ -386,12 +387,11 @@ let yield_cmd =
   Cmd.v
     (Cmd.info "yield" ~doc:"Monte-Carlo process-variation yield of a synthesized lattice")
     Term.(
-      const yield $ obs_term $ expr_term () $ samples $ sigma $ engine_term $ deadline_arg
-      $ batch_deadline_arg $ retries_arg)
+      const yield $ obs_term $ expr_term () $ samples $ sigma $ engine_term $ batch_term)
 
 (* --- defects ----------------------------------------------------------- *)
 
-let defects () target all_classes engine deadline batch_deadline retries =
+let defects () target all_classes engine batch =
   let grid = dual_grid target in
   Printf.printf "lattice: %dx%d (dual-based)\n" grid.Lattice_core.Grid.rows
     grid.Lattice_core.Grid.cols;
@@ -402,12 +402,8 @@ let defects () target all_classes engine deadline batch_deadline retries =
   in
   let options = { Fc.default_options with Fc.classes } in
   let engine = engine () in
-  let rep =
-    Fc.run ~engine
-      ~policy:(job_policy deadline retries)
-      ~cancel:(Lattice_engine.Cancel.of_deadline_s batch_deadline)
-      ~options grid ~target:target.tt
-  in
+  let policy, cancel = batch () in
+  let rep = Fc.run ~engine ~policy ~cancel ~options grid ~target:target.tt in
   Printf.printf
     "campaign: %d samples — %d functional, %d degraded, %d faulty, %d non-convergent\n"
     (Array.length rep.Fc.samples) rep.Fc.counts.Fc.functional rep.Fc.counts.Fc.degraded
@@ -435,8 +431,7 @@ let defects_cmd =
     (Cmd.info "defects"
        ~doc:"circuit-level defect campaign (classification, detection, remapping) for a synthesized lattice")
     Term.(
-      const defects $ obs_term $ expr_term () $ all_classes $ engine_term $ deadline_arg
-      $ batch_deadline_arg $ retries_arg)
+      const defects $ obs_term $ expr_term () $ all_classes $ engine_term $ batch_term)
 
 (* --- export ------------------------------------------------------------ *)
 
@@ -577,6 +572,19 @@ let tcp_host_arg =
   let doc = "Host for $(b,--tcp-port)." in
   Arg.(value & opt string "127.0.0.1" & info [ "tcp-host" ] ~docv:"HOST" ~doc)
 
+(* [--socket] or [--tcp-port]/[--tcp-host] as the daemon address [cmd]
+   connects to *)
+let addr_term cmd =
+  let resolve socket tcp_port tcp_host =
+    match (socket, tcp_port) with
+    | Some path, _ -> Lattice_serve.Client.Unix_socket path
+    | None, Some port -> Lattice_serve.Client.Tcp (tcp_host, port)
+    | None, None ->
+      Printf.eprintf "ftl %s: pass --socket PATH or --tcp-port N\n" cmd;
+      exit 2
+  in
+  Term.(const resolve $ socket_arg $ tcp_port_arg $ tcp_host_arg)
+
 let serve () socket tcp_port tcp_host domains cache_dir workers queue quota default_deadline
     max_frame drain allow_sleep quiet flight_dir slow_ms access_log =
   let module S = Lattice_serve.Server in
@@ -586,7 +594,6 @@ let serve () socket tcp_port tcp_host domains cache_dir workers queue quota defa
   end;
   let config =
     {
-      S.default_config with
       S.socket_path = socket;
       tcp_port;
       tcp_host;
@@ -668,17 +675,9 @@ let serve_cmd =
 
 (* --- client ------------------------------------------------------------ *)
 
-let client () socket tcp_port tcp_host deadline requests =
+let client () addr deadline requests =
   let module C = Lattice_serve.Client in
   let module J = Lattice_serve.Json in
-  let addr =
-    match (socket, tcp_port) with
-    | Some path, _ -> C.Unix_socket path
-    | None, Some port -> C.Tcp (tcp_host, port)
-    | None, None ->
-      prerr_endline "ftl client: pass --socket PATH or --tcp-port N";
-      exit 2
-  in
   let c = C.connect addr in
   let all_ok = ref true in
   (* under --trace, every request gets a fresh span here and carries
@@ -769,23 +768,15 @@ let client_cmd =
              flag, requests carry trace_id/parent_span so daemon spans link under the \
              client's in one Perfetto timeline)")
     Term.(
-      const client $ obs_term $ socket_arg $ tcp_port_arg $ tcp_host_arg $ deadline $ requests)
+      const client $ obs_term $ addr_term "client" $ deadline $ requests)
 
 (* --- top --------------------------------------------------------------- *)
 
 (* Live daemon monitor: poll [stats], redraw a plain-ANSI dashboard.
    Reads only the stats JSON — no extra daemon support needed. *)
-let top () socket tcp_port tcp_host interval iterations =
+let top () addr interval iterations =
   let module C = Lattice_serve.Client in
   let module J = Lattice_serve.Json in
-  let addr =
-    match (socket, tcp_port) with
-    | Some path, _ -> C.Unix_socket path
-    | None, Some port -> C.Tcp (tcp_host, port)
-    | None, None ->
-      prerr_endline "ftl top: pass --socket PATH or --tcp-port N";
-      exit 2
-  in
   let mem path j =
     List.fold_left (fun acc k -> Option.bind acc (J.member k)) (Some j) path
   in
@@ -894,7 +885,7 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:"live monitor for a running ftl serve daemon: request mix, rolling \
              p50/p95/p99, queue depth, cache hit rate, worker utilization")
-    Term.(const top $ obs_term $ socket_arg $ tcp_port_arg $ tcp_host_arg $ interval $ iterations)
+    Term.(const top $ obs_term $ addr_term "top" $ interval $ iterations)
 
 let main =
   let doc = "four-terminal switching lattice toolkit (DATE 2019 reproduction)" in

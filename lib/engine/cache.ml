@@ -55,41 +55,35 @@ module Second_chance = struct
     evicted
 
   let keys t = List.of_seq (Queue.to_seq t.ring)
-
-  let clear t =
-    Hashtbl.reset t.table;
-    Queue.clear t.ring
 end
 
-(* process-wide registry counters, aggregated across every cache
-   instance; per-instance counts stay in [stats] *)
 let lookup_probe =
   Lattice_obs.Probe.make ~cat:"engine" ~hist:"engine.cache.lookup.seconds" "cache.lookup"
-
-let hits_counter = Metrics.counter "engine.cache.hits"
-let misses_counter = Metrics.counter "engine.cache.misses"
-let evictions_counter = Metrics.counter "engine.cache.evictions"
 
 type 'a t = {
   entries : (string, 'a) Second_chance.t;
   lock : Mutex.t;
   fallback : (string -> 'a option) option;
   spill : (string -> 'a -> unit) option;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
+  scope : Metrics.Scope.t;
+  hits : Metrics.Scope.counter;
+  misses : Metrics.Scope.counter;
+  evictions : Metrics.Scope.counter;
 }
 
 let create ?(capacity = 4096) ?fallback ?spill () =
   if capacity < 1 then invalid_arg "Cache.create: capacity must be >= 1";
+  let scope = Metrics.Scope.create ~registry:"engine.cache" () in
+  let counter ?request = Metrics.Scope.counter ?request scope in
   {
     entries = Second_chance.create ~capacity;
     lock = Mutex.create ();
     fallback;
     spill;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
+    scope;
+    hits = counter ~request:"cache_hits" "hits";
+    misses = counter "misses";
+    evictions = counter "evictions";
   }
 
 let locked t f =
@@ -102,16 +96,11 @@ let insert_locked t ~key v =
   else begin
     (match Second_chance.add t.entries key v with
     | Some victim ->
-      t.evictions <- t.evictions + 1;
-      Metrics.Counter.incr evictions_counter;
+      Metrics.Scope.incr t.evictions;
       if Trace.on () then Trace.instant ~cat:"engine" ~args:[ ("key", victim) ] "cache.evict"
     | None -> ());
     true
   end
-
-let count_hit_locked t =
-  t.hits <- t.hits + 1;
-  Metrics.Counter.incr hits_counter
 
 let find t ~key =
   let t0 = Lattice_obs.Probe.enter lookup_probe in
@@ -131,23 +120,14 @@ let find t ~key =
           locked t (fun () -> ignore (insert_locked t ~key v));
           Some v))
   in
-  locked t (fun () ->
-      match r with
-      | Some _ -> count_hit_locked t
-      | None ->
-        t.misses <- t.misses + 1;
-        Metrics.Counter.incr misses_counter);
+  Metrics.Scope.incr (if Option.is_some r then t.hits else t.misses);
   Lattice_obs.Probe.leave lookup_probe t0;
   r
 
 let find_resident t ~key =
   let t0 = Lattice_obs.Probe.enter lookup_probe in
-  let r =
-    locked t (fun () ->
-        let r = Second_chance.find t.entries key in
-        if Option.is_some r then count_hit_locked t;
-        r)
-  in
+  let r = locked t (fun () -> Second_chance.find t.entries key) in
+  if Option.is_some r then Metrics.Scope.incr t.hits;
   Lattice_obs.Probe.leave lookup_probe t0;
   r
 
@@ -155,33 +135,15 @@ let add t ~key v =
   let fresh = locked t (fun () -> insert_locked t ~key v) in
   if fresh then Option.iter (fun spill -> spill key v) t.spill
 
-let find_or_compute t ~key f =
-  match find t ~key with
-  | Some v -> v
-  | None ->
-    let v = f () in
-    add t ~key v;
-    v
+let counters t = Metrics.Scope.snapshot t.scope
 
 let stats t =
-  locked t (fun () ->
-      {
-        hits = t.hits;
-        misses = t.misses;
-        evictions = t.evictions;
-        size = Second_chance.length t.entries;
-        capacity = t.entries.Second_chance.capacity;
-      })
+  {
+    hits = Metrics.Scope.get t.hits;
+    misses = Metrics.Scope.get t.misses;
+    evictions = Metrics.Scope.get t.evictions;
+    size = locked t (fun () -> Second_chance.length t.entries);
+    capacity = t.entries.Second_chance.capacity;
+  }
 
-let reset_stats t =
-  locked t (fun () ->
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0)
-
-let clear t =
-  locked t (fun () ->
-      Second_chance.clear t.entries;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0)
+let reset_stats t = Metrics.Scope.reset t.scope

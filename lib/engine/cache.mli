@@ -20,11 +20,11 @@
     wins), so concurrent duplicate computes spill once. Both hooks run
     unlocked and must be domain-safe themselves.
 
-    When {!Lattice_obs} is enabled, lookups feed the
-    ["engine.cache.lookup.seconds"] histogram and the process-wide
-    ["engine.cache.hits"]/["engine.cache.misses"]/["engine.cache.evictions"]
-    counters (aggregated over every cache instance; {!stats} stays
-    per-instance), and each eviction emits a trace instant. *)
+    Hits, misses and evictions count once, in the cache's
+    {!Lattice_obs.Metrics.Scope} (registry prefix ["engine.cache"]),
+    which {!stats} reads; a hit also counts as the calling request's
+    [cache_hits]. Lookups feed the ["engine.cache.lookup.seconds"]
+    histogram and each eviction emits a trace instant. *)
 
 type 'a t
 
@@ -65,14 +65,10 @@ val find_resident : 'a t -> key:string -> 'a option
     are handed to [spill]. *)
 val add : 'a t -> key:string -> 'a -> unit
 
-(** [find_or_compute t ~key f] — [f] runs outside the lock on a miss. *)
-val find_or_compute : 'a t -> key:string -> (unit -> 'a) -> 'a
-
 val stats : 'a t -> stats
 
-(** [clear t] drops every entry and zeroes the counters (the persistent
-    tier, if any, is untouched). *)
-val clear : 'a t -> unit
+val counters : 'a t -> (string * int) list
+(** The snapshot of the scope {!stats} reads. *)
 
 (** [reset_stats t] zeroes the counters, keeping the entries. *)
 val reset_stats : 'a t -> unit
@@ -106,6 +102,4 @@ module Second_chance : sig
 
   val keys : ('k, 'v) t -> 'k list
   (** The resident keys in the order the hand will pass them. *)
-
-  val clear : ('k, 'v) t -> unit
 end

@@ -2,15 +2,7 @@ module Sp = Lattice_spice
 module Trace = Lattice_obs.Trace
 module Metrics = Lattice_obs.Metrics
 module Clock = Lattice_obs.Clock
-
-(* process-wide registry mirrors of the per-instance telemetry atomics;
-   {!summary} stays a view over the instance, these feed [--metrics] *)
-let jobs_counter = Metrics.counter "engine.jobs"
-let dc_solves_counter = Metrics.counter "engine.dc_solves"
-let newton_counter = Metrics.counter "engine.newton_iterations"
-let retries_counter = Metrics.counter "engine.retries"
-let timeouts_counter = Metrics.counter "engine.timeouts"
-let job_failures_counter = Metrics.counter "engine.job_failures"
+module Scope = Metrics.Scope
 
 type dc_result =
   (Lattice_numerics.Vec.t * Sp.Dcop.diagnostics, Sp.Dcop.failure) result
@@ -19,12 +11,13 @@ type t = {
   pool : Pool.t;
   dc_cache : dc_result Cache.t;
   store : dc_result Store.t option;
-  jobs : int Atomic.t;
-  dc_solves : int Atomic.t;
-  newton : int Atomic.t;
-  retries : int Atomic.t;
-  timeouts : int Atomic.t;
-  job_failures : int Atomic.t;
+  scope : Scope.t;
+  jobs : Scope.counter;
+  dc_solves : Scope.counter;
+  newton : Scope.counter;
+  retries : Scope.counter;
+  timeouts : Scope.counter;
+  job_failures : Scope.counter;
   phase_lock : Mutex.t;
   mutable phases : (string * float) list;  (* reversed first-use order *)
 }
@@ -34,7 +27,7 @@ let env_store_dir () =
   | None | Some "" -> None
   | Some dir -> Some dir
 
-let create ?domains ?(cache_capacity = 4096) ?store_dir () =
+let create ?domains ?store_dir () =
   let store_dir =
     match store_dir with
     | Some "" -> None  (* explicit empty string disables the store *)
@@ -44,23 +37,23 @@ let create ?domains ?(cache_capacity = 4096) ?store_dir () =
   let store = Option.map (fun dir -> Store.open_ ~dir) store_dir in
   let dc_cache =
     match store with
-    | None -> Cache.create ~capacity:cache_capacity ()
+    | None -> Cache.create ()
     | Some s ->
-      Cache.create ~capacity:cache_capacity
-        ~fallback:(fun key -> Store.find s ~key)
-        ~spill:(fun key v -> Store.add s ~key v)
-        ()
+      Cache.create ~fallback:(fun key -> Store.find s ~key) ~spill:(fun key v -> Store.add s ~key v) ()
   in
+  let scope = Scope.create ~registry:"engine" () in
+  let counter ?request = Scope.counter ?request scope in
   {
     pool = Pool.create ?domains ();
     dc_cache;
     store;
-    jobs = Atomic.make 0;
-    dc_solves = Atomic.make 0;
-    newton = Atomic.make 0;
-    retries = Atomic.make 0;
-    timeouts = Atomic.make 0;
-    job_failures = Atomic.make 0;
+    scope;
+    jobs = counter "jobs";
+    dc_solves = counter ~request:"dc_solves" "dc_solves";
+    newton = counter "newton_iterations";
+    retries = counter ~request:"retries" "retries";
+    timeouts = counter "timeouts";
+    job_failures = counter "job_failures";
     phase_lock = Mutex.create ();
     phases = [];
   }
@@ -116,8 +109,7 @@ let run_jobs (type a) t ?(policy = default_policy) ?(cancel = Cancel.none) ?phas
      attempt), and scatter the outcomes back by original index *)
   let dispatch ~attempt indices =
     let m = Array.length indices in
-    ignore (Atomic.fetch_and_add t.jobs m);
-    Metrics.Counter.add jobs_counter m;
+    Scope.add t.jobs m;
     let job k =
       let idx = indices.(k) in
       let job_cancel =
@@ -156,9 +148,7 @@ let run_jobs (type a) t ?(policy = default_policy) ?(cancel = Cancel.none) ?phas
         | [] -> draining := false
         | indices ->
           let indices = Array.of_list indices in
-          ignore (Atomic.fetch_and_add t.retries (Array.length indices));
-          Metrics.Counter.add retries_counter (Array.length indices);
-          Trace.attribute_retries (Array.length indices);
+          Scope.add t.retries (Array.length indices);
           if Trace.on () then
             Trace.instant ~cat:"engine"
               ~args:
@@ -180,14 +170,8 @@ let run_jobs (type a) t ?(policy = default_policy) ?(cancel = Cancel.none) ?phas
         | Pool.Failed _ -> incr failures
         | Pool.Done _ | Pool.Cancelled -> ())
       out;
-    if !timeouts > 0 then begin
-      ignore (Atomic.fetch_and_add t.timeouts !timeouts);
-      Metrics.Counter.add timeouts_counter !timeouts
-    end;
-    if !failures > 0 then begin
-      ignore (Atomic.fetch_and_add t.job_failures !failures);
-      Metrics.Counter.add job_failures_counter !failures
-    end;
+    Scope.add t.timeouts !timeouts;
+    Scope.add t.job_failures !failures;
     out
   in
   match phase with None -> run () | Some phase -> timed t ~phase run
@@ -224,31 +208,23 @@ let plan_of ws netlist =
     ws.plan <- Some p;
     p
 
-(* a cache hit as the caller gets it: attributed to its request, in
-   its node order *)
-let hit netlist r =
-  Trace.attribute_cache_hit ();
-  map_solution (Sp.Netlist.of_canonical_order netlist) r
+(* a cache hit as the caller gets it, in its node order *)
+let hit netlist r = map_solution (Sp.Netlist.of_canonical_order netlist) r
 
 let dc_op t ?(options = Sp.Dcop.default_options) ?cancel ?workspace netlist =
   let key = Key.dc_op ~options netlist in
   match Cache.find t.dc_cache ~key with
   | Some r -> hit netlist r
   | None ->
-    Trace.attribute_dc_solve ();
     let plan = Option.map (fun ws -> plan_of ws netlist) workspace in
     (* a cancelled solve raises out of [solve_diag] before any of the
        bookkeeping below — partial results are never cached *)
     let r = Sp.Dcop.solve_diag ~options ?plan ?cancel netlist in
-    ignore (Atomic.fetch_and_add t.dc_solves 1);
-    Metrics.Counter.incr dc_solves_counter;
-    let iters =
-      match r with
+    Scope.incr t.dc_solves;
+    Scope.add t.newton
+      (match r with
       | Ok (_, d) -> d.Sp.Dcop.newton_iterations
-      | Error f -> failure_iterations f
-    in
-    ignore (Atomic.fetch_and_add t.newton iters);
-    Metrics.Counter.add newton_counter iters;
+      | Error f -> failure_iterations f);
     Cache.add t.dc_cache ~key (map_solution (Sp.Netlist.to_canonical_order netlist) r);
     r
 
@@ -285,24 +261,23 @@ let telemetry (t : t) =
   Mutex.unlock t.phase_lock;
   {
     domains = domains t;
-    jobs = Atomic.get t.jobs;
-    dc_solves = Atomic.get t.dc_solves;
+    jobs = Scope.get t.jobs;
+    dc_solves = Scope.get t.dc_solves;
     cache = Cache.stats t.dc_cache;
     store = Option.map Store.stats t.store;
-    newton_total = Atomic.get t.newton;
-    retries = Atomic.get t.retries;
-    timeouts = Atomic.get t.timeouts;
-    job_failures = Atomic.get t.job_failures;
+    newton_total = Scope.get t.newton;
+    retries = Scope.get t.retries;
+    timeouts = Scope.get t.timeouts;
+    job_failures = Scope.get t.job_failures;
     phases;
   }
 
+let counters (t : t) =
+  Scope.snapshot t.scope @ Cache.counters t.dc_cache
+  @ match t.store with None -> [] | Some s -> Store.counters s
+
 let reset_telemetry (t : t) =
-  Atomic.set t.jobs 0;
-  Atomic.set t.dc_solves 0;
-  Atomic.set t.newton 0;
-  Atomic.set t.retries 0;
-  Atomic.set t.timeouts 0;
-  Atomic.set t.job_failures 0;
+  Scope.reset t.scope;
   Mutex.lock t.phase_lock;
   t.phases <- [];
   Mutex.unlock t.phase_lock;

@@ -10,6 +10,14 @@
     store traffic, Newton iterations, retries/timeouts/failures, wall
     time per phase).
 
+    {2 Telemetry}
+
+    Each event is counted once, in the engine's, the cache's or the
+    store's {!Lattice_obs.Metrics.Scope} (registry prefixes ["engine"],
+    ["engine.cache"], ["engine.store"]); {!telemetry}, {!summary} and
+    {!counters} read them. Solves, cache hits and retries also count in
+    the calling thread's {!Lattice_obs.Metrics.Request}.
+
     {2 Fault tolerance}
 
     {!run_jobs} is the resilient dispatch path: every job runs under
@@ -38,12 +46,11 @@
 
 type t
 
-(** [create ?domains ?cache_capacity ?store_dir ()] — [domains]
-    defaults to [FTL_DOMAINS] when set, else
-    [Domain.recommended_domain_count ()]; [cache_capacity] (DC-result
-    entries, second-chance eviction: {!Cache.Second_chance}) defaults
-    to 4096. One domain is the
-    degenerate serial engine.
+(** [create ?domains ?store_dir ()] — [domains] defaults to
+    [FTL_DOMAINS] when set, else [Domain.recommended_domain_count ()];
+    one domain is the degenerate serial engine. The DC-result cache
+    holds 4096 entries under second-chance eviction
+    ({!Cache.Second_chance}).
 
     [store_dir] roots the crash-safe persistent DC-result store
     ({!Store}): it defaults to the [FTL_CACHE_DIR] environment variable
@@ -51,7 +58,7 @@ type t
     disables the store even then. With a store, in-memory misses fall
     back to disk and fresh results are spilled through, so a second
     process re-running an identical campaign starts warm. *)
-val create : ?domains:int -> ?cache_capacity:int -> ?store_dir:string -> unit -> t
+val create : ?domains:int -> ?store_dir:string -> unit -> t
 
 (** [or_fresh engine] is [e] for [Some e], else
     [create ~domains:1 ~store_dir:"" ()]: one domain, no persistent
@@ -171,7 +178,7 @@ val dc_op :
     of {!dc_op}: on an in-memory cache hit it returns what [dc_op] would
     (a private copy in [netlist]'s node order, the original diagnostics)
     and counts the hit as [dc_op] does, in {!telemetry} and in the
-    calling thread's remote context. On a miss it returns [None] and
+    request the calling thread serves. On a miss it returns [None] and
     counts nothing. It never solves and never reads the persistent
     store. For a caller that answers a hit itself and sends a miss on
     to {!dc_op}, so the engine counts one lookup per request: the
@@ -218,14 +225,18 @@ type telemetry = {
 
 val telemetry : t -> telemetry
 
+val counters : t -> (string * int) list
+(** The counts {!telemetry} reports, from each scope's snapshot
+    (["engine.*"], ["engine.cache.*"], then any ["engine.store.*"]). *)
+
 (** [reset_telemetry e] zeroes the job/solve/Newton counters, the
     retry/timeout/failure counters, the phase timers, the cache's
     hit/miss/eviction counters and the persistent store's counters.
     The cache and store {e contents} are untouched: entries stay
     resident, so a lookup that hit before the reset still hits after it
     (with [telemetry] then reporting that hit against fresh counters,
-    and [dc_solves] staying at 0). Use {!Cache.clear} semantics via a
-    fresh engine when the entries themselves must go. *)
+    and [dc_solves] staying at 0). Use a fresh engine when the entries
+    themselves must go. *)
 val reset_telemetry : t -> unit
 
 (** One-line rendering for CLI output, e.g.

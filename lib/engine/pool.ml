@@ -38,11 +38,11 @@ let drive t ~n ~stop ~body =
   else begin
     let chunk = chunk_size ~domains:t.domains ~n in
     let next = Atomic.make 0 in
-    (* spawned domains inherit the submitting thread's request context
-       so solves they run are attributed to the right request *)
-    let ctx = Lattice_obs.Trace.current_context () in
+    (* spawned domains inherit the submitting thread's request, so the
+       solves they run count in it and their spans carry its tags *)
+    let request = Lattice_obs.Metrics.Request.current () in
     let worker () =
-      Lattice_obs.Trace.with_context_opt ctx @@ fun () ->
+      Lattice_obs.Metrics.Request.with_opt request @@ fun () ->
       let sp =
         if Lattice_obs.Trace.on () then Lattice_obs.Trace.begin_span ~cat:"engine" "pool.worker"
         else Lattice_obs.Trace.null

@@ -1,13 +1,6 @@
 module Metrics = Lattice_obs.Metrics
 module Trace = Lattice_obs.Trace
 
-(* process-wide registry counters, aggregated across store instances;
-   per-instance counts live in [stats] *)
-let hits_counter = Metrics.counter "engine.store.hits"
-let misses_counter = Metrics.counter "engine.store.misses"
-let writes_counter = Metrics.counter "engine.store.writes"
-let corrupt_counter = Metrics.counter "engine.store.corrupt"
-
 type stats = {
   hits : int;
   misses : int;
@@ -18,13 +11,13 @@ type stats = {
 
 type 'a t = {
   dir : string;
-  lock : Mutex.t;  (* guards the stat fields only; IO runs unlocked *)
   temp_seq : int Atomic.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable writes : int;
-  mutable corrupt : int;
-  mutable errors : int;
+  scope : Metrics.Scope.t;
+  hits : Metrics.Scope.counter;
+  misses : Metrics.Scope.counter;
+  writes : Metrics.Scope.counter;
+  corrupt : Metrics.Scope.counter;
+  errors : Metrics.Scope.counter;
 }
 
 let magic = "FTLSTORE1"
@@ -40,23 +33,20 @@ let rec mkdir_p dir =
 let open_ ~dir =
   if dir = "" then invalid_arg "Store.open_: empty directory";
   mkdir_p dir;
+  let scope = Metrics.Scope.create ~registry:"engine.store" () in
+  let counter = Metrics.Scope.counter scope in
   {
     dir;
-    lock = Mutex.create ();
     temp_seq = Atomic.make 0;
-    hits = 0;
-    misses = 0;
-    writes = 0;
-    corrupt = 0;
-    errors = 0;
+    scope;
+    hits = counter "hits";
+    misses = counter "misses";
+    writes = counter "writes";
+    corrupt = counter "corrupt";
+    errors = counter "errors";
   }
 
 let dir t = t.dir
-
-let bump t f =
-  Mutex.lock t.lock;
-  f t;
-  Mutex.unlock t.lock
 
 let shard_of hex = String.sub hex 0 2
 
@@ -97,21 +87,18 @@ let read_entry ~key path =
 let find t ~key =
   let path = entry_path t ~key in
   if not (Sys.file_exists path) then begin
-    bump t (fun t -> t.misses <- t.misses + 1);
-    Metrics.Counter.incr misses_counter;
+    Metrics.Scope.incr t.misses;
     None
   end
   else
     match read_entry ~key path with
     | v ->
-      bump t (fun t -> t.hits <- t.hits + 1);
-      Metrics.Counter.incr hits_counter;
+      Metrics.Scope.incr t.hits;
       Some v
     | exception Corrupt why ->
       (* a torn or alien entry is a miss, never a crash: count it,
          drop the file so the slot heals on the next write *)
-      bump t (fun t -> t.corrupt <- t.corrupt + 1);
-      Metrics.Counter.incr corrupt_counter;
+      Metrics.Scope.incr t.corrupt;
       if Trace.on () then
         Trace.instant ~cat:"engine"
           ~args:[ ("path", path); ("why", why) ]
@@ -119,7 +106,7 @@ let find t ~key =
       (try Sys.remove path with Sys_error _ -> ());
       None
     | exception (Sys_error _ | End_of_file | Unix.Unix_error _) ->
-      bump t (fun t -> t.errors <- t.errors + 1);
+      Metrics.Scope.incr t.errors;
       None
 
 let add t ~key v =
@@ -128,7 +115,7 @@ let add t ~key v =
   match Marshal.to_string v [] with
   | exception _ ->
     (* unmarshalable value (closure in the payload): drop the spill *)
-    bump t (fun t -> t.errors <- t.errors + 1)
+    Metrics.Scope.incr t.errors
   | payload -> (
     let path = entry_path t ~key in
     let shard = Filename.dirname path in
@@ -147,31 +134,20 @@ let add t ~key v =
          file, or the complete new one — never a partial write *)
       Sys.rename tmp path
     with
-    | () ->
-      bump t (fun t -> t.writes <- t.writes + 1);
-      Metrics.Counter.incr writes_counter
+    | () -> Metrics.Scope.incr t.writes
     | exception (Sys_error _ | Unix.Unix_error _) ->
-      bump t (fun t -> t.errors <- t.errors + 1);
+      Metrics.Scope.incr t.errors;
       (try Sys.remove tmp with Sys_error _ -> ()))
 
 let stats t =
-  Mutex.lock t.lock;
-  let s =
-    {
-      hits = t.hits;
-      misses = t.misses;
-      writes = t.writes;
-      corrupt = t.corrupt;
-      errors = t.errors;
-    }
-  in
-  Mutex.unlock t.lock;
-  s
+  let get = Metrics.Scope.get in
+  {
+    hits = get t.hits;
+    misses = get t.misses;
+    writes = get t.writes;
+    corrupt = get t.corrupt;
+    errors = get t.errors;
+  }
 
-let reset_stats t =
-  bump t (fun t ->
-      t.hits <- 0;
-      t.misses <- 0;
-      t.writes <- 0;
-      t.corrupt <- 0;
-      t.errors <- 0)
+let counters t = Metrics.Scope.snapshot t.scope
+let reset_stats t = Metrics.Scope.reset t.scope

@@ -53,4 +53,10 @@ val entry_path : 'a t -> key:string -> string
     the fault-injection tests, which corrupt entries in place. *)
 
 val stats : 'a t -> stats
+(** Read from the store's {!Lattice_obs.Metrics.Scope} (registry prefix
+    ["engine.store"]). *)
+
+val counters : 'a t -> (string * int) list
+(** The snapshot of the scope {!stats} reads. *)
+
 val reset_stats : 'a t -> unit

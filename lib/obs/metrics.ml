@@ -201,6 +201,99 @@ let histogram name =
         Hashtbl.replace registry name (H h);
         h)
 
+(* --- scopes and requests -------------------------------------------------- *)
+
+type scope_counter = {
+  name : string;
+  cell : int Atomic.t;
+  global : Counter.t option;  (* the registry counter it mirrors *)
+  request : string option;  (* the request counter it also counts in *)
+}
+
+type scope = { registry : string option; mutable counters : scope_counter list }
+type request = { tags : (string * string) list; counts : scope }
+
+(* The request each thread serves, keyed by (domain, systhread): serve
+   workers are threads sharing domain 0, pool workers the first thread
+   of a spawned domain. Looked up per attributed event and, while spans
+   record, per span — never in solver inner loops. *)
+let requests : (int * int, request) Hashtbl.t = Hashtbl.create 16
+let requests_lock = Mutex.create ()
+let thread_key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
+
+module Request = struct
+  type t = request
+
+  let make ?(tags = []) counts = { tags; counts }
+  let tags r = r.tags
+  let counts r = r.counts
+
+  let current () =
+    Mutex.lock requests_lock;
+    let r = Hashtbl.find_opt requests (thread_key ()) in
+    Mutex.unlock requests_lock;
+    r
+
+  let install key = function
+    | None -> Hashtbl.remove requests key
+    | Some r -> Hashtbl.replace requests key r
+
+  let with_ r f =
+    let key = thread_key () in
+    Mutex.lock requests_lock;
+    let prev = Hashtbl.find_opt requests key in
+    install key (Some r);
+    Mutex.unlock requests_lock;
+    Fun.protect f ~finally:(fun () ->
+        Mutex.lock requests_lock;
+        install key prev;
+        Mutex.unlock requests_lock)
+
+  let with_opt r f = match r with None -> f () | Some r -> with_ r f
+end
+
+module Scope = struct
+  type t = scope
+  type counter = scope_counter
+
+  let create ?registry () = { registry; counters = [] }
+  let qualified t name = match t.registry with None -> name | Some p -> p ^ "." ^ name
+
+  let counter ?request t name =
+    let c =
+      {
+        name;
+        cell = Atomic.make 0;
+        global = Option.map (fun _ -> counter (qualified t name)) t.registry;
+        request;
+      }
+    in
+    t.counters <- c :: t.counters;
+    c
+
+  let rec add c n =
+    ignore (Atomic.fetch_and_add c.cell n);
+    (match c.global with Some g -> Counter.add g n | None -> ());
+    match c.request with
+    | None -> ()
+    | Some name -> (
+      match Request.current () with
+      | None -> ()
+      | Some r -> (
+        match List.find_opt (fun (rc : counter) -> rc.name = name) r.counts.counters with
+        | Some rc -> add rc n
+        | None -> ()))
+
+  let incr c = add c 1
+  let get c = Atomic.get c.cell
+
+  let snapshot t =
+    List.map (fun c -> (qualified t c.name, get c)) t.counters
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let reset t = List.iter (fun c -> Atomic.set c.cell 0) t.counters
+end
+
 let snapshot () =
   Mutex.lock registry_lock;
   let entries = Hashtbl.fold (fun name i acc -> (name, i) :: acc) registry [] in

@@ -82,6 +82,52 @@ val counter : string -> Counter.t
 val gauge : string -> Gauge.t
 val histogram : string -> Histogram.t
 
+(** {2 Scopes}
+
+    A scope is one owner's named group of counters: an engine, a cache,
+    a store, a daemon, a request. One call, {!Scope.add}, counts an
+    event in up to three places: the scope's own cell, which every view
+    of the owner reads; while metrics are on, the registry counter
+    [registry ^ "." ^ name], shared by every scope of that name; and,
+    for a counter made with [~request], the counter of that name in the
+    {!Request} the calling thread serves. Make a scope's counters before
+    sharing it; counting and reading are then Domain-safe. *)
+module Scope : sig
+  type t
+  type counter
+
+  val create : ?registry:string -> unit -> t
+  val counter : ?request:string -> t -> string -> counter
+  val add : counter -> int -> unit
+  val incr : counter -> unit
+  val get : counter -> int
+
+  val snapshot : t -> (string * int) list
+  (** Every counter, named as in the registry, sorted by name. *)
+
+  val reset : t -> unit
+  (** Zero the scope's cells, not the registry's. *)
+end
+
+(** {2 Requests}
+
+    The request a thread serves, installed per (domain, systhread): the
+    tags {!Trace} stamps on its spans and the scope of its own counts.
+    The pool domains a request fans out to inherit it. *)
+module Request : sig
+  type t
+
+  val make : ?tags:(string * string) list -> Scope.t -> t
+  val tags : t -> (string * string) list
+  val counts : t -> Scope.t
+
+  val with_ : t -> (unit -> 'a) -> 'a
+  (** Serve the request on the calling thread for the duration of [f]. *)
+
+  val with_opt : t option -> (unit -> 'a) -> 'a
+  val current : unit -> t option
+end
+
 type value =
   | Counter_value of int
   | Gauge_value of float

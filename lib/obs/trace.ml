@@ -76,89 +76,11 @@ let dls_key =
 
 let buf () = Domain.DLS.get dls_key
 
-(* --- ambient request context -------------------------------------------- *)
-
-type remote_context = {
-  trace_id : string option;
-  parent_span : string option;
-  req_id : string option;
-  ctx_dc_solves : int Atomic.t;
-  ctx_cache_hits : int Atomic.t;
-  ctx_retries : int Atomic.t;
-}
-
-let make_context ?trace_id ?parent_span ?req_id () =
-  {
-    trace_id;
-    parent_span;
-    req_id;
-    ctx_dc_solves = Atomic.make 0;
-    ctx_cache_hits = Atomic.make 0;
-    ctx_retries = Atomic.make 0;
-  }
-
-(* Keyed by (domain, systhread): the serve workers are threads sharing
-   domain 0, pool workers are the first thread of a spawned domain.
-   Lookups happen per span only while tracing is on, and per
-   request-level flight-recorder record otherwise — never in solver
-   inner loops. *)
-let ctx_table : (int * int, remote_context) Hashtbl.t = Hashtbl.create 16
-let ctx_lock = Mutex.create ()
-let ctx_key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
-
-let current_context () =
-  Mutex.lock ctx_lock;
-  let c = Hashtbl.find_opt ctx_table (ctx_key ()) in
-  Mutex.unlock ctx_lock;
-  c
-
-let set_context key v =
-  Mutex.lock ctx_lock;
-  (match v with
-  | None -> Hashtbl.remove ctx_table key
-  | Some c -> Hashtbl.replace ctx_table key c);
-  Mutex.unlock ctx_lock
-
-let with_remote_context ctx f =
-  let key = ctx_key () in
-  Mutex.lock ctx_lock;
-  let prev = Hashtbl.find_opt ctx_table key in
-  Hashtbl.replace ctx_table key ctx;
-  Mutex.unlock ctx_lock;
-  Fun.protect ~finally:(fun () -> set_context key prev) f
-
-let with_context_opt ctx f =
-  match ctx with None -> f () | Some ctx -> with_remote_context ctx f
-
-let attribute_dc_solve () =
-  match current_context () with
-  | None -> ()
-  | Some c -> Atomic.incr c.ctx_dc_solves
-
-let attribute_cache_hit () =
-  match current_context () with
-  | None -> ()
-  | Some c -> Atomic.incr c.ctx_cache_hits
-
-let attribute_retries n =
-  match current_context () with
-  | None -> ()
-  | Some c -> ignore (Atomic.fetch_and_add c.ctx_retries n)
-
-let context_dc_solves c = Atomic.get c.ctx_dc_solves
-let context_cache_hits c = Atomic.get c.ctx_cache_hits
-let context_retries c = Atomic.get c.ctx_retries
-
-(* request ids are stamped into every span recorded under a context *)
+(* the tags of the request the thread serves are stamped into every span *)
 let ctx_args args =
-  match current_context () with
+  match Metrics.Request.current () with
   | None -> args
-  | Some c ->
-    let args = match c.req_id with None -> args | Some r -> ("req_id", r) :: args in
-    let args =
-      match c.parent_span with None -> args | Some p -> ("parent_span", p) :: args
-    in
-    (match c.trace_id with None -> args | Some tid -> ("trace_id", tid) :: args)
+  | Some r -> Metrics.Request.tags r @ args
 
 let push b e =
   if b.len = Array.length b.events then begin

@@ -21,6 +21,14 @@
     (used by CI to exercise the instrumented paths); the [ftl] CLI's
     [--trace FILE] flag enables it and exports on exit.
 
+    While a thread serves a {!Metrics.Request}, every span it records —
+    on the daemon's worker or reader thread and on any
+    {!Lattice_engine.Pool} domain the request fans out to — carries the
+    request's tags ([trace_id], [parent_span], [req_id]). That stamping
+    is what lets [ftl client --trace] stitch client and daemon spans
+    into one Perfetto timeline, and what ties flight-recorder dumps back
+    to the request that triggered them.
+
     Call-site rule for hot paths: guard argument construction with
     {!on}, e.g.
     [let sp = if Trace.on () then Trace.begin_span ~args:[...] "step"
@@ -46,47 +54,6 @@ val on : unit -> bool
 (** One atomic load; safe from any domain. *)
 
 val set_enabled : bool -> unit
-
-(** {2 Remote request context}
-
-    The serve layer runs each request under a {!remote_context} so that
-    every span recorded while handling it — on the worker systhread and
-    on any {!Lattice_engine.Pool} domain it fans out to — is stamped
-    with the request's id and the client's [trace_id]/[parent_span].
-    That stamping is what lets [ftl client --trace] stitch client and
-    daemon spans into one Perfetto timeline, and what ties flight-
-    recorder dumps back to the request that triggered them.
-
-    The context also carries per-request attribution counters
-    (dc solves, cache hits, retries) that the engine increments and the
-    server's access log reads back. *)
-
-type remote_context
-
-val make_context :
-  ?trace_id:string -> ?parent_span:string -> ?req_id:string -> unit -> remote_context
-
-val with_remote_context : remote_context -> (unit -> 'a) -> 'a
-(** Install the context for the calling thread for the duration of [f];
-    exception-safe, restores any previously installed context. *)
-
-val with_context_opt : remote_context option -> (unit -> 'a) -> 'a
-(** [with_context_opt None f] is [f ()]; used by pool workers to
-    inherit the submitting thread's context. *)
-
-val current_context : unit -> remote_context option
-
-val attribute_dc_solve : unit -> unit
-(** Count one real DC solve against the current context (no-op without
-    one). *)
-
-val attribute_cache_hit : unit -> unit
-
-val attribute_retries : int -> unit
-
-val context_dc_solves : remote_context -> int
-val context_cache_hits : remote_context -> int
-val context_retries : remote_context -> int
 
 type token = int
 (** Handle returned by {!begin_span}; compare against {!null}. *)

@@ -9,15 +9,8 @@ module Rolling = Lattice_obs.Rolling
 module Spool = Lattice_obs.Spool
 module Clock = Lattice_obs.Clock
 module Second_chance = Lattice_engine.Cache.Second_chance
+module Scope = Metrics.Scope
 
-(* process-wide serve metrics (mirrored per-instance by atomic counters
-   so [stats] answers even while metrics are disabled) *)
-let m_requests = Metrics.counter "serve.requests"
-let m_ok = Metrics.counter "serve.responses.ok"
-let m_err = Metrics.counter "serve.responses.error"
-let m_overloaded = Metrics.counter "serve.overloaded"
-let m_quota = Metrics.counter "serve.quota_rejected"
-let m_malformed = Metrics.counter "serve.malformed"
 let m_queue_depth = Metrics.gauge "serve.queue.depth"
 let m_inflight = Metrics.gauge "serve.inflight"
 let m_queue_wait = Metrics.histogram "serve.queue_wait.seconds"
@@ -28,7 +21,6 @@ type config = {
   tcp_port : int option;
   tcp_host : string;
   domains : int option;
-  cache_capacity : int;
   store_dir : string option;
   workers : int;
   queue_capacity : int;
@@ -43,11 +35,13 @@ type config = {
       (* a request slower than this triggers a flight dump; [None]
          dumps only on errors/timeouts *)
   flight_dir : string option;  (* flight-recorder spool; None disables dumps *)
-  flight_max_files : int;
-  flight_max_bytes : int;
   access_log_path : string option;
-  access_log_max_bytes : int;
 }
+
+(* the flight spool's caps and the access log's rotation size *)
+let flight_max_files = 64
+let flight_max_bytes = 16 * 1024 * 1024
+let access_log_max_bytes = 8 * 1024 * 1024
 
 let default_config =
   {
@@ -55,7 +49,6 @@ let default_config =
     tcp_port = None;
     tcp_host = "127.0.0.1";
     domains = None;
-    cache_capacity = 4096;
     store_dir = None;
     workers = 2;
     queue_capacity = 64;
@@ -67,10 +60,7 @@ let default_config =
     log = None;
     slow_threshold_s = None;
     flight_dir = Sys.getenv_opt "FTL_FLIGHT_DIR";
-    flight_max_files = 64;
-    flight_max_bytes = 16 * 1024 * 1024;
     access_log_path = None;
-    access_log_max_bytes = 8 * 1024 * 1024;
   }
 
 type conn = {
@@ -111,16 +101,17 @@ type t = {
   conns_lock : Mutex.t;
   next_cid : int Atomic.t;
   inflight_total : int Atomic.t;
-  (* per-instance counters behind the [stats] response *)
-  c_requests : int Atomic.t;
-  c_ok : int Atomic.t;
-  c_err : int Atomic.t;
-  c_overloaded : int Atomic.t;
-  c_quota : int Atomic.t;
-  c_malformed : int Atomic.t;
-  c_conns_total : int Atomic.t;
-  c_timeouts : int Atomic.t;  (* requests killed by their deadline *)
-  c_flight_dumps : int Atomic.t;
+  (* the daemon's scope: the counters behind [stats] and [metrics_text] *)
+  scope : Scope.t;
+  c_conns_total : Scope.counter;
+  c_requests : Scope.counter;
+  c_ok : Scope.counter;
+  c_err : Scope.counter;
+  c_overloaded : Scope.counter;
+  c_quota : Scope.counter;
+  c_malformed : Scope.counter;
+  c_timeouts : Scope.counter;  (* requests killed by their deadline *)
+  c_flight_dumps : Scope.counter;
   (* rolling SLO windows: one global, one per request type *)
   rolling_all : Rolling.t;
   rolling : (string, Rolling.t) Hashtbl.t;
@@ -135,11 +126,11 @@ let create ?(config = default_config) () =
   if config.queue_capacity < 1 then invalid_arg "Server.create: queue_capacity must be >= 1";
   if config.max_inflight_per_client < 1 then
     invalid_arg "Server.create: max_inflight_per_client must be >= 1";
+  let scope = Scope.create ~registry:"serve" () in
+  let counter = Scope.counter scope in
   {
     config;
-    engine =
-      Engine.create ?domains:config.domains ~cache_capacity:config.cache_capacity
-        ?store_dir:config.store_dir ();
+    engine = Engine.create ?domains:config.domains ?store_dir:config.store_dir ();
     queue = Queue.create ();
     qlock = Mutex.create ();
     qcond = Condition.create ();
@@ -156,15 +147,16 @@ let create ?(config = default_config) () =
     conns_lock = Mutex.create ();
     next_cid = Atomic.make 0;
     inflight_total = Atomic.make 0;
-    c_requests = Atomic.make 0;
-    c_ok = Atomic.make 0;
-    c_err = Atomic.make 0;
-    c_overloaded = Atomic.make 0;
-    c_quota = Atomic.make 0;
-    c_malformed = Atomic.make 0;
-    c_conns_total = Atomic.make 0;
-    c_timeouts = Atomic.make 0;
-    c_flight_dumps = Atomic.make 0;
+    scope;
+    c_conns_total = counter "connections_total";
+    c_requests = counter "requests";
+    c_ok = counter "ok";
+    c_err = counter "errors";
+    c_overloaded = counter "overloaded";
+    c_quota = counter "quota_rejected";
+    c_malformed = counter "malformed";
+    c_timeouts = counter "request_timeouts";
+    c_flight_dumps = counter "flight_dumps";
     rolling_all = Rolling.create ();
     rolling = Hashtbl.create 16;
     rolling_lock = Mutex.create ();
@@ -172,7 +164,7 @@ let create ?(config = default_config) () =
       (match config.access_log_path with
       | None -> None
       | Some path ->
-        Some (Spool.open_log ~path ~max_bytes:config.access_log_max_bytes ()));
+        Some (Spool.open_log ~path ~max_bytes:access_log_max_bytes ()));
     memo = Second_chance.create ~capacity:memo_capacity;
     memo_lock = Mutex.create ();
   }
@@ -519,39 +511,44 @@ let observe_window t ~name ~dur_ns ~outcome =
   Rolling.observe t.rolling_all ~now_ns ~dur_s ~outcome;
   Rolling.observe (rolling_for t name) ~now_ns ~dur_s ~outcome
 
-(* one JSONL line per request: correlation fields first, cost
-   attribution (from the request's remote context) after *)
-let access_line t ~id ~name ~outcome ~dur_ns ?ctx ?trace_id () =
+(* the engine events a request counts in its own scope, sorted as its
+   snapshot is *)
+let attributed = [ "cache_hits"; "dc_solves"; "retries" ]
+
+(* one JSONL line per request: correlation fields first, then the
+   request's own counts *)
+let access_line t ~id ~name ~outcome ~dur_ns ?request ?trace_id () =
   match t.access with
   | None -> ()
   | Some alog ->
-    let counts f = match ctx with None -> 0 | Some c -> f c in
+    let counts =
+      match request with
+      | Some r -> Scope.snapshot (Metrics.Request.counts r)
+      | None -> List.map (fun k -> (k, 0)) attributed
+    in
     Spool.line alog
       (Json.to_string
          (Json.Obj
-            [
-              ("ts", Protocol.json_float (Unix.gettimeofday ()));
-              ("id", Option.value id ~default:Json.Null);
-              ("type", Json.String name);
-              ("outcome", Json.String outcome);
-              ("duration_ns", Json.Int dur_ns);
-              ("cache_hits", Json.Int (counts Trace.context_cache_hits));
-              ("dc_solves", Json.Int (counts Trace.context_dc_solves));
-              ("retries", Json.Int (counts Trace.context_retries));
-              ( "trace_id",
-                match trace_id with None -> Json.Null | Some s -> Json.String s );
-            ]))
+            ([
+               ("ts", Protocol.json_float (Unix.gettimeofday ()));
+               ("id", Option.value id ~default:Json.Null);
+               ("type", Json.String name);
+               ("outcome", Json.String outcome);
+               ("duration_ns", Json.Int dur_ns);
+             ]
+            @ List.map (fun (k, v) -> (k, Json.Int v)) counts
+            @ [ ("trace_id", match trace_id with None -> Json.Null | Some s -> Json.String s) ])))
 
 let flight_dump t ~name ~outcome =
   match t.config.flight_dir with
   | None -> ()
   | Some dir -> (
     match
-      Spool.write ~dir ~max_files:t.config.flight_max_files
-        ~max_bytes:t.config.flight_max_bytes (Ring.dump_jsonl ())
+      Spool.write ~dir ~max_files:flight_max_files ~max_bytes:flight_max_bytes
+        (Ring.dump_jsonl ())
     with
     | Ok path ->
-      Atomic.incr t.c_flight_dumps;
+      Scope.incr t.c_flight_dumps;
       log t "flight dump (%s %s): %s" name outcome path
     | Error e -> log t "flight dump (%s %s) failed: %s" name outcome e)
 
@@ -583,75 +580,69 @@ let snap_json (s : Rolling.snap) =
       ("max_ms", Protocol.json_float (s.Rolling.max_s *. 1e3));
     ]
 
-let stats_json t =
-  let tel = Engine.telemetry t.engine in
-  let module C = Lattice_engine.Cache in
-  let module S = Lattice_engine.Store in
+(* Every counter [stats] reports, read once and named as in the
+   process-wide registry: the daemon's scope, then the engine's. [stats]
+   and [metrics_text] each render one such reading in full, so they
+   report the same counters under the same names. *)
+let counters t = Scope.snapshot t.scope @ Engine.counters t.engine
+
+(* the counters directly under [prefix] ("engine." holds "engine.jobs",
+   not "engine.cache.hits"), as the JSON fields of one [stats] object *)
+let fields prefix counters =
+  let n = String.length prefix in
+  List.filter_map
+    (fun (name, v) ->
+      if String.starts_with ~prefix name && not (String.contains_from name n '.') then
+        Some (String.sub name n (String.length name - n), Json.Int v)
+      else None)
+    counters
+
+let queue_depth t =
   Mutex.lock t.qlock;
-  let queue_depth = t.qsize in
+  let d = t.qsize in
   Mutex.unlock t.qlock;
+  d
+
+let stats_json t =
+  let counters = counters t in
+  let cache = (Engine.telemetry t.engine).Engine.cache in
   Mutex.lock t.conns_lock;
   let live_conns = Hashtbl.length t.conns in
   Mutex.unlock t.conns_lock;
-  let store =
-    match tel.Engine.store with
-    | None -> Json.Null
-    | Some s ->
-      Json.Obj
-        [
-          ("hits", Json.Int s.S.hits);
-          ("misses", Json.Int s.S.misses);
-          ("writes", Json.Int s.S.writes);
-          ("corrupt", Json.Int s.S.corrupt);
-          ("errors", Json.Int s.S.errors);
-        ]
-  in
   Json.Obj
     [
       ( "server",
         Json.Obj
-          [
-            ("uptime_s", Protocol.json_float (now () -. t.started_at));
-            ("connections", Json.Int live_conns);
-            ("connections_total", Json.Int (Atomic.get t.c_conns_total));
-            ("requests", Json.Int (Atomic.get t.c_requests));
-            ("ok", Json.Int (Atomic.get t.c_ok));
-            ("errors", Json.Int (Atomic.get t.c_err));
-            ("overloaded", Json.Int (Atomic.get t.c_overloaded));
-            ("quota_rejected", Json.Int (Atomic.get t.c_quota));
-            ("malformed", Json.Int (Atomic.get t.c_malformed));
-            ("queue_depth", Json.Int queue_depth);
-            ("queue_capacity", Json.Int t.config.queue_capacity);
-            ("inflight", Json.Int (Atomic.get t.inflight_total));
-            ("workers", Json.Int t.config.workers);
-            ("request_timeouts", Json.Int (Atomic.get t.c_timeouts));
-            ("flight_dumps", Json.Int (Atomic.get t.c_flight_dumps));
-          ] );
+          ([
+             ("uptime_s", Protocol.json_float (now () -. t.started_at));
+             ("connections", Json.Int live_conns);
+           ]
+          @ fields "serve." counters
+          @ [
+              ("queue_depth", Json.Int (queue_depth t));
+              ("queue_capacity", Json.Int t.config.queue_capacity);
+              ("inflight", Json.Int (Atomic.get t.inflight_total));
+              ("workers", Json.Int t.config.workers);
+            ]) );
       ( "engine",
         Json.Obj
-          [
-            ("domains", Json.Int tel.Engine.domains);
-            ("jobs", Json.Int tel.Engine.jobs);
-            ("dc_solves", Json.Int tel.Engine.dc_solves);
-            ("newton_iterations", Json.Int tel.Engine.newton_total);
-            ("retries", Json.Int tel.Engine.retries);
-            ("timeouts", Json.Int tel.Engine.timeouts);
-            ("job_failures", Json.Int tel.Engine.job_failures);
-            ( "cache",
-              Json.Obj
-                [
-                  ("hits", Json.Int tel.Engine.cache.C.hits);
-                  ("misses", Json.Int tel.Engine.cache.C.misses);
-                  ("evictions", Json.Int tel.Engine.cache.C.evictions);
-                  ("size", Json.Int tel.Engine.cache.C.size);
-                  ("capacity", Json.Int tel.Engine.cache.C.capacity);
-                ] );
-            ("store", store);
-            ( "store_dir",
-              match Engine.store_dir t.engine with
-              | None -> Json.Null
-              | Some d -> Json.String d );
-          ] );
+          ([ ("domains", Json.Int (Engine.domains t.engine)) ]
+          @ fields "engine." counters
+          @ [
+              ( "cache",
+                Json.Obj
+                  (fields "engine.cache." counters
+                  @ [
+                      ("size", Json.Int cache.Lattice_engine.Cache.size);
+                      ("capacity", Json.Int cache.Lattice_engine.Cache.capacity);
+                    ]) );
+              ( "store",
+                match fields "engine.store." counters with [] -> Json.Null | fs -> Json.Obj fs );
+              ( "store_dir",
+                match Engine.store_dir t.engine with
+                | None -> Json.Null
+                | Some d -> Json.String d );
+            ]) );
       (let all, per = window_snaps t in
        ( "window",
          Json.Obj
@@ -663,16 +654,22 @@ let stats_json t =
            ] ));
     ]
 
-(* Prometheus-style exposition text: cumulative counters/gauges plus the
-   rolling window rendered as one summary metric labelled by request
-   type. Scrapers that only speak the exposition format get the same
-   telemetry as [stats]. *)
-let prometheus_text t =
-  let tel = Engine.telemetry t.engine in
-  let module C = Lattice_engine.Cache in
-  Mutex.lock t.qlock;
-  let queue_depth = t.qsize in
-  Mutex.unlock t.qlock;
+(* a counter's exposition name, after its place in [stats]:
+   serve.requests -> ftl_requests_total,
+   engine.cache.hits -> ftl_engine_cache_hits_total *)
+let exposition_name name =
+  let name =
+    if String.starts_with ~prefix:"serve." name then String.sub name 6 (String.length name - 6)
+    else name
+  in
+  let base = "ftl_" ^ String.map (function '.' -> '_' | c -> c) name in
+  if String.ends_with ~suffix:"_total" base then base else base ^ "_total"
+
+(* Prometheus-style exposition text: every counter of [stats], the
+   daemon's gauges, and the rolling window rendered as one summary
+   metric labelled by request type. Scrapers that only speak the
+   exposition format get the same telemetry as [stats]. *)
+let metrics_text t =
   let b = Buffer.create 4096 in
   let fmt v =
     if Float.is_nan v then "NaN"
@@ -683,27 +680,15 @@ let prometheus_text t =
   let metric name ty v =
     Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n%s %s\n" name ty name v)
   in
-  let counter name v = metric name "counter" (string_of_int v) in
   let gauge name v = metric name "gauge" (fmt v) in
   gauge "ftl_uptime_seconds" (now () -. t.started_at);
-  counter "ftl_requests_total" (Atomic.get t.c_requests);
-  counter "ftl_responses_ok_total" (Atomic.get t.c_ok);
-  counter "ftl_responses_error_total" (Atomic.get t.c_err);
-  counter "ftl_request_timeouts_total" (Atomic.get t.c_timeouts);
-  counter "ftl_overloaded_total" (Atomic.get t.c_overloaded);
-  counter "ftl_quota_rejected_total" (Atomic.get t.c_quota);
-  counter "ftl_malformed_total" (Atomic.get t.c_malformed);
-  counter "ftl_connections_total" (Atomic.get t.c_conns_total);
-  counter "ftl_flight_dumps_total" (Atomic.get t.c_flight_dumps);
-  gauge "ftl_queue_depth" (float_of_int queue_depth);
+  List.iter
+    (fun (name, v) -> metric (exposition_name name) "counter" (string_of_int v))
+    (counters t);
+  gauge "ftl_queue_depth" (float_of_int (queue_depth t));
   gauge "ftl_queue_capacity" (float_of_int t.config.queue_capacity);
   gauge "ftl_inflight" (float_of_int (Atomic.get t.inflight_total));
   gauge "ftl_workers" (float_of_int t.config.workers);
-  counter "ftl_engine_dc_solves_total" tel.Engine.dc_solves;
-  counter "ftl_engine_newton_iterations_total" tel.Engine.newton_total;
-  counter "ftl_engine_retries_total" tel.Engine.retries;
-  counter "ftl_engine_cache_hits_total" tel.Engine.cache.C.hits;
-  counter "ftl_engine_cache_misses_total" tel.Engine.cache.C.misses;
   let all, per = window_snaps t in
   gauge "ftl_window_seconds" (Rolling.window_s t.rolling_all);
   Buffer.add_string b "# TYPE ftl_request_duration_seconds summary\n";
@@ -749,13 +734,11 @@ let write_response t conn line =
           log t "conn %d: write failed, dropping connection" conn.cid)
 
 let respond_ok t conn ~id result =
-  Atomic.incr t.c_ok;
-  Metrics.Counter.incr m_ok;
+  Scope.incr t.c_ok;
   write_response t conn (Protocol.render_ok ~id result)
 
 let respond_error ?details t conn ~id code msg =
-  Atomic.incr t.c_err;
-  Metrics.Counter.incr m_err;
+  Scope.incr t.c_err;
   write_response t conn (Protocol.render_error ?details ~id code msg)
 
 (* close the descriptor only when no writer can still reach it *)
@@ -777,8 +760,7 @@ let admit t conn env =
   if Atomic.get t.stopping then
     Error (Protocol.Shutting_down, "daemon is shutting down")
   else if Atomic.get conn.inflight >= t.config.max_inflight_per_client then begin
-    Atomic.incr t.c_quota;
-    Metrics.Counter.incr m_quota;
+    Scope.incr t.c_quota;
     Error
       ( Protocol.Quota_exceeded,
         Printf.sprintf "connection quota of %d in-flight request(s) reached"
@@ -788,8 +770,7 @@ let admit t conn env =
     Mutex.lock t.qlock;
     if t.qsize >= t.config.queue_capacity then begin
       Mutex.unlock t.qlock;
-      Atomic.incr t.c_overloaded;
-      Metrics.Counter.incr m_overloaded;
+      Scope.incr t.c_overloaded;
       Error
         ( Protocol.Overloaded,
           Printf.sprintf "admission queue full (capacity %d); back off and retry"
@@ -807,13 +788,23 @@ let admit t conn env =
     end
   end
 
-(* every span recorded under this context — worker thread and pool
-   domains alike — carries req_id/trace_id/parent_span args, and the
-   engine attributes its solves/hits/retries to it *)
+(* every span recorded while a thread serves this request — worker
+   thread and pool domains alike — carries its trace_id/parent_span/
+   req_id tags, and the engine's solves, hits and retries count in its
+   own scope *)
 let request_context (env : Protocol.envelope) =
-  Trace.make_context ?trace_id:env.Protocol.trace_id ?parent_span:env.Protocol.parent_span
-    ?req_id:(Option.map scalar_string env.Protocol.id)
-    ()
+  let counts = Scope.create () in
+  List.iter (fun name -> ignore (Scope.counter counts name)) attributed;
+  let tag key = Option.map (fun v -> (key, v)) in
+  Metrics.Request.make
+    ~tags:
+      (List.filter_map Fun.id
+         [
+           tag "trace_id" env.Protocol.trace_id;
+           tag "parent_span" env.Protocol.parent_span;
+           tag "req_id" (Option.map scalar_string env.Protocol.id);
+         ])
+    counts
 
 (* A compute handler's outcome and the answer it owes *)
 let run_handler t conn ~id ~name ~deadline_s f =
@@ -843,7 +834,7 @@ let count_then_answer t ~name ~t0_ns (outcome, answer) =
     | `Err code -> (Protocol.code_name code, Rolling.Error)
   in
   let dur_ns = Clock.now_ns () - t0_ns in
-  if roll = Rolling.Timeout then Atomic.incr t.c_timeouts;
+  if roll = Rolling.Timeout then Scope.incr t.c_timeouts;
   observe_window t ~name ~dur_ns ~outcome:roll;
   answer ();
   (outcome_name, dur_ns)
@@ -853,7 +844,7 @@ let count_then_answer t ~name ~t0_ns (outcome, answer) =
    the handler, the count and the answer; the access line, any flight
    dump and [serve.handle.seconds] follow. Only a worker also feeds the
    queue-wait histogram and the queue and in-flight gauges. *)
-let serve_compute t conn (env : Protocol.envelope) ~ctx ~t0_ns handler =
+let serve_compute t conn (env : Protocol.envelope) ~request ~t0_ns handler =
   let name = Protocol.request_name env.Protocol.req in
   let id = env.Protocol.id in
   let deadline_s =
@@ -869,7 +860,7 @@ let serve_compute t conn (env : Protocol.envelope) ~ctx ~t0_ns handler =
   in
   (* the rest runs after the serve.handle span closed, so a flight dump
      triggered here already holds the request's own spans *)
-  access_line t ~id ~name ~outcome ~dur_ns ~ctx ?trace_id:env.Protocol.trace_id ();
+  access_line t ~id ~name ~outcome ~dur_ns ~request ?trace_id:env.Protocol.trace_id ();
   let slow =
     match t.config.slow_threshold_s with
     | Some s -> float_of_int dur_ns /. 1e9 >= s
@@ -881,9 +872,9 @@ let serve_compute t conn (env : Protocol.envelope) ~ctx ~t0_ns handler =
 
 let execute t (job : job) =
   let env = job.env in
-  let ctx = request_context env in
-  Trace.with_remote_context ctx @@ fun () ->
-  serve_compute t job.jconn env ~ctx ~t0_ns:(Clock.now_ns ()) (fun ~cancel ->
+  let request = request_context env in
+  Metrics.Request.with_ request @@ fun () ->
+  serve_compute t job.jconn env ~request ~t0_ns:(Clock.now_ns ()) (fun ~cancel ->
       handle_compute t ~cancel env.Protocol.req)
 
 let worker_loop t =
@@ -926,28 +917,32 @@ let inline_dc_op t conn env ~expr ~state ~vdd =
   let t0_ns = Clock.now_ns () in
   match memo_find t (memo_key ~expr ~vdd) with
   | Some c when state < 1 lsl Tt.nvars c.tt && not (Atomic.get t.stopping) -> (
-    let ctx = request_context env in
-    Trace.with_remote_context ctx @@ fun () ->
+    let request = request_context env in
+    Metrics.Request.with_ request @@ fun () ->
     match dc_op_answer c ~expr ~state ~solve:(Engine.resident_dc_op t.engine) with
     | None -> false
     | Some answer ->
-      serve_compute t conn env ~ctx ~t0_ns (fun ~cancel:_ -> answer ());
+      serve_compute t conn env ~request ~t0_ns (fun ~cancel:_ -> answer ());
       true)
   | _ -> false
 
+(* A frame that holds no request — one too long, one with a NUL byte,
+   or one that does not parse: counted, answered and logged as one
+   malformed request. *)
+let malformed t conn ~id code msg =
+  Scope.incr t.c_requests;
+  Scope.incr t.c_malformed;
+  respond_error t conn ~id code msg;
+  access_line t ~id ~name:"malformed" ~outcome:(Protocol.code_name code) ~dur_ns:0 ()
+
 let handle_frame t conn line =
-  Atomic.incr t.c_requests;
-  Metrics.Counter.incr m_requests;
   let parsed =
     Trace.with_span ~cat:"serve" "serve.parse" (fun () -> Protocol.parse_request line)
   in
   match parsed with
-  | Error (id, code, msg) ->
-    Atomic.incr t.c_malformed;
-    Metrics.Counter.incr m_malformed;
-    respond_error t conn ~id code msg;
-    access_line t ~id ~name:"malformed" ~outcome:(Protocol.code_name code) ~dur_ns:0 ()
+  | Error (id, code, msg) -> malformed t conn ~id code msg
   | Ok env -> (
+    Scope.incr t.c_requests;
     let id = env.Protocol.id in
     let name = Protocol.request_name env.Protocol.req in
     (* control requests answer inline from the reader thread; they get
@@ -968,7 +963,7 @@ let handle_frame t conn line =
           Json.Obj
             [
               ("content_type", Json.String "text/plain; version=0.0.4");
-              ("text", Json.String (prometheus_text t));
+              ("text", Json.String (metrics_text t));
             ])
     | Protocol.Shutdown ->
       log t "conn %d: shutdown requested" conn.cid;
@@ -990,18 +985,9 @@ let reader_loop t conn =
     match Framing.read_frame r with
     | Framing.Eof -> live := false
     | Framing.Too_long n ->
-      Atomic.incr t.c_requests;
-      Metrics.Counter.incr m_requests;
-      Atomic.incr t.c_malformed;
-      Metrics.Counter.incr m_malformed;
-      respond_error t conn ~id:None Protocol.Frame_too_long
+      malformed t conn ~id:None Protocol.Frame_too_long
         (Printf.sprintf "frame of %d bytes exceeds the %d-byte cap" n t.config.max_frame)
-    | Framing.Nul ->
-      Atomic.incr t.c_requests;
-      Metrics.Counter.incr m_requests;
-      Atomic.incr t.c_malformed;
-      Metrics.Counter.incr m_malformed;
-      respond_error t conn ~id:None Protocol.Invalid_frame "frame contains a NUL byte"
+    | Framing.Nul -> malformed t conn ~id:None Protocol.Invalid_frame "frame contains a NUL byte"
     | Framing.Frame line -> handle_frame t conn line
   done;
   Mutex.lock conn.write_lock;
@@ -1032,7 +1018,7 @@ let accept_loop t lfd =
             fd_closed = false;
           }
         in
-        Atomic.incr t.c_conns_total;
+        Scope.incr t.c_conns_total;
         let th = Thread.create (fun () -> reader_loop t conn) () in
         Mutex.lock t.conns_lock;
         Hashtbl.replace t.conns cid (conn, th);
@@ -1097,12 +1083,7 @@ let teardown t =
     | None -> ());
     (* 2. drain: admission already refuses, so the queue only shrinks *)
     let deadline = now () +. t.config.drain_deadline_s in
-    let pending () =
-      Mutex.lock t.qlock;
-      let q = t.qsize in
-      Mutex.unlock t.qlock;
-      q + Atomic.get t.inflight_total
-    in
+    let pending () = queue_depth t + Atomic.get t.inflight_total in
     while pending () > 0 && now () < deadline do
       Thread.delay 0.01
     done;

@@ -56,15 +56,22 @@
 
     {2 Observability}
 
-    Spans per phase ([serve.parse], [serve.handle]); process-wide
-    counters [serve.requests] / [serve.responses.ok] /
-    [serve.responses.error] / [serve.overloaded] /
-    [serve.quota_rejected] / [serve.malformed]; histograms
+    The daemon counts each event once, in its
+    {!Lattice_obs.Metrics.Scope} (registry prefix ["serve"]). [stats]
+    reports that scope and {!Lattice_engine.Engine.counters};
+    [metrics_text] renders every one of those counters, named after its
+    place in [stats] ([server.requests] is [ftl_requests_total],
+    [engine.cache.hits] is [ftl_engine_cache_hits_total]). Spans per
+    phase ([serve.parse], [serve.handle]); histograms
     [serve.queue_wait.seconds] and [serve.handle.seconds] (monotonic
     clock, as are the drain deadline and [uptime_s]); level gauges
-    [serve.queue.depth] and [serve.inflight]. The [stats] request
-    returns the same numbers (plus engine/cache/store telemetry, read
-    from {!Lattice_engine.Engine.telemetry}) as JSON.
+    [serve.queue.depth] and [serve.inflight].
+
+    Every frame is one request and one access-log line: a frame over
+    [max_frame] bytes ([frame_too_long]) or with a NUL byte
+    ([invalid_frame]) is logged as [malformed], as one that does not
+    parse is. A line's [cache_hits], [dc_solves] and [retries] are the
+    request's own counts ({!Lattice_obs.Metrics.Request}).
 
     Every request a handler answers — queued, control, or an inline
     [dc_op] hit — is counted in the [stats] rolling windows (and, for a
@@ -88,7 +95,6 @@ type config = {
   tcp_port : int option;  (** TCP listener on [tcp_host] *)
   tcp_host : string;  (** default 127.0.0.1 *)
   domains : int option;  (** engine Domain-pool width *)
-  cache_capacity : int;
   store_dir : string option;  (** persistent DC-result store root *)
   workers : int;  (** worker threads executing compute requests *)
   queue_capacity : int;  (** admission-queue bound *)
@@ -103,20 +109,19 @@ type config = {
       (** a request slower than this triggers a flight-recorder dump;
           [None] dumps only on errors/timeouts *)
   flight_dir : string option;
-      (** flight-recorder spool directory; [None] disables dumps *)
-  flight_max_files : int;  (** spool cap: file count (oldest evicted) *)
-  flight_max_bytes : int;  (** spool cap: total bytes (oldest evicted) *)
+      (** flight-recorder spool directory (64 files / 16 MiB, oldest
+          evicted); [None] disables dumps *)
   access_log_path : string option;
-      (** structured JSONL access log, one line per request *)
-  access_log_max_bytes : int;  (** access-log rotation threshold *)
+      (** structured JSONL access log, one line per request, rotated at
+          8 MiB *)
 }
 
 val default_config : config
 (** No listeners (callers must set [socket_path] and/or [tcp_port]);
     2 workers; queue 64; quota 16; 30 s default deadline; 64 KiB
     frames; 10 s drain; [sleep] disabled; no log. Flight dumps go to
-    [FTL_FLIGHT_DIR] when that is set (64 files / 16 MiB caps); no slow
-    threshold; no access log. *)
+    [FTL_FLIGHT_DIR] when that is set; no slow threshold; no access
+    log. *)
 
 type t
 
@@ -155,6 +160,10 @@ val run : t -> unit
 
 val stats_json : t -> Json.t
 (** The [stats] response body (also exposed for tests/CLI). *)
+
+val metrics_text : t -> string
+(** The [metrics_text] response's exposition text (also exposed for
+    tests). *)
 
 val memoized : t -> (string * float) list
 (** The [(expr, vdd)] keys of the memoized [dc_op] circuits, in the

@@ -659,8 +659,12 @@ let test_resident_dc_op () =
       st.Lattice_engine.Store.hits + st.Lattice_engine.Store.misses;
     ]
   in
-  let ctx = Lattice_obs.Trace.make_context () in
-  let resident () = Lattice_obs.Trace.with_remote_context ctx (fun () -> Engine.resident_dc_op e netlist) in
+  let module Metrics = Lattice_obs.Metrics in
+  let req_counts = Metrics.Scope.create () in
+  let req_hits = Metrics.Scope.counter req_counts "cache_hits" in
+  let req_solves = Metrics.Scope.counter req_counts "dc_solves" in
+  let request = Metrics.Request.make req_counts in
+  let resident () = Metrics.Request.with_ request (fun () -> Engine.resident_dc_op e netlist) in
   Alcotest.(check bool) "memory miss: nothing" true (resident () = None);
   Alcotest.(check (list int)) "a miss counts nothing, reads no store" [ 0; 0; 0; 0 ] (counts ());
   ignore (Engine.dc_op e netlist);  (* promotes the store's entry into memory *)
@@ -674,8 +678,8 @@ let test_resident_dc_op () =
   Alcotest.(check (list int)) "a hit counts one hit, no miss, no solve, no store read"
     [ 2; 0; 0; 1 ] (counts ());
   Alcotest.(check int) "the hit is attributed to the caller's context" 1
-    (Lattice_obs.Trace.context_cache_hits ctx);
-  Alcotest.(check int) "no solve attributed" 0 (Lattice_obs.Trace.context_dc_solves ctx)
+    (Metrics.Scope.get req_hits);
+  Alcotest.(check int) "no solve attributed" 0 (Metrics.Scope.get req_solves)
 
 let test_reset_telemetry_keeps_cache () =
   (* reset_telemetry zeroes the counters but must not evict cached

@@ -200,8 +200,12 @@ let test_ring_dump_jsonl () =
    the caller's correlation ids even when only the ring is recording *)
 let test_ring_spans_carry_remote_context () =
   Ring.set_enabled true;
-  let ctx = Trace.make_context ~trace_id:"trace-77" ~parent_span:"span-3" ~req_id:"req-9" () in
-  Trace.with_remote_context ctx (fun () -> Trace.with_span "ctx-span" (fun () -> ()));
+  let request =
+    Metrics.Request.make
+      ~tags:[ ("trace_id", "trace-77"); ("parent_span", "span-3"); ("req_id", "req-9") ]
+      (Metrics.Scope.create ())
+  in
+  Metrics.Request.with_ request (fun () -> Trace.with_span "ctx-span" (fun () -> ()));
   Trace.with_span "bare-span" (fun () -> ());
   Ring.set_enabled false;
   let spans = Ring.dump () in
@@ -216,18 +220,31 @@ let test_ring_spans_carry_remote_context () =
   Alcotest.(check (option string)) "no leakage outside the context" None
     (List.assoc_opt "trace_id" bare.Ring.args)
 
+(* an owner's counter created with [~request] also counts in the request
+   the calling thread serves *)
 let test_remote_context_attribution () =
-  let ctx = Trace.make_context ~req_id:"r" () in
-  Trace.with_remote_context ctx (fun () ->
-      Trace.attribute_dc_solve ();
-      Trace.attribute_dc_solve ();
-      Trace.attribute_cache_hit ();
-      Trace.attribute_retries 3);
-  (* attribution outside any context is dropped, not misfiled *)
-  Trace.attribute_dc_solve ();
-  Alcotest.(check int) "dc solves attributed" 2 (Trace.context_dc_solves ctx);
-  Alcotest.(check int) "cache hits attributed" 1 (Trace.context_cache_hits ctx);
-  Alcotest.(check int) "retries attributed" 3 (Trace.context_retries ctx)
+  let module Scope = Metrics.Scope in
+  let owner = Scope.create () in
+  let solves = Scope.counter owner ~request:"dc_solves" "dc_solves" in
+  let hits = Scope.counter owner ~request:"cache_hits" "hits" in
+  let retries = Scope.counter owner ~request:"retries" "retries" in
+  let counts = Scope.create () in
+  let req_solves = Scope.counter counts "dc_solves" in
+  let req_hits = Scope.counter counts "cache_hits" in
+  let req_retries = Scope.counter counts "retries" in
+  Metrics.Request.with_ (Metrics.Request.make ~tags:[ ("req_id", "r") ] counts) (fun () ->
+      Scope.incr solves;
+      Scope.incr solves;
+      Scope.incr hits;
+      Scope.add retries 3);
+  (* attribution outside any request is dropped, not misfiled *)
+  Scope.incr solves;
+  Alcotest.(check int) "dc solves attributed" 2 (Scope.get req_solves);
+  Alcotest.(check int) "cache hits attributed" 1 (Scope.get req_hits);
+  Alcotest.(check int) "retries attributed" 3 (Scope.get req_retries);
+  Alcotest.(check (list (pair string int)))
+    "the owner counted every event once" [ ("dc_solves", 3); ("hits", 1); ("retries", 3) ]
+    (Scope.snapshot owner)
 
 (* --- rolling window -------------------------------------------------------- *)
 

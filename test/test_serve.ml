@@ -1017,6 +1017,146 @@ let access_lines log =
            match J.parse l with j -> Some j | exception J.Parse_error _ -> None)
   else []
 
+(* Every counter of the daemon's and the engine's scopes reads the same
+   in [stats], [metrics_text], the engine's telemetry and summary, and
+   the process-wide registry, read at rest after cold and hot dc_ops, a
+   malformed frame and a timed-out request. *)
+let test_daemon_counters_agree () =
+  let module M = Lattice_obs.Metrics in
+  M.reset ();
+  M.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      M.set_enabled false;
+      M.reset ())
+  @@ fun () ->
+  with_server ~allow_sleep:true @@ fun t path ->
+  let c = C.connect (C.Unix_socket path) in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  let dc_op state =
+    match C.call c ~type_:"dc_op" [ ("expr", J.String "a b + c"); ("state", J.Int state) ] with
+    | Ok _ -> ()
+    | Error (code, msg) -> Alcotest.failf "dc_op failed: %s: %s" (P.code_name code) msg
+  in
+  dc_op 3;
+  dc_op 3;
+  dc_op 5;
+  expect_error c "with\000nul" P.Invalid_frame;
+  (match C.call c ~deadline_s:0.05 ~type_:"sleep" [ ("seconds", J.Float 2.0) ] with
+  | Error (P.Timeout, _) -> ()
+  | _ -> Alcotest.fail "expected timeout");
+  (* every count was made before its answer was written *)
+  let stats = S.stats_json t in
+  let text = S.metrics_text t in
+  let tel = Engine.telemetry (S.engine t) in
+  let summary = Engine.summary (S.engine t) in
+  let registry = M.snapshot () in
+  let cache = tel.Engine.cache in
+  let module Ca = Lattice_engine.Cache in
+  (* (stats path, registry name, exposition name, telemetry value) *)
+  let server key exposition = ([ "server"; key ], "serve." ^ key, exposition, None) in
+  let engine key v = ([ "engine"; key ], "engine." ^ key, "ftl_engine_" ^ key ^ "_total", Some v) in
+  let cache_c key v =
+    ([ "engine"; "cache"; key ], "engine.cache." ^ key, "ftl_engine_cache_" ^ key ^ "_total", Some v)
+  in
+  let rows =
+    [
+      server "connections_total" "ftl_connections_total";
+      server "requests" "ftl_requests_total";
+      server "ok" "ftl_ok_total";
+      server "errors" "ftl_errors_total";
+      server "overloaded" "ftl_overloaded_total";
+      server "quota_rejected" "ftl_quota_rejected_total";
+      server "malformed" "ftl_malformed_total";
+      server "request_timeouts" "ftl_request_timeouts_total";
+      server "flight_dumps" "ftl_flight_dumps_total";
+      engine "jobs" tel.Engine.jobs;
+      engine "dc_solves" tel.Engine.dc_solves;
+      engine "newton_iterations" tel.Engine.newton_total;
+      engine "retries" tel.Engine.retries;
+      engine "timeouts" tel.Engine.timeouts;
+      engine "job_failures" tel.Engine.job_failures;
+      cache_c "hits" cache.Ca.hits;
+      cache_c "misses" cache.Ca.misses;
+      cache_c "evictions" cache.Ca.evictions;
+    ]
+  in
+  let text_lines = String.split_on_char '\n' text in
+  let stat path =
+    match List.fold_left (fun acc k -> Option.bind acc (J.member k)) (Some stats) path with
+    | Some (J.Int n) -> n
+    | _ -> Alcotest.failf "stats carries no %s" (String.concat "." path)
+  in
+  List.iter
+    (fun (path, reg, expo, tel_v) ->
+      let v = stat path in
+      Alcotest.(check (option int)) (reg ^ " in the registry") (Some v)
+        (match List.assoc_opt reg registry with Some (M.Counter_value n) -> Some n | _ -> None);
+      Alcotest.(check bool) (expo ^ " in metrics_text") true
+        (List.mem (Printf.sprintf "%s %d" expo v) text_lines
+        && List.mem (Printf.sprintf "# TYPE %s counter" expo) text_lines);
+      Option.iter (fun tv -> Alcotest.(check int) (reg ^ " in telemetry") v tv) tel_v)
+    rows;
+  Alcotest.(check int) "metrics_text renders exactly the counters of stats" (List.length rows)
+    (List.length (List.filter (String.ends_with ~suffix:" counter") text_lines));
+  Alcotest.(check bool) "no _total_total" false (contains ~sub:"_total_total" text);
+  List.iter
+    (fun sub -> Alcotest.(check bool) ("summary has " ^ sub) true (contains ~sub summary))
+    [
+      Printf.sprintf "| %d jobs |" (stat [ "engine"; "jobs" ]);
+      Printf.sprintf "| %d dc solves, cache %d/%d hits" (stat [ "engine"; "dc_solves" ])
+        (stat [ "engine"; "cache"; "hits" ])
+        (stat [ "engine"; "cache"; "hits" ] + stat [ "engine"; "cache"; "misses" ]);
+      Printf.sprintf "%d evictions" (stat [ "engine"; "cache"; "evictions" ]);
+      Printf.sprintf "| %d newton iters" (stat [ "engine"; "newton_iterations" ]);
+    ];
+  (* the traffic itself: 5 requests, 2 solves, 1 hit, 1 malformed, 1 timeout *)
+  Alcotest.(check (list int)) "requests, malformed, timeouts, solves, hits" [ 5; 1; 1; 2; 1 ]
+    [
+      stat [ "server"; "requests" ];
+      stat [ "server"; "malformed" ];
+      stat [ "server"; "request_timeouts" ];
+      stat [ "engine"; "dc_solves" ];
+      stat [ "engine"; "cache"; "hits" ];
+    ]
+
+(* An oversized frame and a NUL frame are requests like any other: each
+   leaves one access line, so the log holds one line per counted request. *)
+let test_daemon_frame_errors_logged () =
+  let dir = temp_dir "ftl-access" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let log = Filename.concat dir "access.jsonl" in
+  with_server ~max_frame:256 ~access_log_path:log @@ fun _t path ->
+  let c = C.connect (C.Unix_socket path) in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  Alcotest.(check bool) "ping" true (C.ping c);
+  expect_error c (Printf.sprintf {|{"type":"ping","pad":"%s"}|} (String.make 300 'x'))
+    P.Frame_too_long;
+  expect_error c "with\000nul" P.Invalid_frame;
+  expect_error c {|{"type":"warp"}|} P.Unknown_type;
+  let requests = get_server_stat c "requests" in
+  Alcotest.(check int) "five requests counted" 5 requests;
+  (* the stats request's own line lands just after its answer: poll *)
+  let rec wait tries =
+    let ls = access_lines log in
+    if List.length ls >= requests || tries = 0 then ls
+    else begin
+      Thread.delay 0.02;
+      wait (tries - 1)
+    end
+  in
+  let lines = wait 200 in
+  Alcotest.(check int) "one access line per request" requests (List.length lines);
+  List.iter
+    (fun outcome ->
+      Alcotest.(check int) (outcome ^ ": one malformed line") 1
+        (List.length
+           (List.filter
+              (fun j ->
+                J.member "type" j = Some (J.String "malformed")
+                && J.member "outcome" j = Some (J.String outcome))
+              lines)))
+    [ "frame_too_long"; "invalid_frame"; "unknown_type" ]
+
 let test_daemon_dc_op_inline_hit () =
   let dir = temp_dir "ftl-access" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -1227,6 +1367,10 @@ let () =
             test_daemon_stats_window_and_metrics_text;
           Alcotest.test_case "access log: lines, outcomes, attribution" `Quick
             test_daemon_access_log;
+          Alcotest.test_case "counters agree across every view" `Quick
+            test_daemon_counters_agree;
+          Alcotest.test_case "frame errors: one access line each" `Quick
+            test_daemon_frame_errors_logged;
           Alcotest.test_case "no listener rejected" `Quick test_daemon_no_listener_rejected;
           Alcotest.test_case "hot dc_op answered inline" `Quick test_daemon_dc_op_inline_hit;
           Alcotest.test_case "hot dc_op beside a busy worker" `Quick
