@@ -11,6 +11,12 @@
     event (with nanosecond timestamps and explicit [parent] span ids),
     then every metric. Suited to [jq]-style post-processing.
 
+    Both print through {!Json.to_string}, the trace events through
+    {!Ring.chrome_event} (the flight dump's encoder), so every line or
+    document parses with {!Json.parse}; floats print at full precision
+    (a histogram's [sum] reads back bit for bit) and a non-finite
+    metric value prints as {!Json.float} maps it.
+
     [summary] is the human-readable metrics rendering
     ({!Metrics.render}). *)
 

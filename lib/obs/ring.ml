@@ -111,51 +111,21 @@ let reset () =
 
 (* --- serialization ------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* Chrome wants microsecond floats; ns / 1e3 keeps sub-us precision. *)
+let us ns = Json.Float (float_of_int ns /. 1e3)
 
-(* One Chrome-trace "X" event per line: the same shape Export.chrome_json
-   puts in [traceEvents], so a dump opens in Perfetto after wrapping the
-   lines in a JSON array. *)
-let span_to_json s =
-  let b = Buffer.create 160 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f"
-       (json_escape s.name)
-       (json_escape (if s.cat = "" then "default" else s.cat))
-       s.dom
-       (float_of_int s.ts_ns /. 1e3)
-       (float_of_int s.dur_ns /. 1e3));
-  if s.args <> [] then begin
-    Buffer.add_string b ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-      s.args;
-    Buffer.add_char b '}'
-  end;
-  Buffer.add_char b '}';
-  Buffer.contents b
+let chrome_event ~ph ?(fields = []) ~pid s =
+  let str v = Json.String v in
+  let cat = if s.cat = "" then "default" else s.cat in
+  Json.Obj
+    ([ ("name", str s.name); ("cat", str cat); ("ph", str ph) ]
+    @ fields
+    @ [ ("pid", Json.Int pid); ("tid", Json.Int s.dom); ("ts", us s.ts_ns) ]
+    @ (if ph = "X" then [ ("dur", us (Int.max 0 s.dur_ns)) ] else [])
+    @
+    if s.args = [] then []
+    else [ ("args", Json.Obj (List.map (fun (k, v) -> (k, str v)) s.args)) ])
 
 let dump_jsonl ?last_n () =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun s ->
-      Buffer.add_string b (span_to_json s);
-      Buffer.add_char b '\n')
-    (dump ?last_n ());
-  Buffer.contents b
+  let line s = Json.to_string (chrome_event ~ph:"X" ~pid:1 s) ^ "\n" in
+  String.concat "" (List.map line (dump ?last_n ()))

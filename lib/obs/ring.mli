@@ -49,16 +49,19 @@ val dump : ?last_n:int -> unit -> span list
     are diagnostics, not ledgers. *)
 
 val dump_jsonl : ?last_n:int -> unit -> string
-(** {!dump} rendered one Chrome-trace ["X"] event per line (JSONL);
-    wrapping the lines in a JSON array yields a Perfetto-loadable
-    trace. *)
+(** {!dump} rendered one Chrome-trace ["X"] event per line (JSONL,
+    [pid] 1, each line printed by {!Json.to_string}); wrapping the
+    lines in a JSON array yields a Perfetto-loadable trace. *)
+
+val chrome_event : ph:string -> ?fields:(string * Json.t) list -> pid:int -> span -> Json.t
+(** One Chrome trace event of phase [ph]: [name], [cat] (["default"]
+    when empty), [ph], then [fields], [pid], [tid] (the span's [dom]),
+    [ts] and, for ["X"], [dur] (microseconds, a negative duration
+    clamped to 0), and an [args] object unless [args] is empty. The one
+    encoder of {!dump_jsonl} and {!Export.chrome_json}. *)
 
 val recorded : unit -> int
 (** Number of spans currently held across all rings. *)
-
-val json_escape : string -> string
-(** JSON string-body escaping (quote, backslash, control characters),
-    shared by this module's and {!Export}'s writers. *)
 
 val reset : unit -> unit
 (** Clear every ring (tests). Quiescent points only. *)

@@ -266,11 +266,7 @@ let render_error ?(details = []) ~id code message =
                @ details) );
          ]))
 
-let json_float f =
-  if Float.is_finite f then Json.Float f
-  else if f > 0.0 then Json.String "inf"
-  else if f < 0.0 then Json.String "-inf"
-  else Json.String "nan"
+let json_float = Json.float
 
 type parsed_response = {
   resp_id : Json.t option;

@@ -111,8 +111,7 @@ val render_error :
 (** {2 Response-side helpers} *)
 
 val json_float : float -> Json.t
-(** [Float], or the strings ["inf"]/["-inf"]/["nan"] for non-finite
-    values (e.g. a defect campaign with no logic-high states). *)
+(** {!Json.float}. *)
 
 type parsed_response = {
   resp_id : Json.t option;

@@ -11,11 +11,6 @@ module Clock = Lattice_obs.Clock
 module Second_chance = Lattice_engine.Cache.Second_chance
 module Scope = Metrics.Scope
 
-let m_queue_depth = Metrics.gauge "serve.queue.depth"
-let m_inflight = Metrics.gauge "serve.inflight"
-let m_queue_wait = Metrics.histogram "serve.queue_wait.seconds"
-let m_handle = Metrics.histogram "serve.handle.seconds"
-
 type config = {
   socket_path : string option;
   tcp_port : int option;
@@ -112,6 +107,11 @@ type t = {
   c_malformed : Scope.counter;
   c_timeouts : Scope.counter;  (* requests killed by their deadline *)
   c_flight_dumps : Scope.counter;
+  (* registry instruments, registered with the daemon *)
+  m_queue_depth : Metrics.Gauge.t;
+  m_inflight : Metrics.Gauge.t;
+  m_queue_wait : Metrics.Histogram.t;
+  m_handle : Metrics.Histogram.t;
   (* rolling SLO windows: one global, one per request type *)
   rolling_all : Rolling.t;
   rolling : (string, Rolling.t) Hashtbl.t;
@@ -157,6 +157,10 @@ let create ?(config = default_config) () =
     c_malformed = counter "malformed";
     c_timeouts = counter "request_timeouts";
     c_flight_dumps = counter "flight_dumps";
+    m_queue_depth = Metrics.gauge "serve.queue.depth";
+    m_inflight = Metrics.gauge "serve.inflight";
+    m_queue_wait = Metrics.histogram "serve.queue_wait.seconds";
+    m_handle = Metrics.histogram "serve.handle.seconds";
     rolling_all = Rolling.create ();
     rolling = Hashtbl.create 16;
     rolling_lock = Mutex.create ();
@@ -781,7 +785,7 @@ let admit t conn env =
       t.qsize <- t.qsize + 1;
       Atomic.incr conn.inflight;
       Atomic.incr t.inflight_total;
-      Metrics.Gauge.add m_queue_depth 1.0;
+      Metrics.Gauge.add t.m_queue_depth 1.0;
       Condition.signal t.qcond;
       Mutex.unlock t.qlock;
       Ok ()
@@ -868,7 +872,7 @@ let serve_compute t conn (env : Protocol.envelope) ~request ~t0_ns handler =
   in
   if outcome <> "ok" then flight_dump t ~name ~outcome
   else if slow then flight_dump t ~name ~outcome:"slow";
-  Metrics.Histogram.observe m_handle (Clock.ns_to_s (Clock.now_ns () - t0_ns))
+  Metrics.Histogram.observe t.m_handle (Clock.ns_to_s (Clock.now_ns () - t0_ns))
 
 let execute t (job : job) =
   let env = job.env in
@@ -893,11 +897,11 @@ let worker_loop t =
       let job = Queue.pop t.queue in
       t.qsize <- t.qsize - 1;
       Mutex.unlock t.qlock;
-      Metrics.Gauge.add m_queue_depth (-1.0);
-      Metrics.Histogram.observe m_queue_wait (now () -. job.enqueued_at);
-      Metrics.Gauge.add m_inflight 1.0;
+      Metrics.Gauge.add t.m_queue_depth (-1.0);
+      Metrics.Histogram.observe t.m_queue_wait (now () -. job.enqueued_at);
+      Metrics.Gauge.add t.m_inflight 1.0;
       execute t job;
-      Metrics.Gauge.add m_inflight (-1.0);
+      Metrics.Gauge.add t.m_inflight (-1.0);
       Atomic.decr job.jconn.inflight;
       Atomic.decr t.inflight_total;
       maybe_close t job.jconn

@@ -65,7 +65,9 @@
     phase ([serve.parse], [serve.handle]); histograms
     [serve.queue_wait.seconds] and [serve.handle.seconds] (monotonic
     clock, as are the drain deadline and [uptime_s]); level gauges
-    [serve.queue.depth] and [serve.inflight].
+    [serve.queue.depth] and [serve.inflight]. The scope, the histograms
+    and the gauges are registered by {!create}: a process that never
+    creates a daemon lists none of them.
 
     Every frame is one request and one access-log line: a frame over
     [max_frame] bytes ([frame_too_long]) or with a NUL byte

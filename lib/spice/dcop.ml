@@ -1,5 +1,4 @@
 module Vec = Lattice_numerics.Vec
-module Matrix = Lattice_numerics.Matrix
 module Sparse = Lattice_numerics.Sparse
 module Trace = Lattice_obs.Trace
 module Metrics = Lattice_obs.Metrics
@@ -111,18 +110,23 @@ let report_dx on_iter x x_new n =
 
 (* KCL residual of the nonlinear system at [x]: the companion
    linearization A(x) x' = b(x) is exact at its own expansion point, so
-   r = A(x) x - b(x) is the true device-equation residual. Dense assembly
-   is fine here — this only runs on the (cold) failure path. *)
-let residual_report ?(time = 0.0) ?(gmin = default_options.gmin_final) ?(gshunt = 0.0)
+   r = A(x) x - b(x) is the true device-equation residual. Assembled on
+   [plan], overwriting its buffers: this runs only on the failure path,
+   the next solve rebinds the plan (dropping its LU) and the
+   first-factorization memo keeps its own copy of the values. *)
+let residual_report ~plan ?(time = 0.0) ?(gmin = default_options.gmin_final) ?(gshunt = 0.0)
     ?(source_scale = 1.0) ?(caps = None) ?(worst = 3) netlist ~x =
-  let a, b = Mna.stamp netlist ~x ~time ~gmin ~gshunt ~source_scale ~caps in
-  let r = Matrix.mat_vec a x in
-  let n = Array.length r in
+  Stamp_plan.set_linear plan ~time ~gmin ~gshunt ~source_scale ~caps;
+  Stamp_plan.assemble plan ~x;
+  let b = Stamp_plan.rhs plan in
+  let r = Array.make (Array.length b) 0.0 in
+  Sparse.iteri (Stamp_plan.matrix plan) (fun _ row col v -> r.(row) <- r.(row) +. (v *. x.(col)));
   let norm = ref 0.0 in
-  for i = 0 to n - 1 do
-    r.(i) <- r.(i) -. b.(i);
-    norm := Float.max !norm (Float.abs r.(i))
-  done;
+  Array.iteri
+    (fun i bi ->
+      r.(i) <- r.(i) -. bi;
+      norm := Float.max !norm (Float.abs r.(i)))
+    b;
   let nnodes = Netlist.num_nodes netlist in
   let nodes = List.init nnodes (fun i -> (i, Float.abs r.(i))) in
   let sorted = List.sort (fun (_, a) (_, b) -> Float.compare b a) nodes in
@@ -285,7 +289,7 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
     let rec try_ladder last_msg = function
       | [] ->
         let residual_norm, worst_nodes =
-          residual_report netlist ~x:last_x ~time ~gmin:options.gmin_final
+          residual_report ~plan netlist ~x:last_x ~time ~gmin:options.gmin_final
         in
         let f =
           { message = last_msg; attempts = List.rev !attempts; residual_norm; worst_nodes }

@@ -71,6 +71,7 @@ val pp_failure : failure -> string
     nodes. *)
 
 val residual_report :
+  plan:Stamp_plan.t ->
   ?time:float ->
   ?gmin:float ->
   ?gshunt:float ->
@@ -80,10 +81,14 @@ val residual_report :
   Netlist.t ->
   x:Lattice_numerics.Vec.t ->
   float * (string * float) list
-(** [residual_report netlist ~x] evaluates the KCL residual of the
-    nonlinear MNA system at [x] under the given stamping context and
-    returns its inf-norm plus the [worst] (default 3) node names ranked
-    by residual current — the structured payload of {!failure}. *)
+(** [residual_report ~plan netlist ~x] evaluates the KCL residual
+    [A(x) x - b(x)] of the nonlinear MNA system at [x] under the given
+    stamping context and returns its inf-norm plus the [worst]
+    (default 3) node names ranked by residual current — the structured
+    payload of {!failure}. [plan] is the stamp plan compiled from (or
+    rebound to) [netlist]; the report assembles on it and overwrites its
+    matrix and RHS buffers, so call it between solves, never inside
+    one. *)
 
 (** [newton_into ~plan netlist ~options ~x0 ~dst ~time ~gmin
     ~source_scale ~caps] runs plain Newton at a fixed continuation point

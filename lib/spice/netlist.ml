@@ -123,91 +123,10 @@ let vsource_index t name =
   in
   find (elements t)
 
-let sanitize name =
-  String.map (fun c -> if c = ' ' || c = '\t' then '_' else c) name
-
-let wave_to_spice = function
-  | Source.Dc v -> Printf.sprintf "DC %s" (Units.format v)
-  | Source.Pulse { v1; v2; delay; rise; fall; width; period } ->
-    Printf.sprintf "PULSE(%s %s %s %s %s %s %s)" (Units.format v1) (Units.format v2)
-      (Units.format delay) (Units.format rise) (Units.format fall) (Units.format width)
-      (Units.format period)
-  | Source.Pwl points ->
-    "PWL("
-    ^ String.concat " "
-        (List.map (fun (tt, v) -> Printf.sprintf "%s %s" (Units.format tt) (Units.format v)) points)
-    ^ ")"
-  | Source.Sin { offset; amplitude; freq; delay; damping } ->
-    Printf.sprintf "SIN(%s %s %s %s %s)" (Units.format offset) (Units.format amplitude)
-      (Units.format freq) (Units.format delay) (Units.format damping)
-
-let to_spice_string t ~title =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf ("* " ^ title ^ "\n");
-  (* collect distinct MOSFET models and name them *)
-  let models = Hashtbl.create 8 in
-  let model_name m =
-    match Hashtbl.find_opt models m with
-    | Some name -> name
-    | None ->
-      let name = Printf.sprintf "NMOD%d" (Hashtbl.length models + 1) in
-      Hashtbl.replace models m name;
-      name
-  in
-  let node_str n = if n = ground then "0" else sanitize (node_name t n) in
-  List.iter
-    (fun e ->
-      match e with
-      | Resistor { name; n1; n2; ohms } ->
-        Buffer.add_string buf
-          (Printf.sprintf "R%s %s %s %s\n" (sanitize name) (node_str n1) (node_str n2)
-             (Units.format ohms))
-      | Capacitor { name; n1; n2; farads } ->
-        Buffer.add_string buf
-          (Printf.sprintf "C%s %s %s %s\n" (sanitize name) (node_str n1) (node_str n2)
-             (Units.format farads))
-      | Vsource { name; npos; nneg; wave; _ } ->
-        Buffer.add_string buf
-          (Printf.sprintf "V%s %s %s %s\n" (sanitize name) (node_str npos) (node_str nneg)
-             (wave_to_spice wave))
-      | Isource { name; npos; nneg; wave } ->
-        Buffer.add_string buf
-          (Printf.sprintf "I%s %s %s %s\n" (sanitize name) (node_str npos) (node_str nneg)
-             (wave_to_spice wave))
-      | Mosfet { name; drain; gate; source; model } ->
-        let base =
-          match model with
-          | Lattice_mosfet.Model.L1 p -> p
-          | Lattice_mosfet.Model.L3 p3 -> p3.Lattice_mosfet.Level3.base
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "M%s %s %s %s 0 %s W=%s L=%s\n" (sanitize name) (node_str drain)
-             (node_str gate) (node_str source) (model_name model)
-             (Units.format base.Lattice_mosfet.Level1.w)
-             (Units.format base.Lattice_mosfet.Level1.l)))
-    (elements t);
-  Hashtbl.iter
-    (fun model name ->
-      match model with
-      | Lattice_mosfet.Model.L1 p ->
-        Buffer.add_string buf
-          (Printf.sprintf ".MODEL %s NMOS (LEVEL=1 KP=%.4g VTO=%.4g LAMBDA=%.4g)\n" name
-             p.Lattice_mosfet.Level1.kp p.Lattice_mosfet.Level1.vth p.Lattice_mosfet.Level1.lambda)
-      | Lattice_mosfet.Model.L3 p3 ->
-        let p = p3.Lattice_mosfet.Level3.base in
-        Buffer.add_string buf
-          (Printf.sprintf ".MODEL %s NMOS (LEVEL=3 KP=%.4g VTO=%.4g KAPPA=%.4g THETA=%.4g) * Vc=%.4g\n"
-             name p.Lattice_mosfet.Level1.kp p.Lattice_mosfet.Level1.vth
-             p.Lattice_mosfet.Level1.lambda p3.Lattice_mosfet.Level3.theta
-             p3.Lattice_mosfet.Level3.vc))
-    models;
-  Buffer.add_string buf ".END\n";
-  Buffer.contents buf
-
 (* Canonical binary serialization for content addressing. Floats are
-   hashed by their IEEE-754 bit pattern — formatting them (as
-   [to_spice_string] does, at limited precision) would alias distinct
-   circuits, e.g. two Monte-Carlo Vth perturbations 1e-12 V apart. *)
+   hashed by their IEEE-754 bit pattern — formatting them at limited
+   precision would alias distinct circuits, e.g. two Monte-Carlo Vth
+   perturbations 1e-12 V apart. *)
 let digest_int b i = Buffer.add_int64_le b (Int64.of_int i)
 let digest_float b f = Buffer.add_int64_le b (Int64.bits_of_float f)
 

@@ -83,7 +83,8 @@ val node_index : node -> int
     shares the name [s] (deck element names drop the type letter, so
     [V1] and [I1] are both ["1"]) — is shared with [t] unchanged, and node
     names and ids, element order and source indices are identical. So
-    the copy has the {!structural_digest}, {!to_spice_string} text and
+    the copy has the {!structural_digest}, deck text
+    ([Lattice_deck.Deck.emit]) and
     {!Stamp_plan} structure of a netlist built by the same construction
     sequence with those waves, and a plan compiled from [t] rebinds to
     it. The copy has its own node table: creating nodes or adding
@@ -150,10 +151,3 @@ val add_vsource_waves : Buffer.t -> t -> unit
 val to_canonical_order : t -> Lattice_numerics.Vec.t -> Lattice_numerics.Vec.t
 
 val of_canonical_order : t -> Lattice_numerics.Vec.t -> Lattice_numerics.Vec.t
-
-(** [to_spice_string t ~title] renders the circuit as a SPICE deck
-    (.MODEL cards for the distinct MOSFET models, engineering-notation
-    values, PULSE/PWL sources), for interoperability with external
-    simulators. Level-3 models are emitted as LEVEL=3 cards with THETA and
-    the critical voltage in a comment. *)
-val to_spice_string : t -> title:string -> string

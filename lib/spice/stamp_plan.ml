@@ -299,8 +299,7 @@ let assemble t ~x =
     lin.Mna.vs <- vs;
     Mna.linearize_fet ws lin f.f_model;
     let gm = lin.Mna.gm and gds = lin.Mna.gds and ieq = lin.Mna.ieq in
-    (* mirror Mna.stamp_mosfet: the lower-potential terminal is the
-       effective source *)
+    (* the lower-potential terminal is the effective source *)
     if vd >= vs then begin
       if f.f_d >= 0 then begin
         if f.s_dg >= 0 then v.(f.s_dg) <- v.(f.s_dg) +. gm;
@@ -363,12 +362,5 @@ let factor_and_solve t =
   match t.lu with
   | Some lu -> Sparse.solve_in_place lu t.rhs
   | None -> assert false
-
-let cap_voltages_into t ~x dst =
-  for k = 0 to Array.length t.cap_i1 - 1 do
-    let v1 = if t.cap_i1.(k) < 0 then 0.0 else x.(t.cap_i1.(k)) in
-    let v2 = if t.cap_i2.(k) < 0 then 0.0 else x.(t.cap_i2.(k)) in
-    dst.(k) <- v1 -. v2
-  done
 
 let lu_stats t = match t.lu with None -> None | Some lu -> Some (Sparse.lu_nnz lu)

@@ -73,8 +73,9 @@ val set_linear :
   caps:Mna.cap_companion option ->
   unit
 (** Rebuild the cached linear tier (matrix values and RHS) for one
-    Newton solve. Mirrors the semantics of {!Mna.stamp} for everything
-    except MOSFETs. Allocation-free. *)
+    Newton solve. Allocation-free. With {!assemble} it builds the
+    system that [Mna.stamp], the dense assembly kept in
+    [test/test_spice.ml] as this plan's oracle, builds. *)
 
 val assemble : t -> x:float array -> unit
 (** Load the cached linear tier into the matrix/RHS buffers and stamp
@@ -93,10 +94,6 @@ val factor_and_solve : t -> unit
     refactorization) and fall back to a fresh analysis if the frozen
     pivot order goes stale. Raises [Lattice_numerics.Sparse.Singular] if
     the matrix is singular. *)
-
-val cap_voltages_into : t -> x:float array -> float array -> unit
-(** Per-capacitor branch voltages (netlist order) written into a
-    caller-supplied array, without walking the element list. *)
 
 val lu_stats : t -> (int * int) option
 (** [(nnz L, nnz U)] of the current factorization, if any. *)

@@ -240,7 +240,7 @@ let run_diag ?(options = default_options) ?(cancel = Cancel.none) netlist ~h ~t_
         if halvings_here >= options.max_step_halvings then begin
           (* [dst] holds the last Newton iterate of the failed step *)
           let residual_norm, worst_nodes =
-            Dcop.residual_report netlist ~x:!x_next ~time:(t +. dt)
+            Dcop.residual_report ~plan netlist ~x:!x_next ~time:(t +. dt)
               ~gmin:options.dc.Dcop.gmin_final ~caps:caps_opt
           in
           raise

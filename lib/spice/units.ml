@@ -1,23 +1,3 @@
-let suffixes =
-  [ ("meg", 1e6); ("f", 1e-15); ("p", 1e-12); ("n", 1e-9); ("u", 1e-6); ("m", 1e-3);
-    ("k", 1e3); ("g", 1e9); ("t", 1e12) ]
-
-let parse s =
-  let s = String.trim (String.lowercase_ascii s) in
-  if s = "" then invalid_arg "Units.parse: empty";
-  let matches suffix = String.length s > String.length suffix
-    && String.sub s (String.length s - String.length suffix) (String.length suffix) = suffix in
-  let rec find = function
-    | [] -> (s, 1.0)
-    | (suffix, mult) :: rest ->
-      if matches suffix then (String.sub s 0 (String.length s - String.length suffix), mult)
-      else find rest
-  in
-  let body, mult = find suffixes in
-  match float_of_string_opt body with
-  | Some x -> x *. mult
-  | None -> invalid_arg ("Units.parse: malformed value " ^ s)
-
 (* SPICE value syntax: a float literal optionally followed by an
    engineering suffix and then arbitrary trailing unit letters ("10pF",
    "2ns").  The scale is decided by the FIRST letters after the number:
@@ -123,27 +103,4 @@ let print_spice x =
     match !best with
     | Some s -> s
     | None -> Printf.sprintf "%.17g" x
-  end
-
-let format x =
-  if x = 0.0 then "0"
-  else begin
-    let sign = if x < 0.0 then "-" else "" in
-    let mag = Float.abs x in
-    let scales =
-      [ (1e12, "t"); (1e9, "g"); (1e6, "meg"); (1e3, "k"); (1.0, ""); (1e-3, "m");
-        (1e-6, "u"); (1e-9, "n"); (1e-12, "p"); (1e-15, "f") ]
-    in
-    let rec pick = function
-      | [] -> (1e-15, "f")
-      | (scale, _) :: rest when mag < scale && rest <> [] -> pick rest
-      | (scale, suffix) :: _ -> (scale, suffix)
-    in
-    let scale, suffix = pick scales in
-    let v = mag /. scale in
-    let body =
-      if Float.abs (v -. Float.round v) < 1e-9 then Printf.sprintf "%.0f" v
-      else Printf.sprintf "%.4g" v
-    in
-    sign ^ body ^ suffix
   end

@@ -1,13 +1,6 @@
-(** Engineering-notation helpers for netlist values ("500k", "1f", "10n"). *)
-
-(** [parse s] reads a float with an optional SPICE suffix
-    (f, p, n, u, m, k, meg, g, t); case-insensitive.
-    Raises [Invalid_argument] on malformed input. *)
-val parse : string -> float
-
-(** [format x] renders with the closest engineering suffix,
-    e.g. [format 5e5 = "500k"], [format 1e-15 = "1f"]. *)
-val format : float -> string
+(** SPICE value syntax: the deck parser reads values with
+    {!parse_spice} and the deck emitter prints them with {!print_spice}
+    ("500k", "1f", "10n"). *)
 
 (** [parse_spice s] reads a SPICE-syntax value: a decimal float followed
     by an optional engineering suffix and arbitrary trailing unit

@@ -9,6 +9,19 @@ module Export = Lattice_obs.Export
 module Ring = Lattice_obs.Ring
 module Rolling = Lattice_obs.Rolling
 module Spool = Lattice_obs.Spool
+module Json = Lattice_obs.Json
+
+(* a string carrying the bytes a JSON writer must escape, and some it
+   must pass through *)
+let nasty = "q\"b\\s\bf\012c\x01\x1fn\nd\x7fu\xc3\xa9x\xff"
+
+let parse_line l =
+  match Json.parse l with
+  | exception Json.Parse_error m -> Alcotest.failf "%s: %S" m l
+  | j -> j
+
+let lines_of s = String.split_on_char '\n' s |> List.filter (fun l -> l <> "")
+let field k j = Option.get (Json.member k j)
 
 (* Every test owns the global flags: start from a known state and leave
    everything disabled and empty (the suite may run under FTL_TRACE=1;
@@ -195,6 +208,26 @@ let test_ring_dump_jsonl () =
   Alcotest.(check bool) "args object present" true (contains "\"args\":{");
   Alcotest.(check bool) "arg value escaped" true (contains "v\\\"q");
   Alcotest.(check bool) "duration in us" true (contains "\"dur\":")
+
+let test_ring_dump_parses () =
+  Ring.set_enabled true;
+  Trace.with_span ~cat:nasty ~args:[ (nasty, nasty); ("empty", "") ] nasty (fun () -> ());
+  Trace.with_span "plain" (fun () -> ());
+  Ring.set_enabled false;
+  let events = List.map parse_line (lines_of (Ring.dump_jsonl ())) in
+  Alcotest.(check int) "one line per span" 2 (List.length events);
+  List.iter
+    (fun j ->
+      Alcotest.(check bool) "flight dumps are pid 1" true (field "pid" j = Json.Int 1);
+      Alcotest.(check bool) "complete event" true (field "ph" j = Json.String "X"))
+    events;
+  let j = List.find (fun j -> field "name" j = Json.String nasty) events in
+  Alcotest.(check bool) "cat reads back" true (field "cat" j = Json.String nasty);
+  Alcotest.(check bool) "args read back" true
+    (field "args" j = Json.Obj [ (nasty, Json.String nasty); ("empty", Json.String "") ]);
+  let plain = List.find (fun j -> field "name" j = Json.String "plain") events in
+  Alcotest.(check bool) "empty cat is default" true (field "cat" plain = Json.String "default");
+  Alcotest.(check bool) "no args, no object" true (Json.member "args" plain = None)
 
 (* daemon-side requirement: spans completed inside a remote context carry
    the caller's correlation ids even when only the ring is recording *)
@@ -543,6 +576,51 @@ let test_jsonl_export () =
   Alcotest.(check bool) "counter lines present" true (count_type "counter" >= 1);
   Alcotest.(check int) "one histogram line" 1 (count_type "histogram")
 
+let test_export_parses () =
+  Trace.set_enabled true;
+  Metrics.set_enabled true;
+  Trace.with_span ~cat:nasty ~args:[ (nasty, nasty) ] nasty (fun () ->
+      Trace.instant ~cat:nasty ~args:[ (nasty, nasty) ] nasty);
+  let h = Metrics.histogram "test.export.sum" in
+  Metrics.Histogram.observe h 0.1;
+  Metrics.Histogram.observe h 0.2;
+  let g = Metrics.gauge "test.export.gauge" in
+  Metrics.Gauge.set g (0.1 +. 0.2);
+  Trace.set_enabled false;
+  Metrics.set_enabled false;
+  let bits j = Int64.bits_of_float (Option.get (Json.to_float j)) in
+  let lines = List.map parse_line (lines_of (Export.jsonl ())) in
+  let named name = List.find (fun j -> field "name" j = Json.String name) lines in
+  let traced = List.filter (fun j -> field "name" j = Json.String nasty) lines in
+  let types = List.map (fun j -> Option.get (Json.to_str (field "type" j))) traced in
+  Alcotest.(check (list string)) "span and instant read back" [ "instant"; "span" ]
+    (List.sort compare types);
+  List.iter
+    (fun j ->
+      Alcotest.(check bool) "cat reads back" true (field "cat" j = Json.String nasty);
+      Alcotest.(check bool) "args read back" true
+        (field "args" j = Json.Obj [ (nasty, Json.String nasty) ]))
+    traced;
+  Alcotest.(check int64) "histogram sum bit for bit" (Int64.bits_of_float (Metrics.Histogram.sum h))
+    (bits (field "sum" (named "test.export.sum")));
+  Alcotest.(check int64) "gauge bit for bit" (Int64.bits_of_float (0.1 +. 0.2))
+    (bits (field "value" (named "test.export.gauge")));
+  let chrome = Export.chrome_json () in
+  let events =
+    match field "traceEvents" (parse_line chrome) with
+    | Json.List evs -> evs
+    | _ -> Alcotest.fail "traceEvents is not a list"
+  in
+  let phases =
+    List.filter_map
+      (fun j -> if field "name" j = Json.String nasty then Json.to_str (field "ph" j) else None)
+      events
+  in
+  Alcotest.(check (list string)) "chrome span and instant" [ "X"; "i" ] (List.sort compare phases);
+  List.iter
+    (fun j -> Alcotest.(check bool) "trace export is pid 0" true (field "pid" j = Json.Int 0))
+    events
+
 let test_write_dispatch () =
   Trace.set_enabled true;
   Trace.with_span "disk" (fun () -> ());
@@ -595,6 +673,7 @@ let () =
           t "bounded over domain churn" test_ring_bounded_over_domain_churn;
           t "disabled records nothing" test_ring_disabled_records_nothing;
           t "dump_jsonl chrome events" test_ring_dump_jsonl;
+          t "dump_jsonl lines parse as JSON" test_ring_dump_parses;
           t "spans carry the remote context" test_ring_spans_carry_remote_context;
           t "remote-context attribution" test_remote_context_attribution;
         ] );
@@ -623,6 +702,7 @@ let () =
         [
           t "chrome trace-event JSON" test_chrome_export;
           t "jsonl" test_jsonl_export;
+          t "every line parses, floats exact" test_export_parses;
           t "write dispatch by suffix" test_write_dispatch;
           t "metrics summary" test_summary_render;
         ] );

@@ -51,6 +51,71 @@ let test_json_roundtrip () =
   Alcotest.(check bool) "unicode escapes decode" true
     (J.parse {|"\u0041\u00e9\u20ac\ud83d\ude00"|} = J.String "A\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80")
 
+(* Generated documents: strings over all 256 byte values, floats at the
+   edges of the format (through [J.float], so non-finite ones too), ints
+   at both ends of the range, nesting up to [J.max_depth]. *)
+let json_gen =
+  let open QCheck2.Gen in
+  let byte =
+    frequency [ (3, char); (1, oneofl [ '"'; '\\'; '\b'; '\012'; '\x01'; '\x7f'; '\xe9'; '\xff' ]) ]
+  in
+  let str = string_size ~gen:byte (int_range 0 8) in
+  let flt =
+    frequency
+      [
+        (3, float);
+        (1, map float_of_int int);
+        ( 1,
+          oneofl
+            [
+              -0.0; 0.0; 5e-324; -5e-324; 2.2250738585072009e-308; 1e308; -1e308; Float.max_float;
+              1e16; -12345678901234568.0; 9007199254740993.0; 0.1 +. 0.2; Float.infinity; Float.nan;
+            ] );
+      ]
+  in
+  let int = frequency [ (3, int); (1, oneofl [ min_int; max_int; 0; -1 ]) ] in
+  let scalar =
+    oneof
+      [
+        pure J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun n -> J.Int n) int;
+        map J.float flt;
+        map (fun s -> J.String s) str;
+      ]
+  in
+  let rec nest k v =
+    if k = 0 then v else nest (k - 1) (if k mod 2 = 0 then J.List [ v ] else J.Obj [ ("k", v) ])
+  in
+  let value =
+    sized
+    @@ fix (fun self n ->
+           if n <= 0 then scalar
+           else
+             frequency
+               [
+                 (2, scalar);
+                 (1, map (fun v -> J.List [ v ]) (self (n - 1)));
+                 (1, map (fun l -> J.List l) (list_size (int_range 0 3) (self (n / 3))));
+                 (1, map (fun kv -> J.Obj kv) (list_size (int_range 0 3) (pair str (self (n / 3)))));
+               ])
+  in
+  frequency [ (9, value); (1, map (nest J.max_depth) scalar) ]
+
+let rec json_equal a b =
+  match (a, b) with
+  | J.Float x, J.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | J.List xs, J.List ys -> List.equal json_equal xs ys
+  | J.Obj xs, J.Obj ys -> List.equal (fun (k, v) (k', v') -> k = k' && json_equal v v') xs ys
+  | _ -> a = b
+
+let test_json_generated =
+  QCheck2.Test.make ~name:"generated documents roundtrip" ~count:500 ~print:J.to_string json_gen
+    (fun v ->
+      let s = J.to_string v in
+      let back = J.parse s in
+      json_equal back v && J.to_string back = s)
+
 let test_json_rejects () =
   let rejects s =
     match J.parse s with
@@ -73,6 +138,9 @@ let test_json_rejects () =
       "{\"a\":1,}";
       "[1,]";
       "nan";
+      "01";  (* leading zeros *)
+      "-01";
+      "00.5";
     ];
   (* deep nesting is a structured error, not a stack overflow *)
   let deep = String.make 100 '[' ^ String.make 100 ']' in
@@ -1332,6 +1400,7 @@ let () =
       ( "json",
         [
           Alcotest.test_case "roundtrip + determinism" `Quick test_json_roundtrip;
+          QCheck_alcotest.to_alcotest test_json_generated;
           Alcotest.test_case "malformed documents rejected" `Quick test_json_rejects;
           Alcotest.test_case "number forms" `Quick test_json_numbers;
         ] );
