@@ -69,7 +69,7 @@ let engine_term =
    deadline runs from then *)
 let batch_term =
   let make deadline batch_deadline retries () =
-    ( { Lattice_engine.Engine.deadline_s = deadline; attempts = 1 + Int.max 0 retries; backoff = 2.0 },
+    ( { Lattice_engine.Engine.deadline_s = deadline; attempts = 1 + Int.max 0 retries },
       Lattice_engine.Cancel.of_deadline_s batch_deadline )
   in
   Term.(const make $ deadline_arg $ batch_deadline_arg $ retries_arg)

@@ -165,5 +165,3 @@ let cover t =
   if uncovered0 <> [] && np <= 64 then search [] 0;
   let chosen = List.sort_uniq Int.compare (!base @ !best_solution) in
   Sop.of_cubes nvars (List.map (fun pi -> cube_of_implicant nvars primes.(pi)) chosen)
-
-let minimal_sop_of_minterms nvars ms = cover (Truthtable.of_minterms nvars ms)

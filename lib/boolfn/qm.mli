@@ -21,6 +21,3 @@ val cover : Truthtable.t -> Sop.t
 
 (** [cube_of_implicant nvars imp] converts an implicant to a cube. *)
 val cube_of_implicant : int -> implicant -> Cube.t
-
-(** [minimal_sop_of_minterms nvars ms] is [cover (of_minterms nvars ms)]. *)
-val minimal_sop_of_minterms : int -> int list -> Sop.t

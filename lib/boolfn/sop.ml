@@ -41,8 +41,6 @@ let absorb f =
   done;
   { f with cubes = !kept }
 
-let add_cube f c = of_cubes f.nvars (c :: f.cubes)
-
 let disjunction a b =
   if a.nvars <> b.nvars then invalid_arg "Sop.disjunction: variable-count mismatch";
   of_cubes a.nvars (a.cubes @ b.cubes)

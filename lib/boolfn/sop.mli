@@ -30,9 +30,6 @@ val literal_count : t -> int
     yielding an equivalent, irredundant-by-containment SOP. *)
 val absorb : t -> t
 
-(** [add_cube f c] is [f] with one more product (then re-sorted). *)
-val add_cube : t -> Cube.t -> t
-
 (** [disjunction a b] is the union of products ([a + b]). *)
 val disjunction : t -> t -> t
 

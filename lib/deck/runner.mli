@@ -8,9 +8,7 @@
     [.ac] runs {!Lattice_spice.Ac}. *)
 
 type limits = { max_sweep_points : int; max_tran_steps : int }
-
-val default_limits : limits
-(** [{ max_sweep_points = 10_000; max_tran_steps = 2_000_000 }] —
+(** Default [{ max_sweep_points = 10_000; max_tran_steps = 2_000_000 }];
     servers pass something tighter. *)
 
 type analysis_result =

@@ -95,9 +95,10 @@ let traced_job ?phase f =
       Trace.with_span ~cat:"engine" ~args:[ ("index", string_of_int i) ] name (fun () -> f i))
   else f
 
-type job_policy = { deadline_s : float option; attempts : int; backoff : float }
+type job_policy = { deadline_s : float option; attempts : int }
 
-let default_policy = { deadline_s = None; attempts = 1; backoff = 2.0 }
+let default_policy = { deadline_s = None; attempts = 1 }
+let backoff = 2.0
 
 let run_jobs (type a) t ?(policy = default_policy) ?(cancel = Cancel.none) ?phase
     ?(retryable = fun (_ : a) -> false) ~n (f : attempt:int -> cancel:Cancel.t -> int -> a) =
@@ -116,7 +117,7 @@ let run_jobs (type a) t ?(policy = default_policy) ?(cancel = Cancel.none) ?phas
         match policy.deadline_s with
         | None -> cancel
         | Some d ->
-          let seconds = d *. (policy.backoff ** float_of_int attempt) in
+          let seconds = d *. (backoff ** float_of_int attempt) in
           Cancel.with_deadline ~parent:cancel ~seconds ()
       in
       f ~attempt ~cancel:job_cancel idx

@@ -25,7 +25,7 @@
     ({!Pool.outcome}), and jobs classified as failed (or, with a
     deadline policy, timed out, or [Done] values the caller deems
     retryable) are re-dispatched up to [policy.attempts] times with the
-    deadline budget growing by [policy.backoff] each attempt. No
+    deadline budget growing by {!backoff} each attempt. No
     exception from a job ever escapes [run_jobs].
 
     Every flow fans out through {!run_jobs} ({!map} is [run_jobs] plus
@@ -89,17 +89,16 @@ val map : t -> ?phase:string -> n:int -> (int -> 'a) -> 'a array
 (** Retry/deadline policy for {!run_jobs}. [deadline_s] is the per-job
     wall-clock budget of the {e first} attempt ([None]: no per-job
     deadline); [attempts] the total number of tries per job (default 1
-    = no retries); [backoff] the factor (default 2.0) by which the
-    deadline budget grows each attempt — retrying a timed-out solve
-    under the same budget would just time out again. *)
-type job_policy = {
-  deadline_s : float option;
-  attempts : int;
-  backoff : float;
-}
+    = no retries). *)
+type job_policy = { deadline_s : float option; attempts : int }
 
 val default_policy : job_policy
-(** [{ deadline_s = None; attempts = 1; backoff = 2.0 }] *)
+(** [{ deadline_s = None; attempts = 1 }] *)
+
+val backoff : float
+(** [2.0]: attempt [k] runs under [deadline_s *. backoff ** k] —
+    retrying a timed-out solve under the same budget would just time
+    out again. *)
 
 (** [run_jobs e ?policy ?cancel ?phase ?retryable ~n f] — fault
     -isolated, retrying dispatch of [f] over [0 .. n-1].

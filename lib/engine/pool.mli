@@ -24,15 +24,13 @@
 
 type t
 
-(** [create ?domains ()] sizes the pool. Default: {!default_domains}.
-    Raises [Invalid_argument] when [domains < 1]. *)
+(** [create ?domains ()] sizes the pool. Default: the [FTL_DOMAINS]
+    environment variable when set to a positive integer, else
+    [Domain.recommended_domain_count ()]. Raises [Invalid_argument] when
+    [domains < 1]. *)
 val create : ?domains:int -> unit -> t
 
 val domains : t -> int
-
-(** Domain count from the [FTL_DOMAINS] environment variable when set to
-    a positive integer, else [Domain.recommended_domain_count ()]. *)
-val default_domains : unit -> int
 
 val chunk_size : domains:int -> n:int -> int
 (** The claim granularity {!map_outcomes} uses:

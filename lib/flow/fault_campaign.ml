@@ -141,6 +141,8 @@ let simulate ?engine ?(cancel = Cancel.none) ?(options = default_options) grid ~
     newton_iterations = !used;
   }
 
+(* the logical fault a circuit defect projects to; the analog kinds have
+   no logical counterpart *)
 let logical_of_defect (d : Defects.t) =
   match d.Defects.kind with
   | Defects.Stuck_open ->
@@ -260,12 +262,12 @@ let synthetic_sample ~defects message =
   }
 
 (* retry escalation: attempt [k] runs under a Newton budget grown by
-   [backoff^k] — a budget-exhausted sample gets a real second chance,
-   not a replay of the same starvation *)
-let options_for_attempt ~policy ~attempt options =
+   [Engine.backoff^k] — a budget-exhausted sample gets a real second
+   chance, not a replay of the same starvation *)
+let options_for_attempt ~attempt options =
   if attempt = 0 then options
   else
-    let factor = policy.Engine.backoff ** float_of_int attempt in
+    let factor = Engine.backoff ** float_of_int attempt in
     let grown =
       int_of_float (Float.ceil (float_of_int options.budget.newton_per_sample *. factor))
     in
@@ -299,7 +301,7 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
       ~retryable:(fun s -> s.classification = Non_convergent)
       ~n:(Array.length sets)
       (fun ~attempt ~cancel i ->
-        let options = options_for_attempt ~policy ~attempt options in
+        let options = options_for_attempt ~attempt options in
         simulate ~engine ~cancel ~options grid ~target ~test_set sets.(i))
     |> Array.mapi (fun i -> function
          | Pool.Done s -> s

@@ -105,12 +105,6 @@ val simulate :
   Lattice_spice.Defects.t list ->
   sample
 
-val logical_of_defect :
-  Lattice_spice.Defects.t -> Lattice_synthesis.Faults.fault option
-(** The logical fault a circuit defect projects to: stuck-open is
-    stuck-OFF, stuck-short is stuck-ON, the analog defect kinds have no
-    logical counterpart. *)
-
 (** [verify_with_defects grid ~target ~defects] checks every input state
     boolean-correct at circuit level with the defects injected (treating
     any convergence failure as incorrect), stopping at the first wrong
@@ -167,7 +161,8 @@ type report = {
     (["worker exception: …"], ["deadline exceeded"], ["cancelled"]) —
     no exception escapes. With [policy.attempts > 1], [Non_convergent]
     samples (budget exhaustion included) are retried under a Newton
-    budget and deadline grown by [policy.backoff] per attempt. *)
+    budget and deadline grown by {!Lattice_engine.Engine.backoff} per
+    attempt. *)
 val run :
   ?engine:Lattice_engine.Engine.t ->
   ?policy:Lattice_engine.Engine.job_policy ->

@@ -41,7 +41,7 @@ let default_spec =
     weight_power = 1.0;
   }
 
-let candidates ?(max_exhaustive_area = 6) ?expr target =
+let candidates ?expr target =
   let direct = { grid = (S.Altun_riedel.synthesize target).S.Altun_riedel.grid;
                  inverted = false; method_name = "dual-based" } in
   let complement =
@@ -60,8 +60,7 @@ let candidates ?(max_exhaustive_area = 6) ?expr target =
   let exhaustive =
     if Tt.nvars target <= 4 then
       match
-        S.Exhaustive.minimal ~alphabet:S.Exhaustive.Literals_and_constants
-          ~max_area:max_exhaustive_area target
+        S.Exhaustive.minimal ~alphabet:S.Exhaustive.Literals_and_constants ~max_area:6 target
       with
       | Some (grid, _, _) -> [ { grid; inverted = false; method_name = "exhaustive" } ]
       | None -> []
@@ -124,6 +123,8 @@ let estimate ?(config = Sp.Lattice_circuit.default_config) impl =
     from_spice = false;
   }
 
+(* measured metrics: DC supply power per input state and a full
+   all-combinations transient for the edges *)
 let evaluate_spice ?(config = Sp.Lattice_circuit.default_config) target impl =
   let nvars = Tt.nvars target in
   if nvars > 5 then invalid_arg "Optimizer.evaluate_spice: too many inputs";

@@ -50,30 +50,15 @@ type spec = {
 (** No bounds; equal weights. *)
 val default_spec : spec
 
-(** [candidates target] generates the implementation candidates.
-    [max_exhaustive_area] (default 6) caps the exhaustive search; when
-    [expr] is given a compositional candidate ([Lattice_core.Compose]) is
-    added. *)
-val candidates :
-  ?max_exhaustive_area:int ->
-  ?expr:Lattice_boolfn.Expr.t ->
-  Lattice_boolfn.Truthtable.t ->
-  implementation list
+(** [candidates target] generates the implementation candidates. The
+    exhaustive search is capped at area 6; when [expr] is given a
+    compositional candidate ([Lattice_core.Compose]) is added. *)
+val candidates : ?expr:Lattice_boolfn.Expr.t -> Lattice_boolfn.Truthtable.t -> implementation list
 
 (** [estimate ?config impl] computes analytic metrics from the switch
     on-conductance, the plate capacitances and the truth-table duty
     factor. *)
 val estimate : ?config:Lattice_spice.Lattice_circuit.config -> implementation -> metrics
-
-(** [evaluate_spice ?config target impl] measures the metrics with the
-    circuit simulator: DC supply power per input state and a full
-    all-combinations transient for the edges. Requires at most 5 target
-    variables. *)
-val evaluate_spice :
-  ?config:Lattice_spice.Lattice_circuit.config ->
-  Lattice_boolfn.Truthtable.t ->
-  implementation ->
-  metrics
 
 (** [optimize ?spec ?use_spice ?config target] generates, evaluates and
     ranks. Feasible candidates come first, each group sorted by weighted

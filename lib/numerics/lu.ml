@@ -116,12 +116,3 @@ let determinant f =
     acc := !acc *. f.lu.((i * f.n) + i)
   done;
   !acc
-
-let condition_estimate f =
-  let mx = ref 0.0 and mn = ref infinity in
-  for i = 0 to f.n - 1 do
-    let p = Float.abs f.lu.((i * f.n) + i) in
-    if p > !mx then mx := p;
-    if p < !mn then mn := p
-  done;
-  if !mn = 0.0 then infinity else !mx /. !mn

@@ -30,7 +30,3 @@ val solve_dense : Matrix.t -> Vec.t -> Vec.t
 
 (** [determinant f] is the determinant recovered from the factorization. *)
 val determinant : factored -> float
-
-(** [condition_estimate f] is a cheap lower-bound estimate of the 1-norm
-    condition number (ratio of largest to smallest absolute pivot). *)
-val condition_estimate : factored -> float

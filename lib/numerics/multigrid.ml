@@ -269,38 +269,6 @@ let stats_of (t : t) ~iterations ~residual_norm ~converged =
   let v_cycles = t.v_cycles and sweeps = t.sweep_count in
   { iterations; v_cycles; sweeps; residual_norm; converged }
 
-(* stationary V-cycle iteration: x_{k+1} = x_k + MG(b - A x_k) *)
-let vcycle_solve t ~b ?(tol = 1e-10) ?(max_cycles = 100) () =
-  let l = finest t in
-  let nn = l.n * l.n in
-  if Bigarray.Array1.dim b <> nn then invalid_arg "Multigrid.vcycle_solve: rhs size";
-  Bigarray.Array1.blit b l.b;
-  Bigarray.Array1.fill l.x 0.0;
-  let x = vec nn in
-  let b_norm = norm2 b in
-  let target = if b_norm = 0.0 then tol else tol *. b_norm in
-  let rec go k =
-    (* accumulated solution lives in [x]; each cycle solves for a
-       correction against the current residual *)
-    residual { l with x };
-    let r_norm = norm2 l.r in
-    if r_norm <= target then stats_of t ~iterations:k ~residual_norm:r_norm ~converged:true
-    else if k >= max_cycles then
-      stats_of t ~iterations:k ~residual_norm:r_norm ~converged:false
-    else begin
-      Bigarray.Array1.blit l.r l.b;
-      Bigarray.Array1.fill l.x 0.0;
-      v_cycle t;
-      for i = 0 to nn - 1 do
-        s x i (g x i +. g l.x i)
-      done;
-      Bigarray.Array1.blit b l.b;
-      go (k + 1)
-    end
-  in
-  let st = go 0 in
-  (x, st)
-
 (* operator application on the finest level (free cells; fixed rows are 0) *)
 let apply_fine (l : level) (p : vec) (out : vec) =
   let n = l.n in

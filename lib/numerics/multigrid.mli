@@ -17,7 +17,6 @@
     The production driver is {!pcg}: flexible (Polak-Ribiere)
     preconditioned conjugate gradients with one V-cycle per iteration,
     robust to the mild asymmetry the boundary clamping introduces.
-    {!vcycle_solve} iterates plain V-cycles, for ablation and tests.
 
     Observability: each V-cycle runs under the [mg.vcycle] probe
     (histogram [mg.vcycle.seconds]) and bumps [mg.v_cycles_total]; every
@@ -28,7 +27,7 @@ type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type t
 
 type stats = {
-  iterations : int;  (** PCG iterations ({!pcg}) or V-cycle count ({!vcycle_solve}) *)
+  iterations : int;  (** PCG iterations *)
   v_cycles : int;  (** V-cycles run by this hierarchy since {!create} *)
   sweeps : int;  (** smoother sweeps (one sweep = both colours) since {!create} *)
   residual_norm : float;
@@ -55,10 +54,6 @@ val n_levels : t -> int
     {!Cg.solve}); [max_iter] defaults to 400. Returns the solution (0 at
     fixed cells) and the run's stats. *)
 val pcg : t -> b:vec -> ?tol:float -> ?max_iter:int -> unit -> vec * stats
-
-(** [vcycle_solve t ~b ?tol ?max_cycles ()] iterates stationary V-cycles
-    ([x <- x + MG(b - A x)]) to the same tolerance semantics. *)
-val vcycle_solve : t -> b:vec -> ?tol:float -> ?max_cycles:int -> unit -> vec * stats
 
 (** [dirichlet_rhs t ~dirichlet] lifts boundary values into the
     correction right-hand side: [b_i = sum_j g_ij * dirichlet_j] over the

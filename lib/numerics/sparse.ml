@@ -56,7 +56,6 @@ let slot p ~row ~col =
 let mem p ~row ~col = Hashtbl.mem p.index ((col * p.n) + row)
 
 let create pattern = { pattern; values = Array.make (nnz pattern) 0.0 }
-let clear m = Array.fill m.values 0 (Array.length m.values) 0.0
 
 let add m r c v =
   let s = slot m.pattern ~row:r ~col:c in

@@ -53,8 +53,6 @@ val mem : pattern -> row:int -> col:int -> bool
 val create : pattern -> t
 (** A zero matrix over a compiled pattern. *)
 
-val clear : t -> unit
-
 val add : t -> int -> int -> float -> unit
 (** [add m row col v] accumulates into a reserved slot (hash lookup; use
     {!slot} ahead of time in hot loops). *)

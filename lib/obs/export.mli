@@ -24,8 +24,5 @@ val chrome_json : unit -> string
 val jsonl : unit -> string
 val summary : unit -> string
 
-val write_chrome : path:string -> unit
-val write_jsonl : path:string -> unit
-
 val write : path:string -> unit
 (** Chrome format, unless [path] ends in [.jsonl]. *)

@@ -242,8 +242,6 @@ let parse s =
   if st.pos <> String.length s then fail st "trailing garbage after document";
   v
 
-let parse_result s = match parse s with v -> Ok v | exception Parse_error m -> Error m
-
 (* --- printing ---------------------------------------------------------- *)
 
 let escape_into buf s =

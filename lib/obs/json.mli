@@ -38,8 +38,6 @@ val max_depth : int
 val parse : string -> t
 (** Raises {!Parse_error}. *)
 
-val parse_result : string -> (t, string) result
-
 val to_string : t -> string
 (** One line, no trailing newline. Strings escape the double quote,
     the backslash and control characters (as [\uXXXX] or the short

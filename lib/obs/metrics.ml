@@ -213,13 +213,24 @@ type scope_counter = {
 type scope = { registry : string option; mutable counters : scope_counter list }
 type request = { tags : (string * string) list; counts : scope }
 
-(* The request each thread serves, keyed by (domain, systhread): serve
-   workers are threads sharing domain 0, pool workers the first thread
-   of a spawned domain. Looked up per attributed event and, while spans
-   record, per span — never in solver inner loops. *)
-let requests : (int * int, request) Hashtbl.t = Hashtbl.create 16
+(* The request each thread serves, keyed by systhread id (unique across
+   domains): serve workers are threads sharing domain 0, pool workers
+   the first thread of a spawned domain. Looked up per attributed event
+   and, while spans record, per span — never in solver inner loops.
+   [serving] counts the entries, so a process serving no request (every
+   CLI run, every batch) answers [current] without taking the lock: a
+   thread's own entry is counted before it can look for it. *)
+module By_thread = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash t = t
+end)
+
+let requests : request By_thread.t = By_thread.create 16
 let requests_lock = Mutex.create ()
-let thread_key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
+let serving = Atomic.make 0
+let thread_key () = Thread.id (Thread.self ())
 
 module Request = struct
   type t = request
@@ -229,19 +240,26 @@ module Request = struct
   let counts r = r.counts
 
   let current () =
-    Mutex.lock requests_lock;
-    let r = Hashtbl.find_opt requests (thread_key ()) in
-    Mutex.unlock requests_lock;
-    r
+    if Atomic.get serving = 0 then None
+    else begin
+      Mutex.lock requests_lock;
+      let r = By_thread.find_opt requests (thread_key ()) in
+      Mutex.unlock requests_lock;
+      r
+    end
 
   let install key = function
-    | None -> Hashtbl.remove requests key
-    | Some r -> Hashtbl.replace requests key r
+    | None ->
+      By_thread.remove requests key;
+      Atomic.decr serving
+    | Some r ->
+      if not (By_thread.mem requests key) then Atomic.incr serving;
+      By_thread.replace requests key r
 
   let with_ r f =
     let key = thread_key () in
     Mutex.lock requests_lock;
-    let prev = Hashtbl.find_opt requests key in
+    let prev = By_thread.find_opt requests key in
     install key (Some r);
     Mutex.unlock requests_lock;
     Fun.protect f ~finally:(fun () ->

@@ -111,7 +111,7 @@ end
 
 (** {2 Requests}
 
-    The request a thread serves, installed per (domain, systhread): the
+    The request a thread serves, installed per systhread: the
     tags {!Trace} stamps on its spans and the scope of its own counts.
     The pool domains a request fans out to inherit it. *)
 module Request : sig

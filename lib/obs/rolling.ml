@@ -29,22 +29,16 @@ type bucket = {
   mutable max_s : float;
 }
 
-type t = {
-  bucket_ns : int;
-  nbuckets : int;
-  lock : Mutex.t;
-  buckets : bucket array;
-}
+type t = { lock : Mutex.t; buckets : bucket array }
 
-let create ?(buckets = 6) ?(bucket_s = 10.0) () =
-  if buckets < 1 then invalid_arg "Rolling.create: buckets must be >= 1";
-  if not (bucket_s > 0.0) then invalid_arg "Rolling.create: bucket_s must be > 0";
+let nbuckets = 6
+let bucket_ns = 10_000_000_000
+
+let create () =
   {
-    bucket_ns = int_of_float (bucket_s *. 1e9);
-    nbuckets = buckets;
     lock = Mutex.create ();
     buckets =
-      Array.init buckets (fun _ ->
+      Array.init nbuckets (fun _ ->
           {
             epoch = -1;
             counts = Array.make Log_buckets.n 0;
@@ -57,7 +51,7 @@ let create ?(buckets = 6) ?(bucket_s = 10.0) () =
           });
   }
 
-let window_s t = float_of_int (t.nbuckets * t.bucket_ns) /. 1e9
+let window_s = float_of_int (nbuckets * bucket_ns) /. 1e9
 
 let clear_bucket b epoch =
   Array.fill b.counts 0 Log_buckets.n 0;
@@ -70,9 +64,9 @@ let clear_bucket b epoch =
   b.epoch <- epoch
 
 let observe t ~now_ns ~dur_s ~outcome =
-  let epoch = now_ns / t.bucket_ns in
+  let epoch = now_ns / bucket_ns in
   Mutex.lock t.lock;
-  let b = t.buckets.(epoch mod t.nbuckets) in
+  let b = t.buckets.(epoch mod nbuckets) in
   if b.epoch <> epoch then clear_bucket b epoch;
   let i = Log_buckets.index dur_s in
   b.counts.(i) <- b.counts.(i) + 1;
@@ -99,8 +93,8 @@ type snap = {
 }
 
 let snapshot t ~now_ns =
-  let current = now_ns / t.bucket_ns in
-  let oldest = current - t.nbuckets + 1 in
+  let current = now_ns / bucket_ns in
+  let oldest = current - nbuckets + 1 in
   Mutex.lock t.lock;
   let counts = Array.make Log_buckets.n 0 in
   let n = ref 0 and errors = ref 0 and timeouts = ref 0 in
@@ -124,7 +118,7 @@ let snapshot t ~now_ns =
     count;
     errors = !errors;
     timeouts = !timeouts;
-    rate_per_s = float_of_int count /. window_s t;
+    rate_per_s = float_of_int count /. window_s;
     mean_s = (if count = 0 then Float.nan else !sum /. float_of_int count);
     p50_s = percentile 50.0;
     p95_s = percentile 95.0;

@@ -1,5 +1,5 @@
 (** Time-windowed SLO metrics: rolling counters and log-scale latency
-    histograms over the last [buckets x bucket_s] seconds.
+    histograms over the last 60 s, in 6 buckets of 10 s.
 
     The window is a circular array of epoch-tagged buckets; stale
     buckets are recycled lazily on the next observation, so there is no
@@ -16,10 +16,10 @@ type outcome = Ok | Error | Timeout
 
 type t
 
-val create : ?buckets:int -> ?bucket_s:float -> unit -> t
-(** Default window: 6 buckets x 10 s = 60 s. *)
+val create : unit -> t
 
-val window_s : t -> float
+val window_s : float
+(** [60.0] *)
 
 val observe : t -> now_ns:int -> dur_s:float -> outcome:outcome -> unit
 

@@ -28,11 +28,21 @@ let set_enabled b = Atomic.set enabled b
 let epoch = Clock.now_ns ()
 let next_id = Atomic.make 0
 
+(* The spans one systhread has open, innermost first; only that thread
+   reads or writes [spans]. *)
+type thread = { thread_id : int; mutable spans : event list }
+
+(* [threads] holds a record per systhread with open spans. The daemon's
+   readers and workers are threads on one domain, so one buffer serves
+   several threads, and a span nests under, and closes, only spans of
+   its own thread. A thread adds and removes its own record by
+   compare-and-set, so a thread switch between the read and the write
+   cannot drop another thread's record. *)
 type buf = {
   mutable dom : int;
   mutable events : event array;
   mutable len : int;
-  mutable stack : event list; (* open spans, innermost first *)
+  threads : thread list Atomic.t;
 }
 
 let dummy =
@@ -61,20 +71,50 @@ let dls_key =
           b.dom <- dom;
           b
         | [] ->
-          let b = { dom; events = Array.make 256 dummy; len = 0; stack = [] } in
+          let b = { dom; events = Array.make 256 dummy; len = 0; threads = Atomic.make [] } in
           registry := b :: !registry;
           b
       in
       Mutex.unlock registry_lock;
       Domain.at_exit (fun () ->
           (* spans the domain left open are never closed *)
-          b.stack <- [];
+          Atomic.set b.threads [];
           Mutex.lock registry_lock;
           free := b :: !free;
           Mutex.unlock registry_lock);
       b)
 
 let buf () = Domain.DLS.get dls_key
+
+(* what [own] answers for a thread with no record; never written *)
+let no_thread = { thread_id = -1; spans = [] }
+
+let rec find tid = function
+  | [] -> no_thread
+  | th :: rest -> if th.thread_id = tid then th else find tid rest
+
+let own b = find (Thread.id (Thread.self ())) (Atomic.get b.threads)
+let innermost th = match th.spans with [] -> -1 | p :: _ -> p.id
+
+(* the calling thread's record, added when it has none *)
+let rec thread b =
+  let th = own b in
+  if th != no_thread then th
+  else begin
+    let cur = Atomic.get b.threads in
+    let th = { thread_id = Thread.id (Thread.self ()); spans = [] } in
+    if Atomic.compare_and_set b.threads cur (th :: cur) then th else thread b
+  end
+
+(* drop a record whose spans are all closed, unless it is the buffer's
+   only one: a domain with one recording thread keeps it, so its root
+   spans cost no compare-and-set *)
+let rec retire b th =
+  match Atomic.get b.threads with
+  | [ _ ] | [] -> ()
+  | cur ->
+    if not (Atomic.compare_and_set b.threads cur (List.filter (fun t -> t != th) cur)) then
+      retire b th
 
 (* the tags of the request the thread serves are stamped into every span *)
 let ctx_args args =
@@ -111,11 +151,11 @@ let begin_span ?(cat = "") ?(args = []) name =
   if not (recording ()) then null
   else begin
     let b = buf () in
-    let parent = match b.stack with [] -> -1 | p :: _ -> p.id in
+    let th = thread b in
     let e =
       {
         id = Atomic.fetch_and_add next_id 1;
-        parent;
+        parent = innermost th;
         name;
         cat;
         tid = b.dom;
@@ -126,23 +166,29 @@ let begin_span ?(cat = "") ?(args = []) name =
       }
     in
     if on () then push b e;
-    b.stack <- e :: b.stack;
+    th.spans <- e :: th.spans;
     e.id
   end
+
+let rec is_open tok = function [] -> false | e :: rest -> e.id = tok || is_open tok rest
+
+(* pop to [tok], closing anything an exception left open above it *)
+let rec close_to tok t1 = function
+  | [] -> []
+  | e :: rest ->
+    e.dur_ns <- t1 - e.ts_ns;
+    ring_record e;
+    if e.id = tok then rest else close_to tok t1 rest
 
 let end_span tok =
   if tok <> null then begin
     let b = buf () in
-    let t1 = Clock.now_ns () - epoch in
-    (* pop to the matching span, closing anything an exception left open *)
-    let rec pop = function
-      | [] -> []
-      | e :: rest ->
-        e.dur_ns <- t1 - e.ts_ns;
-        ring_record e;
-        if e.id = tok then rest else pop rest
-    in
-    b.stack <- pop b.stack
+    let th = own b in
+    (* a token this thread no longer has open closes nothing *)
+    if is_open tok th.spans then begin
+      th.spans <- close_to tok (Clock.now_ns () - epoch) th.spans;
+      match th.spans with [] -> retire b th | _ :: _ -> ()
+    end
   end
 
 let with_span ?cat ?args name f =
@@ -155,11 +201,10 @@ let with_span ?cat ?args name f =
 let complete ?(cat = "") ?(args = []) ~name ~t0_ns ~t1_ns () =
   if recording () then begin
     let b = buf () in
-    let parent = match b.stack with [] -> -1 | p :: _ -> p.id in
     let e =
       {
         id = Atomic.fetch_and_add next_id 1;
-        parent;
+        parent = innermost (own b);
         name;
         cat;
         tid = b.dom;
@@ -176,11 +221,10 @@ let complete ?(cat = "") ?(args = []) ~name ~t0_ns ~t1_ns () =
 let instant ?(cat = "") ?(args = []) name =
   if on () then begin
     let b = buf () in
-    let parent = match b.stack with [] -> -1 | p :: _ -> p.id in
     push b
       {
         id = Atomic.fetch_and_add next_id 1;
-        parent;
+        parent = innermost (own b);
         name;
         cat;
         tid = b.dom;
@@ -214,5 +258,5 @@ let reset () =
     (fun b ->
       Array.fill b.events 0 b.len dummy;
       b.len <- 0;
-      b.stack <- [])
+      Atomic.set b.threads [])
     bufs

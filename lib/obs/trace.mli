@@ -9,12 +9,15 @@
     next domain that records, so the buffers stay as many as the
     domains alive at once.
 
-    Spans form a tree per domain: {!begin_span} pushes onto a
-    domain-local stack, {!end_span} pops, and each event records its
-    parent's span id. Leaf work that must stay allocation-free on the
-    untraced path (LU factor/solve) uses {!complete} to append an
-    already-timed span retroactively; its parent is whatever span is
-    open on the recording domain's stack at that moment.
+    Spans form a tree per thread: {!begin_span} pushes onto the calling
+    systhread's stack of open spans, {!end_span} pops, and each event
+    records its parent's span id. Threads sharing a domain (the
+    daemon's readers and workers) share its buffer but never parent
+    under, or close, each other's spans. Leaf work that must stay
+    allocation-free on the untraced path (LU factor/solve) uses
+    {!complete} to append an already-timed span retroactively; its
+    parent is whatever span the recording thread has open at that
+    moment.
 
     Tracing starts disabled. Setting the [FTL_TRACE] environment
     variable to anything but [""] or ["0"] enables it at program start
@@ -62,15 +65,15 @@ val null : token
 (** The token of a span that was never started (tracing disabled). *)
 
 val begin_span : ?cat:string -> ?args:(string * string) list -> string -> token
-(** Open a span on the calling domain. Returns {!null} when neither
+(** Open a span on the calling thread. Returns {!null} when neither
     tracing nor the {!Ring} flight recorder wants spans. Must be closed
-    by {!end_span} on the same domain. *)
+    by {!end_span} on the same thread. *)
 
 val end_span : token -> unit
-(** Close a span. Spans left open above [token] on the domain's stack
-    (abandoned by an exception) are closed at the same instant, and
-    every closed span is fed to the {!Ring} flight recorder when it is
-    enabled. A {!null} token is ignored. *)
+(** Close a span. Spans the thread left open above [token] (abandoned
+    by an exception) are closed at the same instant, and every closed
+    span is fed to the {!Ring} flight recorder when it is enabled. A
+    {!null} token, or one the thread no longer has open, is ignored. *)
 
 val with_span : ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f] inside a span; exception-safe. When
@@ -80,7 +83,7 @@ val with_span : ?cat:string -> ?args:(string * string) list -> string -> (unit -
 val complete :
   ?cat:string -> ?args:(string * string) list -> name:string -> t0_ns:int -> t1_ns:int -> unit -> unit
 (** Append an already-timed span ([t0_ns]/[t1_ns] from {!Clock.now_ns});
-    parented under the domain's currently open span. Also fed to the
+    parented under the thread's currently open span. Also fed to the
     flight recorder. *)
 
 val instant : ?cat:string -> ?args:(string * string) list -> string -> unit

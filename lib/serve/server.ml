@@ -651,7 +651,7 @@ let stats_json t =
        ( "window",
          Json.Obj
            [
-             ("window_s", Protocol.json_float (Rolling.window_s t.rolling_all));
+             ("window_s", Protocol.json_float Rolling.window_s);
              ("inflight", Json.Int (Atomic.get t.inflight_total));
              ("all", snap_json all);
              ("by_type", Json.Obj (List.map (fun (n, s) -> (n, snap_json s)) per));
@@ -694,7 +694,7 @@ let metrics_text t =
   gauge "ftl_inflight" (float_of_int (Atomic.get t.inflight_total));
   gauge "ftl_workers" (float_of_int t.config.workers);
   let all, per = window_snaps t in
-  gauge "ftl_window_seconds" (Rolling.window_s t.rolling_all);
+  gauge "ftl_window_seconds" Rolling.window_s;
   Buffer.add_string b "# TYPE ftl_request_duration_seconds summary\n";
   let summary label (s : Rolling.snap) =
     let q quant v =

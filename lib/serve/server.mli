@@ -143,18 +143,14 @@ val port : t -> int option
 (** The bound TCP port, once started — useful with [tcp_port = Some 0]
     (ephemeral port) in tests. *)
 
-val request_stop : t -> unit
-(** Flip the stop flag; safe from any thread and from signal handlers.
-    {!wait} performs the actual teardown. *)
-
 val wait : t -> unit
-(** Block until a stop is requested ([shutdown] request,
-    {!request_stop}, or a signal via {!run}), then tear down: stop
+(** Block until a stop is requested ([shutdown] request, {!stop}, or a
+    signal via {!run}), then tear down: stop
     accepting, drain in-flight work for up to [drain_deadline_s],
     join every thread, close every descriptor. Idempotent. *)
 
 val stop : t -> unit
-(** [request_stop] + [wait]. *)
+(** Flip the stop flag, then {!wait}. *)
 
 val run : t -> unit
 (** [start] + SIGINT/SIGTERM handlers (and SIGPIPE ignore) + [wait] —

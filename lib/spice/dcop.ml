@@ -115,7 +115,7 @@ let report_dx on_iter x x_new n =
    the next solve rebinds the plan (dropping its LU) and the
    first-factorization memo keeps its own copy of the values. *)
 let residual_report ~plan ?(time = 0.0) ?(gmin = default_options.gmin_final) ?(gshunt = 0.0)
-    ?(source_scale = 1.0) ?(caps = None) ?(worst = 3) netlist ~x =
+    ?(source_scale = 1.0) ?(caps = None) netlist ~x =
   Stamp_plan.set_linear plan ~time ~gmin ~gshunt ~source_scale ~caps;
   Stamp_plan.assemble plan ~x;
   let b = Stamp_plan.rhs plan in
@@ -135,7 +135,7 @@ let residual_report ~plan ?(time = 0.0) ?(gmin = default_options.gmin_final) ?(g
       (Netlist.node_name netlist (i + 1), v) :: take (k - 1) rest
     | _ -> []
   in
-  (!norm, take worst sorted)
+  (!norm, take 3 sorted)
 
 (* Newton over the compiled stamp plan: allocation-free after the
    plan's first factorization (all buffers are plan-owned). On failure the

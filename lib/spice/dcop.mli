@@ -77,14 +77,13 @@ val residual_report :
   ?gshunt:float ->
   ?source_scale:float ->
   ?caps:Mna.cap_companion option ->
-  ?worst:int ->
   Netlist.t ->
   x:Lattice_numerics.Vec.t ->
   float * (string * float) list
 (** [residual_report ~plan netlist ~x] evaluates the KCL residual
     [A(x) x - b(x)] of the nonlinear MNA system at [x] under the given
-    stamping context and returns its inf-norm plus the [worst]
-    (default 3) node names ranked by residual current — the structured
+    stamping context and returns its inf-norm plus the three worst
+    node names ranked by residual current — the structured
     payload of {!failure}. [plan] is the stamp plan compiled from (or
     rebound to) [netlist]; the report assembles on it and overwrites its
     matrix and RHS buffers, so call it between solves, never inside

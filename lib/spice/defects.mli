@@ -37,7 +37,6 @@ type kind =
 type t = { row : int; col : int; kind : kind }
 (** One defect at one lattice site. *)
 
-val terminal_name : terminal -> string
 val kind_name : kind -> string
 
 val name : t -> string
@@ -53,9 +52,6 @@ type params = {
 }
 
 val default_params : params
-
-val is_structural : kind -> bool
-(** [true] for the kinds that replace the switch instantiation. *)
 
 val hook : ?params:params -> t list -> Lattice_circuit.site_hook
 (** [hook ?params defects] is a site hook injecting every listed defect at
@@ -76,8 +72,6 @@ val build :
 type kind_class = Opens | Shorts | Bridges | Broken_terminals | Gate_leaks
 
 val all_classes : kind_class list
-
-val kinds_of_class : kind_class -> kind list
 
 val single_defects : ?classes:kind_class list -> Lattice_core.Grid.t -> t list
 (** [single_defects grid] enumerates every single-site defect of the

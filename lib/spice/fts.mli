@@ -18,10 +18,6 @@ type mosfet_types = {
     paper. *)
 val default_types : mosfet_types
 
-(** [make_types ~kp ~vth ~lambda] builds the two level-1 types with the
-    square device's W = 700 nm and L = 0.35 / 0.5 um. *)
-val make_types : kp:float -> vth:float -> lambda:float -> mosfet_types
-
 (** [level3_types ?theta ?vmax ()] promotes the default extraction to the
     level-3 short-channel model (paper Section VI-A's planned refinement);
     see {!Lattice_mosfet.Level3.of_level1} for the defaults. *)

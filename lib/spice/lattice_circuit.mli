@@ -32,12 +32,6 @@ type t = {
   config : config;
 }
 
-(** [input_node_name v] / [input_bar_node_name v] are the driver node names
-    of variable [v] and its complement. *)
-val input_node_name : int -> string
-
-val input_bar_node_name : int -> string
-
 (** Everything the builder knows about one lattice site just before it
     instantiates the four-terminal switch there: position, instance name,
     the four shared terminal nodes, the resolved gate driver and switch

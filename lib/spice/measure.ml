@@ -39,18 +39,6 @@ let fall_time times values ~low ~high =
   if span <= 0.0 then invalid_arg "Measure.fall_time: high must exceed low";
   edge_time times values ~from_level:(low +. (0.9 *. span)) ~to_level:(low +. (0.1 *. span))
 
-let average_after times values ~after =
-  let acc = ref 0.0 and count = ref 0 in
-  Array.iteri
-    (fun i t ->
-      if t >= after then begin
-        acc := !acc +. values.(i);
-        incr count
-      end)
-    times;
-  if !count = 0 then invalid_arg "Measure.average_after: no samples";
-  !acc /. float_of_int !count
-
 let value_at times values t = Interp.lookup times values t
 
 let integral times values =
@@ -64,56 +52,29 @@ let integral times values =
 let energy_from_supply ~vdd times supply_current =
   -.vdd *. integral times supply_current
 
-let plot_chars = [| '*'; 'o'; '+'; 'x'; '~'; '^' |]
-
-let ascii_plot_many ~width ~height curves =
-  if width < 16 || height < 4 then invalid_arg "Measure.ascii_plot: too small";
-  match curves with
-  | [] -> ""
-  | _ ->
-    let tmin = ref infinity and tmax = ref neg_infinity in
-    let vmin = ref infinity and vmax = ref neg_infinity in
-    List.iter
-      (fun (_, ts, vs) ->
-        Array.iter (fun t -> tmin := Float.min !tmin t; tmax := Float.max !tmax t) ts;
-        Array.iter (fun v -> vmin := Float.min !vmin v; vmax := Float.max !vmax v) vs)
-      curves;
-    if !tmax <= !tmin then invalid_arg "Measure.ascii_plot: degenerate time axis";
-    if !vmax <= !vmin then begin
-      vmax := !vmin +. 1.0
-    end;
-    let canvas = Array.make_matrix height width ' ' in
-    List.iteri
-      (fun ci (_, ts, vs) ->
-        let ch = plot_chars.(ci mod Array.length plot_chars) in
-        for col = 0 to width - 1 do
-          let t = !tmin +. ((!tmax -. !tmin) *. float_of_int col /. float_of_int (width - 1)) in
-          let v = Interp.lookup ts vs t in
-          let row =
-            height - 1 - int_of_float ((v -. !vmin) /. (!vmax -. !vmin) *. float_of_int (height - 1))
-          in
-          let row = Int.max 0 (Int.min (height - 1) row) in
-          canvas.(row).(col) <- ch
-        done)
-      curves;
-    let buf = Buffer.create (width * height) in
-    Array.iteri
-      (fun r row ->
-        let v = !vmax -. ((!vmax -. !vmin) *. float_of_int r /. float_of_int (height - 1)) in
-        Buffer.add_string buf (Printf.sprintf "%10.3g |" v);
-        Array.iter (Buffer.add_char buf) row;
-        Buffer.add_char buf '\n')
-      canvas;
-    Buffer.add_string buf (String.make 11 ' ' ^ "+" ^ String.make width '-' ^ "\n");
-    Buffer.add_string buf
-      (Printf.sprintf "%10s  t: %.3g .. %.3g s   " "" !tmin !tmax);
-    List.iteri
-      (fun ci (label, _, _) ->
-        Buffer.add_string buf
-          (Printf.sprintf "[%c] %s  " plot_chars.(ci mod Array.length plot_chars) label))
-      curves;
-    Buffer.add_char buf '\n';
-    Buffer.contents buf
-
 let ascii_plot ~width ~height ~label times values =
-  ascii_plot_many ~width ~height [ (label, times, values) ]
+  if width < 16 || height < 4 then invalid_arg "Measure.ascii_plot: too small";
+  let tmin = Array.fold_left Float.min infinity times in
+  let tmax = Array.fold_left Float.max neg_infinity times in
+  let vmin = Array.fold_left Float.min infinity values in
+  let vmax = Array.fold_left Float.max neg_infinity values in
+  if tmax <= tmin then invalid_arg "Measure.ascii_plot: degenerate time axis";
+  let vmax = if vmax <= vmin then vmin +. 1.0 else vmax in
+  let canvas = Array.make_matrix height width ' ' in
+  for col = 0 to width - 1 do
+    let t = tmin +. ((tmax -. tmin) *. float_of_int col /. float_of_int (width - 1)) in
+    let v = Interp.lookup times values t in
+    let row = height - 1 - int_of_float ((v -. vmin) /. (vmax -. vmin) *. float_of_int (height - 1)) in
+    canvas.(Int.max 0 (Int.min (height - 1) row)).(col) <- '*'
+  done;
+  let buf = Buffer.create (width * height) in
+  Array.iteri
+    (fun r row ->
+      let v = vmax -. ((vmax -. vmin) *. float_of_int r /. float_of_int (height - 1)) in
+      Buffer.add_string buf (Printf.sprintf "%10.3g |" v);
+      Array.iter (Buffer.add_char buf) row;
+      Buffer.add_char buf '\n')
+    canvas;
+  Buffer.add_string buf (String.make 11 ' ' ^ "+" ^ String.make width '-' ^ "\n");
+  Buffer.add_string buf (Printf.sprintf "%10s  t: %.3g .. %.3g s   [*] %s  \n" "" tmin tmax label);
+  Buffer.contents buf

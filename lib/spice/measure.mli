@@ -20,10 +20,6 @@ val fall_time : float array -> float array -> low:float -> high:float -> float o
     measurements. *)
 val edge_between : float array -> float array -> from_level:float -> to_level:float -> float option
 
-(** [average_after times values ~after] averages samples with
-    [t >= after]. *)
-val average_after : float array -> float array -> after:float -> float
-
 (** [value_at times values t] interpolates the waveform at [t]. *)
 val value_at : float array -> float array -> float -> float
 
@@ -40,8 +36,3 @@ val energy_from_supply : vdd:float -> float array -> float array -> float
 (** [ascii_plot ~width ~height ~label times values] renders one waveform
     as an ASCII chart with time on the horizontal axis. *)
 val ascii_plot : width:int -> height:int -> label:string -> float array -> float array -> string
-
-(** [ascii_plot_many ~width ~height curves] overlays labelled waveforms
-    (each drawn with its own character). *)
-val ascii_plot_many :
-  width:int -> height:int -> (string * float array * float array) list -> string

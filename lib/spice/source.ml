@@ -58,8 +58,6 @@ let value w t =
       +. amplitude *. Float.exp (-.damping *. tau)
          *. Float.sin (2.0 *. Float.pi *. freq *. tau)
 
-let dc_value w = value w 0.0
-
 (* a SPICE pulse rises right after [delay]; delaying by half a period makes
    the wave spend its first half-period at [low] *)
 let square_wave ~low ~high ~period ?transition () =

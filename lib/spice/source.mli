@@ -23,9 +23,6 @@ type t =
 (** [value w t] evaluates the waveform at time [t >= 0]. *)
 val value : t -> float -> float
 
-(** [dc_value w] is the t = 0 value (used for the DC operating point). *)
-val dc_value : t -> float
-
 (** [square_wave ~low ~high ~period ?transition ()] is a 50%-duty pulse
     train starting low; [transition] defaults to [period /. 100]. *)
 val square_wave : low:float -> high:float -> period:float -> ?transition:float -> unit -> t

@@ -77,13 +77,13 @@ let print_spice x =
        forms from the largest scale down.  Each is kept only if it
        reparses to the identical bit pattern; a strictly shorter later
        candidate beats an earlier one, ties keep the earlier, so the
-       result is deterministic. *)
+       result is deterministic.  A candidate no shorter than the best so
+       far could not win, so it is not reparsed. *)
     let best = ref None in
     let consider s =
-      if exact s then
-        match !best with
-        | Some b when String.length b <= String.length s -> ()
-        | _ -> best := Some s
+      match !best with
+      | Some b when String.length b <= String.length s -> ()
+      | _ -> if exact s then best := Some s
     in
     let shortest_for prefix_v suffix =
       (* Rendering length is not monotone in precision ("%.1g" of

@@ -158,16 +158,3 @@ let validate_circuit ?engine ?(config = Sp.Lattice_circuit.default_config)
       (List.init (1 lsl nvars) Fun.id)
   in
   (Engine.map engine ~phase:"circuit-validate" ~n:1 validate).(0)
-
-let find_circuit_verified ~rows ~cols ?(alphabet = Literals_only) ?engine ?config ?dc
-    ?(pins = []) target =
-  let engine = Engine.or_fresh engine in
-  let result = ref None in
-  search ~rows ~cols ~alphabet ~pins target (fun site_entries digits ->
-      let grid = grid_of_digits ~rows ~cols site_entries digits in
-      if validate_circuit ~engine ?config ?dc grid ~target then begin
-        result := Some grid;
-        true
-      end
-      else false);
-  !result

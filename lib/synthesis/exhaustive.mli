@@ -14,9 +14,9 @@
     an input the target needs blocked conducts even with every free site
     OFF, no completion realizes the target and the subtree is skipped. The
     odometer order is unchanged and only subtrees without a hit are
-    skipped, so every function here returns the grids and counts, and
-    validates the candidates, that the unpruned odometer gives (the test
-    suite keeps that odometer as its oracle).
+    skipped, so every function here returns the grids and counts that the
+    unpruned odometer gives (the test suite keeps that odometer as its
+    oracle).
 
     Cost therefore follows the feasible subtrees rather than
     [alphabet^sites]: the 2 x 4 maj3 remap around a stuck-ON switch at
@@ -91,19 +91,3 @@ val validate_circuit :
   Lattice_core.Grid.t ->
   target:Lattice_boolfn.Truthtable.t ->
   bool
-
-(** [find_circuit_verified ~rows ~cols ?alphabet ?engine ?config ?dc ?pins
-    target] is {!find_with_pins} with a circuit back-end check: the first
-    grid (in odometer order) that both matches [target] logically {e and}
-    passes {!validate_circuit}. Logically-correct candidates that fail at
-    circuit level are skipped and the search continues. *)
-val find_circuit_verified :
-  rows:int ->
-  cols:int ->
-  ?alphabet:alphabet ->
-  ?engine:Lattice_engine.Engine.t ->
-  ?config:Lattice_spice.Lattice_circuit.config ->
-  ?dc:Lattice_spice.Dcop.options ->
-  ?pins:(int * Lattice_core.Grid.entry) list ->
-  Lattice_boolfn.Truthtable.t ->
-  Lattice_core.Grid.t option

@@ -1,44 +1,10 @@
 (* Tests for the Boolean-function substrate. *)
 
-module Bitset = Lattice_boolfn.Bitset
 module Cube = Lattice_boolfn.Cube
 module Sop = Lattice_boolfn.Sop
 module Tt = Lattice_boolfn.Truthtable
 module Qm = Lattice_boolfn.Qm
 module Expr = Lattice_boolfn.Expr
-
-(* --- Bitset ------------------------------------------------------------- *)
-
-let test_bitset_basics () =
-  let s = Bitset.create 100 in
-  Bitset.add s 0;
-  Bitset.add s 63;
-  Bitset.add s 99;
-  Alcotest.(check bool) "mem 63" true (Bitset.mem s 63);
-  Alcotest.(check bool) "not mem 50" false (Bitset.mem s 50);
-  Alcotest.(check int) "cardinal" 3 (Bitset.cardinal s);
-  Bitset.remove s 63;
-  Alcotest.(check bool) "removed" false (Bitset.mem s 63);
-  Alcotest.(check (list int)) "to_list" [ 0; 99 ] (Bitset.to_list s)
-
-let test_bitset_subset () =
-  let a = Bitset.of_list 80 [ 1; 70 ] in
-  let b = Bitset.of_list 80 [ 1; 5; 70 ] in
-  Alcotest.(check bool) "a <= b" true (Bitset.subset a b);
-  Alcotest.(check bool) "b <= a" false (Bitset.subset b a);
-  Alcotest.(check bool) "a <= a" true (Bitset.subset a a)
-
-let test_bitset_bounds () =
-  let s = Bitset.create 10 in
-  Alcotest.check_raises "out of range" (Invalid_argument "Bitset: element out of range") (fun () ->
-      Bitset.add s 10)
-
-let prop_bitset_roundtrip =
-  QCheck2.Test.make ~name:"Bitset of_list/to_list roundtrip" ~count:200
-    QCheck2.Gen.(list_size (int_range 0 30) (int_range 0 99))
-    (fun elems ->
-      let s = Bitset.of_list 100 elems in
-      Bitset.to_list s = List.sort_uniq Int.compare elems)
 
 (* --- Cube --------------------------------------------------------------- *)
 
@@ -243,83 +209,10 @@ let test_expr_constants () =
   let ast, _ = Expr.parse "a & 0 | 1" in
   Alcotest.(check bool) "const" true (Expr.eval ast 0)
 
-(* --- Bdd ---------------------------------------------------------------- *)
-
-module Bdd = Lattice_boolfn.Bdd
-
-let test_bdd_basics () =
-  let m = Bdd.create_manager ~nvars:3 in
-  let a = Bdd.var m 0 and b = Bdd.var m 1 in
-  Alcotest.(check bool) "a and not a = 0" true
-    (Bdd.is_zero m (Bdd.conj m a (Bdd.nvar m 0)));
-  Alcotest.(check bool) "a or not a = 1" true (Bdd.is_one m (Bdd.disj m a (Bdd.nvar m 0)));
-  Alcotest.(check bool) "a xor a = 0" true (Bdd.is_zero m (Bdd.xor m a a));
-  Alcotest.(check bool) "idempotent sharing" true (Bdd.equal (Bdd.conj m a b) (Bdd.conj m b a))
-
-let test_bdd_eval_sat () =
-  let m = Bdd.create_manager ~nvars:3 in
-  let f = Bdd.disj m (Bdd.conj m (Bdd.var m 0) (Bdd.var m 1)) (Bdd.var m 2) in
-  (* f = ab + c: 5 of 8 assignments satisfy *)
-  Alcotest.(check int) "sat count" 5 (Bdd.sat_count m f);
-  Alcotest.(check bool) "eval(1,1,0)" true (Bdd.eval m f 0b011);
-  Alcotest.(check bool) "eval(1,0,0)" false (Bdd.eval m f 0b001)
-
-let test_bdd_restrict () =
-  let m = Bdd.create_manager ~nvars:2 in
-  let f = Bdd.xor m (Bdd.var m 0) (Bdd.var m 1) in
-  Alcotest.(check bool) "f|a=1 is not b" true
-    (Bdd.equal (Bdd.restrict m f 0 true) (Bdd.nvar m 1));
-  Alcotest.(check bool) "f|a=0 is b" true (Bdd.equal (Bdd.restrict m f 0 false) (Bdd.var m 1))
-
-let test_bdd_matches_truthtable () =
-  (* every 3-variable function roundtrips *)
-  let m = Bdd.create_manager ~nvars:3 in
-  for bits = 0 to 255 do
-    let tt = Tt.create 3 (fun a -> bits land (1 lsl a) <> 0) in
-    let b = Bdd.of_truthtable m tt in
-    for a = 0 to 7 do
-      if not (Bool.equal (Bdd.eval m b a) (Tt.eval tt a)) then
-        Alcotest.failf "function %d differs at %d" bits a
-    done;
-    Alcotest.(check int) (Printf.sprintf "sat count of %d" bits) (Tt.count_ones tt)
-      (Bdd.sat_count m b)
-  done
-
-let prop_bdd_of_sop_semantics =
-  QCheck2.Test.make ~name:"Bdd.of_sop = Sop.eval" ~count:200 random_sop_gen (fun f ->
-      let m = Bdd.create_manager ~nvars:4 in
-      let b = Bdd.of_sop m f in
-      let ok = ref true in
-      for a = 0 to 15 do
-        if not (Bool.equal (Bdd.eval m b a) (Sop.eval f a)) then ok := false
-      done;
-      !ok)
-
-let prop_bdd_dual_involution =
-  QCheck2.Test.make ~name:"Bdd dual involution and agreement with Truthtable.dual" ~count:200
-    (tt_gen 4) (fun tt ->
-      let m = Bdd.create_manager ~nvars:4 in
-      let b = Bdd.of_truthtable m tt in
-      Bdd.equal (Bdd.dual m (Bdd.dual m b)) b
-      && Bdd.equal (Bdd.dual m b) (Bdd.of_truthtable m (Tt.dual tt)))
-
-let prop_bdd_equivalence_is_physical =
-  QCheck2.Test.make ~name:"Bdd canonical form: QM cover equals original" ~count:200 (tt_gen 4)
-    (fun tt ->
-      let m = Bdd.create_manager ~nvars:4 in
-      Bdd.equal (Bdd.of_truthtable m tt) (Bdd.of_sop m (Qm.cover tt)))
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "boolfn"
     [
-      ( "bitset",
-        [
-          Alcotest.test_case "basics" `Quick test_bitset_basics;
-          Alcotest.test_case "subset" `Quick test_bitset_subset;
-          Alcotest.test_case "bounds" `Quick test_bitset_bounds;
-          qc prop_bitset_roundtrip;
-        ] );
       ( "cube",
         [
           Alcotest.test_case "literals" `Quick test_cube_literals;
@@ -350,16 +243,6 @@ let () =
           Alcotest.test_case "classic 3-var example" `Quick test_qm_classic;
           qc prop_qm_cover_exact;
           qc prop_qm_primes_are_implicants;
-        ] );
-      ( "bdd",
-        [
-          Alcotest.test_case "basics" `Quick test_bdd_basics;
-          Alcotest.test_case "eval and sat count" `Quick test_bdd_eval_sat;
-          Alcotest.test_case "restrict" `Quick test_bdd_restrict;
-          Alcotest.test_case "all 3-var functions roundtrip" `Quick test_bdd_matches_truthtable;
-          qc prop_bdd_of_sop_semantics;
-          qc prop_bdd_dual_involution;
-          qc prop_bdd_equivalence_is_physical;
         ] );
       ( "expr",
         [

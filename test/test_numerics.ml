@@ -429,22 +429,6 @@ let test_mg_matches_cg () =
     check_float "top row" dirichlet.{c} x_mg.{c}
   done
 
-let test_mg_vcycle_solve () =
-  (* stationary V-cycle iteration reaches the same solution as PCG *)
-  let n = mg_n in
-  let gx, gy, fixed, dirichlet = mg_problem () in
-  let tp = Mg.create ~n ~gx ~gy ~fixed in
-  let b = Mg.dirichlet_rhs tp ~dirichlet in
-  let x_p, _ = Mg.pcg tp ~b ~tol:1e-12 () in
-  let tv = Mg.create ~n ~gx ~gy ~fixed in
-  let x_v, st = Mg.vcycle_solve tv ~b ~tol:1e-12 () in
-  Alcotest.(check bool) "vcycle converged" true st.Mg.converged;
-  let d = ref 0.0 in
-  for i = 0 to (n * n) - 1 do
-    d := Float.max !d (Float.abs (x_p.{i} -. x_v.{i}))
-  done;
-  Alcotest.(check bool) (Printf.sprintf "pcg = vcycle (got %.3e)" !d) true (!d < 1e-8)
-
 let test_mg_bad_sizes () =
   let gx = Mg.vec 16 and gy = Mg.vec 16 in
   Alcotest.(check bool) "n too small" true
@@ -605,7 +589,6 @@ let () =
         [
           Alcotest.test_case "constant Dirichlet field" `Quick test_mg_constant_field;
           Alcotest.test_case "matches CG on jump coefficients" `Quick test_mg_matches_cg;
-          Alcotest.test_case "v-cycle iteration matches PCG" `Quick test_mg_vcycle_solve;
           Alcotest.test_case "rejects bad sizes" `Quick test_mg_bad_sizes;
         ] );
       ( "stats",

@@ -96,6 +96,57 @@ let test_exception_closes_spans () =
       Alcotest.(check bool) (e.Trace.name ^ " closed") true (e.Trace.dur_ns >= 0))
     evs
 
+(* Two systhreads on one domain (as the daemon's readers and workers
+   are) each open 20 outer spans, each wrapping five 1 ms inner spans
+   and a 2 ms sleep; every sleep hands the domain to the other thread.
+   A span must nest under, and close, only spans of its own thread: no
+   outer span is cut short in the flight ring, and with tracing on no
+   inner span names the other thread's span as its parent. *)
+let two_threads_interleave () =
+  let work who () =
+    for _ = 1 to 20 do
+      Trace.with_span (who ^ ".outer") (fun () ->
+          for _ = 1 to 5 do
+            Trace.with_span (who ^ ".inner") (fun () -> Thread.delay 0.001)
+          done;
+          Thread.delay 0.002)
+    done
+  in
+  let a = Thread.create (work "a") () and b = Thread.create (work "b") () in
+  Thread.join a;
+  Thread.join b
+
+let test_threads_nest_apart () =
+  Ring.set_enabled true;
+  two_threads_interleave ();
+  Ring.set_enabled false;
+  let outer =
+    List.filter
+      (fun (s : Ring.span) -> String.ends_with ~suffix:".outer" s.Ring.name)
+      (Ring.dump ())
+  in
+  Alcotest.(check int) "40 outer spans in the ring" 40 (List.length outer);
+  let truncated = List.filter (fun (s : Ring.span) -> s.Ring.dur_ns < 7_000_000) outer in
+  Alcotest.(check int) "no outer span shorter than the 7 ms it encloses" 0 (List.length truncated);
+  Trace.set_enabled true;
+  two_threads_interleave ();
+  Trace.set_enabled false;
+  let evs = Trace.events () in
+  let owner (e : Trace.event) = String.sub e.Trace.name 0 1 in
+  let by_id = Hashtbl.create 256 in
+  List.iter (fun (e : Trace.event) -> Hashtbl.replace by_id e.Trace.id e) evs;
+  let inner = List.filter (fun (e : Trace.event) -> String.ends_with ~suffix:".inner" e.Trace.name) evs in
+  Alcotest.(check int) "200 inner spans traced" 200 (List.length inner);
+  let stray =
+    List.filter
+      (fun (e : Trace.event) ->
+        match Hashtbl.find_opt by_id e.Trace.parent with
+        | Some p -> p.Trace.name <> owner e ^ ".outer"
+        | None -> true)
+      inner
+  in
+  Alcotest.(check int) "every inner span under its own thread's outer span" 0 (List.length stray)
+
 let test_multi_domain_buffers () =
   Trace.set_enabled true;
   Trace.with_span "main-side" (fun () -> ());
@@ -320,7 +371,7 @@ let test_rolling_percentiles_vs_reference () =
   Alcotest.(check (float 1e-9)) "mean exact" mean s.Rolling.mean_s
 
 let test_rolling_window_expiry () =
-  let t = Rolling.create ~buckets:6 ~bucket_s:10.0 () in
+  let t = Rolling.create () in
   Rolling.observe t ~now_ns:(s_to_ns 5.0) ~dur_s:0.01 ~outcome:Rolling.Error;
   Rolling.observe t ~now_ns:(s_to_ns 15.0) ~dur_s:0.02 ~outcome:Rolling.Timeout;
   Rolling.observe t ~now_ns:(s_to_ns 55.0) ~dur_s:0.04 ~outcome:Rolling.Ok;
@@ -342,8 +393,8 @@ let test_rolling_window_expiry () =
   Alcotest.(check int) "recycled bucket counts only the new sample" 1 s.Rolling.count
 
 let test_rolling_rate () =
-  let t = Rolling.create ~buckets:6 ~bucket_s:10.0 () in
-  Alcotest.(check (float 1e-9)) "window span" 60.0 (Rolling.window_s t);
+  let t = Rolling.create () in
+  Alcotest.(check (float 1e-9)) "window span" 60.0 Rolling.window_s;
   for i = 1 to 120 do
     Rolling.observe t ~now_ns:(s_to_ns (float_of_int i *. 0.25)) ~dur_s:0.001
       ~outcome:Rolling.Ok
@@ -665,6 +716,7 @@ let () =
           t "disabled records nothing" test_disabled_records_nothing;
           t "span nesting and parentage" test_span_nesting;
           t "exceptions close spans" test_exception_closes_spans;
+          t "threads on one domain nest apart" test_threads_nest_apart;
           t "per-domain buffers merge" test_multi_domain_buffers;
         ] );
       ( "ring",

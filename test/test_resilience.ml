@@ -304,7 +304,7 @@ let test_run_jobs_fault_injection () =
   let fail_always i = i mod 41 = 7 (* 7 48 89 130 171 *) in
   let fail_first i = i mod 53 = 11 (* 11 64 117 170 *) in
   let stalled = 100 in
-  let policy = { Engine.deadline_s = Some 0.25; attempts = 2; backoff = 2.0 } in
+  let policy = { Engine.deadline_s = Some 0.25; attempts = 2 } in
   let out =
     Engine.run_jobs e ~policy ~phase:"fault-injection" ~n:200
       (fun ~attempt ~cancel i ->
@@ -379,6 +379,40 @@ let test_retryable_done () =
   Alcotest.(check int) "two escalations" 2 t.Engine.retries;
   Alcotest.(check int) "no failures" 0 t.Engine.job_failures
 
+let test_deadline_escalation () =
+  (* attempt k of a job runs under a token that fires d * 2^k after the
+     job starts: a retried timeout gets twice the budget each time *)
+  let e = Engine.create ~domains:2 () in
+  let d = 10.0 and n = 4 in
+  let budgets = Array.make_matrix n 3 Float.nan in
+  let out =
+    Engine.run_jobs e ~policy:{ Engine.deadline_s = Some d; attempts = 3 } ~n
+      (fun ~attempt ~cancel i ->
+        let start = Lattice_obs.Clock.now_ns () in
+        (match Cancel.deadline_ns cancel with
+        | Some t -> budgets.(i).(attempt) <- float_of_int (t - start) /. 1e9
+        | None -> ());
+        if attempt < 2 then failwith "retry me" else i)
+  in
+  Array.iteri
+    (fun i o ->
+      match o with
+      | Pool.Done v -> Alcotest.(check int) (Printf.sprintf "job %d settled" i) i v
+      | _ -> Alcotest.failf "job %d not Done" i)
+    out;
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun k got ->
+          let want = d *. (2.0 ** float_of_int k) in
+          Alcotest.(check bool)
+            (Printf.sprintf "job %d attempt %d: token fires %.4f s after start, want %g s" i k got
+               want)
+            true
+            (Float.abs (got -. want) <= 0.01 *. want))
+        row)
+    budgets
+
 let test_run_jobs_batch_cancel () =
   let e = Engine.create ~domains:2 () in
   let cancel = Cancel.create () in
@@ -425,7 +459,7 @@ let test_reset_telemetry_pins_new_counters () =
   ignore (Engine.dc_op e netlist);
   ignore
     (Engine.run_jobs e
-       ~policy:{ Engine.deadline_s = Some 0.05; attempts = 2; backoff = 2.0 }
+       ~policy:{ Engine.deadline_s = Some 0.05; attempts = 2 }
        ~n:4
        (fun ~attempt:_ ~cancel ->
          function
@@ -477,7 +511,7 @@ let test_campaign_deadline_classified () =
   let grid = Lattice_synthesis.Library.maj3_2x3 in
   let target = Lattice_boolfn.Truthtable.majority_n 3 in
   let e = Engine.create ~domains:2 () in
-  let policy = { Engine.deadline_s = Some 1e-9; attempts = 1; backoff = 2.0 } in
+  let policy = { Engine.deadline_s = Some 1e-9; attempts = 1 } in
   let rep =
     Fc.run ~engine:e ~policy
       ~options:{ Fc.default_options with Fc.attempt_repair = false }
@@ -496,13 +530,46 @@ let test_campaign_deadline_classified () =
   Alcotest.(check int) "timeouts counted" (Array.length rep.Fc.samples)
     (Engine.telemetry e).Engine.timeouts
 
+let test_campaign_budget_escalation () =
+  (* newton_per_sample = 1 with 3 attempts: attempt k runs under a budget
+     of ceil (1 * 2^k) iterations, so every sample ends on the third
+     attempt's budget of 4 (no maj3 sample solves all 8 states in 4) *)
+  let module Fc = Lattice_flow.Fault_campaign in
+  let e = Engine.create ~domains:2 () in
+  let rep =
+    Fc.run ~engine:e
+      ~policy:{ Engine.default_policy with attempts = 3 }
+      ~options:
+        {
+          Fc.default_options with
+          Fc.classes = [ Sp.Defects.Opens ];
+          attempt_repair = false;
+          budget = { Fc.newton_per_sample = 1 };
+        }
+      Lattice_synthesis.Library.maj3_2x3 ~target:(Lattice_boolfn.Truthtable.majority_n 3)
+  in
+  let n = Array.length rep.Fc.samples in
+  Alcotest.(check bool) "samples reported" true (n > 0);
+  Alcotest.(check int) "every sample non-convergent" n rep.Fc.counts.Fc.non_convergent;
+  Array.iter
+    (fun s ->
+      match s.Fc.failure with
+      | None -> Alcotest.fail "non-convergent sample without failure record"
+      | Some f ->
+        Scanf.sscanf f.Sp.Dcop.message "Newton budget exhausted (%d/%d iterations) before input state %d"
+          (fun used cap _ ->
+            Alcotest.(check int) ("final budget of " ^ f.Sp.Dcop.message) 4 cap;
+            Alcotest.(check bool) "budget spent" true (used >= cap)))
+    rep.Fc.samples;
+  Alcotest.(check int) "two retries per sample" (2 * n) (Engine.telemetry e).Engine.retries
+
 let test_monte_carlo_fault_scoring () =
   (* yield analysis under an unmeetable deadline: dies score as failed,
      the run completes *)
   let grid = Lattice_synthesis.Library.maj3_2x3 in
   let target = Lattice_boolfn.Truthtable.majority_n 3 in
   let e = Engine.create ~domains:2 () in
-  let policy = { Engine.deadline_s = Some 1e-9; attempts = 1; backoff = 2.0 } in
+  let policy = { Engine.deadline_s = Some 1e-9; attempts = 1 } in
   let mc = Lattice_flow.Monte_carlo.run ~engine:e ~policy ~samples:8 grid ~target in
   Alcotest.(check (float 0.0)) "zero yield, zero exceptions" 0.0 mc.Lattice_flow.Monte_carlo.yield;
   Alcotest.(check int) "all dies scored" 8 (Array.length mc.Lattice_flow.Monte_carlo.outcomes)
@@ -640,6 +707,7 @@ let () =
           Alcotest.test_case "200-job fault-injection campaign" `Quick
             test_run_jobs_fault_injection;
           Alcotest.test_case "retryable Done escalation" `Quick test_retryable_done;
+          Alcotest.test_case "deadline doubles per attempt" `Quick test_deadline_escalation;
           Alcotest.test_case "batch cancel skips retries" `Quick test_run_jobs_batch_cancel;
           Alcotest.test_case "zero-job batches" `Quick test_zero_job_batches;
           Alcotest.test_case "reset_telemetry pins every counter" `Quick
@@ -649,6 +717,8 @@ let () =
         [
           Alcotest.test_case "campaign classifies deadlines" `Quick
             test_campaign_deadline_classified;
+          Alcotest.test_case "newton budget doubles per attempt" `Quick
+            test_campaign_budget_escalation;
           Alcotest.test_case "monte-carlo scores faulted dies" `Quick
             test_monte_carlo_fault_scoring;
           Alcotest.test_case "fired token skips repairs" `Quick test_fired_token_skips_repairs;

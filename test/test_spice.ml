@@ -89,6 +89,67 @@ let test_units_print_spice () =
       -4.7e-9;
     ]
 
+(* The search [Units.print_spice] prunes, kept whole as its oracle:
+   every candidate is reparsed, and a strictly shorter exact one wins. *)
+let print_spice_unpruned x =
+  if not (Float.is_finite x) then Printf.sprintf "%.17g" x
+  else if x = 0.0 && 1.0 /. x > 0.0 then "0"
+  else begin
+    let bits = Int64.bits_of_float x in
+    let best = ref None in
+    let consider s =
+      let exact =
+        match Sp.Units.parse_spice s with
+        | Some y -> Int64.equal (Int64.bits_of_float y) bits
+        | None -> false
+      in
+      if exact then
+        match !best with
+        | Some b when String.length b <= String.length s -> ()
+        | _ -> best := Some s
+    in
+    let shortest_for v suffix =
+      for p = 1 to 17 do
+        consider (Printf.sprintf "%.*g%s" p v suffix)
+      done
+    in
+    shortest_for x "";
+    List.iter
+      (fun (suffix, scale) ->
+        let v = x /. scale in
+        if Float.is_finite v && v <> 0.0 then shortest_for v suffix)
+      [ ("t", 1e12); ("g", 1e9); ("meg", 1e6); ("k", 1e3); ("m", 1e-3);
+        ("u", 1e-6); ("n", 1e-9); ("p", 1e-12); ("f", 1e-15) ];
+    match !best with Some s -> s | None -> Printf.sprintf "%.17g" x
+  end
+
+(* doubles where the shortest spelling is contested: any bit pattern,
+   subnormals, powers of ten (as a literal and as a product), and
+   multiples of each suffix scale with their neighbouring doubles *)
+let spice_value_gen =
+  let open QCheck2.Gen in
+  let scales = [ 1e12; 1e9; 1e6; 1e3; 1.0; 1e-3; 1e-6; 1e-9; 1e-12; 1e-15; 25.4e-6 ] in
+  let magnitude =
+    oneof
+      [
+        map Int64.float_of_bits int64;
+        map (fun m -> Int64.float_of_bits (Int64.of_int m)) (int_range 1 ((1 lsl 52) - 1));
+        map (fun k -> float_of_string (Printf.sprintf "1e%d" k)) (int_range (-323) 308);
+        map (fun k -> 10.0 ** float_of_int k) (int_range (-30) 30);
+        map
+          (fun ((scale, m), nudge) -> nudge (scale *. m))
+          (pair
+             (pair (oneofl scales) (oneofl [ 0.1; 1.0; 4.7; 10.0; 100.0; 999.0; 1000.0 ]))
+             (oneofl [ Fun.id; Float.pred; Float.succ ]));
+      ]
+  in
+  map2 (fun x negate -> if negate then -.x else x) magnitude bool
+
+let prop_print_spice_matches_unpruned =
+  QCheck2.Test.make ~name:"print_spice = unpruned search" ~count:1000
+    ~print:(Printf.sprintf "%h") spice_value_gen (fun x ->
+      String.equal (Sp.Units.print_spice x) (print_spice_unpruned x))
+
 (* --- Source ------------------------------------------------------------- *)
 
 let test_source_dc () =
@@ -1738,6 +1799,7 @@ let () =
         [
           Alcotest.test_case "parse_spice table" `Quick test_units_parse_spice;
           Alcotest.test_case "print_spice shortest exact" `Quick test_units_print_spice;
+          QCheck_alcotest.to_alcotest prop_print_spice_matches_unpruned;
         ] );
       ( "source",
         [
