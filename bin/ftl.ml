@@ -70,7 +70,7 @@ let engine_term =
 let batch_term =
   let make deadline batch_deadline retries () =
     ( { Lattice_engine.Engine.deadline_s = deadline; attempts = 1 + Int.max 0 retries },
-      Lattice_engine.Cancel.of_deadline_s batch_deadline )
+      Lattice_spice.Cancel.of_deadline_s batch_deadline )
   in
   Term.(const make $ deadline_arg $ batch_deadline_arg $ retries_arg)
 
@@ -502,7 +502,7 @@ let run_deck () path smoke check engine deadline =
     end
     else begin
       let engine = engine () in
-      let cancel = Lattice_engine.Cancel.of_deadline_s deadline in
+      let cancel = Lattice_spice.Cancel.of_deadline_s deadline in
       match Lattice_deck.Runner.run ~engine ~cancel ~smoke deck with
       | Ok r ->
         print_string (Lattice_deck.Runner.render r);
@@ -511,9 +511,9 @@ let run_deck () path smoke check engine deadline =
         Printf.eprintf "ftl run: %s: %s\n" file msg;
         print_engine_summary engine;
         exit 3
-      | exception Lattice_engine.Cancel.Cancelled reason ->
+      | exception Lattice_spice.Cancel.Cancelled reason ->
         Printf.eprintf "ftl run: %s: cancelled (%s)\n" file
-          (Lattice_engine.Cancel.reason_name reason);
+          (Lattice_spice.Cancel.reason_name reason);
         exit 3
     end
 

@@ -28,12 +28,6 @@ let literals c =
   done;
   !out
 
-let popcount x =
-  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
-  go 0 x
-
-let size c = popcount (c.pos lor c.neg)
-
 (* a implies b iff every literal of b appears in a *)
 let implies a b = b.pos land lnot a.pos = 0 && b.neg land lnot a.neg = 0
 

@@ -24,16 +24,9 @@ val of_masks : pos:int -> neg:int -> t
     polarity [true] means the positive literal. *)
 val of_literals : (int * bool) list -> t
 
-(** [literals c] lists the cube's literals as [(variable, polarity)] pairs in
-    increasing variable order. *)
-val literals : t -> (int * bool) list
-
 (** [and_literal c var polarity] extends the product with one more literal.
     Raises [Contradictory] on conflict; idempotent on repetition. *)
 val and_literal : t -> int -> bool -> t
-
-(** [size c] is the number of literals. *)
-val size : t -> int
 
 (** [implies a b] is [true] when cube [a] implies cube [b] as functions,
     i.e. [b]'s literal set is a subset of [a]'s. *)

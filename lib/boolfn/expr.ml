@@ -140,8 +140,3 @@ let rec eval e assignment =
   | Xor (a, b) -> not (Bool.equal (eval a assignment) (eval b assignment))
 
 let to_truthtable e ~nvars = Truthtable.create nvars (eval e)
-
-let sop_of_string s =
-  let ast, names = parse s in
-  let tt = to_truthtable ast ~nvars:(Array.length names) in
-  (Qm.cover tt, names)

@@ -31,6 +31,3 @@ val eval : t -> int -> bool
 (** [to_truthtable e ~nvars] tabulates the expression. *)
 val to_truthtable : t -> nvars:int -> Truthtable.t
 
-(** [sop_of_string s] parses, tabulates and minimizes in one step; returns
-    the SOP and the variable names. *)
-val sop_of_string : string -> Sop.t * string array

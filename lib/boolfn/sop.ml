@@ -18,7 +18,6 @@ let of_cubes nvars cubes =
 let cubes f = f.cubes
 let nvars f = f.nvars
 let product_count f = List.length f.cubes
-let literal_count f = List.fold_left (fun acc c -> acc + Cube.size c) 0 f.cubes
 
 (* keep a cube only if no *other* kept-or-candidate cube absorbs it;
    since [implies a b] means a's set contains b's, cube a is absorbed by b
@@ -41,17 +40,7 @@ let absorb f =
   done;
   { f with cubes = !kept }
 
-let disjunction a b =
-  if a.nvars <> b.nvars then invalid_arg "Sop.disjunction: variable-count mismatch";
-  of_cubes a.nvars (a.cubes @ b.cubes)
-
 let eval f assignment = List.exists (fun c -> Cube.eval c assignment) f.cubes
-
-let equal_semantically a b =
-  if a.nvars <> b.nvars then invalid_arg "Sop.equal_semantically: variable-count mismatch";
-  let limit = 1 lsl a.nvars in
-  let rec go m = m >= limit || (Bool.equal (eval a m) (eval b m) && go (m + 1)) in
-  go 0
 
 let to_string ~names f =
   match f.cubes with

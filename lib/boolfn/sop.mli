@@ -23,22 +23,12 @@ val nvars : t -> int
 (** [product_count f] is the number of cubes. *)
 val product_count : t -> int
 
-(** [literal_count f] is the total number of literals over all cubes. *)
-val literal_count : t -> int
-
 (** [absorb f] removes every cube implied by (absorbed into) another cube,
     yielding an equivalent, irredundant-by-containment SOP. *)
 val absorb : t -> t
 
-(** [disjunction a b] is the union of products ([a + b]). *)
-val disjunction : t -> t -> t
-
 (** [eval f assignment] evaluates under a variable bitmask. *)
 val eval : t -> int -> bool
-
-(** [equal_semantically a b] compares as Boolean functions by exhaustive
-    evaluation over [2^nvars] assignments; requires equal [nvars]. *)
-val equal_semantically : t -> t -> bool
 
 (** [to_string ~names f] renders e.g. ["a b' + c"]; constant functions
     render as ["0"] / ["1"]. *)

@@ -14,19 +14,6 @@ let create nvars f =
   done;
   { nvars; bits }
 
-let of_sop f = create (Sop.nvars f) (Sop.eval f)
-
-let of_minterms nvars ms =
-  check nvars;
-  let size = 1 lsl nvars in
-  let bits = Bytes.make size '\000' in
-  List.iter
-    (fun m ->
-      if m < 0 || m >= size then invalid_arg "Truthtable.of_minterms: out of range";
-      Bytes.set bits m '\001')
-    ms;
-  { nvars; bits }
-
 let nvars t = t.nvars
 let eval t m = Bytes.get t.bits m <> '\000'
 
@@ -50,8 +37,6 @@ let complement t = create t.nvars (fun m -> not (eval t m))
 let dual t =
   let all = (1 lsl t.nvars) - 1 in
   create t.nvars (fun m -> not (eval t (m lxor all)))
-
-let is_self_dual t = equal (dual t) t
 
 let popcount x =
   let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in

@@ -7,13 +7,6 @@ type t
 (** [create nvars f] tabulates [f] over all [2^nvars] assignments. *)
 val create : int -> (int -> bool) -> t
 
-(** [of_sop f] tabulates a sum-of-products. *)
-val of_sop : Sop.t -> t
-
-(** [of_minterms nvars ms] is the function true exactly on the listed
-    assignments. *)
-val of_minterms : int -> int list -> t
-
 (** [nvars t] is the domain size. *)
 val nvars : t -> int
 
@@ -35,9 +28,6 @@ val complement : t -> t
 (** [dual t] is the Boolean dual [fun m -> not (t (complement m))]. A
     function is self-dual when [dual t = t] (e.g. 3-input XOR). *)
 val dual : t -> t
-
-(** [is_self_dual t] tests [dual t = t]. *)
-val is_self_dual : t -> bool
 
 (** [xor_n nvars] is the parity function of [nvars] inputs. *)
 val xor_n : int -> t

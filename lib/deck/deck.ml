@@ -22,5 +22,5 @@ let error_to_string = Ast.error_to_string
 let parse = Parser.parse
 let emit = Emitter.emit
 
-let of_netlist ~title ?(analyses = []) ?(prints = []) ?ac_source netlist =
-  { title; netlist; analyses; prints; ac_source }
+let of_netlist ~title ?(analyses = []) ?(prints = []) netlist =
+  { title; netlist; analyses; prints; ac_source = None }

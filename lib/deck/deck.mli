@@ -37,6 +37,5 @@ val of_netlist :
   title:string ->
   ?analyses:analysis list ->
   ?prints:probe list ->
-  ?ac_source:string ->
   Lattice_spice.Netlist.t ->
   t

@@ -6,12 +6,6 @@ val q : float
 val eps0 : float
 (** vacuum permittivity, F/m *)
 
-val k_boltzmann : float
-(** Boltzmann constant, J/K *)
-
-val temperature : float
-(** operating temperature, K *)
-
 val thermal_voltage : float
 (** kT/q at 300 K, V (~25.85 mV) *)
 

@@ -114,8 +114,3 @@ let ioff m =
   i.(0)
 
 let on_off_ratio m = ion m /. ioff m
-
-let pp fmt m =
-  Format.fprintf fmt "%s/%s: Vth=%.3g V, n=%.3f, Kp=%.3g A/V^2, Ion=%.3g A, Ioff=%.3g A, on/off=%.2g"
-    (Geometry.shape_name m.geometry.Geometry.shape)
-    (Material.name m.dielectric) m.vth m.ideality m.kp (ion m) (ioff m) (on_off_ratio m)

@@ -7,7 +7,7 @@
     a textbook exponential subthreshold current with ideality
     [n = 1 + Cdep/Cox] takes over, and a junction-generation floor
     [J0 * junction area] bounds the off current (TCAD reports such a floor
-    at VDS = 5 V; [j0_floor] is calibrated once, globally). The junctionless
+    at VDS = 5 V; [J0] is calibrated once, globally). The junctionless
     wire additionally saturates at the bulk current limit
     [q Nd v_sat A_wire] — a physical ceiling a level-1 expression lacks.
 
@@ -27,20 +27,8 @@ type t = {
   sat_cap : float;  (** bulk saturation ceiling, A; [infinity] if none *)
 }
 
-(** Calibrated junction-generation current density, A/m^2. *)
-val j0_floor : float
-
 (** [make ~geometry ~dielectric] assembles the model. *)
 val make : geometry:Geometry.t -> dielectric:Material.gate_dielectric -> t
-
-(** [pair_params m ~opposite] is the level-1 parameter record of one
-    terminal pair (Type A when adjacent, Type B when opposite). *)
-val pair_params : t -> opposite:bool -> Lattice_mosfet.Level1.params
-
-(** [pair_current m ~opposite ~vgs ~vds] is one pair's current including the
-    subthreshold branch and the saturation ceiling (excludes the floor,
-    which is per-drain). [vds >= 0]. *)
-val pair_current : t -> opposite:bool -> vgs:float -> vds:float -> float
 
 (** [terminal_currents m ~case ~vgs ~vds] is the current into each of
     T1..T4 (A): drains biased at [vds], sources grounded, floating
@@ -54,5 +42,3 @@ val ion : t -> float
 
 val ioff : t -> float
 val on_off_ratio : t -> float
-
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,5 @@
 type solver = Auto | Cg | Multigrid
 
-let solver_name = function Auto -> "auto" | Cg -> "cg" | Multigrid -> "multigrid"
-
 (* grids at or above this edge go through multigrid under [Auto]; below it
    plain CG is already fast and stays the reference *)
 let mg_threshold = 32

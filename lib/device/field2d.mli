@@ -20,8 +20,6 @@
     relative-residual tolerance, so results agree to solver precision. *)
 type solver = Auto | Cg | Multigrid
 
-val solver_name : solver -> string
-
 type result = {
   n : int;  (** grid edge (cells) *)
   potential : float array;  (** n*n, row-major, volts *)

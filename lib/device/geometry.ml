@@ -65,20 +65,6 @@ let junctionless =
     wire_cross_section = nm 2.0 *. nm 2.0;
   }
 
-let of_shape = function Square -> square | Cross -> cross | Junctionless -> junctionless
-
 let shape_name = function Square -> "square" | Cross -> "cross" | Junctionless -> "junctionless"
 
-let shape_of_name s =
-  match String.lowercase_ascii s with
-  | "square" -> Square
-  | "cross" -> Cross
-  | "junctionless" | "jl" -> Junctionless
-  | _ -> invalid_arg ("Geometry.shape_of_name: unknown shape " ^ s)
-
 let is_depletion g = g.shape = Junctionless
-
-let w_over_l g ~opposite =
-  g.channel_width /. (if opposite then g.l_opposite else g.l_adjacent)
-
-let symmetry_spread g = (g.l_opposite -. g.l_adjacent) /. g.l_adjacent

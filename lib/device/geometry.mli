@@ -40,17 +40,7 @@ val square : t
 val cross : t
 val junctionless : t
 
-val of_shape : shape -> t
 val shape_name : shape -> string
-val shape_of_name : string -> shape
 
 (** [is_depletion g] — [true] only for the junctionless device. *)
 val is_depletion : t -> bool
-
-(** [w_over_l g ~opposite] is the channel aspect ratio of a pair. *)
-val w_over_l : t -> opposite:bool -> float
-
-(** [symmetry_spread g] is [(l_opposite - l_adjacent) / l_adjacent], a
-    geometric proxy for the paper's observation that the cross device is
-    more symmetric than the square one. *)
-val symmetry_spread : t -> float

@@ -6,15 +6,7 @@ let oxide_capacitance d ~tox =
   if tox <= 0.0 then invalid_arg "Material.oxide_capacitance: tox must be > 0";
   Constants.eps0 *. relative_permittivity d /. tox
 
-let eot d ~tox = tox *. 3.9 /. relative_permittivity d
-
 let name = function SiO2 -> "SiO2" | HfO2 -> "HfO2"
-
-let of_name s =
-  match String.lowercase_ascii s with
-  | "sio2" -> SiO2
-  | "hfo2" -> HfO2
-  | _ -> invalid_arg ("Material.of_name: unknown dielectric " ^ s)
 
 let fermi_potential_p ~na =
   if na <= Constants.ni_si then invalid_arg "Material.fermi_potential_p: Na below ni";

@@ -3,23 +3,14 @@
 
 type gate_dielectric = SiO2 | HfO2
 
-(** [relative_permittivity d] — 3.9 for SiO2; 25 for HfO2 (the high end of
-    the reported 18-25 range, which reproduces the paper's threshold
-    voltages best). *)
-val relative_permittivity : gate_dielectric -> float
-
 (** [oxide_capacitance d ~tox] is the areal gate capacitance
-    [eps0 * k / tox], F/m^2. *)
+    [eps0 * k / tox], F/m^2, with the relative permittivity [k] 3.9 for
+    SiO2 and 25 for HfO2 (the high end of the reported 18-25 range, which
+    reproduces the paper's threshold voltages best). *)
 val oxide_capacitance : gate_dielectric -> tox:float -> float
-
-(** [eot d ~tox] is the equivalent (SiO2) oxide thickness, m. *)
-val eot : gate_dielectric -> tox:float -> float
 
 (** [name d] is ["SiO2"] or ["HfO2"]. *)
 val name : gate_dielectric -> string
-
-(** [of_name s] parses (case-insensitive); raises [Invalid_argument]. *)
-val of_name : string -> gate_dielectric
 
 (** [fermi_potential_p ~na] is the p-substrate Fermi potential
     [VT ln (Na/ni)], V, for acceptor density [na] in 1/m^3. *)

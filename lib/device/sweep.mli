@@ -22,21 +22,10 @@ type iv_set = {
   ids_vds : curve list;  (** VGS = 5 V *)
 }
 
-(** [ids_vgs model ~case ~vds ~points] sweeps VGS from 0 to 5 V. The
-    bias points fan out over [engine]'s Domain pool (phase ["iv-sweep"];
-    without [engine], a fresh 1-domain one); curves are bit-identical at
-    any domain count. *)
-val ids_vgs :
-  ?engine:Lattice_engine.Engine.t ->
-  Device_model.t -> case:Op_case.t -> vds:float -> points:int -> curve list
-
-(** [ids_vds model ~case ~vgs ~points] sweeps VDS from 0 to 5 V. *)
-val ids_vds :
-  ?engine:Lattice_engine.Engine.t ->
-  Device_model.t -> case:Op_case.t -> vgs:float -> points:int -> curve list
-
 (** [standard model] runs the paper's three set-ups in the DSSS case with
-    51 points per sweep. *)
+    51 points per sweep, from 0 to 5 V. The bias points fan out over
+    [engine]'s Domain pool (phase ["iv-sweep"]; without [engine], a fresh
+    1-domain one); curves are bit-identical at any domain count. *)
 val standard : ?engine:Lattice_engine.Engine.t -> Device_model.t -> iv_set
 
 (** [drain_curve set which] extracts the T1 (drain) curve of one set-up:

@@ -21,15 +21,8 @@
     (double-gate full-depletion form with body thickness [t]). The paper's
     -0.57 V (HfO2) and -4.8 V (SiO2) emerge from the 1/Cox term. *)
 
-(** Substrate acceptor doping of the enhancement devices (Table II:
-    boron 1e17 cm^-3), 1/m^3. *)
-val na_substrate : float
-
 (** Effective donor doping of the junctionless wire, 1/m^3. *)
 val nd_junctionless : float
-
-(** Calibrated gate work-function difference for the enhancement stack, V. *)
-val phi_ms_enhancement : float
 
 (** Calibrated gate work-function difference for the junctionless stack, V. *)
 val phi_ms_junctionless : float

@@ -146,4 +146,3 @@ let stats t =
     capacity = t.entries.Second_chance.capacity;
   }
 
-let reset_stats t = Metrics.Scope.reset t.scope

@@ -70,9 +70,6 @@ val stats : 'a t -> stats
 val counters : 'a t -> (string * int) list
 (** The snapshot of the scope {!stats} reads. *)
 
-(** [reset_stats t] zeroes the counters, keeping the entries. *)
-val reset_stats : 'a t -> unit
-
 (** Second-chance eviction (the clock algorithm), the rule of every
     bounded table in the repo: the cache above and the daemon's circuit
     memo. Entries queue in insertion order. When the table is full, the

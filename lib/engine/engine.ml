@@ -3,6 +3,7 @@ module Trace = Lattice_obs.Trace
 module Metrics = Lattice_obs.Metrics
 module Clock = Lattice_obs.Clock
 module Scope = Metrics.Scope
+module Cancel = Sp.Cancel
 
 type dc_result =
   (Lattice_numerics.Vec.t * Sp.Dcop.diagnostics, Sp.Dcop.failure) result
@@ -11,6 +12,7 @@ type t = {
   pool : Pool.t;
   dc_cache : dc_result Cache.t;
   store : dc_result Store.t option;
+  store_dir : string option;
   scope : Scope.t;
   jobs : Scope.counter;
   dc_solves : Scope.counter;
@@ -34,7 +36,9 @@ let create ?domains ?store_dir () =
     | Some _ as dir -> dir
     | None -> env_store_dir ()
   in
-  let store = Option.map (fun dir -> Store.open_ ~dir) store_dir in
+  (* entries live under a subdirectory named for the key version, so a
+     key change starts a fresh tree and the old one can be removed whole *)
+  let store = Option.map (fun dir -> Store.open_ ~dir:(Filename.concat dir Key.version)) store_dir in
   let dc_cache =
     match store with
     | None -> Cache.create ()
@@ -47,6 +51,7 @@ let create ?domains ?store_dir () =
     pool = Pool.create ?domains ();
     dc_cache;
     store;
+    store_dir;
     scope;
     jobs = counter "jobs";
     dc_solves = counter ~request:"dc_solves" "dc_solves";
@@ -61,7 +66,7 @@ let create ?domains ?store_dir () =
 let or_fresh = function Some e -> e | None -> create ~domains:1 ~store_dir:"" ()
 
 let domains (t : t) = Pool.domains t.pool
-let store_dir (t : t) = Option.map Store.dir t.store
+let store_dir (t : t) = t.store_dir
 
 (* Seed-splitting: the stream is a function of (seed, index) alone. The
    third word decorrelates streams whose (seed, index) pairs collide
@@ -276,14 +281,6 @@ let telemetry (t : t) =
 let counters (t : t) =
   Scope.snapshot t.scope @ Cache.counters t.dc_cache
   @ match t.store with None -> [] | Some s -> Store.counters s
-
-let reset_telemetry (t : t) =
-  Scope.reset t.scope;
-  Mutex.lock t.phase_lock;
-  t.phases <- [];
-  Mutex.unlock t.phase_lock;
-  Cache.reset_stats t.dc_cache;
-  Option.iter Store.reset_stats t.store
 
 let summary (t : t) =
   let tel = telemetry t in

@@ -20,13 +20,13 @@
 
     {2 Fault tolerance}
 
-    {!run_jobs} is the resilient dispatch path: every job runs under
-    its own {!Cancel} deadline token, exceptions are contained per job
-    ({!Pool.outcome}), and jobs classified as failed (or, with a
+    {!run_jobs} is the resilient dispatch path: every job runs under its
+    own {!Lattice_spice.Cancel} deadline token, exceptions are contained
+    per job ({!Pool.outcome}), and jobs classified as failed (or, with a
     deadline policy, timed out, or [Done] values the caller deems
     retryable) are re-dispatched up to [policy.attempts] times with the
-    deadline budget growing by {!backoff} each attempt. No
-    exception from a job ever escapes [run_jobs].
+    deadline budget growing by {!backoff} each attempt. No exception from
+    a job ever escapes [run_jobs].
 
     Every flow fans out through {!run_jobs} ({!map} is [run_jobs] plus
     an unwrap); a flow called without an engine runs on {!or_fresh}'s
@@ -82,8 +82,8 @@ val sample_rng : seed:int -> index:int -> Random.State.t
     policy, unwrapped: the results merged by index when every job is
     [Done]. Otherwise it raises for the lowest-index job that is not:
     [Failure] carrying the job exception's printed form
-    ({!Pool.exn_info}), or {!Cancel.Cancelled} for a job that raised
-    it. Every job runs even when one fails. *)
+    ({!Pool.exn_info}), or {!Lattice_spice.Cancel.Cancelled} for a job
+    that raised it. Every job runs even when one fails. *)
 val map : t -> ?phase:string -> n:int -> (int -> 'a) -> 'a array
 
 (** Retry/deadline policy for {!run_jobs}. [deadline_s] is the per-job
@@ -124,11 +124,11 @@ val backoff : float
 val run_jobs :
   t ->
   ?policy:job_policy ->
-  ?cancel:Cancel.t ->
+  ?cancel:Lattice_spice.Cancel.t ->
   ?phase:string ->
   ?retryable:('a -> bool) ->
   n:int ->
-  (attempt:int -> cancel:Cancel.t -> int -> 'a) ->
+  (attempt:int -> cancel:Lattice_spice.Cancel.t -> int -> 'a) ->
   'a Pool.outcome array
 
 (** A job-scoped solve workspace: the stamp plan shared by the DC
@@ -155,20 +155,20 @@ val workspace : unit -> workspace
     share a key — a built circuit and its deck round trip — may number
     their nodes differently. A miss stores a canonical copy and returns
     the solver's own vector; a hit returns a copy mapped to the caller's
-    numbering, so each node reads the value the first solve gave the
-    node in the same place of the circuit. Hits replay the original
-    diagnostics verbatim — from memory or from the persistent store.
-    [cancel] is threaded into the solver; a cancelled solve raises
-    {!Cancel.Cancelled} and caches nothing. A miss with [workspace]
-    solves on the workspace's plan, compiling it from [netlist] if it
-    has none yet; the result is bit-identical to a miss without one, and
-    a [netlist] whose structure differs from the plan's raises
-    [Invalid_argument]. Safe to call from inside [map]/[run_jobs] jobs
-    on any domain. *)
+    numbering, so each node reads the value the first solve gave the node
+    in the same place of the circuit. Hits replay the original diagnostics
+    verbatim — from memory or from the persistent store. [cancel] is
+    threaded into the solver; a cancelled solve raises
+    {!Lattice_spice.Cancel.Cancelled} and caches nothing. A miss with
+    [workspace] solves on the workspace's plan, compiling it from
+    [netlist] if it has none yet; the result is bit-identical to a miss
+    without one, and a [netlist] whose structure differs from the plan's
+    raises [Invalid_argument]. Safe to call from inside [map]/[run_jobs]
+    jobs on any domain. *)
 val dc_op :
   t ->
   ?options:Lattice_spice.Dcop.options ->
-  ?cancel:Cancel.t ->
+  ?cancel:Lattice_spice.Cancel.t ->
   ?workspace:workspace ->
   Lattice_spice.Netlist.t ->
   (Lattice_numerics.Vec.t * Lattice_spice.Dcop.diagnostics, Lattice_spice.Dcop.failure) result
@@ -205,7 +205,7 @@ val lattice_output :
   t ->
   ?options:Lattice_spice.Dcop.options ->
   Lattice_spice.Lattice_circuit.t ->
-  cancel:Cancel.t ->
+  cancel:Lattice_spice.Cancel.t ->
   int ->
   (float * Lattice_spice.Dcop.diagnostics, Lattice_spice.Dcop.failure) result
 
@@ -227,16 +227,6 @@ val telemetry : t -> telemetry
 val counters : t -> (string * int) list
 (** The counts {!telemetry} reports, from each scope's snapshot
     (["engine.*"], ["engine.cache.*"], then any ["engine.store.*"]). *)
-
-(** [reset_telemetry e] zeroes the job/solve/Newton counters, the
-    retry/timeout/failure counters, the phase timers, the cache's
-    hit/miss/eviction counters and the persistent store's counters.
-    The cache and store {e contents} are untouched: entries stay
-    resident, so a lookup that hit before the reset still hits after it
-    (with [telemetry] then reporting that hit against fresh counters,
-    and [dc_solves] staying at 0). Use a fresh engine when the entries
-    themselves must go. *)
-val reset_telemetry : t -> unit
 
 (** One-line rendering for CLI output, e.g.
     ["engine: 4 domains | 500 jobs | 3896 dc solves, cache 104/4000 hits

@@ -15,14 +15,13 @@ let add_dc_options b (o : Sp.Dcop.options) =
   add_int b (List.length o.Sp.Dcop.gmin_steps);
   List.iter (add_float b) o.Sp.Dcop.gmin_steps;
   add_int b o.Sp.Dcop.source_steps;
-  add_float b o.Sp.Dcop.damping;
-  (* conv_trace changes the diagnostics payload, and cache hits replay
-     diagnostics verbatim — traced and untraced solves must not alias *)
-  add_int b (Bool.to_int o.Sp.Dcop.conv_trace)
+  add_float b o.Sp.Dcop.damping
+
+let version = "dcop-v3"
 
 let dc_op ?(options = Sp.Dcop.default_options) ?(time = 0.0) netlist =
   let b = Buffer.create 256 in
-  add_string b "dcop-v2";
+  add_string b version;
   add_dc_options b options;
   add_float b time;
   Buffer.add_string b (Sp.Netlist.wave_free_digest netlist);

@@ -1,3 +1,4 @@
+module Cancel = Lattice_spice.Cancel
 type t = { domains : int }
 
 let env_domains () =

@@ -32,10 +32,6 @@ val create : ?domains:int -> unit -> t
 
 val domains : t -> int
 
-val chunk_size : domains:int -> n:int -> int
-(** The claim granularity {!map_outcomes} uses:
-    [max 1 (n / (8 * domains))], i.e. about 8 claims per worker. *)
-
 (** A worker exception, captured printably so outcomes can cross domain
     (and, marshalled, process) boundaries — exception values themselves
     may hold unmarshalable payloads. *)
@@ -48,18 +44,18 @@ type exn_info = {
 type 'a outcome =
   | Done of 'a
   | Failed of exn_info  (** the job raised; the batch kept going *)
-  | Timed_out  (** a {!Cancel} deadline fired inside the job *)
+  | Timed_out  (** a {!Lattice_spice.Cancel} deadline fired inside the job *)
   | Cancelled
       (** explicit cancellation, or the job never ran because the
           batch token fired first *)
 
 (** [map_outcomes t ?cancel ~n f] runs [f] over [0 .. n-1] with
     {e crash isolation}: a job that raises is recorded as [Failed] (or
-    [Timed_out]/[Cancelled] for {!Cancel.Cancelled}) and the batch
-    continues — no exception escapes this call. When [cancel] fires,
+    [Timed_out]/[Cancelled] for {!Lattice_spice.Cancel.Cancelled}) and
+    the batch continues — no exception escapes this call. When [cancel] fires,
     in-flight jobs stop at their next cancellation checkpoint and
     unclaimed jobs are left [Cancelled] without running. Outcomes are
     merged by index. Batches of zero or one job run on the calling
     domain at any pool width. *)
 val map_outcomes :
-  t -> ?cancel:Cancel.t -> n:int -> (int -> 'a) -> 'a outcome array
+  t -> ?cancel:Lattice_spice.Cancel.t -> n:int -> (int -> 'a) -> 'a outcome array

@@ -150,4 +150,3 @@ let stats t =
   }
 
 let counters t = Metrics.Scope.snapshot t.scope
-let reset_stats t = Metrics.Scope.reset t.scope

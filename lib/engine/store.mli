@@ -58,5 +58,3 @@ val stats : 'a t -> stats
 
 val counters : 'a t -> (string * int) list
 (** The snapshot of the scope {!stats} reads. *)
-
-val reset_stats : 'a t -> unit

@@ -21,8 +21,8 @@ let canonical_key c =
     None all
   |> Option.get
 
-let run ?(shape = D.Geometry.Square) () =
-  let v = D.Presets.find ~shape ~dielectric:D.Material.HfO2 in
+let run () =
+  let v = D.Presets.find ~shape:D.Geometry.Square ~dielectric:D.Material.HfO2 in
   let cases =
     List.map
       (fun case ->
@@ -60,8 +60,8 @@ let run ?(shape = D.Geometry.Square) () =
   in
   { cases; symmetry_groups; symmetry_holds }
 
-let report ?shape () =
-  let r = run ?shape () in
+let report () =
+  let r = run () in
   let rows =
     [
       Report.row ~id:"SecIIIB" ~metric:"16 operating cases evaluated" ~paper:"16"

@@ -7,18 +7,4 @@
     that are geometric rotations/reflections of each other — their total
     drain currents must agree exactly, and they do. *)
 
-type case_result = {
-  name : string;
-  currents : float array;  (** into T1..T4, A *)
-  total_drain : float;  (** sum of positive terminal currents *)
-}
-
-type result = {
-  cases : case_result list;
-  symmetry_groups : (string list * float) list;
-      (** rotation-equivalent case names with their common drain current *)
-  symmetry_holds : bool;
-}
-
-val run : ?shape:Lattice_device.Geometry.shape -> unit -> result
-val report : ?shape:Lattice_device.Geometry.shape -> unit -> Report.t
+val report : unit -> Report.t

@@ -2,14 +2,14 @@ module S = Lattice_synthesis
 module Fc = Lattice_flow.Fault_campaign
 module Defects = Lattice_spice.Defects
 
-let default_classes = [ Defects.Opens; Defects.Shorts ]
+let run () =
+  let options =
+    { Fc.default_options with Fc.classes = [ Defects.Opens; Defects.Shorts ]; attempt_repair = false }
+  in
+  Fc.run ~options S.Library.xor3_3x3 ~target:S.Library.xor3
 
-let run ?engine ?(classes = default_classes) () =
-  let options = { Fc.default_options with Fc.classes; attempt_repair = false } in
-  Fc.run ?engine ~options S.Library.xor3_3x3 ~target:S.Library.xor3
-
-let report ?engine ?classes () =
-  let r = run ?engine ?classes () in
+let report () =
+  let r = run () in
   let n = Array.length r.Fc.samples in
   let pct k = 100.0 *. float_of_int k /. float_of_int n in
   let rows =

@@ -1,18 +1,5 @@
 (** Graceful-degradation campaign over the paper's XOR3 3x3 lattice: every
     stuck-open / stuck-short circuit defect simulated, classified, and
-    cross-checked against the logical test set (restrict or widen the
-    universe with [classes]). *)
+    cross-checked against the logical test set. *)
 
-val default_classes : Lattice_spice.Defects.kind_class list
-
-val run :
-  ?engine:Lattice_engine.Engine.t ->
-  ?classes:Lattice_spice.Defects.kind_class list ->
-  unit ->
-  Lattice_flow.Fault_campaign.report
-
-val report :
-  ?engine:Lattice_engine.Engine.t ->
-  ?classes:Lattice_spice.Defects.kind_class list ->
-  unit ->
-  Report.t
+val report : unit -> Report.t

@@ -3,32 +3,9 @@
     HfO2 and SiO2 gates in the DSSS case, with threshold voltage and on/off
     ratio figures of merit. *)
 
-type variant_result = {
-  name : string;
-  vth_model : float;  (** electrostatic model *)
-  vth_paper : float;
-  ion : float;
-  ioff : float;
-  ratio : float;
-  ratio_paper : float;
-  iv : Lattice_device.Sweep.iv_set;  (** the three sweep set-ups *)
-}
-
-(** Peak currents read off the paper's HfO2 figures:
-    [(shape, ids_vgs @ 10 mV peak, ids_vgs @ 5 V peak)]. *)
-val paper_peak_currents : (Lattice_device.Geometry.shape * float * float) list
-
-(** [run_variant ~shape ~dielectric ()] evaluates one device variant.
-    With [engine], the I-V bias points fan out over the engine's Domain
-    pool. *)
-val run_variant :
-  ?engine:Lattice_engine.Engine.t ->
-  shape:Lattice_device.Geometry.shape ->
-  dielectric:Lattice_device.Material.gate_dielectric ->
-  unit ->
-  variant_result
-
 (** [report shape] is the figure-level report (Fig 5 = square, Fig 6 =
-    cross, Fig 7 = junctionless) covering both dielectrics, with sampled
-    HfO2 curves in the body. *)
+    cross, Fig 7 = junctionless) covering both dielectrics — threshold
+    voltage, on/off ratio and the peak currents read off the paper's HfO2
+    figures — with sampled HfO2 curves in the body. With [engine], the
+    I-V bias points fan out over the engine's Domain pool. *)
 val report : ?engine:Lattice_engine.Engine.t -> Lattice_device.Geometry.shape -> Report.t

@@ -1,13 +1,4 @@
 (** Experiment F2 — paper Fig 2c: the 3 x 3 lattice function (9 products
-    over x1..x9). *)
+    over x1..x9), checked against the products printed in the paper. *)
 
-type result = {
-  products : string list;  (** e.g. ["x1x4x7"; ...] in enumeration order *)
-  matches_paper : bool;
-}
-
-(** The products exactly as listed in Fig 2c. *)
-val paper_products : string list
-
-val run : unit -> result
 val report : unit -> Report.t

@@ -11,15 +11,14 @@ type result = {
   slot_values : (int * float * bool) list;
 }
 
-let run ?(integrator = Sp.Transient.Trapezoidal) ?(bit_time = 100e-9) ?(h = 0.5e-9) () =
+let run ?(bit_time = 100e-9) ?(h = 0.5e-9) () =
   let grid = Lattice_synthesis.Library.xor3_3x3 in
   let vdd = 1.2 in
   let lc =
     Sp.Lattice_circuit.build grid ~stimulus:(Sp.Lattice_circuit.exhaustive_stimulus ~vdd ~bit_time)
   in
-  let options = { Sp.Transient.default_options with integrator } in
   let r =
-    Sp.Transient.run ~options lc.Sp.Lattice_circuit.netlist ~h ~t_stop:(8.0 *. bit_time)
+    Sp.Transient.run lc.Sp.Lattice_circuit.netlist ~h ~t_stop:(8.0 *. bit_time)
       ~record:[ lc.Sp.Lattice_circuit.output_node ] ()
   in
   let out = Sp.Transient.signal r lc.Sp.Lattice_circuit.output_node in

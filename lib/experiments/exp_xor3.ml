@@ -6,30 +6,21 @@ type result = {
   altun_riedel_rows : int;
   altun_riedel_cols : int;
   altun_riedel_valid : bool;
-  min_size_found : (int * int) option;
 }
 
-let run ?(search = false) () =
+let run () =
   let xor3 = S.Library.xor3 in
   let ar = S.Altun_riedel.synthesize xor3 in
-  let min_size_found =
-    if search then
-      Option.map
-        (fun (_, r, c) -> (r, c))
-        (S.Exhaustive.minimal ~alphabet:S.Exhaustive.Literals_and_constants ~max_area:9 xor3)
-    else None
-  in
   {
     lattice_3x3_valid = S.Validate.realizes S.Library.xor3_3x3 xor3;
     lattice_3x4_valid = S.Validate.realizes S.Library.xor3_3x4 xor3;
     altun_riedel_rows = ar.S.Altun_riedel.grid.Lattice_core.Grid.rows;
     altun_riedel_cols = ar.S.Altun_riedel.grid.Lattice_core.Grid.cols;
     altun_riedel_valid = S.Validate.realizes ar.S.Altun_riedel.grid xor3;
-    min_size_found;
   }
 
-let report ?search () =
-  let r = run ?search () in
+let report () =
+  let r = run () in
   let names = S.Library.abc_names in
   let yesno b = if b then "yes" else "NO" in
   let rows =
@@ -49,14 +40,6 @@ let report ?search () =
               (if S.Validate.realizes g S.Library.xor3 then "" else " INVALID"))
          ~note:"structural, no truth table needed" ());
     ]
-    @
-    match r.min_size_found with
-    | None -> []
-    | Some (rr, cc) ->
-      [
-        Report.row ~id:"Fig3b" ~metric:"exhaustive-search minimum size" ~paper:"3x3"
-          ~measured:(Printf.sprintf "%dx%d" rr cc) ();
-      ]
   in
   let body =
     Printf.sprintf "Fig 3b (3x3, minimum):\n%s\n\nFig 3a (3x4):\n%s\n"

@@ -1,6 +1,7 @@
 (** Experiment F3 — paper Fig 3: XOR3 realizations on 3 x 4 and (minimum
     size) 3 x 3 lattices, plus the generic dual-based synthesis for
-    comparison. *)
+    comparison. The minimum size itself is re-derived by the exhaustive
+    search of [ftl synth -e]. *)
 
 type result = {
   lattice_3x3_valid : bool;
@@ -8,12 +9,9 @@ type result = {
   altun_riedel_rows : int;
   altun_riedel_cols : int;
   altun_riedel_valid : bool;
-  min_size_found : (int * int) option;  (** exhaustive-search minimum (with constants) *)
 }
 
-(** [run ?search ()] validates the library lattices; with [search = true]
-    (default false — it enumerates ~10^7 grids) the exhaustive synthesizer
-    re-derives the minimum size. *)
-val run : ?search:bool -> unit -> result
+(** [run ()] validates the library lattices. *)
+val run : unit -> result
 
-val report : ?search:bool -> unit -> Report.t
+val report : unit -> Report.t

@@ -23,10 +23,8 @@ type scenario = {
   ys : float array;  (** T1 drain current, A *)
 }
 
-(** [scenario1 model ~points] / [scenario2 model ~points] generate the two
-    sweeps from the compact model. *)
-val scenario1 : Lattice_device.Device_model.t -> points:int -> scenario
-
+(** [scenario2 model ~points] generates scenario 2's sweep from the
+    compact model. *)
 val scenario2 : Lattice_device.Device_model.t -> points:int -> scenario
 
 type extraction = {
@@ -41,21 +39,11 @@ type extraction = {
   type_b : Lattice_mosfet.Level1.params;  (** opposite pairs, L = 0.5 um *)
 }
 
-(** [composite_current ~geometry ~kp ~vth ~lambda ~vgs ~vds] is the DSSS
-    composite drain current (2 x Type A + 1 x Type B). *)
-val composite_current :
-  geometry:Lattice_device.Geometry.t ->
-  kp:float ->
-  vth:float ->
-  lambda:float ->
-  vgs:float ->
-  vds:float ->
-  float
-
 (** [extract ?scenarios model] runs the joint fit (default scenarios:
-    [scenario1] and [scenario2] with 51 points). *)
+    scenario 1 and scenario 2 with 51 points). *)
 val extract : ?scenarios:scenario list -> Lattice_device.Device_model.t -> extraction
 
-(** [predict e ~geometry scenario] evaluates the fitted composite over a
-    scenario's sweep (for Fig 10-style overlays). *)
+(** [predict e ~geometry scenario] evaluates the fitted DSSS composite
+    drain current (2 x Type A + 1 x Type B) over a scenario's sweep (for
+    Fig 10-style overlays). *)
 val predict : extraction -> geometry:Lattice_device.Geometry.t -> scenario -> float array

@@ -6,7 +6,7 @@ module Exhaustive = Lattice_synthesis.Exhaustive
 module Defects = Sp.Defects
 module Engine = Lattice_engine.Engine
 module Pool = Lattice_engine.Pool
-module Cancel = Lattice_engine.Cancel
+module Cancel = Lattice_spice.Cancel
 
 type classification = Functional | Degraded | Faulty | Non_convergent
 
@@ -23,13 +23,10 @@ type options = {
   params : Defects.params;
   dc : Sp.Dcop.options;
   budget : budget;
-  noise_margin : float;
   classes : Defects.kind_class list;
   multi_defect_samples : int;
-  multi_defect_order : int;
   seed : int;
   attempt_repair : bool;
-  spare_cols : int;
 }
 
 let default_options =
@@ -38,14 +35,20 @@ let default_options =
     params = Defects.default_params;
     dc = Sp.Dcop.default_options;
     budget = { newton_per_sample = 20_000 };
-    noise_margin = 0.15;
     classes = Defects.all_classes;
     multi_defect_samples = 0;
-    multi_defect_order = 2;
     seed = 42;
     attempt_repair = true;
-    spare_cols = 1;
   }
+
+(* V from [vdd/2] below which a correct output level counts as degraded *)
+let degraded_within_v = 0.15
+
+(* defects per sampled multi-defect combination *)
+let defects_per_combo = 2
+
+(* extra columns the remapper may add to the fabric *)
+let spare_columns = 1
 
 type sample = {
   defects : Defects.t list;
@@ -124,8 +127,8 @@ let simulate ?engine ?(cancel = Cancel.none) ?(options = default_options) grid ~
     | None ->
       if mismatches <> [] then Faulty
       else begin
-        let low_bad = !worst_low > (vdd /. 2.0) -. options.noise_margin in
-        let high_bad = Float.is_finite !worst_high && !worst_high < (vdd /. 2.0) +. options.noise_margin in
+        let low_bad = !worst_low > (vdd /. 2.0) -. degraded_within_v in
+        let high_bad = Float.is_finite !worst_high && !worst_high < (vdd /. 2.0) +. degraded_within_v in
         if low_bad || high_bad then Degraded else Functional
       end
   in
@@ -151,8 +154,7 @@ let logical_of_defect (d : Defects.t) =
     Some { Faults.row = d.Defects.row; col = d.Defects.col; kind = Faults.Stuck_on }
   | Defects.Bridge _ | Defects.Broken_terminal _ | Defects.Gate_leak _ -> None
 
-let verify_with_defects ?engine ?(options = default_options) grid ~target ~defects =
-  let engine = Engine.or_fresh engine in
+let verify_with_defects engine options grid ~target ~defects =
   let nvars = Tt.nvars target in
   let vdd = options.config.Sp.Lattice_circuit.vdd in
   let output_at = defective_circuit engine ~options grid ~defects in
@@ -200,7 +202,7 @@ let repair_defect engine options grid ~target (d : Defects.t) (fault : Faults.fa
         target
   in
   let rec search c =
-    if c > cols + options.spare_cols then None
+    if c > cols + spare_columns then None
     else match try_cols c with Some g -> Some (g, c - cols) | None -> search (c + 1)
   in
   match search cols with
@@ -208,7 +210,7 @@ let repair_defect engine options grid ~target (d : Defects.t) (fault : Faults.fa
   | Some (g, spare) ->
     (* re-verify at circuit level with the physical defect still present in
        the remapped lattice *)
-    let reverified = verify_with_defects ~engine ~options g ~target ~defects:[ d ] in
+    let reverified = verify_with_defects engine options g ~target ~defects:[ d ] in
     { defect = d; fault; remapped = Some g; spare_cols_used = spare; reverified }
 
 type class_counts = {
@@ -285,8 +287,7 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
   in
   let rng = Random.State.make [| options.seed |] in
   let multi =
-    multi_defect_sets rng universe ~samples:options.multi_defect_samples
-      ~order:options.multi_defect_order
+    multi_defect_sets rng universe ~samples:options.multi_defect_samples ~order:defects_per_combo
   in
   let logical = Faults.analyze grid in
   let test_set = logical.Faults.test_set in

@@ -4,7 +4,7 @@
 
     The campaign enumerates the single-defect universe of
     {!Lattice_spice.Defects.single_defects} (plus optional randomly
-    sampled multi-defect combinations), builds each defective netlist
+    sampled combinations of two defects), builds each defective netlist
     once and solves it at every input state with
     {!Lattice_engine.Engine.lattice_output} (rebound input drivers,
     memoized {!Lattice_spice.Dcop.solve_diag}) — so a sample that refuses to
@@ -17,7 +17,7 @@
     - [Functional]: every input state produces the boolean-correct output
       with healthy noise margins;
     - [Degraded]: boolean-correct, but some output level comes within
-      [noise_margin] volts of the [vdd/2] decision threshold;
+      0.15 V of the [vdd/2] decision threshold;
     - [Faulty]: at least one input state produces the wrong boolean
       output; the offending vectors are recorded in [mismatches];
     - [Non_convergent]: some state failed to solve (or the sample ran out
@@ -42,7 +42,7 @@
     (stuck-open = stuck-OFF, stuck-short = stuck-ON), the campaign remaps
     the function around the pinned defect site with
     {!Lattice_synthesis.Exhaustive.find_with_pins} — first in the
-    original fabric, then widening by up to [spare_cols] spare columns —
+    original fabric, then widening by one spare column —
     and re-verifies the remapped lattice at circuit level {e with the
     defect still injected}. Each repair is one engine job (phase
     ["campaign-repair"]); a repair that does not complete — the batch
@@ -60,13 +60,10 @@ type options = {
   params : Lattice_spice.Defects.params;
   dc : Lattice_spice.Dcop.options;
   budget : budget;
-  noise_margin : float;  (** V from [vdd/2] below which a level is degraded (default 0.15) *)
   classes : Lattice_spice.Defects.kind_class list;  (** universe restriction (default: all) *)
-  multi_defect_samples : int;  (** sampled multi-defect combos (default 0) *)
-  multi_defect_order : int;  (** defects per combo (default 2) *)
+  multi_defect_samples : int;  (** sampled two-defect combos (default 0) *)
   seed : int;  (** RNG seed for multi-defect sampling (default 42) *)
   attempt_repair : bool;  (** remap detected structural defects (default true) *)
-  spare_cols : int;  (** extra columns the remapper may use (default 1) *)
 }
 
 val default_options : options
@@ -93,30 +90,17 @@ type sample = {
     hits replay the original diagnostics, so Newton-budget accounting
     is identical on warm and cold caches. [cancel] is checked before
     every input state (and inside every solve); a fired token raises
-    {!Lattice_engine.Cancel.Cancelled} — inside {!run} that exception
+    {!Lattice_spice.Cancel.Cancelled} — inside {!run} that exception
     is converted to a classified sample. *)
 val simulate :
   ?engine:Lattice_engine.Engine.t ->
-  ?cancel:Lattice_engine.Cancel.t ->
+  ?cancel:Lattice_spice.Cancel.t ->
   ?options:options ->
   Lattice_core.Grid.t ->
   target:Lattice_boolfn.Truthtable.t ->
   test_set:int list ->
   Lattice_spice.Defects.t list ->
   sample
-
-(** [verify_with_defects grid ~target ~defects] checks every input state
-    boolean-correct at circuit level with the defects injected (treating
-    any convergence failure as incorrect), stopping at the first wrong
-    state. Like {!simulate}, it builds the circuit once and solves its
-    states through {!Lattice_engine.Engine.lattice_output}. *)
-val verify_with_defects :
-  ?engine:Lattice_engine.Engine.t ->
-  ?options:options ->
-  Lattice_core.Grid.t ->
-  target:Lattice_boolfn.Truthtable.t ->
-  defects:Lattice_spice.Defects.t list ->
-  bool
 
 type repair = {
   defect : Lattice_spice.Defects.t;
@@ -166,7 +150,7 @@ type report = {
 val run :
   ?engine:Lattice_engine.Engine.t ->
   ?policy:Lattice_engine.Engine.job_policy ->
-  ?cancel:Lattice_engine.Cancel.t ->
+  ?cancel:Lattice_spice.Cancel.t ->
   ?options:options ->
   ?universe:Lattice_spice.Defects.t list ->
   Lattice_core.Grid.t ->

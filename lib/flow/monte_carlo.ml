@@ -5,7 +5,7 @@ module L1 = Lattice_mosfet.Level1
 module Model = Lattice_mosfet.Model
 module Engine = Lattice_engine.Engine
 module Pool = Lattice_engine.Pool
-module Cancel = Lattice_engine.Cancel
+module Cancel = Lattice_spice.Cancel
 
 type variation = { sigma_vth : float; sigma_kp_rel : float }
 

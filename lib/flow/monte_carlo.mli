@@ -12,9 +12,6 @@ type variation = {
   sigma_kp_rel : float;  (** relative Kp sigma (e.g. 0.1 = 10%) *)
 }
 
-(** 30 mV Vth sigma, 10% Kp sigma — typical nano-device local mismatch. *)
-val default_variation : variation
-
 type outcome = {
   functional : bool;  (** output matches NOT f on every combination *)
   worst_v_low : float;  (** highest logic-0 output over the combinations *)
@@ -34,7 +31,8 @@ type result = {
     campaign: each sample perturbs every switch independently and checks
     the DC response against [target] (the function the lattice should
     realize; the circuit output is its complement). Defaults: 100
-    samples, seed 42, [default_variation]. Requires
+    samples, seed 42, 30 mV Vth sigma and 10% Kp sigma (typical
+    nano-device local mismatch). Requires
     [Truthtable.nvars target <= 5].
 
     Sample [k]'s perturbations come from an index-derived RNG stream
@@ -57,7 +55,7 @@ type result = {
 val run :
   ?engine:Lattice_engine.Engine.t ->
   ?policy:Lattice_engine.Engine.job_policy ->
-  ?cancel:Lattice_engine.Cancel.t ->
+  ?cancel:Lattice_spice.Cancel.t ->
   ?config:Lattice_spice.Lattice_circuit.config ->
   ?variation:variation ->
   ?samples:int ->

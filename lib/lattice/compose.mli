@@ -25,23 +25,6 @@
 (** [literal v polarity] is the 1 x 1 lattice of one switch. *)
 val literal : int -> bool -> Grid.t
 
-(** [constant b] is the 1 x 1 constant lattice. *)
-val constant : bool -> Grid.t
-
-(** [pad_to_height g h] appends always-ON rows ([h >= rows]); the lattice
-    function is unchanged. *)
-val pad_to_height : Grid.t -> int -> Grid.t
-
-(** [pad_to_width g w] appends always-OFF columns ([w >= cols]); the
-    lattice function is unchanged. *)
-val pad_to_width : Grid.t -> int -> Grid.t
-
-(** [disjunction g1 g2] realizes [f1 OR f2]. *)
-val disjunction : Grid.t -> Grid.t -> Grid.t
-
-(** [conjunction g1 g2] realizes [f1 AND f2]. *)
-val conjunction : Grid.t -> Grid.t -> Grid.t
-
 (** [of_expr e] compiles an expression to a lattice through its
     negation normal form. *)
 val of_expr : Lattice_boolfn.Expr.t -> Grid.t

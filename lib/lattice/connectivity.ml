@@ -54,15 +54,9 @@ let connected_union_find ~rows ~cols on =
   done;
   find top = find bottom
 
-let connected = connected_bfs
-
 let eval grid assignment =
   let on = Grid.on_pattern grid assignment in
-  connected ~rows:grid.Grid.rows ~cols:grid.Grid.cols on
-
-let truthtable grid =
-  let nvars = Grid.nvars grid in
-  Lattice_boolfn.Truthtable.create nvars (eval grid)
+  connected_bfs ~rows:grid.Grid.rows ~cols:grid.Grid.cols on
 
 let table_of_patterns ~rows ~cols =
   let n = rows * cols in

@@ -15,16 +15,9 @@ val connected_bfs : rows:int -> cols:int -> bool array -> bool
     union-find over ON sites plus two virtual plate nodes. *)
 val connected_union_find : rows:int -> cols:int -> bool array -> bool
 
-(** [connected] is the default kernel ([connected_bfs]). *)
-val connected : rows:int -> cols:int -> bool array -> bool
-
 (** [eval grid assignment] evaluates the lattice function of an assigned
-    grid at a variable-bitmask assignment. *)
+    grid at a variable-bitmask assignment, with {!connected_bfs}. *)
 val eval : Grid.t -> int -> bool
-
-(** [truthtable grid] tabulates [eval grid] over all assignments of
-    [Grid.nvars grid] variables (which must be at most 20). *)
-val truthtable : Grid.t -> Lattice_boolfn.Truthtable.t
 
 (** [table_of_patterns ~rows ~cols] precomputes connectivity for all
     [2^(rows*cols)] conduction patterns (requires [rows * cols <= 20]);

@@ -68,15 +68,6 @@ let nvars t =
     (fun acc e -> match e with Lit (v, _) -> Int.max acc (v + 1) | Const _ -> acc)
     0 t.entries
 
-let neighbors t i =
-  let r = i / t.cols and c = i mod t.cols in
-  let out = ref [] in
-  if r > 0 then out := i - t.cols :: !out;
-  if r < t.rows - 1 then out := i + t.cols :: !out;
-  if c > 0 then out := (i - 1) :: !out;
-  if c < t.cols - 1 then out := (i + 1) :: !out;
-  !out
-
 let eval_entry e assignment =
   match e with
   | Const b -> b

@@ -45,10 +45,6 @@ val size : t -> int
 (** [nvars t] is 1 + the largest variable index mentioned (0 if none). *)
 val nvars : t -> int
 
-(** [neighbors t i] lists the row-major indices adjacent to site [i]
-    (up/down/left/right). *)
-val neighbors : t -> int -> int list
-
 (** [on_pattern t assignment] is the per-site conduction pattern under a
     variable-bitmask assignment: element [i] is [true] when switch [i] is
     ON. *)

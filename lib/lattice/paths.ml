@@ -73,11 +73,6 @@ let count_irredundant ~rows ~cols =
   if use_enum ~rows ~cols then count_irredundant_enum ~rows ~cols
   else count_irredundant_zdd ~rows ~cols
 
-let irredundant_paths ~rows ~cols =
-  let acc = ref [] in
-  iter_irredundant ~rows ~cols (fun p -> acc := Array.copy p :: !acc);
-  List.rev !acc
-
 let length_histogram_enum ~rows ~cols =
   let hist = Array.make ((rows * cols) + 1) 0 in
   iter_irredundant ~rows ~cols (fun p -> hist.(Array.length p) <- hist.(Array.length p) + 1);

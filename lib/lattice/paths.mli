@@ -25,7 +25,7 @@ val iter_irredundant : rows:int -> cols:int -> (int array -> unit) -> unit
 
 (** [count_irredundant ~rows ~cols] is the number of irredundant paths —
     the entry of paper Table I — without materializing them. Below the
-    measured crossover ({!crossover_dim}: both dims < 8) it walks the
+    measured crossover (both dims < 8) it walks the
     DFS enumeration, which beats the ZDD's node-table setup on small
     lattices (bench: enum/zdd ratio 0.32 at 7x7); at and above it the
     count runs on the {!Zdd} of the family (polynomial-ish in the
@@ -41,14 +41,6 @@ val count_irredundant_enum : rows:int -> cols:int -> int
 
 val count_irredundant_zdd : rows:int -> cols:int -> int
 
-val crossover_dim : int
-(** Smallest dimension at which the ZDD backend wins (measured: 8). A
-    lattice uses enumeration iff both dims are strictly below it. *)
-
-(** [irredundant_paths ~rows ~cols] collects the paths of
-    [iter_irredundant] as fresh arrays. *)
-val irredundant_paths : rows:int -> cols:int -> int array list
-
 (** [irredundant_sets_brute ~rows ~cols] enumerates every simple top-bottom
     path, collects the distinct cell sets, and removes the ones that
     strictly contain another. Exponential; intended for cross-checking small
@@ -61,10 +53,5 @@ val irredundant_sets_brute : rows:int -> cols:int -> int list list
     functions contain "a wide range of functions with different number of
     products": e.g. the 3 x 3 function has 3 products of size 3, 4 of size
     4 and 2 of size 5. The histogram length is [rows * cols + 1].
-    Backend auto-selected like {!count_irredundant};
-    [length_histogram_enum]/[length_histogram_zdd] pin one. *)
+    Backend auto-selected like {!count_irredundant}. *)
 val length_histogram : rows:int -> cols:int -> int array
-
-val length_histogram_enum : rows:int -> cols:int -> int array
-
-val length_histogram_zdd : rows:int -> cols:int -> int array

@@ -12,11 +12,6 @@ let published =
     [| 68; 723; 3882; 17873; 100294; 723153; 5509834; 38930447 |];
   |]
 
-(* Diagonal entries past the published table, computed by the ZDD counter
-   and regression-pinned in the test suite. *)
-let extended_diagonal =
-  [ (10, 2_864_677_868); (11, 328_777_220_927); (12, 63_076_542_161_104) ]
-
 let memo : (int * int, int) Hashtbl.t = Hashtbl.create 64
 let memo_lock = Mutex.create ()
 
@@ -44,9 +39,6 @@ let paper_value ~rows ~cols =
   if rows < 2 || rows > 9 || cols < 2 || cols > 9 then
     invalid_arg "Table1.paper_value: published range is 2..9";
   published.(rows - 2).(cols - 2)
-
-let dimensions =
-  List.concat_map (fun m -> List.map (fun n -> (m, n)) [ 2; 3; 4; 5; 6; 7; 8; 9 ]) [ 2; 3; 4; 5; 6; 7; 8; 9 ]
 
 let render ?(max_dim = 9) ~compute () =
   (* computed tables may extend past the published 9 x 9, up to 12 x 12 *)

@@ -11,18 +11,9 @@
     pool can call this concurrently. *)
 val count : rows:int -> cols:int -> int
 
-(** [extended_diagonal] is the [(d, count)] list of diagonal entries past
-    the published table ([10 <= d <= 12]), computed by the ZDD counter
-    and regression-pinned by the test suite. *)
-val extended_diagonal : (int * int) list
-
 (** [paper_value ~rows ~cols] is the value printed in Table I, for
     [2 <= rows, cols <= 9]; raises [Invalid_argument] outside that range. *)
 val paper_value : rows:int -> cols:int -> int
-
-(** [dimensions] is the [(rows, cols)] list of every Table I cell in
-    row-major order. *)
-val dimensions : (int * int) list
 
 (** [render ?max_dim ~compute ()] formats the table like the paper
     (rows [m], columns [n]); with [compute = true] values are recomputed

@@ -40,9 +40,6 @@ type t = {
   root : int;
 }
 
-let n_vars t = t.n_vars
-let node_count t = Array.length t.var
-
 (* growable int buffer (the CI toolchain predates Stdlib.Dynarray) *)
 module Buf = struct
   type t = { mutable a : int array; mutable len : int }

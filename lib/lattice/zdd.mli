@@ -29,12 +29,6 @@ val of_lattice : rows:int -> cols:int -> t
 val count : t -> int
 
 (** [count_by_size t] is the family histogram by set cardinality: entry
-    [k] counts the sets with [k] cells, length [n_vars t + 1]. Memory is
-    [O(node_count * n_vars)]. *)
+    [k] counts the sets with [k] cells, length [rows * cols + 1]. Memory
+    is [O(nodes * rows * cols)]. *)
 val count_by_size : t -> int array
-
-val n_vars : t -> int
-
-(** [node_count t] is the number of reduced internal nodes (terminals
-    excluded) — the certificate that the representation stays small. *)
-val node_count : t -> int

@@ -7,7 +7,7 @@ let[@inline] beta p = p.kp *. p.w /. p.l
 let vdsat p ~vgs = Float.max 0.0 (vgs -. p.vth)
 
 let[@inline] check_vds vds =
-  if vds < 0.0 then invalid_arg "Level1: vds must be >= 0 (use ids_signed)"
+  if vds < 0.0 then invalid_arg "Level1: vds must be >= 0"
 
 let[@inline] region p ~vgs ~vds =
   check_vds vds;
@@ -23,10 +23,6 @@ let[@inline] ids p ~vgs ~vds =
   | Saturation ->
     let vov = vgs -. p.vth in
     0.5 *. beta p *. vov *. vov *. (1.0 +. (p.lambda *. vds))
-
-let ids_signed p ~vg ~vd ~vs =
-  if vd >= vs then ids p ~vgs:(vg -. vs) ~vds:(vd -. vs)
-  else -.ids p ~vgs:(vg -. vd) ~vds:(vs -. vd)
 
 let[@inline] gm p ~vgs ~vds =
   match region p ~vgs ~vds with
@@ -66,7 +62,7 @@ let workspace_create () = { w_vgs = 0.0; w_vds = 0.0; w_ids = 0.0; w_gm = 0.0; w
 
 let linearize (w : workspace) p =
   let vgs = w.w_vgs and vds = w.w_vds in
-  if vds < 0.0 then invalid_arg "Level1: vds must be >= 0 (use ids_signed)";
+  if vds < 0.0 then invalid_arg "Level1: vds must be >= 0";
   let vov = vgs -. p.vth in
   if vov <= 0.0 then begin
     w.w_ids <- 0.0;
@@ -88,7 +84,3 @@ let linearize (w : workspace) p =
       w.w_gds <- 0.5 *. b *. vov *. vov *. p.lambda
     end
   end
-
-let pp_params fmt p =
-  Format.fprintf fmt "{kp=%.4g A/V^2; vth=%.4g V; lambda=%.4g 1/V; W=%.3g m; L=%.3g m}" p.kp p.vth
-    p.lambda p.w p.l

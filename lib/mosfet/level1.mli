@@ -19,22 +19,9 @@ type params = {
   l : float;  (** channel length, m *)
 }
 
-type region = Cutoff | Triode | Saturation
-
-(** [region p ~vgs ~vds] classifies the operating point (expects
-    [vds >= 0]). *)
-val region : params -> vgs:float -> vds:float -> region
-
 (** [ids p ~vgs ~vds] is the drain-source current for [vds >= 0]; raises
-    [Invalid_argument] on negative [vds] (use [ids_signed]). *)
+    [Invalid_argument] on negative [vds]. *)
 val ids : params -> vgs:float -> vds:float -> float
-
-(** [ids_signed p ~vg ~vd ~vs] handles source/drain reversal the SPICE way:
-    when [vd < vs] the physical source is the drain terminal, so the device
-    is evaluated with the terminals swapped and the current negated.
-    Voltages are node potentials relative to any common reference. Returns
-    the current flowing into the [vd] terminal. *)
-val ids_signed : params -> vg:float -> vd:float -> vs:float -> float
 
 (** [gm p ~vgs ~vds] is the analytic transconductance [d IDS / d VGS]
     ([vds >= 0]). *)
@@ -68,5 +55,3 @@ val linearize : workspace -> params -> unit
 
 (** [vdsat p ~vgs] is the saturation voltage [max 0 (vgs - vth)]. *)
 val vdsat : params -> vgs:float -> float
-
-val pp_params : Format.formatter -> params -> unit

@@ -1,8 +1,11 @@
 type params = { base : Level1.params; theta : float; vc : float }
 
-let of_level1 ?(theta = 0.1) ?(vmax = 1e5) ?(mu = 0.05) base =
+(* normalized carrier mobility, m^2/Vs *)
+let mu = 0.05
+
+let of_level1 ?(theta = 0.1) ?(vmax = 1e5) base =
   if theta < 0.0 then invalid_arg "Level3.of_level1: theta must be >= 0";
-  if vmax <= 0.0 || mu <= 0.0 then invalid_arg "Level3.of_level1: vmax and mu must be > 0";
+  if vmax <= 0.0 then invalid_arg "Level3.of_level1: vmax must be > 0";
   { base; theta; vc = vmax *. base.Level1.l /. mu }
 
 let vdsat p ~vgs =

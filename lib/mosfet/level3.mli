@@ -22,16 +22,13 @@ type params = {
   vc : float;  (** velocity-saturation critical voltage [vmax L / mu], V; > 0 *)
 }
 
-(** [of_level1 ?theta ?vmax ?mu base] derives level-3 parameters;
-    [vc = vmax * l / mu]. Defaults: [theta = 0.1 /V], [vmax = 1e5 m/s],
-    [mu = 0.05 m^2/Vs]. *)
-val of_level1 : ?theta:float -> ?vmax:float -> ?mu:float -> Level1.params -> params
+(** [of_level1 ?theta ?vmax base] derives level-3 parameters;
+    [vc = vmax * l / mu] with [mu = 0.05 m^2/Vs]. Defaults:
+    [theta = 0.1 /V], [vmax = 1e5 m/s]. *)
+val of_level1 : ?theta:float -> ?vmax:float -> Level1.params -> params
 
 (** [ids p ~vgs ~vds] — drain current, [vds >= 0]. *)
 val ids : params -> vgs:float -> vds:float -> float
-
-(** [vdsat p ~vgs] — velocity-saturation-limited saturation voltage. *)
-val vdsat : params -> vgs:float -> float
 
 (** [gm p ~vgs ~vds] / [gds p ~vgs ~vds] — finite-difference
     conductances. *)

@@ -24,16 +24,6 @@ let base = function L1 p -> p | L3 p -> p.Level3.base
 
 let vth m = (base m).Level1.vth
 
-let w_over_l m =
-  let p = base m in
-  p.Level1.w /. p.Level1.l
-
 let on_conductance m ~vdd =
   let dv = 1e-3 in
   ids m ~vgs:vdd ~vds:dv /. dv
-
-let pp fmt = function
-  | L1 p -> Format.fprintf fmt "level1 %a" Level1.pp_params p
-  | L3 p ->
-    Format.fprintf fmt "level3 %a theta=%.3g vc=%.3g" Level1.pp_params p.Level3.base
-      p.Level3.theta p.Level3.vc

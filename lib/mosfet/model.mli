@@ -18,11 +18,6 @@ val linearize : Level1.workspace -> t -> unit
 (** [vth m] — the model's threshold voltage. *)
 val vth : t -> float
 
-(** [w_over_l m] — channel aspect ratio. *)
-val w_over_l : t -> float
-
 (** [on_conductance m ~vdd] — small-signal channel conductance at
     [vgs = vdd], [vds -> 0]; used by analytic delay estimates. *)
 val on_conductance : t -> vdd:float -> float
-
-val pp : Format.formatter -> t -> unit

@@ -8,12 +8,6 @@ type result = {
   status : status;
 }
 
-let status_name = function
-  | Converged -> "converged"
-  | Max_iterations -> "max-iterations"
-  | Stagnated -> "stagnated"
-  | Indefinite -> "indefinite"
-
 let solves_total = Lattice_obs.Metrics.counter "cg.solves_total"
 let stagnations_total = Lattice_obs.Metrics.counter "cg.stagnations_total"
 let iterations_hist = Lattice_obs.Metrics.histogram "cg.iterations"

@@ -31,8 +31,6 @@ type result = {
   status : status;
 }
 
-val status_name : status -> string
-
 (** [solve ~apply ~b ?x0 ?tol ?max_iter ()] solves [A x = b] where
     [apply x out] writes [A x] into [out]. The operator must be symmetric
     positive definite for convergence guarantees.

@@ -48,13 +48,6 @@ let crossings xs ys level =
 let first_crossing xs ys level =
   match crossings xs ys level with [] -> None | x :: _ -> Some x
 
-let first_crossing_after xs ys ~after level =
-  let rec find = function
-    | [] -> None
-    | x :: rest -> if x > after then Some x else find rest
-  in
-  find (crossings xs ys level)
-
 let bisect f lo hi ~tol =
   let flo = f lo and fhi = f hi in
   if flo = 0.0 then lo

@@ -19,10 +19,6 @@ val crossings : float array -> float array -> float -> float list
     [None] when the curve never reaches [level]. *)
 val first_crossing : float array -> float array -> float -> float option
 
-(** [first_crossing_after xs ys ~after level] restricts the search to
-    abscissae strictly greater than [after]. *)
-val first_crossing_after : float array -> float array -> after:float -> float -> float option
-
 (** [bisect f lo hi ~tol] finds a root of [f] in [[lo, hi]] by bisection,
     assuming [f lo] and [f hi] have opposite signs (raises
     [Invalid_argument] otherwise). Stops when the bracket is narrower than

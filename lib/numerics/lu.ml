@@ -4,7 +4,6 @@ type factored = {
   n : int;
   lu : float array; (* row-major; unit lower triangle below diagonal, U on and above *)
   perm : int array; (* row permutation applied during elimination *)
-  sign : float; (* parity of the permutation, for the determinant *)
 }
 
 let pivot_floor = 1e-300
@@ -25,7 +24,6 @@ let factor_impl (m : Matrix.t) =
   let n = m.Matrix.rows in
   let lu = Array.copy m.Matrix.data in
   let perm = Array.init n (fun i -> i) in
-  let sign = ref 1.0 in
   for k = 0 to n - 1 do
     (* choose pivot row *)
     let best = ref k in
@@ -47,8 +45,7 @@ let factor_impl (m : Matrix.t) =
       done;
       let tmp = perm.(k) in
       perm.(k) <- perm.(b);
-      perm.(b) <- tmp;
-      sign := -. !sign
+      perm.(b) <- tmp
     end;
     let pivot = lu.((k * n) + k) in
     for r = k + 1 to n - 1 do
@@ -60,7 +57,7 @@ let factor_impl (m : Matrix.t) =
         done
     done
   done;
-  { n; lu; perm; sign = !sign }
+  { n; lu; perm }
 
 let factor m =
   let t0 = Lattice_obs.Probe.enter factor_probe in
@@ -107,12 +104,3 @@ let solve f b =
   let out = Array.copy b in
   solve_in_place f out;
   out
-
-let solve_dense m b = solve (factor m) b
-
-let determinant f =
-  let acc = ref f.sign in
-  for i = 0 to f.n - 1 do
-    acc := !acc *. f.lu.((i * f.n) + i)
-  done;
-  !acc

@@ -19,14 +19,3 @@ val factor : Matrix.t -> factored
 (** [solve f b] solves [A x = b] for the matrix [A] that produced [f];
     [b] is not modified. *)
 val solve : factored -> Vec.t -> Vec.t
-
-(** [solve_in_place f b] overwrites [b] with the solution, avoiding an
-    allocation. *)
-val solve_in_place : factored -> Vec.t -> unit
-
-(** [solve_dense m b] is [solve (factor m) b]; convenient for one-shot
-    systems. *)
-val solve_dense : Matrix.t -> Vec.t -> Vec.t
-
-(** [determinant f] is the determinant recovered from the factorization. *)
-val determinant : factored -> float

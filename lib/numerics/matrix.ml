@@ -4,13 +4,6 @@ let create rows cols =
   if rows < 0 || cols < 0 then invalid_arg "Matrix.create: negative dimension";
   { rows; cols; data = Array.make (rows * cols) 0.0 }
 
-let identity n =
-  let m = create n n in
-  for i = 0 to n - 1 do
-    m.data.((i * n) + i) <- 1.0
-  done;
-  m
-
 let init rows cols f =
   let m = create rows cols in
   for r = 0 to rows - 1 do
@@ -24,7 +17,6 @@ let copy m = { m with data = Array.copy m.data }
 let get m r c = m.data.((r * m.cols) + c)
 let set m r c x = m.data.((r * m.cols) + c) <- x
 let add_to m r c x = m.data.((r * m.cols) + c) <- m.data.((r * m.cols) + c) +. x
-let fill m x = Array.fill m.data 0 (Array.length m.data) x
 
 let mat_vec m v =
   if Array.length v <> m.cols then invalid_arg "Matrix.mat_vec: size mismatch";
@@ -56,28 +48,3 @@ let mat_mul a b =
   out
 
 let transpose m = init m.cols m.rows (fun r c -> get m c r)
-
-let of_rows rows =
-  match rows with
-  | [] -> invalid_arg "Matrix.of_rows: empty"
-  | first :: _ ->
-    let cols = Array.length first in
-    let nrows = List.length rows in
-    let m = create nrows cols in
-    List.iteri
-      (fun r row ->
-        if Array.length row <> cols then invalid_arg "Matrix.of_rows: ragged rows";
-        Array.blit row 0 m.data (r * cols) cols)
-      rows;
-    m
-
-let pp fmt m =
-  for r = 0 to m.rows - 1 do
-    Format.fprintf fmt "[";
-    for c = 0 to m.cols - 1 do
-      if c > 0 then Format.fprintf fmt "  ";
-      Format.fprintf fmt "%10.4g" (get m r c)
-    done;
-    Format.fprintf fmt "]";
-    if r < m.rows - 1 then Format.fprintf fmt "@\n"
-  done

@@ -12,9 +12,6 @@ type t = {
 (** [create rows cols] is a zero matrix. *)
 val create : int -> int -> t
 
-(** [identity n] is the [n x n] identity. *)
-val identity : int -> t
-
 (** [init rows cols f] fills entry [(r, c)] with [f r c]. *)
 val init : int -> int -> (int -> int -> float) -> t
 
@@ -32,9 +29,6 @@ val set : t -> int -> int -> float -> unit
     primitive. *)
 val add_to : t -> int -> int -> float -> unit
 
-(** [fill m x] sets every entry to [x]. *)
-val fill : t -> float -> unit
-
 (** [mat_vec m v] is the product [m * v] as a fresh vector. *)
 val mat_vec : t -> Vec.t -> Vec.t
 
@@ -43,10 +37,3 @@ val mat_mul : t -> t -> t
 
 (** [transpose m] is a fresh transpose. *)
 val transpose : t -> t
-
-(** [of_rows rows] builds a matrix from a non-empty list of equal-length
-    rows. *)
-val of_rows : float array list -> t
-
-(** [pp] formats the matrix one row per line with aligned columns. *)
-val pp : Format.formatter -> t -> unit

@@ -137,7 +137,6 @@ let create ~n ~gx ~gy ~fixed =
   in
   { levels = Array.of_list (build [ finest ] finest); v_cycles = 0; sweep_count = 0 }
 
-let n_levels t = Array.length t.levels
 let finest t = t.levels.(0)
 
 (* one Gauss-Seidel half-sweep over the cells of one color (0 = red) *)

@@ -4,15 +4,15 @@
 
     Every level solves the homogeneous-Dirichlet correction equation
     (fixed cells hold 0 and are never written); Dirichlet boundary values
-    are lifted into the right-hand side with {!dirichlet_rhs} /
-    {!solve_dirichlet}. The cycle is V(2,2): red-black Gauss-Seidel
-    smoothing (colour order reversed on the post-sweeps) and aggregation
-    (piecewise-constant) transfers over 2x2 blocks — restriction sums the
-    four fine residuals, prolongation injects the coarse correction, an
-    exact transpose pair that never interpolates across a coefficient
-    jump; coarse face conductances are the half-sum of the two fine faces
-    crossing each coarse interface. Grids halve while even and [>= 8];
-    the coarsest level is relaxed with a fixed number of sweeps.
+    are lifted into the right-hand side by {!solve_dirichlet}. The cycle
+    is V(2,2): red-black Gauss-Seidel smoothing (colour order reversed on
+    the post-sweeps) and aggregation (piecewise-constant) transfers over
+    2x2 blocks — restriction sums the four fine residuals, prolongation
+    injects the coarse correction, an exact transpose pair that never
+    interpolates across a coefficient jump; coarse face conductances are
+    the half-sum of the two fine faces crossing each coarse interface.
+    Grids halve while even and [>= 8]; the coarsest level is relaxed with
+    a fixed number of sweeps.
 
     The production driver is {!pcg}: flexible (Polak-Ribiere)
     preconditioned conjugate gradients with one V-cycle per iteration,
@@ -46,8 +46,6 @@ val vec : int -> vec
     on size mismatches or [n < 3]. *)
 val create : n:int -> gx:vec -> gy:vec -> fixed:Bytes.t -> t
 
-val n_levels : t -> int
-
 (** [pcg t ~b ?tol ?max_iter ()] solves [A x = b] with zero values on
     Dirichlet cells, by V-cycle-preconditioned flexible CG. [tol] is the
     relative residual target on free cells (default [1e-10], matching
@@ -55,12 +53,9 @@ val n_levels : t -> int
     fixed cells) and the run's stats. *)
 val pcg : t -> b:vec -> ?tol:float -> ?max_iter:int -> unit -> vec * stats
 
-(** [dirichlet_rhs t ~dirichlet] lifts boundary values into the
-    correction right-hand side: [b_i = sum_j g_ij * dirichlet_j] over the
-    fixed neighbours [j] of each free cell [i]. *)
-val dirichlet_rhs : t -> dirichlet:vec -> vec
-
-(** [solve_dirichlet t ~dirichlet ?tol ?max_iter ()] runs {!pcg} on
-    {!dirichlet_rhs} and writes the Dirichlet values back into the
-    returned solution, so the result is the full potential field. *)
+(** [solve_dirichlet t ~dirichlet ?tol ?max_iter ()] runs {!pcg} on the
+    lifted right-hand side [b_i = sum_j g_ij * dirichlet_j] (over the
+    fixed neighbours [j] of each free cell [i]) and writes the Dirichlet
+    values back into the returned solution, so the result is the full
+    potential field. *)
 val solve_dirichlet : t -> dirichlet:vec -> ?tol:float -> ?max_iter:int -> unit -> vec * stats

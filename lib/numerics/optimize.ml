@@ -1,96 +1,3 @@
-type nm_result = { x : Vec.t; fx : float; iterations : int; converged : bool }
-
-(* Standard Nelder-Mead with reflection/expansion/contraction/shrink
-   coefficients 1, 2, 0.5, 0.5. *)
-let nelder_mead f x0 ?scale ?(tol = 1e-12) ?(max_iter = 2000) () =
-  let n = Array.length x0 in
-  if n = 0 then invalid_arg "Optimize.nelder_mead: empty start point";
-  let scale =
-    match scale with
-    | Some s ->
-      if Array.length s <> n then invalid_arg "Optimize.nelder_mead: scale length mismatch";
-      s
-    | None -> Array.map (fun x -> if x = 0.0 then 0.1 else 0.1 *. Float.abs x) x0
-  in
-  (* simplex of n+1 vertices with cached objective values *)
-  let verts = Array.init (n + 1) (fun i ->
-      let v = Vec.copy x0 in
-      if i > 0 then v.(i - 1) <- v.(i - 1) +. scale.(i - 1);
-      v)
-  in
-  let fvals = Array.map f verts in
-  let order () =
-    let idx = Array.init (n + 1) (fun i -> i) in
-    Array.sort (fun a b -> compare fvals.(a) fvals.(b)) idx;
-    idx
-  in
-  let centroid_excl worst =
-    let c = Vec.zeros n in
-    for i = 0 to n do
-      if i <> worst then Vec.axpy (1.0 /. float_of_int n) verts.(i) c
-    done;
-    c
-  in
-  let blend a alpha b beta =
-    Array.init n (fun i -> (alpha *. a.(i)) +. (beta *. b.(i)))
-  in
-  let rec loop iter =
-    let idx = order () in
-    let best = idx.(0) and worst = idx.(n) and second_worst = idx.(n - 1) in
-    let spread = Float.abs (fvals.(worst) -. fvals.(best)) in
-    let denom = 1.0 +. Float.abs fvals.(best) in
-    if spread /. denom <= tol then
-      { x = Vec.copy verts.(best); fx = fvals.(best); iterations = iter; converged = true }
-    else if iter >= max_iter then
-      { x = Vec.copy verts.(best); fx = fvals.(best); iterations = iter; converged = false }
-    else begin
-      let c = centroid_excl worst in
-      let reflected = blend c 2.0 verts.(worst) (-1.0) in
-      let fr = f reflected in
-      if fr < fvals.(best) then begin
-        let expanded = blend c 3.0 verts.(worst) (-2.0) in
-        let fe = f expanded in
-        if fe < fr then begin
-          verts.(worst) <- expanded;
-          fvals.(worst) <- fe
-        end
-        else begin
-          verts.(worst) <- reflected;
-          fvals.(worst) <- fr
-        end;
-        loop (iter + 1)
-      end
-      else if fr < fvals.(second_worst) then begin
-        verts.(worst) <- reflected;
-        fvals.(worst) <- fr;
-        loop (iter + 1)
-      end
-      else begin
-        let contracted =
-          if fr < fvals.(worst) then blend c 1.5 verts.(worst) (-0.5)
-          else blend c 0.5 verts.(worst) 0.5
-        in
-        let fc = f contracted in
-        if fc < Float.min fr fvals.(worst) then begin
-          verts.(worst) <- contracted;
-          fvals.(worst) <- fc;
-          loop (iter + 1)
-        end
-        else begin
-          (* shrink toward the best vertex *)
-          for i = 0 to n do
-            if i <> best then begin
-              verts.(i) <- blend verts.(best) 0.5 verts.(i) 0.5;
-              fvals.(i) <- f verts.(i)
-            end
-          done;
-          loop (iter + 1)
-        end
-      end
-    end
-  in
-  loop 0
-
 type lm_result = { params : Vec.t; rmse : float; iterations : int; converged : bool }
 
 let jacobian residuals x r0 =
@@ -108,13 +15,14 @@ let jacobian residuals x r0 =
   done;
   jac
 
-let levenberg_marquardt ~residuals ~x0 ?(tol = 1e-12) ?(max_iter = 200) ?(lambda0 = 1e-3) () =
+let levenberg_marquardt ~residuals ~x0 ?(max_iter = 200) () =
+  let tol = 1e-12 in
   let n = Array.length x0 in
   let x = Vec.copy x0 in
   let cost r = 0.5 *. Vec.dot r r in
   let r = ref (residuals x) in
   let c = ref (cost !r) in
-  let lambda = ref lambda0 in
+  let lambda = ref 1e-3 in
   let m = Array.length !r in
   if m = 0 then invalid_arg "Optimize.levenberg_marquardt: no residuals";
   let finish iterations converged =

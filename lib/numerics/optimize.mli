@@ -1,30 +1,6 @@
-(** Derivative-free and least-squares optimizers.
-
-    [nelder_mead] is the robust general-purpose minimizer;
-    [levenberg_marquardt] is the least-squares fitter used for the level-1
-    MOSFET parameter extraction (the role MATLAB's Curve Fitting Toolbox
-    plays in the paper). *)
-
-type nm_result = {
-  x : Vec.t;  (** best point found *)
-  fx : float;  (** objective value at [x] *)
-  iterations : int;
-  converged : bool;
-}
-
-(** [nelder_mead f x0 ?scale ?tol ?max_iter ()] minimizes [f] starting from
-    the simplex around [x0] with per-coordinate initial steps [scale]
-    (default: 10% of each coordinate, or 0.1 for zero coordinates).
-    Convergence: simplex function-value spread below [tol]
-    (default [1e-12]). *)
-val nelder_mead :
-  (Vec.t -> float) ->
-  Vec.t ->
-  ?scale:Vec.t ->
-  ?tol:float ->
-  ?max_iter:int ->
-  unit ->
-  nm_result
+(** Least-squares optimizer: [levenberg_marquardt] is the fitter used for
+    the level-1 MOSFET parameter extraction (the role MATLAB's Curve
+    Fitting Toolbox plays in the paper). *)
 
 type lm_result = {
   params : Vec.t;  (** fitted parameters *)
@@ -33,16 +9,14 @@ type lm_result = {
   converged : bool;
 }
 
-(** [levenberg_marquardt ~residuals ~x0 ?tol ?max_iter ?lambda0 ()]
-    minimizes [0.5 * ||residuals x||^2]. The Jacobian is formed by forward
-    differences. Damping starts at [lambda0] (default [1e-3]) and adapts by
-    factors of 10. Convergence: relative decrease of the cost below [tol]
-    (default [1e-12]) with an accepted step, or a gradient that small. *)
+(** [levenberg_marquardt ~residuals ~x0 ?max_iter ()] minimizes
+    [0.5 * ||residuals x||^2]. The Jacobian is formed by forward
+    differences. Damping starts at [1e-3] and adapts by factors of 10.
+    Convergence: relative decrease of the cost below [1e-12] with an
+    accepted step, or a gradient that small. *)
 val levenberg_marquardt :
   residuals:(Vec.t -> Vec.t) ->
   x0:Vec.t ->
-  ?tol:float ->
   ?max_iter:int ->
-  ?lambda0:float ->
   unit ->
   lm_result

@@ -45,7 +45,6 @@ module Builder = struct
     { n = b.bn; col_ptr; row_ind; index }
 end
 
-let dim p = p.n
 let nnz p = Array.length p.row_ind
 
 let slot p ~row ~col =
@@ -53,18 +52,11 @@ let slot p ~row ~col =
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Sparse.slot: (%d, %d) not in pattern" row col)
 
-let mem p ~row ~col = Hashtbl.mem p.index ((col * p.n) + row)
-
 let create pattern = { pattern; values = Array.make (nnz pattern) 0.0 }
 
 let add m r c v =
   let s = slot m.pattern ~row:r ~col:c in
   m.values.(s) <- m.values.(s) +. v
-
-let get m r c =
-  match Hashtbl.find_opt m.pattern.index ((c * m.pattern.n) + r) with
-  | Some s -> m.values.(s)
-  | None -> 0.0
 
 let iteri m f =
   let p = m.pattern in
@@ -73,25 +65,6 @@ let iteri m f =
       f s p.row_ind.(s) c m.values.(s)
     done
   done
-
-let of_matrix (dm : Matrix.t) =
-  if dm.Matrix.rows <> dm.Matrix.cols then invalid_arg "Sparse.of_matrix: matrix not square";
-  let n = dm.Matrix.rows in
-  let b = Builder.create n in
-  for r = 0 to n - 1 do
-    for c = 0 to n - 1 do
-      if Matrix.get dm r c <> 0.0 then Builder.add b r c
-    done
-  done;
-  let m = create (Builder.compile b) in
-  iteri m (fun s r c _ -> m.values.(s) <- Matrix.get dm r c);
-  m
-
-let to_matrix m =
-  let n = m.pattern.n in
-  let dm = Matrix.create n n in
-  iteri m (fun _ r c v -> Matrix.set dm r c v);
-  dm
 
 (* --- pattern-reusing LU ------------------------------------------------ *)
 

@@ -41,14 +41,11 @@ module Builder : sig
   (** Freeze into a CSC pattern. The builder may be reused afterwards. *)
 end
 
-val dim : pattern -> int
 val nnz : pattern -> int
 
 val slot : pattern -> row:int -> col:int -> int
 (** Index into [values] of a reserved entry. Raises [Invalid_argument]
     if [(row, col)] was not reserved. *)
-
-val mem : pattern -> row:int -> col:int -> bool
 
 val create : pattern -> t
 (** A zero matrix over a compiled pattern. *)
@@ -57,17 +54,9 @@ val add : t -> int -> int -> float -> unit
 (** [add m row col v] accumulates into a reserved slot (hash lookup; use
     {!slot} ahead of time in hot loops). *)
 
-val get : t -> int -> int -> float
-(** 0 outside the pattern. *)
-
 val iteri : t -> (int -> int -> int -> float -> unit) -> unit
 (** [iteri m f] calls [f slot row col value] for every structural
     nonzero. *)
-
-val of_matrix : Matrix.t -> t
-(** Pattern from the nonzero entries of a dense matrix (test helper). *)
-
-val to_matrix : t -> Matrix.t
 
 (** {1 Pattern-reusing LU} *)
 

@@ -23,14 +23,6 @@ let rmse observed predicted =
   done;
   sqrt (!acc /. float_of_int (Array.length observed))
 
-let max_abs_error observed predicted =
-  check_pair "max_abs_error" observed predicted;
-  let m = ref 0.0 in
-  for i = 0 to Array.length observed - 1 do
-    m := Float.max !m (Float.abs (observed.(i) -. predicted.(i)))
-  done;
-  !m
-
 let r_squared observed predicted =
   check_pair "r_squared" observed predicted;
   let m = mean observed in
@@ -56,7 +48,3 @@ let linear_regression xs ys =
   if !sxx = 0.0 then invalid_arg "Stats.linear_regression: xs are constant";
   let slope = !sxy /. !sxx in
   (slope, my -. (slope *. mx))
-
-let relative_error ~expected actual =
-  if expected = 0.0 then Float.abs actual
-  else Float.abs (actual -. expected) /. Float.abs expected

@@ -4,18 +4,12 @@
     input. *)
 val mean : float array -> float
 
-(** [variance v] is the population variance (divide by [n]). *)
-val variance : float array -> float
-
-(** [stddev v] is [sqrt (variance v)]. *)
+(** [stddev v] is the population standard deviation (divide by [n]). *)
 val stddev : float array -> float
 
 (** [rmse observed predicted] is the root-mean-square error between two
     equal-length sample arrays. *)
 val rmse : float array -> float array -> float
-
-(** [max_abs_error observed predicted] is the worst-case absolute error. *)
-val max_abs_error : float array -> float array -> float
 
 (** [r_squared observed predicted] is the coefficient of determination;
     1.0 is a perfect fit. Returns [nan] when the observations have zero
@@ -26,7 +20,3 @@ val r_squared : float array -> float array -> float
     line through the points. Requires at least two samples with distinct
     [xs]. *)
 val linear_regression : float array -> float array -> float * float
-
-(** [relative_error ~expected actual] is [|actual - expected| / |expected|];
-    [|actual|] when [expected = 0]. *)
-val relative_error : expected:float -> float -> float

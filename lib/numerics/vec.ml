@@ -37,26 +37,9 @@ let norm2 v = sqrt (dot v v)
 
 let norm_inf v = Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.0 v
 
-let max_abs_diff a b =
-  check_same_length "max_abs_diff" a b;
-  let m = ref 0.0 in
-  for i = 0 to Array.length a - 1 do
-    m := Float.max !m (Float.abs (a.(i) -. b.(i)))
-  done;
-  !m
-
 let linspace a b n =
   if n < 2 then invalid_arg "Vec.linspace: need at least 2 points";
   let step = (b -. a) /. float_of_int (n - 1) in
   Array.init n (fun i -> a +. (float_of_int i *. step))
 
 let map = Array.map
-
-let pp fmt v =
-  Format.fprintf fmt "[";
-  Array.iteri
-    (fun i x ->
-      if i > 0 then Format.fprintf fmt "; ";
-      Format.fprintf fmt "%.6g" x)
-    v;
-  Format.fprintf fmt "]"

@@ -39,15 +39,9 @@ val norm2 : t -> float
 (** [norm_inf v] is the maximum absolute entry of [v] (0 for empty). *)
 val norm_inf : t -> float
 
-(** [max_abs_diff a b] is the infinity norm of [a - b]. *)
-val max_abs_diff : t -> t -> float
-
 (** [linspace a b n] is [n >= 2] evenly spaced samples from [a] to [b]
     inclusive. *)
 val linspace : float -> float -> int -> t
 
 (** [map f v] is the element-wise image of [v] under [f]. *)
 val map : (float -> float) -> t -> t
-
-(** [pp] formats a vector as [[x0; x1; ...]] with 6 significant digits. *)
-val pp : Format.formatter -> t -> unit

@@ -9,6 +9,8 @@ type t =
 
 exception Parse_error of string
 
+(* deeper documents raise [Parse_error] instead of overflowing the stack
+   on adversarial input *)
 let max_depth = 64
 
 (* --- parsing ----------------------------------------------------------- *)

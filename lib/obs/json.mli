@@ -13,7 +13,7 @@
     The parser is a strict recursive-descent reader of a single
     document: trailing garbage, unterminated literals, bare control
     characters in strings, numbers with leading zeros, and nesting
-    deeper than {!max_depth} are all rejected with a message carrying
+    deeper than 64 levels are all rejected with a message carrying
     the byte offset. Numbers without [.], [e] or [E] parse as [Int]
     (falling back to [Float] past [max_int]); everything else numeric
     parses as [Float]. [parse (to_string v) = v] for every value
@@ -30,10 +30,6 @@ type t =
 
 exception Parse_error of string
 (** Carries ["offset N: <reason>"]. *)
-
-val max_depth : int
-(** Nesting cap (64): deeper documents raise {!Parse_error} instead of
-    overflowing the stack on adversarial input. *)
 
 val parse : string -> t
 (** Raises {!Parse_error}. *)

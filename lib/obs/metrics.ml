@@ -309,7 +309,6 @@ module Scope = struct
     List.map (fun c -> (qualified t c.name, get c)) t.counters
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-  let reset t = List.iter (fun c -> Atomic.set c.cell 0) t.counters
 end
 
 let snapshot () =

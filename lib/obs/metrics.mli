@@ -104,9 +104,6 @@ module Scope : sig
 
   val snapshot : t -> (string * int) list
   (** Every counter, named as in the registry, sorted by name. *)
-
-  val reset : t -> unit
-  (** Zero the scope's cells, not the registry's. *)
 end
 
 (** {2 Requests}

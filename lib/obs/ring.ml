@@ -79,7 +79,7 @@ let rings () =
   Mutex.unlock table_lock;
   List.filter_map Fun.id rs
 
-let dump ?last_n () =
+let dump () =
   let out = ref [] in
   List.iter
     (fun r ->
@@ -91,13 +91,7 @@ let dump ?last_n () =
         if s != dummy then out := s :: !out
       done)
     (rings ());
-  let sorted = List.sort (fun a b -> Int.compare a.ts_ns b.ts_ns) !out in
-  match last_n with
-  | None -> sorted
-  | Some n when n < 0 -> invalid_arg "Ring.dump: negative last_n"
-  | Some n ->
-    let len = List.length sorted in
-    if len <= n then sorted else List.filteri (fun i _ -> i >= len - n) sorted
+  List.sort (fun a b -> Int.compare a.ts_ns b.ts_ns) !out
 
 let recorded () =
   List.fold_left (fun acc r -> acc + Int.min (Atomic.get r.cursor) capacity) 0 (rings ())
@@ -126,6 +120,6 @@ let chrome_event ~ph ?(fields = []) ~pid s =
     if s.args = [] then []
     else [ ("args", Json.Obj (List.map (fun (k, v) -> (k, str v)) s.args)) ])
 
-let dump_jsonl ?last_n () =
+let dump_jsonl () =
   let line s = Json.to_string (chrome_event ~ph:"X" ~pid:1 s) ^ "\n" in
-  String.concat "" (List.map line (dump ?last_n ()))
+  String.concat "" (List.map line (dump ()))

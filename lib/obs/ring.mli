@@ -42,13 +42,12 @@ val record : span -> unit
     {!Trace}, which feeds the ring from [end_span]/[complete]
     automatically. *)
 
-val dump : ?last_n:int -> unit -> span list
-(** Merge every domain's surviving spans, sorted by start time; with
-    [last_n], only the most recent [n]. Concurrent recording during a
-    dump may drop or duplicate a handful of in-flight records — dumps
-    are diagnostics, not ledgers. *)
+val dump : unit -> span list
+(** Merge every domain's surviving spans, sorted by start time. Concurrent
+    recording during a dump may drop or duplicate a handful of in-flight
+    records — dumps are diagnostics, not ledgers. *)
 
-val dump_jsonl : ?last_n:int -> unit -> string
+val dump_jsonl : unit -> string
 (** {!dump} rendered one Chrome-trace ["X"] event per line (JSONL,
     [pid] 1, each line printed by {!Json.to_string}); wrapping the
     lines in a JSON array yields a Perfetto-loadable trace. *)

@@ -42,20 +42,17 @@ let call_raw t line =
   | Some resp -> resp
   | None -> raise (Protocol_error "server closed the connection before answering")
 
-let call t ?id ?deadline_s ?trace_id ?parent_span ~type_ fields =
+let call t ?id ?deadline_s ?trace_id ~type_ fields =
   let envelope =
     [ ("type", Json.String type_) ]
     @ (match id with None -> [] | Some id -> [ ("id", id) ])
     @ (match deadline_s with
       | None -> []
       | Some d -> [ ("deadline_s", Json.Float d) ])
-    @ (match trace_id with
-      | None -> []
-      | Some s -> [ ("trace_id", Json.String s) ])
     @
-    match parent_span with
+    match trace_id with
     | None -> []
-    | Some s -> [ ("parent_span", Json.String s) ]
+    | Some s -> [ ("trace_id", Json.String s) ]
   in
   let line = Json.to_string (Json.Obj (envelope @ fields)) in
   match Protocol.parse_response (call_raw t line) with

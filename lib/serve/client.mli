@@ -37,14 +37,13 @@ val call :
   ?id:Json.t ->
   ?deadline_s:float ->
   ?trace_id:string ->
-  ?parent_span:string ->
   type_:string ->
   (string * Json.t) list ->
   (Json.t, Protocol.error_code * string) result
 (** Build the request object ([type] + envelope + [fields]), ship it,
     and decode the response: [Ok result] or the structured error.
-    [trace_id]/[parent_span] correlate the daemon's spans with a
-    client-side trace ({!Protocol.envelope}). Raises {!Protocol_error}
+    [trace_id] correlates the daemon's spans with a client-side trace
+    ({!Protocol.envelope}). Raises {!Protocol_error}
     only when the response itself is undecodable. *)
 
 val ping : t -> bool

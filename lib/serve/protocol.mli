@@ -31,7 +31,9 @@
       the DC operating point through the engine's content-addressed
       cache, return the output voltage and solver diagnostics.
     - [transient] — [expr], optional [bit_time]/[h]: the Fig-11-style
-      exhaustive-stimulus transient of the synthesized lattice.
+      exhaustive-stimulus transient of the synthesized lattice. A
+      request of more than 20,000 steps ([2^nvars * bit_time / h], the
+      step cap of [run_deck]) answers [bad_request].
     - [yield] — [expr], optional [samples]/[sigma_vth]/[seed]:
       Monte-Carlo process-variation yield.
     - [defects] — [expr], optional [all_classes]: the circuit-level
@@ -93,7 +95,6 @@ type error_code =
   | Internal
 
 val code_name : error_code -> string
-val code_of_name : string -> error_code option
 
 val parse_request : string -> (envelope, Json.t option * error_code * string) result
 (** Frame line to validated envelope. On error, the first component is

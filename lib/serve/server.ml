@@ -1,7 +1,7 @@
 module Sp = Lattice_spice
 module Tt = Lattice_boolfn.Truthtable
 module Engine = Lattice_engine.Engine
-module Cancel = Lattice_engine.Cancel
+module Cancel = Lattice_spice.Cancel
 module Metrics = Lattice_obs.Metrics
 module Trace = Lattice_obs.Trace
 module Ring = Lattice_obs.Ring
@@ -286,15 +286,25 @@ let handle_dc_op t ~cancel ~expr ~state ~vdd =
   let answer = dc_op_answer (circuit t (memo_key ~expr ~vdd)) ~expr ~state ~solve in
   Option.get answer ()
 
+(* server-side limits: a daemon shared by many clients must not let one
+   request monopolize a worker with a million-step transient *)
+let deck_limits =
+  { Lattice_deck.Runner.max_sweep_points = 256; max_tran_steps = 20_000 }
+
 let handle_transient t ~cancel ~expr ~bit_time ~h =
   ignore t;
   let _tt, nvars, grid = grid_of_expr expr in
+  let t_stop = float_of_int (1 lsl nvars) *. bit_time in
+  (* counted as the deck path counts them, before anything is allocated *)
+  let steps = Float.ceil (t_stop /. h) in
+  if steps > float_of_int deck_limits.max_tran_steps then
+    h_reject Protocol.Bad_request "transient has %.0f steps (limit %d)" steps
+      deck_limits.max_tran_steps;
   let vdd = Sp.Lattice_circuit.default_config.Sp.Lattice_circuit.vdd in
   let lc =
     Sp.Lattice_circuit.build grid
       ~stimulus:(Sp.Lattice_circuit.exhaustive_stimulus ~vdd ~bit_time)
   in
-  let t_stop = float_of_int (1 lsl nvars) *. bit_time in
   match
     Sp.Transient.run_diag ~cancel lc.Sp.Lattice_circuit.netlist ~h ~t_stop
       ~record:[ lc.Sp.Lattice_circuit.output_node ] ()
@@ -395,11 +405,6 @@ let handle_paths ~rows ~cols =
       ("count", Json.Int count);
       ("histogram", Json.List (Array.to_list (Array.map (fun n -> Json.Int n) hist)));
     ]
-
-(* server-side deck limits: a daemon shared by many clients must not let
-   one deck monopolize a worker with a million-step transient *)
-let deck_limits =
-  { Lattice_deck.Runner.max_sweep_points = 256; max_tran_steps = 20_000 }
 
 let handle_run_deck t ~cancel ~deck ~smoke =
   match Lattice_deck.Deck.parse deck with

@@ -136,7 +136,3 @@ let f_3db response =
 let phase_at response f =
   let fs, _, phases = arrays response in
   Lattice_numerics.Interp.lookup fs phases f
-
-let magnitude_at response f =
-  let fs, mags, _ = arrays response in
-  Lattice_numerics.Interp.lookup fs mags f

@@ -60,6 +60,3 @@ val f_3db : response -> float option
 
 (** [phase_at response f] interpolates the phase at [f], degrees. *)
 val phase_at : response -> float -> float
-
-(** [magnitude_at response f] interpolates the magnitude at [f]. *)
-val magnitude_at : response -> float -> float

@@ -12,9 +12,11 @@ type t = {
 
 let none = { deadline_ns = max_int; flag = Atomic.make false; parent = None }
 
-let create ?(deadline_ns = max_int) ?parent () =
+let make ~deadline_ns parent =
   let parent = match parent with Some p when p == none -> None | p -> p in
   { deadline_ns; flag = Atomic.make false; parent }
+
+let create ?parent () = make ~deadline_ns:max_int parent
 
 let with_deadline ?parent ~seconds () =
   let now = Lattice_obs.Clock.now_ns () in
@@ -22,7 +24,12 @@ let with_deadline ?parent ~seconds () =
     if seconds >= float_of_int (max_int - now) /. 1e9 then max_int - now
     else int_of_float (Float.max 0.0 (seconds *. 1e9))
   in
-  create ~deadline_ns:(now + delta_ns) ?parent ()
+  make ~deadline_ns:(now + delta_ns) parent
+
+let of_deadline_s ?parent d =
+  match d with
+  | None -> ( match parent with Some p -> p | None -> none)
+  | Some seconds -> with_deadline ?parent ~seconds ()
 
 let cancel t = if t != none then Atomic.set t.flag true
 

@@ -33,15 +33,18 @@ val none : t
 (** The never-firing token — the default everywhere; costs one physical
     -equality test per check. *)
 
-(** [create ?deadline_ns ?parent ()] — a token that fires once the
-    monotonic clock passes [deadline_ns] (absolute,
-    {!Lattice_obs.Clock.now_ns} base), once {!cancel} is called, or
-    once [parent] fires. *)
-val create : ?deadline_ns:int -> ?parent:t -> unit -> t
+(** [create ?parent ()] — a token that fires once {!cancel} is called
+    or once [parent] fires. *)
+val create : ?parent:t -> unit -> t
 
-(** [with_deadline ?parent ~seconds ()] — [create] with the deadline
+(** [with_deadline ?parent ~seconds ()] — [create] plus a deadline
     [seconds] of wall-clock from now. [seconds <= 0] fires immediately. *)
 val with_deadline : ?parent:t -> seconds:float -> unit -> t
+
+val of_deadline_s : ?parent:t -> float option -> t
+(** [of_deadline_s ?parent d] — the token a CLI [--deadline] argument
+    means: [None] is [parent] (or {!none}), [Some s] a fresh token
+    firing [s] seconds from now, parented under [parent]. *)
 
 val cancel : t -> unit
 (** Request cancellation: every subsequent {!check} of this token (and
@@ -59,4 +62,5 @@ val check : t -> unit
     iteration, once per transient step, once per ladder rung. *)
 
 val deadline_ns : t -> int option
-(** The token's own absolute deadline, if any (ancestors not consulted). *)
+(** The token's own absolute deadline ({!Lattice_obs.Clock.now_ns}
+    base), if any (ancestors not consulted). *)

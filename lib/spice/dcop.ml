@@ -17,7 +17,6 @@ type options = {
   gmin_steps : float list;
   source_steps : int;
   damping : float;
-  conv_trace : bool;
 }
 
 let default_options =
@@ -29,7 +28,6 @@ let default_options =
     gmin_steps = [ 1e-3; 1e-5; 1e-7; 1e-9; 1e-12 ];
     source_steps = 10;
     damping = 1.0;
-    conv_trace = false;
   }
 
 type strategy =
@@ -40,15 +38,6 @@ type strategy =
   | Damped_gmin
   | Damped_source
   | Gshunt_ramp
-
-let strategy_index = function
-  | Plain -> 0
-  | Gmin_stepping -> 1
-  | Source_stepping -> 2
-  | Damped_plain -> 3
-  | Damped_gmin -> 4
-  | Damped_source -> 5
-  | Gshunt_ramp -> 6
 
 let strategy_name = function
   | Plain -> "plain"
@@ -63,7 +52,6 @@ type diagnostics = {
   strategy : strategy;
   attempts : (strategy * int) list;
   newton_iterations : int;
-  conv_trace : (strategy * float array) list;
 }
 
 type failure = {
@@ -94,19 +82,6 @@ let converged options x_old x_new =
   go 0
 
 let bump = function None -> () | Some r -> incr r
-
-(* Newton-update inf-norm, reported to the optional convergence-trace
-   hook. Only computed when a hook is installed — the plain solve path
-   pays nothing. *)
-let report_dx on_iter x x_new n =
-  match on_iter with
-  | None -> ()
-  | Some f ->
-    let m = ref 0.0 in
-    for i = 0 to n - 1 do
-      m := Float.max !m (Float.abs (x_new.(i) -. x.(i)))
-    done;
-    f !m
 
 (* KCL residual of the nonlinear system at [x]: the companion
    linearization A(x) x' = b(x) is exact at its own expansion point, so
@@ -140,7 +115,7 @@ let residual_report ~plan ?(time = 0.0) ?(gmin = default_options.gmin_final) ?(g
 (* Newton over the compiled stamp plan: allocation-free after the
    plan's first factorization (all buffers are plan-owned). On failure the
    last iterate is left in [dst] for the caller's diagnostics. *)
-let newton_into ?(gshunt = 0.0) ~plan ?iter_count ?on_iter ?(cancel = Cancel.none) netlist
+let newton_into ?(gshunt = 0.0) ~plan ?iter_count ?(cancel = Cancel.none) netlist
     ~options ~x0 ~dst ~time ~gmin ~source_scale ~caps =
   let nnodes = Netlist.num_nodes netlist in
   let n = Stamp_plan.n plan in
@@ -177,7 +152,6 @@ let newton_into ?(gshunt = 0.0) ~plan ?iter_count ?on_iter ?(cancel = Cancel.non
         if Float.abs d > options.damping then
           x_new.(i) <- x.(i) +. Float.copy_sign options.damping d
       done;
-      report_dx on_iter x x_new n;
       incr k;
       if converged options x x_new then begin
         Array.blit x_new 0 dst 0 n;
@@ -197,7 +171,7 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
     netlist =
   let n = Netlist.unknowns netlist in
   if n = 0 then begin
-    Ok ([||], { strategy = Plain; attempts = []; newton_iterations = 0; conv_trace = [] })
+    Ok ([||], { strategy = Plain; attempts = []; newton_iterations = 0 })
   end
   else begin
     Metrics.Counter.incr solves_counter;
@@ -213,24 +187,11 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
     (* last Newton iterate of the most recent failed attempt, for the
        failure diagnostics *)
     let last_x = Vec.copy x0 in
-    (* per-iteration |dx| inf-norms of the rung currently running, newest
-       first; flushed into [traces] when the rung ends *)
-    let cur_norms = ref [] in
-    let on_iter =
-      if options.conv_trace then Some (fun nrm -> cur_norms := nrm :: !cur_norms) else None
-    in
-    let traces = ref [] in
-    let record_trace tag =
-      if options.conv_trace then begin
-        traces := (tag, Array.of_list (List.rev !cur_norms)) :: !traces;
-        cur_norms := []
-      end
-    in
     let run_newton ?gshunt ~options ~count ~x0 ~gmin ~source_scale () =
       let dst = Array.make n 0.0 in
       (try
          ignore
-           (newton_into ?gshunt ~plan ~iter_count:count ?on_iter ~cancel netlist ~options ~x0
+           (newton_into ?gshunt ~plan ~iter_count:count ~cancel netlist ~options ~x0
               ~dst ~time ~gmin ~source_scale ~caps:None)
        with (Convergence_failure _ | Cancel.Cancelled _) as e ->
          Array.blit dst 0 last_x 0 n;
@@ -304,22 +265,13 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
         match attempt count () with
         | x ->
           Trace.end_span asp;
-          record_trace tag;
           attempts := (tag, !count) :: !attempts;
-          let d =
-            {
-              strategy = tag;
-              attempts = List.rev !attempts;
-              newton_iterations = total ();
-              conv_trace = List.rev !traces;
-            }
-          in
+          let d = { strategy = tag; attempts = List.rev !attempts; newton_iterations = total () } in
           Metrics.Histogram.observe newton_iter_hist (float_of_int d.newton_iterations);
           Trace.end_span sp;
           Ok (x, d)
         | exception Convergence_failure msg ->
           Trace.end_span asp;
-          record_trace tag;
           attempts := (tag, !count) :: !attempts;
           Metrics.Counter.incr fallback_counter;
           if Trace.on () then

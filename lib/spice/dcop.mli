@@ -18,10 +18,6 @@ type options = {
   gmin_steps : float list;  (** continuation ladder, largest first *)
   source_steps : int;  (** ramp points for the source-stepping fallback (default 10) *)
   damping : float;  (** max voltage change per Newton step, V (default 1.0) *)
-  conv_trace : bool;
-      (** record the per-iteration Newton update norm into
-          [diagnostics.conv_trace] (default [false]; costs one extra
-          vector pass per iteration while on) *)
 }
 
 val default_options : options
@@ -38,10 +34,6 @@ type strategy =
   | Damped_source
   | Gshunt_ramp
 
-val strategy_index : strategy -> int
-(** Position of the strategy in the ladder (0 = [Plain] .. 6 =
-    [Gshunt_ramp]). *)
-
 val strategy_name : strategy -> string
 
 type diagnostics = {
@@ -50,10 +42,6 @@ type diagnostics = {
       (** every rung tried, in order, with the Newton iterations it
           spent — failed rungs included, the winning rung last *)
   newton_iterations : int;  (** total across all attempts *)
-  conv_trace : (strategy * float array) list;
-      (** with [options.conv_trace] on: for every rung tried, the Newton
-          update inf-norm |dx| of each iteration in order (continuation
-          sub-steps concatenated); [[]] when the option is off *)
 }
 
 type failure = {
@@ -89,29 +77,24 @@ val residual_report :
     matrix and RHS buffers, so call it between solves, never inside
     one. *)
 
-(** [newton_into ~plan netlist ~options ~x0 ~dst ~time ~gmin
-    ~source_scale ~caps] runs plain Newton at a fixed continuation point
-    ([gshunt] adds a node-to-ground conductance, default 0) over [plan],
-    the stamp plan compiled from [netlist], writing the solution into the
-    caller-supplied [dst] (length = unknowns; may alias [x0]) and
-    returning the number of Newton iterations spent; raises
-    [Convergence_failure] if it does not converge. With a warm [plan]
-    this performs no allocation at all — the transient inner loop runs
-    on it. When it raises [Convergence_failure], [dst] holds the last
-    Newton iterate, so callers can produce residual diagnostics at the
-    failure point. [iter_count] is incremented once per iteration as it
-    happens, so iterations spent in attempts that end in
-    [Convergence_failure] are still counted. [on_iter] is called once
-    per iteration with the damped update's inf-norm |dx| (the
-    convergence-trace hook; the norm is only computed when the hook is
-    present). [cancel] is checked at every iteration boundary; a fired
-    token raises {!Cancel.Cancelled} with the last iterate left in
-    [dst]. *)
+(** [newton_into ~plan netlist ~options ~x0 ~dst ~time ~gmin ~source_scale
+    ~caps] runs plain Newton at a fixed continuation point ([gshunt] adds
+    a node-to-ground conductance, default 0) over [plan], the stamp plan
+    compiled from [netlist], writing the solution into the caller-supplied
+    [dst] (length = unknowns; may alias [x0]) and returning the number of
+    Newton iterations spent; raises [Convergence_failure] if it does not
+    converge. With a warm [plan] this performs no allocation at all — the
+    transient inner loop runs on it. When it raises [Convergence_failure],
+    [dst] holds the last Newton iterate, so callers can produce residual
+    diagnostics at the failure point. [iter_count] is incremented once per
+    iteration as it happens, so iterations spent in attempts that end in
+    [Convergence_failure] are still counted. [cancel] is checked at every
+    iteration boundary; a fired token raises {!Cancel.Cancelled} with the
+    last iterate left in [dst]. *)
 val newton_into :
   ?gshunt:float ->
   plan:Stamp_plan.t ->
   ?iter_count:int ref ->
-  ?on_iter:(float -> unit) ->
   ?cancel:Cancel.t ->
   Netlist.t ->
   options:options ->

@@ -37,8 +37,6 @@ type kind =
 type t = { row : int; col : int; kind : kind }
 (** One defect at one lattice site. *)
 
-val kind_name : kind -> string
-
 val name : t -> string
 (** Human-readable defect id, e.g. ["(1,2) bridge-NE"]. *)
 

@@ -23,13 +23,9 @@ val edge_between : float array -> float array -> from_level:float -> to_level:fl
 (** [value_at times values t] interpolates the waveform at [t]. *)
 val value_at : float array -> float array -> float -> float
 
-(** [integral times values] is the trapezoidal integral of the waveform
-    over its full time span (e.g. supply charge from a current
-    waveform). *)
-val integral : float array -> float array -> float
-
 (** [energy_from_supply ~vdd times supply_current] integrates
-    [vdd * -i(t)] — the energy delivered by a source whose branch current
+    [vdd * -i(t)] by the trapezoidal rule over the full time span — the
+    energy delivered by a source whose branch current
     is recorded with the "into the + terminal" sign convention. *)
 val energy_from_supply : vdd:float -> float array -> float array -> float
 

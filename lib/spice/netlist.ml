@@ -96,9 +96,6 @@ let isource t name npos nneg wave = add t (Isource { name; npos; nneg; wave })
 let mosfet_model t name ~drain ~gate ~source model =
   add t (Mosfet { name; drain; gate; source; model })
 
-let mosfet t name ~drain ~gate ~source params =
-  mosfet_model t name ~drain ~gate ~source (Lattice_mosfet.Model.L1 params)
-
 let num_nodes t = t.next_node - 1
 let num_vsources t = t.nvsrc
 let unknowns t = num_nodes t + num_vsources t

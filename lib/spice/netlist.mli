@@ -48,17 +48,14 @@ val capacitor : t -> string -> node -> node -> float -> unit
 val vsource : t -> string -> node -> node -> Source.t -> unit
 val isource : t -> string -> node -> node -> Source.t -> unit
 
-(** [mosfet] adds a level-1 transistor; [mosfet_model] accepts any
-    first-class model (level 1 or level 3). *)
-val mosfet : t -> string -> drain:node -> gate:node -> source:node -> Lattice_mosfet.Level1.params -> unit
-
+(** [mosfet_model] adds a transistor of any first-class model (level 1
+    or level 3). *)
 val mosfet_model : t -> string -> drain:node -> gate:node -> source:node -> Lattice_mosfet.Model.t -> unit
 
-(** [num_nodes t] counts non-ground nodes; [num_vsources t] the voltage
-    sources; [unknowns t] the MNA system size. *)
+(** [num_nodes t] counts non-ground nodes; [unknowns t] the MNA system
+    size: nodes plus voltage-source branch currents. *)
 val num_nodes : t -> int
 
-val num_vsources : t -> int
 val unknowns : t -> int
 
 (** [elements t] lists elements in insertion order. *)

@@ -1,7 +1,6 @@
 type t = { netlist : Netlist.t; supply_index : int }
 
-let build ~n ?(types = Fts.default_types) ?(gate_v = 1.2) ?(terminal_cap = Fts.default_terminal_cap)
-    ~v_top () =
+let build ~n ~gate_v ~v_top =
   if n < 1 then invalid_arg "Series_chain.build: need at least one switch";
   let ckt = Netlist.create () in
   let gate = Netlist.node ckt "gate" in
@@ -20,21 +19,23 @@ let build ~n ?(types = Fts.default_types) ?(gate_v = 1.2) ?(terminal_cap = Fts.d
       ~east:(Netlist.node ckt (Printf.sprintf "e_%d" k))
       ~south:(chain_node (k + 1))
       ~west:(Netlist.node ckt (Printf.sprintf "w_%d" k))
-      ~gate ~terminal_cap types
+      ~gate ~terminal_cap:Fts.default_terminal_cap Fts.default_types
   done;
   { netlist = ckt; supply_index = 1 }
 
-let current ~n ?types ?gate_v ~v_top () =
-  let chain = build ~n ?types ?gate_v ~v_top () in
+let chain_current ~n ~gate_v ~v_top =
+  let chain = build ~n ~gate_v ~v_top in
   let x = Dcop.solve chain.netlist in
   (* branch current positive into the source's + terminal; conduction pulls
      current out of the top node, so negate *)
   -.x.(Netlist.vsource_row chain.netlist chain.supply_index)
 
+let current ~n ~v_top () = chain_current ~n ~gate_v:1.2 ~v_top
+
 (* Fig 12b sweeps the supply, which drives the gates too (the chain would
    otherwise saturate once internal nodes rise above VG - Vth); the gate is
    therefore tied to the swept voltage. *)
-let voltage_for_current ~n ?types ?gate_v:_ ~i_target () =
+let voltage_for_current ~n ~i_target () =
   if i_target <= 0.0 then invalid_arg "Series_chain.voltage_for_current: target must be positive";
-  let f v = current ~n ?types ~gate_v:v ~v_top:v () -. i_target in
+  let f v = chain_current ~n ~gate_v:v ~v_top:v -. i_target in
   Lattice_numerics.Interp.bisect f 0.0 20.0 ~tol:1e-4

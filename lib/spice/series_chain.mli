@@ -1,34 +1,18 @@
 (** Series-connected four-terminal switches — the drive-strength experiment
     of paper Fig 12.
 
-    [n] switches are stacked vertically (north of switch k+1 = south of
-    switch k); every gate is tied to the gate bias (1.2 V in the paper so
-    all switches are ON), the bottom terminal is grounded and a voltage
+    [n] switches ({!Fts.default_types}, 1 fF terminal caps) are stacked
+    vertically (north of switch k+1 = south of switch k); every gate is
+    tied to the gate bias, the bottom terminal is grounded and a voltage
     source drives the top terminal. *)
 
-type t = {
-  netlist : Netlist.t;
-  supply_index : int;  (** voltage-source index of the top driver *)
-}
+(** [current ~n ~v_top ()] is the DC current drawn through the chain at
+    the given top voltage with the gates at 1.2 V, so every switch is ON
+    (positive for conduction), A — one point of Fig 12a. Raises
+    [Invalid_argument] when [n < 1]. *)
+val current : n:int -> v_top:float -> unit -> float
 
-(** [build ~n ?types ?gate_v ?terminal_cap ~v_top ()] constructs the chain.
-    Defaults: [Fts.default_types], [gate_v = 1.2], 1 fF terminal caps. *)
-val build :
-  n:int ->
-  ?types:Fts.mosfet_types ->
-  ?gate_v:float ->
-  ?terminal_cap:float ->
-  v_top:float ->
-  unit ->
-  t
-
-(** [current ~n ?types ?gate_v ~v_top ()] is the DC current drawn through
-    the chain at the given top voltage (positive for conduction), A —
-    one point of Fig 12a. *)
-val current : n:int -> ?types:Fts.mosfet_types -> ?gate_v:float -> v_top:float -> unit -> float
-
-(** [voltage_for_current ~n ?types ?gate_v ~i_target ()] finds by bisection
-    the top voltage at which the chain conducts [i_target] — one point of
-    Fig 12b. Searches in [0 .. 20 V]. *)
-val voltage_for_current :
-  n:int -> ?types:Fts.mosfet_types -> ?gate_v:float -> i_target:float -> unit -> float
+(** [voltage_for_current ~n ~i_target ()] finds by bisection the top
+    voltage at which the chain conducts [i_target], with the gates tied
+    to that voltage — one point of Fig 12b. Searches in [0 .. 20 V]. *)
+val voltage_for_current : n:int -> i_target:float -> unit -> float

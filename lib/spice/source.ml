@@ -58,22 +58,10 @@ let value w t =
       +. amplitude *. Float.exp (-.damping *. tau)
          *. Float.sin (2.0 *. Float.pi *. freq *. tau)
 
-(* a SPICE pulse rises right after [delay]; delaying by half a period makes
-   the wave spend its first half-period at [low] *)
-let square_wave ~low ~high ~period ?transition () =
-  let tr = match transition with Some t -> t | None -> period /. 100.0 in
-  Pulse
-    {
-      v1 = low;
-      v2 = high;
-      delay = period /. 2.0;
-      rise = tr;
-      fall = tr;
-      width = (period /. 2.0) -. tr;
-      period;
-    }
-
 let bit_clock ~vdd ~bit_time ~bit_index () =
   if bit_index < 0 then invalid_arg "Source.bit_clock: negative bit index";
   let half = bit_time *. float_of_int (1 lsl bit_index) in
-  square_wave ~low:0.0 ~high:vdd ~period:(2.0 *. half) ~transition:(bit_time /. 50.0) ()
+  let tr = bit_time /. 50.0 in
+  (* a SPICE pulse rises right after [delay]; delaying by half a period
+     makes the wave spend its first half-period low *)
+  Pulse { v1 = 0.0; v2 = vdd; delay = half; rise = tr; fall = tr; width = half -. tr; period = 2.0 *. half }

@@ -23,12 +23,9 @@ type t =
 (** [value w t] evaluates the waveform at time [t >= 0]. *)
 val value : t -> float -> float
 
-(** [square_wave ~low ~high ~period ?transition ()] is a 50%-duty pulse
-    train starting low; [transition] defaults to [period /. 100]. *)
-val square_wave : low:float -> high:float -> period:float -> ?transition:float -> unit -> t
-
 (** [bit_clock ~vdd ~bit_time ~bit_index ()] is the classic binary-counter
-    stimulus: input [bit_index] toggles every [2^bit_index] bit times, so
-    driving inputs 0..k-1 walks through all [2^k] input combinations — the
-    Fig 11 XOR3 stimulus. Transitions take [bit_time / 50]. *)
+    stimulus, a 50%-duty pulse train from 0 to [vdd] that starts low:
+    input [bit_index] toggles every [2^bit_index] bit times, so driving
+    inputs 0..k-1 walks through all [2^k] input combinations — the Fig 11
+    XOR3 stimulus. Transitions take [bit_time / 50]. *)
 val bit_clock : vdd:float -> bit_time:float -> bit_index:int -> unit -> t

@@ -10,10 +10,13 @@ let step_dt_hist = Metrics.histogram "transient.step.dt"
 (* same registry instrument Dcop feeds for operating-point solves *)
 let newton_iter_hist = Metrics.histogram "newton.iterations"
 
-type options = { integrator : integrator; dc : Dcop.options; max_step_halvings : int }
+type options = { integrator : integrator; dc : Dcop.options }
 
-let default_options =
-  { integrator = Trapezoidal; dc = Dcop.default_options; max_step_halvings = 8 }
+let default_options = { integrator = Trapezoidal; dc = Dcop.default_options }
+
+(* a step whose Newton solve still fails after this many halvings fails
+   the run *)
+let halving_limit = 8
 
 type step_stats = {
   dc_strategy : Dcop.strategy option;
@@ -237,7 +240,7 @@ let run_diag ?(options = default_options) ?(cancel = Cancel.none) netlist ~h ~t_
         first_step := false
       | exception Dcop.Convergence_failure msg ->
         newton_total := !newton_total + !step_iters;
-        if halvings_here >= options.max_step_halvings then begin
+        if halvings_here >= halving_limit then begin
           (* [dst] holds the last Newton iterate of the failed step *)
           let residual_norm, worst_nodes =
             Dcop.residual_report ~plan netlist ~x:!x_next ~time:(t +. dt)

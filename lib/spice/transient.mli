@@ -5,7 +5,7 @@
     models; the first step after DC always uses backward Euler (no history
     for the trapezoidal rule), subsequent steps use the selected
     integrator. On a Newton failure the step is retried with halved step
-    size (up to [max_step_halvings]).
+    size, up to 8 times.
 
     {!run_diag} returns a structured outcome carrying step statistics and,
     on failure, a {!Dcop.failure} diagnostic; the legacy {!run} is a thin
@@ -13,11 +13,7 @@
 
 type integrator = Backward_euler | Trapezoidal
 
-type options = {
-  integrator : integrator;
-  dc : Dcop.options;
-  max_step_halvings : int;  (** default 8 *)
-}
+type options = { integrator : integrator; dc : Dcop.options }
 
 val default_options : options
 
@@ -66,19 +62,18 @@ val signal : result -> string -> float array
     [Invalid_argument] naming the unknown source and the recorded names. *)
 val branch_current : result -> string -> float array
 
-val sample_times : h:float -> t_stop:float -> float array
-(** The time grid [run] simulates: uniform steps of [h], with the final
-    sample pinned to exactly [t_stop]. When [t_stop] is not an integer
-    multiple of [h] (beyond 1e-6 relative tolerance) the grid gains one
-    final {e partial} step instead of silently rounding the duration. *)
-
 (** [run_diag ?options ?cancel netlist ~h ~t_stop ~record
     ?record_currents ()] simulates from 0 to [t_stop] with step [h] and
     never raises on convergence trouble: [Error failure] pinpoints the
     failing step and carries the residual diagnostics. [cancel] is
     checked at every step (and every Newton iteration inside it); a
     fired token raises {!Cancel.Cancelled} — a deadline aborts the run
-    instead of being mistaken for a convergence failure. *)
+    instead of being mistaken for a convergence failure.
+
+    The time grid has uniform steps of [h], with the final sample pinned
+    to exactly [t_stop]. When [t_stop] is not an integer multiple of [h]
+    (beyond 1e-6 relative tolerance) the grid gains one final partial
+    step instead of silently rounding the duration. *)
 val run_diag :
   ?options:options ->
   ?cancel:Cancel.t ->

@@ -106,13 +106,6 @@ let find_with_pins ~rows ~cols ?(alphabet = Literals_only) ~pins target =
 
 let find ~rows ~cols ?alphabet target = find_with_pins ~rows ~cols ?alphabet ~pins:[] target
 
-let count_solutions ~rows ~cols ?(alphabet = Literals_only) ?limit target =
-  let count = ref 0 in
-  search ~rows ~cols ~alphabet ~pins:[] target (fun _ _ ->
-      incr count;
-      match limit with Some l -> !count >= l | None -> false);
-  !count
-
 let minimal ?(alphabet = Literals_only) ?(max_area = 9) target =
   let candidates =
     List.concat_map
@@ -134,8 +127,8 @@ let minimal ?(alphabet = Literals_only) ?(max_area = 9) target =
 module Sp = Lattice_spice
 module Engine = Lattice_engine.Engine
 
-let validate_circuit ?engine ?(config = Sp.Lattice_circuit.default_config)
-    ?(dc = Sp.Dcop.default_options) grid ~target =
+let validate_circuit ?engine grid ~target =
+  let config = Sp.Lattice_circuit.default_config in
   let nvars = Tt.nvars target in
   if nvars > 5 then invalid_arg "Exhaustive.validate_circuit: too many inputs";
   let engine = Engine.or_fresh engine in
@@ -144,12 +137,12 @@ let validate_circuit ?engine ?(config = Sp.Lattice_circuit.default_config)
      workspace, which must stay on one domain *)
   let validate _ =
     let output_at =
-      Engine.lattice_output engine ~options:dc
+      Engine.lattice_output engine
         (Sp.Lattice_circuit.build ~config grid ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd 0))
     in
     List.for_all
       (fun m ->
-        match output_at ~cancel:Lattice_engine.Cancel.none m with
+        match output_at ~cancel:Lattice_spice.Cancel.none m with
         | Error _ -> false
         | Ok (v, _) ->
           (* pull-down lattice: the circuit output is the complement of

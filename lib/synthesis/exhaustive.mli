@@ -52,25 +52,16 @@ val find_with_pins :
   Lattice_boolfn.Truthtable.t ->
   Lattice_core.Grid.t option
 
-(** [count_solutions ~rows ~cols ?alphabet ?limit target] counts realizing
-    grids, stopping at [limit] if given. *)
-val count_solutions :
-  rows:int ->
-  cols:int ->
-  ?alphabet:alphabet ->
-  ?limit:int ->
-  Lattice_boolfn.Truthtable.t ->
-  int
-
 (** [minimal ?alphabet ?max_area target] tries candidate dimensions in
     order of increasing area (ties: fewer rows first) up to [max_area]
     (default 9) and returns the first hit with its dimensions. *)
 val minimal :
   ?alphabet:alphabet -> ?max_area:int -> Lattice_boolfn.Truthtable.t -> (Lattice_core.Grid.t * int * int) option
 
-(** [validate_circuit ?engine ?config ?dc grid ~target] checks the
-    switch-level realization of [grid]: the nominal lattice circuit is
-    built once and DC-solved at every input state, and the output must
+(** [validate_circuit ?engine grid ~target] checks the switch-level
+    realization of [grid]: the nominal lattice circuit (default config)
+    is built once and DC-solved at every input state with the default
+    solver options, and the output must
     be boolean-correct (the complement of [target], since the lattice is
     a pull-down network) against the [vdd/2] threshold. Convergence
     failure at any state counts as invalid; the check stops at the first
@@ -86,8 +77,6 @@ val minimal :
     count. *)
 val validate_circuit :
   ?engine:Lattice_engine.Engine.t ->
-  ?config:Lattice_spice.Lattice_circuit.config ->
-  ?dc:Lattice_spice.Dcop.options ->
   Lattice_core.Grid.t ->
   target:Lattice_boolfn.Truthtable.t ->
   bool

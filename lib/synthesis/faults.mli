@@ -19,23 +19,9 @@ type kind = Stuck_off | Stuck_on
 
 type fault = { row : int; col : int; kind : kind }
 
-(** [all_faults grid] is every single fault, 2 per site. *)
-val all_faults : Lattice_core.Grid.t -> fault list
-
-(** [inject grid fault] is the faulty lattice (the site replaced by a
-    constant). *)
-val inject : Lattice_core.Grid.t -> fault -> Lattice_core.Grid.t
-
-(** [detecting_vectors grid fault] lists the assignments (over
-    [Grid.nvars grid] inputs) on which the faulty and fault-free lattices
-    disagree; empty means undetectable (logically masked). *)
-val detecting_vectors : Lattice_core.Grid.t -> fault -> int list
-
-(** [is_detectable grid fault] is [detecting_vectors grid fault <> []]. *)
-val is_detectable : Lattice_core.Grid.t -> fault -> bool
-
-(** [detects grid fault vector] checks one vector against one fault without
-    materializing the full detecting-vector list. *)
+(** [detects grid fault vector] is [true] when the lattice with the fault
+    injected (the site replaced by its constant) and the fault-free one
+    disagree on [vector]. *)
 val detects : Lattice_core.Grid.t -> fault -> int -> bool
 
 type analysis = {
@@ -45,12 +31,13 @@ type analysis = {
   test_set : int list;  (** greedy-minimal vectors covering every detectable fault *)
 }
 
-(** [analyze grid] runs the full single-fault campaign. *)
+(** [analyze grid] runs the full single-fault campaign: every site stuck
+    OFF and stuck ON, each fault detectable when some assignment over
+    [Grid.nvars grid] inputs tells the two lattices apart. *)
 val analyze : Lattice_core.Grid.t -> analysis
 
 (** [coverage grid ~vectors] is the fraction of detectable faults caught by
     the given vectors (1.0 when [vectors] is a complete test set). *)
 val coverage : Lattice_core.Grid.t -> vectors:int list -> float
 
-val kind_name : kind -> string
 val fault_name : fault -> string

@@ -1,6 +1,4 @@
 module Grid = Lattice_core.Grid
-module Sop = Lattice_boolfn.Sop
-module Cube = Lattice_boolfn.Cube
 module Tt = Lattice_boolfn.Truthtable
 
 let a = 0
@@ -38,15 +36,6 @@ let xnor3_3x3 =
 let maj3_2x3 =
   Grid.create 2 3 [| lit a true; lit a true; lit b true; lit b true; lit c true; lit c true |]
 
-let xor3_sop =
-  Sop.of_cubes 3
-    [
-      Cube.of_literals [ (a, true); (b, true); (c, true) ];
-      Cube.of_literals [ (a, true); (b, false); (c, false) ];
-      Cube.of_literals [ (a, false); (b, true); (c, false) ];
-      Cube.of_literals [ (a, false); (b, false); (c, true) ];
-    ]
-
 let xor3 = Tt.xor_n 3
 
-let abc_names i = Sop.alpha_names i
+let abc_names i = Lattice_boolfn.Sop.alpha_names i

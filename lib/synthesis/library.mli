@@ -19,10 +19,6 @@ val xnor3_3x3 : Lattice_core.Grid.t
 (** 3-input majority (the classic lattice-friendly function) on 2 x 3. *)
 val maj3_2x3 : Lattice_core.Grid.t
 
-(** The paper's XOR3 sum of products:
-    [out = abc + a b' c' + a' b c' + a' b' c]. *)
-val xor3_sop : Lattice_boolfn.Sop.t
-
 (** The XOR3 truth table (parity of 3). *)
 val xor3 : Lattice_boolfn.Truthtable.t
 

@@ -5,7 +5,3 @@
     The grid may mention fewer variables than [target]; the comparison runs
     over [Truthtable.nvars target] inputs. *)
 val realizes : Lattice_core.Grid.t -> Lattice_boolfn.Truthtable.t -> bool
-
-(** [counterexample grid target] is [Some assignment] witnessing a
-    disagreement, or [None] when [realizes grid target]. *)
-val counterexample : Lattice_core.Grid.t -> Lattice_boolfn.Truthtable.t -> int option

@@ -6,13 +6,18 @@ module Tt = Lattice_boolfn.Truthtable
 module Qm = Lattice_boolfn.Qm
 module Expr = Lattice_boolfn.Expr
 
+let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+let cube_size (c : Cube.t) = popcount (c.Cube.pos lor c.Cube.neg)
+let literal_count f = List.fold_left (fun acc c -> acc + cube_size c) 0 (Sop.cubes f)
+let of_minterms nvars ms = Tt.create nvars (fun m -> List.mem m ms)
+
 (* --- Cube --------------------------------------------------------------- *)
 
 let test_cube_literals () =
   let c = Cube.of_literals [ (2, true); (0, false); (5, true) ] in
-  Alcotest.(check (list (pair int bool)))
-    "literals sorted" [ (0, false); (2, true); (5, true) ] (Cube.literals c);
-  Alcotest.(check int) "size" 3 (Cube.size c);
+  Alcotest.(check (pair int int)) "masks" (0b100100, 0b1) (c.Cube.pos, c.Cube.neg);
+  Alcotest.(check int) "size" 3 (cube_size c);
+  (* rendered in increasing variable order *)
   Alcotest.(check string) "render" "a' c f" (Cube.to_string ~names:Sop.alpha_names c)
 
 let test_cube_contradiction () =
@@ -22,7 +27,7 @@ let test_cube_contradiction () =
     | _ -> false);
   (* idempotent repetition is fine *)
   let c = Cube.of_literals [ (1, true); (1, true) ] in
-  Alcotest.(check int) "idempotent" 1 (Cube.size c)
+  Alcotest.(check int) "idempotent" 1 (cube_size c)
 
 let test_cube_eval () =
   let c = Cube.of_literals [ (0, true); (1, false) ] in
@@ -69,7 +74,7 @@ let test_sop_constants () =
 let test_sop_counts () =
   let f = Sop.of_cubes 3 [ Cube.of_literals [ (0, true); (1, false) ]; Cube.of_literals [ (2, true) ] ] in
   Alcotest.(check int) "products" 2 (Sop.product_count f);
-  Alcotest.(check int) "literals" 3 (Sop.literal_count f)
+  Alcotest.(check int) "literals" 3 (literal_count f)
 
 let random_sop_gen =
   let open QCheck2.Gen in
@@ -78,18 +83,7 @@ let random_sop_gen =
 
 let prop_absorb_preserves_semantics =
   QCheck2.Test.make ~name:"Sop.absorb preserves the function" ~count:300 random_sop_gen (fun f ->
-      Sop.equal_semantically f (Sop.absorb f))
-
-let prop_disjunction_semantics =
-  QCheck2.Test.make ~name:"Sop.disjunction = pointwise or" ~count:200
-    QCheck2.Gen.(pair random_sop_gen random_sop_gen)
-    (fun (a, b) ->
-      let d = Sop.disjunction a b in
-      let ok = ref true in
-      for m = 0 to 15 do
-        if not (Bool.equal (Sop.eval d m) (Sop.eval a m || Sop.eval b m)) then ok := false
-      done;
-      !ok)
+      Tt.equal (Oracle.tt_of_sop f) (Oracle.tt_of_sop (Sop.absorb f)))
 
 (* --- Truthtable --------------------------------------------------------- *)
 
@@ -105,13 +99,13 @@ let test_tt_xor_majority () =
     (fun () -> ignore (Tt.majority_n 4))
 
 let test_tt_self_dual () =
-  Alcotest.(check bool) "xor3 self-dual" true (Tt.is_self_dual (Tt.xor_n 3));
-  Alcotest.(check bool) "maj3 self-dual" true (Tt.is_self_dual (Tt.majority_n 3));
-  Alcotest.(check bool) "and2 not self-dual" false
-    (Tt.is_self_dual (Tt.create 2 (fun m -> m = 3)))
+  let self_dual t = Tt.equal (Tt.dual t) t in
+  Alcotest.(check bool) "xor3 self-dual" true (self_dual (Tt.xor_n 3));
+  Alcotest.(check bool) "maj3 self-dual" true (self_dual (Tt.majority_n 3));
+  Alcotest.(check bool) "and2 not self-dual" false (self_dual (Tt.create 2 (fun m -> m = 3)))
 
 let test_tt_minterms () =
-  let t = Tt.of_minterms 3 [ 1; 5; 2 ] in
+  let t = of_minterms 3 [ 1; 5; 2 ] in
   Alcotest.(check (list int)) "minterms sorted" [ 1; 2; 5 ] (Tt.minterms t)
 
 let tt_gen nvars =
@@ -130,40 +124,40 @@ let prop_complement_involution =
 
 let test_qm_known () =
   (* f = a b + a b' = a *)
-  let t = Tt.of_minterms 2 [ 1; 3 ] in
+  let t = of_minterms 2 [ 1; 3 ] in
   let f = Qm.cover t in
   Alcotest.(check int) "single product" 1 (Sop.product_count f);
   Alcotest.(check string) "a" "a" (Sop.to_string ~names:Sop.alpha_names f)
 
 let test_qm_xor () =
   (* XOR needs both minterms; nothing merges *)
-  let t = Tt.of_minterms 2 [ 1; 2 ] in
+  let t = of_minterms 2 [ 1; 2 ] in
   let f = Qm.cover t in
   Alcotest.(check int) "two products" 2 (Sop.product_count f);
-  Alcotest.(check int) "four literals" 4 (Sop.literal_count f)
+  Alcotest.(check int) "four literals" 4 (literal_count f)
 
 let test_qm_classic () =
   (* classic example: minterms 0,1,2,5,6,7 of 3 vars minimizes to 3 pairs *)
-  let t = Tt.of_minterms 3 [ 0; 1; 2; 5; 6; 7 ] in
+  let t = of_minterms 3 [ 0; 1; 2; 5; 6; 7 ] in
   let f = Qm.cover t in
-  Alcotest.(check bool) "cover exact" true (Tt.equal (Tt.of_sop f) t);
+  Alcotest.(check bool) "cover exact" true (Tt.equal (Oracle.tt_of_sop f) t);
   Alcotest.(check int) "three products" 3 (Sop.product_count f)
 
 let prop_qm_cover_exact =
   QCheck2.Test.make ~name:"Qm.cover computes the same function" ~count:300 (tt_gen 4) (fun t ->
-      Tt.equal (Tt.of_sop (Qm.cover t)) t)
+      Tt.equal (Oracle.tt_of_sop (Qm.cover t)) t)
 
+(* the cover is built from prime implicants, so each of its cubes implies f *)
 let prop_qm_primes_are_implicants =
   QCheck2.Test.make ~name:"Qm prime implicants imply f" ~count:200 (tt_gen 3) (fun t ->
       List.for_all
-        (fun imp ->
-          let c = Qm.cube_of_implicant 3 imp in
+        (fun c ->
           let ok = ref true in
           for m = 0 to 7 do
             if Cube.eval c m && not (Tt.eval t m) then ok := false
           done;
           !ok)
-        (Qm.prime_implicants t))
+        (Sop.cubes (Qm.cover t)))
 
 (* --- Expr --------------------------------------------------------------- *)
 
@@ -201,7 +195,8 @@ let test_expr_errors () =
     [ "a +"; "(a"; "a b )"; "&"; "'a"; "a $ b" ]
 
 let test_expr_sop_of_string () =
-  let sop, names = Expr.sop_of_string "a b + a b' " in
+  let ast, names = Expr.parse "a b + a b' " in
+  let sop = Qm.cover (Expr.to_truthtable ast ~nvars:(Array.length names)) in
   Alcotest.(check int) "minimized to a" 1 (Sop.product_count sop);
   Alcotest.(check string) "var name" "a" names.(0)
 
@@ -226,7 +221,6 @@ let () =
           Alcotest.test_case "constants" `Quick test_sop_constants;
           Alcotest.test_case "counts" `Quick test_sop_counts;
           qc prop_absorb_preserves_semantics;
-          qc prop_disjunction_semantics;
         ] );
       ( "truthtable",
         [

@@ -9,8 +9,8 @@ let check_close msg tol a b = Alcotest.(check (float tol)) msg a b
 
 let test_permittivity_ordering () =
   Alcotest.(check bool) "HfO2 > SiO2" true
-    (D.Material.relative_permittivity D.Material.HfO2
-     > D.Material.relative_permittivity D.Material.SiO2)
+    (D.Material.oxide_capacitance D.Material.HfO2 ~tox:30e-9
+     > D.Material.oxide_capacitance D.Material.SiO2 ~tox:30e-9)
 
 let test_oxide_capacitance () =
   let c_sio2 = D.Material.oxide_capacitance D.Material.SiO2 ~tox:30e-9 in
@@ -20,15 +20,9 @@ let test_oxide_capacitance () =
   in
   check_close "HfO2/SiO2 Cox ratio = k ratio" 1e-9 (25.0 /. 3.9) ratio
 
-let test_eot () =
-  check_close "EOT of HfO2 30nm" 1e-12 (30e-9 *. 3.9 /. 25.0) (D.Material.eot D.Material.HfO2 ~tox:30e-9);
-  check_close "EOT of SiO2 is tox" 1e-15 30e-9 (D.Material.eot D.Material.SiO2 ~tox:30e-9)
-
 let test_material_names () =
-  Alcotest.(check string) "HfO2" "HfO2" (D.Material.name (D.Material.of_name "hfo2"));
-  Alcotest.(check string) "SiO2" "SiO2" (D.Material.name (D.Material.of_name "SIO2"));
-  Alcotest.(check bool) "unknown rejected" true
-    (match D.Material.of_name "al2o3" with exception Invalid_argument _ -> true | _ -> false)
+  Alcotest.(check string) "HfO2" "HfO2" (D.Material.name D.Material.HfO2);
+  Alcotest.(check string) "SiO2" "SiO2" (D.Material.name D.Material.SiO2)
 
 let test_fermi_potential () =
   (* phi_F = VT ln(1e17/1.5e10) ~ 0.407 V *)
@@ -50,15 +44,15 @@ let test_geometry_table2 () =
   Alcotest.(check bool) "square is enhancement" false (D.Geometry.is_depletion s)
 
 let test_geometry_symmetry () =
+  (* the relative spread of the opposite-pair and adjacent-pair channel
+     lengths: the cross device is the more symmetric one *)
+  let spread g = (g.D.Geometry.l_opposite -. g.D.Geometry.l_adjacent) /. g.D.Geometry.l_adjacent in
   Alcotest.(check bool) "cross more symmetric than square" true
-    (D.Geometry.symmetry_spread D.Geometry.cross < D.Geometry.symmetry_spread D.Geometry.square)
+    (spread D.Geometry.cross < spread D.Geometry.square)
 
 let test_shape_names () =
-  List.iter
-    (fun shape ->
-      Alcotest.(check bool) "roundtrip" true
-        (D.Geometry.shape_of_name (D.Geometry.shape_name shape) = shape))
-    [ D.Geometry.Square; D.Geometry.Cross; D.Geometry.Junctionless ]
+  Alcotest.(check (list string)) "names" [ "square"; "cross"; "junctionless" ]
+    (List.map D.Geometry.shape_name [ D.Geometry.Square; D.Geometry.Cross; D.Geometry.Junctionless ])
 
 (* --- Threshold ------------------------------------------------------------- *)
 
@@ -135,7 +129,14 @@ let test_op_case_invalid () =
 
 (* --- Device_model ------------------------------------------------------------ *)
 
-let model shape dielectric = D.Device_model.make ~geometry:(D.Geometry.of_shape shape) ~dielectric
+let model shape dielectric =
+  let geometry =
+    match shape with
+    | D.Geometry.Square -> D.Geometry.square
+    | D.Geometry.Cross -> D.Geometry.cross
+    | D.Geometry.Junctionless -> D.Geometry.junctionless
+  in
+  D.Device_model.make ~geometry ~dielectric
 
 let within_order msg expected actual =
   Alcotest.(check bool)
@@ -197,8 +198,9 @@ let test_junctionless_cap () =
 let test_subthreshold_continuity () =
   (* no large jump across vth *)
   let m = model D.Geometry.Square D.Material.HfO2 in
-  let below = D.Device_model.pair_current m ~opposite:false ~vgs:(m.D.Device_model.vth -. 1e-5) ~vds:5.0 in
-  let above = D.Device_model.pair_current m ~opposite:false ~vgs:(m.D.Device_model.vth +. 1e-5) ~vds:5.0 in
+  let drain vgs = (D.Device_model.terminal_currents m ~case:D.Op_case.dsss ~vgs ~vds:5.0).(0) in
+  let below = drain (m.D.Device_model.vth -. 1e-5) in
+  let above = drain (m.D.Device_model.vth +. 1e-5) in
   Alcotest.(check bool) "same order across vth" true
     (below > 0.0 && above >= 0.0 && below < 1e-5)
 
@@ -206,8 +208,7 @@ let test_subthreshold_continuity () =
 
 let test_sweep_monotone () =
   let m = model D.Geometry.Square D.Material.HfO2 in
-  let curves = D.Sweep.ids_vgs m ~case:D.Op_case.dsss ~vds:5.0 ~points:26 in
-  match curves with
+  match (D.Sweep.standard m).D.Sweep.ids_vgs_high with
   | t1 :: _ ->
     let ys = t1.D.Sweep.ys in
     for i = 1 to Array.length ys - 1 do
@@ -240,12 +241,12 @@ let test_junctionless_flat_saturation () =
   (* Fig 7b/c: the junctionless drain current pins at the bulk ceiling over
      most of the sweep *)
   let m = model D.Geometry.Junctionless D.Material.HfO2 in
-  let curves = D.Sweep.ids_vds m ~case:D.Op_case.dsss ~vgs:5.0 ~points:26 in
-  match curves with
+  (* the standard VGS = 5 V sweep: 51 points from 0 to 5 V *)
+  match (D.Sweep.standard m).D.Sweep.ids_vds with
   | t1 :: _ ->
     let ys = t1.D.Sweep.ys in
-    let last = ys.(25) in
-    let at_1v = ys.(5) in
+    let last = ys.(50) in
+    let at_1v = ys.(10) in
     Alcotest.(check bool)
       (Printf.sprintf "flat: I(1V)=%.3g ~ I(5V)=%.3g" at_1v last)
       true
@@ -321,12 +322,11 @@ let test_field_gate_control () =
 let test_field_solver_dispatch () =
   let v = D.Presets.find ~shape:D.Geometry.Square ~dielectric:D.Material.HfO2 in
   let small = D.Field2d.solve ~n:24 v ~case:D.Op_case.dsss ~vgs:5.0 ~vds:5.0 in
-  Alcotest.(check string) "small grids use CG" "cg"
-    (D.Field2d.solver_name small.D.Field2d.solver_used);
+  Alcotest.(check bool) "small grids use CG" true (small.D.Field2d.solver_used = D.Field2d.Cg);
   Alcotest.(check int) "no V-cycles on the CG path" 0 small.D.Field2d.v_cycles;
   let large = D.Field2d.solve ~n:32 v ~case:D.Op_case.dsss ~vgs:5.0 ~vds:5.0 in
-  Alcotest.(check string) "n >= 32 uses multigrid" "multigrid"
-    (D.Field2d.solver_name large.D.Field2d.solver_used);
+  Alcotest.(check bool) "n >= 32 uses multigrid" true
+    (large.D.Field2d.solver_used = D.Field2d.Multigrid);
   Alcotest.(check bool) "V-cycles counted" true (large.D.Field2d.v_cycles > 0);
   Alcotest.(check bool) "multigrid converged" true large.D.Field2d.converged
 
@@ -407,7 +407,6 @@ let () =
         [
           Alcotest.test_case "permittivity ordering" `Quick test_permittivity_ordering;
           Alcotest.test_case "oxide capacitance" `Quick test_oxide_capacitance;
-          Alcotest.test_case "EOT" `Quick test_eot;
           Alcotest.test_case "names" `Quick test_material_names;
           Alcotest.test_case "fermi potential" `Quick test_fermi_potential;
         ] );

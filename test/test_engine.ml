@@ -171,7 +171,6 @@ let test_key_soundness () =
     gmin_steps;
     source_steps;
     damping;
-    conv_trace;
   } =
     d
   in
@@ -189,7 +188,6 @@ let test_key_soundness () =
       ("gmin_steps", { d with gmin_steps = List.map (fun g -> 2.0 *. g) gmin_steps });
       ("source_steps", { d with source_steps = source_steps + 1 });
       ("damping", { d with damping = damping /. 2.0 });
-      ("conv_trace", { d with conv_trace = not conv_trace });
     ]
 
 (* --- key equivalence against the v1 key ------------------------------------- *)
@@ -214,7 +212,6 @@ let oracle_key ?(options = Sp.Dcop.default_options) ?(time = 0.0) netlist =
   List.iter float o.Sp.Dcop.gmin_steps;
   int o.Sp.Dcop.source_steps;
   float o.Sp.Dcop.damping;
-  int (Bool.to_int o.Sp.Dcop.conv_trace);
   float time;
   string (Sp.Netlist.structural_digest netlist);
   Digest.to_hex (Digest.string (Buffer.contents b))
@@ -511,7 +508,6 @@ let options_cases () =
       { d with Sp.Dcop.gmin_steps = d.Sp.Dcop.gmin_steps @ [ 1e-13 ] };
       { d with Sp.Dcop.source_steps = d.Sp.Dcop.source_steps + 1 };
       { d with Sp.Dcop.damping = bump d.Sp.Dcop.damping };
-      { d with Sp.Dcop.conv_trace = not d.Sp.Dcop.conv_trace };
     ]
   in
   let nets =
@@ -556,7 +552,8 @@ let test_key_memo_invalidation () =
       ("isource", fun net -> N.isource net "late" (N.node net "mid") gnd (Sp.Source.Dc 1e-9));
       ( "mosfet",
         fun net ->
-          N.mosfet net "late" ~drain:(N.node net "out") ~gate:(N.node net "g1") ~source:gnd l1 );
+          N.mosfet_model net "late" ~drain:(N.node net "out") ~gate:(N.node net "g1") ~source:gnd
+            (Mos.Model.L1 l1) );
       ( "mosfet_model",
         fun net ->
           N.mosfet_model net "late" ~drain:(N.node net "out") ~gate:(N.node net "g2") ~source:gnd
@@ -681,30 +678,28 @@ let test_resident_dc_op () =
     (Metrics.Scope.get req_hits);
   Alcotest.(check int) "no solve attributed" 0 (Metrics.Scope.get req_solves)
 
-let test_reset_telemetry_keeps_cache () =
-  (* reset_telemetry zeroes the counters but must not evict cached
-     results: a key that hit before the reset still hits after it *)
-  let e = Engine.create ~domains:1 () in
-  let netlist = build_netlist Lattice_synthesis.Library.maj3_2x3 in
-  (match Engine.dc_op e netlist with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "warm-up solve failed");
-  ignore (Engine.dc_op e netlist);
-  let t = Engine.telemetry e in
-  Alcotest.(check int) "warm-up: one hit" 1 t.Engine.cache.Cache.hits;
-  Engine.reset_telemetry e;
-  let t0 = Engine.telemetry e in
-  Alcotest.(check int) "hits zeroed" 0 t0.Engine.cache.Cache.hits;
-  Alcotest.(check int) "misses zeroed" 0 t0.Engine.cache.Cache.misses;
-  Alcotest.(check int) "dc_solves zeroed" 0 t0.Engine.dc_solves;
-  (match Engine.dc_op e netlist with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "post-reset solve failed");
-  let t1 = Engine.telemetry e in
-  Alcotest.(check int) "entry survived the reset: hit, not miss" 1
-    t1.Engine.cache.Cache.hits;
-  Alcotest.(check int) "no new miss" 0 t1.Engine.cache.Cache.misses;
-  Alcotest.(check int) "no re-solve" 0 t1.Engine.dc_solves
+(* the store lives under <dir>/dcop-v3/: a later key version starts a
+   fresh tree beside it, and the old one can be removed whole *)
+let test_store_root_names_key_version () =
+  let dir = Filename.temp_dir "ftl-store-root" "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let e = Engine.create ~domains:1 ~store_dir:dir () in
+  Alcotest.(check (option string)) "store_dir is the directory given" (Some dir) (Engine.store_dir e);
+  Alcotest.(check string) "the key version names the root" "dcop-v3" Key.version;
+  ignore
+    (Lattice_flow.Monte_carlo.run ~engine:e ~samples:2 ~seed:1 Lattice_synthesis.Library.maj3_2x3
+       ~target:(Lattice_boolfn.Truthtable.majority_n 3));
+  let writes = (Option.get (Engine.telemetry e).Engine.store).Lattice_engine.Store.writes in
+  Alcotest.(check bool) "the yield wrote entries" true (writes > 0);
+  Alcotest.(check (list string)) "only the versioned root at the top" [ "dcop-v3" ]
+    (Array.to_list (Sys.readdir dir));
+  let rec files path =
+    if Sys.is_directory path then
+      List.concat_map (fun f -> files (Filename.concat path f)) (Array.to_list (Sys.readdir path))
+    else [ path ]
+  in
+  Alcotest.(check int) "every entry under dcop-v3" writes
+    (List.length (files (Filename.concat dir "dcop-v3")))
 
 let test_engine_map_and_phases () =
   let e = Engine.create ~domains:2 () in
@@ -714,11 +709,7 @@ let test_engine_map_and_phases () =
   Alcotest.(check int) "jobs counted" 10 t.Engine.jobs;
   Alcotest.(check bool) "phase recorded" true (List.mem_assoc "square" t.Engine.phases);
   Alcotest.(check bool) "summary renders" true
-    (String.length (Engine.summary e) > 20);
-  Engine.reset_telemetry e;
-  let t = Engine.telemetry e in
-  Alcotest.(check int) "jobs reset" 0 t.Engine.jobs;
-  Alcotest.(check (list (pair string (float 0.0)))) "phases reset" [] t.Engine.phases
+    (String.length (Engine.summary e) > 20)
 
 let test_default_engine_env () =
   (* Engine.create () respects FTL_DOMAINS (CI runs the suite at 1 and 4);
@@ -778,8 +769,8 @@ let () =
         [
           Alcotest.test_case "dc_op memoization" `Quick test_dc_op_memoized;
           Alcotest.test_case "resident_dc_op: a hit or nothing" `Quick test_resident_dc_op;
-          Alcotest.test_case "reset_telemetry keeps the cache warm" `Quick
-            test_reset_telemetry_keeps_cache;
+          Alcotest.test_case "store root names the key version" `Quick
+            test_store_root_names_key_version;
           Alcotest.test_case "map + phase telemetry" `Quick test_engine_map_and_phases;
           Alcotest.test_case "FTL_DOMAINS default" `Quick test_default_engine_env;
           Alcotest.test_case "seed-split rng streams" `Quick test_sample_rng_streams;

@@ -3,6 +3,15 @@
 
 module E = Lattice_experiments
 
+(* the measured column of a report's row, found by its metric *)
+let measured (r : E.Report.t) metric =
+  match List.find_opt (fun row -> row.E.Report.metric = metric) r.E.Report.rows with
+  | Some row -> row.E.Report.measured
+  | None -> Alcotest.failf "%s: no row %S" r.E.Report.title metric
+
+let paper (r : E.Report.t) metric =
+  (List.find (fun row -> row.E.Report.metric = metric) r.E.Report.rows).E.Report.paper
+
 let test_table1 () =
   let r = E.Exp_table1.run ~max_dim:6 () in
   Alcotest.(check (list (pair (pair int int) (pair int int))))
@@ -10,9 +19,9 @@ let test_table1 () =
     (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) r.E.Exp_table1.mismatches)
 
 let test_lattice_function () =
-  let r = E.Exp_lattice_function.run () in
-  Alcotest.(check bool) "matches Fig 2c" true r.E.Exp_lattice_function.matches_paper;
-  Alcotest.(check int) "9 products" 9 (List.length r.E.Exp_lattice_function.products)
+  let r = E.Exp_lattice_function.report () in
+  Alcotest.(check string) "matches Fig 2c" "yes" (measured r "products match the printed list");
+  Alcotest.(check string) "9 products" "9" (measured r "product count")
 
 let test_xor3_synthesis () =
   let r = E.Exp_xor3.run () in
@@ -30,31 +39,34 @@ let check_within_order msg paper measured =
 let test_iv_variants () =
   List.iter
     (fun shape ->
+      let r = E.Exp_iv.report shape in
       List.iter
-        (fun dielectric ->
-          let r = E.Exp_iv.run_variant ~shape ~dielectric () in
+        (fun d ->
+          let value column metric = float_of_string (column r metric) in
+          let vth = Printf.sprintf "Vth (%s), V" d and ratio = Printf.sprintf "Ion/Ioff (%s)" d in
           (* threshold voltages within 0.3 V of the paper's TCAD values *)
           Alcotest.(check bool)
-            (r.E.Exp_iv.name ^ " vth")
+            (Printf.sprintf "%s %s vth" r.E.Report.title d)
             true
-            (Float.abs (r.E.Exp_iv.vth_model -. r.E.Exp_iv.vth_paper) < 0.3);
-          check_within_order (r.E.Exp_iv.name ^ " on/off") r.E.Exp_iv.ratio_paper r.E.Exp_iv.ratio)
-        [ Lattice_device.Material.HfO2; Lattice_device.Material.SiO2 ])
+            (Float.abs (value measured vth -. value paper vth) < 0.3);
+          check_within_order
+            (Printf.sprintf "%s %s on/off" r.E.Report.title d)
+            (value paper ratio) (value measured ratio))
+        [ "HfO2"; "SiO2" ])
     [ Lattice_device.Geometry.Square; Lattice_device.Geometry.Cross;
       Lattice_device.Geometry.Junctionless ]
 
 let test_iv_orderings () =
   (* qualitative claims of Section III-B *)
-  let get shape d = E.Exp_iv.run_variant ~shape ~dielectric:d () in
-  let sq_h = get Lattice_device.Geometry.Square Lattice_device.Material.HfO2 in
-  let sq_s = get Lattice_device.Geometry.Square Lattice_device.Material.SiO2 in
-  let cr_h = get Lattice_device.Geometry.Cross Lattice_device.Material.HfO2 in
+  let square = E.Exp_iv.report Lattice_device.Geometry.Square in
+  let cross = E.Exp_iv.report Lattice_device.Geometry.Cross in
+  let value r metric = float_of_string (measured r metric) in
   Alcotest.(check bool) "HfO2 threshold below SiO2" true
-    (sq_h.E.Exp_iv.vth_model < sq_s.E.Exp_iv.vth_model);
+    (value square "Vth (HfO2), V" < value square "Vth (SiO2), V");
   Alcotest.(check bool) "cross currents smaller than square" true
-    (cr_h.E.Exp_iv.ion < sq_h.E.Exp_iv.ion);
+    (value cross "peak Ids @ Vds=5V (HfO2), A" < value square "peak Ids @ Vds=5V (HfO2), A");
   Alcotest.(check bool) "cross threshold above square" true
-    (cr_h.E.Exp_iv.vth_model > sq_h.E.Exp_iv.vth_model)
+    (value cross "Vth (HfO2), V" > value square "Vth (HfO2), V")
 
 let test_field () =
   let r = E.Exp_field.run ~n:32 () in
@@ -89,12 +101,32 @@ let test_transient () =
   | None -> Alcotest.fail "no fall observed"
 
 let test_transient_integrators_agree () =
-  (* design-choice ablation: both integrators give the same logic levels *)
-  let trap = E.Exp_transient.run ~integrator:Lattice_spice.Transient.Trapezoidal ~bit_time:40e-9 ~h:1e-9 () in
-  let be = E.Exp_transient.run ~integrator:Lattice_spice.Transient.Backward_euler ~bit_time:40e-9 ~h:1e-9 () in
-  Alcotest.(check bool) "trap functional" true trap.E.Exp_transient.functional_pass;
-  Alcotest.(check bool) "BE functional" true be.E.Exp_transient.functional_pass;
-  Alcotest.(check (float 0.02)) "same zero level" trap.E.Exp_transient.v_low be.E.Exp_transient.v_low
+  (* design-choice ablation on the Fig 11 circuit: both integrators give
+     the same settled output level in every input combination *)
+  let module Sp = Lattice_spice in
+  let bit_time = 40e-9 in
+  let lc =
+    Sp.Lattice_circuit.build Lattice_synthesis.Library.xor3_3x3
+      ~stimulus:(Sp.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time)
+  in
+  let out = lc.Sp.Lattice_circuit.output_node in
+  let settled integrator =
+    let options = { Sp.Transient.default_options with Sp.Transient.integrator } in
+    let r =
+      Sp.Transient.run ~options lc.Sp.Lattice_circuit.netlist ~h:1e-9 ~t_stop:(8.0 *. bit_time)
+        ~record:[ out ] ()
+    in
+    Array.init 8 (fun k ->
+        Sp.Measure.value_at r.Sp.Transient.times (Sp.Transient.signal r out)
+          ((float_of_int k +. 0.95) *. bit_time))
+  in
+  let trap = settled Sp.Transient.Trapezoidal and be = settled Sp.Transient.Backward_euler in
+  Array.iteri
+    (fun k v ->
+      let parity = (k land 1) lxor ((k lsr 1) land 1) lxor ((k lsr 2) land 1) in
+      Alcotest.(check bool) (Printf.sprintf "combo %d functional" k) (parity = 0) (v > 0.6);
+      Alcotest.(check (float 0.02)) (Printf.sprintf "combo %d same level" k) v be.(k))
+    trap
 
 let test_series () =
   let r = E.Exp_series.run ~max_n:21 () in
@@ -113,13 +145,20 @@ let test_series () =
     (r.E.Exp_series.voltages.(20) > 1.5 && r.E.Exp_series.voltages.(20) < 3.5)
 
 let test_cases_symmetry () =
-  let r = E.Exp_cases.run () in
-  Alcotest.(check int) "16 cases" 16 (List.length r.E.Exp_cases.cases);
-  Alcotest.(check bool) "rotation symmetry exact" true r.E.Exp_cases.symmetry_holds;
+  let r = E.Exp_cases.report () in
+  Alcotest.(check string) "16 cases" "16" (measured r "16 operating cases evaluated");
+  Alcotest.(check string) "rotation symmetry exact" "exact" (measured r "symmetric cases correlate");
   (* adjacent (DSFF) and opposite (SFDF) single pairs differ on the square
-     device (type A vs type B channel lengths) *)
+     device (type A vs type B channel lengths); the body's last column is
+     each case's drain total *)
   let total name =
-    (List.find (fun c -> c.E.Exp_cases.name = name) r.E.Exp_cases.cases).E.Exp_cases.total_drain
+    let line =
+      List.find
+        (fun l -> String.length l > 6 && String.sub l 0 6 = Printf.sprintf "%-6s" name)
+        (String.split_on_char '\n' r.E.Report.body)
+    in
+    let fields = List.filter (( <> ) "") (String.split_on_char ' ' line) in
+    float_of_string (List.nth fields (List.length fields - 1))
   in
   Alcotest.(check bool) "adjacent pair carries more than opposite" true
     (total "DSFF" > total "SFDF")

@@ -8,13 +8,8 @@ let square_hfo2 = D.Device_model.make ~geometry:D.Geometry.square ~dielectric:D.
 let check_close msg tol a b = Alcotest.(check (float tol)) msg a b
 
 let test_scenarios_shape () =
-  let s1 = Fit.scenario1 square_hfo2 ~points:21 in
   let s2 = Fit.scenario2 square_hfo2 ~points:21 in
-  Alcotest.(check int) "s1 points" 21 (Array.length s1.Fit.xs);
   Alcotest.(check int) "s2 points" 21 (Array.length s2.Fit.ys);
-  (match s1.Fit.bias with
-  | `Sweep_vgs vds -> check_close "s1 fixes VDS=5" 1e-12 5.0 vds
-  | `Sweep_vds _ -> Alcotest.fail "scenario 1 sweeps VGS");
   match s2.Fit.bias with
   | `Sweep_vds vgs -> check_close "s2 fixes VGS=5" 1e-12 5.0 vgs
   | `Sweep_vgs _ -> Alcotest.fail "scenario 2 sweeps VDS"
@@ -39,10 +34,14 @@ let test_extract_with_noise () =
         Array.map (fun y -> y *. (1.0 +. (0.02 *. (Random.State.float rng 2.0 -. 1.0)))) sc.Fit.ys;
     }
   in
-  let scenarios = [ noisy (Fit.scenario1 square_hfo2 ~points:51); noisy (Fit.scenario2 square_hfo2 ~points:51) ] in
+  (* scenario 1: VDS = 5 V, VGS swept over the same 51 points *)
+  let s2 = Fit.scenario2 square_hfo2 ~points:51 in
+  let drain vgs = (D.Device_model.terminal_currents square_hfo2 ~case:D.Op_case.dsss ~vgs ~vds:5.0).(0) in
+  let s1 = { s2 with Fit.name = "scenario 1"; bias = `Sweep_vgs 5.0; ys = Array.map drain s2.Fit.xs } in
+  let scenarios = [ noisy s1; noisy s2 ] in
   let e = Fit.extract ~scenarios square_hfo2 in
-  Alcotest.(check bool) "kp within 5%" true
-    (Lattice_numerics.Stats.relative_error ~expected:square_hfo2.D.Device_model.kp e.Fit.kp < 0.05);
+  let kp = square_hfo2.D.Device_model.kp in
+  Alcotest.(check bool) "kp within 5%" true (Float.abs (e.Fit.kp -. kp) /. kp < 0.05);
   Alcotest.(check bool) "vth within 50mV" true
     (Float.abs (e.Fit.vth -. square_hfo2.D.Device_model.vth) < 0.05)
 
@@ -55,9 +54,9 @@ let test_types_a_b () =
 let test_composite_structure () =
   (* the DSSS composite is 2 type-A + 1 type-B channel *)
   let g = D.Geometry.square in
-  let i =
-    Fit.composite_current ~geometry:g ~kp:1e-5 ~vth:0.2 ~lambda:0.0 ~vgs:5.0 ~vds:5.0
-  in
+  let e = { (Fit.extract square_hfo2) with Fit.kp = 1e-5; vth = 0.2; lambda = 0.0 } in
+  let at_5v = { (Fit.scenario2 square_hfo2 ~points:2) with Fit.xs = [| 5.0 |] } in
+  let i = (Fit.predict e ~geometry:g at_5v).(0) in
   let expect =
     let ids l =
       let p = { Lattice_mosfet.Level1.kp = 1e-5; vth = 0.2; lambda = 0.0; w = g.D.Geometry.channel_width; l } in

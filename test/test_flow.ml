@@ -395,10 +395,12 @@ let test_campaign_repair_stuck_open () =
       (Grid.entry g 0 0 = Grid.Const false));
   Alcotest.(check bool) "repaired lattice re-verified at circuit level" true
     open_repair.Fc.reverified;
-  (* and verify_with_defects is honest: the unrepaired lattice fails it *)
-  Alcotest.(check bool) "defective original fails verification" false
-    (Fc.verify_with_defects grid ~target:(Tt.majority_n 3)
-       ~defects:[ { Defects.row = 0; col = 0; kind = Defects.Stuck_open } ])
+  (* and the check is honest: the unrepaired lattice fails it *)
+  let unrepaired =
+    Fc.simulate grid ~target:(Tt.majority_n 3) ~test_set:[]
+      [ { Defects.row = 0; col = 0; kind = Defects.Stuck_open } ]
+  in
+  Alcotest.(check bool) "defective original fails verification" true (unrepaired.Fc.mismatches <> [])
 
 (* --- Fault campaign x engine ----------------------------------------------- *)
 
@@ -606,7 +608,7 @@ let oracle_sample spent (options : Fc.options) grid ~target ~test_set defects =
     | Some _ -> Fc.Non_convergent
     | None when mismatches <> [] -> Fc.Faulty
     | None ->
-      let margin = options.Fc.noise_margin in
+      let margin = 0.15 in
       if
         !worst_low > (vdd /. 2.0) -. margin
         || (Float.is_finite !worst_high && !worst_high < (vdd /. 2.0) +. margin)
@@ -708,7 +710,7 @@ let test_workspace_vs_per_state_oracle () =
         let label what = Printf.sprintf "%s round %d: %s" name round what in
         let mc_seed = Random.State.bits st in
         let variation =
-          { Mc.sigma_vth = jitter 0.03; sigma_kp_rel = jitter Mc.default_variation.Mc.sigma_kp_rel }
+          { Mc.sigma_vth = jitter 0.03; sigma_kp_rel = jitter 0.10 }
         in
         let singles = Array.of_list (Sp.Defects.single_defects grid) in
         let universe =

@@ -30,13 +30,6 @@ let test_grid_bad_input () =
   Alcotest.(check bool) "empty cell" true
     (match Grid.of_strings [ [ "" ] ] with exception Invalid_argument _ -> true | _ -> false)
 
-let test_grid_neighbors () =
-  let g = Grid.generic 3 3 in
-  let sorted l = List.sort Int.compare l in
-  Alcotest.(check (list int)) "corner" [ 1; 3 ] (sorted (Grid.neighbors g 0));
-  Alcotest.(check (list int)) "center" [ 1; 3; 5; 7 ] (sorted (Grid.neighbors g 4));
-  Alcotest.(check (list int)) "edge" [ 0; 2; 4 ] (sorted (Grid.neighbors g 1))
-
 let test_grid_on_pattern () =
   let g, _ = Grid.of_strings [ [ "a"; "a'"; "1" ] ] in
   Alcotest.(check (array bool)) "a=1" [| true; false; true |] (Grid.on_pattern g 0b1);
@@ -53,19 +46,19 @@ let test_grid_prime_parsing () =
 let test_connectivity_simple () =
   (* vertical wire in a 2x2 *)
   Alcotest.(check bool) "column conducts" true
-    (Conn.connected ~rows:2 ~cols:2 [| true; false; true; false |]);
+    (Conn.connected_bfs ~rows:2 ~cols:2 [| true; false; true; false |]);
   Alcotest.(check bool) "broken column" false
-    (Conn.connected ~rows:2 ~cols:2 [| true; false; false; true |]);
+    (Conn.connected_bfs ~rows:2 ~cols:2 [| true; false; false; true |]);
   Alcotest.(check bool) "zigzag" true
-    (Conn.connected ~rows:2 ~cols:2 [| true; false; true; true |] |> fun x -> x);
+    (Conn.connected_bfs ~rows:2 ~cols:2 [| true; false; true; true |] |> fun x -> x);
   Alcotest.(check bool) "all off" false
-    (Conn.connected ~rows:2 ~cols:2 [| false; false; false; false |])
+    (Conn.connected_bfs ~rows:2 ~cols:2 [| false; false; false; false |])
 
 let test_connectivity_single_row () =
   Alcotest.(check bool) "1xN: any on cell conducts" true
-    (Conn.connected ~rows:1 ~cols:3 [| false; true; false |]);
+    (Conn.connected_bfs ~rows:1 ~cols:3 [| false; true; false |]);
   Alcotest.(check bool) "1xN: all off" false
-    (Conn.connected ~rows:1 ~cols:3 [| false; false; false |])
+    (Conn.connected_bfs ~rows:1 ~cols:3 [| false; false; false |])
 
 let prop_bfs_equals_union_find =
   QCheck2.Test.make ~name:"BFS = union-find on random patterns" ~count:500
@@ -80,7 +73,7 @@ let test_pattern_table () =
   for p = 0 to 15 do
     Alcotest.(check bool)
       (Printf.sprintf "pattern %d" p)
-      (Conn.connected ~rows:2 ~cols:2 (on_of p))
+      (Conn.connected_bfs ~rows:2 ~cols:2 (on_of p))
       (Bytes.get table p <> '\000')
   done
 
@@ -93,11 +86,25 @@ let test_eval_assigned () =
 
 let sets_of_paths paths = List.map (fun p -> List.sort Int.compare (Array.to_list p)) paths
 
+let irredundant_paths ~rows ~cols =
+  let acc = ref [] in
+  Paths.iter_irredundant ~rows ~cols (fun p -> acc := Array.copy p :: !acc);
+  List.rev !acc
+
+(* the two histogram backends: bucketing the enumerated paths by length,
+   and the ZDD's family histogram *)
+let histogram_enum ~rows ~cols =
+  let hist = Array.make ((rows * cols) + 1) 0 in
+  Paths.iter_irredundant ~rows ~cols (fun p -> hist.(Array.length p) <- hist.(Array.length p) + 1);
+  hist
+
+let histogram_zdd ~rows ~cols = Lattice_core.Zdd.(count_by_size (of_lattice ~rows ~cols))
+
 let test_paths_match_brute_force () =
   List.iter
     (fun (rows, cols) ->
       let fast =
-        List.sort compare (sets_of_paths (Paths.irredundant_paths ~rows ~cols))
+        List.sort compare (sets_of_paths (irredundant_paths ~rows ~cols))
       in
       let brute = Paths.irredundant_sets_brute ~rows ~cols in
       Alcotest.(check (list (list int)))
@@ -180,16 +187,15 @@ let test_zdd_histogram_matches_enum () =
     (fun (m, n) ->
       Alcotest.(check (array int))
         (Printf.sprintf "%dx%d histogram" m n)
-        (Paths.length_histogram_enum ~rows:m ~cols:n)
-        (Paths.length_histogram ~rows:m ~cols:n))
+        (histogram_enum ~rows:m ~cols:n)
+        (histogram_zdd ~rows:m ~cols:n))
     [ (5, 5); (3, 6); (6, 3); (1, 4); (4, 1) ]
 
 let test_crossover_boundary_parity () =
-  (* the enum/ZDD crossover (enumeration iff both dims < crossover_dim)
-     must be invisible: both pinned backends and the auto dispatch agree
-     on every cell around the boundary, counts and histograms alike *)
-  Alcotest.(check int) "crossover dim pinned" 8 Paths.crossover_dim;
-  let d = Paths.crossover_dim in
+  (* the enum/ZDD crossover (enumeration iff both dims < 8) must be
+     invisible: both pinned backends and the auto dispatch agree on every
+     cell around the boundary, counts and histograms alike *)
+  let d = 8 in
   List.iter
     (fun (m, n) ->
       let enum = Paths.count_irredundant_enum ~rows:m ~cols:n in
@@ -201,18 +207,19 @@ let test_crossover_boundary_parity () =
         (Printf.sprintf "%dx%d auto dispatch" m n)
         enum
         (Paths.count_irredundant ~rows:m ~cols:n);
+      let enum_hist = histogram_enum ~rows:m ~cols:n in
       Alcotest.(check (array int))
         (Printf.sprintf "%dx%d histogram parity" m n)
-        (Paths.length_histogram_enum ~rows:m ~cols:n)
-        (Paths.length_histogram_zdd ~rows:m ~cols:n))
+        enum_hist (histogram_zdd ~rows:m ~cols:n);
+      Alcotest.(check (array int))
+        (Printf.sprintf "%dx%d histogram auto dispatch" m n)
+        enum_hist (Paths.length_histogram ~rows:m ~cols:n))
     [ (d - 1, d - 1); (d - 1, d); (d, d - 1); (d, d) ]
 
 let test_zdd_structure () =
   let z = Zdd.of_lattice ~rows:4 ~cols:4 in
-  Alcotest.(check int) "vars = cells" 16 (Zdd.n_vars z);
   Alcotest.(check int) "count = paper 4x4" (Table1.paper_value ~rows:4 ~cols:4) (Zdd.count z);
-  (* the reduced DAG is tiny compared to the 53-path family *)
-  Alcotest.(check bool) "reduced" true (Zdd.node_count z < 200)
+  Alcotest.(check int) "histogram over 16 cells" 17 (Array.length (Zdd.count_by_size z))
 
 (* --- Table 1 ------------------------------------------------------------ *)
 
@@ -243,14 +250,8 @@ let test_table1_render () =
   Alcotest.(check bool) "contains 36" true (contains s "36");
   Alcotest.(check bool) "contains header" true (contains s "m/n")
 
-let test_table1_extended_diagonal () =
-  (* shipped constants for the diagonal past the published table *)
-  match Table1.extended_diagonal with
-  | [ (10, c10); (11, c11); (12, c12) ] ->
-    Alcotest.(check int) "10x10" 2_864_677_868 c10;
-    Alcotest.(check int) "11x11" 328_777_220_927 c11;
-    Alcotest.(check int) "12x12" 63_076_542_161_104 c12
-  | _ -> Alcotest.fail "expected exactly the 10..12 diagonal"
+(* diagonal entries past the published table, as the ZDD counter gives them *)
+let extended_diagonal = [ (10, 2_864_677_868); (11, 328_777_220_927); (12, 63_076_542_161_104) ]
 
 let test_table1_extended_recompute_10 () =
   Alcotest.(check int) "10x10 recomputed" 2_864_677_868 (Table1.count ~rows:10 ~cols:10)
@@ -266,7 +267,7 @@ let test_table1_extended_recompute_full () =
       if d <= 11 || full then
         Alcotest.(check int) (Printf.sprintf "%dx%d recomputed" d d) want
           (Table1.count ~rows:d ~cols:d))
-    Table1.extended_diagonal
+    extended_diagonal
 
 let test_table1_memo_hammer () =
   (* four domains hammer the memoized counter on overlapping fresh
@@ -316,7 +317,7 @@ let test_of_generic_matches_connectivity () =
 let test_of_assigned_xor3 () =
   let grid = Lattice_synthesis.Library.xor3_3x3 in
   let f = Lf.of_assigned grid in
-  let tt = Lattice_boolfn.Truthtable.of_sop f in
+  let tt = Oracle.tt_of_sop f in
   Alcotest.(check bool) "SOP = XOR3" true
     (Lattice_boolfn.Truthtable.equal tt (Lattice_boolfn.Truthtable.xor_n 3))
 
@@ -378,13 +379,11 @@ let realizes_expr g e nvars =
   !ok
 
 let test_compose_primitives () =
-  let a = Compose.literal 0 true and b = Compose.literal 1 true in
-  Alcotest.(check bool) "a or b" true
-    (realizes_expr (Compose.disjunction a b) (Expr.Or (Expr.Var 0, Expr.Var 1)) 2);
-  Alcotest.(check bool) "a and b" true
-    (realizes_expr (Compose.conjunction a b) (Expr.And (Expr.Var 0, Expr.Var 1)) 2);
-  Alcotest.(check bool) "constants" true
-    (realizes_expr (Compose.constant true) (Expr.Const true) 1)
+  let a = Expr.Var 0 and b = Expr.Var 1 in
+  let composes e nvars = realizes_expr (Compose.of_expr e) e nvars in
+  Alcotest.(check bool) "a or b" true (composes (Expr.Or (a, b)) 2);
+  Alcotest.(check bool) "a and b" true (composes (Expr.And (a, b)) 2);
+  Alcotest.(check bool) "constants" true (composes (Expr.Const true) 1)
 
 let test_compose_spacer_necessity () =
   (* two 3x1 columns side by side WITHOUT the spacer conduct under
@@ -395,23 +394,25 @@ let test_compose_spacer_necessity () =
   (* ON: x0 x2 x3 x5 (left top, left mid, right mid, right bottom) *)
   let m = 0b101101 in
   Alcotest.(check bool) "crossing path conducts" true (Conn.eval g m);
-  (* with the composed (spacered) OR of the two columns it must not *)
-  let col1 =
-    Grid.create 3 1 [| Grid.Lit (0, true); Grid.Lit (2, true); Grid.Lit (4, true) |]
-  in
-  let col2 =
-    Grid.create 3 1 [| Grid.Lit (1, true); Grid.Lit (3, true); Grid.Lit (5, true) |]
-  in
+  (* with the composed (spacered) OR of the two columns' products it
+     must not *)
+  let column a b c = Expr.And (Expr.And (Expr.Var a, Expr.Var b), Expr.Var c) in
   Alcotest.(check bool) "spacered OR blocks it" false
-    (Conn.eval (Compose.disjunction col1 col2) m)
+    (Conn.eval (Compose.of_expr (Expr.Or (column 0 2 4, column 1 3 5))) m)
 
 let test_compose_padding_preserves () =
-  let g, _ = Grid.of_strings [ [ "a"; "b" ]; [ "c"; "d" ] ] in
-  let padded_h = Compose.pad_to_height g 4 in
-  let padded_w = Compose.pad_to_width g 4 in
+  (* OR pads the shorter operand with ON rows, AND the narrower one with
+     OFF columns: the tall [a b c] beside the 1x1 [d], and the wide
+     [a + b + c] over [d] *)
+  let a = Expr.Var 0 and b = Expr.Var 1 and c = Expr.Var 2 and d = Expr.Var 3 in
+  let height = Expr.Or (Expr.And (Expr.And (a, b), c), d) in
+  let width = Expr.And (Expr.Or (Expr.Or (a, b), c), d) in
+  let gh = Compose.of_expr height and gw = Compose.of_expr width in
+  Alcotest.(check bool) "height pad" true (gh.Grid.rows > 1);
+  Alcotest.(check bool) "width pad" true (gw.Grid.cols > 1);
   for m = 0 to 15 do
-    Alcotest.(check bool) "height pad" (Conn.eval g m) (Conn.eval padded_h m);
-    Alcotest.(check bool) "width pad" (Conn.eval g m) (Conn.eval padded_w m)
+    Alcotest.(check bool) "height pad" (Expr.eval height m) (Conn.eval gh m);
+    Alcotest.(check bool) "width pad" (Expr.eval width m) (Conn.eval gw m)
   done
 
 let test_compose_xor3 () =
@@ -450,7 +451,6 @@ let () =
         [
           Alcotest.test_case "of_strings" `Quick test_grid_of_strings;
           Alcotest.test_case "bad input" `Quick test_grid_bad_input;
-          Alcotest.test_case "neighbors" `Quick test_grid_neighbors;
           Alcotest.test_case "on_pattern" `Quick test_grid_on_pattern;
           Alcotest.test_case "prime parsing" `Quick test_grid_prime_parsing;
         ] );
@@ -484,7 +484,6 @@ let () =
           Alcotest.test_case "paper values" `Quick test_table1_paper_values;
           Alcotest.test_case "range check" `Quick test_table1_out_of_range;
           Alcotest.test_case "render" `Quick test_table1_render;
-          Alcotest.test_case "extended diagonal constants" `Quick test_table1_extended_diagonal;
           Alcotest.test_case "extended 10x10 recompute" `Quick test_table1_extended_recompute_10;
           Alcotest.test_case "extended diagonal recompute" `Slow
             test_table1_extended_recompute_full;

@@ -7,11 +7,22 @@ let p = { L1.kp = 2e-5; vth = 0.5; lambda = 0.02; w = 700e-9; l = 350e-9 }
 let check_close msg tol a b = Alcotest.(check (float tol)) msg a b
 
 let test_regions () =
-  Alcotest.(check bool) "cutoff" true (L1.region p ~vgs:0.3 ~vds:1.0 = L1.Cutoff);
-  Alcotest.(check bool) "cutoff at vth" true (L1.region p ~vgs:0.5 ~vds:1.0 = L1.Cutoff);
-  Alcotest.(check bool) "triode" true (L1.region p ~vgs:2.0 ~vds:1.0 = L1.Triode);
-  Alcotest.(check bool) "saturation" true (L1.region p ~vgs:1.0 ~vds:1.0 = L1.Saturation);
-  Alcotest.(check bool) "boundary is triode" true (L1.region p ~vgs:1.5 ~vds:1.0 = L1.Triode)
+  (* the branch each operating point takes: no current at or below vth,
+     the triode expression up to vds = vgs - vth, saturation beyond *)
+  let exact msg expected actual = Alcotest.(check (float 0.0)) msg expected actual in
+  let triode ~vgs ~vds =
+    let vov = vgs -. p.L1.vth in
+    L1.beta p *. ((vov *. vds) -. (0.5 *. vds *. vds)) *. (1.0 +. (p.L1.lambda *. vds))
+  in
+  let saturation ~vgs ~vds =
+    let vov = vgs -. p.L1.vth in
+    0.5 *. L1.beta p *. vov *. vov *. (1.0 +. (p.L1.lambda *. vds))
+  in
+  exact "cutoff" 0.0 (L1.ids p ~vgs:0.3 ~vds:1.0);
+  exact "cutoff at vth" 0.0 (L1.ids p ~vgs:0.5 ~vds:1.0);
+  exact "triode" (triode ~vgs:2.0 ~vds:1.0) (L1.ids p ~vgs:2.0 ~vds:1.0);
+  exact "saturation" (saturation ~vgs:1.0 ~vds:1.0) (L1.ids p ~vgs:1.0 ~vds:1.0);
+  exact "boundary is triode" (triode ~vgs:1.5 ~vds:1.0) (L1.ids p ~vgs:1.5 ~vds:1.0)
 
 let test_cutoff_zero () =
   check_close "no current below vth" 0.0 0.0 (L1.ids p ~vgs:0.4 ~vds:3.0)
@@ -52,20 +63,35 @@ let test_monotonicity () =
     prev := ids
   done
 
+(* the current a level-1 transistor draws into its drain node with the
+   three terminals held at [vg], [vd] and [vs] by voltage sources: a
+   circuit DC solve, whose stamp swaps the roles of drain and source
+   when vd < vs *)
+let drain_current ~vg ~vd ~vs =
+  let module N = Lattice_spice.Netlist in
+  let net = N.create () in
+  let g = N.node net "g" and d = N.node net "d" and s = N.node net "s" in
+  N.vsource net "VG" g N.ground (Lattice_spice.Source.Dc vg);
+  N.vsource net "VD" d N.ground (Lattice_spice.Source.Dc vd);
+  N.vsource net "VS" s N.ground (Lattice_spice.Source.Dc vs);
+  N.mosfet_model net "M1" ~drain:d ~gate:g ~source:s (Lattice_mosfet.Model.L1 p);
+  let x = Lattice_spice.Dcop.solve net in
+  (* VD's branch current flows into its + terminal; the drain draws it out *)
+  -.x.(N.vsource_row net 1)
+
 let test_ids_signed_antisymmetry () =
-  (* swapping drain and source negates the current *)
+  (* swapping the drain and source voltages negates the current *)
   List.iter
     (fun (vg, vd, vs) ->
-      let fwd = L1.ids_signed p ~vg ~vd ~vs in
-      let rev = L1.ids_signed p ~vg ~vd:vs ~vs:vd in
+      let fwd = drain_current ~vg ~vd ~vs in
+      let rev = drain_current ~vg ~vd:vs ~vs:vd in
       check_close (Printf.sprintf "antisym %g %g %g" vg vd vs) 1e-15 fwd (-.rev))
     [ (2.0, 1.0, 0.0); (2.0, 0.0, 1.0); (1.0, 0.3, 0.7); (3.0, 2.0, 2.0) ]
 
 let test_ids_signed_source_reference () =
-  (* with vd < vs the gate drive references the lower terminal *)
-  let i = L1.ids_signed p ~vg:1.0 ~vd:0.0 ~vs:5.0 in
-  (* effective vgs = 1.0 - 0.0 = 1.0 > vth: conducting, negative at vd *)
-  Alcotest.(check bool) "reverse conduction" true (i < 0.0)
+  (* with vd < vs the gate drive references the lower terminal:
+     vgs = 1.0 - 0.0 = 1.0 > vth, so the device conducts out of the drain *)
+  Alcotest.(check bool) "reverse conduction" true (drain_current ~vg:1.0 ~vd:0.0 ~vs:5.0 < -1e-9)
 
 let numeric_derivative f x =
   let h = 1e-6 in
@@ -88,7 +114,7 @@ let test_gds_matches_numeric () =
     [ (1.5, 0.5); (1.5, 3.0); (2.5, 1.0); (3.0, 0.2) ]
 
 let test_negative_vds_rejected () =
-  Alcotest.check_raises "vds < 0" (Invalid_argument "Level1: vds must be >= 0 (use ids_signed)")
+  Alcotest.check_raises "vds < 0" (Invalid_argument "Level1: vds must be >= 0")
     (fun () -> ignore (L1.ids p ~vgs:1.0 ~vds:(-0.1)))
 
 let test_depletion_device () =
@@ -118,7 +144,7 @@ module Model = Lattice_mosfet.Model
 
 let test_level3_reduces_to_level1 () =
   (* theta = 0 and a huge vmax recover level 1 *)
-  let p3 = L3.of_level1 ~theta:0.0 ~vmax:1e12 ~mu:0.05 p in
+  let p3 = L3.of_level1 ~theta:0.0 ~vmax:1e12 p in
   List.iter
     (fun (vgs, vds) ->
       check_close
@@ -138,20 +164,28 @@ let test_level3_reduces_current () =
         (L3.ids p3 ~vgs ~vds <= L1.ids p ~vgs ~vds +. 1e-15))
     [ (1.0, 0.5); (2.0, 2.0); (3.0, 5.0); (5.0, 1.0) ]
 
+(* the velocity-saturation-limited saturation voltage Vov Vc / (Vov + Vc) *)
+let level3_vdsat p3 ~vgs =
+  let vov = vgs -. p.L1.vth in
+  vov *. p3.L3.vc /. (vov +. p3.L3.vc)
+
 let test_level3_vdsat_capped () =
-  let p3 = L3.of_level1 ~theta:0.1 ~vmax:1e5 ~mu:0.05 p in
+  (* the current saturates at vdsat, below vov: past it only the
+     (1 + lambda vds) factor grows *)
+  let p3 = L3.of_level1 ~theta:0.1 ~vmax:1e5 p in
   let vgs = 3.0 in
   let vov = vgs -. p.L1.vth in
-  Alcotest.(check bool) "vdsat below vov" true (L3.vdsat p3 ~vgs < vov);
-  Alcotest.(check bool) "vdsat positive" true (L3.vdsat p3 ~vgs > 0.0);
-  check_close "vdsat formula" 1e-9
-    (vov *. p3.L3.vc /. (vov +. p3.L3.vc))
-    (L3.vdsat p3 ~vgs)
+  let vsat = level3_vdsat p3 ~vgs in
+  Alcotest.(check bool) "vdsat below vov" true (vsat < vov);
+  Alcotest.(check bool) "vdsat positive" true (vsat > 0.0);
+  let flat vds = L3.ids p3 ~vgs ~vds /. (1.0 +. (p.L1.lambda *. vds)) in
+  check_close "saturated at vdsat" 1e-12 (flat vsat) (flat vov);
+  Alcotest.(check bool) "still rising below vdsat" true (flat (0.9 *. vsat) < flat vsat)
 
 let test_level3_continuity () =
   let p3 = L3.of_level1 ~theta:0.2 ~vmax:8e4 p in
   let vgs = 2.5 in
-  let vsat = L3.vdsat p3 ~vgs in
+  let vsat = level3_vdsat p3 ~vgs in
   let below = L3.ids p3 ~vgs ~vds:(vsat -. 1e-9) in
   let above = L3.ids p3 ~vgs ~vds:(vsat +. 1e-9) in
   check_close "continuous at vdsat" 1e-9 below above
@@ -174,9 +208,8 @@ let test_level3_validation () =
 
 let test_model_dispatch () =
   let m1 = Model.L1 p in
-  let m3 = Model.L3 (L3.of_level1 ~theta:0.0 ~vmax:1e12 ~mu:0.05 p) in
+  let m3 = Model.L3 (L3.of_level1 ~theta:0.0 ~vmax:1e12 p) in
   check_close "same vth" 1e-12 (Model.vth m1) (Model.vth m3);
-  check_close "same W/L" 1e-12 (Model.w_over_l m1) (Model.w_over_l m3);
   check_close "ids agrees" 1e-9 (Model.ids m1 ~vgs:2.0 ~vds:1.0) (Model.ids m3 ~vgs:2.0 ~vds:1.0);
   Alcotest.(check bool) "on conductance positive" true (Model.on_conductance m1 ~vdd:1.2 > 0.0)
 

@@ -11,6 +11,11 @@ module Interp = Lattice_numerics.Interp
 module Optimize = Lattice_numerics.Optimize
 
 let check_float = Alcotest.(check (float 1e-9))
+
+(* a matrix from a non-empty list of equal-length rows *)
+let of_rows rows =
+  let rows = Array.of_list rows in
+  Matrix.init (Array.length rows) (Array.length rows.(0)) (fun r c -> rows.(r).(c))
 let check_close msg tol a b = Alcotest.(check (float tol)) msg a b
 
 (* --- Vec --------------------------------------------------------------- *)
@@ -27,8 +32,7 @@ let test_vec_axpy () =
 
 let test_vec_norms () =
   check_float "norm2" 5.0 (Vec.norm2 [| 3.0; 4.0 |]);
-  check_float "norm_inf" 4.0 (Vec.norm_inf [| 3.0; -4.0 |]);
-  check_float "max_abs_diff" 2.0 (Vec.max_abs_diff [| 1.0; 5.0 |] [| 3.0; 5.0 |])
+  check_float "norm_inf" 4.0 (Vec.norm_inf [| 3.0; -4.0 |])
 
 let test_vec_linspace () =
   let v = Vec.linspace 0.0 5.0 11 in
@@ -57,14 +61,9 @@ let prop_triangle_inequality =
 
 (* --- Matrix ------------------------------------------------------------ *)
 
-let test_matrix_identity () =
-  let i3 = Matrix.identity 3 in
-  let v = [| 1.0; 2.0; 3.0 |] in
-  Alcotest.(check (array (float 1e-12))) "I v = v" v (Matrix.mat_vec i3 v)
-
 let test_matrix_mul () =
-  let a = Matrix.of_rows [ [| 1.0; 2.0 |]; [| 3.0; 4.0 |] ] in
-  let b = Matrix.of_rows [ [| 5.0; 6.0 |]; [| 7.0; 8.0 |] ] in
+  let a = of_rows [ [| 1.0; 2.0 |]; [| 3.0; 4.0 |] ] in
+  let b = of_rows [ [| 5.0; 6.0 |]; [| 7.0; 8.0 |] ] in
   let c = Matrix.mat_mul a b in
   check_float "c00" 19.0 (Matrix.get c 0 0);
   check_float "c01" 22.0 (Matrix.get c 0 1);
@@ -72,7 +71,7 @@ let test_matrix_mul () =
   check_float "c11" 50.0 (Matrix.get c 1 1)
 
 let test_matrix_transpose () =
-  let a = Matrix.of_rows [ [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] ] in
+  let a = of_rows [ [| 1.0; 2.0; 3.0 |]; [| 4.0; 5.0; 6.0 |] ] in
   let t = Matrix.transpose a in
   check_float "t(0,1)" 4.0 (Matrix.get t 0 1);
   check_float "t(2,0)" 3.0 (Matrix.get t 2 0);
@@ -105,21 +104,15 @@ let test_lu_solve () =
     let a = random_dd_matrix rng n in
     let x_true = Array.init n (fun i -> float_of_int (i + 1)) in
     let b = Matrix.mat_vec a x_true in
-    let x = Lu.solve_dense a b in
+    let x = Oracle.solve_dense a b in
     Alcotest.(check bool)
       (Printf.sprintf "solve %dx%d" n n)
       true
-      (Vec.max_abs_diff x x_true < 1e-8)
+      (Oracle.max_abs_diff x x_true < 1e-8)
   done
 
-let test_lu_determinant () =
-  let a = Matrix.of_rows [ [| 2.0; 0.0 |]; [| 1.0; 3.0 |] ] in
-  check_float "det" 6.0 (Lu.determinant (Lu.factor a));
-  let perm = Matrix.of_rows [ [| 0.0; 1.0 |]; [| 1.0; 0.0 |] ] in
-  check_float "det of swap" (-1.0) (Lu.determinant (Lu.factor perm))
-
 let test_lu_singular () =
-  let a = Matrix.of_rows [ [| 1.0; 2.0 |]; [| 2.0; 4.0 |] ] in
+  let a = of_rows [ [| 1.0; 2.0 |]; [| 2.0; 4.0 |] ] in
   Alcotest.(check bool) "raises Singular" true
     (match Lu.factor a with exception Lu.Singular _ -> true | _ -> false)
 
@@ -135,8 +128,8 @@ let prop_lu_roundtrip =
       let rng = Random.State.make [| seed |] in
       let a = random_dd_matrix rng n in
       let b = Array.init n (fun i -> Random.State.float rng 10.0 -. 5.0 +. float_of_int i) in
-      let x = Lu.solve_dense a b in
-      Vec.max_abs_diff (Matrix.mat_vec a x) b < 1e-7)
+      let x = Oracle.solve_dense a b in
+      Oracle.max_abs_diff (Matrix.mat_vec a x) b < 1e-7)
 
 (* --- Sparse ------------------------------------------------------------- *)
 
@@ -167,10 +160,7 @@ let test_sparse_pattern () =
   (* duplicate merges *)
   Sparse.Builder.add b 1 2;
   let pat = Sparse.Builder.compile b in
-  Alcotest.(check int) "dim" 3 (Sparse.dim pat);
   Alcotest.(check int) "nnz (duplicates merged)" 3 (Sparse.nnz pat);
-  Alcotest.(check bool) "mem reserved" true (Sparse.mem pat ~row:2 ~col:1);
-  Alcotest.(check bool) "mem unreserved" false (Sparse.mem pat ~row:1 ~col:1);
   Alcotest.(check bool) "slot of unreserved raises" true
     (match Sparse.slot pat ~row:1 ~col:1 with
     | exception Invalid_argument _ -> true
@@ -178,39 +168,38 @@ let test_sparse_pattern () =
   let m = Sparse.create pat in
   Sparse.add m 2 1 5.0;
   Sparse.add m 2 1 2.5;
-  check_float "accumulates" 7.5 (Sparse.get m 2 1);
-  check_float "outside pattern reads 0" 0.0 (Sparse.get m 0 1);
-  m.Sparse.values.(Sparse.slot pat ~row:2 ~col:1) <- 9.0;
-  check_float "slot write visible" 9.0 (Sparse.get m 2 1)
+  check_float "accumulates" 7.5 m.Sparse.values.(Sparse.slot pat ~row:2 ~col:1);
+  (* every other reserved slot stays 0 *)
+  Sparse.iteri m (fun _ r c v -> if (r, c) <> (2, 1) then check_float "untouched slot" 0.0 v)
 
 let test_sparse_matches_lu () =
   let rng = Random.State.make [| 11 |] in
   for n = 1 to 15 do
     let a = random_sparse_matrix rng n in
     let b = Array.init n (fun i -> Random.State.float rng 10.0 -. 5.0 +. float_of_int i) in
-    let x_dense = Lu.solve_dense a b in
-    let sp = Sparse.of_matrix a in
+    let x_dense = Oracle.solve_dense a b in
+    let sp = Oracle.sparse_of_matrix a in
     let x_sparse = Sparse.solve (Sparse.factorize sp) b in
     Alcotest.(check bool)
       (Printf.sprintf "sparse = dense at n=%d" n)
       true
-      (Vec.max_abs_diff x_sparse x_dense < 1e-9)
+      (Oracle.max_abs_diff x_sparse x_dense < 1e-9)
   done
 
 let test_sparse_zero_diagonal () =
   (* MNA voltage-source rows have structural zeros on the diagonal: the
      factorization must pivot, not fall over *)
-  let a = Matrix.of_rows [ [| 0.0; 1.0 |]; [| 1.0; 1e-3 |] ] in
-  let sp = Sparse.of_matrix a in
+  let a = of_rows [ [| 0.0; 1.0 |]; [| 1.0; 1e-3 |] ] in
+  let sp = Oracle.sparse_of_matrix a in
   let x = Sparse.solve (Sparse.factorize sp) [| 2.0; 3.0 |] in
   let ax = Matrix.mat_vec a x in
-  Alcotest.(check bool) "pivoted solve" true (Vec.max_abs_diff ax [| 2.0; 3.0 |] < 1e-9)
+  Alcotest.(check bool) "pivoted solve" true (Oracle.max_abs_diff ax [| 2.0; 3.0 |] < 1e-9)
 
 let test_sparse_refactor () =
   let rng = Random.State.make [| 23 |] in
   let n = 12 in
   let a = random_sparse_matrix rng n in
-  let sp = Sparse.of_matrix a in
+  let sp = Oracle.sparse_of_matrix a in
   let lu = Sparse.factorize sp in
   let b = Array.init n (fun i -> float_of_int (i - 4)) in
   (* perturb every value in place, keeping the pattern, then refactor *)
@@ -222,19 +211,19 @@ let test_sparse_refactor () =
     Sparse.refactor lu sp;
     let x = Array.copy b in
     Sparse.solve_in_place lu x;
-    let ax = Matrix.mat_vec (Sparse.to_matrix sp) x in
+    let ax = Matrix.mat_vec (Oracle.sparse_to_matrix ~n sp) x in
     Alcotest.(check bool)
       (Printf.sprintf "refactor pass %d" pass)
       true
-      (Vec.max_abs_diff ax b < 1e-8)
+      (Oracle.max_abs_diff ax b < 1e-8)
   done
 
 let test_sparse_singular_parity () =
-  let a = Matrix.of_rows [ [| 1.0; 2.0 |]; [| 2.0; 4.0 |] ] in
+  let a = of_rows [ [| 1.0; 2.0 |]; [| 2.0; 4.0 |] ] in
   Alcotest.(check bool) "dense raises" true
     (match Lu.factor a with exception Lu.Singular _ -> true | _ -> false);
   Alcotest.(check bool) "sparse raises" true
-    (match Sparse.factorize (Sparse.of_matrix a) with
+    (match Sparse.factorize (Oracle.sparse_of_matrix a) with
     | exception Sparse.Singular _ -> true
     | _ -> false)
 
@@ -242,7 +231,7 @@ let test_sparse_lu_nnz () =
   let rng = Random.State.make [| 31 |] in
   let n = 10 in
   let a = random_sparse_matrix rng n in
-  let sp = Sparse.of_matrix a in
+  let sp = Oracle.sparse_of_matrix a in
   let lu = Sparse.factorize sp in
   let lnnz, unnz = Sparse.lu_nnz lu in
   Alcotest.(check bool) "L nnz sane" true (lnnz >= 0 && lnnz <= n * n);
@@ -255,8 +244,8 @@ let prop_sparse_roundtrip =
       let rng = Random.State.make [| seed |] in
       let a = random_sparse_matrix rng n in
       let b = Array.init n (fun i -> Random.State.float rng 10.0 -. 5.0 +. float_of_int i) in
-      let x = Sparse.solve (Sparse.factorize (Sparse.of_matrix a)) b in
-      Vec.max_abs_diff (Matrix.mat_vec a x) b < 1e-7)
+      let x = Sparse.solve (Sparse.factorize (Oracle.sparse_of_matrix a)) b in
+      Oracle.max_abs_diff (Matrix.mat_vec a x) b < 1e-7)
 
 (* --- Cg ----------------------------------------------------------------- *)
 
@@ -276,7 +265,7 @@ let test_cg_laplacian () =
   (* verify residual directly *)
   let ax = Array.make n 0.0 in
   apply r.Cg.solution ax;
-  Alcotest.(check bool) "residual small" true (Vec.max_abs_diff ax b < 1e-7)
+  Alcotest.(check bool) "residual small" true (Oracle.max_abs_diff ax b < 1e-7)
 
 let test_cg_matches_lu () =
   let rng = Random.State.make [| 7 |] in
@@ -285,13 +274,13 @@ let test_cg_matches_lu () =
   (* symmetrize while keeping diagonal dominance *)
   let a = Matrix.init n n (fun i j -> 0.5 *. (Matrix.get base i j +. Matrix.get base j i)) in
   let b = Array.init n (fun i -> float_of_int (i - 3)) in
-  let x_lu = Lu.solve_dense a b in
+  let x_lu = Oracle.solve_dense a b in
   let apply x out =
     let y = Matrix.mat_vec a x in
     Array.blit y 0 out 0 n
   in
   let r = Cg.solve ~apply ~b () in
-  Alcotest.(check bool) "CG = LU" true (Vec.max_abs_diff r.Cg.solution x_lu < 1e-6)
+  Alcotest.(check bool) "CG = LU" true (Oracle.max_abs_diff r.Cg.solution x_lu < 1e-6)
 
 let test_cg_status_max_iterations () =
   let n = 50 in
@@ -304,7 +293,7 @@ let test_cg_status_max_iterations () =
   in
   let r = Cg.solve ~apply ~b:(Array.make n 1.0) ~max_iter:2 () in
   Alcotest.(check bool) "not converged" false r.Cg.converged;
-  Alcotest.(check string) "status" "max-iterations" (Cg.status_name r.Cg.status)
+  Alcotest.(check bool) "status" true (r.Cg.status = Cg.Max_iterations)
 
 let test_cg_status_stagnated () =
   (* an unreachable tolerance: the residual hits the round-off floor and
@@ -318,7 +307,7 @@ let test_cg_status_stagnated () =
   let b = Array.init n (fun i -> 1.0 +. sin (float_of_int i)) in
   let r = Cg.solve ~apply ~b ~tol:0.0 ~max_iter:1_000_000 () in
   Alcotest.(check bool) "not converged" false r.Cg.converged;
-  Alcotest.(check string) "status" "stagnated" (Cg.status_name r.Cg.status);
+  Alcotest.(check bool) "status" true (r.Cg.status = Cg.Stagnated);
   Alcotest.(check bool) "stopped well before the cap" true (r.Cg.iterations < 100_000);
   Alcotest.(check bool) "residual at the floor" true (r.Cg.residual_norm < 1e-10)
 
@@ -326,7 +315,7 @@ let test_cg_status_indefinite () =
   (* -I is symmetric negative definite: first curvature check must fire *)
   let apply x out = Array.iteri (fun i xi -> out.(i) <- -.xi) x in
   let r = Cg.solve ~apply ~b:[| 1.0; 2.0 |] () in
-  Alcotest.(check string) "status" "indefinite" (Cg.status_name r.Cg.status)
+  Alcotest.(check bool) "status" true (r.Cg.status = Cg.Indefinite)
 
 (* --- Multigrid ---------------------------------------------------------- *)
 
@@ -385,7 +374,6 @@ let test_mg_matches_cg () =
   let n = mg_n in
   let gx, gy, fixed, dirichlet = mg_problem () in
   let t = Mg.create ~n ~gx ~gy ~fixed in
-  Alcotest.(check bool) "multiple levels" true (Mg.n_levels t > 1);
   let x_mg, st = Mg.solve_dirichlet t ~dirichlet ~tol:1e-12 () in
   Alcotest.(check bool) "mg converged" true st.Mg.converged;
   Alcotest.(check bool) "v-cycles counted" true (st.Mg.v_cycles >= st.Mg.iterations);
@@ -444,11 +432,10 @@ let test_mg_bad_sizes () =
 
 let test_stats_basics () =
   check_float "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |]);
-  check_float "variance" (2.0 /. 3.0) (Stats.variance [| 1.0; 2.0; 3.0 |]);
+  check_float "variance" (2.0 /. 3.0) (Stats.stddev [| 1.0; 2.0; 3.0 |] ** 2.0);
   check_float "stddev of constant" 0.0 (Stats.stddev [| 5.0; 5.0; 5.0 |]);
   check_float "rmse equal" 0.0 (Stats.rmse [| 1.0; 2.0 |] [| 1.0; 2.0 |]);
-  check_float "rmse" (sqrt 0.5) (Stats.rmse [| 1.0; 2.0 |] [| 2.0; 2.0 |] *. sqrt 1.0);
-  check_float "max_abs_error" 3.0 (Stats.max_abs_error [| 0.0; 1.0 |] [| 3.0; 1.0 |])
+  check_float "rmse" (sqrt 0.5) (Stats.rmse [| 1.0; 2.0 |] [| 2.0; 2.0 |] *. sqrt 1.0)
 
 let test_stats_regression () =
   let xs = [| 0.0; 1.0; 2.0; 3.0 |] in
@@ -457,10 +444,6 @@ let test_stats_regression () =
   check_float "slope" 2.0 slope;
   check_float "intercept" 1.0 intercept;
   check_float "r2 perfect" 1.0 (Stats.r_squared ys ys)
-
-let test_stats_relative_error () =
-  check_float "rel" 0.1 (Stats.relative_error ~expected:10.0 11.0);
-  check_float "rel at zero" 3.0 (Stats.relative_error ~expected:0.0 3.0)
 
 (* --- Interp ------------------------------------------------------------- *)
 
@@ -480,14 +463,6 @@ let test_interp_crossings () =
     check_float "c3" 2.5 c
   | other -> Alcotest.failf "expected 3 crossings, got %d" (List.length other)
 
-let test_interp_first_crossing_after () =
-  let xs = [| 0.0; 1.0; 2.0; 3.0 |] and ys = [| 0.0; 2.0; 0.0; 2.0 |] in
-  (match Interp.first_crossing_after xs ys ~after:1.0 1.0 with
-  | Some t -> check_float "after" 1.5 t
-  | None -> Alcotest.fail "expected a crossing");
-  Alcotest.(check bool) "none left" true
-    (Interp.first_crossing_after xs ys ~after:3.0 1.0 = None)
-
 let test_interp_bisect () =
   let root = Interp.bisect (fun x -> (x *. x) -. 2.0) 0.0 2.0 ~tol:1e-10 in
   check_close "sqrt 2" 1e-8 (sqrt 2.0) root;
@@ -504,22 +479,6 @@ let prop_lookup_exact_at_samples =
         (Array.init (Array.length ys) Fun.id))
 
 (* --- Optimize ----------------------------------------------------------- *)
-
-let test_nelder_mead_quadratic () =
-  let f x = ((x.(0) -. 3.0) ** 2.0) +. ((x.(1) +. 1.0) ** 2.0) in
-  let r = Optimize.nelder_mead f [| 0.0; 0.0 |] ~max_iter:5000 () in
-  Alcotest.(check bool) "converged" true r.Optimize.converged;
-  check_close "x0" 1e-4 3.0 r.Optimize.x.(0);
-  check_close "x1" 1e-4 (-1.0) r.Optimize.x.(1)
-
-let test_nelder_mead_rosenbrock () =
-  let f x =
-    let a = 1.0 -. x.(0) and b = x.(1) -. (x.(0) *. x.(0)) in
-    (a *. a) +. (100.0 *. b *. b)
-  in
-  let r = Optimize.nelder_mead f [| -1.2; 1.0 |] ~max_iter:10000 ~tol:1e-16 () in
-  check_close "rosenbrock x" 1e-3 1.0 r.Optimize.x.(0);
-  check_close "rosenbrock y" 1e-3 1.0 r.Optimize.x.(1)
 
 let test_lm_line_fit () =
   let xs = Array.init 20 (fun i -> float_of_int i /. 2.0) in
@@ -554,7 +513,6 @@ let () =
         ] );
       ( "matrix",
         [
-          Alcotest.test_case "identity" `Quick test_matrix_identity;
           Alcotest.test_case "mat_mul" `Quick test_matrix_mul;
           Alcotest.test_case "transpose" `Quick test_matrix_transpose;
           Alcotest.test_case "add_to stamps" `Quick test_matrix_stamp;
@@ -562,7 +520,6 @@ let () =
       ( "lu",
         [
           Alcotest.test_case "solve sizes 1..12" `Quick test_lu_solve;
-          Alcotest.test_case "determinant" `Quick test_lu_determinant;
           Alcotest.test_case "singular detection" `Quick test_lu_singular;
           Alcotest.test_case "rejects non-square" `Quick test_lu_not_square;
           qc prop_lu_roundtrip;
@@ -595,20 +552,16 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_stats_basics;
           Alcotest.test_case "linear regression" `Quick test_stats_regression;
-          Alcotest.test_case "relative error" `Quick test_stats_relative_error;
         ] );
       ( "interp",
         [
           Alcotest.test_case "lookup" `Quick test_interp_lookup;
           Alcotest.test_case "crossings" `Quick test_interp_crossings;
-          Alcotest.test_case "first_crossing_after" `Quick test_interp_first_crossing_after;
           Alcotest.test_case "bisect" `Quick test_interp_bisect;
           qc prop_lookup_exact_at_samples;
         ] );
       ( "optimize",
         [
-          Alcotest.test_case "nelder-mead quadratic" `Quick test_nelder_mead_quadratic;
-          Alcotest.test_case "nelder-mead rosenbrock" `Quick test_nelder_mead_rosenbrock;
           Alcotest.test_case "LM line fit" `Quick test_lm_line_fit;
           Alcotest.test_case "LM exponential fit" `Quick test_lm_exponential_fit;
         ] );

@@ -193,12 +193,7 @@ let test_ring_wrap_under_domains () =
         (i > per_domain - Ring.capacity))
     spans;
   let ts = List.map (fun (s : Ring.span) -> s.Ring.ts_ns) spans in
-  Alcotest.(check bool) "dump sorted by start time" true (List.sort Int.compare ts = ts);
-  let last = Ring.dump ~last_n:10 () in
-  Alcotest.(check int) "last_n truncates" 10 (List.length last);
-  let newest_full = List.nth spans (List.length spans - 1) in
-  let newest_last = List.nth last 9 in
-  Alcotest.(check string) "last_n keeps the newest" newest_full.Ring.name newest_last.Ring.name
+  Alcotest.(check bool) "dump sorted by start time" true (List.sort Int.compare ts = ts)
 
 (* Pools spawn fresh domains for every batch, so a long-lived daemon
    records from an unbounded sequence of domains: the rings must stay

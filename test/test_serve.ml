@@ -53,7 +53,7 @@ let test_json_roundtrip () =
 
 (* Generated documents: strings over all 256 byte values, floats at the
    edges of the format (through [J.float], so non-finite ones too), ints
-   at both ends of the range, nesting up to [J.max_depth]. *)
+   at both ends of the range, nesting up to the parser's 64 levels. *)
 let json_gen =
   let open QCheck2.Gen in
   let byte =
@@ -100,7 +100,7 @@ let json_gen =
                  (1, map (fun kv -> J.Obj kv) (list_size (int_range 0 3) (pair str (self (n / 3)))));
                ])
   in
-  frequency [ (9, value); (1, map (nest J.max_depth) scalar) ]
+  frequency [ (9, value); (1, map (nest 64) scalar) ]
 
 let rec json_equal a b =
   match (a, b) with
@@ -240,8 +240,8 @@ let test_protocol_responses () =
   (* every error code survives the name mapping *)
   List.iter
     (fun code ->
-      match P.code_of_name (P.code_name code) with
-      | Some c when c = code -> ()
+      match P.parse_response (P.render_error ~id:None code "m") with
+      | Ok { P.payload = Error (c, "m"); _ } when c = code -> ()
       | _ -> Alcotest.failf "code %s does not roundtrip" (P.code_name code))
     [
       P.Parse_error; P.Bad_request; P.Unknown_type; P.Unknown_field; P.Frame_too_long;
@@ -863,6 +863,25 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
+(* a transient request gets the deck path's step cap: 8 states x 1 us at
+   1 ps steps is 8e6 steps, refused before the circuit (and its recorded
+   waveform) is built rather than run until its deadline *)
+let test_daemon_transient_step_cap () =
+  with_server @@ fun _t path ->
+  let c = C.connect (C.Unix_socket path) in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  (match
+     C.call c ~deadline_s:2.0 ~type_:"transient"
+       [ ("expr", J.String "a ^ b ^ c"); ("bit_time", J.Float 1e-6); ("h", J.Float 1e-12) ]
+   with
+  | Error (P.Bad_request, msg) ->
+    Alcotest.(check bool) ("the answer names the limit: " ^ msg) true (contains ~sub:"20000" msg)
+  | Error (code, msg) -> Alcotest.failf "expected bad_request, got %s: %s" (P.code_name code) msg
+  | Ok _ -> Alcotest.fail "an 8e6-step transient was run");
+  Alcotest.(check bool) "refused at once" true (Unix.gettimeofday () -. t0 < 1.0);
+  Alcotest.(check bool) "daemon alive" true (C.ping c)
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
@@ -882,12 +901,15 @@ let test_daemon_flight_dump_carries_trace () =
   let c = C.connect (C.Unix_socket path) in
   Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
   (match
-     C.call c ~id:(J.String "kill-me") ~deadline_s:0.05 ~trace_id:"cli-trace-7"
-       ~parent_span:"cli-span-2" ~type_:"sleep" [ ("seconds", J.Float 5.0) ]
+     P.parse_response
+       (C.call_raw c
+          {|{"type":"sleep","id":"kill-me","deadline_s":0.05,"trace_id":"cli-trace-7","parent_span":"cli-span-2","seconds":5.0}|})
    with
-  | Error (P.Timeout, _) -> ()
-  | Error (code, msg) -> Alcotest.failf "expected timeout, got %s: %s" (P.code_name code) msg
-  | Ok _ -> Alcotest.fail "sleep outlived its deadline");
+  | Ok { P.payload = Error (P.Timeout, _); _ } -> ()
+  | Ok { P.payload = Error (code, msg); _ } ->
+    Alcotest.failf "expected timeout, got %s: %s" (P.code_name code) msg
+  | Ok { P.payload = Ok _; _ } -> Alcotest.fail "sleep outlived its deadline"
+  | Error msg -> Alcotest.failf "undecodable response: %s" msg);
   (* the dump lands just after the timeout response ships; poll the
      counter (incremented only once the spool file is fully written) *)
   let rec wait_dump tries =
@@ -1423,6 +1445,8 @@ let () =
             test_daemon_parity_with_direct_engine;
           Alcotest.test_case "quota + backpressure" `Quick test_daemon_quota_and_backpressure;
           Alcotest.test_case "deadline timeout is structured" `Quick test_daemon_timeout_structured;
+          Alcotest.test_case "transient over the step cap refused" `Quick
+            test_daemon_transient_step_cap;
           Alcotest.test_case "tcp listener (ephemeral port)" `Quick test_daemon_tcp_listener;
           Alcotest.test_case "graceful shutdown drains in-flight" `Quick
             test_daemon_graceful_shutdown_drains;
