@@ -487,8 +487,8 @@ let () =
           Alcotest.test_case "extended 10x10 recompute" `Quick test_table1_extended_recompute_10;
           Alcotest.test_case "extended diagonal recompute" `Slow
             test_table1_extended_recompute_full;
-          Alcotest.test_case "memo hammer, 4 domains" `Quick test_table1_memo_hammer;
           Alcotest.test_case "asymmetry 2x9 vs 9x2" `Quick test_table1_transpose_symmetry;
+          Alcotest.test_case "memo hammer, 4 domains" `Quick test_table1_memo_hammer;
         ] );
       ( "lattice_function",
         [
