@@ -39,6 +39,30 @@ let fail fmt = Printf.ksprintf (fun msg -> raise (Run_error msg)) fmt
 
 let is_ground name = name = "0" || String.lowercase_ascii name = "gnd"
 
+(* the points a [.dc] card sweeps and the end time a [.tran] card runs
+   to, after the smoke caps *)
+let sweep_points ~smoke start stop step =
+  let n = int_of_float (Float.floor (((stop -. start) /. step) +. 1e-9)) + 1 in
+  if smoke then Int.min n 5 else n
+
+let tran_stop ~smoke step t_stop = if smoke then Float.min t_stop (step *. 50.0) else t_stop
+
+let check_limits ?(smoke = false) ~limits (deck : Ast.deck) =
+  let over = function
+    | Ast.Dc_sweep { start; stop; step; _ } ->
+      let n = sweep_points ~smoke start stop step in
+      if n > limits.max_sweep_points then
+        Some (Printf.sprintf "dc sweep has %d points (limit %d)" n limits.max_sweep_points)
+      else None
+    | Ast.Tran { step; t_stop } ->
+      let nsteps = int_of_float (Float.ceil (tran_stop ~smoke step t_stop /. step)) in
+      if nsteps > limits.max_tran_steps then
+        Some (Printf.sprintf "transient has %d steps (limit %d)" nsteps limits.max_tran_steps)
+      else None
+    | Ast.Op | Ast.Ac _ -> None
+  in
+  match List.find_map over deck.Ast.analyses with Some msg -> Error msg | None -> Ok ()
+
 let run ~engine ?cancel ?(smoke = false) ?(limits = default_limits) (deck : Ast.deck) =
   let net = deck.Ast.netlist in
   let v_probes =
@@ -73,10 +97,7 @@ let run ~engine ?cancel ?(smoke = false) ?(limits = default_limits) (deck : Ast.
     | Error f -> fail "operating point failed: %s" (Sp.Dcop.pp_failure f)
   in
   let run_dc source start stop step =
-    let n = int_of_float (Float.floor (((stop -. start) /. step) +. 1e-9)) + 1 in
-    let n = if smoke then Int.min n 5 else n in
-    if n > limits.max_sweep_points then
-      fail "dc sweep has %d points (limit %d)" n limits.max_sweep_points;
+    let n = sweep_points ~smoke start stop step in
     if N.vsource_index net source = None then fail "dc sweep: unknown voltage source V%s" source;
     (* each point is the deck with the swept source rebound: a distinct
        cacheable circuit, solved on the sweep's one workspace *)
@@ -94,10 +115,7 @@ let run ~engine ?cancel ?(smoke = false) ?(limits = default_limits) (deck : Ast.
     Dc_result { source; probes = watch_nodes; rows }
   in
   let run_tran step t_stop =
-    let t_stop = if smoke then Float.min t_stop (step *. 50.0) else t_stop in
-    let nsteps = int_of_float (Float.ceil (t_stop /. step)) in
-    if nsteps > limits.max_tran_steps then
-      fail "transient has %d steps (limit %d)" nsteps limits.max_tran_steps;
+    let t_stop = tran_stop ~smoke step t_stop in
     match
       Sp.Transient.run_diag ?cancel net ~h:step ~t_stop ~record:watch_nodes
         ~record_currents:i_probes ()
@@ -148,6 +166,7 @@ let run ~engine ?cancel ?(smoke = false) ?(limits = default_limits) (deck : Ast.
       }
   in
   try
+    Result.iter_error (fun msg -> raise (Run_error msg)) (check_limits ~smoke ~limits deck);
     if N.elements net = [] then fail "deck has no elements";
     let analyses = if deck.Ast.analyses = [] then [ Ast.Op ] else deck.Ast.analyses in
     let results =

@@ -40,14 +40,22 @@ type t = {
   results : (Ast.analysis * analysis_result) list;
 }
 
+(** [check_limits ?smoke ~limits deck] is [Error msg] for the first
+    analysis card of [deck] that asks for more work than [limits]
+    allows — more [.dc] sweep points or [.tran] steps, counted after
+    [smoke]'s caps — and [Ok ()] when none does. It runs nothing, so a
+    server can refuse an oversized deck before any analysis starts. *)
+val check_limits : ?smoke:bool -> limits:limits -> Ast.deck -> (unit, string) result
+
 (** [run ~engine deck] executes the deck's analyses in card order (a
     deck with none gets an implicit [.op]). [cancel] is threaded into
     every solve, so deadlines abort mid-analysis ({!Lattice_spice.Cancel.Cancelled}
     propagates — a deadline is not a failure). [smoke] caps the work for
     CI smoke runs (transients truncated to 50 steps, sweeps to 5 points,
     AC to 3 points/decade); [limits] rejects oversized analyses with a
-    structured error instead of truncating. Convergence failures and
-    limit violations return [Error msg]; no other exception escapes. *)
+    structured error instead of truncating, through {!check_limits}
+    before any analysis runs. Convergence failures and limit violations
+    return [Error msg]; no other exception escapes. *)
 val run :
   engine:Lattice_engine.Engine.t ->
   ?cancel:Lattice_spice.Cancel.t ->

@@ -17,6 +17,7 @@ type t = {
   jobs : Scope.counter;
   dc_solves : Scope.counter;
   newton : Scope.counter;
+  newton_failed : Scope.counter;
   retries : Scope.counter;
   timeouts : Scope.counter;
   job_failures : Scope.counter;
@@ -56,6 +57,7 @@ let create ?domains ?store_dir () =
     jobs = counter "jobs";
     dc_solves = counter ~request:"dc_solves" "dc_solves";
     newton = counter "newton_iterations";
+    newton_failed = counter "newton_failed_rungs";
     retries = counter ~request:"retries" "retries";
     timeouts = counter "timeouts";
     job_failures = counter "job_failures";
@@ -198,8 +200,17 @@ let map_solution f = function
   | Ok (x, diag) -> Ok (f x, diag)
   | Error _ as e -> e
 
-let failure_iterations (f : Sp.Dcop.failure) =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 f.Sp.Dcop.attempts
+(* the Newton iterations a solve spent, and those of them spent in rungs
+   that failed: every attempt but the winner, which is the last *)
+let solve_iterations r =
+  let sum = List.fold_left (fun acc (_, n) -> acc + n) 0 in
+  match r with
+  | Ok (_, (d : Sp.Dcop.diagnostics)) ->
+    let failed = match List.rev d.Sp.Dcop.attempts with _ :: rest -> sum rest | [] -> 0 in
+    (d.Sp.Dcop.newton_iterations, failed)
+  | Error (f : Sp.Dcop.failure) ->
+    let k = sum f.Sp.Dcop.attempts in
+    (k, k)
 
 type workspace = { mutable plan : Sp.Stamp_plan.t option }
 
@@ -217,35 +228,108 @@ let plan_of ws netlist =
 (* a cache hit as the caller gets it, in its node order *)
 let hit netlist r = map_solution (Sp.Netlist.of_canonical_order netlist) r
 
-let dc_op t ?(options = Sp.Dcop.default_options) ?cancel ?workspace netlist =
-  let key = Key.dc_op ~options netlist in
+(* [x0] is built only when the solve runs *)
+let solve t ~options ?cancel ?workspace ?x0 ~key netlist =
   match Cache.find t.dc_cache ~key with
   | Some r -> hit netlist r
   | None ->
     let plan = Option.map (fun ws -> plan_of ws netlist) workspace in
+    let x0 = Option.map (fun f -> f ()) x0 in
     (* a cancelled solve raises out of [solve_diag] before any of the
        bookkeeping below — partial results are never cached *)
-    let r = Sp.Dcop.solve_diag ~options ?plan ?cancel netlist in
+    let r = Sp.Dcop.solve_diag ~options ?plan ?x0 ?cancel netlist in
+    let all, failed = solve_iterations r in
     Scope.incr t.dc_solves;
-    Scope.add t.newton
-      (match r with
-      | Ok (_, d) -> d.Sp.Dcop.newton_iterations
-      | Error f -> failure_iterations f);
+    Scope.add t.newton all;
+    Scope.add t.newton_failed failed;
     Cache.add t.dc_cache ~key (map_solution (Sp.Netlist.to_canonical_order netlist) r);
     r
+
+let dc_op t ?(options = Sp.Dcop.default_options) ?cancel ?workspace netlist =
+  solve t ~options ?cancel ?workspace ~key:(Key.dc_op ~options netlist) netlist
 
 let resident_dc_op t ?(options = Sp.Dcop.default_options) netlist =
   Option.map (hit netlist) (Cache.find_resident t.dc_cache ~key:(Key.dc_op ~options netlist))
 
-let lattice_output t ?options (lc : Sp.Lattice_circuit.t) =
+let state_netlist (lc : Sp.Lattice_circuit.t) =
   let stimulus =
     Sp.Lattice_circuit.state_stimulus ~vdd:lc.Sp.Lattice_circuit.config.Sp.Lattice_circuit.vdd
   in
+  fun m -> (Sp.Lattice_circuit.rebind lc ~stimulus:(stimulus m)).Sp.Lattice_circuit.netlist
+
+type seeds = {
+  nominal : Sp.Netlist.t;  (* names the rows of the solutions *)
+  branches : (string, int) Hashtbl.t;  (* voltage-source name -> branch row *)
+  at_state : (string * Lattice_numerics.Vec.t) option array;  (* key, solution *)
+}
+
+let nominal_seeds t ?(options = Sp.Dcop.default_options) ~cancel lc ~states =
+  let at = state_netlist lc in
+  let workspace = workspace () in
+  let at_state = Array.make states None in
+  (try
+     for m = 0 to states - 1 do
+       if Cancel.is_cancelled cancel then raise Exit;
+       let netlist = at m in
+       let key = Key.dc_op ~options netlist in
+       match solve t ~options ~cancel ~workspace ~key netlist with
+       | Ok (x, _) -> at_state.(m) <- Some (key, x)
+       | Error _ -> ()
+     done
+   with Exit | Cancel.Cancelled _ -> ());
+  let nominal = lc.Sp.Lattice_circuit.netlist in
+  let branches = Hashtbl.create 8 in
+  List.iter
+    (function
+      | Sp.Netlist.Vsource { name; index; _ } ->
+        Hashtbl.replace branches name (Sp.Netlist.vsource_row nominal index)
+      | Sp.Netlist.Resistor _ | Sp.Netlist.Capacitor _ | Sp.Netlist.Isource _ | Sp.Netlist.Mosfet _ -> ())
+    (Sp.Netlist.elements nominal);
+  { nominal; branches; at_state }
+
+(* for each MNA row of [netlist], the row of the nominal solution that
+   holds the node or source branch of the same name, or -1: a node the
+   nominal circuit lacks (a broken terminal's) starts at 0 V *)
+let seed_rows seeds netlist =
+  let rows = Array.make (Sp.Netlist.unknowns netlist) (-1) in
+  Array.iteri
+    (fun i name ->
+      Option.iter
+        (fun n -> rows.(i) <- Sp.Netlist.node_index n)
+        (Sp.Netlist.find_node seeds.nominal name))
+    (Sp.Netlist.all_node_names netlist);
+  List.iter
+    (function
+      | Sp.Netlist.Vsource { name; index; _ } ->
+        Option.iter
+          (fun row -> rows.(Sp.Netlist.vsource_row netlist index) <- row)
+          (Hashtbl.find_opt seeds.branches name)
+      | Sp.Netlist.Resistor _ | Sp.Netlist.Capacitor _ | Sp.Netlist.Isource _ | Sp.Netlist.Mosfet _ -> ())
+    (Sp.Netlist.elements netlist);
+  rows
+
+let lattice_output t ?(options = Sp.Dcop.default_options) ?seeds (lc : Sp.Lattice_circuit.t) =
+  let at = state_netlist lc in
   let out = Sp.Netlist.node lc.Sp.Lattice_circuit.netlist lc.Sp.Lattice_circuit.output_node in
   let workspace = workspace () in
+  let seed =
+    match seeds with
+    | None -> fun _ -> None
+    | Some s ->
+      let rows = seed_rows s lc.Sp.Lattice_circuit.netlist in
+      fun m ->
+        if m >= Array.length s.at_state then None
+        else
+          Option.map
+            (fun (key, x) -> (key, fun () -> Array.map (fun r -> if r < 0 then 0.0 else x.(r)) rows))
+            s.at_state.(m)
+  in
   fun ~cancel m ->
-    let at_m = Sp.Lattice_circuit.rebind lc ~stimulus:(stimulus m) in
-    dc_op t ?options ~cancel ~workspace at_m.Sp.Lattice_circuit.netlist
+    let netlist = at m in
+    (match seed m with
+    | None -> solve t ~options ~cancel ~workspace ~key:(Key.dc_op ~options netlist) netlist
+    | Some (seed, x0) ->
+      solve t ~options ~cancel ~workspace ~x0 ~key:(Key.dc_op ~options ~seed netlist) netlist)
     |> Result.map (fun (x, diag) -> (Sp.Mna.voltage x out, diag))
 
 type telemetry = {
@@ -255,6 +339,7 @@ type telemetry = {
   cache : Cache.stats;
   store : Store.stats option;
   newton_total : int;
+  newton_failed_rungs : int;
   retries : int;
   timeouts : int;
   job_failures : int;
@@ -272,6 +357,7 @@ let telemetry (t : t) =
     cache = Cache.stats t.dc_cache;
     store = Option.map Store.stats t.store;
     newton_total = Scope.get t.newton;
+    newton_failed_rungs = Scope.get t.newton_failed;
     retries = Scope.get t.retries;
     timeouts = Scope.get t.timeouts;
     job_failures = Scope.get t.job_failures;
@@ -313,8 +399,8 @@ let summary (t : t) =
           (List.map (fun (p, s) -> Printf.sprintf "%s %.2fs" p s) ps)
   in
   Printf.sprintf
-    "engine: %d domain%s | %d jobs | %d dc solves, cache %d/%d hits (%.1f%%), %d evictions%s | %d newton iters%s%s"
+    "engine: %d domain%s | %d jobs | %d dc solves, cache %d/%d hits (%.1f%%), %d evictions%s | %d newton iters (%d in failed rungs)%s%s"
     tel.domains
     (if tel.domains = 1 then "" else "s")
     tel.jobs tel.dc_solves tel.cache.Cache.hits lookups hit_pct
-    tel.cache.Cache.evictions store tel.newton_total faults phases
+    tel.cache.Cache.evictions store tel.newton_total tel.newton_failed_rungs faults phases

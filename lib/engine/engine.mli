@@ -189,21 +189,51 @@ val resident_dc_op :
   (Lattice_numerics.Vec.t * Lattice_spice.Dcop.diagnostics, Lattice_spice.Dcop.failure) result
   option
 
-(** [lattice_output e ?options lc] checks one lattice circuit at its
-    input states: the returned function maps input state [m] to the DC
-    voltage of [lc]'s output node and the solve's diagnostics, with the
-    inputs driven by {!Lattice_spice.Lattice_circuit.state_stimulus} at
-    [lc]'s own [vdd] (the stimulus [lc] was built with does not matter).
-    The circuit is built once, by the caller; each call only rebinds the
-    input drivers ({!Lattice_spice.Lattice_circuit.rebind}) and goes
-    through {!dc_op} on one {!workspace} owned by the function. So make
-    one per job and keep it inside that job. Results equal a fresh
-    build and {!dc_op} per state, bit for bit. How Monte-Carlo dies,
-    campaign samples, repair re-verifications and circuit validation
-    check a lattice at every input state. *)
+(** The DC solutions of one nominal lattice circuit at its input
+    states, each with its content key: the start points of the solves of
+    its perturbed copies (Monte-Carlo dies, defect samples). Immutable
+    once built, so the jobs of any domain may share one. *)
+type seeds
+
+(** [nominal_seeds e ?options ~cancel lc ~states] solves [lc] at input
+    states [0 .. states - 1] as {!lattice_output} would (through the
+    cache, on one {!workspace}, under [cancel]) and keeps each solution
+    with its key. A state whose solve fails gets no seed. A fired
+    [cancel] stops the solves; the states it left unsolved get no seed,
+    and nothing is raised. Call it once per flow call, before the jobs
+    that share it, so that start points depend neither on the domain
+    count nor on the schedule. *)
+val nominal_seeds :
+  t ->
+  ?options:Lattice_spice.Dcop.options ->
+  cancel:Lattice_spice.Cancel.t ->
+  Lattice_spice.Lattice_circuit.t ->
+  states:int ->
+  seeds
+
+(** [lattice_output e ?options ?seeds lc] checks one lattice circuit at
+    its input states: the returned function maps input state [m] to the
+    DC voltage of [lc]'s output node and the solve's diagnostics, with
+    the inputs driven by {!Lattice_spice.Lattice_circuit.state_stimulus}
+    at [lc]'s own [vdd] (the stimulus [lc] was built with does not
+    matter). The circuit is built once, by the caller; each call only
+    rebinds the input drivers ({!Lattice_spice.Lattice_circuit.rebind})
+    and goes through the cache on one {!workspace} owned by the
+    function. So make one per job and keep it inside that job.
+
+    Without [seeds], results equal a fresh build and {!dc_op} per state,
+    bit for bit. With [seeds], the plain Newton rung of state [m] starts
+    from the nominal solution at [m], mapped onto [lc] by node name and
+    source name (a node the nominal circuit lacks starts at 0 V; the
+    map is built once per call of [lattice_output]), and the solve is
+    cached under {!Key.dc_op}[ ~seed] with the nominal solve's key. A
+    state without a seed is solved as without [seeds]. How Monte-Carlo
+    dies, campaign samples (seeded), repair re-verifications and circuit
+    validation (unseeded) check a lattice at every input state. *)
 val lattice_output :
   t ->
   ?options:Lattice_spice.Dcop.options ->
+  ?seeds:seeds ->
   Lattice_spice.Lattice_circuit.t ->
   cancel:Lattice_spice.Cancel.t ->
   int ->
@@ -216,6 +246,9 @@ type telemetry = {
   cache : Cache.stats;  (** DC-result cache counters *)
   store : Store.stats option;  (** persistent-store counters, when wired *)
   newton_total : int;  (** Newton iterations spent in uncached solves *)
+  newton_failed_rungs : int;
+      (** the part of [newton_total] spent in ladder rungs that failed:
+          every attempt but the winning one, all of a failed solve's *)
   retries : int;  (** job re-dispatches by {!run_jobs} *)
   timeouts : int;  (** jobs whose {e final} outcome was [Timed_out] *)
   job_failures : int;  (** jobs whose {e final} outcome was [Failed] *)
@@ -231,7 +264,7 @@ val counters : t -> (string * int) list
 (** One-line rendering for CLI output, e.g.
     ["engine: 4 domains | 500 jobs | 3896 dc solves, cache 104/4000 hits
       (2.6%), 0 evictions | store 0/104 hits, 3896 writes, 0 corrupt |
-      18234 newton iters | 3 retries, 1 timeouts, 2 failures |
-      monte-carlo 1.23s"] (store and fault segments appear only when
-    a store is wired / faults occurred). *)
+      18234 newton iters (7120 in failed rungs) | 3 retries, 1 timeouts,
+      2 failures | monte-carlo 1.23s"] (store and fault segments appear
+    only when a store is wired / faults occurred). *)
 val summary : t -> string

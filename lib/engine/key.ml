@@ -17,13 +17,18 @@ let add_dc_options b (o : Sp.Dcop.options) =
   add_int b o.Sp.Dcop.source_steps;
   add_float b o.Sp.Dcop.damping
 
-let version = "dcop-v3"
+let version = "dcop-v4"
 
-let dc_op ?(options = Sp.Dcop.default_options) ?(time = 0.0) netlist =
+let dc_op ?(options = Sp.Dcop.default_options) ?(time = 0.0) ?seed netlist =
   let b = Buffer.create 256 in
   add_string b version;
   add_dc_options b options;
   add_float b time;
+  (match seed with
+  | None -> add_int b 0
+  | Some key ->
+    add_int b 1;
+    add_string b key);
   Buffer.add_string b (Sp.Netlist.wave_free_digest netlist);
   Sp.Netlist.add_vsource_waves b netlist;
   Digest.to_hex (Digest.string (Buffer.contents b))

@@ -54,35 +54,51 @@ let entry_path t ~key =
   let hex = Digest.to_hex (Digest.string key) in
   Filename.concat (Filename.concat t.dir (shard_of hex)) (hex ^ ".entry")
 
-(* Anything wrong with an entry file's framing or checksum. *)
-exception Corrupt of string
+(* Anything wrong with an entry file's framing or checksum, and the
+   identity (device, inode) of the file that was read. *)
+exception Corrupt of string * (int * int)
 
-let input_header_line ic =
-  match In_channel.input_line ic with
-  | Some l -> l
-  | None -> raise (Corrupt "truncated header")
+let identity (st : Unix.stats) = (st.Unix.st_dev, st.Unix.st_ino)
 
 let read_entry ~key path =
   In_channel.with_open_bin path (fun ic ->
-      if input_header_line ic <> magic then raise (Corrupt "bad magic");
-      if input_header_line ic <> key then raise (Corrupt "key mismatch");
-      let len =
-        match int_of_string_opt (input_header_line ic) with
-        | Some n when n >= 0 -> n
-        | Some _ | None -> raise (Corrupt "bad length")
+      let id = identity (Unix.fstat (Unix.descr_of_in_channel ic)) in
+      let corrupt why = raise (Corrupt (why, id)) in
+      let header_line () =
+        match In_channel.input_line ic with Some l -> l | None -> corrupt "truncated header"
       in
-      let digest = input_header_line ic in
+      if header_line () <> magic then corrupt "bad magic";
+      if header_line () <> key then corrupt "key mismatch";
+      let len =
+        match int_of_string_opt (header_line ()) with
+        | Some n when n >= 0 -> n
+        | Some _ | None -> corrupt "bad length"
+      in
+      let digest = header_line () in
       let payload =
         match In_channel.really_input_string ic len with
         | Some s -> s
-        | None -> raise (Corrupt "truncated payload")
+        | None -> corrupt "truncated payload"
       in
-      if In_channel.input_char ic <> None then raise (Corrupt "trailing bytes");
-      if Digest.to_hex (Digest.string payload) <> digest then
-        raise (Corrupt "checksum mismatch");
+      if In_channel.input_char ic <> None then corrupt "trailing bytes";
+      if Digest.to_hex (Digest.string payload) <> digest then corrupt "checksum mismatch";
       match Marshal.from_string payload 0 with
       | v -> v
-      | exception _ -> raise (Corrupt "unmarshalable payload"))
+      | exception _ -> corrupt "unmarshalable payload")
+
+(* Moves the entry file at [path] out of its slot and deletes it, and
+   says whether that file was the one with identity [id]. Only one
+   reader can move a given file, so readers that verified the same torn
+   file at once count it once. A fresh entry that a writer renamed into
+   the slot since is dropped too; a later miss writes it again. *)
+let remove_torn t path id =
+  let aside = Printf.sprintf "%s.torn.%d.%d" path (Unix.getpid ()) (Atomic.fetch_and_add t.temp_seq 1) in
+  match Unix.rename path aside with
+  | exception Unix.Unix_error _ -> false
+  | () ->
+    let same = try identity (Unix.stat aside) = id with Unix.Unix_error _ -> false in
+    (try Sys.remove aside with Sys_error _ -> ());
+    same
 
 let find t ~key =
   let path = entry_path t ~key in
@@ -95,15 +111,14 @@ let find t ~key =
     | v ->
       Metrics.Scope.incr t.hits;
       Some v
-    | exception Corrupt why ->
-      (* a torn or alien entry is a miss, never a crash: count it,
-         drop the file so the slot heals on the next write *)
-      Metrics.Scope.incr t.corrupt;
-      if Trace.on () then
-        Trace.instant ~cat:"engine"
-          ~args:[ ("path", path); ("why", why) ]
-          "store.corrupt";
-      (try Sys.remove path with Sys_error _ -> ());
+    | exception Corrupt (why, id) ->
+      (* a torn or alien entry is a miss, never a crash: drop the file
+         so the slot heals on the next write, and count it once *)
+      if remove_torn t path id then begin
+        Metrics.Scope.incr t.corrupt;
+        if Trace.on () then
+          Trace.instant ~cat:"engine" ~args:[ ("path", path); ("why", why) ] "store.corrupt"
+      end;
       None
     | exception (Sys_error _ | End_of_file | Unix.Unix_error _) ->
       Metrics.Scope.incr t.errors;

@@ -14,9 +14,10 @@
       never a torn write, even across a crash mid-write.
     - {b Verified reads}: each entry carries a magic tag, its full key,
       the payload length and an MD5 checksum. A corrupt, truncated or
-      alien file fails verification, is counted in [stats.corrupt],
-      best-effort deleted, and treated as a miss — it never raises and
-      never reaches [Marshal].
+      alien file fails verification, is best-effort deleted, and
+      treated as a miss — it never raises and never reaches [Marshal].
+      It is counted once in [stats.corrupt], by the reader that moved
+      it out of its slot, however many readers verified it at once.
     - {b No IO failure escapes}: unreadable directories, permission
       errors, full disks all degrade to misses/dropped writes counted
       in [stats.errors].
@@ -34,7 +35,7 @@ type stats = {
   hits : int;
   misses : int;  (** lookups that found no (valid) entry file *)
   writes : int;  (** entries durably renamed into place *)
-  corrupt : int;  (** entry files that failed verification *)
+  corrupt : int;  (** entry files that failed verification, each counted once *)
   errors : int;  (** IO errors on read or write, degraded to miss/drop *)
 }
 

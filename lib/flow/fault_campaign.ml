@@ -63,15 +63,20 @@ type sample = {
 
 let iterations_of_attempts attempts = List.fold_left (fun acc (_, n) -> acc + n) 0 attempts
 
+let state_zero options =
+  Sp.Lattice_circuit.state_stimulus ~vdd:options.config.Sp.Lattice_circuit.vdd 0
+
 (* The defective circuit's output voltage (and solve diagnostics) as a
    function of the input state; built once per call, i.e. once per job. *)
-let defective_circuit engine ~options grid ~defects =
-  Engine.lattice_output engine ~options:options.dc
+let defective_circuit ?seeds engine ~options grid ~defects =
+  Engine.lattice_output engine ~options:options.dc ?seeds
     (Defects.build ~config:options.config ~params:options.params ~defects grid
-       ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd:options.config.Sp.Lattice_circuit.vdd 0))
+       ~stimulus:(state_zero options))
 
-let simulate ?engine ?(cancel = Cancel.none) ?(options = default_options) grid ~target ~test_set
-    defects =
+(* one sample, its solves seeded when [run] passes the nominal circuit's
+   solutions *)
+let run_sample ?seeds ?engine ?(cancel = Cancel.none) ?(options = default_options) grid ~target
+    ~test_set defects =
   let nvars = Tt.nvars target in
   if nvars > 5 then invalid_arg "Fault_campaign.simulate: too many inputs";
   if options.budget.newton_per_sample <= 0 then
@@ -79,7 +84,7 @@ let simulate ?engine ?(cancel = Cancel.none) ?(options = default_options) grid ~
   let engine = Engine.or_fresh engine in
   let vdd = options.config.Sp.Lattice_circuit.vdd in
   let states = 1 lsl nvars in
-  let output_at = defective_circuit engine ~options grid ~defects in
+  let output_at = defective_circuit ?seeds engine ~options grid ~defects in
   let used = ref 0 in
   let worst_low = ref 0.0 and worst_high = ref infinity in
   let mismatches = ref [] in
@@ -143,6 +148,9 @@ let simulate ?engine ?(cancel = Cancel.none) ?(options = default_options) grid ~
     failure = !failure;
     newton_iterations = !used;
   }
+
+let simulate ?engine ?cancel ?options grid ~target ~test_set defects =
+  run_sample ?engine ?cancel ?options grid ~target ~test_set defects
 
 (* the logical fault a circuit defect projects to; the analog kinds have
    no logical counterpart *)
@@ -292,6 +300,12 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
   let logical = Faults.analyze grid in
   let test_set = logical.Faults.test_set in
   let sets = Array.of_list (List.map (fun d -> [ d ]) universe @ multi) in
+  (* every sample starts Newton from the defect-free circuit's solution *)
+  let seeds =
+    Engine.nominal_seeds engine ~options:options.dc ~cancel
+      (Sp.Lattice_circuit.build ~config:options.config grid ~stimulus:(state_zero options))
+      ~states:(1 lsl nvars)
+  in
   let samples =
     (* Each defect set is an independent job: results merge by index, so
        the report is bit-identical at any domain count. Dispatch is
@@ -303,7 +317,7 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
       ~n:(Array.length sets)
       (fun ~attempt ~cancel i ->
         let options = options_for_attempt ~attempt options in
-        simulate ~engine ~cancel ~options grid ~target ~test_set sets.(i))
+        run_sample ~seeds ~engine ~cancel ~options grid ~target ~test_set sets.(i))
     |> Array.mapi (fun i -> function
          | Pool.Done s -> s
          | Pool.Failed e ->

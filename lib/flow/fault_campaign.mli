@@ -138,8 +138,13 @@ type report = {
     fault-isolated {!Lattice_engine.Engine.run_jobs} (phase
     ["fault-campaign"]), then the repairs (phase ["campaign-repair"]);
     without [engine] both run on {!Lattice_engine.Engine.or_fresh}'s
-    1-domain engine. Results merge by index, so the report is
-    bit-identical at any domain count. A sample whose worker crashes,
+    1-domain engine. Before the samples, the defect-free circuit
+    ([Lattice_circuit.build ~config grid]) is solved once at every input
+    state ({!Lattice_engine.Engine.nominal_seeds}, under [cancel]), and
+    each sample's plain Newton rungs start from those solutions; the
+    repairs' re-verifications start from 0 V. Results merge by index,
+    so the report is bit-identical at any domain count. A sample whose
+    worker crashes,
     blows its [policy] deadline, or is cancelled becomes a
     [Non_convergent] sample whose failure message says why
     (["worker exception: …"], ["deadline exceeded"], ["cancelled"]) —

@@ -55,6 +55,11 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
   let engine = Engine.or_fresh engine in
   let vdd = config.Sp.Lattice_circuit.vdd in
   let states = 1 lsl nvars in
+  let stimulus = Sp.Lattice_circuit.state_stimulus ~vdd 0 in
+  (* every die starts Newton from the unperturbed circuit's solution *)
+  let seeds =
+    Engine.nominal_seeds engine ~cancel (Sp.Lattice_circuit.build ~config grid ~stimulus) ~states
+  in
   let one_sample ~cancel index =
     (* One die: a fixed per-site perturbation reused across input states.
        Each die draws from an index-derived RNG stream (seed-splitting by
@@ -69,9 +74,7 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
     let types_of_site r c = site_types.((r * grid.Grid.cols) + c) in
     let worst_low = ref 0.0 and worst_high = ref infinity and ok = ref true in
     let output_at =
-      Engine.lattice_output engine
-        (Sp.Lattice_circuit.build ~config ~types_of_site grid
-           ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd 0))
+      Engine.lattice_output engine ~seeds (Sp.Lattice_circuit.build ~config ~types_of_site grid ~stimulus)
     in
     for m = 0 to states - 1 do
       (* per-state checkpoint: deadlines bite on warm caches too *)

@@ -39,9 +39,13 @@ type result = {
     ({!Lattice_engine.Engine.sample_rng}), so the result is a pure
     function of [(seed, k)] — independent of how many samples run and in
     what order. Samples fan out over the engine's fault-isolated
-    {!Lattice_engine.Engine.run_jobs} (phase ["monte-carlo"]). A die's
-    circuit is built once and checked at every input state through
-    {!Lattice_engine.Engine.lattice_output}: the DC solves go through
+    {!Lattice_engine.Engine.run_jobs} (phase ["monte-carlo"]). Before
+    the dies, the unperturbed circuit is solved once at every input
+    state ({!Lattice_engine.Engine.nominal_seeds}, under [cancel]), and
+    each die's plain Newton rung starts from the solution at its state.
+    A die's circuit is built once and checked at every input state
+    through {!Lattice_engine.Engine.lattice_output}: the DC solves go
+    through
     the engine's content-addressed cache on the die's job-scoped
     workspace (one plan compile and, on a cold cache, one full LU
     analysis per die); without [engine] they run on

@@ -45,7 +45,11 @@
       [smoke]: parse the deck and execute its analysis cards through
       the shared engine under tight server-side limits. A malformed
       deck answers a [deck_error] whose error object carries the
-      offending [line]/[col] — it never terminates the connection.
+      offending [line]/[col] — it never terminates the connection. A
+      deck with a [.dc] sweep of more than 256 points or a [.tran] of
+      more than 20,000 steps (after the [smoke] caps) answers
+      [bad_request] before any of its analyses runs; an analysis that
+      fails to converge answers [non_convergent].
     - [sleep] — [seconds]: test-only worker stall; rejected unless the
       server enables it. *)
 

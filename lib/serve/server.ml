@@ -415,6 +415,11 @@ let handle_run_deck t ~cancel ~deck ~smoke =
            Printf.sprintf "%d:%d: %s" e.line e.col e.msg,
            [ ("line", Json.Int e.line); ("col", Json.Int e.col) ] ))
   | Ok d -> (
+    (* a refused deck is the client's to fix: answered before any
+       analysis runs, as a transient request past the same cap is *)
+    Result.iter_error
+      (h_reject Protocol.Bad_request "%s")
+      (Lattice_deck.Runner.check_limits ~smoke ~limits:deck_limits d);
     match Lattice_deck.Runner.run ~engine:t.engine ~cancel ~smoke ~limits:deck_limits d with
     | Error msg -> h_reject Protocol.Non_convergent "%s" msg
     | Ok r ->

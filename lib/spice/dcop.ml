@@ -33,20 +33,25 @@ let default_options =
 type strategy =
   | Plain
   | Gmin_stepping
-  | Source_stepping
   | Damped_plain
   | Damped_gmin
+  | Source_stepping
   | Damped_source
   | Gshunt_ramp
 
 let strategy_name = function
   | Plain -> "plain"
   | Gmin_stepping -> "gmin-stepping"
-  | Source_stepping -> "source-stepping"
   | Damped_plain -> "damped"
   | Damped_gmin -> "damped-gmin"
+  | Source_stepping -> "source-stepping"
   | Damped_source -> "damped-source"
   | Gshunt_ramp -> "gshunt-ramp"
+
+(* Newton iterations the plain rung may spend: when plain converges it
+   usually does so within a few dozen iterations, and past that it mostly
+   chatters until the budget runs out *)
+let plain_budget = 40
 
 type diagnostics = {
   strategy : strategy;
@@ -183,10 +188,14 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
         p
       | None -> Stamp_plan.compile netlist
     in
-    let x0 = match x0 with Some x -> Vec.copy x | None -> Vec.zeros n in
+    (* [x0] steers the plain rung only; every fallback starts from 0 V.
+       Nodes that OFF switches isolate have only a gmin-defined voltage,
+       and a continuation started elsewhere can settle them elsewhere. *)
+    let zeros = Vec.zeros n in
+    let start = match x0 with Some x -> x | None -> zeros in
     (* last Newton iterate of the most recent failed attempt, for the
        failure diagnostics *)
-    let last_x = Vec.copy x0 in
+    let last_x = Vec.copy start in
     let run_newton ?gshunt ~options ~count ~x0 ~gmin ~source_scale () =
       let dst = Array.make n 0.0 in
       (try
@@ -198,18 +207,18 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
          raise e);
       dst
     in
-    let attempt_plain options count () =
+    let attempt_plain ~x0 options count () =
       run_newton ~options ~count ~x0 ~gmin:options.gmin_final ~source_scale:1.0 ()
     in
     let attempt_gmin options count () =
-      let x = ref (Vec.copy x0) in
+      let x = ref zeros in
       List.iter
         (fun gmin -> x := run_newton ~options ~count ~x0:!x ~gmin ~source_scale:1.0 ())
         options.gmin_steps;
       run_newton ~options ~count ~x0:!x ~gmin:options.gmin_final ~source_scale:1.0 ()
     in
     let attempt_source options count () =
-      let x = ref (Vec.copy x0) in
+      let x = ref zeros in
       for k = 1 to options.source_steps do
         let scale = float_of_int k /. float_of_int options.source_steps in
         x := run_newton ~options ~count ~x0:!x ~gmin:options.gmin_final ~source_scale:scale ()
@@ -227,20 +236,24 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
        point, and the residual bias (~fA) sits far below the device leakage
        floor. *)
     let attempt_gshunt options count () =
-      let x = ref (Vec.copy x0) in
+      let x = ref zeros in
       List.iter
         (fun gshunt ->
           x := run_newton ~gshunt ~options ~count ~x0:!x ~gmin:options.gmin_final ~source_scale:1.0 ())
         [ 1e-2; 1e-3; 1e-4; 1e-5; 1e-6; 1e-8; 1e-10; 1e-12 ];
       !x
     in
+    (* source stepping seldom wins and costs the most when it fails, so
+       the damped rungs go before it *)
     let ladder =
       [
-        (Plain, attempt_plain options);
+        ( Plain,
+          attempt_plain ~x0:start
+            { options with max_iterations = Int.min plain_budget options.max_iterations } );
         (Gmin_stepping, attempt_gmin options);
-        (Source_stepping, attempt_source options);
-        (Damped_plain, attempt_plain damped);
+        (Damped_plain, attempt_plain ~x0:zeros damped);
         (Damped_gmin, attempt_gmin damped);
+        (Source_stepping, attempt_source options);
         (Damped_source, attempt_source damped);
         (Gshunt_ramp, attempt_gshunt damped);
       ]

@@ -23,14 +23,16 @@ type options = {
 val default_options : options
 
 (** One rung of the fallback ladder, in the order {!solve_diag} tries
-    them: plain Newton, gmin stepping, source stepping, the same three
-    heavily damped, then the node-shunt continuation. *)
+    them: plain Newton (at most 40 iterations, or [max_iterations] if
+    fewer), gmin stepping, heavily damped plain Newton and gmin
+    stepping, source stepping, damped source stepping, then the
+    node-shunt continuation. *)
 type strategy =
   | Plain
   | Gmin_stepping
-  | Source_stepping
   | Damped_plain
   | Damped_gmin
+  | Source_stepping
   | Damped_source
   | Gshunt_ramp
 
@@ -116,15 +118,21 @@ val newton_into :
     deadline is {e not} a convergence failure, so it aborts the whole
     ladder instead of escalating it.
 
+    [x0] (default 0 V everywhere) is where the plain rung starts; every
+    later rung starts from 0 V, as a solve without [x0] does. A node
+    that OFF switches isolate has only a gmin-defined voltage, so a
+    continuation from another start could settle it elsewhere.
+
     Without [plan] a fresh stamp plan is compiled for this solve. With
     [plan], the solve first {!Stamp_plan.rebind}s it to [netlist] — a
     plan compiled from any netlist that differs from [netlist] only in
     source waves (another input state of the same circuit, another
     [.dc] sweep point) — and starts from the plan's memo-guarded first
     factorization. The result, diagnostics included, is bit-identical
-    to a solve without [plan]; only the compile and, when the first
-    Newton matrix repeats, the pivot search and symbolic analysis are
-    saved. A plan of any other structure raises [Invalid_argument]. *)
+    to a solve without [plan]; only the compile and, when the matrix at
+    x = 0 repeats, the pivot search and symbolic analysis are saved
+    (see {!Stamp_plan.factor_and_solve}). A plan of any other structure
+    raises [Invalid_argument]. *)
 val solve_diag :
   ?options:options ->
   ?plan:Stamp_plan.t ->

@@ -55,7 +55,10 @@ type t = {
   ws : Level1.workspace;
   mutable lu : Sparse.lu option; (* None: the next factorization is a solve's first *)
   mutable first : (float array * Sparse.lu) option;
-      (* the latest first factorization and the matrix values it factored *)
+      (* the latest first factorization and the matrix values at x = 0 it factored *)
+  zero : float array; (* x = 0, where a solve's first pivot order comes from *)
+  held_a : float array; (* a solve's own first matrix and RHS, held while *)
+  held_rhs : float array; (* the matrix at x = 0 is assembled *)
 }
 
 let n t = t.n
@@ -203,6 +206,9 @@ let compile netlist =
     ws = Level1.workspace_create ();
     lu = None;
     first = None;
+    zero = Array.make n 0.0;
+    held_a = Array.make (Sparse.nnz pattern) 0.0;
+    held_rhs = Array.make n 0.0;
   }
 
 (* [e] is [c] up to the wave of an independent source *)
@@ -336,19 +342,42 @@ let same_bits a b =
   let rec go i = i >= n || (Int64.bits_of_float a.(i) = Int64.bits_of_float b.(i) && go (i + 1)) in
   n = Array.length b && go 0
 
-(* A solve's first factorization. [factorize] picks pivots and fill from
-   the values alone and computes its numbers with the same numeric pass
-   [refactor] runs, so refactoring the memo through its pivot order
-   gives the bits a fresh [factorize] of identical values would. *)
+(* A solve's first factorization takes its pivot order from the matrix
+   at x = 0 under the same linear tier, which depends neither on the
+   source waves nor on where the solve starts, and memoizes it keyed on
+   those values. [factorize] picks pivots and fill from the values alone
+   and computes its numbers with the same numeric pass [refactor] runs,
+   so refactoring through the memo's order gives the bits a fresh
+   [factorize] of identical values would. A solve that starts away from
+   x = 0 refactors its own first matrix through that order, and gets a
+   full analysis of its own only when the order fails on it. *)
 let first_factorization t =
+  let v = t.a.Sparse.values in
   match t.first with
-  | Some (values, lu) when same_bits values t.a.Sparse.values ->
+  | Some (values, lu) when same_bits values v ->
     Sparse.refactor lu t.a;
     lu
-  | Some _ | None ->
-    let lu = Sparse.factorize t.a in
-    t.first <- Some (Array.copy t.a.Sparse.values, lu);
-    lu
+  | first ->
+    Array.blit v 0 t.held_a 0 (Array.length v);
+    Array.blit t.rhs 0 t.held_rhs 0 t.n;
+    assemble t ~x:t.zero;
+    let lu =
+      match first with
+      | Some (values, lu) when same_bits values v -> lu
+      | Some _ | None ->
+        let lu = Sparse.factorize t.a in
+        t.first <- Some (Array.copy v, lu);
+        lu
+    in
+    let at_zero = same_bits t.held_a v in
+    Array.blit t.held_a 0 v 0 (Array.length v);
+    Array.blit t.held_rhs 0 t.rhs 0 t.n;
+    if at_zero then lu
+    else
+      try
+        Sparse.refactor lu t.a;
+        lu
+      with Sparse.Singular _ -> Sparse.factorize t.a
 
 let factor_and_solve t =
   (match t.lu with

@@ -26,8 +26,8 @@
     {!rebind}, which makes the plan compute exactly what a fresh
     {!compile} of the new netlist would, bit for bit. Two things make
     that exact: the waves enter only the per-solve RHS, and a solve's
-    first factorization is memoized keyed on the bitwise matrix values
-    (see {!factor_and_solve}). *)
+    first pivot order is memoized keyed on the bitwise values of the
+    matrix at x = 0 (see {!factor_and_solve}). *)
 
 type t
 
@@ -83,17 +83,23 @@ val assemble : t -> x:float array -> unit
 
 val factor_and_solve : t -> unit
 (** Factor the assembled matrix and overwrite {!rhs} with the solution.
-    The first call after {!compile} or {!rebind} runs the full symbolic
-    analysis ([Sparse.factorize]) unless the matrix values equal, bit for
-    bit, those of the plan's latest such first factorization: then that
-    factorization's pivot order is reused and only its numbers are
-    recomputed, which yields the bits [Sparse.factorize] would. A DC
-    solve from [x0 = 0] always hits the memo after the first state,
-    because its first Newton matrix does not depend on the source waves.
-    Later calls reuse the elimination pattern (numeric-only
-    refactorization) and fall back to a fresh analysis if the frozen
-    pivot order goes stale. Raises [Lattice_numerics.Sparse.Singular] if
-    the matrix is singular. *)
+    The first call after {!compile} or {!rebind} takes its pivot order
+    from the matrix the plan assembles at x = 0 under the current linear
+    tier. That order is memoized: the full symbolic analysis
+    ([Sparse.factorize]) runs only when those values differ, bit for
+    bit, from the ones the plan's latest such analysis factored, and
+    otherwise only the numbers are recomputed through the memo's order,
+    which yields the bits [Sparse.factorize] would. The matrix at x = 0
+    depends neither on the source waves nor on where the solve starts,
+    so every DC solve on a plan after its first reuses the memo. A solve
+    from [x0 = 0] factors exactly that matrix. A solve from any other
+    start refactors its own first matrix through that order and runs a
+    full analysis of its own matrix only when that refactorization
+    raises [Singular]; a fresh plan does the same, so the bits never
+    depend on the plan's history. Later calls reuse the elimination
+    pattern (numeric-only refactorization) and fall back to a fresh
+    analysis if the frozen pivot order goes stale. Raises
+    [Lattice_numerics.Sparse.Singular] if the matrix is singular. *)
 
 val lu_stats : t -> (int * int) option
 (** [(nnz L, nnz U)] of the current factorization, if any. *)

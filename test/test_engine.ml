@@ -625,6 +625,71 @@ let test_dc_op_memoized () =
     | Error _ -> Alcotest.fail "third solve failed")
   | _ -> Alcotest.fail "maj3 dc op should converge")
 
+(* every Newton step moves a node by at most 0.05 V, so the 10 iterations
+   of a rung cannot lift the supply node to 1.2 V: plain Newton and gmin
+   stepping fail, and the damped rung, with 40 iterations, wins *)
+let leaves_plain = { Sp.Dcop.default_options with Sp.Dcop.max_iterations = 10; damping = 0.05 }
+
+let diode_load () =
+  let ckt = Sp.Netlist.create () in
+  let vdd = Sp.Netlist.node ckt "vdd" and d = Sp.Netlist.node ckt "d" in
+  Sp.Netlist.vsource ckt "V1" vdd Sp.Netlist.ground (Sp.Source.Dc 1.2);
+  Sp.Netlist.resistor ckt "R1" vdd d 10e3;
+  Sp.Netlist.mosfet_model ckt "M1" ~drain:d ~gate:d ~source:Sp.Netlist.ground (Mos.Model.L1 l1);
+  ckt
+
+let test_failed_rungs_counted () =
+  (* the engine counts a solve's every attempt in newton_iterations and
+     every attempt but the winner in newton_failed_rungs — all of them
+     when the ladder fails; a hit counts nothing *)
+  let e = Engine.create ~domains:1 ~store_dir:"" () in
+  let counts () =
+    let t = Engine.telemetry e in
+    (t.Engine.newton_total, t.Engine.newton_failed_rungs)
+  in
+  let sum = List.fold_left (fun acc (_, k) -> acc + k) 0 in
+  (match Engine.dc_op e ~options:leaves_plain (diode_load ()) with
+  | Error f -> Alcotest.fail (Sp.Dcop.pp_failure f)
+  | Ok (_, d) ->
+    Alcotest.(check bool) "the solve left plain Newton" true (d.Sp.Dcop.strategy <> Sp.Dcop.Plain);
+    let failed, winner =
+      match List.rev d.Sp.Dcop.attempts with
+      | (_, k) :: rest -> (sum rest, k)
+      | [] -> Alcotest.fail "no attempt recorded"
+    in
+    Alcotest.(check bool) "failed rungs spent iterations" true (failed > 0);
+    Alcotest.(check int) "the winner's iterations are the rest" d.Sp.Dcop.newton_iterations
+      (failed + winner);
+    Alcotest.(check (pair int int)) "counted: every attempt, the failed ones"
+      (d.Sp.Dcop.newton_iterations, failed) (counts ()));
+  let before = counts () in
+  ignore (Engine.dc_op e ~options:leaves_plain (diode_load ()));
+  Alcotest.(check (pair int int)) "a hit counts nothing" before (counts ());
+  let hopeless = { Sp.Dcop.default_options with Sp.Dcop.max_iterations = 1; damping = 1e-6 } in
+  match Engine.dc_op e ~options:hopeless (diode_load ()) with
+  | Ok _ -> Alcotest.fail "expected every strategy to fail"
+  | Error f ->
+    let spent = sum f.Sp.Dcop.attempts in
+    Alcotest.(check (pair int int)) "a failed solve: every attempt failed"
+      (fst before + spent, snd before + spent)
+      (counts ())
+
+let test_seeded_keys () =
+  (* a seeded solve's key names its seed: it is never the unseeded key of
+     the same netlist, two seeds give two keys, and equal seeds give equal
+     keys; the unseeded key is still the one a deck round trip hits *)
+  let grid = Lattice_synthesis.Library.maj3_2x3 in
+  let net = build_netlist ~m:1 grid in
+  let nominal m = Key.dc_op (build_netlist ~m grid) in
+  let unseeded = Key.dc_op net in
+  let seeded m = Key.dc_op ~seed:(nominal m) net in
+  Alcotest.(check bool) "seeded <> unseeded" true (seeded 1 <> unseeded && seeded 0 <> unseeded);
+  Alcotest.(check bool) "two seeds, two keys" true (seeded 0 <> seeded 1);
+  Alcotest.(check string) "one seed, one key" (seeded 0)
+    (Key.dc_op ~seed:(nominal 0) (build_netlist ~m:1 grid));
+  Alcotest.(check string) "a deck round trip hits the unseeded entry" unseeded
+    (Key.dc_op (deck_round_trip net))
+
 let rec rm_rf path =
   if Sys.is_directory path then begin
     Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
@@ -678,28 +743,28 @@ let test_resident_dc_op () =
     (Metrics.Scope.get req_hits);
   Alcotest.(check int) "no solve attributed" 0 (Metrics.Scope.get req_solves)
 
-(* the store lives under <dir>/dcop-v3/: a later key version starts a
+(* the store lives under <dir>/dcop-v4/: a later key version starts a
    fresh tree beside it, and the old one can be removed whole *)
 let test_store_root_names_key_version () =
   let dir = Filename.temp_dir "ftl-store-root" "" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let e = Engine.create ~domains:1 ~store_dir:dir () in
   Alcotest.(check (option string)) "store_dir is the directory given" (Some dir) (Engine.store_dir e);
-  Alcotest.(check string) "the key version names the root" "dcop-v3" Key.version;
+  Alcotest.(check string) "the key version names the root" "dcop-v4" Key.version;
   ignore
     (Lattice_flow.Monte_carlo.run ~engine:e ~samples:2 ~seed:1 Lattice_synthesis.Library.maj3_2x3
        ~target:(Lattice_boolfn.Truthtable.majority_n 3));
   let writes = (Option.get (Engine.telemetry e).Engine.store).Lattice_engine.Store.writes in
   Alcotest.(check bool) "the yield wrote entries" true (writes > 0);
-  Alcotest.(check (list string)) "only the versioned root at the top" [ "dcop-v3" ]
+  Alcotest.(check (list string)) "only the versioned root at the top" [ "dcop-v4" ]
     (Array.to_list (Sys.readdir dir));
   let rec files path =
     if Sys.is_directory path then
       List.concat_map (fun f -> files (Filename.concat path f)) (Array.to_list (Sys.readdir path))
     else [ path ]
   in
-  Alcotest.(check int) "every entry under dcop-v3" writes
-    (List.length (files (Filename.concat dir "dcop-v3")))
+  Alcotest.(check int) "every entry under dcop-v4" writes
+    (List.length (files (Filename.concat dir "dcop-v4")))
 
 let test_engine_map_and_phases () =
   let e = Engine.create ~domains:2 () in
@@ -764,11 +829,13 @@ let () =
           Alcotest.test_case "content-key soundness" `Quick test_key_soundness;
           Alcotest.test_case "equal exactly when the v1 keys are" `Quick test_key_equivalence;
           Alcotest.test_case "memo dropped by every mutation" `Quick test_key_memo_invalidation;
+          Alcotest.test_case "a seeded key names its seed" `Quick test_seeded_keys;
         ] );
       ( "engine",
         [
           Alcotest.test_case "dc_op memoization" `Quick test_dc_op_memoized;
           Alcotest.test_case "resident_dc_op: a hit or nothing" `Quick test_resident_dc_op;
+          Alcotest.test_case "newton iterations in failed rungs" `Quick test_failed_rungs_counted;
           Alcotest.test_case "store root names the key version" `Quick
             test_store_root_names_key_version;
           Alcotest.test_case "map + phase telemetry" `Quick test_engine_map_and_phases;

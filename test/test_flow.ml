@@ -489,15 +489,64 @@ module Sp = Lattice_spice
 module Key = Lattice_engine.Key
 module Stats = Lattice_numerics.Stats
 
-let oracle_solve spent ~options netlist =
-  let r = Sp.Dcop.solve_diag ~options netlist in
+let oracle_solve spent ~options ?seed ?x0 netlist =
+  let r = Sp.Dcop.solve_diag ~options ?x0 netlist in
   let iters =
     match r with
     | Ok (_, d) -> d.Sp.Dcop.newton_iterations
     | Error f -> List.fold_left (fun acc (_, k) -> acc + k) 0 f.Sp.Dcop.attempts
   in
-  Hashtbl.replace spent (Key.dc_op ~options netlist) iters;
+  Hashtbl.replace spent (Key.dc_op ~options ?seed netlist) iters;
   r
+
+(* The nominal circuit solved at every input state, each solution with
+   its netlist and key: where the flows start their dies and samples *)
+let oracle_nominal spent ~options config grid ~states =
+  let vdd = config.Sp.Lattice_circuit.vdd in
+  Array.init states (fun m ->
+      let netlist =
+        (Sp.Lattice_circuit.build ~config grid ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m))
+          .Sp.Lattice_circuit.netlist
+      in
+      match oracle_solve spent ~options netlist with
+      | Ok (x, _) -> Some (Key.dc_op ~options netlist, netlist, x)
+      | Error _ -> None)
+
+(* the solution [xn] of the nominal netlist [nom] mapped onto [netlist]
+   by node name and source name; a node [nom] lacks starts at 0 V *)
+let seed_x0 nom xn netlist =
+  let x0 = Array.make (Sp.Netlist.unknowns netlist) 0.0 in
+  Array.iteri
+    (fun i name ->
+      Option.iter (fun n -> x0.(i) <- xn.(Sp.Netlist.node_index n)) (Sp.Netlist.find_node nom name))
+    (Sp.Netlist.all_node_names netlist);
+  List.iter
+    (function
+      | Sp.Netlist.Vsource { name; index; _ } ->
+        Option.iter
+          (fun k -> x0.(Sp.Netlist.vsource_row netlist index) <- xn.(Sp.Netlist.vsource_row nom k))
+          (Sp.Netlist.vsource_index nom name)
+      | _ -> ())
+    (Sp.Netlist.elements netlist);
+  x0
+
+(* [netlist] solved from a nominal solution, or from 0 V without one *)
+let oracle_seeded spent ~options nominal netlist =
+  match nominal with
+  | None -> oracle_solve spent ~options netlist
+  | Some (seed, nom, xn) -> oracle_solve spent ~options ~seed ~x0:(seed_x0 nom xn netlist) netlist
+
+(* the largest node difference between [x] and [reference] in units of
+   abstol + reltol |v|; the seeded-solve gate is 2 *)
+let node_gap ~nnodes x reference =
+  let o = Sp.Dcop.default_options in
+  let worst = ref 0.0 in
+  for i = 0 to nnodes - 1 do
+    let r = reference.(i) in
+    worst :=
+      Float.max !worst (Float.abs (x.(i) -. r) /. (o.Sp.Dcop.abstol +. (o.Sp.Dcop.reltol *. Float.abs r)))
+  done;
+  !worst
 
 (* Monte_carlo's die perturbation, draw for draw *)
 let gaussian rng =
@@ -517,29 +566,37 @@ let perturb_model rng (v : Mc.variation) = function
       }
   | Lattice_mosfet.Model.L3 _ -> Alcotest.fail "oracle: level-1 dies only"
 
-let oracle_mc spent ~variation ~samples ~seed grid ~target =
+(* die [index] of [Monte_carlo.run ~variation ~seed grid] at input
+   state [m], built afresh *)
+let die_at ~variation ~seed grid index =
   let config = Sp.Lattice_circuit.default_config in
-  let vdd = config.Sp.Lattice_circuit.vdd in
+  let rng = Engine.sample_rng ~seed ~index in
+  let t = config.Sp.Lattice_circuit.types in
+  (* the same record expressions as the flow's, so the draws happen in
+     the same (compiler-chosen) order *)
+  let site_types =
+    Array.init (Grid.size grid) (fun _ ->
+        {
+          Sp.Fts.type_a = perturb_model rng variation t.Sp.Fts.type_a;
+          type_b = perturb_model rng variation t.Sp.Fts.type_b;
+        })
+  in
+  let types_of_site r c = site_types.((r * grid.Grid.cols) + c) in
+  fun m ->
+    Sp.Lattice_circuit.build ~config ~types_of_site grid
+      ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd:config.Sp.Lattice_circuit.vdd m)
+
+let oracle_mc spent ~nominal ~variation ~samples ~seed grid ~target =
+  let vdd = Sp.Lattice_circuit.default_config.Sp.Lattice_circuit.vdd in
   let die index =
-    let rng = Engine.sample_rng ~seed ~index in
-    let t = config.Sp.Lattice_circuit.types in
-    (* the same record expressions as the flow's, so the draws happen in
-       the same (compiler-chosen) order *)
-    let site_types =
-      Array.init (Grid.size grid) (fun _ ->
-          {
-            Sp.Fts.type_a = perturb_model rng variation t.Sp.Fts.type_a;
-            type_b = perturb_model rng variation t.Sp.Fts.type_b;
-          })
-    in
-    let types_of_site r c = site_types.((r * grid.Grid.cols) + c) in
+    let at = die_at ~variation ~seed grid index in
     let worst_low = ref 0.0 and worst_high = ref infinity and ok = ref true in
     for m = 0 to (1 lsl Tt.nvars target) - 1 do
-      let lc =
-        Sp.Lattice_circuit.build ~config ~types_of_site grid
-          ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m)
-      in
-      match oracle_solve spent ~options:Sp.Dcop.default_options lc.Sp.Lattice_circuit.netlist with
+      let lc = at m in
+      match
+        oracle_seeded spent ~options:Sp.Dcop.default_options nominal.(m)
+          lc.Sp.Lattice_circuit.netlist
+      with
       | Error _ -> ok := false
       | Ok (x, _) ->
         let v = Sp.Mna.voltage x (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist "out") in
@@ -569,19 +626,21 @@ let oracle_mc spent ~variation ~samples ~seed grid ~target =
     v_high_mean = Stats.mean v_highs;
   }
 
-let defect_state spent (options : Fc.options) grid ~defects m =
+let defect_state spent ?nominal (options : Fc.options) grid ~defects m =
   let vdd = options.Fc.config.Sp.Lattice_circuit.vdd in
   let lc =
     Sp.Defects.build ~config:options.Fc.config ~params:options.Fc.params ~defects grid
       ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m)
   in
-  oracle_solve spent ~options:options.Fc.dc lc.Sp.Lattice_circuit.netlist
+  oracle_seeded spent ~options:options.Fc.dc
+    (Option.bind nominal (fun n -> n.(m)))
+    lc.Sp.Lattice_circuit.netlist
   |> Result.map (fun (x, d) ->
          ( Sp.Mna.voltage x
              (Sp.Netlist.node lc.Sp.Lattice_circuit.netlist lc.Sp.Lattice_circuit.output_node),
            d ))
 
-let oracle_sample spent (options : Fc.options) grid ~target ~test_set defects =
+let oracle_sample spent ~nominal (options : Fc.options) grid ~target ~test_set defects =
   let vdd = options.Fc.config.Sp.Lattice_circuit.vdd in
   let used = ref 0 and worst_low = ref 0.0 and worst_high = ref infinity in
   let mismatches = ref [] and failure = ref None in
@@ -589,7 +648,7 @@ let oracle_sample spent (options : Fc.options) grid ~target ~test_set defects =
      for m = 0 to (1 lsl Tt.nvars target) - 1 do
        if !used >= options.Fc.budget.Fc.newton_per_sample then
          Alcotest.fail "oracle: Newton budget exhausted (not modelled)";
-       match defect_state spent options grid ~defects m with
+       match defect_state spent ~nominal options grid ~defects m with
        | Error f ->
          used := !used + List.fold_left (fun acc (_, k) -> acc + k) 0 f.Sp.Dcop.attempts;
          failure := Some f;
@@ -639,13 +698,15 @@ let oracle_verify spent options grid ~target ~defects =
 
 (* The oracle campaign over the defect sets and remaps of [report]:
    drawing the sets and searching the remaps solve nothing, so they are
-   the flow's own; every sample, every re-verification and every derived
-   count is recomputed on the per-state path. *)
-let oracle_campaign spent options grid ~target (report : Fc.report) =
+   the flow's own; every sample (from [nominal]'s solutions), every
+   re-verification (from 0 V) and every derived count is recomputed on
+   the per-state path. *)
+let oracle_campaign spent ~nominal options grid ~target (report : Fc.report) =
   let samples =
     Array.map
       (fun (s : Fc.sample) ->
-        oracle_sample spent options grid ~target ~test_set:report.Fc.test_set s.Fc.defects)
+        oracle_sample spent ~nominal options grid ~target ~test_set:report.Fc.test_set
+          s.Fc.defects)
       report.Fc.samples
   in
   let fold f = Array.fold_left (fun acc s -> acc + f s) 0 samples in
@@ -739,9 +800,17 @@ let test_workspace_vs_per_state_oracle () =
         let run_mc engine = Mc.run ~engine ~variation ~samples:5 ~seed:mc_seed grid ~target in
         let run_fc engine = Fc.run ~engine ~options ~universe grid ~target in
         let mc_spent = Hashtbl.create 64 and fc_spent = Hashtbl.create 64 in
-        let mc_oracle = oracle_mc mc_spent ~variation ~samples:5 ~seed:mc_seed grid ~target in
+        (* both flows seed from one nominal circuit (default config and
+           DC options): the yield run solves it, the campaign hits *)
+        let nominal =
+          oracle_nominal mc_spent ~options:Sp.Dcop.default_options options.Fc.config grid
+            ~states:(1 lsl Tt.nvars target)
+        in
+        let mc_oracle =
+          oracle_mc mc_spent ~nominal ~variation ~samples:5 ~seed:mc_seed grid ~target
+        in
         let reference = run_fc (Engine.create ~domains:1 ~store_dir:"" ()) in
-        let fc_oracle = oracle_campaign fc_spent options grid ~target reference in
+        let fc_oracle = oracle_campaign fc_spent ~nominal options grid ~target reference in
         repairs := !repairs + List.length reference.Fc.repairs;
         multis :=
           !multis
@@ -824,14 +893,115 @@ let test_validate_circuit_vs_oracle () =
       ("xor3 3x3", Lattice_synthesis.Library.xor3_3x3, xor3, true);
     ]
 
+let default_variation = { Mc.sigma_vth = 0.03; sigma_kp_rel = 0.10 }
+
+let test_seeded_die_87 () =
+  (* perfbench batch seed 3, op 1 runs Monte_carlo.run ~seed:48248188 on
+     maj3 2x3. Die 87 converges at input state 1 only on the last rung,
+     the gshunt ramp. Seeded from the nominal solution, its plain rung
+     fails, the fallbacks start from 0 V as an unseeded solve's do, and
+     the ramp wins at the unseeded answer. A damped rung started from
+     the seed converges instead, with pd.v_1_3 at 0.369 V against
+     0.199 V. *)
+  let grid = Lattice_synthesis.Library.maj3_2x3 in
+  let config = Sp.Lattice_circuit.default_config in
+  let nominal =
+    oracle_nominal (Hashtbl.create 8) ~options:Sp.Dcop.default_options config grid ~states:8
+  in
+  let at m = (die_at ~variation:default_variation ~seed:48248188 grid 87 m).Sp.Lattice_circuit.netlist in
+  (* on one plan, as the die's job solves its states in order *)
+  let plan = Sp.Stamp_plan.compile (at 0) in
+  let seeded m =
+    match nominal.(m) with
+    | Some (_, nom, xn) -> Sp.Dcop.solve_diag ~plan ~x0:(seed_x0 nom xn (at m)) (at m)
+    | None -> Alcotest.failf "nominal state %d did not converge" m
+  in
+  ignore (seeded 0);
+  match (seeded 1, Sp.Dcop.solve_diag (at 1)) with
+  | Ok (xs, ds), Ok (xu, du) ->
+    Alcotest.(check string) "unseeded: the gshunt ramp wins" "gshunt-ramp"
+      (Sp.Dcop.strategy_name du.Sp.Dcop.strategy);
+    Alcotest.(check string) "seeded: the gshunt ramp wins" "gshunt-ramp"
+      (Sp.Dcop.strategy_name ds.Sp.Dcop.strategy);
+    let gap = node_gap ~nnodes:(Sp.Netlist.num_nodes (at 1)) xs xu in
+    Alcotest.(check bool) (Printf.sprintf "every node within the gate (%.3g)" gap) true (gap <= 2.0)
+  | Error f, _ | _, Error f -> Alcotest.fail (Sp.Dcop.pp_failure f)
+
+let test_seeded_sweep () =
+  (* seeded solves as the flows run them, on one plan per circuit from
+     the nominal solution at each state, against fresh unseeded solves:
+     dies and defect samples of maj3 2x3 and the Altun-Riedel XOR3 at a
+     fixed seed. Both converge or both fail, and every node of a
+     converged pair is within the gate. *)
+  let st = Random.State.make [| 2424 |] in
+  let config = Sp.Lattice_circuit.default_config in
+  let vdd = config.Sp.Lattice_circuit.vdd in
+  let xor3 =
+    (Lattice_synthesis.Altun_riedel.synthesize Lattice_synthesis.Library.xor3)
+      .Lattice_synthesis.Altun_riedel.grid
+  in
+  let solves = ref 0 and fallbacks = ref 0 and worst = ref 0.0 in
+  List.iter
+    (fun (name, grid) ->
+      let nominal =
+        oracle_nominal (Hashtbl.create 8) ~options:Sp.Dcop.default_options config grid ~states:8
+      in
+      let seed = Random.State.bits st in
+      let singles = Array.of_list (Sp.Defects.single_defects grid) in
+      let pick () = singles.(Random.State.int st (Array.length singles)) in
+      let defective defects m =
+        (Sp.Defects.build ~config ~params:Sp.Defects.default_params ~defects grid
+           ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m))
+          .Sp.Lattice_circuit.netlist
+      in
+      let circuits =
+        List.init 8 (fun i ->
+            let at = die_at ~variation:default_variation ~seed grid i in
+            (Printf.sprintf "die %d" i, fun m -> (at m).Sp.Lattice_circuit.netlist))
+        @ List.init 10 (fun i ->
+              let defects = if i < 8 then [ pick () ] else [ pick (); pick () ] in
+              (Printf.sprintf "sample %d" i, defective defects))
+      in
+      List.iter
+        (fun (label, at) ->
+          let plan = Sp.Stamp_plan.compile (at 0) in
+          for m = 0 to 7 do
+            let net = at m in
+            let what = Printf.sprintf "%s, %s, state %d" name label m in
+            let seeded =
+              match nominal.(m) with
+              | Some (_, nom, xn) -> Sp.Dcop.solve_diag ~plan ~x0:(seed_x0 nom xn net) net
+              | None -> Alcotest.failf "%s: nominal did not converge" what
+            in
+            incr solves;
+            match (seeded, Sp.Dcop.solve_diag net) with
+            | Ok (xs, ds), Ok (xu, _) ->
+              if ds.Sp.Dcop.strategy <> Sp.Dcop.Plain then incr fallbacks;
+              let gap = node_gap ~nnodes:(Sp.Netlist.num_nodes net) xs xu in
+              worst := Float.max !worst gap;
+              if gap > 2.0 then Alcotest.failf "%s: a node is %.3g tolerances away" what gap
+            | Error _, Error _ -> ()
+            | Ok _, Error _ | Error _, Ok _ -> Alcotest.failf "%s: one solve failed" what
+          done)
+        circuits)
+    [ ("maj3 2x3", Lattice_synthesis.Library.maj3_2x3); ("xor3 4x4", xor3) ];
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d seeded solves left plain Newton (worst node %.3g)" !fallbacks !solves
+       !worst)
+    true (!fallbacks > 0)
+
 let test_workspace_counts () =
   (* one cold batch-style op on maj3 2x3 — 100 dies, then a campaign
      over every defect class with 16 combos and repairs: 212 jobs, each
      compiling one plan and running one full factorization, where the
-     per-state path did one of each per solve. No two jobs of these seeds
-     build the same circuit (a combo of two structural defects on one
-     site would repeat its single), so every job misses and the counts
-     hold at any domain count. *)
+     per-state path did one of each per solve, plus one of each for the
+     nominal circuit the yield run solves to seed its dies (the
+     campaign's nominal solves hit those entries). A seeded solve takes
+     its pivot order from its plan's analysis of the matrix at x = 0, so
+     seeding adds no analysis. No two jobs of these seeds build the same
+     circuit (a combo of two structural defects on one site would repeat
+     its single), so every job misses and the counts hold at any domain
+     count. *)
   let module M = Lattice_obs.Metrics in
   let was_on = M.on () in
   M.set_enabled true;
@@ -849,8 +1019,8 @@ let test_workspace_counts () =
       ignore (Fc.run ~engine ~options grid ~target);
       let t = Engine.telemetry engine in
       Alcotest.(check int) "jobs" 212 t.Engine.jobs;
-      Alcotest.(check int) "plan compiles" 212 (count "spice.plan_compiles" - compiles0);
-      Alcotest.(check int) "full factorizations" 212
+      Alcotest.(check int) "plan compiles" 213 (count "spice.plan_compiles" - compiles0);
+      Alcotest.(check int) "full factorizations" 213
         (count "numerics.lu_full_factorizations" - full0);
       Alcotest.(check int) "every miss solved once" t.Engine.dc_solves (count "dcop.solves" - solves0);
       Alcotest.(check bool) "7 solves or more per job" true (t.Engine.dc_solves >= 7 * 212))
@@ -884,6 +1054,8 @@ let () =
         [
           Alcotest.test_case "flows = per-state oracle" `Slow test_workspace_vs_per_state_oracle;
           Alcotest.test_case "one compile and factorization per job" `Quick test_workspace_counts;
+          Alcotest.test_case "seeded die 87 = unseeded answer" `Quick test_seeded_die_87;
+          Alcotest.test_case "seeded sweep = unseeded answers" `Quick test_seeded_sweep;
           Alcotest.test_case "circuit validation = per-state oracle" `Quick
             test_validate_circuit_vs_oracle;
         ] );

@@ -795,7 +795,7 @@ let test_daemon_paths_count () =
   done
 
 let test_daemon_run_deck () =
-  with_server @@ fun _t path ->
+  with_server @@ fun t path ->
   let c = C.connect (C.Unix_socket path) in
   Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
   (* happy path: a small divider deck with .op and a .dc sweep *)
@@ -845,15 +845,16 @@ let test_daemon_run_deck () =
   expect_deck_error "t\nr1 a 0 1k\nr1 a 0 2k\n.end\n" 3 1;  (* duplicate *)
   expect_deck_error "t\n.subckt s a b\nr1 a b 1k\n.end\n" 2 1;  (* unterminated *)
   expect_deck_error "t\nr1 a 0 12q3\n.end\n" 2 8;  (* bad value *)
-  (* oversized work is rejected by server limits, not truncated *)
-  expect_error c
-    (J.to_string
-       (J.Obj
-          [
-            ("type", J.String "run_deck");
-            ("deck", J.String "t\nv1 a 0 dc 0\nr1 a 0 1k\n.dc v1 0 1 1u\n.end\n");
-          ]))
-    P.Non_convergent;
+  (* oversized work is refused by server limits, not truncated, and
+     before any analysis runs: a client's request to fix, not a
+     divergence *)
+  let run_deck deck = J.to_string (J.Obj [ ("type", J.String "run_deck"); ("deck", J.String deck) ]) in
+  let solves () = (Engine.telemetry (S.engine t)).Engine.dc_solves in
+  expect_error c (run_deck "t\nv1 a 0 dc 0\nr1 a 0 1k\n.dc v1 0 1 1u\n.end\n") P.Bad_request;
+  expect_error c (run_deck "t\nv1 a 0 dc 1\nr1 a 0 1k\n.tran 1n 1m\n.end\n") P.Bad_request;
+  let before = solves () in
+  expect_error c (run_deck "t\nv1 a 0 dc 1\nr1 a 0 3.3k\n.op\n.tran 1n 1m\n.end\n") P.Bad_request;
+  Alcotest.(check int) "the refused deck's .op solved nothing" before (solves ());
   Alcotest.(check bool) "daemon alive after deck table" true (C.ping c)
 
 (* --- observability over the wire -------------------------------------------- *)
@@ -1162,6 +1163,7 @@ let test_daemon_counters_agree () =
       engine "jobs" tel.Engine.jobs;
       engine "dc_solves" tel.Engine.dc_solves;
       engine "newton_iterations" tel.Engine.newton_total;
+      engine "newton_failed_rungs" tel.Engine.newton_failed_rungs;
       engine "retries" tel.Engine.retries;
       engine "timeouts" tel.Engine.timeouts;
       engine "job_failures" tel.Engine.job_failures;
@@ -1197,7 +1199,9 @@ let test_daemon_counters_agree () =
         (stat [ "engine"; "cache"; "hits" ])
         (stat [ "engine"; "cache"; "hits" ] + stat [ "engine"; "cache"; "misses" ]);
       Printf.sprintf "%d evictions" (stat [ "engine"; "cache"; "evictions" ]);
-      Printf.sprintf "| %d newton iters" (stat [ "engine"; "newton_iterations" ]);
+      Printf.sprintf "| %d newton iters (%d in failed rungs)"
+        (stat [ "engine"; "newton_iterations" ])
+        (stat [ "engine"; "newton_failed_rungs" ]);
     ];
   (* the traffic itself: 5 requests, 2 solves, 1 hit, 1 malformed, 1 timeout *)
   Alcotest.(check (list int)) "requests, malformed, timeouts, solves, hits" [ 5; 1; 1; 2; 1 ]
