@@ -236,6 +236,14 @@ let parse_source env toks (head : Lexer.token) =
 
 (* ---------- elaboration ---------- *)
 
+(* Caps on the elaborated netlist. X cards multiply a short deck's size
+   by their fan-out at every nesting level, and every analysis factors
+   an n x n MNA system whose pivot search takes 8 n^2 bytes (32 MiB at
+   the cap, 128 MiB for the 2n AC system); elements cost memory and
+   time however few unknowns they add. *)
+let max_unknowns = 2048
+let max_elements = 65_536
+
 let parse_lines title lines =
   let models, subckts, cards = scan_cards lines in
   let net = N.create () in
@@ -247,9 +255,11 @@ let parse_lines title lines =
     let s = t.text in
     if s = "0" || lower s = "gnd" then N.ground else N.node net s
   in
+  let elements = ref 0 in
   let elem_name (head : Lexer.token) ~prefix =
     if String.length head.text < 2 then
       err_tok head "element card needs a name after the type letter";
+    incr elements;
     let full = prefix ^ String.sub head.text 1 (String.length head.text - 1) in
     let key =
       Printf.sprintf "%c:%s" (Char.lowercase_ascii head.text.[0]) (lower full)
@@ -260,9 +270,11 @@ let parse_lines title lines =
     Hashtbl.replace used key ();
     full
   in
-  let rec elab ~prefix ~resolve ~env ~depth toks =
+  (* [top] is the deck's own card being elaborated: a cap crossed inside
+     a subcircuit is reported at the instance that expanded it *)
+  let rec elab ~top ~prefix ~resolve ~env ~depth toks =
     let head = List.hd toks and args = List.tl toks in
-    match Char.lowercase_ascii head.Lexer.text.[0] with
+    (match Char.lowercase_ascii head.Lexer.text.[0] with
     | 'r' ->
       let full = elem_name head ~prefix in
       (match args with
@@ -375,11 +387,15 @@ let parse_lines title lines =
          in
          List.iter
            (fun body_toks ->
-             elab ~prefix:inst_prefix ~resolve:resolve' ~env:env' ~depth:(depth + 1)
+             elab ~top ~prefix:inst_prefix ~resolve:resolve' ~env:env' ~depth:(depth + 1)
                body_toks)
            sub.body)
     | _ ->
-      err_tok head "unsupported card %S (element cards are R C V I M X)" head.Lexer.text
+      err_tok head "unsupported card %S (element cards are R C V I M X)" head.Lexer.text);
+    if N.unknowns net > max_unknowns then
+      err_tok top "deck elaborates to more than %d unknowns" max_unknowns;
+    if !elements > max_elements then
+      err_tok top "deck elaborates to more than %d elements" max_elements
   in
   List.iter
     (fun toks ->
@@ -390,7 +406,7 @@ let parse_lines title lines =
         | ".op" | ".dc" | ".tran" | ".ac" -> analysis_cards := toks :: !analysis_cards
         | ".print" | ".probe" -> print_cards := toks :: !print_cards
         | _ -> err_tok head "unknown card %S" head.text
-      else elab ~prefix:"" ~resolve:resolve_top ~env:[] ~depth:0 toks)
+      else elab ~top:head ~prefix:"" ~resolve:resolve_top ~env:[] ~depth:0 toks)
     cards;
   (* Analyses and probes are validated only now, against the fully
      elaborated netlist, so cards may precede the elements they name. *)

@@ -13,6 +13,13 @@
     known models/subcircuits/parameters, probe and sweep targets
     resolved against the elaborated netlist. Errors carry the 1-based
     line and column of the offending token; no exception ever escapes
-    {!parse}. *)
+    {!parse}.
+
+    Elaboration stops at the deck card that takes the netlist past 2048
+    MNA unknowns or 65,536 elements, with an error at that card (for a
+    subcircuit, the top-level X card that expands it). Nested X cards
+    multiply a short deck's size at every level, and each analysis
+    factors an n x n system whose pivot search takes 8 n{^2} bytes:
+    32 MiB at the cap, 128 MiB for an AC sweep's 2n system. *)
 
 val parse : string -> (Ast.deck, Ast.error) result

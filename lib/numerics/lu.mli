@@ -1,8 +1,9 @@
-(** LU decomposition with partial pivoting and linear solves.
+(** Dense LU decomposition with partial pivoting and linear solves.
 
-    This is the workhorse behind every Newton iteration of the circuit
-    simulator: the MNA Jacobian is factored once per iteration and solved
-    against the residual. *)
+    {!Optimize} is its one production caller: each Levenberg-Marquardt
+    step factors the damped normal equations. Circuit simulation never
+    comes here; every Newton iteration factors its MNA system with the
+    sparse LU in {!Sparse}. *)
 
 exception Singular of int
 (** Raised when no usable pivot is found; the payload is the elimination

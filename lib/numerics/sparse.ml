@@ -68,22 +68,23 @@ let iteri m f =
 
 (* --- pattern-reusing LU ------------------------------------------------ *)
 
+(* L and U share one value array, column by column in permuted row space:
+   column j holds its U rows above the diagonal ascending, then its pivot
+   at slot [dg.(j)], then its L rows ascending (L's unit diagonal is
+   implicit). [refactor] runs as a program compiled by the analysis:
+   [amap] and [tgt] below. *)
 type lu = {
   ln : int;
   perm : int array; (* perm.(k) = original row pivoting elimination step k *)
-  pinv : int array; (* inverse: pinv.(orig_row) = elimination step *)
-  (* CSC fill-in patterns in permuted row space. L is unit lower
-     triangular with the diagonal implicit (entries strictly below);
-     each U column stores its sub-diagonal rows ascending with the
-     diagonal as the LAST entry, so a forward scan is elimination
-     order. *)
-  lp : int array;
-  li : int array;
-  lx : float array;
-  up : int array;
-  ui : int array;
-  ux : float array;
-  work : float array; (* dense column accumulator, length n *)
+  cp : int array; (* length n+1: column j is slots cp.(j) .. cp.(j+1)-1 *)
+  dg : int array; (* the pivot slot of each column *)
+  rows : int array; (* the permuted row of each slot *)
+  x : float array; (* the L+U values *)
+  amap : int array; (* A's slot s lands in slot amap.(s) *)
+  tgt : int array;
+      (* the update targets: for each U(k, j) with k < j, column by column
+         and k ascending, the slot of (i, j) for each L(i, k) in order *)
+  work : float array; (* dense solve accumulator, length n *)
   for_pattern : pattern;
 }
 
@@ -104,43 +105,53 @@ let solve_probe =
   Lattice_obs.Probe.make ~cat:"numerics" ~args:[ ("engine", "sparse") ] ~hist:"solve.seconds"
     "solve"
 
-(* Numeric-only left-looking refactorization over the frozen pattern. *)
+(* Unchecked indexing for the two kernels below. Every index they use is
+   a slot, row or column the analysis computed from the arrays it
+   indexes, or a loop bound derived from their lengths; the kernels'
+   inputs (the matrix's pattern and value count, the right-hand side's
+   length) are checked on entry. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
+(* Numeric-only left-looking refactorization over the frozen pattern.
+   Column j subtracts L(:, k) * U(k, j) for each of its U entries in
+   ascending k, skipping exact zeros, then tests and divides by its
+   pivot: the arithmetic of a left-looking kernel with a dense work
+   column, in the same order, run in place on the merged storage. An
+   L column's slots are contiguous, so each update's sources are
+   implicit and [tgt] stores only where it lands. *)
 let refactor_numeric lu (m : t) =
-  if not (lu.for_pattern == m.pattern) then
+  if not (lu.for_pattern == m.pattern && Array.length m.values = Array.length lu.amap) then
     invalid_arg "Sparse.refactor: matrix pattern differs from the analyzed one";
-  let { col_ptr; row_ind; _ } = m.pattern in
-  let work = lu.work in
-  let lp = lu.lp and li = lu.li and lx = lu.lx in
-  let up = lu.up and ui = lu.ui and ux = lu.ux in
-  let pinv = lu.pinv in
-  let values = m.values in
+  let x = lu.x and cp = lu.cp and dg = lu.dg and rows = lu.rows and tgt = lu.tgt in
+  let amap = lu.amap and values = m.values in
+  (* a column's elimination writes only its own slots, so scattering all
+     of A up front gives each column the values a scatter just before
+     its elimination would *)
+  Array.fill x 0 (Array.length x) 0.0;
+  for s = 0 to Array.length amap - 1 do
+    x.!(amap.!(s)) <- values.!(s)
+  done;
+  let q = ref 0 in
   for j = 0 to lu.ln - 1 do
-    (* zero this column's fill pattern, then scatter A(:, j) into it *)
-    for s = up.(j) to up.(j + 1) - 1 do
-      work.(ui.(s)) <- 0.0
-    done;
-    for s = lp.(j) to lp.(j + 1) - 1 do
-      work.(li.(s)) <- 0.0
-    done;
-    for s = col_ptr.(j) to col_ptr.(j + 1) - 1 do
-      work.(pinv.(row_ind.(s))) <- values.(s)
-    done;
-    (* eliminate with already-finished columns; ascending row order of
-       the U pattern is a topological order for the triangular updates *)
-    for s = up.(j) to up.(j + 1) - 2 do
-      let k = ui.(s) in
-      let ukj = work.(k) in
-      ux.(s) <- ukj;
-      if ukj <> 0.0 then
-        for t = lp.(k) to lp.(k + 1) - 1 do
-          work.(li.(t)) <- work.(li.(t)) -. (lx.(t) *. ukj)
+    let d = dg.!(j) in
+    for s = cp.!(j) to d - 1 do
+      let u = x.!(s) in
+      let k = rows.!(s) in
+      let l0 = dg.!(k) + 1 and l1 = cp.!(k + 1) in
+      if u <> 0.0 then begin
+        let off = !q - l0 in
+        for t = l0 to l1 - 1 do
+          let dst = tgt.!(off + t) in
+          x.!(dst) <- x.!(dst) -. (x.!(t) *. u)
         done
+      end;
+      q := !q + (l1 - l0)
     done;
-    let pivot = work.(j) in
+    let pivot = x.!(d) in
     if Float.abs pivot < pivot_floor then raise (Singular j);
-    ux.(up.(j + 1) - 1) <- pivot;
-    for t = lp.(j) to lp.(j + 1) - 1 do
-      lx.(t) <- work.(li.(t)) /. pivot
+    for s = d + 1 to cp.!(j + 1) - 1 do
+      x.!(s) <- x.!(s) /. pivot
     done
   done
 
@@ -156,8 +167,11 @@ let factorize_impl (m : t) =
   let p = m.pattern in
   let n = p.n in
   (* 1. choose the row permutation with a dense partially-pivoted
-     elimination on the scattered values (once per topology; the sparse
-     refactorization then freezes this order, KLU-style) *)
+     elimination on the scattered values (once per analysis; the sparse
+     refactorization then freezes this order, KLU-style). Only the
+     pivot choices are kept, so the multipliers left of column k are
+     neither stored nor swapped, and a zero never divides: no later
+     step reads them. *)
   let d = Array.make (n * n) 0.0 in
   iteri m (fun _ r c v -> d.((r * n) + c) <- v);
   let perm = Array.init n (fun i -> i) in
@@ -174,7 +188,7 @@ let factorize_impl (m : t) =
     if !best_mag < pivot_floor then raise (Singular k);
     if !best <> k then begin
       let b = !best in
-      for c = 0 to n - 1 do
+      for c = k to n - 1 do
         let tmp = d.((k * n) + c) in
         d.((k * n) + c) <- d.((b * n) + c);
         d.((b * n) + c) <- tmp
@@ -185,80 +199,113 @@ let factorize_impl (m : t) =
     end;
     let pivot = d.((k * n) + k) in
     for r = k + 1 to n - 1 do
-      let f = d.((r * n) + k) /. pivot in
-      d.((r * n) + k) <- f;
-      if f <> 0.0 then
-        for c = k + 1 to n - 1 do
-          d.((r * n) + c) <- d.((r * n) + c) -. (f *. d.((k * n) + c))
-        done
+      let e = d.((r * n) + k) in
+      if e <> 0.0 then begin
+        let f = e /. pivot in
+        if f <> 0.0 then
+          for c = k + 1 to n - 1 do
+            d.((r * n) + c) <- d.((r * n) + c) -. (f *. d.((k * n) + c))
+          done
+      end
     done
   done;
   let pinv = Array.make n 0 in
   Array.iteri (fun k orig -> pinv.(orig) <- k) perm;
   (* 2. symbolic fill-in for the fixed order: the pattern of column j of
-     L+U is the set of rows reachable from the structural entries of
-     A(:, j) through the columns of L already computed (Gilbert-Peierls
+     L+U is j plus the set of rows reachable from the structural entries
+     of A(:, j) through the columns of L already computed (Gilbert-Peierls
      reachability; a plain transitive-closure mark suffices because the
-     numeric pass consumes U rows in ascending = topological order) *)
-  let lpat = Array.make n [||] in
-  let upat = Array.make n [||] in
-  let flag = Array.make n (-1) in
-  let stack = Array.make n 0 in
+     numeric pass consumes U rows in ascending = topological order).
+     [cols.(j)] holds column j's rows ascending, [above.(j)] of them U's. *)
+  let cols = Array.make n [||] and above = Array.make n 0 in
+  let flag = Array.make n (-1) and reach = Array.make n 0 in
+  let npairs = ref 0 in
   for j = 0 to n - 1 do
-    let visited = ref [] in
-    let top = ref 0 in
-    let push i =
+    let nreach = ref 0 in
+    let mark i =
       if flag.(i) <> j then begin
         flag.(i) <- j;
-        visited := i :: !visited;
-        stack.(!top) <- i;
-        incr top
+        reach.(!nreach) <- i;
+        incr nreach
       end
     in
+    mark j;
     for s = p.col_ptr.(j) to p.col_ptr.(j + 1) - 1 do
-      push pinv.(p.row_ind.(s))
+      mark pinv.(p.row_ind.(s))
     done;
-    while !top > 0 do
-      decr top;
-      let i = stack.(!top) in
-      if i < j then
-        (* fill spreads through column i of L *)
-        Array.iter push lpat.(i)
+    (* [reach] doubles as the worklist *)
+    let h = ref 0 in
+    while !h < !nreach do
+      let i = reach.(!h) in
+      incr h;
+      if i < j then begin
+        let c = cols.(i) in
+        for t = above.(i) + 1 to Array.length c - 1 do
+          mark c.(t)
+        done
+      end
     done;
-    let us = List.sort compare (List.filter (fun i -> i < j) !visited) in
-    let ls = List.sort compare (List.filter (fun i -> i > j) !visited) in
-    upat.(j) <- Array.of_list (us @ [ j ]);
-    lpat.(j) <- Array.of_list ls
+    (* insertion sort: a column reaches few rows *)
+    for a = 1 to !nreach - 1 do
+      let v = reach.(a) in
+      let b = ref (a - 1) in
+      while !b >= 0 && reach.(!b) > v do
+        reach.(!b + 1) <- reach.(!b);
+        decr b
+      done;
+      reach.(!b + 1) <- v
+    done;
+    let c = Array.sub reach 0 !nreach in
+    cols.(j) <- c;
+    let a = ref 0 in
+    while c.(!a) < j do
+      let k = c.(!a) in
+      npairs := !npairs + (Array.length cols.(k) - above.(k) - 1);
+      incr a
+    done;
+    above.(j) <- !a
   done;
-  let flatten pats =
-    let ptr = Array.make (n + 1) 0 in
-    for j = 0 to n - 1 do
-      ptr.(j + 1) <- ptr.(j) + Array.length pats.(j)
+  (* 3. the merged layout and the program *)
+  let cp = Array.make (n + 1) 0 and dg = Array.make n 0 in
+  for j = 0 to n - 1 do
+    cp.(j + 1) <- cp.(j) + Array.length cols.(j);
+    dg.(j) <- cp.(j) + above.(j)
+  done;
+  let rows = Array.make cp.(n) 0 and amap = Array.make (nnz p) 0 in
+  let tgt = Array.make !npairs 0 and q = ref 0 in
+  let pos = flag in
+  for j = 0 to n - 1 do
+    Array.iteri
+      (fun a i ->
+        rows.(cp.(j) + a) <- i;
+        pos.(i) <- cp.(j) + a)
+      cols.(j);
+    for s = p.col_ptr.(j) to p.col_ptr.(j + 1) - 1 do
+      amap.(s) <- pos.(pinv.(p.row_ind.(s)))
     done;
-    let ind = Array.make ptr.(n) 0 in
-    for j = 0 to n - 1 do
-      Array.blit pats.(j) 0 ind ptr.(j) (Array.length pats.(j))
-    done;
-    (ptr, ind)
-  in
-  let lp, li = flatten lpat in
-  let up, ui = flatten upat in
+    for s = cp.(j) to dg.(j) - 1 do
+      let k = rows.(s) in
+      for t = dg.(k) + 1 to cp.(k + 1) - 1 do
+        tgt.(!q) <- pos.(rows.(t));
+        incr q
+      done
+    done
+  done;
   let lu =
     {
       ln = n;
       perm;
-      pinv;
-      lp;
-      li;
-      lx = Array.make (Array.length li) 0.0;
-      up;
-      ui;
-      ux = Array.make (Array.length ui) 0.0;
+      cp;
+      dg;
+      rows;
+      x = Array.make cp.(n) 0.0;
+      amap;
+      tgt;
       work = Array.make n 0.0;
       for_pattern = p;
     }
   in
-  (* 3. numeric values through the same code path used on every reuse *)
+  (* 4. numeric values through the same code path used on every reuse *)
   refactor_numeric lu m;
   lu
 
@@ -275,28 +322,33 @@ let factorize m =
     Lattice_obs.Probe.leave factorize_probe t0;
     raise e
 
+(* Forward then backward substitution on the merged storage, in the
+   order of the column-oriented triangular solves: L's columns forward,
+   then U's backward with each pivot divided out first. *)
 let solve_in_place_impl lu b =
   let n = lu.ln in
   if Array.length b <> n then invalid_arg "Sparse.solve_in_place: size mismatch";
-  let work = lu.work in
+  let work = lu.work and perm = lu.perm and x = lu.x in
+  let cp = lu.cp and dg = lu.dg and rows = lu.rows in
   for i = 0 to n - 1 do
-    work.(i) <- b.(lu.perm.(i))
+    work.!(i) <- b.!(perm.!(i))
   done;
-  (* forward substitution, unit lower triangle, column-oriented *)
   for j = 0 to n - 1 do
-    let xj = work.(j) in
+    let xj = work.!(j) in
     if xj <> 0.0 then
-      for t = lu.lp.(j) to lu.lp.(j + 1) - 1 do
-        work.(lu.li.(t)) <- work.(lu.li.(t)) -. (lu.lx.(t) *. xj)
+      for s = dg.!(j) + 1 to cp.!(j + 1) - 1 do
+        let i = rows.!(s) in
+        work.!(i) <- work.!(i) -. (x.!(s) *. xj)
       done
   done;
-  (* backward substitution, column-oriented; diagonal is last per column *)
   for j = n - 1 downto 0 do
-    let xj = work.(j) /. lu.ux.(lu.up.(j + 1) - 1) in
-    work.(j) <- xj;
+    let d = dg.!(j) in
+    let xj = work.!(j) /. x.!(d) in
+    work.!(j) <- xj;
     if xj <> 0.0 then
-      for t = lu.up.(j) to lu.up.(j + 1) - 2 do
-        work.(lu.ui.(t)) <- work.(lu.ui.(t)) -. (lu.ux.(t) *. xj)
+      for s = cp.!(j) to d - 1 do
+        let i = rows.!(s) in
+        work.!(i) <- work.!(i) -. (x.!(s) *. xj)
       done
   done;
   Array.blit work 0 b 0 n
@@ -306,9 +358,9 @@ let solve_in_place lu b =
   solve_in_place_impl lu b;
   Lattice_obs.Probe.leave solve_probe t0
 
-let solve lu b =
-  let out = Array.copy b in
-  solve_in_place lu out;
-  out
-
-let lu_nnz lu = (Array.length lu.li, Array.length lu.ui)
+let lu_nnz lu =
+  let nu = ref 0 in
+  for j = 0 to lu.ln - 1 do
+    nu := !nu + (lu.dg.(j) - lu.cp.(j) + 1)
+  done;
+  (Array.length lu.x - !nu, !nu)

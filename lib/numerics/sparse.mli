@@ -5,9 +5,14 @@
     pattern of the MNA matrix is fixed by the netlist topology, so it is
     built {e once} (through {!Builder}), values are rewritten in place on
     every Newton iteration through precomputed {e slot} indices, and the
-    factorization is split into a one-time analysis ({!factorize}:
-    pivot-order selection plus symbolic fill-in computation) and a cheap
-    numeric-only {!refactor} that reuses the frozen elimination pattern.
+    factorization is split into an analysis ({!factorize}: pivot-order
+    selection, symbolic fill-in, and the compiled refactorization
+    program) and a cheap numeric-only {!refactor} that runs that program
+    over the frozen elimination pattern. The analysis runs once per
+    stamp plan, not once per topology (a plan memoizes its first
+    solve's pivot order), plus again whenever a frozen order fails: the
+    repo benchmark's batch op, whose jobs each compile a plan, runs
+    about 213.
 
     [refactor] and [solve_in_place] allocate nothing, which is what makes
     an allocation-free Newton inner loop possible upstream. *)
@@ -62,29 +67,34 @@ val iteri : t -> (int -> int -> int -> float -> unit) -> unit
 
 type lu
 (** A sparse LU factorization: row permutation (partial pivoting chosen
-    during {!factorize}), fill-in pattern, and numeric values. All
-    buffers are owned by the [lu] and reused by {!refactor}. *)
+    during {!factorize}), fill-in pattern, the refactorization program,
+    and numeric values, L and U merged in one array. All buffers are
+    owned by the [lu] and reused by {!refactor}. *)
 
 val factorize : t -> lu
 (** Full analysis + numeric factorization. The pivot order is chosen by
-    a dense partially-pivoted elimination on the scattered matrix (run
-    once per topology), then the fill-in pattern of L and U is computed
-    symbolically for that fixed order, and the numeric values are filled
-    by {!refactor}. Raises {!Singular}. Counts into the process-wide
+    a dense partially-pivoted elimination on the scattered matrix
+    ([8 n{^2}] bytes of scratch), then the fill-in pattern of L and U is
+    computed symbolically for that fixed order and compiled into the
+    update program {!refactor} runs, and the numeric values are filled
+    by that program. Raises {!Singular}. Counts into the process-wide
     [numerics.lu_full_factorizations] counter. *)
 
 val refactor : lu -> t -> unit
 (** Numeric-only refactorization: the matrix must share the [pattern]
     the [lu] was analyzed for (physical equality); the pivot order and
-    fill pattern are reused, only the values are recomputed. Allocates
-    nothing. Raises {!Singular} when a pivot drops below the floor (the
-    caller should then redo {!factorize}, which re-picks pivots). *)
+    fill pattern are reused, only the values are recomputed, with the
+    arithmetic of a left-looking elimination in its order, so the bits
+    are that kernel's. Allocates nothing. Raises {!Singular} when a
+    pivot drops below the floor (the caller should then redo
+    {!factorize}, which re-picks pivots); the factorization's values are
+    then unusable until the next successful [refactor]. Raises
+    [Invalid_argument] on a matrix of another pattern, or one whose
+    [values] do not fit its pattern. *)
 
 val solve_in_place : lu -> float array -> unit
-(** Overwrite [b] with the solution of [A x = b]. Allocates nothing. *)
-
-val solve : lu -> float array -> float array
-(** Allocating convenience wrapper over {!solve_in_place}. *)
+(** Overwrite [b] with the solution of [A x = b]. Allocates nothing.
+    Raises [Invalid_argument] unless [b] has one entry per unknown. *)
 
 val lu_nnz : lu -> int * int
 (** [(nnz L, nnz U)] including fill-in (L's unit diagonal excluded,

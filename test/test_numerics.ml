@@ -152,6 +152,12 @@ let random_sparse_matrix rng n =
   done;
   a
 
+(* the solution of [A x = b] for a factored [A], leaving [b] as it is *)
+let sparse_solve lu b =
+  let x = Array.copy b in
+  Sparse.solve_in_place lu x;
+  x
+
 let test_sparse_pattern () =
   let b = Sparse.Builder.create 3 in
   Sparse.Builder.add b 0 0;
@@ -179,7 +185,7 @@ let test_sparse_matches_lu () =
     let b = Array.init n (fun i -> Random.State.float rng 10.0 -. 5.0 +. float_of_int i) in
     let x_dense = Oracle.solve_dense a b in
     let sp = Oracle.sparse_of_matrix a in
-    let x_sparse = Sparse.solve (Sparse.factorize sp) b in
+    let x_sparse = sparse_solve (Sparse.factorize sp) b in
     Alcotest.(check bool)
       (Printf.sprintf "sparse = dense at n=%d" n)
       true
@@ -191,7 +197,7 @@ let test_sparse_zero_diagonal () =
      factorization must pivot, not fall over *)
   let a = of_rows [ [| 0.0; 1.0 |]; [| 1.0; 1e-3 |] ] in
   let sp = Oracle.sparse_of_matrix a in
-  let x = Sparse.solve (Sparse.factorize sp) [| 2.0; 3.0 |] in
+  let x = sparse_solve (Sparse.factorize sp) [| 2.0; 3.0 |] in
   let ax = Matrix.mat_vec a x in
   Alcotest.(check bool) "pivoted solve" true (Oracle.max_abs_diff ax [| 2.0; 3.0 |] < 1e-9)
 
@@ -244,8 +250,275 @@ let prop_sparse_roundtrip =
       let rng = Random.State.make [| seed |] in
       let a = random_sparse_matrix rng n in
       let b = Array.init n (fun i -> Random.State.float rng 10.0 -. 5.0 +. float_of_int i) in
-      let x = Sparse.solve (Sparse.factorize (Oracle.sparse_of_matrix a)) b in
+      let x = sparse_solve (Sparse.factorize (Oracle.sparse_of_matrix a)) b in
       Oracle.max_abs_diff (Matrix.mat_vec a x) b < 1e-7)
+
+(* --- the compiled LU against the left-looking oracle --------------------- *)
+
+module Ll = Oracle.Left_looking
+module Sp = Lattice_spice
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* [Ok v], or the column at which [f] raised [Sparse.Singular] *)
+let outcome f = match f () with v -> Ok v | exception Sparse.Singular c -> Error c
+
+(* A random [n * n] matrix shaped like an MNA system: a sparse pattern
+   with most diagonals present; voltage-source branches with a
+   structurally zero diagonal and +-1 incidence entries; sometimes a
+   column repeating another's pattern with exactly or nearly
+   proportional values. Values include exact zeros, both signs, six
+   decades each way, and magnitudes at the pivot floor. *)
+let random_mna_like rng n =
+  let value () =
+    let sign = if Random.State.bool rng then 1.0 else -1.0 in
+    match Random.State.int rng 100 with
+    | 0 | 1 -> 0.0
+    | 2 -> sign *. 1e-300 *. (0.5 +. Random.State.float rng 1.5)
+    | k when k < 10 -> sign
+    | _ -> sign *. (10.0 ** (Random.State.float rng 12.0 -. 6.0))
+  in
+  let cells = Hashtbl.create 64 in
+  let add r c v = Hashtbl.replace cells (r, c) v in
+  let branch = Array.init n (fun _ -> n > 1 && Random.State.int rng 6 = 0) in
+  for c = 0 to n - 1 do
+    if not branch.(c) then add c c (value ());
+    for _ = 1 to Random.State.int rng 4 do
+      let r = Random.State.int rng n in
+      if r <> c then add r c (value ())
+    done
+  done;
+  (* each branch is incident to a node of its own, as no two sources
+     share a node pair in a solvable circuit *)
+  let nodes = List.filter (fun i -> not branch.(i)) (List.init n Fun.id) in
+  ignore
+    (Array.fold_left
+       (fun (c, free) br ->
+         match free with
+         | node :: rest when br ->
+           let sign = if Random.State.bool rng then 1.0 else -1.0 in
+           add node c sign;
+           add c node sign;
+           (c + 1, rest)
+         | _ -> (c + 1, free))
+       (0, nodes) branch);
+  (if n > 1 && Random.State.int rng 3 = 0 then
+     let c1 = Random.State.int rng n in
+     let c2 = (c1 + 1 + Random.State.int rng (n - 1)) mod n in
+     let scale = value () and eps = [| 0.0; 1e-15; 1e-9 |].(Random.State.int rng 3) in
+     Hashtbl.filter_map_inplace (fun (_, c) v -> if c = c2 then Some 0.0 else Some v) cells;
+     Hashtbl.iter
+       (fun (r, c) v -> if c = c1 then add r c2 (v *. scale *. (1.0 +. eps)))
+       (Hashtbl.copy cells));
+  let b = Sparse.Builder.create n in
+  Hashtbl.iter (fun (r, c) _ -> Sparse.Builder.add b r c) cells;
+  let m = Sparse.create (Sparse.Builder.compile b) in
+  Sparse.iteri m (fun s r c _ -> m.Sparse.values.(s) <- Hashtbl.find cells (r, c));
+  m
+
+(* right-hand sides: random, a unit vector, and one with exact zeros *)
+let rhs_set rng n =
+  [
+    Array.init n (fun _ -> Random.State.float rng 2.0 -. 1.0);
+    Array.init n (fun i -> if i = n / 2 then 1.0 else 0.0);
+    Array.init n (fun i -> if i mod 3 = 0 then 0.0 else float_of_int (i - 7));
+  ]
+
+let solves_agree lu ref_lu bs =
+  List.for_all
+    (fun b ->
+      let x = sparse_solve lu b and y = Array.copy b in
+      Ll.solve_in_place ref_lu y;
+      same_bits x y)
+    bs
+
+(* rescale, zero, flip or shrink some values in place, keeping the pattern *)
+let perturb rng (m : Sparse.t) =
+  Array.iteri
+    (fun s v ->
+      m.Sparse.values.(s) <-
+        (match Random.State.int rng 200 with
+        | 0 -> 0.0
+        | 1 -> v *. 1e-300
+        | k when k < 40 -> v *. (Random.State.float rng 4.0 -. 2.0)
+        | k when k < 60 -> -.v
+        | _ -> v))
+    m.Sparse.values
+
+type lu_paths = { mutable singular_first : int; mutable singular_refactor : int; mutable agreed : int }
+
+(* [factorize] and four rounds of [refactor] after in-place value changes:
+   the library and the oracle give the same solution bits, or raise
+   [Singular] at the same column. Tallies the paths taken into [paths]. *)
+let matches_oracle ?(paths = { singular_first = 0; singular_refactor = 0; agreed = 0 }) ~n ~seed
+    () =
+  let rng = Random.State.make [| seed; 0x1f |] in
+  let m = random_mna_like rng n in
+  let bs = rhs_set rng n in
+  match (outcome (fun () -> Sparse.factorize m), outcome (fun () -> Ll.factorize ~n m)) with
+  | Error c, Error c' ->
+    paths.singular_first <- paths.singular_first + 1;
+    c = c'
+  | Ok lu, Ok ref_lu ->
+    Sparse.lu_nnz lu = Ll.lu_nnz ref_lu
+    && solves_agree lu ref_lu bs
+    && List.for_all
+         (fun _ ->
+           perturb rng m;
+           match (outcome (fun () -> Sparse.refactor lu m), outcome (fun () -> Ll.refactor ref_lu m)) with
+           | Error c, Error c' ->
+             paths.singular_refactor <- paths.singular_refactor + 1;
+             c = c'
+           | Ok (), Ok () ->
+             paths.agreed <- paths.agreed + 1;
+             solves_agree lu ref_lu bs
+           | _ -> false)
+         [ 1; 2; 3; 4 ]
+  | _ -> false
+
+let prop_sparse_matches_oracle =
+  QCheck2.Test.make ~name:"Sparse = left-looking oracle, bit for bit" ~count:300
+    ~print:QCheck2.Print.(pair int int)
+    QCheck2.Gen.(pair (int_range 1 40) (int_range 0 1_000_000))
+    (fun (n, seed) -> matches_oracle ~n ~seed ())
+
+(* the generator reaches every outcome the property compares *)
+let test_sparse_oracle_paths () =
+  let paths = { singular_first = 0; singular_refactor = 0; agreed = 0 } in
+  for seed = 0 to 399 do
+    let n = 1 + (seed mod 40) in
+    if not (matches_oracle ~paths ~n ~seed ()) then
+      Alcotest.failf "library LU and oracle disagree at n=%d seed=%d" n seed
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "singular analyses %d, singular refactors %d, agreeing refactors %d"
+       paths.singular_first paths.singular_refactor paths.agreed)
+    true
+    (paths.singular_first > 0 && paths.singular_refactor > 0 && paths.agreed > 0)
+
+(* Newton on [plan] from [x0] under its current linear tier, stepped as
+   [Dcop.newton_into] steps it (per-node damping), for up to [iters]
+   iterations. The library and the oracle factor each assembled matrix,
+   the first fully and the rest through refactorization (a fresh
+   analysis when that raises), and must give the same solution bits.
+   Returns the number of matrices checked. *)
+let replay_newton ~label netlist plan ~x0 ~iters =
+  let n = Sp.Stamp_plan.n plan and nnodes = Sp.Netlist.num_nodes netlist in
+  let damping = Sp.Dcop.default_options.Sp.Dcop.damping in
+  let a = Sp.Stamp_plan.matrix plan in
+  let lus = ref None in
+  let factor () =
+    match !lus with
+    | None -> lus := Some (Sparse.factorize a, Ll.factorize ~n a)
+    | Some (lu, ref_lu) -> (
+      match (outcome (fun () -> Sparse.refactor lu a), outcome (fun () -> Ll.refactor ref_lu a)) with
+      | Ok (), Ok () -> ()
+      | Error c, Error c' when c = c' -> lus := Some (Sparse.factorize a, Ll.factorize ~n a)
+      | _ -> Alcotest.failf "%s: refactorizations disagree" label)
+  in
+  let x = Array.copy x0 and checked = ref 0 and moved = ref infinity in
+  while !checked < iters && !moved > 1e-12 do
+    Sp.Stamp_plan.assemble plan ~x;
+    factor ();
+    let lu, ref_lu = Option.get !lus in
+    let b = Sp.Stamp_plan.rhs plan in
+    let x_new = sparse_solve lu b and y = Array.copy b in
+    Ll.solve_in_place ref_lu y;
+    if not (same_bits x_new y) then Alcotest.failf "%s: iteration %d solutions differ" label !checked;
+    moved := 0.0;
+    for i = 0 to n - 1 do
+      let d = x_new.(i) -. x.(i) in
+      let d = if i < nnodes && Float.abs d > damping then Float.copy_sign damping d else d in
+      moved := Float.max !moved (Float.abs d);
+      x.(i) <- x.(i) +. d
+    done;
+    incr checked
+  done;
+  !checked
+
+let gmin_final = Sp.Dcop.default_options.Sp.Dcop.gmin_final
+
+let test_sparse_oracle_replay_dc () =
+  let netlist =
+    (Sp.Lattice_circuit.build Lattice_synthesis.Library.maj3_2x3 ~stimulus:(fun v ->
+         Sp.Source.Dc (if v = 0 then 1.2 else 0.0)))
+      .Sp.Lattice_circuit.netlist
+  in
+  let plan = Sp.Stamp_plan.compile netlist in
+  Sp.Stamp_plan.set_linear plan ~time:0.0 ~gmin:gmin_final ~gshunt:0.0 ~source_scale:1.0 ~caps:None;
+  let n = Sp.Stamp_plan.n plan in
+  let checked = replay_newton ~label:"maj3 2x3 DC" netlist plan ~x0:(Array.make n 0.0) ~iters:60 in
+  Alcotest.(check bool) (Printf.sprintf "%d Newton matrices replayed" checked) true (checked >= 3)
+
+(* one backward-Euler step of the Fig 11 transient across the first
+   input edge, from the operating point before it *)
+let test_sparse_oracle_replay_transient () =
+  let bit_time = 100e-9 and h = 0.5e-9 in
+  let netlist =
+    (Sp.Lattice_circuit.build Lattice_synthesis.Library.xor3_3x3
+       ~stimulus:(Sp.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time))
+      .Sp.Lattice_circuit.netlist
+  in
+  let plan = Sp.Stamp_plan.compile netlist in
+  let x_op = Sp.Dcop.solve ~plan netlist in
+  let caps =
+    List.filter_map
+      (function Sp.Netlist.Capacitor { n1; n2; farads; _ } -> Some (n1, n2, farads) | _ -> None)
+      (Sp.Netlist.elements netlist)
+    |> Array.of_list
+  in
+  let geq = Array.map (fun (_, _, c) -> c /. h) caps in
+  let ieq =
+    Array.mapi
+      (fun k (n1, n2, _) -> -.(geq.(k) *. (Sp.Mna.voltage x_op n1 -. Sp.Mna.voltage x_op n2)))
+      caps
+  in
+  Sp.Stamp_plan.set_linear plan ~time:(bit_time +. h) ~gmin:gmin_final ~gshunt:0.0
+    ~source_scale:1.0 ~caps:(Some { Sp.Mna.geq; ieq });
+  let checked = replay_newton ~label:"Fig 11 step" netlist plan ~x0:x_op ~iters:60 in
+  Alcotest.(check bool) (Printf.sprintf "%d Newton matrices replayed" checked) true (checked >= 2)
+
+(* the kernels index without bounds checks, so what they are handed is
+   checked: a matrix of another pattern, one whose value array does not
+   fit its pattern, a right-hand side of the wrong length *)
+let test_sparse_kernels_reject_mismatch () =
+  let rng = Random.State.make [| 53 |] in
+  let m = Oracle.sparse_of_matrix (random_sparse_matrix rng 6) in
+  let lu = Sparse.factorize m in
+  let rejects what f =
+    Alcotest.(check bool) what true (match f () with exception Invalid_argument _ -> true | () -> false)
+  in
+  rejects "other pattern" (fun () ->
+      Sparse.refactor lu (Oracle.sparse_of_matrix (random_sparse_matrix rng 6)));
+  rejects "short value array" (fun () ->
+      Sparse.refactor lu { m with Sparse.values = Array.sub m.Sparse.values 0 1 });
+  rejects "short right-hand side" (fun () -> Sparse.solve_in_place lu (Array.make 5 1.0))
+
+(* [refactor] and [solve_in_place] allocate nothing at all once tracing
+   and metrics are off *)
+let test_sparse_kernels_allocation_free () =
+  let rng = Random.State.make [| 47 |] in
+  let m = Oracle.sparse_of_matrix (random_sparse_matrix rng 30) in
+  let lu = Sparse.factorize m and b = Array.init 30 float_of_int in
+  let trace_was = Lattice_obs.Trace.on () and metrics_was = Lattice_obs.Metrics.on () in
+  Lattice_obs.Trace.set_enabled false;
+  Lattice_obs.Metrics.set_enabled false;
+  let words =
+    Fun.protect
+      ~finally:(fun () ->
+        Lattice_obs.Trace.set_enabled trace_was;
+        Lattice_obs.Metrics.set_enabled metrics_was)
+      (fun () ->
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 1000 do
+          Sparse.refactor lu m;
+          Sparse.solve_in_place lu b
+        done;
+        Gc.minor_words () -. w0)
+  in
+  Alcotest.(check (float 0.0)) "minor words over 1000 refactor + solve calls" 0.0 words
 
 (* --- Cg ----------------------------------------------------------------- *)
 
@@ -533,6 +806,15 @@ let () =
           Alcotest.test_case "singular parity with Lu" `Quick test_sparse_singular_parity;
           Alcotest.test_case "fill-in stats" `Quick test_sparse_lu_nnz;
           qc prop_sparse_roundtrip;
+          qc prop_sparse_matches_oracle;
+          Alcotest.test_case "oracle: every outcome reached" `Quick test_sparse_oracle_paths;
+          Alcotest.test_case "oracle: maj3 2x3 DC Newton replay" `Quick test_sparse_oracle_replay_dc;
+          Alcotest.test_case "oracle: Fig 11 step Newton replay" `Quick
+            test_sparse_oracle_replay_transient;
+          Alcotest.test_case "refactor + solve allocate nothing" `Quick
+            test_sparse_kernels_allocation_free;
+          Alcotest.test_case "refactor + solve reject mismatched inputs" `Quick
+            test_sparse_kernels_reject_mismatch;
         ] );
       ( "cg",
         [

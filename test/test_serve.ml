@@ -855,6 +855,16 @@ let test_daemon_run_deck () =
   let before = solves () in
   expect_error c (run_deck "t\nv1 a 0 dc 1\nr1 a 0 3.3k\n.op\n.tran 1n 1m\n.end\n") P.Bad_request;
   Alcotest.(check int) "the refused deck's .op solved nothing" before (solves ());
+  (* 11 nested two-instance subcircuits elaborate to 4,096 unknowns: a
+     deck_error at the top-level X card, past the parser's cap *)
+  let nested = Buffer.create 1024 in
+  Buffer.add_string nested "nested\n.subckt l0 a b\nr1 a m 1k\nr2 m b 1k\n.ends\n";
+  for k = 1 to 11 do
+    Printf.bprintf nested ".subckt l%d a b\nx1 a m l%d\nx2 m b l%d\n.ends\n" k (k - 1) (k - 1)
+  done;
+  Buffer.add_string nested "v1 in 0 dc 1\nx1 in 0 l11\n.op\n.end\n";
+  expect_deck_error (Buffer.contents nested) 51 1;
+  Alcotest.(check int) "the nested deck's .op solved nothing" before (solves ());
   Alcotest.(check bool) "daemon alive after deck table" true (C.ping c)
 
 (* --- observability over the wire -------------------------------------------- *)
