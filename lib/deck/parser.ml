@@ -238,9 +238,11 @@ let parse_source env toks (head : Lexer.token) =
 
 (* Caps on the elaborated netlist. X cards multiply a short deck's size
    by their fan-out at every nesting level, and every analysis factors
-   an n x n MNA system whose pivot search takes 8 n^2 bytes (32 MiB at
-   the cap, 128 MiB for the 2n AC system); elements cost memory and
-   time however few unknowns they add. *)
+   an n x n MNA system: its pivot search takes 8 n^2 bytes and its LU
+   16 bytes per L+U entry, up to n^2 entries when the fill is dense, so
+   24 n^2 bytes in all (96 MiB at the cap, 384 MiB for the 2n AC
+   system); elements cost memory and time however few unknowns they
+   add. *)
 let max_unknowns = 2048
 let max_elements = 65_536
 

@@ -19,7 +19,8 @@
     MNA unknowns or 65,536 elements, with an error at that card (for a
     subcircuit, the top-level X card that expands it). Nested X cards
     multiply a short deck's size at every level, and each analysis
-    factors an n x n system whose pivot search takes 8 n{^2} bytes:
-    32 MiB at the cap, 128 MiB for an AC sweep's 2n system. *)
+    factors an n x n system whose pivot search and LU take up to
+    24 n{^2} bytes when the fill is dense: 96 MiB at the cap, 384 MiB
+    for an AC sweep's 2n system. *)
 
 val parse : string -> (Ast.deck, Ast.error) result

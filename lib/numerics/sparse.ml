@@ -71,8 +71,10 @@ let iteri m f =
 (* L and U share one value array, column by column in permuted row space:
    column j holds its U rows above the diagonal ascending, then its pivot
    at slot [dg.(j)], then its L rows ascending (L's unit diagonal is
-   implicit). [refactor] runs as a program compiled by the analysis:
-   [amap] and [tgt] below. *)
+   implicit). [refactor] runs over this layout with [amap] below and a
+   row-to-slot map of the column it eliminates, so the LU keeps
+   O(nnz(A) + nnz(L+U) + n) words however many updates its elimination
+   runs. *)
 type lu = {
   ln : int;
   perm : int array; (* perm.(k) = original row pivoting elimination step k *)
@@ -81,9 +83,7 @@ type lu = {
   rows : int array; (* the permuted row of each slot *)
   x : float array; (* the L+U values *)
   amap : int array; (* A's slot s lands in slot amap.(s) *)
-  tgt : int array;
-      (* the update targets: for each U(k, j) with k < j, column by column
-         and k ascending, the slot of (i, j) for each L(i, k) in order *)
+  pos : int array; (* refactor scratch: the slot of each row in the current column *)
   work : float array; (* dense solve accumulator, length n *)
   for_pattern : pattern;
 }
@@ -117,13 +117,13 @@ external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
    Column j subtracts L(:, k) * U(k, j) for each of its U entries in
    ascending k, skipping exact zeros, then tests and divides by its
    pivot: the arithmetic of a left-looking kernel with a dense work
-   column, in the same order, run in place on the merged storage. An
-   L column's slots are contiguous, so each update's sources are
-   implicit and [tgt] stores only where it lands. *)
+   column, in the same order, run in place on the merged storage. Each
+   L(i, k) lands in the slot [pos] holds for row i: the fill closure
+   puts every row of L(:, k) in column j. *)
 let refactor_numeric lu (m : t) =
   if not (lu.for_pattern == m.pattern && Array.length m.values = Array.length lu.amap) then
     invalid_arg "Sparse.refactor: matrix pattern differs from the analyzed one";
-  let x = lu.x and cp = lu.cp and dg = lu.dg and rows = lu.rows and tgt = lu.tgt in
+  let x = lu.x and cp = lu.cp and dg = lu.dg and rows = lu.rows and pos = lu.pos in
   let amap = lu.amap and values = m.values in
   (* a column's elimination writes only its own slots, so scattering all
      of A up front gives each column the values a scatter just before
@@ -132,25 +132,28 @@ let refactor_numeric lu (m : t) =
   for s = 0 to Array.length amap - 1 do
     x.!(amap.!(s)) <- values.!(s)
   done;
-  let q = ref 0 in
   for j = 0 to lu.ln - 1 do
-    let d = dg.!(j) in
-    for s = cp.!(j) to d - 1 do
-      let u = x.!(s) in
-      let k = rows.!(s) in
-      let l0 = dg.!(k) + 1 and l1 = cp.!(k + 1) in
-      if u <> 0.0 then begin
-        let off = !q - l0 in
-        for t = l0 to l1 - 1 do
-          let dst = tgt.!(off + t) in
-          x.!(dst) <- x.!(dst) -. (x.!(t) *. u)
-        done
-      end;
-      q := !q + (l1 - l0)
-    done;
+    let c0 = cp.!(j) and d = dg.!(j) and c1 = cp.!(j + 1) in
+    (* a column without U entries takes no updates *)
+    if c0 < d then begin
+      (* every target lies below the column's first U row *)
+      for s = c0 + 1 to c1 - 1 do
+        pos.!(rows.!(s)) <- s
+      done;
+      for s = c0 to d - 1 do
+        let u = x.!(s) in
+        if u <> 0.0 then begin
+          let k = rows.!(s) in
+          for t = dg.!(k) + 1 to cp.!(k + 1) - 1 do
+            let dst = pos.!(rows.!(t)) in
+            x.!(dst) <- x.!(dst) -. (x.!(t) *. u)
+          done
+        end
+      done
+    end;
     let pivot = x.!(d) in
     if Float.abs pivot < pivot_floor then raise (Singular j);
-    for s = d + 1 to cp.!(j + 1) - 1 do
+    for s = d + 1 to c1 - 1 do
       x.!(s) <- x.!(s) /. pivot
     done
   done
@@ -219,7 +222,6 @@ let factorize_impl (m : t) =
      [cols.(j)] holds column j's rows ascending, [above.(j)] of them U's. *)
   let cols = Array.make n [||] and above = Array.make n 0 in
   let flag = Array.make n (-1) and reach = Array.make n 0 in
-  let npairs = ref 0 in
   for j = 0 to n - 1 do
     let nreach = ref 0 in
     let mark i =
@@ -259,20 +261,17 @@ let factorize_impl (m : t) =
     cols.(j) <- c;
     let a = ref 0 in
     while c.(!a) < j do
-      let k = c.(!a) in
-      npairs := !npairs + (Array.length cols.(k) - above.(k) - 1);
       incr a
     done;
     above.(j) <- !a
   done;
-  (* 3. the merged layout and the program *)
+  (* 3. the merged layout and the map from A's slots into it *)
   let cp = Array.make (n + 1) 0 and dg = Array.make n 0 in
   for j = 0 to n - 1 do
     cp.(j + 1) <- cp.(j) + Array.length cols.(j);
     dg.(j) <- cp.(j) + above.(j)
   done;
   let rows = Array.make cp.(n) 0 and amap = Array.make (nnz p) 0 in
-  let tgt = Array.make !npairs 0 and q = ref 0 in
   let pos = flag in
   for j = 0 to n - 1 do
     Array.iteri
@@ -282,13 +281,6 @@ let factorize_impl (m : t) =
       cols.(j);
     for s = p.col_ptr.(j) to p.col_ptr.(j + 1) - 1 do
       amap.(s) <- pos.(pinv.(p.row_ind.(s)))
-    done;
-    for s = cp.(j) to dg.(j) - 1 do
-      let k = rows.(s) in
-      for t = dg.(k) + 1 to cp.(k + 1) - 1 do
-        tgt.(!q) <- pos.(rows.(t));
-        incr q
-      done
     done
   done;
   let lu =
@@ -300,7 +292,7 @@ let factorize_impl (m : t) =
       rows;
       x = Array.make cp.(n) 0.0;
       amap;
-      tgt;
+      pos;
       work = Array.make n 0.0;
       for_pattern = p;
     }

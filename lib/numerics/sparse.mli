@@ -6,10 +6,10 @@
     built {e once} (through {!Builder}), values are rewritten in place on
     every Newton iteration through precomputed {e slot} indices, and the
     factorization is split into an analysis ({!factorize}: pivot-order
-    selection, symbolic fill-in, and the compiled refactorization
-    program) and a cheap numeric-only {!refactor} that runs that program
-    over the frozen elimination pattern. The analysis runs once per
-    stamp plan, not once per topology (a plan memoizes its first
+    selection, symbolic fill-in, and the merged L+U layout with the map
+    of A's slots into it) and a cheap numeric-only {!refactor} that
+    eliminates in place over that frozen layout. The analysis runs once
+    per stamp plan, not once per topology (a plan memoizes its first
     solve's pivot order), plus again whenever a frozen order fails: the
     repo benchmark's batch op, whose jobs each compile a plan, runs
     about 213.
@@ -67,17 +67,19 @@ val iteri : t -> (int -> int -> int -> float -> unit) -> unit
 
 type lu
 (** A sparse LU factorization: row permutation (partial pivoting chosen
-    during {!factorize}), fill-in pattern, the refactorization program,
-    and numeric values, L and U merged in one array. All buffers are
-    owned by the [lu] and reused by {!refactor}. *)
+    during {!factorize}), fill-in pattern, the map of A's slots into
+    it, and numeric values, L and U merged in one array. It keeps
+    O(nnz(A) + nnz(L+U) + n) words, however many updates its
+    elimination runs. All buffers are owned by the [lu] and reused by
+    {!refactor}. *)
 
 val factorize : t -> lu
 (** Full analysis + numeric factorization. The pivot order is chosen by
     a dense partially-pivoted elimination on the scattered matrix
     ([8 n{^2}] bytes of scratch), then the fill-in pattern of L and U is
-    computed symbolically for that fixed order and compiled into the
-    update program {!refactor} runs, and the numeric values are filled
-    by that program. Raises {!Singular}. Counts into the process-wide
+    computed symbolically for that fixed order and laid out in one
+    array, and the numeric values are filled by {!refactor}'s kernel.
+    Raises {!Singular}. Counts into the process-wide
     [numerics.lu_full_factorizations] counter. *)
 
 val refactor : lu -> t -> unit

@@ -38,7 +38,7 @@ let sparse_to_matrix ~n (m : Sparse.t) =
   Sparse.iteri m (fun _ r c v -> Matrix.set dm r c v);
   dm
 
-(* The left-looking sparse LU that [Sparse]'s compiled refactorization
+(* The left-looking sparse LU that [Sparse]'s in-place refactorization
    reproduces bit for bit. A dense partially-pivoted elimination picks
    the row order, a symbolic pass finds the fill of L and U for it, and
    each refactorization eliminates one column at a time through a dense
@@ -216,3 +216,38 @@ module Left_looking = struct
 
   let lu_nnz lu = (Array.length lu.li, Array.length lu.ui)
 end
+
+(* --- decks that stress the parser's size caps and the LU's fill ------- *)
+
+(* [levels] subcircuits nested two instances deep over a leaf of two
+   resistors: 2^(levels + 1) resistors. With [internal] each level adds
+   a midpoint node per instance, so unknowns double with the resistors;
+   without, every element sits between the same two nodes. The
+   top-level X card is line [4 * levels + 7]. *)
+let nested_deck ~internal levels =
+  let mid = if internal then "m" else "b" in
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "nested subcircuits\n";
+  Printf.bprintf b ".subckt l0 a b\nr1 a %s 1k\nr2 %s b 1k\n.ends\n" mid mid;
+  for k = 1 to levels do
+    Printf.bprintf b ".subckt l%d a b\nx1 a %s l%d\nx2 %s b l%d\n.ends\n" k mid (k - 1) mid (k - 1)
+  done;
+  Printf.bprintf b "v1 in 0 dc 1\nx1 in 0 l%d\n.op\n.end\n" levels;
+  Buffer.contents b
+
+(* A hub node fed 1 mA, with 1k to ground and 2^levels spokes of 100 +
+   1k ohm to ground through their own midpoint: 2^levels + 1 unknowns.
+   The hub is the first node, so the natural pivot order eliminates it
+   first and fills all of L+U: about n^3/3 updates per refactorization,
+   over n^2 stored entries. *)
+let hub_deck levels =
+  let b = Buffer.create 512 in
+  Buffer.add_string b "hub and spokes\n.subckt s0 h\nr1 h m 100\nr2 m 0 1k\n.ends\n";
+  for k = 1 to levels do
+    Printf.bprintf b ".subckt s%d h\nx1 h s%d\nx2 h s%d\n.ends\n" k (k - 1) (k - 1)
+  done;
+  Printf.bprintf b "i1 0 hub dc 1m\nrg hub 0 1k\nx1 hub s%d\n.op\n.print v(hub)\n.end\n" levels;
+  Buffer.contents b
+
+(* v(hub) of [hub_deck levels]: 1 mA into 1k in parallel with the spokes *)
+let hub_volts levels = 1e-3 /. ((1.0 /. 1000.0) +. (float_of_int (1 lsl levels) /. 1100.0))

@@ -150,35 +150,37 @@ let test_parse_error_table () =
       end)
     cases
 
-(* [levels] subcircuits nested two instances deep over a leaf of two
-   resistors: 2^(levels + 1) resistors. With [internal] each level adds
-   a midpoint node per instance, so unknowns double with the resistors;
-   without, every element sits between the same two nodes. *)
-let nested_deck ~internal levels =
-  let mid = if internal then "m" else "b" in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "nested subcircuits\n";
-  Printf.bprintf b ".subckt l0 a b\nr1 a %s 1k\nr2 %s b 1k\n.ends\n" mid mid;
-  for k = 1 to levels do
-    Printf.bprintf b ".subckt l%d a b\nx1 a %s l%d\nx2 %s b l%d\n.ends\n" k mid (k - 1) mid (k - 1)
-  done;
-  Printf.bprintf b "v1 in 0 dc 1\nx1 in 0 l%d\n.op\n.end\n" levels;
-  Buffer.contents b
-
 (* a deck whose X cards expand past the caps is refused at the top-level
    card that expands them, before it is elaborated in full *)
 let test_elaboration_caps () =
   (* 4,096 resistors and as many unknowns *)
-  let e = parse_err (nested_deck ~internal:true 11) in
+  let e = parse_err (Oracle.nested_deck ~internal:true 11) in
   Alcotest.(check (pair int int)) "unknown cap: at the X card" (4 * 12 + 3, 1) (e.Deck.line, e.Deck.col);
   Alcotest.(check string) "unknown cap: message" "deck elaborates to more than 2048 unknowns" e.Deck.msg;
   (* 131,072 resistors between two nodes *)
-  let e = parse_err (nested_deck ~internal:false 16) in
+  let e = parse_err (Oracle.nested_deck ~internal:false 16) in
   Alcotest.(check (pair int int)) "element cap: at the X card" (4 * 17 + 3, 1) (e.Deck.line, e.Deck.col);
   Alcotest.(check string) "element cap: message" "deck elaborates to more than 65536 elements" e.Deck.msg;
   (* 1,024 resistors and 1,025 unknowns stay inside *)
-  let d = parse_ok (nested_deck ~internal:true 9) in
+  let d = parse_ok (Oracle.nested_deck ~internal:true 9) in
   Alcotest.(check int) "nine levels parse" 1025 (Sp.Netlist.unknowns d.Deck.netlist)
+
+(* a hub node with 2^levels spokes stays inside the caps however much
+   its LU fills: eliminating the hub first fills all of L+U, about
+   n^3/3 updates per refactorization over n^2 stored entries. Ten
+   levels (1,025 unknowns) parse; eight levels (257) run and match the
+   hub's analytic voltage *)
+let test_hub_deck () =
+  let d = parse_ok (Oracle.hub_deck 10) in
+  Alcotest.(check int) "ten levels parse" 1025 (Sp.Netlist.unknowns d.Deck.netlist);
+  let engine = Lattice_engine.Engine.create ~domains:1 ~store_dir:"" () in
+  match Runner.run ~engine (parse_ok (Oracle.hub_deck 8)) with
+  | Error msg -> Alcotest.failf "runner failed: %s" msg
+  | Ok r -> (
+    match r.Runner.results with
+    | [ (_, Runner.Op_result { rows = [ ("hub", v) ]; _ }) ] ->
+      Alcotest.(check (float 1e-10)) "v(hub)" (Oracle.hub_volts 8) v
+    | _ -> Alcotest.fail "expected one .op result probing v(hub)")
 
 let test_errors_never_escape () =
   (* seeded mutation fuzz: random edits of a valid deck must yield
@@ -365,6 +367,7 @@ let () =
           Alcotest.test_case "line/col error table" `Quick test_parse_error_table;
           Alcotest.test_case "mutation fuzz never raises" `Quick test_errors_never_escape;
           Alcotest.test_case "nested subcircuits past the size caps" `Quick test_elaboration_caps;
+          Alcotest.test_case "hub and spokes inside the caps" `Quick test_hub_deck;
         ] );
       ( "engine",
         [

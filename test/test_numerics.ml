@@ -253,7 +253,7 @@ let prop_sparse_roundtrip =
       let x = sparse_solve (Sparse.factorize (Oracle.sparse_of_matrix a)) b in
       Oracle.max_abs_diff (Matrix.mat_vec a x) b < 1e-7)
 
-(* --- the compiled LU against the left-looking oracle --------------------- *)
+(* --- the library LU against the left-looking oracle ---------------------- *)
 
 module Ll = Oracle.Left_looking
 module Sp = Lattice_spice
@@ -495,6 +495,41 @@ let test_sparse_kernels_reject_mismatch () =
   rejects "short value array" (fun () ->
       Sparse.refactor lu { m with Sparse.values = Array.sub m.Sparse.values 0 1 });
   rejects "short right-hand side" (fun () -> Sparse.solve_in_place lu (Array.make 5 1.0))
+
+(* An arrow matrix whose hub comes first: the natural pivot order
+   eliminates it first and fills all of L+U, so a refactorization runs
+   about n^3/3 updates over n^2 stored entries. What the LU keeps must
+   grow with its entries (a value and a row index each, plus O(n) and
+   the pattern), not with its updates; and the bits still match the
+   oracle's. *)
+let test_sparse_hub_fill () =
+  let n = 200 in
+  let b = Sparse.Builder.create n in
+  for i = 0 to n - 1 do
+    Sparse.Builder.add b i i;
+    Sparse.Builder.add b 0 i;
+    Sparse.Builder.add b i 0
+  done;
+  let m = Sparse.create (Sparse.Builder.compile b) in
+  Sparse.iteri m (fun s r c _ ->
+      m.Sparse.values.(s) <-
+        (if r = c then if r = 0 then float_of_int n else 2.0 +. (float_of_int r *. 1e-3) else -1.0));
+  let lu = Sparse.factorize m in
+  let l, u = Sparse.lu_nnz lu in
+  Alcotest.(check int) "L+U is dense" (n * n) (l + u);
+  let kept = Obj.reachable_words (Obj.repr lu) in
+  Alcotest.(check bool)
+    (Printf.sprintf "the LU keeps %d words for %d entries" kept (l + u))
+    true
+    (kept < (3 * (l + u)) + (32 * n));
+  let ref_lu = Ll.factorize ~n m in
+  let rng = Random.State.make [| 61 |] in
+  Alcotest.(check bool) "solves match the oracle" true (solves_agree lu ref_lu (rhs_set rng n));
+  perturb rng m;
+  Sparse.refactor lu m;
+  Ll.refactor ref_lu m;
+  Alcotest.(check bool) "refactored solves match the oracle" true
+    (solves_agree lu ref_lu (rhs_set rng n))
 
 (* [refactor] and [solve_in_place] allocate nothing at all once tracing
    and metrics are off *)
@@ -811,6 +846,8 @@ let () =
           Alcotest.test_case "oracle: maj3 2x3 DC Newton replay" `Quick test_sparse_oracle_replay_dc;
           Alcotest.test_case "oracle: Fig 11 step Newton replay" `Quick
             test_sparse_oracle_replay_transient;
+          Alcotest.test_case "hub-first fill: LU size follows L+U, oracle bits" `Quick
+            test_sparse_hub_fill;
           Alcotest.test_case "refactor + solve allocate nothing" `Quick
             test_sparse_kernels_allocation_free;
           Alcotest.test_case "refactor + solve reject mismatched inputs" `Quick

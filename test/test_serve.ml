@@ -857,14 +857,19 @@ let test_daemon_run_deck () =
   Alcotest.(check int) "the refused deck's .op solved nothing" before (solves ());
   (* 11 nested two-instance subcircuits elaborate to 4,096 unknowns: a
      deck_error at the top-level X card, past the parser's cap *)
-  let nested = Buffer.create 1024 in
-  Buffer.add_string nested "nested\n.subckt l0 a b\nr1 a m 1k\nr2 m b 1k\n.ends\n";
-  for k = 1 to 11 do
-    Printf.bprintf nested ".subckt l%d a b\nx1 a m l%d\nx2 m b l%d\n.ends\n" k (k - 1) (k - 1)
-  done;
-  Buffer.add_string nested "v1 in 0 dc 1\nx1 in 0 l11\n.op\n.end\n";
-  expect_deck_error (Buffer.contents nested) 51 1;
+  expect_deck_error (Oracle.nested_deck ~internal:true 11) 51 1;
   Alcotest.(check int) "the nested deck's .op solved nothing" before (solves ());
+  (* a hub with 256 spokes fills its LU densely and is answered *)
+  (match C.call c ~type_:"run_deck" [ ("deck", J.String (Oracle.hub_deck 8)) ] with
+  | Error (code, msg) -> Alcotest.failf "hub deck failed: %s: %s" (P.code_name code) msg
+  | Ok result ->
+    Alcotest.(check bool) "hub deck v(hub)" true
+      (match J.member "analyses" result with
+      | Some (J.List [ op ]) -> (
+        match Option.bind (J.member "nodes" op) (J.member "hub") with
+        | Some (J.Float v) -> Float.abs (v -. Oracle.hub_volts 8) < 1e-10
+        | _ -> false)
+      | _ -> false));
   Alcotest.(check bool) "daemon alive after deck table" true (C.ping c)
 
 (* --- observability over the wire -------------------------------------------- *)
