@@ -17,7 +17,7 @@ let add_dc_options b (o : Sp.Dcop.options) =
   add_int b o.Sp.Dcop.source_steps;
   add_float b o.Sp.Dcop.damping
 
-let version = "dcop-v4"
+let version = "dcop-v5"
 
 let dc_op ?(options = Sp.Dcop.default_options) ?(time = 0.0) ?seed netlist =
   let b = Buffer.create 256 in

@@ -9,8 +9,8 @@
     solutions in first-mention order, see {!Engine.dc_op}). *)
 
 val version : string
-(** ["dcop-v4"], the tag every {!dc_op} key hashes first. The engine
-    roots its persistent store at [<dir>/dcop-v4/], so a store written
+(** ["dcop-v5"], the tag every {!dc_op} key hashes first. The engine
+    roots its persistent store at [<dir>/dcop-v5/], so a store written
     with other keys is never read and can be removed whole. *)
 
 (** [dc_op ?options ?time ?seed netlist] — key of a DC operating-point
@@ -33,9 +33,11 @@ val version : string
     hashes a few hundred bytes. Each version changed every key once: v1
     hashed the structural digest, v2 also hashed the convergence-trace
     option, v3 dropped that option, which changed the diagnostics record
-    that the store [Marshal]s, and v4 came with the budgeted fallback
+    that the store [Marshal]s, v4 came with the budgeted fallback
     ladder and seeded solves, which change solution bits and the order
-    of the strategies the diagnostics name. *)
+    of the strategies the diagnostics name, and v5 with the sparse LU's
+    minimum-degree elimination order, which changes solution bits at
+    the rounding level. *)
 val dc_op :
   ?options:Lattice_spice.Dcop.options ->
   ?time:float ->

@@ -7,9 +7,133 @@ type pattern = {
   col_ptr : int array; (* length n+1 *)
   row_ind : int array; (* length nnz; rows ascending within a column *)
   index : (int, int) Hashtbl.t; (* (col * n + row) -> slot *)
+  order : int array; (* order.(k) = the unknown eliminated at step k *)
 }
 
 type t = { pattern : pattern; values : float array }
+
+(* Greedy minimum degree on the graph of A + A^T, diagonal ignored: each
+   step eliminates the lowest-numbered unknown of least current degree
+   and makes its remaining neighbours a clique. [adj.(v)] lists v's
+   neighbours without repeats; one eliminated since the list was last
+   rebuilt stays in it until the next rebuild, so [deg.(v)] counts the
+   live ones. Eliminating an unknown with a single live neighbour only
+   lowers that neighbour's degree, so a hub with many two-terminal
+   spokes costs time linear in its spokes. *)
+let min_degree n col_ptr row_ind =
+  let len = Array.make n 0 in
+  let off_diagonal f =
+    for c = 0 to n - 1 do
+      for s = col_ptr.(c) to col_ptr.(c + 1) - 1 do
+        let r = row_ind.(s) in
+        if r <> c then f r c
+      done
+    done
+  in
+  off_diagonal (fun r c ->
+      len.(r) <- len.(r) + 1;
+      len.(c) <- len.(c) + 1);
+  let adj = Array.map (fun k -> Array.make k 0) len in
+  Array.fill len 0 n 0;
+  let push v w =
+    adj.(v).(len.(v)) <- w;
+    len.(v) <- len.(v) + 1
+  in
+  off_diagonal (fun r c ->
+      push r c;
+      push c r);
+  (* A(r, c) and A(c, r) give the edge twice; [mark.(w) = stamp] says w
+     is already in the list being built, and every list gets a new
+     stamp *)
+  let mark = Array.make n (-1) and stamp = ref (-1) in
+  for v = 0 to n - 1 do
+    incr stamp;
+    let a = adj.(v) and m = ref 0 in
+    for t = 0 to len.(v) - 1 do
+      let w = a.(t) in
+      if mark.(w) <> !stamp then begin
+        mark.(w) <- !stamp;
+        a.(!m) <- w;
+        incr m
+      end
+    done;
+    len.(v) <- !m
+  done;
+  let deg = Array.copy len and gone = Array.make n false in
+  let nb = Array.make n 0 and order = Array.make n 0 and k = ref 0 in
+  let take v =
+    gone.(v) <- true;
+    order.(!k) <- v;
+    incr k
+  in
+  let eliminate v =
+    take v;
+    let a = adj.(v) and d = ref 0 in
+    for t = 0 to len.(v) - 1 do
+      let w = a.(t) in
+      if not gone.(w) then begin
+        nb.(!d) <- w;
+        incr d
+      end
+    done;
+    adj.(v) <- [||];
+    let d = !d in
+    if d = 1 then deg.(nb.(0)) <- deg.(nb.(0)) - 1
+    else
+      (* each neighbour u drops its eliminated entries and gains the
+         neighbours of v it lacks *)
+      for i = 0 to d - 1 do
+        let u = nb.(i) in
+        incr stamp;
+        mark.(u) <- !stamp;
+        let a = adj.(u) and m = ref 0 in
+        for t = 0 to len.(u) - 1 do
+          let w = a.(t) in
+          if not gone.(w) then begin
+            mark.(w) <- !stamp;
+            a.(!m) <- w;
+            incr m
+          end
+        done;
+        let a =
+          if !m + d <= Array.length a then a
+          else begin
+            let b = Array.make (Int.max (!m + d) (2 * Array.length a)) 0 in
+            Array.blit a 0 b 0 !m;
+            adj.(u) <- b;
+            b
+          end
+        in
+        for j = 0 to d - 1 do
+          let w = nb.(j) in
+          if mark.(w) <> !stamp then begin
+            a.(!m) <- w;
+            incr m
+          end
+        done;
+        len.(u) <- !m;
+        deg.(u) <- !m
+      done
+  in
+  while !k < n do
+    let v = ref (-1) and best = ref max_int in
+    for u = 0 to n - 1 do
+      if (not gone.(u)) && deg.(u) < !best then begin
+        v := u;
+        best := deg.(u)
+      end
+    done;
+    if !best = n - !k - 1 then
+      (* every unknown left neighbours all the others, and still does
+         once the lowest-numbered one goes: the rule takes them in
+         ascending order. Joining the shrinking clique instead would
+         cost the cube of its size when the fill is dense. *)
+      for u = 0 to n - 1 do
+        if not gone.(u) then take u
+      done
+    else eliminate !v
+  done;
+  order
 
 module Builder = struct
   type b = { bn : int; cells : (int, unit) Hashtbl.t }
@@ -42,7 +166,7 @@ module Builder = struct
     for c = 1 to b.bn do
       if col_ptr.(c) < col_ptr.(c - 1) then col_ptr.(c) <- col_ptr.(c - 1)
     done;
-    { n = b.bn; col_ptr; row_ind; index }
+    { n = b.bn; col_ptr; row_ind; index; order = min_degree b.bn col_ptr row_ind }
 end
 
 let nnz p = Array.length p.row_ind
@@ -68,16 +192,17 @@ let iteri m f =
 
 (* --- pattern-reusing LU ------------------------------------------------ *)
 
-(* L and U share one value array, column by column in permuted row space:
-   column j holds its U rows above the diagonal ascending, then its pivot
-   at slot [dg.(j)], then its L rows ascending (L's unit diagonal is
-   implicit). [refactor] runs over this layout with [amap] below and a
-   row-to-slot map of the column it eliminates, so the LU keeps
-   O(nnz(A) + nnz(L+U) + n) words however many updates its elimination
-   runs. *)
+(* The LU factors B = A(order, order), A with rows and columns permuted
+   by the pattern's elimination order. L and U share one value array,
+   column by column in B's pivoted row space: column j holds its U rows
+   above the diagonal ascending, then its pivot at slot [dg.(j)], then
+   its L rows ascending (L's unit diagonal is implicit). [refactor] runs
+   over this layout with [amap] below and a row-to-slot map of the
+   column it eliminates, so the LU keeps O(nnz(A) + nnz(L+U) + n) words
+   however many updates its elimination runs. *)
 type lu = {
   ln : int;
-  perm : int array; (* perm.(k) = original row pivoting elimination step k *)
+  perm : int array; (* perm.(k) = the row of A pivoting elimination step k *)
   cp : int array; (* length n+1: column j is slots cp.(j) .. cp.(j+1)-1 *)
   dg : int array; (* the pivot slot of each column *)
   rows : int array; (* the permuted row of each slot *)
@@ -152,7 +277,7 @@ let refactor_numeric lu (m : t) =
       done
     end;
     let pivot = x.!(d) in
-    if Float.abs pivot < pivot_floor then raise (Singular j);
+    if Float.abs pivot < pivot_floor then raise (Singular lu.for_pattern.order.(j));
     for s = d + 1 to c1 - 1 do
       x.!(s) <- x.!(s) /. pivot
     done
@@ -168,15 +293,17 @@ let refactor lu m =
 
 let factorize_impl (m : t) =
   let p = m.pattern in
-  let n = p.n in
+  let n = p.n and order = p.order in
+  let rank = Array.make n 0 in
+  Array.iteri (fun k v -> rank.(v) <- k) order;
   (* 1. choose the row permutation with a dense partially-pivoted
-     elimination on the scattered values (once per analysis; the sparse
+     elimination on the values of B (once per analysis; the sparse
      refactorization then freezes this order, KLU-style). Only the
      pivot choices are kept, so the multipliers left of column k are
      neither stored nor swapped, and a zero never divides: no later
      step reads them. *)
   let d = Array.make (n * n) 0.0 in
-  iteri m (fun _ r c v -> d.((r * n) + c) <- v);
+  iteri m (fun _ r c v -> d.((rank.(r) * n) + rank.(c)) <- v);
   let perm = Array.init n (fun i -> i) in
   for k = 0 to n - 1 do
     let best = ref k in
@@ -188,7 +315,7 @@ let factorize_impl (m : t) =
         best_mag := mag
       end
     done;
-    if !best_mag < pivot_floor then raise (Singular k);
+    if !best_mag < pivot_floor then raise (Singular order.(k));
     if !best <> k then begin
       let b = !best in
       for c = k to n - 1 do
@@ -212,11 +339,17 @@ let factorize_impl (m : t) =
       end
     done
   done;
-  let pinv = Array.make n 0 in
-  Array.iteri (fun k orig -> pinv.(orig) <- k) perm;
+  (* [step.(r)]: the elimination step that row r of A pivots; [perm]
+     becomes the row of A pivoting each step *)
+  let step = Array.make n 0 in
+  Array.iteri
+    (fun k r ->
+      step.(order.(r)) <- k;
+      perm.(k) <- order.(r))
+    perm;
   (* 2. symbolic fill-in for the fixed order: the pattern of column j of
      L+U is j plus the set of rows reachable from the structural entries
-     of A(:, j) through the columns of L already computed (Gilbert-Peierls
+     of B(:, j) through the columns of L already computed (Gilbert-Peierls
      reachability; a plain transitive-closure mark suffices because the
      numeric pass consumes U rows in ascending = topological order).
      [cols.(j)] holds column j's rows ascending, [above.(j)] of them U's. *)
@@ -232,8 +365,9 @@ let factorize_impl (m : t) =
       end
     in
     mark j;
-    for s = p.col_ptr.(j) to p.col_ptr.(j + 1) - 1 do
-      mark pinv.(p.row_ind.(s))
+    let c = order.(j) in
+    for s = p.col_ptr.(c) to p.col_ptr.(c + 1) - 1 do
+      mark step.(p.row_ind.(s))
     done;
     (* [reach] doubles as the worklist *)
     let h = ref 0 in
@@ -279,8 +413,9 @@ let factorize_impl (m : t) =
         rows.(cp.(j) + a) <- i;
         pos.(i) <- cp.(j) + a)
       cols.(j);
-    for s = p.col_ptr.(j) to p.col_ptr.(j + 1) - 1 do
-      amap.(s) <- pos.(pinv.(p.row_ind.(s)))
+    let c = order.(j) in
+    for s = p.col_ptr.(c) to p.col_ptr.(c + 1) - 1 do
+      amap.(s) <- pos.(step.(p.row_ind.(s)))
     done
   done;
   let lu =
@@ -316,11 +451,12 @@ let factorize m =
 
 (* Forward then backward substitution on the merged storage, in the
    order of the column-oriented triangular solves: L's columns forward,
-   then U's backward with each pivot divided out first. *)
+   then U's backward with each pivot divided out first. Unknown
+   [order.(j)] is the solution's entry j. *)
 let solve_in_place_impl lu b =
   let n = lu.ln in
   if Array.length b <> n then invalid_arg "Sparse.solve_in_place: size mismatch";
-  let work = lu.work and perm = lu.perm and x = lu.x in
+  let work = lu.work and perm = lu.perm and x = lu.x and order = lu.for_pattern.order in
   let cp = lu.cp and dg = lu.dg and rows = lu.rows in
   for i = 0 to n - 1 do
     work.!(i) <- b.!(perm.!(i))
@@ -343,7 +479,9 @@ let solve_in_place_impl lu b =
         work.!(i) <- work.!(i) -. (x.!(s) *. xj)
       done
   done;
-  Array.blit work 0 b 0 n
+  for j = 0 to n - 1 do
+    b.!(order.!(j)) <- work.!(j)
+  done
 
 let solve_in_place lu b =
   let t0 = Lattice_obs.Probe.enter solve_probe in

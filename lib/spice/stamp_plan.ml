@@ -345,12 +345,14 @@ let same_bits a b =
 (* A solve's first factorization takes its pivot order from the matrix
    at x = 0 under the same linear tier, which depends neither on the
    source waves nor on where the solve starts, and memoizes it keyed on
-   those values. [factorize] picks pivots and fill from the values alone
-   and computes its numbers with the same numeric pass [refactor] runs,
-   so refactoring through the memo's order gives the bits a fresh
-   [factorize] of identical values would. A solve that starts away from
-   x = 0 refactors its own first matrix through that order, and gets a
-   full analysis of its own only when the order fails on it. *)
+   those values. The pattern fixed the order its columns are eliminated
+   in when the plan was compiled; [factorize] picks the pivot rows and
+   fill from the values alone and computes its numbers with the same
+   numeric pass [refactor] runs, so refactoring through the memo's order
+   gives the bits a fresh [factorize] of identical values would. A solve
+   that starts away from x = 0 refactors its own first matrix through
+   that order, and gets a full analysis of its own only when the order
+   fails on it. *)
 let first_factorization t =
   let v = t.a.Sparse.values in
   match t.first with

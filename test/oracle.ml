@@ -38,21 +38,66 @@ let sparse_to_matrix ~n (m : Sparse.t) =
   Sparse.iteri m (fun _ r c v -> Matrix.set dm r c v);
   dm
 
+(* The elimination order [Sparse] gives a pattern: greedy minimum degree
+   on the graph of A + A^T with the diagonal ignored, each step taking
+   the lowest-numbered unknown of least degree among those left and
+   joining its neighbours pairwise. Degrees are recounted from an
+   adjacency matrix at every step. [order.(k)] is the unknown eliminated
+   at step k. *)
+let min_degree ~n (m : Sparse.t) =
+  let g = Array.make_matrix n n false in
+  Sparse.iteri m (fun _ r c _ ->
+      if r <> c then begin
+        g.(r).(c) <- true;
+        g.(c).(r) <- true
+      end);
+  let left = Array.make n true in
+  let neighbours v = List.filter (fun u -> left.(u) && g.(v).(u)) (List.init n Fun.id) in
+  let order = Array.make n 0 in
+  for k = 0 to n - 1 do
+    let candidates = List.filter (fun v -> left.(v)) (List.init n Fun.id) in
+    let degrees = List.map (fun v -> (List.length (neighbours v), v)) candidates in
+    (* the least (degree, unknown) pair *)
+    let _, v = List.fold_left min (List.hd degrees) degrees in
+    order.(k) <- v;
+    left.(v) <- false;
+    let nbrs = neighbours v in
+    List.iter (fun a -> List.iter (fun b -> if a <> b then g.(a).(b) <- true) nbrs) nbrs
+  done;
+  order
+
+(* [solve_dense] with the unknowns eliminated in [order]: a dense
+   partially-pivoted factor and solve of A(order, order) *)
+let solve_dense_in_order ~order (a : Matrix.t) b =
+  let n = Array.length order in
+  let pa = Matrix.create n n in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      Matrix.set pa i j (Matrix.get a order.(i) order.(j))
+    done
+  done;
+  let y = solve_dense pa (Array.map (fun r -> b.(r)) order) in
+  let x = Array.make n 0.0 in
+  Array.iteri (fun k v -> x.(v) <- y.(k)) order;
+  x
+
 (* The left-looking sparse LU that [Sparse]'s in-place refactorization
-   reproduces bit for bit. A dense partially-pivoted elimination picks
-   the row order, a symbolic pass finds the fill of L and U for it, and
-   each refactorization eliminates one column at a time through a dense
-   work column. It reads the matrix only through [Sparse.iteri], so it
-   shares no code with the library's LU. *)
+   reproduces bit for bit. It factors B = A(order, order), by default in
+   {!min_degree}'s order: a dense partially-pivoted elimination of B
+   picks the row order, a symbolic pass finds the fill of L and U for
+   it, and each refactorization eliminates one column of B at a time
+   through a dense work column. It reads the matrix only through
+   [Sparse.iteri], so it shares no code with the library's LU. *)
 module Left_looking = struct
   let pivot_floor = 1e-300 (* matches Sparse and Lu *)
 
   type t = {
     n : int;
-    (* A(:, j)'s slots and rows, in [Sparse.iteri] order *)
+    order : int array;
+    (* B(:, j)'s slots in [Sparse.iteri] order, and their rows of B *)
     a_slots : int array array;
     a_rows : int array array;
-    perm : int array; (* perm.(k) = original row pivoting elimination step k *)
+    perm : int array; (* perm.(k) = the row of B pivoting elimination step k *)
     pinv : int array;
     (* L strictly below the diagonal; each U column ends with its
        diagonal; rows ascending, in permuted row space *)
@@ -88,23 +133,26 @@ module Left_looking = struct
           done
       done;
       let pivot = work.(j) in
-      if Float.abs pivot < pivot_floor then raise (Sparse.Singular j);
+      if Float.abs pivot < pivot_floor then raise (Sparse.Singular lu.order.(j));
       ux.(up.(j + 1) - 1) <- pivot;
       for t = lp.(j) to lp.(j + 1) - 1 do
         lx.(t) <- work.(li.(t)) /. pivot
       done
     done
 
-  let factorize ~n (m : Sparse.t) =
+  let factorize ?order ~n (m : Sparse.t) =
+    let order = match order with Some o -> o | None -> min_degree ~n m in
+    let rank = Array.make n 0 in
+    Array.iteri (fun k v -> rank.(v) <- k) order;
     let slots = Array.make n [] and rows = Array.make n [] in
     Sparse.iteri m (fun s r c _ ->
-        slots.(c) <- s :: slots.(c);
-        rows.(c) <- r :: rows.(c));
+        slots.(rank.(c)) <- s :: slots.(rank.(c));
+        rows.(rank.(c)) <- rank.(r) :: rows.(rank.(c)));
     let a_slots = Array.map (fun l -> Array.of_list (List.rev l)) slots in
     let a_rows = Array.map (fun l -> Array.of_list (List.rev l)) rows in
-    (* 1. the row order from a dense partially-pivoted elimination *)
+    (* 1. the row order from a dense partially-pivoted elimination of B *)
     let d = Array.make (n * n) 0.0 in
-    Sparse.iteri m (fun _ r c v -> d.((r * n) + c) <- v);
+    Sparse.iteri m (fun _ r c v -> d.((rank.(r) * n) + rank.(c)) <- v);
     let perm = Array.init n (fun i -> i) in
     for k = 0 to n - 1 do
       let best = ref k in
@@ -116,7 +164,7 @@ module Left_looking = struct
           best_mag := mag
         end
       done;
-      if !best_mag < pivot_floor then raise (Sparse.Singular k);
+      if !best_mag < pivot_floor then raise (Sparse.Singular order.(k));
       if !best <> k then begin
         let b = !best in
         for c = 0 to n - 1 do
@@ -173,6 +221,7 @@ module Left_looking = struct
     let lu =
       {
         n;
+        order;
         a_slots;
         a_rows;
         perm;
@@ -191,9 +240,9 @@ module Left_looking = struct
     lu
 
   let solve_in_place lu b =
-    let { n; work; lp; li; lx; up; ui; ux; perm; _ } = lu in
+    let { n; order; work; lp; li; lx; up; ui; ux; perm; _ } = lu in
     for i = 0 to n - 1 do
-      work.(i) <- b.(perm.(i))
+      work.(i) <- b.(order.(perm.(i)))
     done;
     (* forward substitution, unit lower triangle, column-oriented *)
     for j = 0 to n - 1 do
@@ -212,7 +261,7 @@ module Left_looking = struct
           work.(ui.(t)) <- work.(ui.(t)) -. (ux.(t) *. xj)
         done
     done;
-    Array.blit work 0 b 0 n
+    Array.iteri (fun k v -> b.(v) <- work.(k)) order
 
   let lu_nnz lu = (Array.length lu.li, Array.length lu.ui)
 end
@@ -235,19 +284,29 @@ let nested_deck ~internal levels =
   Printf.bprintf b "v1 in 0 dc 1\nx1 in 0 l%d\n.op\n.end\n" levels;
   Buffer.contents b
 
-(* A hub node fed 1 mA, with 1k to ground and 2^levels spokes of 100 +
-   1k ohm to ground through their own midpoint: 2^levels + 1 unknowns.
-   The hub is the first node, so the natural pivot order eliminates it
-   first and fills all of L+U: about n^3/3 updates per refactorization,
-   over n^2 stored entries. *)
+(* A hub node fed 1 mA, with 1k to ground and spokes of 100 + 1k ohm to
+   ground, each through a midpoint of its own. Subcircuit s<k> holds 2^k
+   spokes, and the deck instantiates it on the hub once for each k of
+   [levels]: one unknown per spoke plus the hub. The hub is the first
+   node; the minimum-degree order eliminates it last, so L+U keeps A's
+   pattern, where natural order would eliminate it first and fill all of
+   L+U (about n^3/3 updates per refactorization). *)
 let hub_deck levels =
   let b = Buffer.create 512 in
   Buffer.add_string b "hub and spokes\n.subckt s0 h\nr1 h m 100\nr2 m 0 1k\n.ends\n";
-  for k = 1 to levels do
+  for k = 1 to List.fold_left max 0 levels do
     Printf.bprintf b ".subckt s%d h\nx1 h s%d\nx2 h s%d\n.ends\n" k (k - 1) (k - 1)
   done;
-  Printf.bprintf b "i1 0 hub dc 1m\nrg hub 0 1k\nx1 hub s%d\n.op\n.print v(hub)\n.end\n" levels;
+  Buffer.add_string b "i1 0 hub dc 1m\nrg hub 0 1k\n";
+  List.iter (fun k -> Printf.bprintf b "x%d hub s%d\n" k k) levels;
+  Buffer.add_string b ".op\n.print v(hub)\n.end\n";
   Buffer.contents b
 
+(* [hub_deck]'s levels at the parser's cap: s0 .. s10 once each, 2,047
+   spokes and 2,048 unknowns *)
+let hub_at_cap = List.init 11 Fun.id
+
 (* v(hub) of [hub_deck levels]: 1 mA into 1k in parallel with the spokes *)
-let hub_volts levels = 1e-3 /. ((1.0 /. 1000.0) +. (float_of_int (1 lsl levels) /. 1100.0))
+let hub_volts levels =
+  let spokes = List.fold_left (fun n k -> n + (1 lsl k)) 0 levels in
+  1e-3 /. ((1.0 /. 1000.0) +. (float_of_int spokes /. 1100.0))

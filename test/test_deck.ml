@@ -165,22 +165,27 @@ let test_elaboration_caps () =
   let d = parse_ok (Oracle.nested_deck ~internal:true 9) in
   Alcotest.(check int) "nine levels parse" 1025 (Sp.Netlist.unknowns d.Deck.netlist)
 
-(* a hub node with 2^levels spokes stays inside the caps however much
-   its LU fills: eliminating the hub first fills all of L+U, about
-   n^3/3 updates per refactorization over n^2 stored entries. Ten
-   levels (1,025 unknowns) parse; eight levels (257) run and match the
-   hub's analytic voltage *)
+(* a hub node with many spokes stays inside the caps. Natural order
+   would eliminate the hub first and fill all of L+U; the minimum-degree
+   order eliminates it last. Ten levels (1,025 unknowns) parse; eight
+   levels (257) and the deck at the unknown cap (2,048) run and match
+   the hub's analytic voltage *)
 let test_hub_deck () =
-  let d = parse_ok (Oracle.hub_deck 10) in
+  let d = parse_ok (Oracle.hub_deck [ 10 ]) in
   Alcotest.(check int) "ten levels parse" 1025 (Sp.Netlist.unknowns d.Deck.netlist);
+  let d = parse_ok (Oracle.hub_deck Oracle.hub_at_cap) in
+  Alcotest.(check int) "the deck at the cap parses" 2048 (Sp.Netlist.unknowns d.Deck.netlist);
   let engine = Lattice_engine.Engine.create ~domains:1 ~store_dir:"" () in
-  match Runner.run ~engine (parse_ok (Oracle.hub_deck 8)) with
-  | Error msg -> Alcotest.failf "runner failed: %s" msg
-  | Ok r -> (
-    match r.Runner.results with
-    | [ (_, Runner.Op_result { rows = [ ("hub", v) ]; _ }) ] ->
-      Alcotest.(check (float 1e-10)) "v(hub)" (Oracle.hub_volts 8) v
-    | _ -> Alcotest.fail "expected one .op result probing v(hub)")
+  List.iter
+    (fun levels ->
+      match Runner.run ~engine (parse_ok (Oracle.hub_deck levels)) with
+      | Error msg -> Alcotest.failf "runner failed: %s" msg
+      | Ok r -> (
+        match r.Runner.results with
+        | [ (_, Runner.Op_result { rows = [ ("hub", v) ]; _ }) ] ->
+          Alcotest.(check (float 1e-10)) "v(hub)" (Oracle.hub_volts levels) v
+        | _ -> Alcotest.fail "expected one .op result probing v(hub)"))
+    [ [ 8 ]; Oracle.hub_at_cap ]
 
 let test_errors_never_escape () =
   (* seeded mutation fuzz: random edits of a valid deck must yield

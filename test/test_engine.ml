@@ -743,28 +743,28 @@ let test_resident_dc_op () =
     (Metrics.Scope.get req_hits);
   Alcotest.(check int) "no solve attributed" 0 (Metrics.Scope.get req_solves)
 
-(* the store lives under <dir>/dcop-v4/: a later key version starts a
+(* the store lives under <dir>/dcop-v5/: a later key version starts a
    fresh tree beside it, and the old one can be removed whole *)
 let test_store_root_names_key_version () =
   let dir = Filename.temp_dir "ftl-store-root" "" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let e = Engine.create ~domains:1 ~store_dir:dir () in
   Alcotest.(check (option string)) "store_dir is the directory given" (Some dir) (Engine.store_dir e);
-  Alcotest.(check string) "the key version names the root" "dcop-v4" Key.version;
+  Alcotest.(check string) "the key version names the root" "dcop-v5" Key.version;
   ignore
     (Lattice_flow.Monte_carlo.run ~engine:e ~samples:2 ~seed:1 Lattice_synthesis.Library.maj3_2x3
        ~target:(Lattice_boolfn.Truthtable.majority_n 3));
   let writes = (Option.get (Engine.telemetry e).Engine.store).Lattice_engine.Store.writes in
   Alcotest.(check bool) "the yield wrote entries" true (writes > 0);
-  Alcotest.(check (list string)) "only the versioned root at the top" [ "dcop-v4" ]
+  Alcotest.(check (list string)) "only the versioned root at the top" [ "dcop-v5" ]
     (Array.to_list (Sys.readdir dir));
   let rec files path =
     if Sys.is_directory path then
       List.concat_map (fun f -> files (Filename.concat path f)) (Array.to_list (Sys.readdir path))
     else [ path ]
   in
-  Alcotest.(check int) "every entry under dcop-v4" writes
-    (List.length (files (Filename.concat dir "dcop-v4")))
+  Alcotest.(check int) "every entry under dcop-v5" writes
+    (List.length (files (Filename.concat dir "dcop-v5")))
 
 let test_engine_map_and_phases () =
   let e = Engine.create ~domains:2 () in

@@ -496,12 +496,15 @@ let test_sparse_kernels_reject_mismatch () =
       Sparse.refactor lu { m with Sparse.values = Array.sub m.Sparse.values 0 1 });
   rejects "short right-hand side" (fun () -> Sparse.solve_in_place lu (Array.make 5 1.0))
 
-(* An arrow matrix whose hub comes first: the natural pivot order
-   eliminates it first and fills all of L+U, so a refactorization runs
-   about n^3/3 updates over n^2 stored entries. What the LU keeps must
-   grow with its entries (a value and a row index each, plus O(n) and
-   the pattern), not with its updates; and the bits still match the
-   oracle's. *)
+(* An arrow matrix whose hub comes first. Natural order would eliminate
+   the hub first and fill all of L+U; the minimum-degree order takes the
+   spokes first and the hub last, so L+U stays within three entries per
+   entry of A, and the bits match the oracle's. A full random
+   block fills L+U under any order, so a refactorization runs about
+   n^3/3 updates over n^2 stored entries: what the LU adds to its
+   matrix's pattern must grow with its entries (a value and a row index
+   each, and a slot for each entry of A, plus O(n)), not with its
+   updates. *)
 let test_sparse_hub_fill () =
   let n = 200 in
   let b = Sparse.Builder.create n in
@@ -515,21 +518,96 @@ let test_sparse_hub_fill () =
       m.Sparse.values.(s) <-
         (if r = c then if r = 0 then float_of_int n else 2.0 +. (float_of_int r *. 1e-3) else -1.0));
   let lu = Sparse.factorize m in
-  let l, u = Sparse.lu_nnz lu in
-  Alcotest.(check int) "L+U is dense" (n * n) (l + u);
-  let kept = Obj.reachable_words (Obj.repr lu) in
-  Alcotest.(check bool)
-    (Printf.sprintf "the LU keeps %d words for %d entries" kept (l + u))
-    true
-    (kept < (3 * (l + u)) + (32 * n));
+  let l, u = Sparse.lu_nnz lu and a = Sparse.nnz m.Sparse.pattern in
+  Alcotest.(check bool) (Printf.sprintf "arrow: L+U %d <= 3 nnz(A) = %d" (l + u) (3 * a)) true
+    (l + u <= 3 * a);
   let ref_lu = Ll.factorize ~n m in
   let rng = Random.State.make [| 61 |] in
   Alcotest.(check bool) "solves match the oracle" true (solves_agree lu ref_lu (rhs_set rng n));
-  perturb rng m;
+  (* a rescaling: [perturb]'s zeros on a spoke's diagonal would be zero
+     pivots, as the spokes go first *)
+  Array.iteri
+    (fun s v -> m.Sparse.values.(s) <- v *. (0.5 +. Random.State.float rng 1.0))
+    m.Sparse.values;
   Sparse.refactor lu m;
   Ll.refactor ref_lu m;
   Alcotest.(check bool) "refactored solves match the oracle" true
-    (solves_agree lu ref_lu (rhs_set rng n))
+    (solves_agree lu ref_lu (rhs_set rng n));
+  let b = Sparse.Builder.create n in
+  for r = 0 to n - 1 do
+    for c = 0 to n - 1 do
+      Sparse.Builder.add b r c
+    done
+  done;
+  let m = Sparse.create (Sparse.Builder.compile b) in
+  Array.iteri (fun s _ -> m.Sparse.values.(s) <- Random.State.float rng 2.0 -. 1.0) m.Sparse.values;
+  let lu = Sparse.factorize m in
+  let l, u = Sparse.lu_nnz lu in
+  Alcotest.(check int) "full block: L+U is dense" (n * n) (l + u);
+  let kept =
+    Obj.reachable_words (Obj.repr lu) - Obj.reachable_words (Obj.repr m.Sparse.pattern)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the LU keeps %d words for %d entries" kept (l + u))
+    true
+    (kept < (3 * (l + u)) + (32 * n))
+
+(* The elimination order is a permutation that the pattern alone fixes:
+   the oracle's order (which the LU matches bit for bit above) is one,
+   and the same entries reserved in reverse order give the same LU. *)
+let prop_order_deterministic =
+  QCheck2.Test.make ~name:"elimination order: a permutation fixed by the pattern" ~count:100
+    ~print:QCheck2.Print.(pair int int)
+    QCheck2.Gen.(pair (int_range 1 40) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed; 0x2e |] in
+      let m = random_mna_like rng n in
+      let cells = ref [] in
+      Sparse.iteri m (fun _ r c v -> cells := (r, c, v) :: !cells);
+      let b = Sparse.Builder.create n in
+      List.iter (fun (r, c, _) -> Sparse.Builder.add b r c) !cells;
+      let m' = Sparse.create (Sparse.Builder.compile b) in
+      List.iter (fun (r, c, v) -> Sparse.add m' r c v) !cells;
+      List.sort compare (Array.to_list (Oracle.min_degree ~n m)) = List.init n Fun.id
+      &&
+      match (outcome (fun () -> Sparse.factorize m), outcome (fun () -> Sparse.factorize m')) with
+      | Ok lu, Ok lu' ->
+        Sparse.lu_nnz lu = Sparse.lu_nnz lu'
+        && List.for_all (fun b -> same_bits (sparse_solve lu b) (sparse_solve lu' b)) (rhs_set rng n)
+      | Error c, Error c' -> c = c'
+      | _ -> false)
+
+(* On the lattices that the flows and the daemon simulate, the order's
+   L+U is at most natural order's, on the matrix a DC solve factors
+   first *)
+let test_sparse_order_lattices () =
+  let altun_riedel tt =
+    (Lattice_synthesis.Altun_riedel.synthesize tt).Lattice_synthesis.Altun_riedel.grid
+  in
+  List.iter
+    (fun (name, grid) ->
+      let netlist =
+        (Sp.Lattice_circuit.build grid ~stimulus:(fun _ -> Sp.Source.Dc 1.2))
+          .Sp.Lattice_circuit.netlist
+      in
+      let plan = Sp.Stamp_plan.compile netlist in
+      Sp.Stamp_plan.set_linear plan ~time:0.0 ~gmin:gmin_final ~gshunt:0.0 ~source_scale:1.0
+        ~caps:None;
+      let n = Sp.Stamp_plan.n plan in
+      Sp.Stamp_plan.assemble plan ~x:(Array.make n 0.0);
+      let a = Sp.Stamp_plan.matrix plan in
+      let l, u = Sparse.lu_nnz (Sparse.factorize a) in
+      let l', u' = Ll.lu_nnz (Ll.factorize ~order:(Array.init n Fun.id) ~n a) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: L+U %d, natural order %d" name (l + u) (l' + u'))
+        true
+        (l + u <= l' + u'))
+    [
+      ("maj3 2x3", Lattice_synthesis.Library.maj3_2x3);
+      ("xor3 3x3", Lattice_synthesis.Library.xor3_3x3);
+      ("Altun-Riedel maj3", altun_riedel (Lattice_boolfn.Truthtable.majority_n 3));
+      ("Altun-Riedel xor3", altun_riedel Lattice_synthesis.Library.xor3);
+    ]
 
 (* [refactor] and [solve_in_place] allocate nothing at all once tracing
    and metrics are off *)
@@ -852,6 +930,9 @@ let () =
             test_sparse_kernels_allocation_free;
           Alcotest.test_case "refactor + solve reject mismatched inputs" `Quick
             test_sparse_kernels_reject_mismatch;
+          qc prop_order_deterministic;
+          Alcotest.test_case "elimination order: L+U <= natural on lattices" `Quick
+            test_sparse_order_lattices;
         ] );
       ( "cg",
         [

@@ -1220,9 +1220,11 @@ let test_residual_parity () =
       (check_residual ckt (Sp.Stamp_plan.compile ckt))
   done
 
-(* One dense Newton step from a DC result: [Mna.stamp] at [x], then
-   [Oracle.solve_dense]. A converged operating point is its own fixed point,
-   so the step must not move it by more than [bound]. *)
+(* One dense Newton step from a DC result: [Mna.stamp] at [x], then a
+   dense factor and solve that eliminates the unknowns in the order the
+   sparse LU does ([Oracle.min_degree] of the plan's pattern). A converged
+   operating point is its own fixed point, so the step must not move it
+   by more than [bound]. *)
 let check_dense_fixed_point ~label ~bound ckt =
   match Sp.Dcop.solve_diag ~options:tight_options ckt with
   | Error f -> Alcotest.failf "%s: %s" label (Sp.Dcop.pp_failure f)
@@ -1233,7 +1235,10 @@ let check_dense_fixed_point ~label ~bound ckt =
       Mna.stamp ckt ~x ~time:0.0 ~gmin:tight_options.Sp.Dcop.gmin_final ~gshunt
         ~source_scale:1.0 ~caps:None
     in
-    let gap = Oracle.max_abs_diff x (Oracle.solve_dense a b) in
+    let order =
+      Oracle.min_degree ~n:(Array.length x) (Sp.Stamp_plan.matrix (Sp.Stamp_plan.compile ckt))
+    in
+    let gap = Oracle.max_abs_diff x (Oracle.solve_dense_in_order ~order a b) in
     Alcotest.(check bool)
       (Printf.sprintf "%s: dense Newton step moves the solution by %.3g < %g" label gap bound)
       true (gap < bound)
