@@ -649,12 +649,15 @@ let serve_cmd =
            ~doc:"Accept the test-only $(b,sleep) request (load/backpressure testing).")
   in
   let quiet = Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress lifecycle logging.") in
+  let mib = 1024 * 1024 in
   let flight_dir =
     Arg.(value & opt (some string) None & info [ "flight-dir" ] ~docv:"DIR"
-           ~doc:"Flight-recorder spool directory: a request that errors, times out or \
-                 overruns $(b,--slow-ms) dumps the in-memory span ring there as \
-                 Chrome-trace JSONL (bounded: 64 files / 16 MiB, oldest evicted). \
-                 Defaults to $(b,FTL_FLIGHT_DIR) when set.")
+           ~doc:(Printf.sprintf
+                   "Flight-recorder spool directory: a request that errors, times out or \
+                    overruns $(b,--slow-ms) dumps the in-memory span ring there as \
+                    Chrome-trace JSONL (bounded: %d files / %d MiB, oldest evicted). \
+                    Defaults to $(b,FTL_FLIGHT_DIR) when set."
+                   Lattice_obs.Spool.max_files (Lattice_obs.Spool.max_bytes / mib)))
   in
   let slow_ms =
     Arg.(value & opt (some float) None & info [ "slow-ms" ] ~docv:"MS"
@@ -662,8 +665,10 @@ let serve_cmd =
   in
   let access_log =
     Arg.(value & opt (some string) None & info [ "access-log" ] ~docv:"FILE"
-           ~doc:"Structured JSONL access log, one line per request (id, type, outcome, \
-                 duration, cache hits, DC solves, retries); rotated at 8 MiB.")
+           ~doc:(Printf.sprintf
+                   "Structured JSONL access log, one line per request (id, type, outcome, \
+                    duration, cache hits, DC solves, retries); rotated at %d MiB."
+                   (Lattice_obs.Spool.log_max_bytes / mib)))
   in
   Cmd.v
     (Cmd.info "serve"

@@ -31,13 +31,8 @@ let literals c =
 (* a implies b iff every literal of b appears in a *)
 let implies a b = b.pos land lnot a.pos = 0 && b.neg land lnot a.neg = 0
 
-let eval c assignment =
-  c.pos land assignment = c.pos && c.neg land assignment = 0
-
 let compare a b =
   match Int.compare a.pos b.pos with 0 -> Int.compare a.neg b.neg | c -> c
-
-let equal a b = a.pos = b.pos && a.neg = b.neg
 
 let to_string ~names c =
   match literals c with

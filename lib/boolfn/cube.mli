@@ -32,14 +32,8 @@ val and_literal : t -> int -> bool -> t
     i.e. [b]'s literal set is a subset of [a]'s. *)
 val implies : t -> t -> bool
 
-(** [eval c assignment] evaluates the product under an assignment given as a
-    bitmask of variable values. *)
-val eval : t -> int -> bool
-
 (** [compare] is a total order suitable for sorting/deduplication. *)
 val compare : t -> t -> int
-
-val equal : t -> t -> bool
 
 (** [to_string ~names c] renders e.g. ["a b' c"]; [names] supplies variable
     names by index. The empty cube renders as ["1"]. *)

@@ -25,9 +25,6 @@ exception Parse_error of string
     names in index order. Also accepts ['^'] for XOR. *)
 val parse : string -> t * string array
 
-(** [eval e assignment] evaluates under a variable bitmask. *)
-val eval : t -> int -> bool
-
 (** [to_truthtable e ~nvars] tabulates the expression. *)
 val to_truthtable : t -> nvars:int -> Truthtable.t
 

@@ -16,7 +16,6 @@ let of_cubes nvars cubes =
   { nvars; cubes = List.sort_uniq Cube.compare cubes }
 
 let cubes f = f.cubes
-let nvars f = f.nvars
 let product_count f = List.length f.cubes
 
 (* keep a cube only if no *other* kept-or-candidate cube absorbs it;
@@ -39,8 +38,6 @@ let absorb f =
     if keep.(i) then kept := arr.(i) :: !kept
   done;
   { f with cubes = !kept }
-
-let eval f assignment = List.exists (fun c -> Cube.eval c assignment) f.cubes
 
 let to_string ~names f =
   match f.cubes with

@@ -17,18 +17,12 @@ val of_cubes : int -> Cube.t list -> t
 (** [cubes f] is the cube list (sorted). *)
 val cubes : t -> Cube.t list
 
-(** [nvars f] is the number of variables of the function's domain. *)
-val nvars : t -> int
-
 (** [product_count f] is the number of cubes. *)
 val product_count : t -> int
 
 (** [absorb f] removes every cube implied by (absorbed into) another cube,
     yielding an equivalent, irredundant-by-containment SOP. *)
 val absorb : t -> t
-
-(** [eval f assignment] evaluates under a variable bitmask. *)
-val eval : t -> int -> bool
 
 (** [to_string ~names f] renders e.g. ["a b' + c"]; constant functions
     render as ["0"] / ["1"]. *)

@@ -31,7 +31,6 @@ let count_ones t =
   done;
   !acc
 
-let equal a b = a.nvars = b.nvars && Bytes.equal a.bits b.bits
 let complement t = create t.nvars (fun m -> not (eval t m))
 
 let dual t =

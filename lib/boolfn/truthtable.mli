@@ -19,9 +19,6 @@ val minterms : t -> int list
 (** [count_ones t] is the number of true assignments. *)
 val count_ones : t -> int
 
-(** [equal a b] is pointwise equality (requires equal [nvars]). *)
-val equal : t -> t -> bool
-
 (** [complement t] is [not t]. *)
 val complement : t -> t
 

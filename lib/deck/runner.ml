@@ -40,25 +40,26 @@ let fail fmt = Printf.ksprintf (fun msg -> raise (Run_error msg)) fmt
 let is_ground name = name = "0" || String.lowercase_ascii name = "gnd"
 
 (* the points a [.dc] card sweeps and the end time a [.tran] card runs
-   to, after the smoke caps *)
+   to, after the smoke caps; counted in floats, so that a count past
+   [max_int] or an infinite one meets the limits instead of wrapping *)
 let sweep_points ~smoke start stop step =
-  let n = int_of_float (Float.floor (((stop -. start) /. step) +. 1e-9)) + 1 in
-  if smoke then Int.min n 5 else n
+  let n = Float.floor (((stop -. start) /. step) +. 1e-9) +. 1.0 in
+  if smoke then Float.min n 5.0 else n
 
 let tran_stop ~smoke step t_stop = if smoke then Float.min t_stop (step *. 50.0) else t_stop
 
 let check_limits ?(smoke = false) ~limits (deck : Ast.deck) =
+  let count n = if n < 1e15 then Printf.sprintf "%.0f" n else Printf.sprintf "%g" n in
+  (* a count is within its limit only when [n <= limit], which no NaN is *)
   let over = function
     | Ast.Dc_sweep { start; stop; step; _ } ->
       let n = sweep_points ~smoke start stop step in
-      if n > limits.max_sweep_points then
-        Some (Printf.sprintf "dc sweep has %d points (limit %d)" n limits.max_sweep_points)
-      else None
+      if n <= float_of_int limits.max_sweep_points then None
+      else Some (Printf.sprintf "dc sweep has %s points (limit %d)" (count n) limits.max_sweep_points)
     | Ast.Tran { step; t_stop } ->
-      let nsteps = int_of_float (Float.ceil (tran_stop ~smoke step t_stop /. step)) in
-      if nsteps > limits.max_tran_steps then
-        Some (Printf.sprintf "transient has %d steps (limit %d)" nsteps limits.max_tran_steps)
-      else None
+      let n = Float.ceil (tran_stop ~smoke step t_stop /. step) in
+      if n <= float_of_int limits.max_tran_steps then None
+      else Some (Printf.sprintf "transient has %s steps (limit %d)" (count n) limits.max_tran_steps)
     | Ast.Op | Ast.Ac _ -> None
   in
   match List.find_map over deck.Ast.analyses with Some msg -> Error msg | None -> Ok ()
@@ -97,7 +98,8 @@ let run ~engine ?cancel ?(smoke = false) ?(limits = default_limits) (deck : Ast.
     | Error f -> fail "operating point failed: %s" (Sp.Dcop.pp_failure f)
   in
   let run_dc source start stop step =
-    let n = sweep_points ~smoke start stop step in
+    (* within the limits, which [run] checked first *)
+    let n = int_of_float (sweep_points ~smoke start stop step) in
     if N.vsource_index net source = None then fail "dc sweep: unknown voltage source V%s" source;
     (* each point is the deck with the swept source rebound: a distinct
        cacheable circuit, solved on the sweep's one workspace *)

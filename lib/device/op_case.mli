@@ -32,8 +32,5 @@ val sources : t -> int list
     with whether the pair is geometrically opposite. *)
 val pairs : t -> (int * int * bool) list
 
-(** [opposite i j] — [true] when terminals [i] and [j] face each other. *)
-val opposite : int -> int -> bool
-
 (** [is_valid c] — at least one drain and one source. *)
 val is_valid : t -> bool

@@ -12,8 +12,6 @@ let narrow_width_correction ~cox ~geometry =
   Float.pi *. Constants.eps_si *. 2.0 *. phi_f /. (2.0 *. w *. cox)
 
 let enhancement ~dielectric ~geometry =
-  if Geometry.is_depletion geometry then
-    invalid_arg "Threshold.enhancement: junctionless geometry";
   let cox = Material.oxide_capacitance dielectric ~tox:geometry.Geometry.tox in
   let phi_f = Material.fermi_potential_p ~na:na_substrate in
   let qdep = Material.bulk_charge_max ~na:na_substrate in

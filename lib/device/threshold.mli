@@ -27,15 +27,10 @@ val nd_junctionless : float
 (** Calibrated gate work-function difference for the junctionless stack, V. *)
 val phi_ms_junctionless : float
 
-(** [enhancement ~dielectric ~geometry] is the threshold voltage of a
-    square or cross device; raises [Invalid_argument] for the junctionless
-    geometry. *)
-val enhancement : dielectric:Material.gate_dielectric -> geometry:Geometry.t -> float
-
-(** [junctionless ~dielectric] is the (negative) junctionless threshold. *)
-val junctionless : dielectric:Material.gate_dielectric -> float
-
-(** [vth ~dielectric ~geometry] dispatches on the geometry's type. *)
+(** [vth ~dielectric ~geometry] is the threshold voltage: the
+    enhancement-mode value of a square or cross device (the cross with
+    its narrow-width correction), the (negative) depletion-mode value of
+    the junctionless wire. *)
 val vth : dielectric:Material.gate_dielectric -> geometry:Geometry.t -> float
 
 (** [subthreshold_ideality ~dielectric ~geometry] is

@@ -248,8 +248,8 @@ let solve t ~options ?cancel ?workspace ?x0 ~key netlist =
 let dc_op t ?(options = Sp.Dcop.default_options) ?cancel ?workspace netlist =
   solve t ~options ?cancel ?workspace ~key:(Key.dc_op ~options netlist) netlist
 
-let resident_dc_op t ?(options = Sp.Dcop.default_options) netlist =
-  Option.map (hit netlist) (Cache.find_resident t.dc_cache ~key:(Key.dc_op ~options netlist))
+let resident_dc_op t netlist =
+  Option.map (hit netlist) (Cache.find_resident t.dc_cache ~key:(Key.dc_op netlist))
 
 let state_netlist (lc : Sp.Lattice_circuit.t) =
   let stimulus =

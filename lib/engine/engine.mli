@@ -173,7 +173,7 @@ val dc_op :
   Lattice_spice.Netlist.t ->
   (Lattice_numerics.Vec.t * Lattice_spice.Dcop.diagnostics, Lattice_spice.Dcop.failure) result
 
-(** [resident_dc_op e ?options netlist] is the memory-resident answer
+(** [resident_dc_op e netlist] is the memory-resident answer
     of {!dc_op}: on an in-memory cache hit it returns what [dc_op] would
     (a private copy in [netlist]'s node order, the original diagnostics)
     and counts the hit as [dc_op] does, in {!telemetry} and in the
@@ -184,7 +184,6 @@ val dc_op :
     daemon answers a memory-resident [dc_op] on its reader thread. *)
 val resident_dc_op :
   t ->
-  ?options:Lattice_spice.Dcop.options ->
   Lattice_spice.Netlist.t ->
   (Lattice_numerics.Vec.t * Lattice_spice.Dcop.diagnostics, Lattice_spice.Dcop.failure) result
   option

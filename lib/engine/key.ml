@@ -19,11 +19,13 @@ let add_dc_options b (o : Sp.Dcop.options) =
 
 let version = "dcop-v5"
 
-let dc_op ?(options = Sp.Dcop.default_options) ?(time = 0.0) ?seed netlist =
+let dc_op ?(options = Sp.Dcop.default_options) ?seed netlist =
   let b = Buffer.create 256 in
   add_string b version;
   add_dc_options b options;
-  add_float b time;
+  (* the solve's time: every keyed solve is at t = 0, and the byte stays
+     so that keys keep their dcop-v5 values *)
+  add_float b 0.0;
   (match seed with
   | None -> add_int b 0
   | Some key ->

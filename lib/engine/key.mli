@@ -13,20 +13,20 @@ val version : string
     roots its persistent store at [<dir>/dcop-v5/], so a store written
     with other keys is never read and can be removed whole. *)
 
-(** [dc_op ?options ?time ?seed netlist] — key of a DC operating-point
-    job. Defaults match {!Lattice_spice.Dcop.solve_diag}: default
-    options, [time = 0], no start point. [seed] is the key of the solve
+(** [dc_op ?options ?seed netlist] — key of a DC operating-point job at
+    [time = 0]. Defaults match {!Lattice_spice.Dcop.solve_diag}: default
+    options, no start point. [seed] is the key of the solve
     whose solution the job's plain Newton rung starts from (the nominal
     circuit's, for a Monte-Carlo die or a defect sample): the start
     point changes the last bits of the answer, so a seeded job and an
     unseeded job of one netlist never share a key, and two seeds give
     two keys.
 
-    The MD5 of {!version}, every solver option, [time], the seed's key
+    The MD5 of {!version}, every solver option, the time 0, the seed's key
     if any, the netlist's memoized
     {!Lattice_spice.Netlist.wave_free_digest} and its voltage-source
     waves in element order ({!Lattice_spice.Netlist.add_vsource_waves}).
-    Two keys are equal exactly when the options, the times, the seeds
+    Two keys are equal exactly when the options, the seeds
     and the netlists' {!Lattice_spice.Netlist.structural_digest}s are,
     so deck text and the built circuit it came from share keys. A
     netlist's input states share its wave-free digest, so each state
@@ -40,7 +40,6 @@ val version : string
     the rounding level. *)
 val dc_op :
   ?options:Lattice_spice.Dcop.options ->
-  ?time:float ->
   ?seed:string ->
   Lattice_spice.Netlist.t ->
   string

@@ -46,8 +46,6 @@ let open_ ~dir =
     errors = counter "errors";
   }
 
-let dir t = t.dir
-
 let shard_of hex = String.sub hex 0 2
 
 let entry_path t ~key =

@@ -44,8 +44,6 @@ val open_ : dir:string -> 'a t
     Raises [Invalid_argument] on an empty [dir]; any later IO trouble
     is absorbed into [stats]. *)
 
-val dir : 'a t -> string
-
 val find : 'a t -> key:string -> 'a option
 val add : 'a t -> key:string -> 'a -> unit
 

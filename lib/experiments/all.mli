@@ -1,9 +1,7 @@
 (** Every reproduction experiment, in the paper's order. *)
 
-(** [reports ()] runs every table/figure reproduction (using the quick
+(** [print_all ()] runs every table/figure reproduction (using the quick
     Table I setting unless [FTL_TABLE1_FULL] is set) plus the Section VI-A
-    complementary-structure extension, and returns the rendered reports. *)
-val reports : unit -> Report.t list
-
-(** [print_all ()] renders everything to stdout. *)
+    complementary-structure extension, and renders the reports to
+    stdout. *)
 val print_all : unit -> unit

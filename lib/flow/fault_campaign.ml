@@ -19,7 +19,6 @@ let classification_name = function
 type budget = { newton_per_sample : int }
 
 type options = {
-  config : Sp.Lattice_circuit.config;
   params : Defects.params;
   dc : Sp.Dcop.options;
   budget : budget;
@@ -31,7 +30,6 @@ type options = {
 
 let default_options =
   {
-    config = Sp.Lattice_circuit.default_config;
     params = Defects.default_params;
     dc = Sp.Dcop.default_options;
     budget = { newton_per_sample = 20_000 };
@@ -63,15 +61,14 @@ type sample = {
 
 let iterations_of_attempts attempts = List.fold_left (fun acc (_, n) -> acc + n) 0 attempts
 
-let state_zero options =
-  Sp.Lattice_circuit.state_stimulus ~vdd:options.config.Sp.Lattice_circuit.vdd 0
+let vdd = Sp.Lattice_circuit.default_config.vdd
+let state_zero = Sp.Lattice_circuit.state_stimulus ~vdd 0
 
 (* The defective circuit's output voltage (and solve diagnostics) as a
    function of the input state; built once per call, i.e. once per job. *)
 let defective_circuit ?seeds engine ~options grid ~defects =
   Engine.lattice_output engine ~options:options.dc ?seeds
-    (Defects.build ~config:options.config ~params:options.params ~defects grid
-       ~stimulus:(state_zero options))
+    (Defects.build ~params:options.params ~defects grid ~stimulus:state_zero)
 
 (* one sample, its solves seeded when [run] passes the nominal circuit's
    solutions *)
@@ -82,7 +79,6 @@ let run_sample ?seeds ?engine ?(cancel = Cancel.none) ?(options = default_option
   if options.budget.newton_per_sample <= 0 then
     invalid_arg "Fault_campaign.simulate: newton_per_sample must be positive";
   let engine = Engine.or_fresh engine in
-  let vdd = options.config.Sp.Lattice_circuit.vdd in
   let states = 1 lsl nvars in
   let output_at = defective_circuit ?seeds engine ~options grid ~defects in
   let used = ref 0 in
@@ -149,8 +145,7 @@ let run_sample ?seeds ?engine ?(cancel = Cancel.none) ?(options = default_option
     newton_iterations = !used;
   }
 
-let simulate ?engine ?cancel ?options grid ~target ~test_set defects =
-  run_sample ?engine ?cancel ?options grid ~target ~test_set defects
+let simulate grid ~target ~test_set defects = run_sample grid ~target ~test_set defects
 
 (* the logical fault a circuit defect projects to; the analog kinds have
    no logical counterpart *)
@@ -164,7 +159,6 @@ let logical_of_defect (d : Defects.t) =
 
 let verify_with_defects engine options grid ~target ~defects =
   let nvars = Tt.nvars target in
-  let vdd = options.config.Sp.Lattice_circuit.vdd in
   let output_at = defective_circuit engine ~options grid ~defects in
   let ok = ref true in
   (try
@@ -303,7 +297,7 @@ let run ?engine ?(policy = Engine.default_policy) ?(cancel = Cancel.none)
   (* every sample starts Newton from the defect-free circuit's solution *)
   let seeds =
     Engine.nominal_seeds engine ~options:options.dc ~cancel
-      (Sp.Lattice_circuit.build ~config:options.config grid ~stimulus:(state_zero options))
+      (Sp.Lattice_circuit.build grid ~stimulus:state_zero)
       ~states:(1 lsl nvars)
   in
   let samples =

@@ -56,7 +56,6 @@ val classification_name : classification -> string
 type budget = { newton_per_sample : int }
 
 type options = {
-  config : Lattice_spice.Lattice_circuit.config;
   params : Lattice_spice.Defects.params;
   dc : Lattice_spice.Dcop.options;
   budget : budget;
@@ -85,17 +84,10 @@ type sample = {
     defective circuit is built once and checked through
     {!Lattice_engine.Engine.lattice_output}: its DC solves share one
     job-scoped workspace and go through the engine's content-addressed
-    cache (without [engine], a fresh {!Lattice_engine.Engine.or_fresh}
-    one); cached
-    hits replay the original diagnostics, so Newton-budget accounting
-    is identical on warm and cold caches. [cancel] is checked before
-    every input state (and inside every solve); a fired token raises
-    {!Lattice_spice.Cancel.Cancelled} — inside {!run} that exception
-    is converted to a classified sample. *)
+    cache of a fresh {!Lattice_engine.Engine.or_fresh} engine, under
+    {!default_options}; cached hits replay the original diagnostics, so
+    Newton-budget accounting is identical on warm and cold caches. *)
 val simulate :
-  ?engine:Lattice_engine.Engine.t ->
-  ?cancel:Lattice_spice.Cancel.t ->
-  ?options:options ->
   Lattice_core.Grid.t ->
   target:Lattice_boolfn.Truthtable.t ->
   test_set:int list ->
@@ -139,7 +131,7 @@ type report = {
     ["fault-campaign"]), then the repairs (phase ["campaign-repair"]);
     without [engine] both run on {!Lattice_engine.Engine.or_fresh}'s
     1-domain engine. Before the samples, the defect-free circuit
-    ([Lattice_circuit.build ~config grid]) is solved once at every input
+    ([Lattice_circuit.build grid]) is solved once at every input
     state ({!Lattice_engine.Engine.nominal_seeds}, under [cancel]), and
     each sample's plain Newton rungs start from those solutions; the
     repairs' re-verifications start from 0 V. Results merge by index,

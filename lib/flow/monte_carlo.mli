@@ -27,7 +27,7 @@ type result = {
   v_high_mean : float;
 }
 
-(** [run ?engine ?config ?variation ?samples ?seed grid ~target] runs the
+(** [run ?engine ?variation ?samples ?seed grid ~target] runs the
     campaign: each sample perturbs every switch independently and checks
     the DC response against [target] (the function the lattice should
     realize; the circuit output is its complement). Defaults: 100
@@ -60,7 +60,6 @@ val run :
   ?engine:Lattice_engine.Engine.t ->
   ?policy:Lattice_engine.Engine.job_policy ->
   ?cancel:Lattice_spice.Cancel.t ->
-  ?config:Lattice_spice.Lattice_circuit.config ->
   ?variation:variation ->
   ?samples:int ->
   ?seed:int ->

@@ -22,24 +22,10 @@ type evaluated = {
   score : float;
 }
 
-type spec = {
-  max_area : int option;
-  max_delay : float option;
-  max_static_power : float option;
-  weight_area : float;
-  weight_delay : float;
-  weight_power : float;
-}
+type spec = { max_area : int option; weight_power : float }
 
-let default_spec =
-  {
-    max_area = None;
-    max_delay = None;
-    max_static_power = None;
-    weight_area = 1.0;
-    weight_delay = 1.0;
-    weight_power = 1.0;
-  }
+let default_spec = { max_area = None; weight_power = 1.0 }
+let config = Sp.Lattice_circuit.default_config
 
 let candidates ?expr target =
   let direct = { grid = (S.Altun_riedel.synthesize target).S.Altun_riedel.grid;
@@ -82,7 +68,7 @@ let candidates ?expr target =
 
 (* N-S on-conductance of one switch at vgs = vdd: the type-B diagonal in
    parallel with the two-step type-A edge path *)
-let switch_on_conductance (config : Sp.Lattice_circuit.config) =
+let switch_on_conductance =
   let vdd = config.Sp.Lattice_circuit.vdd in
   let g_of m = Lattice_mosfet.Model.on_conductance m ~vdd in
   let ga = g_of config.Sp.Lattice_circuit.types.Sp.Fts.type_a in
@@ -99,13 +85,12 @@ let duty grid =
   done;
   float_of_int !on /. float_of_int states
 
-let estimate ?(config = Sp.Lattice_circuit.default_config) impl =
+let estimate impl =
   let grid = impl.grid in
   let rows = grid.Grid.rows and cols = grid.Grid.cols in
-  let r_on_chain = float_of_int rows /. switch_on_conductance config in
+  let r_on_chain = float_of_int rows /. switch_on_conductance in
   let c_out =
-    config.Sp.Lattice_circuit.output_cap
-    +. (float_of_int cols *. config.Sp.Lattice_circuit.terminal_cap)
+    Sp.Lattice_circuit.output_cap +. (float_of_int cols *. Sp.Fts.default_terminal_cap)
   in
   (* 10-90% edges of first-order RC responses *)
   let rise = 2.2 *. config.Sp.Lattice_circuit.pullup_ohms *. c_out in
@@ -125,7 +110,7 @@ let estimate ?(config = Sp.Lattice_circuit.default_config) impl =
 
 (* measured metrics: DC supply power per input state and a full
    all-combinations transient for the edges *)
-let evaluate_spice ?(config = Sp.Lattice_circuit.default_config) target impl =
+let evaluate_spice target impl =
   let nvars = Tt.nvars target in
   if nvars > 5 then invalid_arg "Optimizer.evaluate_spice: too many inputs";
   let vdd = config.Sp.Lattice_circuit.vdd in
@@ -134,7 +119,7 @@ let evaluate_spice ?(config = Sp.Lattice_circuit.default_config) target impl =
   let powers =
     Array.init states (fun m ->
         let lc =
-          Sp.Lattice_circuit.build ~config impl.grid
+          Sp.Lattice_circuit.build impl.grid
             ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m)
         in
         let x = Sp.Dcop.solve lc.Sp.Lattice_circuit.netlist in
@@ -145,7 +130,7 @@ let evaluate_spice ?(config = Sp.Lattice_circuit.default_config) target impl =
   (* transient over every combination for the edges *)
   let bit_time = 80e-9 in
   let lc =
-    Sp.Lattice_circuit.build ~config impl.grid
+    Sp.Lattice_circuit.build impl.grid
       ~stimulus:(Sp.Lattice_circuit.exhaustive_stimulus ~vdd ~bit_time)
   in
   let r =
@@ -156,7 +141,7 @@ let evaluate_spice ?(config = Sp.Lattice_circuit.default_config) target impl =
   let out = Sp.Transient.signal r lc.Sp.Lattice_circuit.output_node in
   let v_low, v_high = Sp.Measure.steady_levels r.Sp.Transient.times out ~settle:(bit_time /. 4.0) in
   let with_default d = function Some x -> x | None -> d in
-  let est = estimate ~config impl in
+  let est = estimate impl in
   let rise = with_default est.rise (Sp.Measure.rise_time r.Sp.Transient.times out ~low:v_low ~high:v_high) in
   let fall = with_default est.fall (Sp.Measure.fall_time r.Sp.Transient.times out ~low:v_low ~high:v_high) in
   {
@@ -170,7 +155,7 @@ let evaluate_spice ?(config = Sp.Lattice_circuit.default_config) target impl =
 
 let meets_bound bound value = match bound with None -> true | Some b -> value <= b
 
-let optimize ?(spec = default_spec) ?(use_spice = false) ?config ?expr target =
+let optimize ?(spec = default_spec) ?(use_spice = false) ?expr target =
   let impls = candidates ?expr target in
   (* validate every candidate before evaluating it *)
   List.iter
@@ -183,13 +168,9 @@ let optimize ?(spec = default_spec) ?(use_spice = false) ?config ?expr target =
     List.map
       (fun impl ->
         let metrics =
-          if use_spice then evaluate_spice ?config target impl else estimate ?config impl
+          if use_spice then evaluate_spice target impl else estimate impl
         in
-        let feasible =
-          meets_bound spec.max_area metrics.area
-          && meets_bound spec.max_delay metrics.delay
-          && meets_bound spec.max_static_power metrics.static_power
-        in
+        let feasible = meets_bound spec.max_area metrics.area in
         (impl, metrics, feasible))
       impls
   in
@@ -205,8 +186,7 @@ let optimize ?(spec = default_spec) ?(use_spice = false) ?config ?expr target =
     List.map
       (fun (impl, m, feasible) ->
         let score =
-          (spec.weight_area *. norm a0 (float_of_int m.area))
-          +. (spec.weight_delay *. norm d0 m.delay)
+          norm a0 (float_of_int m.area) +. norm d0 m.delay
           +. (spec.weight_power *. norm p0 m.static_power)
         in
         { implementation = impl; metrics = m; feasible; score })

@@ -38,36 +38,31 @@ type evaluated = {
   score : float;  (** lower is better *)
 }
 
-type spec = {
-  max_area : int option;
-  max_delay : float option;  (** s *)
-  max_static_power : float option;  (** W *)
-  weight_area : float;
-  weight_delay : float;
-  weight_power : float;
-}
+(** A candidate is feasible when its area is at most [max_area]. Its
+    score is the sum of its area, delay and static power, each divided
+    by the best candidate's, the power term weighted by
+    [weight_power]. *)
+type spec = { max_area : int option; weight_power : float }
 
-(** No bounds; equal weights. *)
+(** No bound; equal weights. *)
 val default_spec : spec
 
-(** [candidates target] generates the implementation candidates. The
-    exhaustive search is capped at area 6; when [expr] is given a
-    compositional candidate ([Lattice_core.Compose]) is added. *)
-val candidates : ?expr:Lattice_boolfn.Expr.t -> Lattice_boolfn.Truthtable.t -> implementation list
-
-(** [estimate ?config impl] computes analytic metrics from the switch
+(** [estimate impl] computes analytic metrics from the switch
     on-conductance, the plate capacitances and the truth-table duty
-    factor. *)
-val estimate : ?config:Lattice_spice.Lattice_circuit.config -> implementation -> metrics
+    factor, for the {!Lattice_spice.Lattice_circuit.default_config}
+    circuit. *)
+val estimate : implementation -> metrics
 
-(** [optimize ?spec ?use_spice ?config target] generates, evaluates and
-    ranks. Feasible candidates come first, each group sorted by weighted
-    score. All candidates are validated to realize [target] (with output
-    inversion accounted for). *)
+(** [optimize ?spec ?use_spice ?expr target] generates, evaluates and
+    ranks the candidates: the dual-based lattices of [target] and of its
+    complement (output inverted), the exhaustive search's up to area 6,
+    and, when [expr] is given, the composition of [expr]
+    ([Lattice_core.Compose]). Feasible candidates come first, each
+    group sorted by score. All candidates are validated to realize
+    [target] (with output inversion accounted for). *)
 val optimize :
   ?spec:spec ->
   ?use_spice:bool ->
-  ?config:Lattice_spice.Lattice_circuit.config ->
   ?expr:Lattice_boolfn.Expr.t ->
   Lattice_boolfn.Truthtable.t ->
   evaluated list

@@ -22,9 +22,6 @@
     construction is purely structural — no truth table is ever built — so it
     scales to many variables. *)
 
-(** [literal v polarity] is the 1 x 1 lattice of one switch. *)
-val literal : int -> bool -> Grid.t
-
 (** [of_expr e] compiles an expression to a lattice through its
     negation normal form. *)
 val of_expr : Lattice_boolfn.Expr.t -> Grid.t

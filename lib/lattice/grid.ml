@@ -7,9 +7,6 @@ let create rows cols entries =
   if Array.length entries <> rows * cols then invalid_arg "Grid.create: entry count mismatch";
   { rows; cols; entries }
 
-let generic rows cols =
-  create rows cols (Array.init (rows * cols) (fun i -> Lit (i, true)))
-
 let parse_cell intern cell =
   let cell = String.trim cell in
   if cell = "" then invalid_arg "Grid.of_strings: empty cell";

@@ -7,9 +7,9 @@
     its control input evaluates to 1.
 
     A grid assigns to every site a control entry: a literal of the target
-    function or a constant. The "generic" lattice whose site [(r, c)] is
-    controlled by its own fresh variable [x_{r*n+c+1}] is [generic m n]; its
-    lattice function is the object Table I counts. *)
+    function or a constant. The lattice function of the "generic" lattice,
+    whose site [(r, c)] is controlled by its own fresh variable
+    [x_{r*n+c+1}], is the object Table I counts. *)
 
 type entry =
   | Lit of int * bool  (** variable index, polarity ([true] = positive) *)
@@ -24,17 +24,10 @@ type t = private {
 (** [create rows cols entries] validates dimensions ([>= 1]) and length. *)
 val create : int -> int -> entry array -> t
 
-(** [generic rows cols] is the lattice whose site [i] (row-major) is
-    controlled by positive literal of variable [i]. *)
-val generic : int -> int -> t
-
 (** [of_strings rows] builds a grid from rows like [["a"; "b'"; "1"]]; each
     cell is a variable name, optionally primed, or ["0"]/["1"]. Variables
     are interned in first-appearance order; the name table is returned. *)
 val of_strings : string list list -> t * string array
-
-(** [site t r c] is the row-major index of [(r, c)]. *)
-val site : t -> int -> int -> int
 
 (** [entry t r c] reads the control entry at [(r, c)]. *)
 val entry : t -> int -> int -> entry

@@ -4,8 +4,6 @@ type region = Cutoff | Triode | Saturation
 
 let[@inline] beta p = p.kp *. p.w /. p.l
 
-let vdsat p ~vgs = Float.max 0.0 (vgs -. p.vth)
-
 let[@inline] check_vds vds =
   if vds < 0.0 then invalid_arg "Level1: vds must be >= 0"
 
@@ -24,32 +22,12 @@ let[@inline] ids p ~vgs ~vds =
     let vov = vgs -. p.vth in
     0.5 *. beta p *. vov *. vov *. (1.0 +. (p.lambda *. vds))
 
-let[@inline] gm p ~vgs ~vds =
-  match region p ~vgs ~vds with
-  | Cutoff -> 0.0
-  | Triode -> beta p *. vds *. (1.0 +. (p.lambda *. vds))
-  | Saturation ->
-    let vov = vgs -. p.vth in
-    beta p *. vov *. (1.0 +. (p.lambda *. vds))
-
-let[@inline] gds p ~vgs ~vds =
-  match region p ~vgs ~vds with
-  | Cutoff -> 0.0
-  | Triode ->
-    let vov = vgs -. p.vth in
-    let b = beta p in
-    (b *. (vov -. vds) *. (1.0 +. (p.lambda *. vds)))
-    +. (b *. ((vov *. vds) -. (0.5 *. vds *. vds)) *. p.lambda)
-  | Saturation ->
-    let vov = vgs -. p.vth in
-    0.5 *. beta p *. vov *. vov *. p.lambda
-
 (* All-float workspace so inputs and outputs cross function boundaries as
    unboxed record fields instead of boxed float arguments: the circuit
    engine's Newton inner loop runs linearization allocation-free. The
-   bodies below restate ids/gm/gds with identical expressions (same
-   operation order, so results are bit-identical to the functions above);
-   the unit tests pin the equivalence. *)
+   current below restates [ids] with identical expressions (same
+   operation order, so results are bit-identical to it); the unit tests
+   pin the equivalence and check gm/gds against numeric derivatives. *)
 type workspace = {
   mutable w_vgs : float;
   mutable w_vds : float;

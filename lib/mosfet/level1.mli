@@ -23,14 +23,6 @@ type params = {
     [Invalid_argument] on negative [vds]. *)
 val ids : params -> vgs:float -> vds:float -> float
 
-(** [gm p ~vgs ~vds] is the analytic transconductance [d IDS / d VGS]
-    ([vds >= 0]). *)
-val gm : params -> vgs:float -> vds:float -> float
-
-(** [gds p ~vgs ~vds] is the analytic output conductance [d IDS / d VDS]
-    ([vds >= 0]). *)
-val gds : params -> vgs:float -> vds:float -> float
-
 (** [beta p] is the gain factor [Kp * W / L], A/V^2. *)
 val beta : params -> float
 
@@ -42,8 +34,8 @@ type workspace = {
   mutable w_vgs : float;
   mutable w_vds : float;
   mutable w_ids : float;  (** = [ids p ~vgs ~vds], bit-identical *)
-  mutable w_gm : float;  (** = [gm p ~vgs ~vds], bit-identical *)
-  mutable w_gds : float;  (** = [gds p ~vgs ~vds], bit-identical *)
+  mutable w_gm : float;  (** the analytic transconductance [d IDS / d VGS] *)
+  mutable w_gds : float;  (** the analytic output conductance [d IDS / d VDS] *)
 }
 
 val workspace_create : unit -> workspace
@@ -52,6 +44,3 @@ val workspace_create : unit -> workspace
     the output fields, allocation-free. Raises [Invalid_argument] on
     negative [w_vds]. *)
 val linearize : workspace -> params -> unit
-
-(** [vdsat p ~vgs] is the saturation voltage [max 0 (vgs - vth)]. *)
-val vdsat : params -> vgs:float -> float

@@ -3,12 +3,6 @@ type t = L1 of Level1.params | L3 of Level3.params
 let[@inline] ids m ~vgs ~vds =
   match m with L1 p -> Level1.ids p ~vgs ~vds | L3 p -> Level3.ids p ~vgs ~vds
 
-let[@inline] gm m ~vgs ~vds =
-  match m with L1 p -> Level1.gm p ~vgs ~vds | L3 p -> Level3.gm p ~vgs ~vds
-
-let[@inline] gds m ~vgs ~vds =
-  match m with L1 p -> Level1.gds p ~vgs ~vds | L3 p -> Level3.gds p ~vgs ~vds
-
 let linearize (w : Level1.workspace) m =
   match m with
   | L1 p -> Level1.linearize w p
@@ -19,10 +13,6 @@ let linearize (w : Level1.workspace) m =
     w.Level1.w_ids <- Level3.ids p ~vgs ~vds;
     w.Level1.w_gm <- Level3.gm p ~vgs ~vds;
     w.Level1.w_gds <- Level3.gds p ~vgs ~vds
-
-let base = function L1 p -> p | L3 p -> p.Level3.base
-
-let vth m = (base m).Level1.vth
 
 let on_conductance m ~vdd =
   let dv = 1e-3 in

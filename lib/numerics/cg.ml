@@ -20,11 +20,11 @@ let iterations_hist = Lattice_obs.Metrics.histogram "cg.iterations"
 let stagnation_window = 1000
 let stagnation_factor = 0.999
 
-let solve ~apply ~b ?x0 ?(tol = 1e-10) ?max_iter () =
+let solve ~apply ~b ?(tol = 1e-10) ?max_iter () =
   Lattice_obs.Metrics.Counter.incr solves_total;
   let n = Array.length b in
   let max_iter = match max_iter with Some m -> m | None -> 4 * n in
-  let x = match x0 with Some v -> Vec.copy v | None -> Vec.zeros n in
+  let x = Vec.zeros n in
   let ax = Vec.zeros n in
   apply x ax;
   let r = Vec.sub b ax in

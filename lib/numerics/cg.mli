@@ -3,7 +3,7 @@
 
     Used by the 2-D field solver ([Lattice_device.Field2d]) as the
     reference path (the production path for large grids is
-    [Multigrid.pcg]), where the five-point operator is applied on the fly
+    [Multigrid.solve_dirichlet]), where the five-point operator is applied on the fly
     rather than assembled. *)
 
 (** Why a solve ended. [converged] below is [status = Converged]; the
@@ -31,17 +31,16 @@ type result = {
   status : status;
 }
 
-(** [solve ~apply ~b ?x0 ?tol ?max_iter ()] solves [A x = b] where
-    [apply x out] writes [A x] into [out]. The operator must be symmetric
-    positive definite for convergence guarantees.
+(** [solve ~apply ~b ?tol ?max_iter ()] solves [A x = b] from a zero
+    initial guess, where [apply x out] writes [A x] into [out]. The
+    operator must be symmetric positive definite for convergence
+    guarantees.
 
-    @param x0 initial guess (defaults to zero)
     @param tol relative residual target on [||r|| / ||b||] (default [1e-10])
     @param max_iter iteration cap (default [4 * length b]) *)
 val solve :
   apply:(Vec.t -> Vec.t -> unit) ->
   b:Vec.t ->
-  ?x0:Vec.t ->
   ?tol:float ->
   ?max_iter:int ->
   unit ->

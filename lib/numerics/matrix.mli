@@ -12,9 +12,6 @@ type t = {
 (** [create rows cols] is a zero matrix. *)
 val create : int -> int -> t
 
-(** [init rows cols f] fills entry [(r, c)] with [f r c]. *)
-val init : int -> int -> (int -> int -> float) -> t
-
 (** [copy m] is a deep copy. *)
 val copy : t -> t
 

@@ -288,8 +288,10 @@ let apply_fine (l : level) (p : vec) (out : vec) =
     done
   done
 
+let max_iter = 400
+
 (* flexible PCG (Polak-Ribiere beta) with one V-cycle as preconditioner *)
-let pcg t ~b ?(tol = 1e-10) ?(max_iter = 400) () =
+let pcg t ~b ~tol =
   let l = finest t in
   let nn = l.n * l.n in
   if Bigarray.Array1.dim b <> nn then invalid_arg "Multigrid.pcg: rhs size";
@@ -381,11 +383,11 @@ let dirichlet_rhs t ~dirichlet =
   done;
   b
 
-let solve_dirichlet t ~dirichlet ?tol ?max_iter () =
+let solve_dirichlet t ~dirichlet ?(tol = 1e-10) () =
   let l = finest t in
   let nn = l.n * l.n in
   let b = dirichlet_rhs t ~dirichlet in
-  let x, st = pcg t ~b ?tol ?max_iter () in
+  let x, st = pcg t ~b ~tol in
   for i = 0 to nn - 1 do
     if is_fixed l i then s x i (g dirichlet i)
   done;

@@ -46,16 +46,12 @@ val vec : int -> vec
     on size mismatches or [n < 3]. *)
 val create : n:int -> gx:vec -> gy:vec -> fixed:Bytes.t -> t
 
-(** [pcg t ~b ?tol ?max_iter ()] solves [A x = b] with zero values on
-    Dirichlet cells, by V-cycle-preconditioned flexible CG. [tol] is the
-    relative residual target on free cells (default [1e-10], matching
-    {!Cg.solve}); [max_iter] defaults to 400. Returns the solution (0 at
-    fixed cells) and the run's stats. *)
-val pcg : t -> b:vec -> ?tol:float -> ?max_iter:int -> unit -> vec * stats
-
-(** [solve_dirichlet t ~dirichlet ?tol ?max_iter ()] runs {!pcg} on the
-    lifted right-hand side [b_i = sum_j g_ij * dirichlet_j] (over the
-    fixed neighbours [j] of each free cell [i]) and writes the Dirichlet
+(** [solve_dirichlet t ~dirichlet ?tol ()] solves [A x = b] on the free
+    cells by V-cycle-preconditioned flexible CG, for the lifted
+    right-hand side [b_i = sum_j g_ij * dirichlet_j] (over the fixed
+    neighbours [j] of each free cell [i]), and writes the Dirichlet
     values back into the returned solution, so the result is the full
-    potential field. *)
-val solve_dirichlet : t -> dirichlet:vec -> ?tol:float -> ?max_iter:int -> unit -> vec * stats
+    potential field. [tol] is the relative residual target on free cells
+    (default [1e-10], matching {!Cg.solve}); at most 400 iterations run.
+    Returns the field and the run's stats. *)
+val solve_dirichlet : t -> dirichlet:vec -> ?tol:float -> unit -> vec * stats

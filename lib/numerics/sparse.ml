@@ -449,6 +449,12 @@ let factorize m =
     Lattice_obs.Probe.leave factorize_probe t0;
     raise e
 
+let refactor_or_factorize lu m =
+  try
+    refactor lu m;
+    lu
+  with Singular _ -> factorize m
+
 (* Forward then backward substitution on the merged storage, in the
    order of the column-oriented triangular solves: L's columns forward,
    then U's backward with each pivot divided out first. Unknown

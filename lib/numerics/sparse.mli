@@ -111,6 +111,13 @@ val refactor : lu -> t -> unit
     matrix of another pattern, or one whose [values] do not fit its
     pattern. *)
 
+val refactor_or_factorize : lu -> t -> lu
+(** [refactor_or_factorize lu m] is [lu] after {!refactor}[ lu m], or,
+    when the frozen pivot order has gone numerically stale ({!refactor}
+    raised {!Singular}), a fresh {!factorize}[ m]. Raises {!Singular}
+    only when [m] itself is singular. The stamp plan's Newton and
+    first-factorization paths and the AC sweep all factor through it. *)
+
 val solve_in_place : lu -> float array -> unit
 (** Overwrite [b] with the solution of [A x = b], scattered back from
     the elimination order to the unknowns' own. Allocates nothing.

@@ -1,8 +1,6 @@
 type t = float array
 
-let create n x = Array.make n x
 let zeros n = Array.make n 0.0
-let init = Array.init
 let copy = Array.copy
 
 let check_same_length name a b =
@@ -41,5 +39,3 @@ let linspace a b n =
   if n < 2 then invalid_arg "Vec.linspace: need at least 2 points";
   let step = (b -. a) /. float_of_int (n - 1) in
   Array.init n (fun i -> a +. (float_of_int i *. step))
-
-let map = Array.map

@@ -6,14 +6,8 @@
 
 type t = float array
 
-(** [create n x] is a vector of length [n] filled with [x]. *)
-val create : int -> float -> t
-
 (** [zeros n] is the zero vector of length [n]. *)
 val zeros : int -> t
-
-(** [init n f] is [| f 0; ...; f (n-1) |]. *)
-val init : int -> (int -> float) -> t
 
 (** [copy v] is a fresh copy of [v]. *)
 val copy : t -> t
@@ -42,6 +36,3 @@ val norm_inf : t -> float
 (** [linspace a b n] is [n >= 2] evenly spaced samples from [a] to [b]
     inclusive. *)
 val linspace : float -> float -> int -> t
-
-(** [map f v] is the element-wise image of [v] under [f]. *)
-val map : (float -> float) -> t -> t

@@ -125,8 +125,3 @@ let snapshot t ~now_ns =
     p99_s = percentile 99.0;
     max_s = (if count = 0 then Float.nan else !max_s);
   }
-
-let reset t =
-  Mutex.lock t.lock;
-  Array.iter (fun b -> clear_bucket b (-1)) t.buckets;
-  Mutex.unlock t.lock

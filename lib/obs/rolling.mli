@@ -37,5 +37,3 @@ type snap = {
 
 val snapshot : t -> now_ns:int -> snap
 (** Merge every bucket still inside the window ending at [now_ns]. *)
-
-val reset : t -> unit

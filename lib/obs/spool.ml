@@ -44,7 +44,12 @@ let prune_spool ~dir ~prefix ~max_files ~max_bytes =
     incr i
   done
 
-let write ~dir ?(prefix = "flight") ?(max_files = 64) ?(max_bytes = 16 * 1024 * 1024) content =
+let max_files = 64
+let max_bytes = 16 * 1024 * 1024
+let log_max_bytes = 8 * 1024 * 1024
+let prefix = "flight"
+
+let write ~dir ?(max_files = max_files) ?(max_bytes = max_bytes) content =
   try
     mkdir_p dir;
     let name =
@@ -66,15 +71,17 @@ let write ~dir ?(prefix = "flight") ?(max_files = 64) ?(max_bytes = 16 * 1024 * 
 type log = {
   path : string;
   max_bytes : int;
-  keep : int;  (* rotated generations kept: path.1 .. path.keep *)
   lock : Mutex.t;
   mutable oc : out_channel option;
   mutable size : int;
 }
 
-let open_log ~path ?(max_bytes = 8 * 1024 * 1024) ?(keep = 2) () =
+(* rotated generations kept: path.1 .. path.keep *)
+let keep = 2
+
+let open_log ~path ?(max_bytes = log_max_bytes) () =
   mkdir_p (Filename.dirname path);
-  { path; max_bytes; keep; lock = Mutex.create (); oc = None; size = file_size path }
+  { path; max_bytes; lock = Mutex.create (); oc = None; size = file_size path }
 
 let rotated log i = Printf.sprintf "%s.%d" log.path i
 
@@ -87,8 +94,8 @@ let close_channel log =
 
 let rotate log =
   close_channel log;
-  (try Sys.remove (rotated log log.keep) with _ -> ());
-  for i = log.keep - 1 downto 1 do
+  (try Sys.remove (rotated log keep) with _ -> ());
+  for i = keep - 1 downto 1 do
     try Sys.rename (rotated log i) (rotated log (i + 1)) with _ -> ()
   done;
   (try Sys.rename log.path (rotated log 1) with _ -> ());

@@ -4,7 +4,9 @@ type t = { fd : Unix.file_descr; r : Framing.reader; mutable closed : bool }
 
 exception Protocol_error of string
 
-let connect ?(max_frame = 16 * 1024 * 1024) addr =
+let max_frame = 16 * 1024 * 1024
+
+let connect addr =
   let fd, sockaddr =
     match addr with
     | Unix_socket path ->

@@ -15,10 +15,10 @@ exception Protocol_error of string
 (** The peer closed mid-call or answered with a frame that is not a
     protocol response. *)
 
-val connect : ?max_frame:int -> addr -> t
-(** Raises [Unix.Unix_error] when nothing listens at [addr].
-    [max_frame] caps {e response} lines (default 16 MiB — results like
-    path histograms outgrow request-side caps). *)
+val connect : addr -> t
+(** Raises [Unix.Unix_error] when nothing listens at [addr]. Response
+    lines are capped at 16 MiB (results like path histograms outgrow
+    request-side caps). *)
 
 val close : t -> unit
 

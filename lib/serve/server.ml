@@ -33,11 +33,6 @@ type config = {
   access_log_path : string option;
 }
 
-(* the flight spool's caps and the access log's rotation size *)
-let flight_max_files = 64
-let flight_max_bytes = 16 * 1024 * 1024
-let access_log_max_bytes = 8 * 1024 * 1024
-
 let default_config =
   {
     socket_path = None;
@@ -168,7 +163,7 @@ let create ?(config = default_config) () =
       (match config.access_log_path with
       | None -> None
       | Some path ->
-        Some (Spool.open_log ~path ~max_bytes:access_log_max_bytes ()));
+        Some (Spool.open_log ~path ()));
     memo = Second_chance.create ~capacity:memo_capacity;
     memo_lock = Mutex.create ();
   }
@@ -557,10 +552,7 @@ let flight_dump t ~name ~outcome =
   match t.config.flight_dir with
   | None -> ()
   | Some dir -> (
-    match
-      Spool.write ~dir ~max_files:flight_max_files ~max_bytes:flight_max_bytes
-        (Ring.dump_jsonl ())
-    with
+    match Spool.write ~dir (Ring.dump_jsonl ()) with
     | Ok path ->
       Scope.incr t.c_flight_dumps;
       log t "flight dump (%s %s): %s" name outcome path

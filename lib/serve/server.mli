@@ -111,11 +111,13 @@ type config = {
       (** a request slower than this triggers a flight-recorder dump;
           [None] dumps only on errors/timeouts *)
   flight_dir : string option;
-      (** flight-recorder spool directory (64 files / 16 MiB, oldest
-          evicted); [None] disables dumps *)
+      (** flight-recorder spool directory, capped at
+          {!Lattice_obs.Spool.max_files} files and
+          {!Lattice_obs.Spool.max_bytes} bytes, oldest evicted; [None]
+          disables dumps *)
   access_log_path : string option;
       (** structured JSONL access log, one line per request, rotated at
-          8 MiB *)
+          {!Lattice_obs.Spool.log_max_bytes} bytes *)
 }
 
 val default_config : config

@@ -75,16 +75,11 @@ let solver netlist plan ~x_op =
         let f = Sparse.factorize aug in
         lu := Some f;
         f
-      | Some f -> (
-        (* the frozen pivot order can go numerically stale as w grows;
-           re-analyze rather than fail *)
-        try
-          Sparse.refactor f aug;
-          f
-        with Sparse.Singular _ ->
-          let f = Sparse.factorize aug in
-          lu := Some f;
-          f)
+      | Some f ->
+        (* the frozen pivot order can go numerically stale as w grows *)
+        let f = Sparse.refactor_or_factorize f aug in
+        lu := Some f;
+        f
     in
     Sparse.solve_in_place f rhs;
     rhs

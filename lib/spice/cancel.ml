@@ -26,10 +26,7 @@ let with_deadline ?parent ~seconds () =
   in
   make ~deadline_ns:(now + delta_ns) parent
 
-let of_deadline_s ?parent d =
-  match d with
-  | None -> ( match parent with Some p -> p | None -> none)
-  | Some seconds -> with_deadline ?parent ~seconds ()
+let of_deadline_s = function None -> none | Some seconds -> with_deadline ~seconds ()
 
 let cancel t = if t != none then Atomic.set t.flag true
 

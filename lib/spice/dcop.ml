@@ -120,8 +120,8 @@ let residual_report ~plan ?(time = 0.0) ?(gmin = default_options.gmin_final) ?(g
 (* Newton over the compiled stamp plan: allocation-free after the
    plan's first factorization (all buffers are plan-owned). On failure the
    last iterate is left in [dst] for the caller's diagnostics. *)
-let newton_into ?(gshunt = 0.0) ~plan ?iter_count ?(cancel = Cancel.none) netlist
-    ~options ~x0 ~dst ~time ~gmin ~source_scale ~caps =
+let newton ~gshunt ~plan ?iter_count ~cancel netlist ~options ~x0 ~dst ~time ~gmin
+    ~source_scale ~caps =
   let nnodes = Netlist.num_nodes netlist in
   let n = Stamp_plan.n plan in
   let x = Stamp_plan.x_buffer plan and x_new = Stamp_plan.x_new_buffer plan in
@@ -172,6 +172,10 @@ let newton_into ?(gshunt = 0.0) ~plan ?iter_count ?(cancel = Cancel.none) netlis
     Trace.end_span sp;
     raise e
 
+let newton_into ~plan ?iter_count netlist ~options ~x0 ~dst ~time ~gmin ~source_scale ~caps =
+  newton ~gshunt:0.0 ~plan ?iter_count ~cancel:Cancel.none netlist ~options ~x0 ~dst ~time ~gmin
+    ~source_scale ~caps
+
 let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = Cancel.none)
     netlist =
   let n = Netlist.unknowns netlist in
@@ -196,11 +200,11 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
     (* last Newton iterate of the most recent failed attempt, for the
        failure diagnostics *)
     let last_x = Vec.copy start in
-    let run_newton ?gshunt ~options ~count ~x0 ~gmin ~source_scale () =
+    let run_newton ?(gshunt = 0.0) ~options ~count ~x0 ~gmin ~source_scale () =
       let dst = Array.make n 0.0 in
       (try
          ignore
-           (newton_into ?gshunt ~plan ~iter_count:count ~cancel netlist ~options ~x0
+           (newton ~gshunt ~plan ~iter_count:count ~cancel netlist ~options ~x0
               ~dst ~time ~gmin ~source_scale ~caps:None)
        with (Convergence_failure _ | Cancel.Cancelled _) as e ->
          Array.blit dst 0 last_x 0 n;
@@ -302,7 +306,7 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
     try_ladder "no strategy attempted" ladder
   end
 
-let solve ?options ?plan ?x0 ?time ?cancel netlist =
-  match solve_diag ?options ?plan ?x0 ?time ?cancel netlist with
+let solve ?options ?plan netlist =
+  match solve_diag ?options ?plan netlist with
   | Ok (x, _) -> x
   | Error f -> raise (Convergence_failure ("all DC strategies failed: " ^ pp_failure f))

@@ -90,14 +90,10 @@ val residual_report :
     [dst] holds the last Newton iterate, so callers can produce residual
     diagnostics at the failure point. [iter_count] is incremented once per
     iteration as it happens, so iterations spent in attempts that end in
-    [Convergence_failure] are still counted. [cancel] is checked at every
-    iteration boundary; a fired token raises {!Cancel.Cancelled} with the
-    last iterate left in [dst]. *)
+    [Convergence_failure] are still counted. *)
 val newton_into :
-  ?gshunt:float ->
   plan:Stamp_plan.t ->
   ?iter_count:int ref ->
-  ?cancel:Cancel.t ->
   Netlist.t ->
   options:options ->
   x0:Lattice_numerics.Vec.t ->
@@ -142,15 +138,12 @@ val solve_diag :
   Netlist.t ->
   (Lattice_numerics.Vec.t * diagnostics, failure) result
 
-(** [solve ?options ?plan ?x0 ?time netlist] is the legacy wrapper over
-    {!solve_diag}: returns the solution vector alone and raises
-    [Convergence_failure] (with the rendered {!failure}) if every
-    strategy fails. *)
+(** [solve ?options ?plan netlist] is the raising wrapper over
+    {!solve_diag} at time 0 from 0 V: returns the solution vector alone
+    and raises [Convergence_failure] (with the rendered {!failure}) if
+    every strategy fails. *)
 val solve :
   ?options:options ->
   ?plan:Stamp_plan.t ->
-  ?x0:Lattice_numerics.Vec.t ->
-  ?time:float ->
-  ?cancel:Cancel.t ->
   Netlist.t ->
   Lattice_numerics.Vec.t

@@ -128,8 +128,8 @@ let hook ?(params = default_params) defects : Lattice_circuit.site_hook =
       true
   end
 
-let build ?config ?params ?types_of_site ~defects grid ~stimulus =
-  Lattice_circuit.build ?config ?types_of_site ~site_hook:(hook ?params defects) grid ~stimulus
+let build ?params ?types_of_site ~defects grid ~stimulus =
+  Lattice_circuit.build ?types_of_site ~site_hook:(hook ?params defects) grid ~stimulus
 
 type kind_class = Opens | Shorts | Bridges | Broken_terminals | Gate_leaks
 

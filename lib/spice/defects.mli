@@ -51,20 +51,16 @@ type params = {
 
 val default_params : params
 
-val hook : ?params:params -> t list -> Lattice_circuit.site_hook
-(** [hook ?params defects] is a site hook injecting every listed defect at
-    its site; sites without defects fall through to the default switch. *)
-
 val build :
-  ?config:Lattice_circuit.config ->
   ?params:params ->
   ?types_of_site:(int -> int -> Fts.mosfet_types) ->
   defects:t list ->
   Lattice_core.Grid.t ->
   stimulus:(int -> Source.t) ->
   Lattice_circuit.t
-(** [build ~defects grid ~stimulus] is {!Lattice_circuit.build} with
-    [hook ?params defects] installed. *)
+(** [build ~defects grid ~stimulus] is {!Lattice_circuit.build} with a
+    site hook that injects every listed defect at its site (under
+    [params]); sites without defects get the default switch. *)
 
 (** Defect families, for restricting enumeration. *)
 type kind_class = Opens | Shorts | Bridges | Broken_terminals | Gate_leaks

@@ -18,10 +18,10 @@ let default_vth = 0.155
 let default_lambda = 0.05
 let default_types = make_types ~kp:default_kp ~vth:default_vth ~lambda:default_lambda
 
-let level3_types ?theta ?vmax () =
+let level3_types () =
   let promote l =
     Model.L3
-      (Lattice_mosfet.Level3.of_level1 ?theta ?vmax
+      (Lattice_mosfet.Level3.of_level1
          (level1_params ~kp:default_kp ~vth:default_vth ~lambda:default_lambda ~l))
   in
   { type_a = promote 0.35e-6; type_b = promote 0.5e-6 }

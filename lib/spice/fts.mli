@@ -18,10 +18,10 @@ type mosfet_types = {
     paper. *)
 val default_types : mosfet_types
 
-(** [level3_types ?theta ?vmax ()] promotes the default extraction to the
-    level-3 short-channel model (paper Section VI-A's planned refinement);
-    see {!Lattice_mosfet.Level3.of_level1} for the defaults. *)
-val level3_types : ?theta:float -> ?vmax:float -> unit -> mosfet_types
+(** [level3_types ()] promotes the default extraction to the level-3
+    short-channel model (paper Section VI-A's planned refinement) with
+    {!Lattice_mosfet.Level3.of_level1}'s default [theta] and [vmax]. *)
+val level3_types : unit -> mosfet_types
 
 (** Default terminal capacitance, 1 fF. *)
 val default_terminal_cap : float

@@ -3,8 +3,6 @@ module Grid = Lattice_core.Grid
 type config = {
   vdd : float;
   pullup_ohms : float;
-  output_cap : float;
-  terminal_cap : float;
   gate_cap : float;
   types : Fts.mosfet_types;
 }
@@ -13,11 +11,11 @@ let default_config =
   {
     vdd = 1.2;
     pullup_ohms = 500e3;
-    output_cap = 10e-15;
-    terminal_cap = Fts.default_terminal_cap;
     gate_cap = 0.0;
     types = Fts.default_types;
   }
+
+let output_cap = 10e-15
 
 type t = {
   netlist : Netlist.t;
@@ -129,7 +127,7 @@ let instantiate_lattice ?types_of_site ?site_hook ckt (config : config) grid ~pr
           west = vnode r c;
           gate;
           types = types_at r c;
-          terminal_cap = config.terminal_cap;
+          terminal_cap = Fts.default_terminal_cap;
           gate_cap = config.gate_cap;
         }
       in
@@ -147,7 +145,7 @@ let build ?(config = default_config) ?types_of_site ?site_hook grid ~stimulus =
   Netlist.vsource ckt "VDD" vdd_node Netlist.ground (Source.Dc config.vdd);
   let out = Netlist.node ckt "out" in
   Netlist.resistor ckt "Rpull" vdd_node out config.pullup_ohms;
-  Netlist.capacitor ckt "Cout" out Netlist.ground config.output_cap;
+  Netlist.capacitor ckt "Cout" out Netlist.ground output_cap;
   let nvars = add_input_drivers ckt config [ grid ] ~stimulus in
   instantiate_lattice ?types_of_site ?site_hook ckt config grid ~prefix:"pd" ~top:out
     ~bottom:Netlist.ground ~vdd_node;
@@ -163,18 +161,17 @@ let rebind lc ~stimulus =
   in
   { lc with netlist = Netlist.rebind_vsources lc.netlist (fun name -> List.assoc_opt name waves) }
 
-let build_complementary ?(config = default_config) ?site_hook ~pull_up ~pull_down ~stimulus ()
-    =
+let build_complementary ~pull_up ~pull_down ~stimulus () =
+  let config = default_config in
   let ckt = Netlist.create () in
   let vdd_node = Netlist.node ckt "vdd" in
   Netlist.vsource ckt "VDD" vdd_node Netlist.ground (Source.Dc config.vdd);
   let out = Netlist.node ckt "out" in
-  Netlist.capacitor ckt "Cout" out Netlist.ground config.output_cap;
+  Netlist.capacitor ckt "Cout" out Netlist.ground output_cap;
   let nvars = add_input_drivers ckt config [ pull_up; pull_down ] ~stimulus in
   (* pull-up lattice between VDD and the output, pull-down between the
      output and ground *)
-  instantiate_lattice ?site_hook ckt config pull_up ~prefix:"pu" ~top:vdd_node ~bottom:out
-    ~vdd_node;
-  instantiate_lattice ?site_hook ckt config pull_down ~prefix:"pd" ~top:out
+  instantiate_lattice ckt config pull_up ~prefix:"pu" ~top:vdd_node ~bottom:out ~vdd_node;
+  instantiate_lattice ckt config pull_down ~prefix:"pd" ~top:out
     ~bottom:Netlist.ground ~vdd_node;
   { netlist = ckt; output_node = "out"; input_nodes = Array.init nvars input_node_name; config }

@@ -16,14 +16,16 @@
 type config = {
   vdd : float;  (** supply, V (paper: 1.2) *)
   pullup_ohms : float;  (** paper: 500k *)
-  output_cap : float;  (** paper: 10 fF *)
-  terminal_cap : float;  (** paper: 1 fF *)
   gate_cap : float;  (** per-switch gate capacitance (paper model: 0) *)
   types : Fts.mosfet_types;
 }
 
 (** The paper's Fig 11 configuration. *)
 val default_config : config
+
+(** The output load every built circuit carries: 10 fF, as in the
+    paper. Every plate terminal carries {!Fts.default_terminal_cap}. *)
+val output_cap : float
 
 type t = {
   netlist : Netlist.t;
@@ -99,13 +101,9 @@ val rebind : t -> stimulus:(int -> Source.t) -> t
     output rise is driven actively instead of through the 500 k resistor.
     The logic-high level is degraded by roughly one threshold voltage
     because the pass network is n-type — the paper's proposal shares this
-    property until a p-type four-terminal switch exists.
-
-    [site_hook] runs over the sites of {e both} lattices; the site's
-    [name] prefix (["pu."] / ["pd."]) distinguishes them. *)
+    property until a p-type four-terminal switch exists. Built on
+    {!default_config}. *)
 val build_complementary :
-  ?config:config ->
-  ?site_hook:site_hook ->
   pull_up:Lattice_core.Grid.t ->
   pull_down:Lattice_core.Grid.t ->
   stimulus:(int -> Source.t) ->

@@ -312,15 +312,3 @@ let rebind_vsources t wave_of =
     elements_rev = List.map rebind t.elements_rev;
     memo;
   }
-
-let summary t =
-  let r = ref 0 and c = ref 0 and v = ref 0 and i = ref 0 and m = ref 0 in
-  List.iter
-    (function
-      | Resistor _ -> incr r
-      | Capacitor _ -> incr c
-      | Vsource _ -> incr v
-      | Isource _ -> incr i
-      | Mosfet _ -> incr m)
-    t.elements_rev;
-  Printf.sprintf "%d nodes, %d R, %d C, %d V, %d I, %d M" (num_nodes t) !r !c !v !i !m

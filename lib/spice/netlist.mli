@@ -98,9 +98,6 @@ val vsource_row : t -> int -> int
 (** [vsource_index t name] looks a voltage source up by element name. *)
 val vsource_index : t -> string -> int option
 
-(** [summary t] is a one-line element census for logs. *)
-val summary : t -> string
-
 (** [structural_digest t] is a content hash of the circuit: node and
     voltage-source counts plus every element — topology (node ids,
     renumbered by first mention in element order so the digest is

@@ -374,22 +374,16 @@ let first_factorization t =
     let at_zero = same_bits t.held_a v in
     Array.blit t.held_a 0 v 0 (Array.length v);
     Array.blit t.held_rhs 0 t.rhs 0 t.n;
-    if at_zero then lu
-    else
-      try
-        Sparse.refactor lu t.a;
-        lu
-      with Sparse.Singular _ -> Sparse.factorize t.a
+    if at_zero then lu else Sparse.refactor_or_factorize lu t.a
 
 let factor_and_solve t =
   (match t.lu with
   | None -> t.lu <- Some (first_factorization t)
-  | Some lu -> (
-    try Sparse.refactor lu t.a
-    with Sparse.Singular _ ->
-      (* the frozen pivot order went numerically stale; redo the full
-         analysis (re-picks pivots for the current values) *)
-      t.lu <- Some (Sparse.factorize t.a)));
+  | Some lu ->
+    (* a fresh analysis only when the frozen pivot order went stale, so
+       the common path allocates nothing *)
+    let lu' = Sparse.refactor_or_factorize lu t.a in
+    if lu' != lu then t.lu <- Some lu');
   match t.lu with
   | Some lu -> Sparse.solve_in_place lu t.rhs
   | None -> assert false

@@ -92,6 +92,8 @@ let cap_farads netlist =
    is exactly [t_stop] instead of silently rounding [t_stop /. h]. *)
 let sample_times ~h ~t_stop =
   let nsteps_f = t_stop /. h in
+  if not (nsteps_f < float_of_int (Sys.max_array_length - 2)) then
+    invalid_arg (Printf.sprintf "Transient.run: %g steps is not a sample count" nsteps_f);
   let k = Float.round nsteps_f in
   if k >= 1.0 && Float.abs (nsteps_f -. k) <= 1e-6 *. k then
     let n = int_of_float k in
@@ -314,8 +316,8 @@ let run_diag ?(options = default_options) ?(cancel = Cancel.none) netlist ~h ~t_
       Trace.end_span tr_sp;
       raise e)
 
-let run ?options ?cancel netlist ~h ~t_stop ~record ?record_currents () =
-  match run_diag ?options ?cancel netlist ~h ~t_stop ~record ?record_currents () with
+let run ?options netlist ~h ~t_stop ~record ?record_currents () =
+  match run_diag ?options netlist ~h ~t_stop ~record ?record_currents () with
   | Ok r -> r
   | Error f ->
     raise

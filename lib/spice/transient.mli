@@ -90,7 +90,6 @@ val run_diag :
     [Dcop.Convergence_failure] with the rendered diagnostic on failure. *)
 val run :
   ?options:options ->
-  ?cancel:Cancel.t ->
   Netlist.t ->
   h:float ->
   t_stop:float ->

@@ -7,8 +7,38 @@ module Matrix = Lattice_numerics.Matrix
 module Lu = Lattice_numerics.Lu
 module Sparse = Lattice_numerics.Sparse
 
+(* a product under a variable bitmask *)
+let cube_eval (c : Lattice_boolfn.Cube.t) m = c.pos land m = c.pos && c.neg land m = 0
+
+(* a sum of products under a variable bitmask *)
+let sop_eval f m = List.exists (fun c -> cube_eval c m) f.Sop.cubes
+
 (* the truth table of a sum of products, by evaluating every assignment *)
-let tt_of_sop f = Tt.create (Sop.nvars f) (Sop.eval f)
+let tt_of_sop f = Tt.create f.Sop.nvars (sop_eval f)
+
+(* pointwise equality of two truth tables *)
+let tt_equal a b = Tt.nvars a = Tt.nvars b && Tt.minterms a = Tt.minterms b
+
+(* an expression under a variable bitmask, read off the truth table
+   [Expr.to_truthtable] builds over the bits of [m] *)
+let expr_eval e m =
+  let rec bits k = if m lsr k = 0 then k else bits (k + 1) in
+  Tt.eval (Lattice_boolfn.Expr.to_truthtable e ~nvars:(Int.max 1 (bits 0))) m
+
+(* the lattice whose site [i] (row-major) is the positive literal of
+   variable [i] *)
+let generic_grid rows cols =
+  Lattice_core.Grid.create rows cols (Array.init (rows * cols) (fun i -> Lattice_core.Grid.Lit (i, true)))
+
+(* entry [(r, c)] is [f r c] *)
+let matrix_init rows cols f =
+  let m = Matrix.create rows cols in
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      Matrix.set m r c (f r c)
+    done
+  done;
+  m
 
 (* the infinity norm of [a - b] *)
 let max_abs_diff a b =

@@ -31,10 +31,10 @@ let test_cube_contradiction () =
 
 let test_cube_eval () =
   let c = Cube.of_literals [ (0, true); (1, false) ] in
-  Alcotest.(check bool) "a=1 b=0" true (Cube.eval c 0b01);
-  Alcotest.(check bool) "a=1 b=1" false (Cube.eval c 0b11);
-  Alcotest.(check bool) "a=0 b=0" false (Cube.eval c 0b00);
-  Alcotest.(check bool) "empty cube true" true (Cube.eval Cube.one 0b1010)
+  Alcotest.(check bool) "a=1 b=0" true (Oracle.cube_eval c 0b01);
+  Alcotest.(check bool) "a=1 b=1" false (Oracle.cube_eval c 0b11);
+  Alcotest.(check bool) "a=0 b=0" false (Oracle.cube_eval c 0b00);
+  Alcotest.(check bool) "empty cube true" true (Oracle.cube_eval Cube.one 0b1010)
 
 let cube_gen nvars =
   let open QCheck2.Gen in
@@ -50,7 +50,7 @@ let prop_cube_implies_semantic =
       | Some a, Some b ->
         let semantic = ref true in
         for m = 0 to 15 do
-          if Cube.eval a m && not (Cube.eval b m) then semantic := false
+          if Oracle.cube_eval a m && not (Oracle.cube_eval b m) then semantic := false
         done;
         Bool.equal (Cube.implies a b) !semantic
       | None, _ | _, None -> QCheck2.assume_fail ())
@@ -69,7 +69,7 @@ let test_sop_absorb () =
 let test_sop_constants () =
   Alcotest.(check string) "zero" "0" (Sop.to_string ~names:Sop.alpha_names (Sop.zero 2));
   Alcotest.(check string) "one" "1" (Sop.to_string ~names:Sop.alpha_names (Sop.one 2));
-  Alcotest.(check bool) "one evals true" true (Sop.eval (Sop.one 2) 0)
+  Alcotest.(check bool) "one evals true" true (Oracle.sop_eval (Sop.one 2) 0)
 
 let test_sop_counts () =
   let f = Sop.of_cubes 3 [ Cube.of_literals [ (0, true); (1, false) ]; Cube.of_literals [ (2, true) ] ] in
@@ -83,7 +83,7 @@ let random_sop_gen =
 
 let prop_absorb_preserves_semantics =
   QCheck2.Test.make ~name:"Sop.absorb preserves the function" ~count:300 random_sop_gen (fun f ->
-      Tt.equal (Oracle.tt_of_sop f) (Oracle.tt_of_sop (Sop.absorb f)))
+      Oracle.tt_equal (Oracle.tt_of_sop f) (Oracle.tt_of_sop (Sop.absorb f)))
 
 (* --- Truthtable --------------------------------------------------------- *)
 
@@ -99,7 +99,7 @@ let test_tt_xor_majority () =
     (fun () -> ignore (Tt.majority_n 4))
 
 let test_tt_self_dual () =
-  let self_dual t = Tt.equal (Tt.dual t) t in
+  let self_dual t = Oracle.tt_equal (Tt.dual t) t in
   Alcotest.(check bool) "xor3 self-dual" true (self_dual (Tt.xor_n 3));
   Alcotest.(check bool) "maj3 self-dual" true (self_dual (Tt.majority_n 3));
   Alcotest.(check bool) "and2 not self-dual" false (self_dual (Tt.create 2 (fun m -> m = 3)))
@@ -114,11 +114,11 @@ let tt_gen nvars =
 
 let prop_dual_involution =
   QCheck2.Test.make ~name:"dual (dual f) = f" ~count:300 (tt_gen 4) (fun t ->
-      Tt.equal (Tt.dual (Tt.dual t)) t)
+      Oracle.tt_equal (Tt.dual (Tt.dual t)) t)
 
 let prop_complement_involution =
   QCheck2.Test.make ~name:"complement involution" ~count:200 (tt_gen 4) (fun t ->
-      Tt.equal (Tt.complement (Tt.complement t)) t)
+      Oracle.tt_equal (Tt.complement (Tt.complement t)) t)
 
 (* --- Qm ----------------------------------------------------------------- *)
 
@@ -140,12 +140,12 @@ let test_qm_classic () =
   (* classic example: minterms 0,1,2,5,6,7 of 3 vars minimizes to 3 pairs *)
   let t = of_minterms 3 [ 0; 1; 2; 5; 6; 7 ] in
   let f = Qm.cover t in
-  Alcotest.(check bool) "cover exact" true (Tt.equal (Oracle.tt_of_sop f) t);
+  Alcotest.(check bool) "cover exact" true (Oracle.tt_equal (Oracle.tt_of_sop f) t);
   Alcotest.(check int) "three products" 3 (Sop.product_count f)
 
 let prop_qm_cover_exact =
   QCheck2.Test.make ~name:"Qm.cover computes the same function" ~count:300 (tt_gen 4) (fun t ->
-      Tt.equal (Oracle.tt_of_sop (Qm.cover t)) t)
+      Oracle.tt_equal (Oracle.tt_of_sop (Qm.cover t)) t)
 
 (* the cover is built from prime implicants, so each of its cubes implies f *)
 let prop_qm_primes_are_implicants =
@@ -154,7 +154,7 @@ let prop_qm_primes_are_implicants =
         (fun c ->
           let ok = ref true in
           for m = 0 to 7 do
-            if Cube.eval c m && not (Tt.eval t m) then ok := false
+            if Oracle.cube_eval c m && not (Tt.eval t m) then ok := false
           done;
           !ok)
         (Sop.cubes (Qm.cover t)))
@@ -164,26 +164,26 @@ let prop_qm_primes_are_implicants =
 let test_expr_parse_eval () =
   let ast, names = Expr.parse "a & b | !c" in
   Alcotest.(check int) "3 vars" 3 (Array.length names);
-  Alcotest.(check bool) "(1,1,1)" true (Expr.eval ast 0b011);
-  Alcotest.(check bool) "(0,0,1)" false (Expr.eval ast 0b100);
-  Alcotest.(check bool) "(0,0,0)" true (Expr.eval ast 0b000)
+  Alcotest.(check bool) "(1,1,1)" true (Oracle.expr_eval ast 0b011);
+  Alcotest.(check bool) "(0,0,1)" false (Oracle.expr_eval ast 0b100);
+  Alcotest.(check bool) "(0,0,0)" true (Oracle.expr_eval ast 0b000)
 
 let test_expr_juxtaposition () =
   let ast, names = Expr.parse "a b' + c" in
   Alcotest.(check int) "3 vars" 3 (Array.length names);
-  Alcotest.(check bool) "a=1 b=0" true (Expr.eval ast 0b001);
-  Alcotest.(check bool) "a=1 b=1 c=0" false (Expr.eval ast 0b011)
+  Alcotest.(check bool) "a=1 b=0" true (Oracle.expr_eval ast 0b001);
+  Alcotest.(check bool) "a=1 b=1 c=0" false (Oracle.expr_eval ast 0b011)
 
 let test_expr_xor_precedence () =
   (* ^ binds tighter than | and looser than & *)
   let ast, _ = Expr.parse "a ^ b & c" in
   (* = a ^ (b & c) *)
-  Alcotest.(check bool) "1^(0&1)=1" true (Expr.eval ast 0b101);
-  Alcotest.(check bool) "1^(1&1)=0" false (Expr.eval ast 0b111)
+  Alcotest.(check bool) "1^(0&1)=1" true (Oracle.expr_eval ast 0b101);
+  Alcotest.(check bool) "1^(1&1)=0" false (Oracle.expr_eval ast 0b111)
 
 let test_expr_double_prime () =
   let ast, _ = Expr.parse "a''" in
-  Alcotest.(check bool) "a'' = a" true (Expr.eval ast 0b1)
+  Alcotest.(check bool) "a'' = a" true (Oracle.expr_eval ast 0b1)
 
 let test_expr_errors () =
   List.iter
@@ -202,7 +202,7 @@ let test_expr_sop_of_string () =
 
 let test_expr_constants () =
   let ast, _ = Expr.parse "a & 0 | 1" in
-  Alcotest.(check bool) "const" true (Expr.eval ast 0)
+  Alcotest.(check bool) "const" true (Oracle.expr_eval ast 0)
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in

@@ -238,7 +238,8 @@ let test_export_parse_digest_and_dc_op_parity () =
   let solution net = function
     | Ok (x, _) -> x
     | Error f ->
-      Alcotest.failf "dc_op failed on %s: %s" (Sp.Netlist.summary net) (Sp.Dcop.pp_failure f)
+      Alcotest.failf "dc_op failed on a %d-unknown netlist: %s" (Sp.Netlist.unknowns net)
+        (Sp.Dcop.pp_failure f)
   in
   List.iter
     (fun (label, lc) ->
@@ -326,6 +327,18 @@ let test_runner_limits () =
   | Error msg ->
     Alcotest.(check bool) "limit error names the cap" true
       (String.length msg > 0 && msg.[0] = 'd' (* "dc sweep has ..." *)));
+  (* counts past max_int are refused under the default limits (those of
+     ftl run), not wrapped to a small count *)
+  List.iter
+    (fun (card, expected) ->
+      let d = parse_ok ("t\nv1 a 0 dc 1\nr1 a 0 1k\n" ^ card ^ "\n.end\n") in
+      match Runner.run ~engine d with
+      | Ok _ -> Alcotest.failf "%s should be refused" card
+      | Error msg -> Alcotest.(check string) card expected msg)
+    [
+      (".tran 1e-300 1", "transient has 1e+300 steps (limit 2000000)");
+      (".dc v1 0 1e300 1e-300", "dc sweep has inf points (limit 10000)");
+    ];
   (* the parser checks a swept source exists; a deck assembled in code
      is checked by the runner *)
   let unknown =

@@ -59,32 +59,31 @@ let test_shape_names () =
 let paper_tolerance_v = 0.25
 
 let test_vth_square () =
-  let hf = D.Threshold.enhancement ~dielectric:D.Material.HfO2 ~geometry:D.Geometry.square in
-  let si = D.Threshold.enhancement ~dielectric:D.Material.SiO2 ~geometry:D.Geometry.square in
+  let hf = D.Threshold.vth ~dielectric:D.Material.HfO2 ~geometry:D.Geometry.square in
+  let si = D.Threshold.vth ~dielectric:D.Material.SiO2 ~geometry:D.Geometry.square in
   check_close "HfO2 ~0.16" paper_tolerance_v 0.16 hf;
   check_close "SiO2 ~1.36" paper_tolerance_v 1.36 si;
   Alcotest.(check bool) "high-k lowers Vth" true (hf < si)
 
 let test_vth_cross_narrow_width () =
-  let sq = D.Threshold.enhancement ~dielectric:D.Material.HfO2 ~geometry:D.Geometry.square in
-  let cr = D.Threshold.enhancement ~dielectric:D.Material.HfO2 ~geometry:D.Geometry.cross in
+  let sq = D.Threshold.vth ~dielectric:D.Material.HfO2 ~geometry:D.Geometry.square in
+  let cr = D.Threshold.vth ~dielectric:D.Material.HfO2 ~geometry:D.Geometry.cross in
   Alcotest.(check bool) "narrow cross raises Vth" true (cr > sq);
   check_close "cross HfO2 ~0.27" paper_tolerance_v 0.27 cr
 
 let test_vth_junctionless () =
-  let hf = D.Threshold.junctionless ~dielectric:D.Material.HfO2 in
-  let si = D.Threshold.junctionless ~dielectric:D.Material.SiO2 in
+  let hf = D.Threshold.vth ~dielectric:D.Material.HfO2 ~geometry:D.Geometry.junctionless in
+  let si = D.Threshold.vth ~dielectric:D.Material.SiO2 ~geometry:D.Geometry.junctionless in
   check_close "jl HfO2 ~-0.57" 0.1 (-0.57) hf;
   check_close "jl SiO2 ~-4.8" 0.3 (-4.8) si;
   Alcotest.(check bool) "both negative" true (hf < 0.0 && si < 0.0)
 
 let test_vth_dispatch () =
-  Alcotest.(check bool) "enhancement rejects junctionless geometry" true
-    (match
-       D.Threshold.enhancement ~dielectric:D.Material.HfO2 ~geometry:D.Geometry.junctionless
-     with
-    | exception Invalid_argument _ -> true
-    | _ -> false)
+  (* the depletion-mode junctionless wire turns on below 0 V, the
+     enhancement-mode square above *)
+  let vth geometry = D.Threshold.vth ~dielectric:D.Material.HfO2 ~geometry in
+  Alcotest.(check bool) "junctionless is depletion-mode" true (vth D.Geometry.junctionless < 0.0);
+  Alcotest.(check bool) "square is enhancement-mode" true (vth D.Geometry.square > 0.0)
 
 let test_ideality () =
   let n_hf =

@@ -193,8 +193,8 @@ let test_key_soundness () =
 (* --- key equivalence against the v1 key ------------------------------------- *)
 
 (* The v1 key, kept as the oracle of the two-level key: the structural
-   digest hashed with every solver option and the time. *)
-let oracle_key ?(options = Sp.Dcop.default_options) ?(time = 0.0) netlist =
+   digest hashed with every solver option. *)
+let oracle_key ?(options = Sp.Dcop.default_options) netlist =
   let b = Buffer.create 192 in
   let int i = Buffer.add_int64_le b (Int64.of_int i) in
   let float f = Buffer.add_int64_le b (Int64.bits_of_float f) in
@@ -212,13 +212,12 @@ let oracle_key ?(options = Sp.Dcop.default_options) ?(time = 0.0) netlist =
   List.iter float o.Sp.Dcop.gmin_steps;
   int o.Sp.Dcop.source_steps;
   float o.Sp.Dcop.damping;
-  float time;
   string (Sp.Netlist.structural_digest netlist);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-type key_case = { label : string; options : Sp.Dcop.options; time : float; net : Sp.Netlist.t }
+type key_case = { label : string; options : Sp.Dcop.options; net : Sp.Netlist.t }
 
-let case ?(options = Sp.Dcop.default_options) ?(time = 0.0) label net = { label; options; time; net }
+let case ?(options = Sp.Dcop.default_options) label net = { label; options; net }
 
 (* Keys are equal exactly when oracle keys are: each oracle key maps to
    one key and each key to one oracle key. The cases must hold both
@@ -227,8 +226,8 @@ let check_key_equivalence what cases =
   let by_oracle = Hashtbl.create 1024 and by_key = Hashtbl.create 1024 in
   List.iter
     (fun c ->
-      let o = oracle_key ~options:c.options ~time:c.time c.net in
-      let k = Key.dc_op ~options:c.options ~time:c.time c.net in
+      let o = oracle_key ~options:c.options c.net in
+      let k = Key.dc_op ~options:c.options c.net in
       (match Hashtbl.find_opt by_oracle o with
       | Some (k', l') when k' <> k ->
         Alcotest.failf "%s / %s: equal oracle keys, different keys" c.label l'
@@ -489,11 +488,10 @@ let lattice_cases st k =
     case (label ^ " rebound to state " ^ string_of_int m') other.Sp.Lattice_circuit.netlist;
     case (label ^ " deck") (deck_round_trip net);
     case (label ^ " rebound deck") (deck_round_trip other.Sp.Lattice_circuit.netlist);
-    case ~time:1e-9 (label ^ " at 1 ns") net;
   ]
 
-(* every solver option changed alone, the defaults rebuilt field by field,
-   and two times *)
+(* every solver option changed alone, and the defaults rebuilt field by
+   field *)
 let options_cases () =
   let d = Sp.Dcop.default_options in
   let options =
@@ -518,14 +516,8 @@ let options_cases () =
   in
   List.concat_map
     (fun (name, net) ->
-      List.concat
-        (List.mapi
-           (fun i options ->
-             List.map
-               (fun time ->
-                 case ~options ~time (Printf.sprintf "%s options %d at %g s" name i time) (net ()))
-               [ 0.0; -0.0; 1e-9 ])
-           options))
+      List.mapi (fun i options -> case ~options (Printf.sprintf "%s options %d" name i) (net ()))
+        options)
     nets
 
 let test_key_equivalence () =

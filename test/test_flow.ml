@@ -6,6 +6,8 @@ module Tt = Lattice_boolfn.Truthtable
 let xor3 = Tt.xor_n 3
 let maj3 = Tt.majority_n 3
 
+let candidates target = List.map (fun e -> e.Opt.implementation) (Opt.optimize target)
+
 let test_candidates_valid () =
   (* every candidate must realize the target (modulo output inversion) *)
   List.iter
@@ -19,11 +21,11 @@ let test_candidates_valid () =
             (impl.Opt.method_name ^ " realizes target")
             true
             (Lattice_synthesis.Validate.realizes impl.Opt.grid effective))
-        (Opt.candidates target))
+        (candidates target))
     [ xor3; maj3; Tt.create 2 (fun m -> m = 3) ]
 
 let test_candidates_distinct () =
-  let impls = Opt.candidates maj3 in
+  let impls = candidates maj3 in
   Alcotest.(check bool) "at least two candidates" true (List.length impls >= 2)
 
 let test_estimate_sanity () =
@@ -34,12 +36,12 @@ let test_estimate_sanity () =
       Alcotest.(check bool) "positive power" true (m.Opt.static_power > 0.0);
       Alcotest.(check int) "area = switches" (Lattice_core.Grid.size impl.Opt.grid) m.Opt.area;
       Alcotest.(check bool) "not spice" false m.Opt.from_spice)
-    (Opt.candidates xor3)
+    (candidates xor3)
 
 let test_estimate_scales_with_rows () =
   (* taller lattices have slower falls and lower static power *)
   let grid_of rows =
-    { Opt.grid = Lattice_core.Grid.generic rows 2; inverted = false; method_name = "test" }
+    { Opt.grid = Oracle.generic_grid rows 2; inverted = false; method_name = "test" }
   in
   let short = Opt.estimate (grid_of 2) and tall = Opt.estimate (grid_of 6) in
   Alcotest.(check bool) "taller = slower fall" true (tall.Opt.fall > short.Opt.fall)
@@ -627,9 +629,9 @@ let oracle_mc spent ~nominal ~variation ~samples ~seed grid ~target =
   }
 
 let defect_state spent ?nominal (options : Fc.options) grid ~defects m =
-  let vdd = options.Fc.config.Sp.Lattice_circuit.vdd in
+  let vdd = Sp.Lattice_circuit.default_config.vdd in
   let lc =
-    Sp.Defects.build ~config:options.Fc.config ~params:options.Fc.params ~defects grid
+    Sp.Defects.build ~params:options.Fc.params ~defects grid
       ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m)
   in
   oracle_seeded spent ~options:options.Fc.dc
@@ -641,7 +643,7 @@ let defect_state spent ?nominal (options : Fc.options) grid ~defects m =
            d ))
 
 let oracle_sample spent ~nominal (options : Fc.options) grid ~target ~test_set defects =
-  let vdd = options.Fc.config.Sp.Lattice_circuit.vdd in
+  let vdd = Sp.Lattice_circuit.default_config.vdd in
   let used = ref 0 and worst_low = ref 0.0 and worst_high = ref infinity in
   let mismatches = ref [] and failure = ref None in
   (try
@@ -686,7 +688,7 @@ let oracle_sample spent ~nominal (options : Fc.options) grid ~target ~test_set d
   }
 
 let oracle_verify spent options grid ~target ~defects =
-  let vdd = options.Fc.config.Sp.Lattice_circuit.vdd in
+  let vdd = Sp.Lattice_circuit.default_config.vdd in
   let rec go m =
     m >= 1 lsl Tt.nvars target
     ||
@@ -803,7 +805,7 @@ let test_workspace_vs_per_state_oracle () =
         (* both flows seed from one nominal circuit (default config and
            DC options): the yield run solves it, the campaign hits *)
         let nominal =
-          oracle_nominal mc_spent ~options:Sp.Dcop.default_options options.Fc.config grid
+          oracle_nominal mc_spent ~options:Sp.Dcop.default_options Sp.Lattice_circuit.default_config grid
             ~states:(1 lsl Tt.nvars target)
         in
         let mc_oracle =
@@ -950,7 +952,7 @@ let test_seeded_sweep () =
       let singles = Array.of_list (Sp.Defects.single_defects grid) in
       let pick () = singles.(Random.State.int st (Array.length singles)) in
       let defective defects m =
-        (Sp.Defects.build ~config ~params:Sp.Defects.default_params ~defects grid
+        (Sp.Defects.build ~params:Sp.Defects.default_params ~defects grid
            ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd m))
           .Sp.Lattice_circuit.netlist
       in

@@ -15,7 +15,7 @@ let check_float = Alcotest.(check (float 1e-9))
 (* a matrix from a non-empty list of equal-length rows *)
 let of_rows rows =
   let rows = Array.of_list rows in
-  Matrix.init (Array.length rows) (Array.length rows.(0)) (fun r c -> rows.(r).(c))
+  Oracle.matrix_init (Array.length rows) (Array.length rows.(0)) (fun r c -> rows.(r).(c))
 let check_close msg tol a b = Alcotest.(check (float tol)) msg a b
 
 (* --- Vec --------------------------------------------------------------- *)
@@ -88,7 +88,7 @@ let test_matrix_stamp () =
 
 let random_dd_matrix rng n =
   (* random diagonally dominant matrix: always well conditioned *)
-  let m = Matrix.init n n (fun _ _ -> Random.State.float rng 2.0 -. 1.0) in
+  let m = Oracle.matrix_init n n (fun _ _ -> Random.State.float rng 2.0 -. 1.0) in
   for i = 0 to n - 1 do
     let rowsum = ref 0.0 in
     for j = 0 to n - 1 do
@@ -658,7 +658,7 @@ let test_cg_matches_lu () =
   let n = 8 in
   let base = random_dd_matrix rng n in
   (* symmetrize while keeping diagonal dominance *)
-  let a = Matrix.init n n (fun i j -> 0.5 *. (Matrix.get base i j +. Matrix.get base j i)) in
+  let a = Oracle.matrix_init n n (fun i j -> 0.5 *. (Matrix.get base i j +. Matrix.get base j i)) in
   let b = Array.init n (fun i -> float_of_int (i - 3)) in
   let x_lu = Oracle.solve_dense a b in
   let apply x out =

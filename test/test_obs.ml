@@ -446,7 +446,7 @@ let test_log_rotation () =
   let dir = temp_dir "alog" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let path = Filename.concat dir "access.log" in
-  let log = Spool.open_log ~path ~max_bytes:200 ~keep:2 () in
+  let log = Spool.open_log ~path ~max_bytes:200 () in
   let line_len = 50 in
   (* 20 lines of 50 bytes: several generations' worth against a
      200-byte cap *)

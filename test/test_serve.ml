@@ -852,6 +852,9 @@ let test_daemon_run_deck () =
   let solves () = (Engine.telemetry (S.engine t)).Engine.dc_solves in
   expect_error c (run_deck "t\nv1 a 0 dc 0\nr1 a 0 1k\n.dc v1 0 1 1u\n.end\n") P.Bad_request;
   expect_error c (run_deck "t\nv1 a 0 dc 1\nr1 a 0 1k\n.tran 1n 1m\n.end\n") P.Bad_request;
+  (* counts past max_int: refused, not wrapped to one step or point *)
+  expect_error c (run_deck "t\nv1 a 0 dc 1\nr1 a 0 1k\n.tran 1e-300 1\n.end\n") P.Bad_request;
+  expect_error c (run_deck "t\nv1 a 0 dc 0\nr1 a 0 1k\n.dc v1 0 1e300 1e-300\n.end\n") P.Bad_request;
   let before = solves () in
   expect_error c (run_deck "t\nv1 a 0 dc 1\nr1 a 0 3.3k\n.op\n.tran 1n 1m\n.end\n") P.Bad_request;
   Alcotest.(check int) "the refused deck's .op solved nothing" before (solves ());

@@ -1369,6 +1369,12 @@ let test_transient_partial_final_step () =
   (* rounding noise within relative tolerance does not grow an extra step *)
   let ts = sample_times ~h:1e-9 ~t_stop:(10e-9 *. (1.0 +. 1e-9)) in
   Alcotest.(check int) "near-multiple absorbed" 11 (Array.length ts);
+  (* a step count past any array length is refused, not wrapped to a
+     one-sample grid *)
+  Alcotest.(check bool) "1e300 steps refused" true
+    (match sample_times ~h:1e-300 ~t_stop:1.0 with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
   (* and the physics is right on the padded grid: RC charge to analytic *)
   let r = Sp.Transient.run (rc_circuit ()) ~h:20e-9 ~t_stop:2.51e-6 ~record:[ "out" ] () in
   let times = r.Sp.Transient.times in
