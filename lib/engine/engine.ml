@@ -212,16 +212,25 @@ let solve_iterations r =
     let k = sum f.Sp.Dcop.attempts in
     (k, k)
 
-type workspace = { mutable plan : Sp.Stamp_plan.t option }
+type workspace = {
+  mutable plan : Sp.Stamp_plan.t option;
+  analysis : Sp.Stamp_plan.analysis option;  (* shared with the other jobs of a flow call *)
+}
 
-let workspace () = { plan = None }
+let workspace () = { plan = None; analysis = None }
 
-(* the workspace's plan, compiled from the first netlist that misses *)
+(* the workspace's plan, made for the first netlist that misses:
+   instantiated from the workspace's analysis when the netlist has its
+   structure, else compiled *)
 let plan_of ws netlist =
   match ws.plan with
   | Some p -> p
   | None ->
-    let p = Sp.Stamp_plan.compile netlist in
+    let p =
+      match ws.analysis with
+      | Some an when Sp.Stamp_plan.fits an netlist -> Sp.Stamp_plan.instantiate an netlist
+      | Some _ | None -> Sp.Stamp_plan.compile netlist
+    in
     ws.plan <- Some p;
     p
 
@@ -261,11 +270,17 @@ type seeds = {
   nominal : Sp.Netlist.t;  (* names the rows of the solutions *)
   branches : (string, int) Hashtbl.t;  (* voltage-source name -> branch row *)
   at_state : (string * Lattice_numerics.Vec.t) option array;  (* key, solution *)
+  analysis : Sp.Stamp_plan.analysis;  (* the nominal circuit's, with its factorization at x = 0 *)
 }
 
 let nominal_seeds t ?(options = Sp.Dcop.default_options) ~cancel lc ~states =
   let at = state_netlist lc in
-  let workspace = workspace () in
+  (* made even when every state hits the cache: the perturbed copies
+     instantiate their plans from it *)
+  let analysis =
+    Sp.Stamp_plan.analyze ~gmin:options.Sp.Dcop.gmin_final lc.Sp.Lattice_circuit.netlist
+  in
+  let workspace = { plan = None; analysis = Some analysis } in
   let at_state = Array.make states None in
   (try
      for m = 0 to states - 1 do
@@ -285,7 +300,7 @@ let nominal_seeds t ?(options = Sp.Dcop.default_options) ~cancel lc ~states =
         Hashtbl.replace branches name (Sp.Netlist.vsource_row nominal index)
       | Sp.Netlist.Resistor _ | Sp.Netlist.Capacitor _ | Sp.Netlist.Isource _ | Sp.Netlist.Mosfet _ -> ())
     (Sp.Netlist.elements nominal);
-  { nominal; branches; at_state }
+  { nominal; branches; at_state; analysis }
 
 (* for each MNA row of [netlist], the row of the nominal solution that
    holds the node or source branch of the same name, or -1: a node the
@@ -305,13 +320,18 @@ let seed_rows seeds netlist =
           (fun row -> rows.(Sp.Netlist.vsource_row netlist index) <- row)
           (Hashtbl.find_opt seeds.branches name)
       | Sp.Netlist.Resistor _ | Sp.Netlist.Capacitor _ | Sp.Netlist.Isource _ | Sp.Netlist.Mosfet _ -> ())
-    (Sp.Netlist.elements netlist);
+    (Sp.Netlist.elements_rev netlist);
   rows
 
 let lattice_output t ?(options = Sp.Dcop.default_options) ?seeds (lc : Sp.Lattice_circuit.t) =
   let at = state_netlist lc in
-  let out = Sp.Netlist.node lc.Sp.Lattice_circuit.netlist lc.Sp.Lattice_circuit.output_node in
-  let workspace = workspace () in
+  let out =
+    match Sp.Netlist.find_node lc.Sp.Lattice_circuit.netlist lc.Sp.Lattice_circuit.output_node with
+    | Some n -> n
+    | None ->
+      invalid_arg ("Engine.lattice_output: unknown node " ^ lc.Sp.Lattice_circuit.output_node)
+  in
+  let workspace = { plan = None; analysis = Option.map (fun s -> s.analysis) seeds } in
   let seed =
     match seeds with
     | None -> fun _ -> None

@@ -190,18 +190,26 @@ val resident_dc_op :
 
 (** The DC solutions of one nominal lattice circuit at its input
     states, each with its content key: the start points of the solves of
-    its perturbed copies (Monte-Carlo dies, defect samples). Immutable
-    once built, so the jobs of any domain may share one. *)
+    its perturbed copies (Monte-Carlo dies, defect samples). It also
+    holds the nominal circuit's stamp-plan analysis
+    ({!Lattice_spice.Stamp_plan.analyze}), from which every copy of the
+    same structure instantiates its plan. Immutable once built, so the
+    jobs of any domain may share one; nothing in it outlives the flow
+    call that made it. *)
 type seeds
 
-(** [nominal_seeds e ?options ~cancel lc ~states] solves [lc] at input
-    states [0 .. states - 1] as {!lattice_output} would (through the
-    cache, on one {!workspace}, under [cancel]) and keeps each solution
-    with its key. A state whose solve fails gets no seed. A fired
-    [cancel] stops the solves; the states it left unsolved get no seed,
-    and nothing is raised. Call it once per flow call, before the jobs
-    that share it, so that start points depend neither on the domain
-    count nor on the schedule. *)
+(** [nominal_seeds e ?options ~cancel lc ~states] analyzes [lc]'s
+    netlist once ({!Lattice_spice.Stamp_plan.analyze}[ ~gmin] at
+    [options]' [gmin_final], so the analysis carries the factorization
+    of the matrix at x = 0), even when every state will hit the cache,
+    then solves [lc] at input states [0 .. states - 1] as
+    {!lattice_output} would (through the cache, on one {!workspace}
+    whose plan is instantiated from that analysis, under [cancel]) and
+    keeps each solution with its key. A state whose solve fails gets no
+    seed. A fired [cancel] stops the solves; the states it left unsolved
+    get no seed, and nothing is raised. Call it once per flow call,
+    before the jobs that share it, so that start points depend neither
+    on the domain count nor on the schedule. *)
 val nominal_seeds :
   t ->
   ?options:Lattice_spice.Dcop.options ->
@@ -226,9 +234,14 @@ val nominal_seeds :
     source name (a node the nominal circuit lacks starts at 0 V; the
     map is built once per call of [lattice_output]), and the solve is
     cached under {!Key.dc_op}[ ~seed] with the nominal solve's key. A
-    state without a seed is solved as without [seeds]. How Monte-Carlo
-    dies, campaign samples (seeded), repair re-verifications and circuit
-    validation (unseeded) check a lattice at every input state. *)
+    state without a seed is solved as without [seeds]. With [seeds], the
+    function's plan is instantiated from the nominal circuit's analysis
+    when [lc]'s netlist has its structure
+    ({!Lattice_spice.Stamp_plan.fits}: a Monte-Carlo die), and compiled
+    from [lc] otherwise (a defect sample); the answers are the same
+    either way. How Monte-Carlo dies, campaign samples (seeded), repair
+    re-verifications and circuit validation (unseeded) check a lattice
+    at every input state. *)
 val lattice_output :
   t ->
   ?options:Lattice_spice.Dcop.options ->

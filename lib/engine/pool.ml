@@ -21,13 +21,11 @@ let create ?domains () =
 
 let domains t = t.domains
 
-(* about 8 claims per worker: one fetch-and-add amortized over the
-   chunk, small enough that the tail stays balanced *)
-let chunk_size ~domains ~n = Int.max 1 (n / (8 * domains))
-
-(* Claim indices in chunks and run [body] on each claimed index until
-   [stop ()] flips. [body] must not raise. An empty or one-job batch
-   runs on the calling domain: nothing to share, nothing to spawn. *)
+(* Claim indices one at a time and run [body] on each claimed index
+   until [stop ()] flips: a job costs far more than the fetch-and-add,
+   and no worker sits idle while another still holds unclaimed indices.
+   [body] must not raise. An empty or one-job batch runs on the calling
+   domain: nothing to share, nothing to spawn. *)
 let drive t ~n ~stop ~body =
   if t.domains = 1 || n <= 1 then begin
     let i = ref 0 in
@@ -37,7 +35,6 @@ let drive t ~n ~stop ~body =
     done
   end
   else begin
-    let chunk = chunk_size ~domains:t.domains ~n in
     let next = Atomic.make 0 in
     (* spawned domains inherit the submitting thread's request, so the
        solves they run count in it and their spans carry its tags *)
@@ -52,16 +49,8 @@ let drive t ~n ~stop ~body =
       while !running do
         if stop () then running := false
         else begin
-          let lo = Atomic.fetch_and_add next chunk in
-          if lo >= n then running := false
-          else begin
-            let hi = Int.min n (lo + chunk) in
-            let i = ref lo in
-            while !i < hi && not (stop ()) do
-              body !i;
-              incr i
-            done
-          end
+          let i = Atomic.fetch_and_add next 1 in
+          if i >= n then running := false else body i
         end
       done;
       Lattice_obs.Trace.end_span sp

@@ -9,14 +9,13 @@
     accumulator). One domain is the degenerate serial case: the job
     runs entirely on the calling domain with no spawns.
 
-    Workers claim indices from a shared atomic counter in {e adaptive
-    chunks} of [max 1 (n / (8 * domains))] indices per claim — large
-    batches pay one atomic fetch-and-add per chunk instead of per job,
-    while small batches degrade to per-job claiming so the tail stays
-    balanced. Chunking is invisible in the results (index-merged) and
-    the intended job granularity is unchanged: a whole circuit
-    simulation (a Monte-Carlo die, a fault-campaign sample, an I-V
-    sweep point), not a micro-kernel.
+    Workers claim indices from a shared atomic counter one at a time:
+    a job is a whole circuit simulation (a Monte-Carlo die, a
+    fault-campaign sample, an I-V sweep point) of 0.1-10 ms, not a
+    micro-kernel, so one fetch-and-add per job costs nothing next to it,
+    and no worker idles at the end of a batch while another still holds
+    a claimed run of indices. The claim order is invisible in the
+    results (index-merged).
 
     {!map_outcomes} is fault-isolating: every job is classified and
     nothing escapes. It is the one fan-out primitive; the engine's

@@ -449,6 +449,9 @@ let factorize m =
     Lattice_obs.Probe.leave factorize_probe t0;
     raise e
 
+let share lu =
+  { lu with x = Array.copy lu.x; pos = Array.make lu.ln 0; work = Array.make lu.ln 0.0 }
+
 let refactor_or_factorize lu m =
   try
     refactor lu m;

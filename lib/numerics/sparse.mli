@@ -9,10 +9,12 @@
     selection, symbolic fill-in, and the merged L+U layout with the map
     of A's slots into it) and a cheap numeric-only {!refactor} that
     eliminates in place over that frozen layout. The analysis runs once
-    per stamp plan, not once per topology (a plan memoizes its first
-    solve's pivot order), plus again whenever a frozen order fails: the
-    repo benchmark's batch op, whose jobs each compile a plan, runs
-    about 213.
+    per stamp plan (a plan memoizes its first solve's pivot order), or
+    once for all the plans instantiated from one shared stamp-plan
+    analysis ({!share}), plus again whenever a frozen order fails: the
+    repo benchmark's batch op, whose 100 Monte-Carlo dies share their
+    nominal circuit's analysis while the campaign's nominal circuit and
+    each of its samples and repairs get their own, runs 113-114.
 
     {b Elimination order.} {!Builder.compile} gives each pattern a
     fill-reducing order of its unknowns, once: greedy minimum degree on
@@ -110,6 +112,14 @@ val refactor : lu -> t -> unit
     until the next successful [refactor]. Raises [Invalid_argument] on a
     matrix of another pattern, or one whose [values] do not fit its
     pattern. *)
+
+val share : lu -> lu
+(** [share lu] is a factorization with [lu]'s analysis — elimination
+    order, pivot rows, fill pattern and the map of A's slots, shared
+    read-only — and numeric buffers of its own that start as a copy of
+    [lu]'s values. {!refactor} and {!solve_in_place} on either never
+    write to the other's buffers, so one analysis may serve plans on
+    several domains at once. Costs O(nnz(L+U) + n) words. *)
 
 val refactor_or_factorize : lu -> t -> lu
 (** [refactor_or_factorize lu m] is [lu] after {!refactor}[ lu m], or,

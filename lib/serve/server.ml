@@ -261,7 +261,13 @@ let dc_op_answer c ~expr ~state ~solve =
       match r with
       | Error f -> h_reject Protocol.Non_convergent "%s" (Sp.Dcop.pp_failure f)
       | Ok (x, diag) ->
-        let v = Sp.Mna.voltage x (Sp.Netlist.node netlist lc.Sp.Lattice_circuit.output_node) in
+        let v =
+          match Sp.Netlist.find_node netlist lc.Sp.Lattice_circuit.output_node with
+          | Some out -> Sp.Mna.voltage x out
+          | None ->
+            h_reject Protocol.Internal "circuit without its output node %s"
+              lc.Sp.Lattice_circuit.output_node
+        in
         (* the lattice is a pull-down network: the output is the complement *)
         let expected_high = not (Tt.eval c.tt state) in
         Json.Obj

@@ -92,7 +92,11 @@ let sweep netlist ~source ~output ~f_start ~f_stop ~points_per_decade =
     | Some idx -> Netlist.vsource_row netlist idx
     | None -> invalid_arg ("Ac.sweep: unknown source " ^ source)
   in
-  let out_index = Netlist.node_index (Netlist.node netlist output) in
+  let out_index =
+    match Netlist.find_node netlist output with
+    | Some n -> Netlist.node_index n
+    | None -> invalid_arg ("Ac.sweep: unknown node " ^ output)
+  in
   if out_index < 0 then invalid_arg "Ac.sweep: output is ground";
   let plan = Stamp_plan.compile netlist in
   let x_op = Dcop.solve ~plan netlist in

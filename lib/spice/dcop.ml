@@ -1,4 +1,3 @@
-module Vec = Lattice_numerics.Vec
 module Sparse = Lattice_numerics.Sparse
 module Trace = Lattice_obs.Trace
 module Metrics = Lattice_obs.Metrics
@@ -76,15 +75,18 @@ let pp_failure f =
   in
   Printf.sprintf "%s [ladder %s; |r|=%.3g; worst %s]" f.message ladder f.residual_norm nodes
 
+(* a loop, not a local recursive function: this runs once per Newton
+   iteration, and a closure would allocate each time *)
 let converged options x_old x_new =
   let n = Array.length x_old in
-  let rec go i =
-    i >= n
-    ||
-    let d = Float.abs (x_new.(i) -. x_old.(i)) in
-    d <= options.abstol +. (options.reltol *. Float.abs x_new.(i)) && go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while
+    !i < n
+    && Float.abs (x_new.(!i) -. x_old.(!i)) <= options.abstol +. (options.reltol *. Float.abs x_new.(!i))
+  do
+    incr i
+  done;
+  !i >= n
 
 let bump = function None -> () | Some r -> incr r
 
@@ -176,6 +178,131 @@ let newton_into ~plan ?iter_count netlist ~options ~x0 ~dst ~time ~gmin ~source_
   newton ~gshunt:0.0 ~plan ?iter_count ~cancel:Cancel.none netlist ~options ~x0 ~dst ~time ~gmin
     ~source_scale ~caps
 
+(* The fallback ladder, each rung with its span name. Source stepping
+   seldom wins and costs the most when it fails, so the damped rungs go
+   before it. *)
+let ladder =
+  List.map
+    (fun s -> (s, "dcop:" ^ strategy_name s))
+    [ Plain; Gmin_stepping; Damped_plain; Damped_gmin; Source_stepping; Damped_source; Gshunt_ramp ]
+
+(* the continuation shunt's walk, strong to negligible *)
+let gshunt_steps = [ 1e-2; 1e-3; 1e-4; 1e-5; 1e-6; 1e-8; 1e-10; 1e-12 ]
+
+(* heavily damped settings suppress the source/drain-swap chattering
+   that plain Newton can fall into on badly matched devices *)
+let damped options =
+  { options with damping = Float.min 0.1 options.damping; max_iterations = 4 * options.max_iterations }
+
+(* One Newton solve of a rung into a fresh vector, the rung's solution;
+   a failed one leaves its last iterate in the plan's [last_buffer] for
+   the failure diagnostics. *)
+let run_newton ~plan ~cancel netlist ~time ?(gshunt = 0.0) ~options ~count ~x0 ~gmin ~source_scale
+    () =
+  let n = Stamp_plan.n plan in
+  let dst = Array.make n 0.0 in
+  (try
+     ignore
+       (newton ~gshunt ~plan ~iter_count:count ~cancel netlist ~options ~x0 ~dst ~time ~gmin
+          ~source_scale ~caps:None)
+   with (Convergence_failure _ | Cancel.Cancelled _) as e ->
+     Array.blit dst 0 (Stamp_plan.last_buffer plan) 0 n;
+     raise e);
+  dst
+
+let gmin_rung ~plan ~cancel netlist ~time ~options ~count =
+  let x = ref (Stamp_plan.zero plan) in
+  List.iter
+    (fun gmin ->
+      x := run_newton ~plan ~cancel netlist ~time ~options ~count ~x0:!x ~gmin ~source_scale:1.0 ())
+    options.gmin_steps;
+  run_newton ~plan ~cancel netlist ~time ~options ~count ~x0:!x ~gmin:options.gmin_final
+    ~source_scale:1.0 ()
+
+let source_rung ~plan ~cancel netlist ~time ~options ~count =
+  let x = ref (Stamp_plan.zero plan) in
+  for k = 1 to options.source_steps do
+    let source_scale = float_of_int k /. float_of_int options.source_steps in
+    x :=
+      run_newton ~plan ~cancel netlist ~time ~options ~count ~x0:!x ~gmin:options.gmin_final
+        ~source_scale ()
+  done;
+  !x
+
+(* Last resort: walk a node-to-ground shunt from strong to negligible,
+   warm-starting each stage. The walk stops at 1e-12 S rather than 0: a
+   node left floating by OFF switches has no zero-shunt operating point,
+   and the residual bias (~fA) sits far below the device leakage floor. *)
+let gshunt_rung ~plan ~cancel netlist ~time ~options ~count =
+  let x = ref (Stamp_plan.zero plan) in
+  List.iter
+    (fun gshunt ->
+      x :=
+        run_newton ~plan ~cancel netlist ~time ~gshunt ~options ~count ~x0:!x
+          ~gmin:options.gmin_final ~source_scale:1.0 ())
+    gshunt_steps;
+  !x
+
+(* [x0] steers the plain rung only; every fallback starts from 0 V. Nodes
+   that OFF switches isolate have only a gmin-defined voltage, and a
+   continuation started elsewhere can settle them elsewhere. *)
+let run_rung ~plan ~cancel netlist ~time ~options ~x0 strategy count =
+  let zeros = Stamp_plan.zero plan in
+  match strategy with
+  | Plain ->
+    let options = { options with max_iterations = Int.min plain_budget options.max_iterations } in
+    run_newton ~plan ~cancel netlist ~time ~options ~count ~x0 ~gmin:options.gmin_final
+      ~source_scale:1.0 ()
+  | Gmin_stepping -> gmin_rung ~plan ~cancel netlist ~time ~options ~count
+  | Damped_plain ->
+    let options = damped options in
+    run_newton ~plan ~cancel netlist ~time ~options ~count ~x0:zeros ~gmin:options.gmin_final
+      ~source_scale:1.0 ()
+  | Damped_gmin -> gmin_rung ~plan ~cancel netlist ~time ~options:(damped options) ~count
+  | Source_stepping -> source_rung ~plan ~cancel netlist ~time ~options ~count
+  | Damped_source -> source_rung ~plan ~cancel netlist ~time ~options:(damped options) ~count
+  | Gshunt_ramp -> gshunt_rung ~plan ~cancel netlist ~time ~options:(damped options) ~count
+
+(* [attempts] newest first; [total] their Newton iterations *)
+let rec try_ladder ~plan ~cancel netlist ~time ~options ~x0 ~sp ~attempts ~total last_msg = function
+  | [] ->
+    let residual_norm, worst_nodes =
+      residual_report ~plan netlist ~x:(Stamp_plan.last_buffer plan) ~time
+        ~gmin:options.gmin_final
+    in
+    let f = { message = last_msg; attempts = List.rev attempts; residual_norm; worst_nodes } in
+    Metrics.Histogram.observe newton_iter_hist (float_of_int total);
+    Trace.end_span sp;
+    Error f
+  | (tag, span) :: rest -> (
+    Cancel.check cancel;
+    let count = ref 0 in
+    let asp = Trace.begin_span ~cat:"spice" span in
+    match run_rung ~plan ~cancel netlist ~time ~options ~x0 tag count with
+    | x ->
+      Trace.end_span asp;
+      let attempts = List.rev ((tag, !count) :: attempts) in
+      let d = { strategy = tag; attempts; newton_iterations = total + !count } in
+      Metrics.Histogram.observe newton_iter_hist (float_of_int d.newton_iterations);
+      Trace.end_span sp;
+      Ok (x, d)
+    | exception Convergence_failure msg ->
+      Trace.end_span asp;
+      Metrics.Counter.incr fallback_counter;
+      if Trace.on () then
+        Trace.instant ~cat:"spice"
+          ~args:[ ("strategy", strategy_name tag); ("iterations", string_of_int !count) ]
+          "dcop.fallback";
+      try_ladder ~plan ~cancel netlist ~time ~options ~x0 ~sp
+        ~attempts:((tag, !count) :: attempts)
+        ~total:(total + !count) msg rest
+    | exception e ->
+      (* cancellation (and anything else unexpected) aborts the whole
+         ladder — it is not a convergence failure and must escape *)
+      Trace.end_span asp;
+      Trace.end_span sp;
+      raise e)
+
 let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = Cancel.none)
     netlist =
   let n = Netlist.unknowns netlist in
@@ -192,118 +319,11 @@ let solve_diag ?(options = default_options) ?plan ?x0 ?(time = 0.0) ?(cancel = C
         p
       | None -> Stamp_plan.compile netlist
     in
-    (* [x0] steers the plain rung only; every fallback starts from 0 V.
-       Nodes that OFF switches isolate have only a gmin-defined voltage,
-       and a continuation started elsewhere can settle them elsewhere. *)
-    let zeros = Vec.zeros n in
-    let start = match x0 with Some x -> x | None -> zeros in
-    (* last Newton iterate of the most recent failed attempt, for the
-       failure diagnostics *)
-    let last_x = Vec.copy start in
-    let run_newton ?(gshunt = 0.0) ~options ~count ~x0 ~gmin ~source_scale () =
-      let dst = Array.make n 0.0 in
-      (try
-         ignore
-           (newton ~gshunt ~plan ~iter_count:count ~cancel netlist ~options ~x0
-              ~dst ~time ~gmin ~source_scale ~caps:None)
-       with (Convergence_failure _ | Cancel.Cancelled _) as e ->
-         Array.blit dst 0 last_x 0 n;
-         raise e);
-      dst
-    in
-    let attempt_plain ~x0 options count () =
-      run_newton ~options ~count ~x0 ~gmin:options.gmin_final ~source_scale:1.0 ()
-    in
-    let attempt_gmin options count () =
-      let x = ref zeros in
-      List.iter
-        (fun gmin -> x := run_newton ~options ~count ~x0:!x ~gmin ~source_scale:1.0 ())
-        options.gmin_steps;
-      run_newton ~options ~count ~x0:!x ~gmin:options.gmin_final ~source_scale:1.0 ()
-    in
-    let attempt_source options count () =
-      let x = ref zeros in
-      for k = 1 to options.source_steps do
-        let scale = float_of_int k /. float_of_int options.source_steps in
-        x := run_newton ~options ~count ~x0:!x ~gmin:options.gmin_final ~source_scale:scale ()
-      done;
-      !x
-    in
-    (* heavily damped settings suppress the source/drain-swap chattering
-       that plain Newton can fall into on badly matched devices *)
-    let damped =
-      { options with damping = Float.min 0.1 options.damping; max_iterations = 4 * options.max_iterations }
-    in
-    (* last resort: walk a node-to-ground shunt from strong to negligible,
-       warm-starting each stage. The ladder stops at 1e-12 S rather than 0:
-       a node left floating by OFF switches has no zero-shunt operating
-       point, and the residual bias (~fA) sits far below the device leakage
-       floor. *)
-    let attempt_gshunt options count () =
-      let x = ref zeros in
-      List.iter
-        (fun gshunt ->
-          x := run_newton ~gshunt ~options ~count ~x0:!x ~gmin:options.gmin_final ~source_scale:1.0 ())
-        [ 1e-2; 1e-3; 1e-4; 1e-5; 1e-6; 1e-8; 1e-10; 1e-12 ];
-      !x
-    in
-    (* source stepping seldom wins and costs the most when it fails, so
-       the damped rungs go before it *)
-    let ladder =
-      [
-        ( Plain,
-          attempt_plain ~x0:start
-            { options with max_iterations = Int.min plain_budget options.max_iterations } );
-        (Gmin_stepping, attempt_gmin options);
-        (Damped_plain, attempt_plain ~x0:zeros damped);
-        (Damped_gmin, attempt_gmin damped);
-        (Source_stepping, attempt_source options);
-        (Damped_source, attempt_source damped);
-        (Gshunt_ramp, attempt_gshunt damped);
-      ]
-    in
-    let attempts = ref [] in
-    let total () = List.fold_left (fun acc (_, k) -> acc + k) 0 !attempts in
-    let rec try_ladder last_msg = function
-      | [] ->
-        let residual_norm, worst_nodes =
-          residual_report ~plan netlist ~x:last_x ~time ~gmin:options.gmin_final
-        in
-        let f =
-          { message = last_msg; attempts = List.rev !attempts; residual_norm; worst_nodes }
-        in
-        Metrics.Histogram.observe newton_iter_hist (float_of_int (total ()));
-        Trace.end_span sp;
-        Error f
-      | (tag, attempt) :: rest -> (
-        Cancel.check cancel;
-        let count = ref 0 in
-        let asp = Trace.begin_span ~cat:"spice" ("dcop:" ^ strategy_name tag) in
-        match attempt count () with
-        | x ->
-          Trace.end_span asp;
-          attempts := (tag, !count) :: !attempts;
-          let d = { strategy = tag; attempts = List.rev !attempts; newton_iterations = total () } in
-          Metrics.Histogram.observe newton_iter_hist (float_of_int d.newton_iterations);
-          Trace.end_span sp;
-          Ok (x, d)
-        | exception Convergence_failure msg ->
-          Trace.end_span asp;
-          attempts := (tag, !count) :: !attempts;
-          Metrics.Counter.incr fallback_counter;
-          if Trace.on () then
-            Trace.instant ~cat:"spice"
-              ~args:[ ("strategy", strategy_name tag); ("iterations", string_of_int !count) ]
-              "dcop.fallback";
-          try_ladder msg rest
-        | exception e ->
-          (* cancellation (and anything else unexpected) aborts the whole
-             ladder — it is not a convergence failure and must escape *)
-          Trace.end_span asp;
-          Trace.end_span sp;
-          raise e)
-    in
-    try_ladder "no strategy attempted" ladder
+    (* a failure's diagnostics read the plan's [last_buffer], which the
+       failed rungs fill: the ladder fails only after one has *)
+    let x0 = match x0 with Some x -> x | None -> Stamp_plan.zero plan in
+    try_ladder ~plan ~cancel netlist ~time ~options ~x0 ~sp ~attempts:[] ~total:0
+      "no strategy attempted" ladder
   end
 
 let solve ?options ?plan netlist =

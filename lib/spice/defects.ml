@@ -92,7 +92,7 @@ let inject_structural ?(params = default_params) ckt (site : Lattice_circuit.sit
       ~south:(pick South site.Lattice_circuit.south)
       ~west:(pick West site.Lattice_circuit.west)
       ~gate:site.Lattice_circuit.gate ~terminal_cap:site.Lattice_circuit.terminal_cap
-      ~gate_cap:site.Lattice_circuit.gate_cap site.Lattice_circuit.types;
+      site.Lattice_circuit.types;
     res (Printf.sprintf "broken_%s" (terminal_name t)) broken (term t) params.r_broken
   | Bridge _ | Gate_leak _ -> invalid_arg "Defects.inject_structural: not a structural kind"
 

@@ -28,19 +28,25 @@ let level3_types () =
 
 let default_terminal_cap = 1e-15
 
+(* the six MOSFETs in the order [instantiate] adds them: four Type A
+   edges, then two Type B diagonals *)
+let models types =
+  [| types.type_a; types.type_a; types.type_a; types.type_a; types.type_b; types.type_b |]
+
 let instantiate ckt ~name ~north ~east ~south ~west ~gate ?(terminal_cap = default_terminal_cap)
-    ?(gate_cap = 0.0) types =
+    types =
+  let m = models types in
   let fet suffix d s model =
     Netlist.mosfet_model ckt (Printf.sprintf "%s.%s" name suffix) ~drain:d ~gate ~source:s model
   in
   (* four Type A edges *)
-  fet "MA_ne" north east types.type_a;
-  fet "MA_es" east south types.type_a;
-  fet "MA_sw" south west types.type_a;
-  fet "MA_wn" west north types.type_a;
+  fet "MA_ne" north east m.(0);
+  fet "MA_es" east south m.(1);
+  fet "MA_sw" south west m.(2);
+  fet "MA_wn" west north m.(3);
   (* two Type B diagonals *)
-  fet "MB_ns" north south types.type_b;
-  fet "MB_ew" east west types.type_b;
+  fet "MB_ns" north south m.(4);
+  fet "MB_ew" east west m.(5);
   if terminal_cap > 0.0 then begin
     let cap suffix n =
       Netlist.capacitor ckt (Printf.sprintf "%s.C%s" name suffix) n Netlist.ground terminal_cap
@@ -49,13 +55,4 @@ let instantiate ckt ~name ~north ~east ~south ~west ~gate ?(terminal_cap = defau
     cap "e" east;
     cap "s" south;
     cap "w" west
-  end;
-  if gate_cap > 0.0 then begin
-    let gcap suffix n =
-      Netlist.capacitor ckt (Printf.sprintf "%s.Cg%s" name suffix) gate n (gate_cap /. 4.0)
-    in
-    gcap "n" north;
-    gcap "e" east;
-    gcap "s" south;
-    gcap "w" west
   end

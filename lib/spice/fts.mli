@@ -27,11 +27,8 @@ val level3_types : unit -> mosfet_types
 val default_terminal_cap : float
 
 (** [instantiate ckt ~name ~north ~east ~south ~west ~gate ?terminal_cap
-    ?gate_cap types] adds the six MOSFETs and four terminal capacitors.
-    Pass [terminal_cap = 0.0] to omit the capacitors. [gate_cap] (default
-    0, i.e. the paper's model) is a total gate capacitance, split into four
-    gate-to-terminal capacitors — the "more accurate transistor model
-    having capacitor models" the paper leaves as future work. *)
+    types] adds the six MOSFETs and four terminal capacitors. Pass
+    [terminal_cap = 0.0] to omit the capacitors. *)
 val instantiate :
   Netlist.t ->
   name:string ->
@@ -41,6 +38,10 @@ val instantiate :
   west:Netlist.node ->
   gate:Netlist.node ->
   ?terminal_cap:float ->
-  ?gate_cap:float ->
   mosfet_types ->
   unit
+
+(** [models types] are the models of the six MOSFETs {!instantiate}
+    adds, in the order it adds them: the four Type A edges, then the two
+    Type B diagonals. *)
+val models : mosfet_types -> Lattice_mosfet.Model.t array

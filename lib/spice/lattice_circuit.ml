@@ -3,7 +3,6 @@ module Grid = Lattice_core.Grid
 type config = {
   vdd : float;
   pullup_ohms : float;
-  gate_cap : float;
   types : Fts.mosfet_types;
 }
 
@@ -11,17 +10,26 @@ let default_config =
   {
     vdd = 1.2;
     pullup_ohms = 500e3;
-    gate_cap = 0.0;
     types = Fts.default_types;
   }
 
 let output_cap = 10e-15
+
+(* What [rebind] and [with_types] reuse of a built circuit. *)
+type layout = {
+  drivers : (string * string) array;  (* per variable: its driver's and complement driver's names *)
+  switches : (int * int) array option;
+      (* row and column of each switch in the order [build] added them,
+         the MOSFETs of [Fts.models] each, and no other MOSFET; None when
+         a site hook or a second lattice may have added others *)
+}
 
 type t = {
   netlist : Netlist.t;
   output_node : string;
   input_nodes : string array;
   config : config;
+  layout : layout;
 }
 
 type site = {
@@ -35,7 +43,6 @@ type site = {
   gate : Netlist.node;
   types : Fts.mosfet_types;
   terminal_cap : float;
-  gate_cap : float;
 }
 
 type site_hook = Netlist.t -> site -> bool
@@ -50,6 +57,7 @@ let input_node_name v = Printf.sprintf "in_%d" v
 let input_bar_node_name v = Printf.sprintf "in_%d_bar" v
 let driver_name v = Printf.sprintf "Vin%d" v
 let driver_bar_name v = Printf.sprintf "Vin%d_bar" v
+let drivers nvars = Array.init nvars (fun v -> (driver_name v, driver_bar_name v))
 
 let complement ~vdd wave =
   match wave with
@@ -128,14 +136,12 @@ let instantiate_lattice ?types_of_site ?site_hook ckt (config : config) grid ~pr
           gate;
           types = types_at r c;
           terminal_cap = Fts.default_terminal_cap;
-          gate_cap = config.gate_cap;
         }
       in
       let handled = match site_hook with None -> false | Some hook -> hook ckt site in
       if not handled then
         Fts.instantiate ckt ~name:site.name ~north:site.north ~east:site.east ~south:site.south
-          ~west:site.west ~gate:site.gate ~terminal_cap:site.terminal_cap
-          ~gate_cap:site.gate_cap site.types
+          ~west:site.west ~gate:site.gate ~terminal_cap:site.terminal_cap site.types
     done
   done
 
@@ -149,17 +155,44 @@ let build ?(config = default_config) ?types_of_site ?site_hook grid ~stimulus =
   let nvars = add_input_drivers ckt config [ grid ] ~stimulus in
   instantiate_lattice ?types_of_site ?site_hook ckt config grid ~prefix:"pd" ~top:out
     ~bottom:Netlist.ground ~vdd_node;
-  { netlist = ckt; output_node = "out"; input_nodes = Array.init nvars input_node_name; config }
+  let switches =
+    (* [instantiate_lattice] walks the sites row by row *)
+    match site_hook with
+    | None -> Some (Array.init (Grid.size grid) (fun i -> (i / grid.Grid.cols, i mod grid.Grid.cols)))
+    | Some _ -> None
+  in
+  {
+    netlist = ckt;
+    output_node = "out";
+    input_nodes = Array.init nvars input_node_name;
+    config;
+    layout = { drivers = drivers nvars; switches };
+  }
 
 let rebind lc ~stimulus =
-  let vdd = lc.config.vdd in
-  let waves =
-    List.concat
-      (List.init (Array.length lc.input_nodes) (fun v ->
-           let w = stimulus v in
-           [ (driver_name v, w); (driver_bar_name v, complement ~vdd w) ]))
+  let vdd = lc.config.vdd and drivers = lc.layout.drivers in
+  let waves = Array.init (Array.length drivers) stimulus in
+  let rec wave_of name v =
+    if v = Array.length drivers then None
+    else
+      let pos, neg = drivers.(v) in
+      if String.equal name pos then Some waves.(v)
+      else if String.equal name neg then Some (complement ~vdd waves.(v))
+      else wave_of name (v + 1)
   in
-  { lc with netlist = Netlist.rebind_vsources lc.netlist (fun name -> List.assoc_opt name waves) }
+  { lc with netlist = Netlist.rebind_vsources lc.netlist (fun name -> wave_of name 0) }
+
+let with_types lc ~types_of_site =
+  match lc.layout.switches with
+  | None -> invalid_arg "Lattice_circuit.with_types: not a circuit of [build] without a site hook"
+  | Some switches ->
+    let models = Array.map (fun (r, c) -> Fts.models (types_of_site r c)) switches in
+    let per_switch = Array.length (Fts.models lc.config.types) in
+    {
+      lc with
+      netlist =
+        Netlist.rebind_models lc.netlist (fun k -> models.(k / per_switch).(k mod per_switch));
+    }
 
 let build_complementary ~pull_up ~pull_down ~stimulus () =
   let config = default_config in
@@ -174,4 +207,10 @@ let build_complementary ~pull_up ~pull_down ~stimulus () =
   instantiate_lattice ckt config pull_up ~prefix:"pu" ~top:vdd_node ~bottom:out ~vdd_node;
   instantiate_lattice ckt config pull_down ~prefix:"pd" ~top:out
     ~bottom:Netlist.ground ~vdd_node;
-  { netlist = ckt; output_node = "out"; input_nodes = Array.init nvars input_node_name; config }
+  {
+    netlist = ckt;
+    output_node = "out";
+    input_nodes = Array.init nvars input_node_name;
+    config;
+    layout = { drivers = drivers nvars; switches = None };
+  }

@@ -16,7 +16,6 @@
 type config = {
   vdd : float;  (** supply, V (paper: 1.2) *)
   pullup_ohms : float;  (** paper: 500k *)
-  gate_cap : float;  (** per-switch gate capacitance (paper model: 0) *)
   types : Fts.mosfet_types;
 }
 
@@ -27,17 +26,22 @@ val default_config : config
     paper. Every plate terminal carries {!Fts.default_terminal_cap}. *)
 val output_cap : float
 
+(** What {!rebind} and {!with_types} reuse of a built circuit: its
+    input drivers' names and where each MOSFET sits. *)
+type layout
+
 type t = {
   netlist : Netlist.t;
   output_node : string;  (** top plate, the (inverted) output *)
   input_nodes : string array;  (** driver node of each variable *)
   config : config;
+  layout : layout;
 }
 
 (** Everything the builder knows about one lattice site just before it
     instantiates the four-terminal switch there: position, instance name,
     the four shared terminal nodes, the resolved gate driver and switch
-    models, and the capacitor configuration. Handed to {!site_hook}. *)
+    models, and the terminal capacitance. Handed to {!site_hook}. *)
 type site = {
   row : int;
   col : int;
@@ -49,7 +53,6 @@ type site = {
   gate : Netlist.node;
   types : Fts.mosfet_types;  (** after any [types_of_site] override *)
   terminal_cap : float;
-  gate_cap : float;
 }
 
 (** A per-site generation hook, the generalized injection point the
@@ -88,10 +91,23 @@ val build :
     the [build] (or [build_complementary]) call that produced [lc] run
     with [stimulus] instead — same {!Netlist.structural_digest}, same
     deck text, same DC solution bits — because the builders' structure
-    never depends on the stimulus. It shares no mutable node table with
-    [lc]. How a flow checks one circuit at every input state without
-    rebuilding it per state. *)
+    never depends on the stimulus. Its netlist shares [lc]'s node tables
+    copy-on-write ({!Netlist.rebind_vsources}): creating a node on
+    either one leaves the other alone. How a flow checks one circuit at
+    every input state without rebuilding it per state. *)
 val rebind : t -> stimulus:(int -> Source.t) -> t
+
+(** [with_types lc ~types_of_site] is [lc] with its switch models
+    replaced: for [lc] made by [build ?config grid ~stimulus] without a
+    [site_hook], it equals [build ?config ~types_of_site grid ~stimulus]
+    — same elements, names and nodes, so the same
+    {!Netlist.structural_digest}, deck text and cache keys — and calls
+    [types_of_site] once per site, in [build]'s order. Only the MOSFET
+    elements are new ({!Netlist.rebind_models}); node tables are shared
+    copy-on-write. How a Monte-Carlo run derives each die from its
+    nominal circuit. Raises [Invalid_argument] for a circuit built with
+    a [site_hook] or by {!build_complementary}. *)
+val with_types : t -> types_of_site:(int -> int -> Fts.mosfet_types) -> t
 
 (** [build_complementary ?config ~pull_up ~pull_down ~stimulus ()] builds
     the complementary structure the paper's Section VI-A forecasts: a

@@ -21,6 +21,9 @@ type memo = { wave_free : Digest.t; canon : int array }
 type t = {
   mutable names : (string, node) Hashtbl.t;
   mutable node_names : string array;  (* grows; index = node id *)
+  mutable own_tables : bool;
+      (* false while [names] and [node_names] may be shared with a
+         rebound copy: the next node creation copies them first *)
   mutable next_node : int;
   mutable elements_rev : element list;
   mutable nvsrc : int;
@@ -36,6 +39,7 @@ let create () =
   {
     names;
     node_names = Array.make 16 "0";
+    own_tables = true;
     next_node = 1;
     elements_rev = [];
     nvsrc = 0;
@@ -56,6 +60,11 @@ let node t name =
   match Hashtbl.find_opt t.names name with
   | Some id -> id
   | None ->
+    if not t.own_tables then begin
+      t.names <- Hashtbl.copy t.names;
+      t.node_names <- Array.copy t.node_names;
+      t.own_tables <- true
+    end;
     let id = t.next_node in
     t.next_node <- id + 1;
     Hashtbl.replace t.names name id;
@@ -100,6 +109,7 @@ let num_nodes t = t.next_node - 1
 let num_vsources t = t.nvsrc
 let unknowns t = num_nodes t + num_vsources t
 let elements t = List.rev t.elements_rev
+let elements_rev t = t.elements_rev
 
 let node_name t n =
   if n < 0 || n >= t.next_node then invalid_arg "Netlist.node_name: unknown node";
@@ -297,6 +307,15 @@ let of_canonical_order t y =
   done;
   x
 
+(* A copy of [t] with other elements that shares [t]'s node tables until
+   either netlist creates a node. The flag is written only while it is
+   still set, so copies made at once from a netlist already shared, as
+   the jobs of several domains make them from a nominal circuit, only
+   read it. *)
+let share_tables t elements_rev memo =
+  if t.own_tables then t.own_tables <- false;
+  { t with own_tables = false; elements_rev; memo }
+
 let rebind_vsources t wave_of =
   let memo = Some (memo t) in
   let rebind e =
@@ -305,10 +324,22 @@ let rebind_vsources t wave_of =
       match wave_of name with Some wave -> Vsource { v with wave } | None -> e)
     | Resistor _ | Capacitor _ | Isource _ | Mosfet _ -> e
   in
-  {
-    t with
-    names = Hashtbl.copy t.names;
-    node_names = Array.copy t.node_names;
-    elements_rev = List.map rebind t.elements_rev;
-    memo;
-  }
+  share_tables t (List.map rebind t.elements_rev) memo
+
+let rebind_models t model_of =
+  let nfets =
+    List.fold_left
+      (fun k e -> match e with Mosfet _ -> k + 1 | Resistor _ | Capacitor _ | Vsource _ | Isource _ -> k)
+      0 t.elements_rev
+  in
+  (* newest first, so the MOSFETs count down from the last one; the
+     elements older than the first MOSFET are shared *)
+  let[@tail_mod_cons] rec swap k l =
+    if k < 0 then l
+    else
+      match l with
+      | [] -> []
+      | Mosfet m :: rest -> Mosfet { m with model = model_of k } :: swap (k - 1) rest
+      | ((Resistor _ | Capacitor _ | Vsource _ | Isource _) as e) :: rest -> e :: swap k rest
+  in
+  share_tables t (swap (nfets - 1) t.elements_rev) None

@@ -61,6 +61,10 @@ val unknowns : t -> int
 (** [elements t] lists elements in insertion order. *)
 val elements : t -> element list
 
+(** [elements_rev t] is [List.rev (elements t)], newest first, without
+    building a list: for per-solve passes that must not allocate. *)
+val elements_rev : t -> element list
+
 (** [node_name t n] is the name [n] was created with. *)
 val node_name : t -> node -> string
 
@@ -84,12 +88,25 @@ val node_index : node -> int
     ([Lattice_deck.Deck.emit]) and
     {!Stamp_plan} structure of a netlist built by the same construction
     sequence with those waves, and a plan compiled from [t] rebinds to
-    it. The copy has its own node table: creating nodes or adding
-    elements on either netlist does not affect the other. It fills
-    [t]'s {!wave_free_digest} memo if empty, and the copy carries it, so
-    the states of one circuit pay for one digest between them. Costs one
-    pass over the elements and a copy of the node table. *)
+    it. Creating nodes or adding elements on either netlist does not
+    affect the other: the two share their node tables copy-on-write, so
+    the first node either one creates copies the tables it reads. It
+    fills [t]'s {!wave_free_digest} memo if empty, and the copy carries
+    it, so the states of one circuit pay for one digest between them.
+    Costs one pass over the elements. *)
 val rebind_vsources : t -> (string -> Source.t option) -> t
+
+(** [rebind_models t model_of] is a copy of [t] in which the [k]-th
+    MOSFET in element order (from 0) carries the model [model_of k];
+    every other element is shared with [t], and node names and ids,
+    element names and order and source indices are [t]'s. So the copy
+    has the {!structural_digest}, deck text and cache key of a netlist
+    built by [t]'s construction sequence with those models. Node tables
+    are shared copy-on-write, as by {!rebind_vsources}; the
+    {!wave_free_digest} memo starts empty, since models are digested.
+    How a Monte-Carlo die is derived from its nominal circuit without
+    building it again. Costs one pass over the elements. *)
+val rebind_models : t -> (int -> Lattice_mosfet.Model.t) -> t
 
 (** [vsource_row t index] is the MNA row of a voltage source's branch
     current. *)

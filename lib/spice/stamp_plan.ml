@@ -9,7 +9,6 @@ let compiles_counter = Lattice_obs.Metrics.counter "spice.plan_compiles"
    companion stamp can touch (-1 when the row or column is ground). The
    same four pairwise slots carry the gmin drain-source conductance. *)
 type fet = {
-  f_model : Model.t;
   f_d : int;
   f_g : int;
   f_s : int;
@@ -21,13 +20,16 @@ type fet = {
   s_sg : int;
 }
 
-type t = {
+(* Everything a plan needs that depends only on the circuit's
+   structure: immutable once built, so the plans of every domain may
+   share one. *)
+type analysis = {
   n : int;
   nnodes : int;
-  elements : Netlist.element list; (* as compiled, for [rebind]'s check *)
+  shape_rev : Netlist.element list; (* the analyzed elements, newest first *)
   pattern : Sparse.pattern;
-  (* constant tier: resistors + voltage-source incidence, summed once *)
-  static_vals : float array;
+  vs_static : float array; (* voltage-source incidence entries *)
+  res_slots : int array; (* 4 per resistor, element order: (1,1) (2,2) (1,2) (2,1) *)
   diag_slots : int array; (* slot of (i, i) for every node row (gshunt) *)
   fets : fet array;
   (* capacitors, netlist order (matches Mna.cap_companion indexing) *)
@@ -37,12 +39,25 @@ type t = {
   cap_s22 : int array;
   cap_s12 : int array;
   cap_s21 : int array;
-  (* independent sources, for the per-solve RHS; [rebind] rewrites the
-     waves in place *)
+  (* independent sources, for the per-solve RHS *)
   vs_rows : int array;
-  vs_waves : Source.t array;
   is_pos : int array;
   is_neg : int array;
+  first : (float array * Sparse.lu) option;
+      (* the matrix at x = 0 under a DC plain rung's linear tier, and
+         its factorization: a plan's first-factorization memo starts
+         from it *)
+}
+
+type t = {
+  an : analysis;
+  elements_rev : Netlist.element list; (* as bound, for [rebind]'s check *)
+  (* constant tier: resistors + voltage-source incidence, summed when
+     the plan is bound *)
+  static_vals : float array;
+  models : Model.t array; (* per MOSFET, as [an.fets] *)
+  (* source waves, element order; [rebind] rewrites them in place *)
+  vs_waves : Source.t array;
   is_waves : Source.t array;
   (* workspace *)
   a : Sparse.t;
@@ -51,6 +66,7 @@ type t = {
   rhs : float array;
   x : float array;
   x_new : float array;
+  last : float array;
   lin : Mna.fet_lin;
   ws : Level1.workspace;
   mutable lu : Sparse.lu option; (* None: the next factorization is a solve's first *)
@@ -61,17 +77,22 @@ type t = {
   held_rhs : float array; (* the matrix at x = 0 is assembled *)
 }
 
-let n t = t.n
+let n t = t.an.n
 let matrix t = t.a
 let rhs t = t.rhs
 let x_buffer t = t.x
 let x_new_buffer t = t.x_new
+let zero t = t.zero
+let last_buffer t = t.last
 
-let compile netlist =
+(* the slots, rows and static incidence of a netlist's structure; the
+   factorization at x = 0 is left to [analyze] *)
+let structure netlist =
   Lattice_obs.Metrics.Counter.incr compiles_counter;
   let n = Netlist.unknowns netlist in
   let nnodes = Netlist.num_nodes netlist in
-  let elements = Netlist.elements netlist in
+  (* newest first: consing while walking it lists in element order *)
+  let elements_rev = Netlist.elements_rev netlist in
   let b = Sparse.Builder.create n in
   (* node diagonals: the continuation-shunt fallback stamps all of them *)
   for i = 0 to nnodes - 1 do
@@ -109,26 +130,14 @@ let compile netlist =
         reserve_conductance d s;
         if d >= 0 && g >= 0 then Sparse.Builder.add b d g;
         if s >= 0 && g >= 0 then Sparse.Builder.add b s g)
-    elements;
+    elements_rev;
   let pattern = Sparse.Builder.compile b in
   let slot r c = if r >= 0 && c >= 0 then Sparse.slot pattern ~row:r ~col:c else -1 in
-  let static_vals = Array.make (Sparse.nnz pattern) 0.0 in
-  let stamp_static_conductance i1 i2 g =
-    if i1 >= 0 then begin
-      let s = slot i1 i1 in
-      static_vals.(s) <- static_vals.(s) +. g
-    end;
-    if i2 >= 0 then begin
-      let s = slot i2 i2 in
-      static_vals.(s) <- static_vals.(s) +. g
-    end;
-    if i1 >= 0 && i2 >= 0 then begin
-      let s = slot i1 i2 in
-      static_vals.(s) <- static_vals.(s) -. g;
-      let s = slot i2 i1 in
-      static_vals.(s) <- static_vals.(s) -. g
-    end
-  in
+  (* a voltage source's entries lie in its branch row and column, which
+     no resistor touches, so summing them apart from the resistors keeps
+     the bits of summing everything in element order *)
+  let vs_static = Array.make (Sparse.nnz pattern) 0.0 in
+  let res = ref [] in
   let fets = ref [] in
   let caps = ref [] in
   let vsrcs = ref [] in
@@ -136,32 +145,34 @@ let compile netlist =
   List.iter
     (fun e ->
       match e with
-      | Netlist.Resistor { n1; n2; ohms; _ } ->
-        stamp_static_conductance (Netlist.node_index n1) (Netlist.node_index n2) (1.0 /. ohms)
+      | Netlist.Resistor { n1; n2; _ } ->
+        let i1 = Netlist.node_index n1 and i2 = Netlist.node_index n2 in
+        let s12 = if i1 >= 0 && i2 >= 0 then slot i1 i2 else -1 in
+        let s21 = if i1 >= 0 && i2 >= 0 then slot i2 i1 else -1 in
+        res := slot i1 i1 :: slot i2 i2 :: s12 :: s21 :: !res
       | Netlist.Capacitor { n1; n2; _ } ->
         let i1 = Netlist.node_index n1 and i2 = Netlist.node_index n2 in
         caps := (i1, i2, slot i1 i1, slot i2 i2, slot i1 i2, slot i2 i1) :: !caps
-      | Netlist.Vsource { npos; nneg; wave; index; _ } ->
+      | Netlist.Vsource { npos; nneg; index; _ } ->
         let row = Netlist.vsource_row netlist index in
         let ip = Netlist.node_index npos and ineg = Netlist.node_index nneg in
         if ip >= 0 then begin
-          static_vals.(slot ip row) <- static_vals.(slot ip row) +. 1.0;
-          static_vals.(slot row ip) <- static_vals.(slot row ip) +. 1.0
+          vs_static.(slot ip row) <- vs_static.(slot ip row) +. 1.0;
+          vs_static.(slot row ip) <- vs_static.(slot row ip) +. 1.0
         end;
         if ineg >= 0 then begin
-          static_vals.(slot ineg row) <- static_vals.(slot ineg row) -. 1.0;
-          static_vals.(slot row ineg) <- static_vals.(slot row ineg) -. 1.0
+          vs_static.(slot ineg row) <- vs_static.(slot ineg row) -. 1.0;
+          vs_static.(slot row ineg) <- vs_static.(slot row ineg) -. 1.0
         end;
-        vsrcs := (row, wave) :: !vsrcs
-      | Netlist.Isource { npos; nneg; wave; _ } ->
-        isrcs := (Netlist.node_index npos, Netlist.node_index nneg, wave) :: !isrcs
-      | Netlist.Mosfet { drain; gate; source; model; _ } ->
+        vsrcs := row :: !vsrcs
+      | Netlist.Isource { npos; nneg; _ } ->
+        isrcs := (Netlist.node_index npos, Netlist.node_index nneg) :: !isrcs
+      | Netlist.Mosfet { drain; gate; source; _ } ->
         let d = Netlist.node_index drain
         and g = Netlist.node_index gate
         and s = Netlist.node_index source in
         fets :=
           {
-            f_model = model;
             f_d = d;
             f_g = g;
             f_s = s;
@@ -173,43 +184,110 @@ let compile netlist =
             s_sg = slot s g;
           }
           :: !fets)
-    elements;
-  let caps = Array.of_list (List.rev !caps) in
-  let vsrcs = Array.of_list (List.rev !vsrcs) in
-  let isrcs = Array.of_list (List.rev !isrcs) in
+    elements_rev;
+  let caps = Array.of_list !caps in
+  let isrcs = Array.of_list !isrcs in
   {
     n;
     nnodes;
-    elements;
+    shape_rev = elements_rev;
     pattern;
-    static_vals;
+    vs_static;
+    res_slots = Array.of_list !res;
     diag_slots = Array.init nnodes (fun i -> slot i i);
-    fets = Array.of_list (List.rev !fets);
+    fets = Array.of_list !fets;
     cap_i1 = Array.map (fun (i1, _, _, _, _, _) -> i1) caps;
     cap_i2 = Array.map (fun (_, i2, _, _, _, _) -> i2) caps;
     cap_s11 = Array.map (fun (_, _, s11, _, _, _) -> s11) caps;
     cap_s22 = Array.map (fun (_, _, _, s22, _, _) -> s22) caps;
     cap_s12 = Array.map (fun (_, _, _, _, s12, _) -> s12) caps;
     cap_s21 = Array.map (fun (_, _, _, _, _, s21) -> s21) caps;
-    vs_rows = Array.map fst vsrcs;
-    vs_waves = Array.map snd vsrcs;
-    is_pos = Array.map (fun (p, _, _) -> p) isrcs;
-    is_neg = Array.map (fun (_, q, _) -> q) isrcs;
-    is_waves = Array.map (fun (_, _, w) -> w) isrcs;
-    a = Sparse.create pattern;
-    a0 = Array.make (Sparse.nnz pattern) 0.0;
+    vs_rows = Array.of_list !vsrcs;
+    is_pos = Array.map fst isrcs;
+    is_neg = Array.map snd isrcs;
+    first = None;
+  }
+
+(* [b] stamps the MNA system [a] does, up to values, models and source
+   waves *)
+let same_shape (a : Netlist.element) (b : Netlist.element) =
+  a == b
+  ||
+  match (a, b) with
+  | Netlist.Resistor a, Netlist.Resistor b -> a.n1 = b.n1 && a.n2 = b.n2
+  | Netlist.Capacitor a, Netlist.Capacitor b -> a.n1 = b.n1 && a.n2 = b.n2
+  | Netlist.Vsource a, Netlist.Vsource b -> a.npos = b.npos && a.nneg = b.nneg && a.index = b.index
+  | Netlist.Isource a, Netlist.Isource b -> a.npos = b.npos && a.nneg = b.nneg
+  | Netlist.Mosfet a, Netlist.Mosfet b ->
+    a.drain = b.drain && a.gate = b.gate && a.source = b.source
+  | (Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Vsource _ | Netlist.Isource _ | Netlist.Mosfet _), _
+    -> false
+
+let fits an netlist =
+  Netlist.unknowns netlist = an.n
+  && Netlist.num_nodes netlist = an.nnodes
+  && List.equal same_shape an.shape_rev (Netlist.elements_rev netlist)
+
+(* A plan over [an] for a netlist that fits it: one pass over the
+   elements, newest first, takes the resistor conductances, the models
+   and the source waves; the conductances are then summed in element
+   order, as a fresh compile sums them *)
+let bind an netlist ~first =
+  let nres = Array.length an.res_slots / 4 in
+  let g = Array.make nres 0.0 in
+  (* consing while walking newest first lists the rest in element order *)
+  let rec take r models vs is = function
+    | [] -> (models, vs, is)
+    | Netlist.Resistor { ohms; _ } :: rest ->
+      g.(r - 1) <- 1.0 /. ohms;
+      take (r - 1) models vs is rest
+    | Netlist.Mosfet { model; _ } :: rest -> take r (model :: models) vs is rest
+    | Netlist.Vsource { wave; _ } :: rest -> take r models (wave :: vs) is rest
+    | Netlist.Isource { wave; _ } :: rest -> take r models vs (wave :: is) rest
+    | Netlist.Capacitor _ :: rest -> take r models vs is rest
+  in
+  let elements_rev = Netlist.elements_rev netlist in
+  let models, vs_waves, is_waves = take nres [] [] [] elements_rev in
+  let static_vals = Array.copy an.vs_static in
+  let add s v = static_vals.(s) <- static_vals.(s) +. v in
+  for k = 0 to nres - 1 do
+    let gk = g.(k) and rs = an.res_slots in
+    let s11 = rs.(4 * k) and s22 = rs.((4 * k) + 1) and s12 = rs.((4 * k) + 2) in
+    if s11 >= 0 then add s11 gk;
+    if s22 >= 0 then add s22 gk;
+    if s12 >= 0 then begin
+      add s12 (-.gk);
+      add rs.((4 * k) + 3) (-.gk)
+    end
+  done;
+  let n = an.n and nnz = Sparse.nnz an.pattern in
+  {
+    an;
+    elements_rev;
+    static_vals;
+    models = Array.of_list models;
+    vs_waves = Array.of_list vs_waves;
+    is_waves = Array.of_list is_waves;
+    a = Sparse.create an.pattern;
+    a0 = Array.make nnz 0.0;
     b0 = Array.make n 0.0;
     rhs = Array.make n 0.0;
     x = Array.make n 0.0;
     x_new = Array.make n 0.0;
+    last = Array.make n 0.0;
     lin = Mna.fet_lin_create ();
     ws = Level1.workspace_create ();
     lu = None;
-    first = None;
+    first;
     zero = Array.make n 0.0;
-    held_a = Array.make (Sparse.nnz pattern) 0.0;
+    held_a = Array.make nnz 0.0;
     held_rhs = Array.make n 0.0;
   }
+
+let instantiate an netlist =
+  if not (fits an netlist) then
+    invalid_arg "Stamp_plan.instantiate: the netlist's structure differs from the analyzed one";
+  bind an netlist ~first:(Option.map (fun (values, lu) -> (values, Sparse.share lu)) an.first)
 
 (* [e] is [c] up to the wave of an independent source *)
 let same_but_wave (c : Netlist.element) (e : Netlist.element) =
@@ -223,38 +301,39 @@ let same_but_wave (c : Netlist.element) (e : Netlist.element) =
   | (Netlist.Vsource _ | Netlist.Isource _), _ -> false
 
 let rebind t netlist =
-  let elements = Netlist.elements netlist in
+  let elements_rev = Netlist.elements_rev netlist in
   if
     not
-      (Netlist.unknowns netlist = t.n
-      && Netlist.num_nodes netlist = t.nnodes
-      && List.equal same_but_wave t.elements elements)
+      (Netlist.unknowns netlist = t.an.n
+      && Netlist.num_nodes netlist = t.an.nnodes
+      && List.equal same_but_wave t.elements_rev elements_rev)
   then invalid_arg "Stamp_plan.rebind: the netlist's structure differs from the compiled plan's";
-  let vk = ref 0 and ik = ref 0 in
-  List.iter
-    (function
-      | Netlist.Vsource { wave; _ } ->
-        t.vs_waves.(!vk) <- wave;
-        incr vk
-      | Netlist.Isource { wave; _ } ->
-        t.is_waves.(!ik) <- wave;
-        incr ik
-      | Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Mosfet _ -> ())
-    elements;
+  (* newest first, so the sources count down from the last one *)
+  let rec waves v i = function
+    | [] -> ()
+    | Netlist.Vsource { wave; _ } :: rest ->
+      t.vs_waves.(v - 1) <- wave;
+      waves (v - 1) i rest
+    | Netlist.Isource { wave; _ } :: rest ->
+      t.is_waves.(i - 1) <- wave;
+      waves v (i - 1) rest
+    | (Netlist.Resistor _ | Netlist.Capacitor _ | Netlist.Mosfet _) :: rest -> waves v i rest
+  in
+  waves (Array.length t.vs_waves) (Array.length t.is_waves) elements_rev;
   t.lu <- None
 
 let set_linear t ~time ~gmin ~gshunt ~source_scale ~caps =
-  let a0 = t.a0 and b0 = t.b0 in
+  let an = t.an and a0 = t.a0 and b0 = t.b0 in
   Array.blit t.static_vals 0 a0 0 (Array.length a0);
-  Array.fill b0 0 t.n 0.0;
+  Array.fill b0 0 an.n 0.0;
   if gshunt > 0.0 then
-    for i = 0 to t.nnodes - 1 do
-      let s = t.diag_slots.(i) in
+    for i = 0 to an.nnodes - 1 do
+      let s = an.diag_slots.(i) in
       a0.(s) <- a0.(s) +. gshunt
     done;
   (* gmin across every MOSFET's drain-source pair *)
-  for k = 0 to Array.length t.fets - 1 do
-    let f = t.fets.(k) in
+  for k = 0 to Array.length an.fets - 1 do
+    let f = an.fets.(k) in
     if f.s_dd >= 0 then a0.(f.s_dd) <- a0.(f.s_dd) +. gmin;
     if f.s_ss >= 0 then a0.(f.s_ss) <- a0.(f.s_ss) +. gmin;
     if f.s_ds >= 0 then begin
@@ -265,45 +344,46 @@ let set_linear t ~time ~gmin ~gshunt ~source_scale ~caps =
   (match caps with
   | None -> ()
   | Some { Mna.geq; ieq } ->
-    for k = 0 to Array.length t.cap_i1 - 1 do
+    for k = 0 to Array.length an.cap_i1 - 1 do
       let g = geq.(k) in
-      if t.cap_s11.(k) >= 0 then a0.(t.cap_s11.(k)) <- a0.(t.cap_s11.(k)) +. g;
-      if t.cap_s22.(k) >= 0 then a0.(t.cap_s22.(k)) <- a0.(t.cap_s22.(k)) +. g;
-      if t.cap_s12.(k) >= 0 then begin
-        a0.(t.cap_s12.(k)) <- a0.(t.cap_s12.(k)) -. g;
-        a0.(t.cap_s21.(k)) <- a0.(t.cap_s21.(k)) -. g
+      if an.cap_s11.(k) >= 0 then a0.(an.cap_s11.(k)) <- a0.(an.cap_s11.(k)) +. g;
+      if an.cap_s22.(k) >= 0 then a0.(an.cap_s22.(k)) <- a0.(an.cap_s22.(k)) +. g;
+      if an.cap_s12.(k) >= 0 then begin
+        a0.(an.cap_s12.(k)) <- a0.(an.cap_s12.(k)) -. g;
+        a0.(an.cap_s21.(k)) <- a0.(an.cap_s21.(k)) -. g
       end;
       (* companion current flows out of n1 into n2 *)
       let i = ieq.(k) in
-      if t.cap_i1.(k) >= 0 then b0.(t.cap_i1.(k)) <- b0.(t.cap_i1.(k)) -. i;
-      if t.cap_i2.(k) >= 0 then b0.(t.cap_i2.(k)) <- b0.(t.cap_i2.(k)) +. i
+      if an.cap_i1.(k) >= 0 then b0.(an.cap_i1.(k)) <- b0.(an.cap_i1.(k)) -. i;
+      if an.cap_i2.(k) >= 0 then b0.(an.cap_i2.(k)) <- b0.(an.cap_i2.(k)) +. i
     done);
-  for k = 0 to Array.length t.vs_rows - 1 do
-    let row = t.vs_rows.(k) in
+  for k = 0 to Array.length an.vs_rows - 1 do
+    let row = an.vs_rows.(k) in
     b0.(row) <- b0.(row) +. (source_scale *. Source.value t.vs_waves.(k) time)
   done;
-  for k = 0 to Array.length t.is_pos - 1 do
+  for k = 0 to Array.length an.is_pos - 1 do
     let i = source_scale *. Source.value t.is_waves.(k) time in
-    if t.is_pos.(k) >= 0 then b0.(t.is_pos.(k)) <- b0.(t.is_pos.(k)) -. i;
-    if t.is_neg.(k) >= 0 then b0.(t.is_neg.(k)) <- b0.(t.is_neg.(k)) +. i
+    if an.is_pos.(k) >= 0 then b0.(an.is_pos.(k)) <- b0.(an.is_pos.(k)) -. i;
+    if an.is_neg.(k) >= 0 then b0.(an.is_neg.(k)) <- b0.(an.is_neg.(k)) +. i
   done
 
 let assemble t ~x =
   let v = t.a.Sparse.values in
   Array.blit t.a0 0 v 0 (Array.length v);
-  Array.blit t.b0 0 t.rhs 0 t.n;
+  Array.blit t.b0 0 t.rhs 0 t.an.n;
   let rhs = t.rhs in
   let lin = t.lin in
   let ws = t.ws in
-  for k = 0 to Array.length t.fets - 1 do
-    let f = t.fets.(k) in
+  let fets = t.an.fets and models = t.models in
+  for k = 0 to Array.length fets - 1 do
+    let f = fets.(k) in
     let vd = if f.f_d < 0 then 0.0 else x.(f.f_d) in
     let vg = if f.f_g < 0 then 0.0 else x.(f.f_g) in
     let vs = if f.f_s < 0 then 0.0 else x.(f.f_s) in
     lin.Mna.vd <- vd;
     lin.Mna.vg <- vg;
     lin.Mna.vs <- vs;
-    Mna.linearize_fet ws lin f.f_model;
+    Mna.linearize_fet ws lin models.(k);
     let gm = lin.Mna.gm and gds = lin.Mna.gds and ieq = lin.Mna.ieq in
     (* the lower-potential terminal is the effective source *)
     if vd >= vs then begin
@@ -337,6 +417,21 @@ let assemble t ~x =
     end
   done
 
+let analyze ~gmin netlist =
+  let an = structure netlist in
+  (* the matrix a DC solve's plain rung assembles at x = 0, on a plan
+     made for it alone *)
+  let p = bind an netlist ~first:None in
+  set_linear p ~time:0.0 ~gmin ~gshunt:0.0 ~source_scale:1.0 ~caps:None;
+  assemble p ~x:p.zero;
+  match Sparse.factorize p.a with
+  | lu -> { an with first = Some (p.a.Sparse.values, lu) }
+  | exception Sparse.Singular _ -> an
+
+(* a plan's own first solve factors its matrix at x = 0, at whatever
+   gmin the solve runs *)
+let compile netlist = bind (structure netlist) netlist ~first:None
+
 let same_bits a b =
   let n = Array.length a in
   let rec go i = i >= n || (Int64.bits_of_float a.(i) = Int64.bits_of_float b.(i) && go (i + 1)) in
@@ -361,7 +456,7 @@ let first_factorization t =
     lu
   | first ->
     Array.blit v 0 t.held_a 0 (Array.length v);
-    Array.blit t.rhs 0 t.held_rhs 0 t.n;
+    Array.blit t.rhs 0 t.held_rhs 0 t.an.n;
     assemble t ~x:t.zero;
     let lu =
       match first with
@@ -373,7 +468,7 @@ let first_factorization t =
     in
     let at_zero = same_bits t.held_a v in
     Array.blit t.held_a 0 v 0 (Array.length v);
-    Array.blit t.held_rhs 0 t.rhs 0 t.n;
+    Array.blit t.held_rhs 0 t.rhs 0 t.an.n;
     if at_zero then lu else Sparse.refactor_or_factorize lu t.a
 
 let factor_and_solve t =

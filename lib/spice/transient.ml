@@ -108,7 +108,15 @@ exception Step_failed of float * float * Dcop.failure
 let run_diag ?(options = default_options) ?(cancel = Cancel.none) netlist ~h ~t_stop ~record
     ?(record_currents = []) () =
   if h <= 0.0 || t_stop <= 0.0 then invalid_arg "Transient.run: h and t_stop must be positive";
-  let record_nodes = Array.of_list (List.map (fun name -> Netlist.node netlist name) record) in
+  let record_nodes =
+    Array.of_list
+      (List.map
+         (fun name ->
+           match Netlist.find_node netlist name with
+           | Some n -> n
+           | None -> invalid_arg ("Transient.run: unknown node " ^ name))
+         record)
+  in
   let record_rows =
     Array.of_list
       (List.map

@@ -689,6 +689,57 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
+(* Keys of dcop-v5 as released: stores written before a change are read
+   after it only while these hold, so a change that moves one must move
+   {!Key.version} with it and update the pins. *)
+let pinned_keys =
+  [
+    ("nominal maj3 2x3, state 3", "2eee3dccd1fef0df57d1b2240c795dec");
+    ("Monte-Carlo die 0 of seed 1, state 3", "9eb58d9683d53336a274543d5d37e27c");
+    ("stuck-open (0, 0) sample, state 3", "f4ad102b3260b9dd871bd7fc05257efb");
+    ("examples/decks/xor3.sp .op", "d35705799347687df7193b770a40dbf9");
+  ]
+
+let test_pinned_keys () =
+  Alcotest.(check string) "key version" "dcop-v5" Key.version;
+  let pin what = List.assoc what pinned_keys in
+  let grid = Lattice_synthesis.Library.maj3_2x3 and target = Tt.majority_n 3 in
+  let nominal = Key.dc_op (build_netlist ~m:3 grid) in
+  Alcotest.(check string) "nominal" (pin "nominal maj3 2x3, state 3") nominal;
+  let stuck_open = { Sp.Defects.row = 0; col = 0; kind = Sp.Defects.Stuck_open } in
+  let sample =
+    Sp.Defects.build ~defects:[ stuck_open ] grid
+      ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd:1.2 3)
+  in
+  Alcotest.(check string) "stuck-open sample" (pin "stuck-open (0, 0) sample, state 3")
+    (Key.dc_op ~seed:nominal sample.Sp.Lattice_circuit.netlist);
+  let deck =
+    match
+      Lattice_deck.Deck.parse
+        (In_channel.with_open_bin "../examples/decks/xor3.sp" In_channel.input_all)
+    with
+    | Ok d -> d
+    | Error _ -> Alcotest.fail "xor3.sp does not parse"
+  in
+  Alcotest.(check string) "xor3.sp .op" (pin "examples/decks/xor3.sp .op")
+    (Key.dc_op deck.Lattice_deck.Deck.netlist);
+  (* the flows write their solutions under those keys *)
+  let dir = Filename.temp_dir "ftl-pinned" "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let engine = Engine.create ~domains:1 ~store_dir:dir () in
+  ignore (Lattice_flow.Monte_carlo.run ~engine ~samples:1 ~seed:1 grid ~target);
+  ignore (Lattice_flow.Fault_campaign.run ~engine ~universe:[ stuck_open ] grid ~target);
+  let store = Lattice_engine.Store.open_ ~dir:(Filename.concat dir Key.version) in
+  List.iter
+    (fun what ->
+      Alcotest.(check bool) (what ^ " written") true
+        (Sys.file_exists (Lattice_engine.Store.entry_path store ~key:(pin what))))
+    [
+      "nominal maj3 2x3, state 3";
+      "Monte-Carlo die 0 of seed 1, state 3";
+      "stuck-open (0, 0) sample, state 3";
+    ]
+
 let test_resident_dc_op () =
   (* the memory-only lookup counts a hit and nothing else: no miss, no
      solve, no store read *)
@@ -822,6 +873,7 @@ let () =
           Alcotest.test_case "equal exactly when the v1 keys are" `Quick test_key_equivalence;
           Alcotest.test_case "memo dropped by every mutation" `Quick test_key_memo_invalidation;
           Alcotest.test_case "a seeded key names its seed" `Quick test_seeded_keys;
+          Alcotest.test_case "pinned dcop-v5 keys" `Quick test_pinned_keys;
         ] );
       ( "engine",
         [

@@ -772,44 +772,30 @@ let test_transient_current_recording () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_fts_gate_cap () =
-  let count_caps ckt =
-    List.length
-      (List.filter (function Sp.Netlist.Capacitor _ -> true | _ -> false) (Sp.Netlist.elements ckt))
+let test_unknown_probe_names () =
+  (* a misspelled probe name is refused by name and leaves the caller's
+     circuit as it was: looking a name up never creates the node *)
+  let net =
+    (Sp.Lattice_circuit.build Lattice_synthesis.Library.maj3_2x3
+       ~stimulus:(Sp.Lattice_circuit.state_stimulus ~vdd:1.2 3))
+      .Sp.Lattice_circuit.netlist
   in
-  let build gate_cap =
-    let ckt = Sp.Netlist.create () in
-    Sp.Fts.instantiate ckt ~name:"X"
-      ~north:(Sp.Netlist.node ckt "n")
-      ~east:(Sp.Netlist.node ckt "e")
-      ~south:(Sp.Netlist.node ckt "s")
-      ~west:(Sp.Netlist.node ckt "w")
-      ~gate:(Sp.Netlist.node ckt "g")
-      ~gate_cap Sp.Fts.default_types;
-    ckt
+  let digest = Sp.Netlist.structural_digest net and unknowns = Sp.Netlist.unknowns net in
+  let refused what f =
+    (match f () with
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (what ^ " names the node: " ^ msg) true
+        (String.ends_with ~suffix:"unknown node outt" msg)
+    | _ -> Alcotest.failf "%s: accepted a misspelled node" what);
+    Alcotest.(check int) (what ^ ": unknowns unchanged") unknowns (Sp.Netlist.unknowns net);
+    Alcotest.(check string) (what ^ ": digest unchanged") digest (Sp.Netlist.structural_digest net)
   in
-  Alcotest.(check int) "no gate caps by default" 4 (count_caps (build 0.0));
-  Alcotest.(check int) "four gate caps" 8 (count_caps (build 4e-15))
-
-let test_gate_cap_slows_input_edge () =
-  (* with gate capacitance, the XOR3 transient still passes functionally *)
-  let config =
-    { Sp.Lattice_circuit.default_config with Sp.Lattice_circuit.gate_cap = 4e-15 }
-  in
-  let lc =
-    Sp.Lattice_circuit.build ~config Lattice_synthesis.Library.xor3_3x3
-      ~stimulus:(Sp.Lattice_circuit.exhaustive_stimulus ~vdd:1.2 ~bit_time:50e-9)
-  in
-  let r = Sp.Transient.run lc.Sp.Lattice_circuit.netlist ~h:1e-9 ~t_stop:400e-9 ~record:[ "out" ] () in
-  let out = Sp.Transient.signal r "out" in
-  let ok = ref true in
-  for k = 0 to 7 do
-    let t = (float_of_int k +. 0.95) *. 50e-9 in
-    let v = Sp.Measure.value_at r.Sp.Transient.times out t in
-    let parity = (k land 1) lxor ((k lsr 1) land 1) lxor ((k lsr 2) land 1) in
-    if not (Bool.equal (v > 0.6) (parity = 0)) then ok := false
-  done;
-  Alcotest.(check bool) "functional with gate caps" true !ok
+  refused "Transient.run_diag ~record" (fun () ->
+      ignore (Sp.Transient.run_diag net ~h:1e-9 ~t_stop:2e-9 ~record:[ "out"; "outt" ] ()));
+  refused "Ac.sweep ~output" (fun () ->
+      ignore
+        (Sp.Ac.sweep net ~source:"Vin0" ~output:"outt" ~f_start:1e3 ~f_stop:1e6
+           ~points_per_decade:1))
 
 (* end-to-end property: for random small assigned lattices and every input
    combination, the transistor circuit's DC output is low exactly when the
@@ -1757,6 +1743,78 @@ let test_plan_state_sequence () =
       ("mismatched die", mismatched_die_at);
     ]
 
+let test_derived_die_matches_fresh_build () =
+  (* a die derived from its nominal circuit by swapping models equals a
+     fresh build with those models, and a plan instantiated from the
+     nominal's analysis solves it bit for bit as a fresh plan does; the
+     analysis's pivot order at x = 0 serves every die whose switches are
+     all off there, and one with a switch on at 0 V analyzes its own *)
+  let module M = Lattice_obs.Metrics in
+  let was_on = M.on () in
+  M.set_enabled true;
+  Fun.protect ~finally:(fun () -> M.set_enabled was_on) @@ fun () ->
+  let full () = M.Counter.get (M.counter "numerics.lu_full_factorizations") in
+  let deck_text net = Lattice_deck.Deck.emit (Lattice_deck.Deck.of_netlist ~title:"die" net) in
+  let shift dv = function
+    | Lattice_mosfet.Model.L1 p -> Lattice_mosfet.Model.L1 { p with L1.vth = p.L1.vth +. dv }
+    | m -> m
+  in
+  let t = Sp.Fts.default_types in
+  let die ~on_at_zero r c =
+    let dv = if on_at_zero && r = 0 && c = 1 then -0.2 else 0.01 *. float_of_int (r - c) in
+    { Sp.Fts.type_a = shift dv t.Sp.Fts.type_a; type_b = shift (-.dv) t.Sp.Fts.type_b }
+  in
+  let grid = Lattice_synthesis.Library.maj3_2x3 in
+  let nominal = Sp.Lattice_circuit.build grid ~stimulus:(dc_state ~vdd:1.2 0) in
+  let nominal_text = deck_text nominal.Sp.Lattice_circuit.netlist in
+  let analysis =
+    Sp.Stamp_plan.analyze ~gmin:Sp.Dcop.default_options.Sp.Dcop.gmin_final
+      nominal.Sp.Lattice_circuit.netlist
+  in
+  List.iter
+    (fun (name, on_at_zero, analyses) ->
+      let types_of_site = die ~on_at_zero in
+      let derived = Sp.Lattice_circuit.with_types nominal ~types_of_site in
+      let fresh = Sp.Lattice_circuit.build ~types_of_site grid ~stimulus:(dc_state ~vdd:1.2 0) in
+      let dnet = derived.Sp.Lattice_circuit.netlist and fnet = fresh.Sp.Lattice_circuit.netlist in
+      Alcotest.(check string) (name ^ ": digest") (Sp.Netlist.structural_digest fnet)
+        (Sp.Netlist.structural_digest dnet);
+      Alcotest.(check string) (name ^ ": deck text") (deck_text fnet) (deck_text dnet);
+      Alcotest.(check bool) (name ^ ": fits the nominal's analysis") true
+        (Sp.Stamp_plan.fits analysis dnet);
+      let f0 = full () in
+      let plan = Sp.Stamp_plan.instantiate analysis dnet in
+      for m = 0 to 7 do
+        let at lc =
+          (Sp.Lattice_circuit.rebind lc ~stimulus:(dc_state ~vdd:1.2 m)).Sp.Lattice_circuit.netlist
+        in
+        Alcotest.(check string) (Printf.sprintf "%s: key at state %d" name m)
+          (Lattice_engine.Key.dc_op (at fresh)) (Lattice_engine.Key.dc_op (at derived));
+        Alcotest.(check bool) (Printf.sprintf "%s: state %d" name m) true
+          (String.equal (solve_bits ~plan (at derived)) (solve_bits (at fresh)))
+      done;
+      (* the fresh solves above analyze once each *)
+      Alcotest.(check int) (name ^ ": analyses on the instantiated plan") (8 + analyses)
+        (full () - f0))
+    [ ("die", false, 0); ("die with a switch on at 0 V", true, 1) ];
+  Alcotest.(check string) "nominal unchanged" nominal_text
+    (deck_text nominal.Sp.Lattice_circuit.netlist);
+  let defective =
+    Sp.Defects.build
+      ~defects:[ { Sp.Defects.row = 0; col = 0; kind = Sp.Defects.Gate_leak Sp.Defects.West } ]
+      grid ~stimulus:(dc_state ~vdd:1.2 0)
+  in
+  Alcotest.(check bool) "another structure does not fit" false
+    (Sp.Stamp_plan.fits analysis defective.Sp.Lattice_circuit.netlist);
+  (match Sp.Stamp_plan.instantiate analysis defective.Sp.Lattice_circuit.netlist with
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool) "instantiate names itself" true
+      (String.starts_with ~prefix:"Stamp_plan.instantiate" msg)
+  | _ -> Alcotest.fail "instantiated a plan for another structure");
+  match Sp.Lattice_circuit.with_types defective ~types_of_site:(die ~on_at_zero:false) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "derived a die from a circuit a site hook built"
+
 (* a grid over [nvars] variables that mentions each of them, with at
    least one complemented literal and some constant sites *)
 let random_grid st ~nvars =
@@ -1901,8 +1959,7 @@ let () =
           Alcotest.test_case "complementary structure DC" `Quick
             test_lattice_circuit_complementary_dc;
           Alcotest.test_case "current recording" `Quick test_transient_current_recording;
-          Alcotest.test_case "gate capacitance option" `Quick test_fts_gate_cap;
-          Alcotest.test_case "functional with gate caps" `Slow test_gate_cap_slows_input_edge;
+          Alcotest.test_case "misspelled probe names" `Quick test_unknown_probe_names;
           Alcotest.test_case "level-3 switch models" `Quick test_lattice_circuit_level3_model;
           QCheck_alcotest.to_alcotest prop_circuit_matches_connectivity;
         ] );
@@ -1948,6 +2005,7 @@ let () =
           Alcotest.test_case "plan over a state sequence = fresh solves" `Quick
             test_plan_state_sequence;
           Alcotest.test_case "rebound netlist = fresh build" `Quick test_rebind_matches_fresh_build;
+          Alcotest.test_case "derived die = fresh build" `Quick test_derived_die_matches_fresh_build;
         ] );
       ( "series_chain",
         [
